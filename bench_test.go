@@ -21,6 +21,7 @@
 package routelab_test
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -40,6 +41,7 @@ import (
 	"routelab/internal/obs"
 	"routelab/internal/scenario"
 	"routelab/internal/service"
+	"routelab/internal/spec"
 	"routelab/internal/topology"
 	"routelab/internal/whatif"
 	"routelab/internal/wire"
@@ -468,12 +470,25 @@ func BenchmarkGaoRexfordCompute(b *testing.B) {
 // marshals afresh.
 func BenchmarkServeClassify(b *testing.B) {
 	s := benchScenario(b)
+	// fleetOfOne serves a second build of the bench world (same Config,
+	// so the same trace ids) the way routelabd does: registered as the
+	// default scenario and resolved before the first request.
+	fleetOfOne := func(cacheSize int) http.Handler {
+		store := service.NewStore(service.StoreConfig{CacheSize: cacheSize})
+		if err := store.Register(&spec.Expansion{Name: service.DefaultID, Config: s.Cfg}, "bench"); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := store.Get(context.Background(), service.DefaultID); err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(store.Close)
+		return service.NewFleet(store).Handler()
+	}
+	warm, cold := fleetOfOne(0), fleetOfOne(1)
 	b.Run("warm", func(b *testing.B) {
-		srv := service.New(s, service.Config{})
-		h := srv.Handler()
 		url := fmt.Sprintf("/v1/classify?trace=%d", s.Measurements[0].TraceID)
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest("GET", url, nil))
+		warm.ServeHTTP(rec, httptest.NewRequest("GET", url, nil))
 		if rec.Code != http.StatusOK {
 			b.Fatalf("prime: status %d", rec.Code)
 		}
@@ -481,15 +496,13 @@ func BenchmarkServeClassify(b *testing.B) {
 		defer measured(b)()
 		for i := 0; i < b.N; i++ {
 			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, httptest.NewRequest("GET", url, nil))
+			warm.ServeHTTP(rec, httptest.NewRequest("GET", url, nil))
 			if rec.Code != http.StatusOK {
 				b.Fatalf("status %d", rec.Code)
 			}
 		}
 	})
 	b.Run("cold", func(b *testing.B) {
-		srv := service.New(s, service.Config{CacheSize: 1})
-		h := srv.Handler()
 		if len(s.Measurements) < 2 {
 			b.Skip("need two measurements to defeat the cache")
 		}
@@ -500,7 +513,7 @@ func BenchmarkServeClassify(b *testing.B) {
 			// 1-entry LRU never holds the one being asked for.
 			trace := s.Measurements[i%len(s.Measurements)].TraceID
 			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, httptest.NewRequest("GET", fmt.Sprintf("/v1/classify?trace=%d", trace), nil))
+			cold.ServeHTTP(rec, httptest.NewRequest("GET", fmt.Sprintf("/v1/classify?trace=%d", trace), nil))
 			if rec.Code != http.StatusOK {
 				b.Fatalf("status %d", rec.Code)
 			}

@@ -29,10 +29,10 @@
 //	                   (e.g. localhost:6060) for live profiling
 //
 // With -spec, the spec's campaign sizing is taken at face value (the
-// small-scale probe adjustment below applies only to flag-built
-// configs), and any of -seed/-scale/-traces/-probes/-workers passed
+// small-scale probe adjustment applies only to flag-built configs),
+// and any of -seed/-scale/-traces/-probes/-workers passed
 // explicitly still override the spec — "-spec x.yaml -seed 7" means
-// that world, reseeded.
+// that world, reseeded (spec.World.Resolve, shared with routelabd).
 //
 // Output is byte-identical for any -workers value; the flag only trades
 // wall-clock for cores (see internal/parallel). The observability
@@ -56,26 +56,9 @@ import (
 	"routelab/internal/spec"
 )
 
-// splitOverlays parses the -overlay flag's comma-separated list.
-func splitOverlays(s string) []string {
-	var out []string
-	for _, name := range strings.Split(s, ",") {
-		if name = strings.TrimSpace(name); name != "" {
-			out = append(out, name)
-		}
-	}
-	return out
-}
-
 func main() {
 	var (
-		specPath    = flag.String("spec", "", "scenario spec file (YAML/JSON; see SCENARIOS.md)")
-		overlayList = flag.String("overlay", "", "comma-separated overlay names to apply (requires -spec)")
-		seed        = flag.Int64("seed", 2015, "master seed")
-		scale       = flag.Float64("scale", 1.0, "topology scale factor")
-		traces      = flag.Int("traces", 28510, "traceroute campaign size")
-		probes      = flag.Int("probes", 1998, "selected probe count")
-		workers     = flag.Int("workers", 0, "parallel routing workers (0 = all cores, 1 = serial)")
+		world       = spec.BindWorld(flag.CommandLine)
 		quiet       = flag.Bool("quiet", false, "suppress build progress")
 		metricsJSON = flag.String("metrics-json", "", "write a structured metrics report (JSON) to this path")
 		debugAddr   = flag.String("debug-addr", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
@@ -116,55 +99,12 @@ func main() {
 		}()
 	}
 
-	var cfg scenario.Config
-	if *specPath != "" {
-		exp, err := spec.Expand(*specPath, splitOverlays(*overlayList))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "routelab: spec:", err)
-			os.Exit(2)
-		}
-		cfg = exp.Config
-		// Explicitly-passed flags still win over the spec; defaults do
-		// not. The spec's campaign sizing is authoritative, so the
-		// small-scale probe adjustment below is skipped here.
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "seed":
-				cfg.Seed = *seed
-			case "scale":
-				cfg.Topology.Scale = *scale
-			case "traces":
-				cfg.TracesTarget = *traces
-			case "probes":
-				cfg.NumProbes = *probes
-			case "workers":
-				cfg.RoutingWorkers = *workers
-			}
-		})
-	} else {
-		if *overlayList != "" {
-			fmt.Fprintln(os.Stderr, "routelab: -overlay requires -spec")
-			os.Exit(2)
-		}
-		cfg = scenario.DefaultConfig()
-		cfg.Seed = *seed
-		cfg.Topology.Scale = *scale
-		cfg.TracesTarget = *traces
-		cfg.NumProbes = *probes
-		cfg.RoutingWorkers = *workers
-		if *scale < 0.5 {
-			// Small topologies have proportionally fewer probes available.
-			cfg.NumProbes = int(float64(cfg.NumProbes) * *scale * 2)
-			if cfg.NumProbes < 60 {
-				cfg.NumProbes = 60
-			}
-			cfg.TracesTarget = int(float64(cfg.TracesTarget) * *scale * 2)
-		}
-	}
-	if err := cfg.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "routelab: invalid flags:", err)
+	exp, err := world.Resolve()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "routelab:", err)
 		os.Exit(2)
 	}
+	cfg := exp.Config
 
 	logf := scenario.Logf(nil)
 	if !*quiet {

@@ -1,19 +1,21 @@
 // Command routelabd serves the reproduction as a long-running query
 // service over HTTP/JSON — the versioned routelab-api/v1 (see
-// internal/service). It runs in one of two modes:
+// internal/service).
 //
-// Single-scenario (default): build one sealed Scenario at startup (the
-// expensive part) from flags or a -spec document, then answer
-// classification, alternate-route, experiment, and topology queries
-// under /v1/.
+// routelabd is always a fleet: a store of registered scenario specs
+// served side by side under /v1/scenarios/{id}/..., each sealed
+// scenario built on first use, up to -max-scenarios kept resident
+// (LRU), concurrent builds of the same id coalesced, and every scenario
+// given its own admission gate, warm fork pools, and a partition of the
+// shared response cache. -scenario-dir registers every routelab-spec/v1
+// document in a directory; POST /v1/scenarios admits more at run time.
 //
-// Fleet (-scenario-dir): register every routelab-spec/v1 document in a
-// directory at boot — plus any admitted later via POST /v1/scenarios —
-// and serve them side by side under /v1/scenarios/{id}/..., building
-// each sealed scenario on first use, keeping up to -max-scenarios
-// resident (LRU), coalescing concurrent builds of the same id, and
-// giving every scenario its own admission gate, warm fork pools, and a
-// partition of the shared response cache.
+// No -scenario-dir means a fleet of one named "default": the world the
+// -spec document or the sizing flags describe, built before the
+// listener opens (the expensive part). The un-prefixed routes
+// (/v1/classify, /v1/alternates, /v1/whatif, ...) are that scenario's
+// alias — the same handlers, gate and cache keys as
+// /v1/scenarios/default/....
 //
 // Usage:
 //
@@ -22,7 +24,8 @@
 // Flags:
 //
 //	-addr ADDR          listen address (default localhost:8080)
-//	-scenario-dir DIR   serve a fleet: register every spec in DIR
+//	-scenario-dir DIR   register every spec in DIR instead of the one
+//	                    world -spec / the sizing flags describe
 //	-max-scenarios N    sealed scenarios kept resident (default 4)
 //	-max-scenario-bytes N  resident-byte budget for sealed scenarios
 //	                    (0 = count budget; when set, -max-scenarios is ignored
@@ -42,7 +45,7 @@
 //	-workers N          parallel routing workers (0 = GOMAXPROCS, 1 = serial)
 //	-max-concurrent N   concurrent request computations per scenario (0 = GOMAXPROCS)
 //	-request-timeout D  per-request deadline (0 = none); expiry returns 504
-//	-cache N            response cache entries (default 256; shared across the fleet)
+//	-cache N            response cache entries (default 256; shared by all scenarios)
 //	-fork-pool N        warm forks kept per testbed prefix (default 2)
 //	-drain D            shutdown drain budget for in-flight requests (default 30s)
 //	-quiet              suppress build progress
@@ -53,7 +56,7 @@
 // in-flight requests (up to -drain), then exits 0. Responses are
 // byte-identical per scenario for any -workers / -max-concurrent
 // values and any mix of concurrent clients — the build-time
-// determinism contract extended to serve time, and to fleet time.
+// determinism contract extended to serve time.
 package main
 
 import (
@@ -66,6 +69,7 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -76,33 +80,22 @@ import (
 	"routelab/internal/spec"
 )
 
-// splitOverlays parses the -overlay flag's comma-separated list.
-func splitOverlays(s string) []string {
-	var out []string
-	for _, name := range strings.Split(s, ",") {
-		if name = strings.TrimSpace(name); name != "" {
-			out = append(out, name)
-		}
-	}
-	return out
-}
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers, on the API and debug listeners alike: a connection
+// stuck there is outside -request-timeout and both 429 gates, so
+// nothing else would ever release it.
+const readHeaderTimeout = 10 * time.Second
 
 func main() {
 	var (
 		addr         = flag.String("addr", "localhost:8080", "listen address")
-		scenarioDir  = flag.String("scenario-dir", "", "serve a fleet: register every scenario spec in this directory")
-		maxScenarios = flag.Int("max-scenarios", 4, "sealed scenarios kept resident (fleet mode)")
-		maxScenBytes = flag.Int64("max-scenario-bytes", 0, "resident-byte budget for sealed scenarios; overrides -max-scenarios (fleet mode, 0 = off)")
-		maxBuilds    = flag.Int("max-builds", 1, "concurrent scenario builds (fleet mode)")
-		maxQBuilds   = flag.Int("max-queued-builds", 0, "build-queue depth before shedding 429 (fleet mode, 0 = unbounded)")
+		scenarioDir  = flag.String("scenario-dir", "", "register every scenario spec in this directory (instead of the one -spec/flag-built world)")
+		maxScenarios = flag.Int("max-scenarios", 4, "sealed scenarios kept resident")
+		maxScenBytes = flag.Int64("max-scenario-bytes", 0, "resident-byte budget for sealed scenarios; overrides -max-scenarios (0 = off)")
+		maxBuilds    = flag.Int("max-builds", 1, "concurrent scenario builds")
+		maxQBuilds   = flag.Int("max-queued-builds", 0, "build-queue depth before shedding 429 (0 = unbounded)")
 		maxQRequests = flag.Int("max-queued-requests", 0, "admission-queue depth per scenario before shedding 429 (0 = unbounded)")
-		specPath     = flag.String("spec", "", "scenario spec file (YAML/JSON; see SCENARIOS.md)")
-		overlayList  = flag.String("overlay", "", "comma-separated overlay names to apply (requires -spec)")
-		seed         = flag.Int64("seed", 2015, "master seed")
-		scale        = flag.Float64("scale", 1.0, "topology scale factor")
-		traces       = flag.Int("traces", 28510, "traceroute campaign size")
-		probes       = flag.Int("probes", 1998, "selected probe count")
-		workers      = flag.Int("workers", 0, "parallel routing workers (0 = all cores, 1 = serial)")
+		world        = spec.BindWorld(flag.CommandLine)
 		maxConc      = flag.Int("max-concurrent", 0, "concurrent request computations per scenario (0 = all cores)")
 		reqTimeout   = flag.Duration("request-timeout", 0, "per-request deadline (0 = none)")
 		cacheSize    = flag.Int("cache", 256, "response cache entries")
@@ -119,14 +112,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	tenantCfg := service.Config{
-		MaxConcurrent:     *maxConc,
-		MaxQueuedRequests: *maxQRequests,
-		RequestTimeout:    *reqTimeout,
-		CacheSize:         *cacheSize,
-		ForkPool:          *forkPool,
-	}
-
 	logf := scenario.Logf(nil)
 	if !*quiet {
 		logf = func(format string, args ...any) {
@@ -134,66 +119,19 @@ func main() {
 		}
 	}
 
-	var cfg scenario.Config // single-scenario mode only
+	// exp is the fleet-of-one world; nil when -scenario-dir supplies the
+	// worlds, where each registered spec is the whole description and the
+	// world flags don't apply.
+	var exp *spec.Expansion
 	if *scenarioDir != "" {
-		// Fleet mode: each registered spec is the whole world
-		// description, so the single-scenario shape flags don't apply.
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "spec", "overlay", "seed", "scale", "traces", "probes", "workers":
-				fmt.Fprintf(os.Stderr, "routelabd: -%s does not apply in fleet mode (-scenario-dir); the specs are authoritative\n", f.Name)
-				os.Exit(2)
-			}
-		})
-	} else if *specPath != "" {
-		exp, err := spec.Expand(*specPath, splitOverlays(*overlayList))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "routelabd: spec:", err)
+		if set := world.Explicit(); len(set) > 0 {
+			fmt.Fprintf(os.Stderr, "routelabd: -%s does not apply with -scenario-dir; the specs are authoritative\n", set[0])
 			os.Exit(2)
 		}
-		cfg = exp.Config
-		// Explicitly-passed flags still win over the spec; defaults do
-		// not. The spec's campaign sizing is authoritative, so the
-		// small-scale probe adjustment below is skipped here (same
-		// semantics as cmd/routelab).
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "seed":
-				cfg.Seed = *seed
-			case "scale":
-				cfg.Topology.Scale = *scale
-			case "traces":
-				cfg.TracesTarget = *traces
-			case "probes":
-				cfg.NumProbes = *probes
-			case "workers":
-				cfg.RoutingWorkers = *workers
-			}
-		})
 	} else {
-		if *overlayList != "" {
-			fmt.Fprintln(os.Stderr, "routelabd: -overlay requires -spec")
-			os.Exit(2)
-		}
-		cfg = scenario.DefaultConfig()
-		cfg.Seed = *seed
-		cfg.Topology.Scale = *scale
-		cfg.TracesTarget = *traces
-		cfg.NumProbes = *probes
-		cfg.RoutingWorkers = *workers
-		if *scale < 0.5 {
-			// Small topologies have proportionally fewer probes available
-			// (same adjustment as cmd/routelab).
-			cfg.NumProbes = int(float64(cfg.NumProbes) * *scale * 2)
-			if cfg.NumProbes < 60 {
-				cfg.NumProbes = 60
-			}
-			cfg.TracesTarget = int(float64(cfg.TracesTarget) * *scale * 2)
-		}
-	}
-	if *scenarioDir == "" {
-		if err := cfg.Validate(); err != nil {
-			fmt.Fprintln(os.Stderr, "routelabd: invalid flags:", err)
+		var err error
+		if exp, err = world.Resolve(); err != nil {
+			fmt.Fprintln(os.Stderr, "routelabd:", err)
 			os.Exit(2)
 		}
 	}
@@ -207,7 +145,9 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "debug server: http://%s/debug/pprof/ and /debug/vars\n", ln.Addr())
 		go func() {
-			if err := http.Serve(ln, nil); err != nil {
+			// nil Handler: pprof and expvar register on DefaultServeMux.
+			debugSrv := &http.Server{ReadHeaderTimeout: readHeaderTimeout}
+			if err := debugSrv.Serve(ln); err != nil {
 				fmt.Fprintln(os.Stderr, "routelabd: debug server:", err)
 			}
 		}()
@@ -220,9 +160,11 @@ func main() {
 		}
 		rep := obs.NewReport()
 		rep.Command = "routelabd " + strings.Join(os.Args[1:], " ")
-		rep.Seed = cfg.Seed
-		rep.Scale = cfg.Topology.Scale
-		rep.Workers = cfg.RoutingWorkers
+		if exp != nil {
+			rep.Seed = exp.Config.Seed
+			rep.Scale = exp.Config.Topology.Scale
+			rep.Workers = exp.Config.RoutingWorkers
+		}
 		rep.WallNS = int64(time.Since(start))
 		rep.Metrics = obs.Snap()
 		if err := rep.WriteFile(*metricsJSON); err != nil {
@@ -232,21 +174,21 @@ func main() {
 		}
 	}
 
-	var handler http.Handler
-	// closeServing joins serving-side background goroutines (fork-pool
-	// refills) after the HTTP drain, so a clean exit leaves nothing
-	// running.
-	var closeServing func()
-	if *scenarioDir != "" {
-		store := service.NewStore(service.StoreConfig{
-			MaxScenarios:     *maxScenarios,
-			MaxScenarioBytes: *maxScenBytes,
-			MaxBuilds:        *maxBuilds,
-			MaxQueuedBuilds:  *maxQBuilds,
-			CacheSize:        *cacheSize,
-			Tenant:           tenantCfg,
-			Logf:             logf,
-		})
+	store := service.NewStore(service.StoreConfig{
+		MaxScenarios:     *maxScenarios,
+		MaxScenarioBytes: *maxScenBytes,
+		MaxBuilds:        *maxBuilds,
+		MaxQueuedBuilds:  *maxQBuilds,
+		CacheSize:        *cacheSize,
+		Tenant: service.Config{
+			MaxConcurrent:     *maxConc,
+			MaxQueuedRequests: *maxQRequests,
+			RequestTimeout:    *reqTimeout,
+			ForkPool:          *forkPool,
+		},
+		Logf: logf,
+	})
+	if exp == nil {
 		n, err := store.RegisterDir(*scenarioDir)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "routelabd:", err)
@@ -254,20 +196,26 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "routelabd: fleet of %d scenario(s) from %s: %s\n",
 			n, *scenarioDir, strings.Join(store.IDs(), ", "))
-		handler = service.NewFleet(store).Handler()
-		closeServing = store.Close
 	} else {
-		s, err := scenario.Build(cfg, logf)
+		// A fleet of one: register the world as the scenario the
+		// un-prefixed routes alias, and build it before listening so the
+		// first request finds it warm and a failed build never serves.
+		origin := "flags"
+		if exp.Source != "" {
+			origin = filepath.ToSlash(exp.Source)
+		}
+		exp.Name = service.DefaultID
+		err := store.Register(exp, origin)
+		if err == nil {
+			_, err = store.Get(context.Background(), service.DefaultID)
+		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "routelabd:", err)
 			os.Exit(1)
 		}
-		srv := service.New(s, tenantCfg)
-		handler = srv.Handler()
-		closeServing = srv.Close
 	}
 
-	httpSrv := &http.Server{Handler: handler}
+	httpSrv := &http.Server{Handler: service.NewFleet(store).Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "routelabd:", err)
@@ -304,7 +252,9 @@ func main() {
 		writeMetrics()
 		os.Exit(1)
 	}
-	closeServing()
+	// Join serving-side background goroutines (fork-pool refills) after
+	// the HTTP drain, so a clean exit leaves nothing running.
+	store.Close()
 	writeMetrics()
 	fmt.Fprintln(os.Stderr, "routelabd: drained, bye")
 }

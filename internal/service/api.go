@@ -1,7 +1,11 @@
-// Package service is the query layer over one warm scenario: an
-// http.Handler serving classification, alternate-route, experiment,
-// and topology lookups as versioned JSON. cmd/routelabd wraps it in a
-// long-running server.
+// Package service is the query layer over a fleet of warm scenarios: a
+// Store that registers scenario specs, builds each sealed world on
+// first use and keeps the recent ones resident, and a Fleet — the one
+// http.Handler — serving classification, alternate-route, experiment,
+// what-if and topology lookups per scenario as versioned JSON under
+// /v1/scenarios/{id}/..., with the un-prefixed /v1/... routes aliasing
+// the scenario named DefaultID. cmd/routelabd wraps it in a
+// long-running server; one world is a fleet of one.
 //
 // # Determinism contract, extended to serve time
 //
@@ -172,7 +176,8 @@ type ScenarioInfo struct {
 	Profile     string   `json:"profile"`
 	Overlays    []string `json:"overlays,omitempty"`
 	// Origin is where the spec came from: the file path for -scenario-dir
-	// registrations, "api" for POST /v1/scenarios admissions.
+	// and -spec registrations, "flags" for a flag-built world, "api" for
+	// POST /v1/scenarios admissions.
 	Origin string  `json:"origin"`
 	Seed   int64   `json:"seed"`
 	Scale  float64 `json:"scale"`
@@ -196,8 +201,9 @@ type ScenarioData struct {
 	Scenario ScenarioInfo `json:"scenario"`
 }
 
-// FleetHealthData is the fleet-mode /v1/healthz payload: the store
-// summary instead of one scenario's shape (liveness is the 200 itself).
+// FleetHealthData is the /v1/healthz payload of a fleet with no
+// DefaultID scenario: the store summary instead of one scenario's
+// shape (liveness is the 200 itself).
 type FleetHealthData struct {
 	Status    string   `json:"status"`
 	Scenarios int      `json:"scenarios"`

@@ -12,14 +12,15 @@ import (
 	"routelab/internal/spec"
 )
 
-// Fleet is the multi-scenario face of the service: /v1/scenarios
-// listing and admission over a Store, plus per-scenario routing that
-// resolves {id} to a tenant Server (building the sealed scenario on
-// demand) and delegates to the same endpoint handlers the
-// single-scenario mode serves. Every tenant keeps its own admission
-// gate and a scenario-id-keyed partition of the shared response cache,
-// so tenants bound their compute independently and can never
-// cross-serve cached bodies.
+// Fleet is the HTTP face of the service: /v1/scenarios listing and
+// admission over a Store, plus per-scenario routing that resolves {id}
+// to a tenant Server (building the sealed scenario on demand) and
+// delegates to its endpoint handlers. The un-prefixed /v1 routes are an
+// alias for the tenant named DefaultID, so a fleet of one serves the
+// plain API through the same resolver, gate and cache keys. Every
+// tenant keeps its own admission gate and a scenario-id-keyed partition
+// of the shared response cache, so tenants bound their compute
+// independently and can never cross-serve cached bodies.
 type Fleet struct {
 	store *Store
 	mux   *http.ServeMux
@@ -28,7 +29,6 @@ type Fleet struct {
 // NewFleet assembles the fleet handler over a store.
 func NewFleet(store *Store) *Fleet {
 	f := &Fleet{store: store, mux: http.NewServeMux()}
-	instrument(f.mux, "GET /v1/healthz", "healthz", f.serveHealthz)
 	instrument(f.mux, "GET /v1/metrics", "metrics", serveMetrics)
 	instrument(f.mux, "GET /v1/scenarios", "scenarios", f.serveScenarios)
 	instrument(f.mux, "POST /v1/scenarios", "admit", f.serveAdmit)
@@ -37,10 +37,17 @@ func NewFleet(store *Store) *Fleet {
 	// how a build is going must answer instantly, never trigger the
 	// build or queue behind it.
 	instrument(f.mux, "GET /v1/scenarios/{id}/build", "build", f.serveBuildProgress)
-	// Every per-scenario endpoint comes from the shared route table the
-	// single-scenario Server mounts at /v1 — one registration, two modes.
+	instrument(f.mux, "GET /v1/build", "build", f.serveBuildProgress)
+	// Every per-scenario endpoint is mounted twice from the one route
+	// table: under its scenario root, and un-prefixed as the DefaultID
+	// alias (scenarioID supplies the id the pattern lacks).
 	for _, rt := range scenarioRoutes {
-		instrument(f.mux, rt.method+" /v1/scenarios/{id}"+rt.path, rt.name, f.tenant(rt.h))
+		h := f.tenant(rt.h)
+		instrument(f.mux, rt.method+" /v1/scenarios/{id}"+rt.path, rt.name, h)
+		if rt.name == "healthz" {
+			h = f.serveHealthz // falls back to the fleet summary
+		}
+		instrument(f.mux, rt.method+" /v1"+rt.path, rt.name, h)
 	}
 	f.mux.HandleFunc("/", serveNotFound)
 	return f
@@ -52,12 +59,22 @@ func (f *Fleet) Handler() http.Handler { return f.mux }
 // Store returns the underlying scenario store.
 func (f *Fleet) Store() *Store { return f.store }
 
-// tenant adapts a per-scenario endpoint handler: resolve {id} through
-// the store — an LRU hit, a coalesced wait, or a fresh build — then
-// delegate. The request context bounds the resolution wait.
+// scenarioID is the scenario a request addresses: the {id} path
+// segment, or DefaultID on the un-prefixed alias routes.
+func scenarioID(r *http.Request) string {
+	if id := r.PathValue("id"); id != "" {
+		return id
+	}
+	return DefaultID
+}
+
+// tenant adapts a per-scenario endpoint handler: resolve the scenario
+// id through the store — an LRU hit, a coalesced wait, or a fresh
+// build — then delegate. The request context bounds the resolution
+// wait.
 func (f *Fleet) tenant(h func(*Server, http.ResponseWriter, *http.Request)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		srv, err := f.store.Get(r.Context(), r.PathValue("id"))
+		srv, err := f.store.Get(r.Context(), scenarioID(r))
 		if err != nil {
 			failStore(w, err)
 			return
@@ -85,7 +102,19 @@ func failStore(w http.ResponseWriter, err error) {
 	}
 }
 
-func (f *Fleet) serveHealthz(w http.ResponseWriter, _ *http.Request) {
+// serveHealthz is GET /v1/healthz: the DefaultID tenant's health body
+// when that id is registered (the alias contract), the store summary
+// otherwise — chosen from what the store holds, not from a mode.
+func (f *Fleet) serveHealthz(w http.ResponseWriter, r *http.Request) {
+	srv, err := f.store.Get(r.Context(), DefaultID)
+	if err == nil {
+		srv.serveHealthz(w, r)
+		return
+	}
+	if !errors.Is(err, ErrUnknownScenario) {
+		failStore(w, err)
+		return
+	}
 	infos := f.store.Infos()
 	data := FleetHealthData{Status: "ok", Scenarios: len(infos), IDs: make([]string, 0, len(infos))}
 	for _, in := range infos {
@@ -94,12 +123,7 @@ func (f *Fleet) serveHealthz(w http.ResponseWriter, _ *http.Request) {
 		}
 		data.IDs = append(data.IDs, in.ID)
 	}
-	body, err := marshalEnvelope("health", data)
-	if err != nil {
-		fail(w, http.StatusInternalServerError, apiErr(CodeInternal, err.Error()))
-		return
-	}
-	writeBody(w, body)
+	writeEnvelope(w, http.StatusOK, "health", data)
 }
 
 func (f *Fleet) serveScenarios(w http.ResponseWriter, _ *http.Request) {
@@ -110,30 +134,20 @@ func (f *Fleet) serveScenarios(w http.ResponseWriter, _ *http.Request) {
 			data.Built++
 		}
 	}
-	body, err := marshalEnvelope("scenarios", data)
-	if err != nil {
-		fail(w, http.StatusInternalServerError, apiErr(CodeInternal, err.Error()))
-		return
-	}
-	writeBody(w, body)
+	writeEnvelope(w, http.StatusOK, "scenarios", data)
 }
 
-// serveBuildProgress is GET /v1/scenarios/{id}/build: a phase/percent
-// snapshot of the scenario's build. Like /v1/metrics it reports
-// history, so it is never cached and is exempt from the byte-identity
-// contract.
+// serveBuildProgress is GET /v1/scenarios/{id}/build (and /v1/build):
+// a phase/percent snapshot of the scenario's build. Like /v1/metrics it
+// reports history, so it is never cached and is exempt from the
+// byte-identity contract.
 func (f *Fleet) serveBuildProgress(w http.ResponseWriter, r *http.Request) {
-	d, err := f.store.BuildProgress(r.PathValue("id"))
+	d, err := f.store.BuildProgress(scenarioID(r))
 	if err != nil {
 		failStore(w, err)
 		return
 	}
-	body, err := marshalEnvelope("build", d)
-	if err != nil {
-		fail(w, http.StatusInternalServerError, apiErr(CodeInternal, err.Error()))
-		return
-	}
-	writeBody(w, body)
+	writeEnvelope(w, http.StatusOK, "build", d)
 }
 
 func (f *Fleet) serveScenario(w http.ResponseWriter, r *http.Request) {
@@ -142,12 +156,7 @@ func (f *Fleet) serveScenario(w http.ResponseWriter, r *http.Request) {
 		failStore(w, err)
 		return
 	}
-	body, err := marshalEnvelope("scenario", ScenarioData{Scenario: info})
-	if err != nil {
-		fail(w, http.StatusInternalServerError, apiErr(CodeInternal, err.Error()))
-		return
-	}
-	writeBody(w, body)
+	writeEnvelope(w, http.StatusOK, "scenario", ScenarioData{Scenario: info})
 }
 
 // maxSpecBytes bounds an admitted spec document; corpus specs are a
@@ -194,14 +203,7 @@ func (f *Fleet) serveAdmit(w http.ResponseWriter, r *http.Request) {
 		fail(w, http.StatusInternalServerError, apiErr(CodeInternal, err.Error()))
 		return
 	}
-	resp, err := marshalEnvelope("scenario", ScenarioData{Scenario: info})
-	if err != nil {
-		fail(w, http.StatusInternalServerError, apiErr(CodeInternal, err.Error()))
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusCreated)
-	write(w, resp)
+	writeEnvelope(w, http.StatusCreated, "scenario", ScenarioData{Scenario: info})
 }
 
 // specFormat picks the admission document's parser: an explicit

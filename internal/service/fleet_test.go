@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -148,14 +149,22 @@ func TestFleetUnknownScenario(t *testing.T) {
 		"/v1/scenarios/nope/classify?trace=0",
 		"/v1/scenarios/nope/experiments/table1",
 		"/v1/scenarios/nope/as/1",
+		// The un-prefixed alias on a store with no DefaultID scenario.
+		"/v1/classify?trace=0",
+		"/v1/build",
 	} {
 		status, body := get(t, ts.URL+path)
 		if status != http.StatusNotFound {
 			t.Errorf("%s: status %d, want 404", path, status)
 			continue
 		}
-		if env := checkEnvelope(t, body); env.Kind != "error" {
+		env := checkEnvelope(t, body)
+		if env.Kind != "error" {
 			t.Errorf("%s: kind %q, want error", path, env.Kind)
+		}
+		var ed ErrorData
+		if err := json.Unmarshal(env.Data, &ed); err != nil || ed.Code != CodeNotFound {
+			t.Errorf("%s: error code %q (%v), want %q", path, ed.Code, err, CodeNotFound)
 		}
 	}
 }
@@ -432,5 +441,67 @@ func TestStoreRegisterValidation(t *testing.T) {
 	}
 	if _, err := st.RegisterDir(t.TempDir()); err == nil {
 		t.Error("RegisterDir of empty dir succeeded")
+	}
+}
+
+// TestDefaultAliasSharesOnePath is the fleet-of-one contract: every row
+// of scenarioRoutes answers at /v1{path} exactly as it does at
+// /v1/scenarios/default{path} — identical bytes, and for the cacheable
+// rows the second fetch is a hit, so the alias shares the prefixed
+// route's cache key rather than minting its own. The table ranges over
+// scenarioRoutes itself; a new row without a sample request fails here.
+func TestDefaultAliasSharesOnePath(t *testing.T) {
+	s := testScenario(t)
+	_, ts := newTestServer(t, Config{})
+	samples := map[string]struct{ path, body string }{
+		"/healthz":            {path: "/healthz"},
+		"/classify":           {path: fmt.Sprintf("/classify?trace=%d", s.Measurements[0].TraceID)},
+		"/alternates":         {path: fmt.Sprintf("/alternates?target=%s", s.Measurements[0].DstAS)},
+		"/experiments/{name}": {path: "/experiments/table1"},
+		"/as/{asn}":           {path: fmt.Sprintf("/as/%s", s.Topo.ASNs()[0])},
+		"/whatif":             {path: "/whatif", body: `{"schema":"routelab-whatif/v1","delta":{"kind":"prepend","prepend":1}}`},
+	}
+	fetch := func(method, url, body string) (int, string, string) {
+		t.Helper()
+		req, err := http.NewRequest(method, url, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(b), resp.Header.Get(CacheHeader)
+	}
+	for _, rt := range scenarioRoutes {
+		sample, ok := samples[rt.path]
+		if !ok {
+			t.Errorf("scenarioRoutes row %s %s has no sample request in this test", rt.method, rt.path)
+			continue
+		}
+		status, alias, hdr1 := fetch(rt.method, ts.URL+"/v1"+sample.path, sample.body)
+		if status != http.StatusOK {
+			t.Errorf("%s /v1%s: status %d\n%s", rt.method, sample.path, status, alias)
+			continue
+		}
+		status, prefixed, hdr2 := fetch(rt.method, ts.URL+"/v1/scenarios/"+DefaultID+sample.path, sample.body)
+		if status != http.StatusOK || prefixed != alias {
+			t.Errorf("%s: /v1/scenarios/default answers %d with different bytes than the alias", sample.path, status)
+		}
+		if hdr1 == "" && hdr2 == "" {
+			continue // not cacheable (healthz)
+		}
+		if hdr1 != "miss" || hdr2 != "hit" {
+			t.Errorf("%s: cache %q then %q, want miss then hit (one key for both routes)", sample.path, hdr1, hdr2)
+		}
+	}
+	_, alias, _ := fetch(http.MethodGet, ts.URL+"/v1/build", "")
+	if _, prefixed, _ := fetch(http.MethodGet, ts.URL+"/v1/scenarios/"+DefaultID+"/build", ""); prefixed != alias {
+		t.Errorf("/v1/build and /v1/scenarios/default/build differ:\n%s\n%s", alias, prefixed)
 	}
 }

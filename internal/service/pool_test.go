@@ -12,7 +12,7 @@ import (
 // keeps working by forking inline, drain is idempotent, and no refill
 // goroutine outlives the join.
 func TestForkPoolDrainJoinsRefills(t *testing.T) {
-	srv := New(testScenario(t), Config{ForkPool: 2})
+	srv := newTenant(DefaultID, testScenario(t), Config{ForkPool: 2}, newCache(0))
 	if len(srv.pools) == 0 {
 		t.Fatal("test scenario has no testbed prefixes / fork pools")
 	}

@@ -2,7 +2,6 @@ package service
 
 import (
 	"fmt"
-	"net/http"
 	"strings"
 	"sync"
 
@@ -173,10 +172,10 @@ func (bp *buildProgress) snapshot(id string) BuildProgressData {
 	return d
 }
 
-// BuildProgressData is the kind "build" payload: GET
-// /v1/scenarios/{id}/build in fleet mode, GET /v1/build in
-// single-scenario mode (where the scenario is built before serving, so
-// the answer is statically "built").
+// BuildProgressData is the kind "build" payload of GET
+// /v1/scenarios/{id}/build and its DefaultID alias GET /v1/build
+// (routelabd resolves a flag-built world before listening, so there the
+// answer is always "built").
 type BuildProgressData struct {
 	ID    string `json:"id"`
 	State string `json:"state"` // pending | building | built | failed
@@ -219,21 +218,4 @@ func (d BuildProgressData) Validate() error {
 		return fmt.Errorf("failed state without error detail")
 	}
 	return nil
-}
-
-// serveBuildStatic is the single-scenario GET /v1/build: the scenario
-// was built before the server started, so the snapshot is static.
-func (srv *Server) serveBuildStatic(w http.ResponseWriter, _ *http.Request) {
-	body, err := marshalEnvelope("build", BuildProgressData{
-		ID:         srv.id,
-		State:      BuildBuilt,
-		Percent:    100,
-		PhasesDone: len(buildPhases),
-		Phases:     len(buildPhases),
-	})
-	if err != nil {
-		fail(w, http.StatusInternalServerError, apiErr(CodeInternal, err.Error()))
-		return
-	}
-	writeBody(w, body)
 }

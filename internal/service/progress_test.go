@@ -188,8 +188,8 @@ func TestFleetBuildProgressEndpoint(t *testing.T) {
 	}
 }
 
-// TestSingleScenarioBuildEndpoint: in single-scenario mode the world is
-// built before serving, so GET /v1/build is statically built/100.
+// TestSingleScenarioBuildEndpoint: a fleet of one holds its world
+// resident before serving, so the GET /v1/build alias is built/100.
 func TestSingleScenarioBuildEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	status, body := get(t, ts.URL+"/v1/build")
@@ -197,6 +197,6 @@ func TestSingleScenarioBuildEndpoint(t *testing.T) {
 		t.Fatalf("status %d\n%s", status, body)
 	}
 	if d := decodeBuild(t, body); d.State != BuildBuilt || d.Percent != 100 {
-		t.Errorf("single mode: %+v, want built/100", d)
+		t.Errorf("fleet of one: %+v, want built/100", d)
 	}
 }

@@ -31,9 +31,6 @@ type Config struct {
 	// RequestTimeout caps each request's computation; expiry returns
 	// 504. 0 disables the server-side deadline.
 	RequestTimeout time.Duration
-	// CacheSize bounds the LRU response cache (entries); <= 0 selects
-	// the default (256).
-	CacheSize int
 	// ForkPool sizes the warm fork pool kept per testbed prefix for the
 	// alternates/what-if-shaped endpoints: pre-taken Computation.Fork
 	// copies a request consumes instead of forking on the hot path.
@@ -46,21 +43,18 @@ type Config struct {
 	MaxQueuedRequests int
 }
 
-// Server answers queries over one sealed Scenario. Create with New;
-// serve via Handler. The zero value is not usable.
-//
-// A Server is also one tenant of the multi-scenario Fleet: the store
-// builds one per sealed scenario, hands every tenant a partition of
-// the shared response cache (keys carry the scenario id, so two
-// scenarios can never cross-serve cached bodies), and routes
-// /v1/scenarios/{id}/... requests to the tenant's handlers.
+// Server answers queries over one sealed Scenario: one tenant of the
+// Fleet. The store builds one per sealed scenario, hands every tenant a
+// partition of the shared response cache (keys carry the scenario id,
+// so two scenarios can never cross-serve cached bodies), and the Fleet
+// routes /v1/scenarios/{id}/... requests to the tenant's handlers. The
+// zero value is not usable.
 type Server struct {
 	id       string // scenario id; prefixes every cache key
 	s        *scenario.Scenario
 	cfg      Config
 	gate     *parallel.Gate
 	cache    *cache
-	mux      *http.ServeMux
 	pools    map[asn.Prefix]*forkPool
 	traceIdx map[int]int // Measurement.TraceID -> index into s.Measurements
 	health   []byte      // static healthz body
@@ -72,27 +66,19 @@ type Server struct {
 	computeHook func()
 }
 
-// New assembles a single-scenario Server (the legacy routelabd mode and
-// the shape every test drives): its own cache, scenario id "default".
-func New(s *scenario.Scenario, cfg Config) *Server {
-	return newTenant("default", s, cfg, nil)
-}
+// DefaultID is the scenario id the un-prefixed /v1 routes alias:
+// routelabd without -scenario-dir registers its one world under it.
+const DefaultID = "default"
 
-// newTenant assembles one scenario tenant. shared, when non-nil, is the
-// fleet-wide response cache this tenant partitions by key prefix; nil
-// gives the tenant a private cache (single-scenario mode).
+// newTenant assembles one scenario tenant. shared is the store-wide
+// response cache this tenant partitions by key prefix.
 func newTenant(id string, s *scenario.Scenario, cfg Config, shared *cache) *Server {
-	c := shared
-	if c == nil {
-		c = newCache(cfg.CacheSize)
-	}
 	srv := &Server{
 		id:       id,
 		s:        s,
 		cfg:      cfg,
 		gate:     parallel.NewGate(cfg.MaxConcurrent),
-		cache:    c,
-		mux:      http.NewServeMux(),
+		cache:    shared,
 		pools:    make(map[asn.Prefix]*forkPool, len(s.Testbed.Prefixes)),
 		traceIdx: make(map[int]int, len(s.Measurements)),
 	}
@@ -125,16 +111,6 @@ func newTenant(id string, s *scenario.Scenario, cfg Config, shared *cache) *Serv
 	// The accounting walk runs last: pools are stocked and the health
 	// body exists, so the estimate covers the tenant's full footprint.
 	srv.size = srv.accountSize()
-
-	for _, rt := range scenarioRoutes {
-		srv.handle(rt.method+" /v1"+rt.path, rt.name, srv.bind(rt.h))
-	}
-	srv.handle("GET /v1/metrics", "metrics", serveMetrics)
-	// Deliberately not in scenarioRoutes: in fleet mode the build route
-	// must bypass the tenant resolver (see Fleet.serveBuildProgress);
-	// here the scenario is pre-built, so the snapshot is static.
-	srv.handle("GET /v1/build", "build", srv.serveBuildStatic)
-	srv.mux.HandleFunc("/", serveNotFound)
 	return srv
 }
 
@@ -147,9 +123,9 @@ type scenarioRoute struct {
 }
 
 // scenarioRoutes is the single route table for every per-scenario
-// endpoint: the single-scenario Server mounts it at /v1{path}, the
-// Fleet at /v1/scenarios/{id}{path} behind its tenant resolver. Adding
-// a row here is the whole registration — the two modes cannot drift.
+// endpoint: the Fleet mounts each row at /v1/scenarios/{id}{path} and
+// again at /v1{path} (the DefaultID alias), both behind its tenant
+// resolver. Adding a row here is the whole registration.
 // (/v1/metrics is deliberately absent: the obs registry is
 // process-global, so the fleet serves it once, not per scenario.)
 var scenarioRoutes = []scenarioRoute{
@@ -160,14 +136,6 @@ var scenarioRoutes = []scenarioRoute{
 	{http.MethodGet, "/as/{asn}", "as", (*Server).serveAS},
 	{http.MethodPost, "/whatif", "whatif", (*Server).serveWhatIf},
 }
-
-// bind closes a route-table handler over this tenant.
-func (srv *Server) bind(h func(*Server, http.ResponseWriter, *http.Request)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) { h(srv, w, r) }
-}
-
-// Handler returns the service's http.Handler (the /v1 API).
-func (srv *Server) Handler() http.Handler { return srv.mux }
 
 // Close releases the server's background machinery: every per-prefix
 // fork pool is drained and its refill goroutines joined, so nothing
@@ -183,9 +151,8 @@ func (srv *Server) Close() {
 
 // instrument registers an endpoint on mux under its obs
 // instrumentation: service.requests.<name> / service.errors.<name>
-// counters and a service/<name> latency timer. Shared by the
-// single-scenario Server and the Fleet (endpoint families keep the
-// same counter names in both modes).
+// counters and a service/<name> latency timer. A route and its alias
+// share one name, so endpoint families count together.
 func instrument(mux *http.ServeMux, pattern, name string, h http.HandlerFunc) {
 	mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		defer obs.StartStage("service/" + name)()
@@ -196,10 +163,6 @@ func instrument(mux *http.ServeMux, pattern, name string, h http.HandlerFunc) {
 			obs.Inc("service.errors." + name)
 		}
 	})
-}
-
-func (srv *Server) handle(pattern, name string, h http.HandlerFunc) {
-	instrument(srv.mux, pattern, name, h)
 }
 
 func serveNotFound(w http.ResponseWriter, r *http.Request) {
@@ -214,14 +177,6 @@ type statusWriter struct {
 func (w *statusWriter) WriteHeader(code int) {
 	w.status = code
 	w.ResponseWriter.WriteHeader(code)
-}
-
-// reqCtx applies the server-side deadline to a request context.
-func (srv *Server) reqCtx(r *http.Request) (context.Context, context.CancelFunc) {
-	if srv.cfg.RequestTimeout <= 0 {
-		return r.Context(), func() {}
-	}
-	return context.WithTimeout(r.Context(), srv.cfg.RequestTimeout)
 }
 
 // CacheHeader is the response header reporting whether a computed body
@@ -263,12 +218,29 @@ func (srv *Server) compute(ctx context.Context, key string, fn func(ctx context.
 	return body, hit, err
 }
 
-// cacheStatus renders the compute hit flag for CacheHeader.
-func cacheStatus(hit bool) string {
-	if hit {
-		return "hit"
+// respond is the tail every computed endpoint shares once its
+// parameters are validated: apply the server-side deadline, compute (or
+// fetch) the body under key, map a failure to its status, and send the
+// body with CacheHeader reporting where it came from.
+func (srv *Server) respond(w http.ResponseWriter, r *http.Request, key, contentType string, fn func(ctx context.Context) ([]byte, error)) {
+	ctx := r.Context()
+	if srv.cfg.RequestTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, srv.cfg.RequestTimeout)
+		defer cancel()
 	}
-	return "miss"
+	body, hit, err := srv.compute(ctx, key, fn)
+	if err != nil {
+		failCompute(w, err)
+		return
+	}
+	status := "miss"
+	if hit {
+		status = "hit"
+	}
+	w.Header().Set(CacheHeader, status)
+	w.Header().Set("Content-Type", contentType)
+	write(w, body)
 }
 
 func marshalEnvelope(kind string, data any) ([]byte, error) {
@@ -292,8 +264,21 @@ func write(w http.ResponseWriter, body []byte) {
 	}
 }
 
-func writeBody(w http.ResponseWriter, body []byte) {
+// writeEnvelope marshals data under kind and sends it with status — the
+// one exit for every enveloped response that is not a cached body. A
+// payload that cannot be marshaled becomes a typed 500.
+func writeEnvelope(w http.ResponseWriter, status int, kind string, data any) {
+	body, err := marshalEnvelope(kind, data)
+	if err != nil {
+		status = http.StatusInternalServerError
+		body, err = marshalEnvelope("error", ErrorData{Error: err.Error(), Code: CodeInternal})
+	}
+	if err != nil {
+		http.Error(w, err.Error(), status)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
 	write(w, body)
 }
 
@@ -331,16 +316,9 @@ const (
 func apiErr(code, msg string) APIError { return APIError{Code: code, Message: msg} }
 
 // fail sends one typed error envelope — the single exit for every
-// non-2xx response in both service modes.
+// non-2xx response.
 func fail(w http.ResponseWriter, status int, e APIError) {
-	body, err := marshalEnvelope("error", ErrorData{Error: e.Message, Code: e.Code})
-	if err != nil {
-		http.Error(w, e.Message, status)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	write(w, body)
+	writeEnvelope(w, status, "error", ErrorData{Error: e.Message, Code: e.Code})
 }
 
 // failCompute maps a computation failure to a status: a shed is 429
@@ -362,24 +340,18 @@ func failCompute(w http.ResponseWriter, err error) {
 // --- endpoints --------------------------------------------------------
 
 func (srv *Server) serveHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeBody(w, srv.health)
+	w.Header().Set("Content-Type", "application/json")
+	write(w, srv.health)
 }
 
 // serveMetrics reports the obs snapshot. It is the one endpoint that
 // is NOT deterministic (metrics are history) and is never cached. The
 // registry is process-global, so the Fleet serves the same handler.
 func serveMetrics(w http.ResponseWriter, _ *http.Request) {
-	body, err := marshalEnvelope("metrics", MetricsData{Metrics: obs.Snap()})
-	if err != nil {
-		fail(w, http.StatusInternalServerError, apiErr(CodeInternal, err.Error()))
-		return
-	}
-	writeBody(w, body)
+	writeEnvelope(w, http.StatusOK, "metrics", MetricsData{Metrics: obs.Snap()})
 }
 
 func (srv *Server) serveClassify(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := srv.reqCtx(r)
-	defer cancel()
 	traceStr := r.URL.Query().Get("trace")
 	if traceStr == "" {
 		fail(w, http.StatusBadRequest, apiErr(CodeBadParam, "missing required parameter: trace"))
@@ -409,15 +381,9 @@ func (srv *Server) serveClassify(w http.ResponseWriter, r *http.Request) {
 		refKey = refs[0].String()
 	}
 	key := fmt.Sprintf("classify|%d|%s", trace, refKey)
-	body, hit, err := srv.compute(ctx, key, func(ctx context.Context) ([]byte, error) {
+	srv.respond(w, r, key, "application/json", func(ctx context.Context) ([]byte, error) {
 		return srv.classifyBody(ctx, idx, refs)
 	})
-	if err != nil {
-		failCompute(w, err)
-		return
-	}
-	w.Header().Set(CacheHeader, cacheStatus(hit))
-	writeBody(w, body)
 }
 
 func (srv *Server) classifyBody(ctx context.Context, idx int, refs []classify.Refinement) ([]byte, error) {
@@ -452,8 +418,6 @@ func (srv *Server) classifyBody(ctx context.Context, idx int, refs []classify.Re
 }
 
 func (srv *Server) serveAlternates(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := srv.reqCtx(r)
-	defer cancel()
 	targetStr := r.URL.Query().Get("target")
 	if targetStr == "" {
 		fail(w, http.StatusBadRequest, apiErr(CodeBadParam, "missing required parameter: target"))
@@ -469,18 +433,12 @@ func (srv *Server) serveAlternates(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := "alternates|" + target.String()
-	body, hit, err := srv.compute(ctx, key, func(ctx context.Context) ([]byte, error) {
+	srv.respond(w, r, key, "application/json", func(ctx context.Context) ([]byte, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		return srv.alternatesBody(target)
 	})
-	if err != nil {
-		failCompute(w, err)
-		return
-	}
-	w.Header().Set(CacheHeader, cacheStatus(hit))
-	writeBody(w, body)
 }
 
 func (srv *Server) alternatesBody(target asn.ASN) ([]byte, error) {
@@ -512,8 +470,6 @@ func (srv *Server) alternatesBody(target asn.ASN) ([]byte, error) {
 }
 
 func (srv *Server) serveExperiment(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := srv.reqCtx(r)
-	defer cancel()
 	name := r.PathValue("name")
 	exp, ok := experiments.Get(name)
 	if !ok {
@@ -534,8 +490,12 @@ func (srv *Server) serveExperiment(w http.ResponseWriter, r *http.Request) {
 		fail(w, http.StatusBadRequest, apiErr(CodeBadParam, fmt.Sprintf("unknown format %q (have json, text)", format)))
 		return
 	}
+	contentType := "application/json"
+	if format == "text" {
+		contentType = "text/plain; charset=utf-8"
+	}
 	key := fmt.Sprintf("experiment|%s|%d|%s", name, seed, format)
-	body, hit, err := srv.compute(ctx, key, func(ctx context.Context) ([]byte, error) {
+	srv.respond(w, r, key, contentType, func(ctx context.Context) ([]byte, error) {
 		res, err := exp.Run(ctx, &experiments.Env{S: srv.s, Seed: seed})
 		if err != nil {
 			return nil, err
@@ -545,22 +505,9 @@ func (srv *Server) serveExperiment(w http.ResponseWriter, r *http.Request) {
 		}
 		return marshalEnvelope("experiment", ExperimentData{Name: name, Seed: seed, Result: res})
 	})
-	if err != nil {
-		failCompute(w, err)
-		return
-	}
-	w.Header().Set(CacheHeader, cacheStatus(hit))
-	if format == "text" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		write(w, body)
-		return
-	}
-	writeBody(w, body)
 }
 
 func (srv *Server) serveAS(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := srv.reqCtx(r)
-	defer cancel()
 	a, err := asn.ParseASN(r.PathValue("asn"))
 	if err != nil {
 		fail(w, http.StatusBadRequest, apiErr(CodeBadParam, "bad asn: "+err.Error()))
@@ -572,18 +519,12 @@ func (srv *Server) serveAS(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := "as|" + a.String()
-	body, hit, err := srv.compute(ctx, key, func(ctx context.Context) ([]byte, error) {
+	srv.respond(w, r, key, "application/json", func(ctx context.Context) ([]byte, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		return srv.asBody(x.ASN)
 	})
-	if err != nil {
-		failCompute(w, err)
-		return
-	}
-	w.Header().Set(CacheHeader, cacheStatus(hit))
-	writeBody(w, body)
 }
 
 func (srv *Server) asBody(a asn.ASN) ([]byte, error) {
@@ -627,8 +568,6 @@ const maxWhatIfBytes = 1 << 20
 // canonical delta key, so semantically equal requests (reordered link
 // endpoints, shuffled poison sets) share one computation.
 func (srv *Server) serveWhatIf(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := srv.reqCtx(r)
-	defer cancel()
 	raw, err := io.ReadAll(io.LimitReader(r.Body, maxWhatIfBytes+1))
 	if err != nil {
 		fail(w, http.StatusBadRequest, apiErr(CodeBadBody, "read request body: "+err.Error()))
@@ -667,15 +606,9 @@ func (srv *Server) serveWhatIf(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := "whatif|" + prefix.String() + "|" + whatif.CanonicalKey(cds)
-	body, hit, err := srv.compute(ctx, key, func(ctx context.Context) ([]byte, error) {
+	srv.respond(w, r, key, "application/json", func(ctx context.Context) ([]byte, error) {
 		return srv.whatifBody(ctx, prefix, cds)
 	})
-	if err != nil {
-		failCompute(w, err)
-		return
-	}
-	w.Header().Set(CacheHeader, cacheStatus(hit))
-	writeBody(w, body)
 }
 
 func (srv *Server) whatifBody(ctx context.Context, prefix asn.Prefix, cds []*whatif.Compiled) ([]byte, error) {

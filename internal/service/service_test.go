@@ -13,6 +13,7 @@ import (
 
 	"routelab/internal/obs"
 	"routelab/internal/scenario"
+	"routelab/internal/spec"
 )
 
 var (
@@ -32,12 +33,31 @@ func testScenario(t *testing.T) *scenario.Scenario {
 	return shared
 }
 
+// newFleetOfOne serves the shared pre-built test scenario the way
+// routelabd serves its one world: registered in a fresh store under
+// DefaultID and already resident, behind the fleet handler. The tenant
+// is inserted directly rather than built through Get, so every test
+// shares one scenario build.
+func newFleetOfOne(t *testing.T, cfg StoreConfig) (*Server, *httptest.Server) {
+	t.Helper()
+	s := testScenario(t)
+	st := NewStore(cfg)
+	if err := st.Register(&spec.Expansion{Name: DefaultID, Profile: "test", Config: s.Cfg}, "test"); err != nil {
+		t.Fatal(err)
+	}
+	srv := newTenant(DefaultID, s, cfg.Tenant, st.cache)
+	st.mu.Lock()
+	st.insert(DefaultID, srv)
+	st.mu.Unlock()
+	ts := httptest.NewServer(NewFleet(st).Handler())
+	t.Cleanup(ts.Close)
+	t.Cleanup(st.Close)
+	return srv, ts
+}
+
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	srv := New(testScenario(t), cfg)
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	return srv, ts
+	return newFleetOfOne(t, StoreConfig{Tenant: cfg})
 }
 
 func get(t *testing.T, url string) (int, string) {
@@ -181,7 +201,7 @@ func TestRequestTimeout(t *testing.T) {
 // byte-identical to a serial baseline.
 func TestConcurrentMatchesSerial(t *testing.T) {
 	s := testScenario(t)
-	_, ts := newTestServer(t, Config{MaxConcurrent: 2, CacheSize: 3})
+	_, ts := newFleetOfOne(t, StoreConfig{CacheSize: 3, Tenant: Config{MaxConcurrent: 2}})
 	urls := testURLs(s, ts.URL)
 
 	baseline := make(map[string]string, len(urls))
@@ -232,8 +252,7 @@ func TestConcurrentMatchesSerial(t *testing.T) {
 // flight when Shutdown is called must complete with its full response.
 func TestShutdownDrains(t *testing.T) {
 	s := testScenario(t)
-	srv := New(s, Config{})
-	httpSrv := httptest.NewServer(srv.Handler())
+	_, httpSrv := newTestServer(t, Config{})
 	// Take over the lifecycle from httptest: issue a fresh (uncached,
 	// non-trivial) request, then shut down while it runs.
 	url := httpSrv.URL + fmt.Sprintf("/v1/alternates?target=%s", s.Measurements[1].DstAS)

@@ -71,7 +71,7 @@ func TestSizeOfDeterministic(t *testing.T) {
 // fork pools on top), be stable across re-walks, and be what SizeBytes
 // reports.
 func TestAccountSizeCoversTenant(t *testing.T) {
-	srv := New(testScenario(t), Config{})
+	srv := newTenant(DefaultID, testScenario(t), Config{}, newCache(0))
 	defer srv.Close()
 	if srv.SizeBytes() != srv.size {
 		t.Error("SizeBytes does not report the build-time measurement")

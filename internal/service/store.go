@@ -50,8 +50,7 @@ type StoreConfig struct {
 	// by scenario id, and a tenant's partition is purged on eviction.
 	CacheSize int
 	// Tenant configures each per-scenario Server (admission gate,
-	// request deadline, fork pools). Tenant.CacheSize is ignored — the
-	// shared cache above is used instead.
+	// request deadline, fork pools).
 	Tenant Config
 	// Logf receives scenario build progress; nil silences it.
 	Logf scenario.Logf
@@ -204,12 +203,8 @@ func (st *Store) Infos() []ScenarioInfo {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	infos := make([]ScenarioInfo, 0, len(st.sources))
-	for id, src := range st.sources {
-		info := src.info
-		if el, ok := st.builtIdx[id]; ok {
-			info.Built = true
-			info.SizeBytes = el.Value.(*builtEntry).bytes
-		}
+	for id := range st.sources {
+		info, _ := st.info(id)
 		infos = append(infos, info)
 	}
 	sort.Slice(infos, func(i, j int) bool { return infos[i].ID < infos[j].ID })
@@ -220,6 +215,12 @@ func (st *Store) Infos() []ScenarioInfo {
 func (st *Store) Info(id string) (ScenarioInfo, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	return st.info(id)
+}
+
+// info fills in one scenario's residency at read time. Caller holds
+// st.mu.
+func (st *Store) info(id string) (ScenarioInfo, error) {
 	src, ok := st.sources[id]
 	if !ok {
 		return ScenarioInfo{}, fmt.Errorf("%w: %q", ErrUnknownScenario, id)

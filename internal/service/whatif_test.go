@@ -233,15 +233,15 @@ func TestWhatIfFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct := httptest.NewServer(srv.Handler())
-	defer direct.Close()
-	if _, dbody, _ := postWhatIf(t, direct.URL+"/v1/whatif", doc); dbody != body {
+	rec := httptest.NewRecorder()
+	srv.serveWhatIf(rec, httptest.NewRequest(http.MethodPost, "/v1/whatif", strings.NewReader(doc)))
+	if rec.Body.String() != body {
 		t.Error("fleet whatif body differs from the tenant's direct answer")
 	}
 }
 
 // TestCacheHeaderOnCacheableEndpoints sweeps every cacheable endpoint
-// in both modes: the first request must answer "miss", the repeat
+// on the alias and the prefixed routes: the first request must answer "miss", the repeat
 // "hit", and non-cacheable endpoints must not emit the header at all.
 func TestCacheHeaderOnCacheableEndpoints(t *testing.T) {
 	s := testScenario(t)
@@ -274,7 +274,7 @@ func TestCacheHeaderOnCacheableEndpoints(t *testing.T) {
 		}
 	}
 
-	// Fleet mode: the same families behind the tenant resolver.
+	// The same families under a named tenant's /v1/scenarios/{id} root.
 	st, fts := newTestFleet(t, StoreConfig{}, testExpansion("gamma", 3))
 	urls, err := tenantURLs(st, fts.URL, "gamma")
 	if err != nil {

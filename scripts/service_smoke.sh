@@ -3,8 +3,9 @@
 #
 # Starts the daemon on a tiny scenario (-scale 0.05), waits for the
 # listening line, curls every /v1 endpoint, validates each JSON body
-# against routelab-api/v1 with cmd/apicheck, then sends SIGTERM and
-# checks the graceful drain exits 0. CI's service-smoke job runs this;
+# against routelab-api/v1 with cmd/apicheck, checks the un-prefixed
+# routes against their /v1/scenarios/default alias, then sends SIGTERM
+# and checks the graceful drain exits 0. CI's service-smoke job runs this;
 # locally: make service-smoke.
 set -euo pipefail
 
@@ -85,6 +86,17 @@ if [ -z "$AS" ]; then
 fi
 fetch as          "/v1/as/$AS"
 fetch alternates  "/v1/alternates?target=$AS"
+
+echo "==> alias contract: un-prefixed routes are scenario \"default\""
+# routelabd is always a fleet; without -scenario-dir it is a fleet of
+# one named "default", so the listing answers and the prefixed healthz
+# is byte-identical to the un-prefixed one.
+fetch scenarios      /v1/scenarios
+fetch defaulthealthz /v1/scenarios/default/healthz
+cmp "$WORKDIR/healthz.json" "$WORKDIR/defaulthealthz.json" || {
+    echo "FAIL: /v1/healthz and /v1/scenarios/default/healthz differ" >&2
+    exit 1
+}
 
 echo "==> checking error paths"
 fetch notfound    /v1/definitely-not-a-route 404
