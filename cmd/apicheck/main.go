@@ -1,7 +1,7 @@
-// Command apicheck validates routelab-api/v1 response envelopes, the
-// way cmd/benchcheck validates bench reports: read JSON from files (or
-// stdin with no arguments), check the schema tag, the kind, and the
-// payload, and exit non-zero with a message on the first violation.
+// Command apicheck validates routelab-api/v1 response envelopes: read
+// JSON from files (or stdin with no arguments), check the schema tag,
+// the kind, and the payload, and exit non-zero with a message on the
+// first violation.
 //
 // A document tagged routelab-whatif/v1 is checked as a what-if REQUEST
 // instead (the delta-XOR-deltas contract, known kinds, the batch cap),

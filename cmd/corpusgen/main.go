@@ -1,11 +1,11 @@
 // Command corpusgen regenerates the checked-in seed corpora for the
-// native Go fuzz targets (internal/wire FuzzDecode, internal/mrt
-// FuzzRead, internal/service FuzzAdmitSpec). Seeds are derived from the
-// packages' own encoders — and, for the admission target, from the real
-// scenario corpus under scenarios/ — so they are valid by construction
-// and cover every shape the decoders branch on, plus a few deliberately
-// corrupted framings to seed the error paths. Deterministic: running it
-// twice produces byte-identical corpora.
+// native Go fuzz targets (internal/mrt FuzzRead, internal/service
+// FuzzAdmitSpec). Seeds are derived from the packages' own encoders —
+// and, for the admission target, from the real scenario corpus under
+// scenarios/ — so they are valid by construction and cover every shape
+// the decoders branch on, plus a few deliberately corrupted framings to
+// seed the error paths. Deterministic: running it twice produces
+// byte-identical corpora.
 //
 // Usage (from the repo root):
 //
@@ -22,7 +22,6 @@ import (
 	"routelab/internal/asn"
 	"routelab/internal/mrt"
 	"routelab/internal/vantage"
-	"routelab/internal/wire"
 )
 
 // writeSeed stores one []byte seed in the go-fuzz corpus file format.
@@ -47,51 +46,6 @@ func writeAdmitSeed(dir, name string, body []byte, contentType, formatQ string) 
 	if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
 		log.Fatal(err)
 	}
-}
-
-func wireSeeds(dir string) {
-	pfx := func(a uint32, l uint8) asn.Prefix { return asn.NewPrefix(asn.Addr(a), l) }
-	seeds := map[string]wire.Message{
-		"keepalive": wire.Keepalive{},
-		"open":      wire.Open{Version: 4, AS: 64500, HoldTime: 90, BGPID: 0x0a000001},
-		"notification": wire.Notification{
-			Code: 6, Subcode: 2, Data: []byte("shutdown"),
-		},
-		"update-empty": wire.Update{},
-		"update-withdraw": wire.Update{
-			Withdrawn: []asn.Prefix{pfx(0x0a000000, 8), pfx(0xc0a80000, 16)},
-		},
-		"update-announce": wire.Update{
-			Origin:  wire.OriginIGP,
-			ASPath:  asn.PathFromASNs(64500, 3356, 1299),
-			NextHop: asn.Addr(0x0a000001),
-			NLRI:    []asn.Prefix{pfx(0xc6336400, 24)},
-		},
-		"update-full": wire.Update{
-			Withdrawn: []asn.Prefix{pfx(0x0a000000, 8)},
-			Origin:    wire.OriginEGP,
-			ASPath: asn.PathFromASNs(174, 2914).
-				PrependSet([]asn.ASN{64500, 64501}).
-				Prepend(47065),
-			NextHop:     asn.Addr(0x0a000002),
-			MED:         100,
-			HasMED:      true,
-			Communities: []wire.Community{wire.MakeCommunity(47065, 666), wire.CommunityNoExport},
-			NLRI:        []asn.Prefix{pfx(0xc6336400, 24), pfx(0x08000000, 6)},
-		},
-	}
-	for name, m := range seeds {
-		writeSeed(dir, "seed-"+name, m.Encode(nil))
-	}
-	// Corrupted framings: bad marker, truncated body, undersized length.
-	good := wire.Keepalive{}.Encode(nil)
-	bad := append([]byte(nil), good...)
-	bad[0] = 0x00
-	writeSeed(dir, "seed-bad-marker", bad)
-	writeSeed(dir, "seed-truncated", good[:wire.HeaderLen-1])
-	short := append([]byte(nil), good...)
-	short[16], short[17] = 0, 1 // claimed length below HeaderLen
-	writeSeed(dir, "seed-short-length", short)
 }
 
 func mrtSeeds(dir string) {
@@ -151,8 +105,7 @@ func admitSeeds(dir string) {
 }
 
 func main() {
-	wireSeeds("internal/wire/testdata/fuzz/FuzzDecode")
 	mrtSeeds("internal/mrt/testdata/fuzz/FuzzRead")
 	admitSeeds("internal/service/testdata/fuzz/FuzzAdmitSpec")
-	fmt.Println("corpora written under internal/{wire,mrt,service}/testdata/fuzz/")
+	fmt.Println("corpora written under internal/{mrt,service}/testdata/fuzz/")
 }

@@ -1,7 +1,7 @@
 // Command lintcheck validates a routelint JSON emission (schema
 // routelab-lint/v1, written by `routelint -format=json`) and prints a
-// human-readable summary — the benchcheck/apicheck validator pattern
-// applied to the static-analysis report. It exits non-zero on a
+// human-readable summary — the apicheck validator pattern applied to
+// the static-analysis report. It exits non-zero on a
 // missing, unparseable, or malformed file, which is how CI's routelint
 // job fails on a broken emission.
 //

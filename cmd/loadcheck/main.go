@@ -1,8 +1,8 @@
 // Command loadcheck validates a LOAD_routelab.json load-harness
 // emission (schema routelab-load/v1, written by cmd/routeload) and
-// prints a human-readable summary, the way cmd/benchcheck validates
-// bench emissions. It exits non-zero on a missing, unparseable, or
-// malformed file — how CI's load-smoke job fails on a broken emission.
+// prints a human-readable summary. It exits non-zero on a missing,
+// unparseable, or malformed file — how CI's load-smoke job fails on a
+// broken emission.
 //
 // Gates, all off unless set:
 //
@@ -19,8 +19,8 @@
 //     the overload protection silently stopped engaging.
 //   - -max-p99: fails when whole-run p99 latency exceeds the duration.
 //     CI uses a deliberately lax cross-machine tripwire (catastrophic
-//     serialization or a build on the hot path), not a latency SLO —
-//     same philosophy as benchcheck's ns/op gate.
+//     serialization or a build on the hot path), not a latency SLO:
+//     one run's timings on a shared runner catch nothing finer.
 //   - -min-throughput: fails below a req/s floor.
 //   - -max-bucket-skew: histogram-shape gate. Fails when any occupied
 //     time bucket's p99 exceeds skew × the whole-run p99 — the shape

@@ -2,9 +2,7 @@
 // clients over a mixed scenario/endpoint schedule and emits a
 // routelab-load/v1 report (throughput, p50/p90/p99 latency, time-
 // bucketed histograms, error/shed/cache rates, per-endpoint and
-// per-scenario breakdowns) that cmd/loadcheck validates and gates on —
-// the serve-time counterpart of the bench harness + cmd/benchcheck
-// pair.
+// per-scenario breakdowns) that cmd/loadcheck validates and gates on.
 //
 // Usage:
 //

@@ -163,4 +163,3 @@ func tenantIDFields(pkg *Package, caches map[*types.Named]bool) []*types.Var {
 	}
 	return out
 }
-

@@ -8,8 +8,8 @@ import (
 )
 
 // ReportSchema identifies the machine-readable routelint emission
-// format, versioned like routelab-bench/v1 and routelab-api/v1 so
-// downstream tooling can reject drift.
+// format, versioned like routelab-api/v1 so downstream tooling can
+// reject drift.
 const ReportSchema = "routelab-lint/v1"
 
 // Report is the -format=json emission of cmd/routelint: the analyzed

@@ -362,6 +362,6 @@ func OnStage(fn func(name string, begin bool)) (cancel func()) {
 // Snap snapshots the default registry.
 func Snap() Snapshot { return defaultRegistry.Snapshot() }
 
-// Reset zeroes the default registry in place (tests and the bench
-// harness use this to scope counters to one run).
+// Reset zeroes the default registry in place (tests and the ledger,
+// bench/, use this to scope counters to one run).
 func Reset() { defaultRegistry.Reset() }

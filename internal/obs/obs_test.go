@@ -207,66 +207,6 @@ func TestReportWriteFile(t *testing.T) {
 	}
 }
 
-// TestBenchReportValidate covers the malformed emissions the CI
-// bench-smoke job must reject.
-func TestBenchReportValidate(t *testing.T) {
-	ok := NewBenchReport()
-	ok.Benchmarks = []BenchResult{
-		{Name: "BenchmarkA", N: 1, NsPerOp: 100, AllocsPerOp: 2, BytesPerOp: 64},
-		{Name: "BenchmarkB", N: 3, NsPerOp: 5},
-	}
-	if err := ok.Validate(); err != nil {
-		t.Fatalf("valid report rejected: %v", err)
-	}
-
-	cases := []struct {
-		name   string
-		mutate func(*BenchReport)
-	}{
-		{"wrong schema", func(r *BenchReport) { r.Schema = "nope/v0" }},
-		{"no go version", func(r *BenchReport) { r.GoVersion = "" }},
-		{"empty", func(r *BenchReport) { r.Benchmarks = nil }},
-		{"unnamed", func(r *BenchReport) { r.Benchmarks[0].Name = "" }},
-		{"duplicate", func(r *BenchReport) { r.Benchmarks[1].Name = r.Benchmarks[0].Name }},
-		{"zero n", func(r *BenchReport) { r.Benchmarks[0].N = 0 }},
-		{"zero ns", func(r *BenchReport) { r.Benchmarks[0].NsPerOp = 0 }},
-		{"negative allocs", func(r *BenchReport) { r.Benchmarks[0].AllocsPerOp = -1 }},
-		{"unsorted", func(r *BenchReport) {
-			r.Benchmarks[0], r.Benchmarks[1] = r.Benchmarks[1], r.Benchmarks[0]
-		}},
-	}
-	for _, tc := range cases {
-		bad := NewBenchReport()
-		bad.Benchmarks = append([]BenchResult(nil), ok.Benchmarks...)
-		tc.mutate(&bad)
-		if err := bad.Validate(); err == nil {
-			t.Errorf("%s: Validate accepted a malformed report", tc.name)
-		}
-	}
-}
-
-// TestBenchReportFileRoundTrip writes, re-reads, and re-validates an
-// emission — the exact path cmd/benchcheck takes in CI.
-func TestBenchReportFileRoundTrip(t *testing.T) {
-	rep := NewBenchReport()
-	rep.Benchmarks = []BenchResult{{Name: "BenchmarkX", N: 2, NsPerOp: 1234.5, AllocsPerOp: 7, BytesPerOp: 4096}}
-	reg := NewRegistry()
-	reg.Counter("bgp.converge.calls").Add(99)
-	rep.Metrics = reg.Snapshot()
-
-	path := t.TempDir() + "/BENCH_routelab.json"
-	if err := rep.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadBenchReport(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rep, back) {
-		t.Fatalf("round trip changed the report:\n%+v\n%+v", rep, back)
-	}
-}
-
 // TestDefaultHelpers sanity-checks the package-level convenience API
 // against the default registry.
 func TestDefaultHelpers(t *testing.T) {

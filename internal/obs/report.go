@@ -1,7 +1,5 @@
-// Report types: the structured JSON documents routelab emits so the
-// perf trajectory is machine-readable — a run Report (-metrics-json)
-// and a BenchReport (BENCH_routelab.json, written by the benchmark
-// harness and validated by cmd/benchcheck and the CI bench-smoke job).
+// The run Report: the structured JSON document behind -metrics-json,
+// which makes one run's stage timings and counters machine-readable.
 package obs
 
 import (
@@ -9,15 +7,11 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sort"
 )
 
-// Schema identifiers; bump the suffix on breaking shape changes so
-// downstream consumers can dispatch on it.
-const (
-	ReportSchema = "routelab-metrics/v1"
-	BenchSchema  = "routelab-bench/v1"
-)
+// ReportSchema identifies the document; bump the suffix on breaking
+// shape changes so downstream consumers can dispatch on it.
+const ReportSchema = "routelab-metrics/v1"
 
 // Report is the structured run report behind routelab's -metrics-json:
 // what ran, on what runtime, how long, and the full metrics snapshot
@@ -55,108 +49,7 @@ func NewReport() Report {
 
 // WriteFile writes the report as indented JSON.
 func (r Report) WriteFile(path string) error {
-	return writeJSON(path, r)
-}
-
-// BenchResult is one benchmark's outcome in a BenchReport.
-type BenchResult struct {
-	Name        string  `json:"name"`
-	N           int     `json:"n"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	BytesPerOp  float64 `json:"bytes_per_op"`
-}
-
-// BenchReport is the machine-readable benchmark emission
-// (BENCH_routelab.json): per-benchmark ns/op and allocs/op plus the obs
-// counters the benchmarked code recorded.
-type BenchReport struct {
-	Schema     string `json:"schema"`
-	GoVersion  string `json:"go_version"`
-	GOOS       string `json:"goos"`
-	GOARCH     string `json:"goarch"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-
-	Benchmarks []BenchResult `json:"benchmarks"`
-	Metrics    Snapshot      `json:"metrics"`
-}
-
-// NewBenchReport returns a BenchReport with the schema and runtime
-// fields filled in.
-func NewBenchReport() BenchReport {
-	return BenchReport{
-		Schema:     BenchSchema,
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-	}
-}
-
-// Validate checks the report is a well-formed emission: right schema,
-// at least one benchmark, and every benchmark named, run, and timed.
-// cmd/benchcheck (and through it the CI bench-smoke job) fails on the
-// first violation.
-func (r BenchReport) Validate() error {
-	if r.Schema != BenchSchema {
-		return fmt.Errorf("schema %q, want %q", r.Schema, BenchSchema)
-	}
-	if r.GoVersion == "" {
-		return fmt.Errorf("missing go_version")
-	}
-	if len(r.Benchmarks) == 0 {
-		return fmt.Errorf("no benchmarks recorded")
-	}
-	seen := make(map[string]bool, len(r.Benchmarks))
-	for i, b := range r.Benchmarks {
-		switch {
-		case b.Name == "":
-			return fmt.Errorf("benchmark %d: empty name", i)
-		case seen[b.Name]:
-			return fmt.Errorf("benchmark %q: duplicate entry", b.Name)
-		case b.N <= 0:
-			return fmt.Errorf("benchmark %q: n = %d, want > 0", b.Name, b.N)
-		case b.NsPerOp <= 0:
-			return fmt.Errorf("benchmark %q: ns_per_op = %g, want > 0", b.Name, b.NsPerOp)
-		case b.AllocsPerOp < 0 || b.BytesPerOp < 0:
-			return fmt.Errorf("benchmark %q: negative alloc stats", b.Name)
-		}
-		seen[b.Name] = true
-	}
-	if !sort.SliceIsSorted(r.Benchmarks, func(i, j int) bool {
-		return r.Benchmarks[i].Name < r.Benchmarks[j].Name
-	}) {
-		return fmt.Errorf("benchmarks not sorted by name")
-	}
-	return nil
-}
-
-// WriteFile validates the report and writes it as indented JSON.
-func (r BenchReport) WriteFile(path string) error {
-	if err := r.Validate(); err != nil {
-		return fmt.Errorf("obs: invalid bench report: %w", err)
-	}
-	return writeJSON(path, r)
-}
-
-// ReadBenchReport reads and validates an emission.
-func ReadBenchReport(path string) (BenchReport, error) {
-	var r BenchReport
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return r, err
-	}
-	if err := json.Unmarshal(data, &r); err != nil {
-		return r, fmt.Errorf("obs: %s: %w", path, err)
-	}
-	if err := r.Validate(); err != nil {
-		return r, fmt.Errorf("obs: %s: %w", path, err)
-	}
-	return r, nil
-}
-
-func writeJSON(path string, v any) error {
-	data, err := json.MarshalIndent(v, "", "  ")
+	data, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
 		return fmt.Errorf("obs: marshal %s: %w", path, err)
 	}

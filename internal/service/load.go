@@ -10,8 +10,7 @@ import (
 )
 
 // LoadSchema identifies the load-harness emission (cmd/routeload
-// writes it, cmd/loadcheck validates and gates on it) the way
-// routelab-bench/v1 identifies bench emissions.
+// writes it, cmd/loadcheck validates and gates on it).
 const LoadSchema = "routelab-load/v1"
 
 // LoadSample is one request's outcome as the harness observed it.

@@ -59,15 +59,15 @@ var buildPhaseIdx = func() map[string]int {
 // timers have observed real builds, phaseWeights uses their means
 // instead — percent estimates sharpen as the fleet runs.
 var defaultPhaseWeights = map[string]float64{
-	"scenario/topology":             5,
-	"scenario/converge-historical":  25,
-	"scenario/converge-current":     20,
-	"scenario/snapshots":            10,
-	"scenario/inference":            10,
-	"scenario/atlas":                5,
-	"scenario/campaign":             20,
-	"scenario/lookingglass":         2,
-	"scenario/testbed":              3,
+	"scenario/topology":            5,
+	"scenario/converge-historical": 25,
+	"scenario/converge-current":    20,
+	"scenario/snapshots":           10,
+	"scenario/inference":           10,
+	"scenario/atlas":               5,
+	"scenario/campaign":            20,
+	"scenario/lookingglass":        2,
+	"scenario/testbed":             3,
 }
 
 // phaseWeights returns the relative cost of every build phase: the obs
@@ -116,11 +116,11 @@ func percentDone(done, inFlight int) float64 {
 // estimate, not an exact cursor. (The default MaxBuilds of 1 makes it
 // exact.)
 type buildProgress struct {
-	mu       sync.Mutex
-	state    string
-	phase    int // index of the deepest phase seen to begin, -1 before any
-	done     int // count of phases whose end event has been seen
-	lastErr  string
+	mu      sync.Mutex
+	state   string
+	phase   int // index of the deepest phase seen to begin, -1 before any
+	done    int // count of phases whose end event has been seen
+	lastErr string
 }
 
 func newBuildProgress() *buildProgress {

@@ -95,13 +95,13 @@ type Compiled struct {
 	kind      Kind
 	canonical string
 
-	a, b     asn.ASN          // link_failure endpoints
-	link     *topology.Link   // new_peering candidate
-	poisoned []asn.ASN        // poison set, sorted ascending, deduped
-	prepend  int              // prepend count
-	at, from asn.ASN          // local_pref adjacency
-	pref     int              // local_pref value
-	origin   asn.ASN          // the base announcement's origin
+	a, b     asn.ASN        // link_failure endpoints
+	link     *topology.Link // new_peering candidate
+	poisoned []asn.ASN      // poison set, sorted ascending, deduped
+	prepend  int            // prepend count
+	at, from asn.ASN        // local_pref adjacency
+	pref     int            // local_pref value
+	origin   asn.ASN        // the base announcement's origin
 }
 
 // Kind returns the compiled delta's kind.

@@ -12,7 +12,7 @@ import (
 )
 
 // world builds the standard test world and its PEERING testbed.
-func world(t *testing.T, seed int64) (*topology.Topology, *bgp.Engine, *peering.Testbed) {
+func world(t testing.TB, seed int64) (*topology.Topology, *bgp.Engine, *peering.Testbed) {
 	t.Helper()
 	topo := topology.Generate(seed, topology.TestConfig())
 	engine := bgp.New(topo, seed)
@@ -21,6 +21,19 @@ func world(t *testing.T, seed int64) (*topology.Topology, *bgp.Engine, *peering.
 		t.Fatal(err)
 	}
 	return topo, engine, tb
+}
+
+// scratchBase converges the origin's plain announcement of p from
+// scratch, sharing no state with any other computation: the rebuild
+// path the fork is measured and checked against.
+func scratchBase(t testing.TB, engine *bgp.Engine, p asn.Prefix, origin asn.ASN) *bgp.Computation {
+	t.Helper()
+	c := engine.NewComputation(p)
+	c.Announce(bgp.Announcement{Origin: origin})
+	if !c.Converge() {
+		t.Fatalf("from-scratch announcement of %s did not converge", p)
+	}
+	return c
 }
 
 // nonNeighbor finds the first AS (ascending) not adjacent to a —
@@ -36,20 +49,40 @@ func nonNeighbor(t *testing.T, topo *topology.Topology, a asn.ASN) asn.ASN {
 	return 0
 }
 
+// liveMux finds the first mux whose best route in the converged anycast
+// comes straight from the origin. The PEERING origin exports
+// selectively (paper §3.2), so most muxes hear the prefix from another
+// mux's side and their own origin uplink carries nothing: failing or
+// de-preferring such a link is a no-op. The live mux's uplink is one a
+// delta can actually break.
+func liveMux(t testing.TB, tb *peering.Testbed, base *bgp.Computation) asn.ASN {
+	t.Helper()
+	for _, m := range tb.Muxes {
+		if r, ok := base.Best(m); ok && r.NextHop == tb.Origin {
+			return m
+		}
+	}
+	t.Fatal("no mux routes directly through the origin")
+	return 0
+}
+
 // peeringPair finds the first (ascending) pair of ASes a new link could
-// join: non-adjacent with a shared city — deterministic for a given
-// topology.
-func peeringPair(t *testing.T, topo *topology.Topology) (asn.ASN, asn.ASN) {
+// join — non-adjacent with a shared city — that want accepts (nil
+// accepts any). Deterministic for a given topology.
+func peeringPair(t testing.TB, topo *topology.Topology, want func(a, b asn.ASN) bool) (asn.ASN, asn.ASN) {
 	t.Helper()
 	all := topo.ASNs()
 	for i, a := range all {
 		for _, b := range all[i+1:] {
-			if _, err := topo.ProposeLink(a, b, topology.RelProvider); err == nil {
+			if _, err := topo.ProposeLink(a, b, topology.RelProvider); err != nil {
+				continue
+			}
+			if want == nil || want(a, b) {
 				return a, b
 			}
 		}
 	}
-	t.Fatal("no peerable pair in the topology")
+	t.Fatal("no acceptable peerable pair in the topology")
 	return 0, 0
 }
 
@@ -57,21 +90,21 @@ func TestCompileValidation(t *testing.T) {
 	topo, _, tb := world(t, 1)
 	origin, mux := tb.Origin, tb.Muxes[0]
 	stranger := nonNeighbor(t, topo, origin)
-	pa, pb := peeringPair(t, topo)
+	pa, pb := peeringPair(t, topo, nil)
 
 	bad := []whatif.Delta{
 		{Kind: "no_such_kind"},
 		{},
-		{Kind: whatif.LinkFailure, A: origin.String(), B: stranger.String()},     // not adjacent
-		{Kind: whatif.LinkFailure, A: origin.String(), B: "AS999999"},            // unknown AS
-		{Kind: whatif.LinkFailure, A: origin.String()},                           // missing b
-		{Kind: whatif.NewPeering, A: origin.String(), B: mux.String(), Rel: "peer"},   // already adjacent
-		{Kind: whatif.NewPeering, A: pa.String(), B: pb.String(), Rel: "mentor"},      // bad rel
-		{Kind: whatif.Poison},                                          // empty set
-		{Kind: whatif.Poison, Poisoned: []string{origin.String()}},     // origin in set
-		{Kind: whatif.Poison, Poisoned: []string{"AS999999"}},          // unknown AS
-		{Kind: whatif.Prepend},                                         // zero count
-		{Kind: whatif.Prepend, Prepend: 99},                            // out of range
+		{Kind: whatif.LinkFailure, A: origin.String(), B: stranger.String()},        // not adjacent
+		{Kind: whatif.LinkFailure, A: origin.String(), B: "AS999999"},               // unknown AS
+		{Kind: whatif.LinkFailure, A: origin.String()},                              // missing b
+		{Kind: whatif.NewPeering, A: origin.String(), B: mux.String(), Rel: "peer"}, // already adjacent
+		{Kind: whatif.NewPeering, A: pa.String(), B: pb.String(), Rel: "mentor"},    // bad rel
+		{Kind: whatif.Poison}, // empty set
+		{Kind: whatif.Poison, Poisoned: []string{origin.String()}}, // origin in set
+		{Kind: whatif.Poison, Poisoned: []string{"AS999999"}},      // unknown AS
+		{Kind: whatif.Prepend},              // zero count
+		{Kind: whatif.Prepend, Prepend: 99}, // out of range
 		{Kind: whatif.LocalPref, At: origin.String(), From: stranger.String(), Pref: 100}, // not adjacent
 		{Kind: whatif.LocalPref, At: mux.String(), From: origin.String(), Pref: -1},       // bad pref
 	}
@@ -98,7 +131,7 @@ func TestCanonicalization(t *testing.T) {
 	topo, _, tb := world(t, 1)
 	origin := tb.Origin
 	mux0, mux1 := tb.Muxes[0], tb.Muxes[1]
-	pa, pb := peeringPair(t, topo)
+	pa, pb := peeringPair(t, topo, nil)
 
 	canon := func(d whatif.Delta) string {
 		t.Helper()
@@ -155,6 +188,7 @@ func TestEvalSemantics(t *testing.T) {
 	p := tb.Prefixes[0]
 	base := tb.AnycastBase(p)
 	origin, mux := tb.Origin, tb.Muxes[0]
+	live := liveMux(t, tb, base)
 
 	// Withdraw: every AS that had a route (except the origin itself)
 	// loses it; nothing is gained or moved.
@@ -182,10 +216,9 @@ func TestEvalSemantics(t *testing.T) {
 		t.Fatal("withdraw diff must include the origin losing its own origin route")
 	}
 
-	// Failing one mux uplink must never grow the routed set. (It may
-	// legitimately affect nobody: the direct customer route is not
-	// necessarily anyone's best under the policy bonuses.)
-	cd, err = whatif.Compile(whatif.Delta{Kind: whatif.LinkFailure, A: origin.String(), B: mux.String()}, topo, origin)
+	// Failing a live mux uplink never grows the routed set, and the
+	// routes that crossed it must be lost or moved elsewhere.
+	cd, err = whatif.Compile(whatif.Delta{Kind: whatif.LinkFailure, A: origin.String(), B: live.String()}, topo, origin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,6 +228,9 @@ func TestEvalSemantics(t *testing.T) {
 	}
 	if d.Gained != 0 {
 		t.Fatalf("a link failure cannot gain routes: %+v", d)
+	}
+	if d.Lost+d.Moved == 0 || d.Events == 0 {
+		t.Fatalf("failing the live uplink %s-%s changed nothing: %+v", origin, live, d)
 	}
 
 	// Poisoning a mux forces a fresh announcement through the whole
