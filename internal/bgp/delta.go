@@ -24,21 +24,19 @@ type overlay struct {
 	// can target them and AddPeering rejects duplicates.
 	links map[topology.LinkKey]*topology.Link
 	// extra[i] appends what-if adjacencies to AS i's base neighbor list.
-	// The adj-RIB-in slot of extra[i][k] is len(e.nbrs[i]) + k; rows are
+	// The adj-RIB-in slot of extra[i][k] is AS i's degree + k; rows are
 	// widened lazily by deliver on first write past the inherited width.
-	extra map[int32][]extraNbr
+	extra map[int32][]extraAdj
 	// lp overrides the local preference AS key[0] assigns to routes
 	// learned from neighbor key[1], bypassing the policy computation.
-	lp map[[2]asn.ASN]int
+	lp map[[2]asn.ASN]int32
 }
 
-// extraNbr is one side of an added peering, carrying the same
-// precomputed delivery slots the engine's dense indexes provide for
-// base adjacencies.
-type extraNbr struct {
-	n        topology.Neighbor
-	peerIdx  int32 // dense index of n.ASN
-	backSlot int32 // slot of the owning AS inside n.ASN's row
+// extraAdj is one direction of an added peering: the engine's adjacency
+// plus the per-prefix state a base adjacency keeps in Computation.adjSt.
+type extraAdj struct {
+	adjacency
+	st adjState
 }
 
 // clone deep-copies the overlay (nil stays nil) for Fork.
@@ -50,7 +48,7 @@ func (ov *overlay) clone() *overlay {
 		failed: maps.Clone(ov.failed),
 		links:  maps.Clone(ov.links),
 		lp:     maps.Clone(ov.lp),
-		extra:  make(map[int32][]extraNbr, len(ov.extra)),
+		extra:  make(map[int32][]extraAdj, len(ov.extra)),
 	}
 	for i, xs := range ov.extra {
 		cp.extra[i] = slices.Clone(xs)
@@ -63,8 +61,8 @@ func (c *Computation) ensureOverlay() *overlay {
 		c.ov = &overlay{
 			failed: make(map[topology.LinkKey]bool),
 			links:  make(map[topology.LinkKey]*topology.Link),
-			extra:  make(map[int32][]extraNbr),
-			lp:     make(map[[2]asn.ASN]int),
+			extra:  make(map[int32][]extraAdj),
+			lp:     make(map[[2]asn.ASN]int32),
 		}
 	}
 	return c.ov
@@ -73,7 +71,7 @@ func (c *Computation) ensureOverlay() *overlay {
 // rowLen is AS i's full adj-RIB-in width: base neighbors plus any
 // what-if peerings added to this computation.
 func (c *Computation) rowLen(i int32) int {
-	n := len(c.e.nbrs[i])
+	n := c.e.degree(i)
 	if c.ov != nil {
 		n += len(c.ov.extra[i])
 	}
@@ -83,16 +81,16 @@ func (c *Computation) rowLen(i int32) int {
 // slotOf returns the adj-RIB-in slot of neighbor j inside AS i's row,
 // searching base adjacencies first, then what-if peerings.
 func (c *Computation) slotOf(i, j int32) (int32, bool) {
-	b := c.e.asns[j]
-	for s, n := range c.e.nbrs[i] {
-		if n.ASN == b {
+	e := c.e
+	for s, a := range e.adj[e.off[i]:e.off[i+1]] {
+		if a.peer == j {
 			return int32(s), true
 		}
 	}
 	if c.ov != nil {
 		for k, ex := range c.ov.extra[i] {
-			if ex.peerIdx == j {
-				return int32(len(c.e.nbrs[i]) + k), true
+			if ex.peer == j {
+				return int32(e.degree(i) + k), true
 			}
 		}
 	}
@@ -134,7 +132,7 @@ func (c *Computation) dropAcross(i, j int32) {
 	if !ok {
 		return
 	}
-	if c.deliver(i, s, nil) {
+	if c.deliver(i, s, rec{}) {
 		c.nChanges++
 		c.enqueue(i)
 	}
@@ -168,18 +166,12 @@ func (c *Computation) AddPeering(l *topology.Link) error {
 	ov.links[l.Key()] = l
 	// Each side records where its advertisements land on the other: the
 	// next free slot past the peer's current full width.
-	slotOnLo := int32(len(c.e.nbrs[i]) + len(ov.extra[i]))
-	slotOnHi := int32(len(c.e.nbrs[j]) + len(ov.extra[j]))
-	ov.extra[i] = append(ov.extra[i], extraNbr{
-		n:        topology.Neighbor{ASN: l.Hi, Role: l.HiRole, Link: l},
-		peerIdx:  j,
-		backSlot: slotOnHi,
-	})
-	ov.extra[j] = append(ov.extra[j], extraNbr{
-		n:        topology.Neighbor{ASN: l.Lo, Role: l.HiRole.Invert(), Link: l},
-		peerIdx:  i,
-		backSlot: slotOnLo,
-	})
+	slotOnLo := int32(c.rowLen(i))
+	slotOnHi := int32(c.rowLen(j))
+	var st [2]adjState
+	c.e.setLinkState(st[:], linkPair{link: l, fromLo: 0, fromHi: 1}, c.prefix, c.e.prefixContinent(c.prefix))
+	ov.extra[i] = append(ov.extra[i], extraAdj{adjacency{link: l, peer: j, back: slotOnHi}, st[0]})
+	ov.extra[j] = append(ov.extra[j], extraAdj{adjacency{link: l, peer: i, back: slotOnLo}, st[1]})
 	c.force[i] = true
 	c.enqueue(i)
 	c.force[j] = true
@@ -196,6 +188,9 @@ func (c *Computation) SetLocalPref(at, from asn.ASN, pref int) error {
 	if c.frozen.Load() {
 		panic("bgp: SetLocalPref on a frozen Computation (it has live forks; mutate a Fork instead)")
 	}
+	if int(int32(pref)) != pref {
+		return fmt.Errorf("bgp: SetLocalPref(%s, %s): preference %d out of range", at, from, pref)
+	}
 	i, iok := c.idx(at)
 	j, jok := c.idx(from)
 	if !iok || !jok {
@@ -204,7 +199,7 @@ func (c *Computation) SetLocalPref(at, from asn.ASN, pref int) error {
 	if _, adj := c.slotOf(i, j); !adj {
 		return fmt.Errorf("bgp: SetLocalPref(%s, %s): not adjacent", at, from)
 	}
-	c.ensureOverlay().lp[[2]asn.ASN{at, from}] = pref
+	c.ensureOverlay().lp[[2]asn.ASN{at, from}] = int32(pref)
 	c.force[j] = true
 	c.enqueue(j)
 	return nil
@@ -229,31 +224,35 @@ type BestChange struct {
 // BestDiff compares c's installed best routes against base and returns
 // every AS whose routing decision differs, in ascending ASN order. Age
 // is ignored — the diff reports decision changes, not re-installations.
-// Within one fork chain unchanged routes share the parent's *Route, so
-// the common case is a single pointer compare; the structural fallback
-// keeps the diff exact across independently built computations (the
-// differential oracle in internal/whatif pins fork-diff ≡ rebuild-diff
-// through exactly this path).
+// Within one fork chain an untouched route is the same record naming the
+// same path node, so the common case is one struct compare; paths the
+// two trees do not share compare element by element, which keeps the
+// diff exact across independently built computations (the differential
+// oracle in internal/whatif pins fork-diff ≡ rebuild-diff through
+// exactly this path). Neither computation is written to, so a frozen
+// base may be diffed against from many goroutines.
 func (c *Computation) BestDiff(base *Computation) []BestChange {
 	if c.e != base.e || c.prefix != base.prefix {
 		panic("bgp: BestDiff across engines or prefixes")
 	}
+	shared := sharedBelow(&c.paths, &base.paths)
 	var out []BestChange
 	for i := range c.best {
-		nb, ob := c.best[i], base.best[i]
-		if nb == ob {
+		nb, ob := &c.best[i], &base.best[i]
+		if nb.path == ob.path && nb.path < shared && *nb == *ob {
 			continue
 		}
-		if nb != nil && ob != nil && sameRoute(*ob, *nb) {
+		if nb.path != 0 && ob.path != 0 && sameAttrs(nb, ob) &&
+			pathsEqual(&c.paths, nb.path, &base.paths, ob.path, shared) {
 			continue
 		}
 		bc := BestChange{AS: c.e.asns[i]}
-		if ob != nil {
-			r := ob.public()
+		if ob.path != 0 {
+			r := c.e.route(c.prefix, ob, base.paths.path(ob.path))
 			bc.Before = &r
 		}
-		if nb != nil {
-			r := nb.public()
+		if nb.path != 0 {
+			r := c.e.route(c.prefix, nb, c.paths.path(nb.path))
 			bc.After = &r
 		}
 		out = append(out, bc)

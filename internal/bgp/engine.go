@@ -2,10 +2,12 @@ package bgp
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 	"sync/atomic"
 
 	"routelab/internal/asn"
+	"routelab/internal/geo"
 	"routelab/internal/obs"
 	"routelab/internal/topology"
 )
@@ -35,15 +37,63 @@ type Engine struct {
 	topo *topology.Topology
 	seed int64
 
-	// Dense indexes for the hot path. asns[i] is the AS at index i;
-	// index[a] is the inverse. nbrs[i] aliases the topology's neighbor
-	// slice. backSlot[i][s] is the slot of AS i inside the neighbor list
-	// of its s-th neighbor, so advertisement delivery is O(1).
-	asns     []asn.ASN
-	index    map[asn.ASN]int32
-	nbrs     [][]topology.Neighbor
-	backSlot [][]int32
+	// Dense indexes for the hot path, all built here once. asns[i] is
+	// the AS at index i (ascending, so index order is ASN order);
+	// index[a] is the inverse. AS i's adjacencies are adj[off[i]:off[i+1]]
+	// in the topology's neighbor order, and its adj-RIB-in slot s holds
+	// what adjacency off[i]+s's peer advertised. pol[i] is the slice of
+	// AS i's policy the kernel reads per advertisement.
+	asns  []asn.ASN
+	index map[asn.ASN]int32
+	off   []int32
+	adj   []adjacency
+	pol   []asPolicy
+
+	// fixed[k] is adjacency k's per-prefix state where that does not
+	// depend on the prefix; varying lists the links where it does (more
+	// than one interconnection city, or a partial-transit arrangement),
+	// which setPrefix evaluates once per computation.
+	fixed   []adjState
+	varying []linkPair
 }
+
+// adjacency is one direction of a link: the owning AS x advertising to
+// its neighbor.
+type adjacency struct {
+	link *topology.Link
+	peer int32 // dense index of the neighbor
+	back int32 // slot of x inside the neighbor's adj-RIB-in row
+}
+
+// adjState is what an adjacency x→n contributes to every advertisement
+// crossing it for one prefix.
+type adjState struct {
+	city geo.CityID   // interconnection city the prefix's traffic uses
+	igp  uint16       // n's intradomain cost to its egress toward x there
+	rel  topology.Rel // n's effective role as x sees it; x's role at n is its inverse
+}
+
+// linkPair names the two directions of one link.
+type linkPair struct {
+	link           *topology.Link
+	fromLo, fromHi int32 // adjacency indexes owned by link.Lo and link.Hi
+}
+
+// asPolicy is the per-AS policy the kernel consults when the AS hears
+// an advertisement.
+type asPolicy struct {
+	country uint16 // dense id of the AS's home country
+	flags   uint8
+}
+
+const (
+	polNoLoopPrevention uint8 = 1 << iota
+	polFiltersASSets
+	polDomesticBias
+	polResearchPreference
+	polContentPeerTE
+	polIsResearch // the AS itself is an R&E backbone
+)
 
 // New returns an engine. The seed drives the deterministic-but-arbitrary
 // parts of the ground truth (IGP costs, per-link interconnection city
@@ -51,32 +101,87 @@ type Engine struct {
 func New(topo *topology.Topology, seed int64) *Engine {
 	e := &Engine{topo: topo, seed: seed}
 	e.asns = topo.ASNs()
-	e.index = make(map[asn.ASN]int32, len(e.asns))
+	n := len(e.asns)
+	e.index = make(map[asn.ASN]int32, n)
 	for i, a := range e.asns {
 		e.index[a] = int32(i)
 	}
-	e.nbrs = make([][]topology.Neighbor, len(e.asns))
+
+	countries := make(map[geo.CountryCode]uint16)
+	e.pol = make([]asPolicy, n)
+	e.off = make([]int32, n+1)
 	for i, a := range e.asns {
-		e.nbrs[i] = topo.Neighbors(a)
+		x := topo.AS(a)
+		id, ok := countries[x.HomeCountry]
+		if !ok {
+			id = uint16(len(countries))
+			countries[x.HomeCountry] = id
+		}
+		p := asPolicy{country: id}
+		set := func(on bool, flag uint8) {
+			if on {
+				p.flags |= flag
+			}
+		}
+		set(x.NoLoopPrevention, polNoLoopPrevention)
+		set(x.FiltersASSets, polFiltersASSets)
+		set(x.DomesticBias, polDomesticBias)
+		set(x.ResearchPreference, polResearchPreference)
+		set(x.ContentPeerTE, polContentPeerTE)
+		set(x.Class == topology.Research, polIsResearch)
+		e.pol[i] = p
+		e.off[i+1] = e.off[i] + int32(len(topo.Neighbors(a)))
 	}
-	e.backSlot = make([][]int32, len(e.asns))
-	slotOf := make(map[[2]asn.ASN]int32, len(e.asns)*4)
+
+	e.adj = make([]adjacency, e.off[n])
 	for i, a := range e.asns {
-		for s, n := range e.nbrs[i] {
-			slotOf[[2]asn.ASN{n.ASN, a}] = int32(s)
+		for s, nb := range topo.Neighbors(a) {
+			e.adj[int(e.off[i])+s] = adjacency{link: nb.Link, peer: e.index[nb.ASN]}
 		}
 	}
-	for i, a := range e.asns {
-		e.backSlot[i] = make([]int32, len(e.nbrs[i]))
-		for s, n := range e.nbrs[i] {
-			e.backSlot[i][s] = slotOf[[2]asn.ASN{a, n.ASN}]
+	// Pair the two directions of every link: each learns its slot in the
+	// other's row, and links with prefix-dependent state are set aside.
+	e.fixed = make([]adjState, len(e.adj))
+	first := make(map[*topology.Link]int32, len(e.adj)/2)
+	for k := range e.adj {
+		l := e.adj[k].link
+		o, seen := first[l]
+		if !seen {
+			first[l] = int32(k)
+			continue
+		}
+		i, j := e.adj[o].peer, e.adj[k].peer // k is owned by i, o by j
+		e.adj[k].back = o - e.off[j]
+		e.adj[o].back = int32(k) - e.off[i]
+		pair := linkPair{link: l, fromLo: o, fromHi: int32(k)}
+		if e.asns[i] == l.Lo {
+			pair.fromLo, pair.fromHi = pair.fromHi, pair.fromLo
+		}
+		if len(l.Cities) > 1 || len(l.PartialTransitFor) > 0 {
+			e.varying = append(e.varying, pair)
+		} else {
+			e.setLinkState(e.fixed, pair, asn.Prefix{}, geo.ContinentNone)
 		}
 	}
 	return e
 }
 
+// setLinkState evaluates a link's policy for one prefix (heading for
+// continent cont) and stores both directions' adjState.
+func (e *Engine) setLinkState(dst []adjState, v linkPair, prefix asn.Prefix, cont geo.Continent) {
+	l := v.link
+	city := e.linkCityNear(l, prefix, cont)
+	hiRole := effectiveRel(l, l.Lo, l.Hi, prefix, city)
+	dst[v.fromLo] = adjState{city: city, rel: hiRole, igp: e.igpCost(l.Hi, l.Lo, city)}
+	dst[v.fromHi] = adjState{city: city, rel: hiRole.Invert(), igp: e.igpCost(l.Lo, l.Hi, city)}
+}
+
 // Topology returns the engine's topology.
 func (e *Engine) Topology() *topology.Topology { return e.topo }
+
+// degree is the number of base adjacencies of AS i: the width of its
+// adj-RIB-in row before any what-if peering.
+func (e *Engine) degree(i int32) int { return int(e.off[i+1] - e.off[i]) }
 
 // maxEvents caps the event-driven convergence; policy bonuses step
 // outside the Gao–Rexford safety conditions, so divergence is
@@ -90,13 +195,22 @@ const maxEventsPerAS = 64
 type Computation struct {
 	e      *Engine
 	prefix asn.Prefix
+	// contentPrefix caches topo.IsContentPrefix(prefix).
+	contentPrefix bool
 
 	anns map[asn.ASN]Announcement // active announcements, by origin
+	// origin holds the origin route of every announcing AS (by dense
+	// index), rebuilt by Announce and dropped by Withdraw.
+	origin map[int32]rec
 
 	// adjIn[i][s] is the route AS i currently holds from its s-th
-	// neighbor (nil = none). best[i] is the installed best route.
-	adjIn [][]*Route
-	best  []*Route
+	// neighbor (path 0 = none); best[i] is a copy of the installed best
+	// route. Both hold records by value. A root computation's rows are
+	// carved from one slab; rows a fork writes, and rows AddPeering
+	// widens, come from the rows arena.
+	adjIn [][]rec
+	best  []rec
+	rows  rowArena
 
 	// sharedRow[i] marks adjIn rows borrowed from a frozen parent by
 	// Fork; deliver clones such a row before its first write (nil for
@@ -105,17 +219,21 @@ type Computation struct {
 	// rowClones counts COW clones for the obs flush.
 	rowClones int
 
-	// pool interns AS paths (chained to the parent pool after Fork).
-	pool *pathPool
-	// origin caches materialized origin routes per announcing AS;
-	// invalidated by Announce/Withdraw. Entries are immutable and shared
-	// with forks.
-	origin map[asn.ASN]*Route
-	// advScratch is the reusable advertisement buffer: advertisement
-	// fills it per neighbor and process copies it to the heap only when
-	// the route is actually installed, so suppressed re-advertisements
-	// allocate nothing.
-	advScratch Route
+	// paths is this computation's segment of the AS-path tree (chained
+	// to the parent's after Fork); every rec.path is an id in it.
+	paths pathTree
+	// compacting is column's scratch, kept across the prefixes a
+	// recycled computation converges.
+	compacting compactScratch
+	// pathCache holds the public form of paths already handed out, so a
+	// repeated Best allocates nothing. Written only while the
+	// computation is unfrozen (single owner); a frozen computation may
+	// be read from many goroutines and materialises misses afresh.
+	pathCache map[uint32]asn.Path
+
+	// adjSt[k] is the per-prefix state of the engine's adjacency k.
+	// Immutable once set, so forks share their parent's.
+	adjSt []adjState
 
 	// frozen is set by Freeze/Fork; Announce and Withdraw panic once
 	// set. Atomic so concurrent Forks of one parent are race-free.
@@ -126,17 +244,12 @@ type Computation struct {
 	// the base hot path pays only a nil check. See delta.go.
 	ov *overlay
 
-	// buckets is a path-length-bucketed priority queue of AS indexes
-	// whose advertisements must be recomputed. Processing shortest
-	// installed routes first approximates BFS propagation and slashes
-	// path-exploration churn. queued dedupes, force marks
-	// announcement-policy changes.
-	buckets [][]int32
-	nQueued int
-	queued  []bool
-	force   []bool
+	// q is the queue of ASes whose advertisements must be recomputed;
+	// force marks announcement-policy changes.
+	q     eventQueue
+	force []bool
 
-	clock     int // monotone event counter; feeds Route.Age
+	clock     uint32 // monotone event counter; feeds Route.Age
 	converged bool
 
 	nProcessed, nChanges int
@@ -145,23 +258,136 @@ type Computation struct {
 	flushedProcessed, flushedChanges int
 }
 
+// rowArena hands out adj-RIB-in rows from chunks that quadruple in size
+// up to what a copy of every row would need, so a what-if that touches
+// three rows allocates a few KB and a poison that rewrites them all
+// allocates a handful of times, not once per row. Chunks never move: a
+// row stays valid for as long as something points at it.
+type rowArena struct {
+	free []rec
+	last int // size of the latest chunk
+	left int // slots a copy of every not-yet-copied row would still need
+}
+
+func (a *rowArena) take(n int) []rec {
+	if len(a.free) < n {
+		a.last = max(n, min(max(4*a.last, 256), a.left))
+		a.free = make([]rec, a.last)
+	}
+	a.left -= n
+	row := a.free[:n:n]
+	a.free = a.free[n:]
+	return row
+}
+
+// eventQueue is a bucketed priority queue of AS indexes: processing the
+// shortest installed routes first approximates BFS propagation and
+// slashes path-exploration churn. An AS is queued at most once, so each
+// bucket is an intrusive FIFO threaded through next, and a bitmap finds
+// the first non-empty bucket. Links are 1 + index; the zero value is an
+// empty queue.
+type eventQueue struct {
+	head, tail [nBuckets]int32
+	nonEmpty   [nBuckets / 64]uint64
+	next       []int32
+	queued     []bool
+	n          int
+}
+
+// nBuckets is four route classes times 48 path lengths.
+const nBuckets = 4 * 48
+
+func (q *eventQueue) push(i int32, p int) {
+	q.queued[i] = true
+	q.n++
+	q.next[i] = 0
+	if q.tail[p] == 0 {
+		q.head[p] = i + 1
+		q.nonEmpty[p/64] |= 1 << (p % 64)
+	} else {
+		q.next[q.tail[p]-1] = i + 1
+	}
+	q.tail[p] = i + 1
+}
+
+// pop removes the first AS of the lowest non-empty bucket. The queue
+// must not be empty.
+func (q *eventQueue) pop() int32 {
+	w := 0
+	for q.nonEmpty[w] == 0 {
+		w++
+	}
+	p := w*64 + bits.TrailingZeros64(q.nonEmpty[w])
+	i := q.head[p] - 1
+	q.head[p] = q.next[i]
+	if q.head[p] == 0 {
+		q.tail[p] = 0
+		q.nonEmpty[w] &^= 1 << (p % 64)
+	}
+	q.queued[i] = false
+	q.n--
+	return i
+}
+
 // NewComputation starts an empty computation for a prefix.
 func (e *Engine) NewComputation(prefix asn.Prefix) *Computation {
 	n := len(e.asns)
 	c := &Computation{
 		e:         e,
-		prefix:    prefix,
 		anns:      make(map[asn.ASN]Announcement),
-		adjIn:     make([][]*Route, n),
-		best:      make([]*Route, n),
-		pool:      newPathPool(nil),
-		origin:    make(map[asn.ASN]*Route),
-		buckets:   make([][]int32, 4*48),
-		queued:    make([]bool, n),
+		origin:    make(map[int32]rec),
+		adjIn:     make([][]rec, n),
+		best:      make([]rec, n),
+		paths:     newPathTree(n),
+		adjSt:     make([]adjState, len(e.adj)),
+		q:         eventQueue{next: make([]int32, n), queued: make([]bool, n)},
 		force:     make([]bool, n),
 		converged: true,
 	}
+	slab := make([]rec, len(e.adj))
+	for i := range c.adjIn {
+		c.adjIn[i] = slab[e.off[i]:e.off[i+1]:e.off[i+1]]
+	}
+	c.setPrefix(prefix)
 	return c
+}
+
+// setPrefix binds the computation to its prefix: everything about a link
+// that depends on the prefix is decided here, once, instead of per
+// advertisement.
+func (c *Computation) setPrefix(prefix asn.Prefix) {
+	e := c.e
+	c.prefix = prefix
+	c.contentPrefix = e.topo.IsContentPrefix(prefix)
+	copy(c.adjSt, e.fixed)
+	cont := e.prefixContinent(prefix)
+	for _, v := range e.varying {
+		e.setLinkState(c.adjSt, v, prefix, cont)
+	}
+}
+
+// reset returns a root computation that was never forked nor given
+// what-if edits to the state NewComputation(prefix) builds, keeping its
+// storage: ComputeRIB converges thousands of prefixes on a handful of
+// computations.
+func (c *Computation) reset(prefix asn.Prefix) {
+	if c.frozen.Load() || c.ov != nil {
+		panic("bgp: reset of a frozen or what-if Computation")
+	}
+	clear(c.anns)
+	clear(c.origin)
+	for _, row := range c.adjIn {
+		clear(row)
+	}
+	clear(c.best)
+	c.paths.reset()
+	clear(c.pathCache)
+	c.q = eventQueue{next: c.q.next, queued: c.q.queued}
+	clear(c.q.queued)
+	clear(c.force)
+	c.clock, c.converged = 0, true
+	c.nProcessed, c.nChanges, c.flushedProcessed, c.flushedChanges = 0, 0, 0, 0
+	c.setPrefix(prefix)
 }
 
 func (c *Computation) idx(a asn.ASN) (int32, bool) {
@@ -170,18 +396,16 @@ func (c *Computation) idx(a asn.ASN) (int32, bool) {
 }
 
 func (c *Computation) enqueue(i int32) {
-	if c.queued[i] {
+	if c.q.queued[i] {
 		return
 	}
-	c.queued[i] = true
-	c.nQueued++
 	p := 0
-	if r := c.best[i]; r != nil {
+	if r := &c.best[i]; r.path != 0 {
 		// Mirror the classic three-phase computation: customer-learned
 		// routes settle first, then peer, then provider; shorter paths
 		// within each class. Origin routes (FromRel none) lead.
 		cls := 0
-		switch r.FromRel {
+		switch r.from {
 		case topology.RelCustomer, topology.RelSibling:
 			cls = 1
 		case topology.RelPeer:
@@ -189,13 +413,9 @@ func (c *Computation) enqueue(i int32) {
 		case topology.RelProvider:
 			cls = 3
 		}
-		l := r.pathLen
-		if l > 47 {
-			l = 47
-		}
-		p = cls*48 + l
+		p = cls*48 + int(min(r.plen, 47))
 	}
-	c.buckets[p] = append(c.buckets[p], i)
+	c.q.push(i, p)
 }
 
 // Announce activates an announcement (replacing any previous announcement
@@ -207,13 +427,13 @@ func (c *Computation) Announce(a Announcement) {
 	}
 	a.Prefix = c.prefix
 	c.anns[a.Origin] = a
-	delete(c.origin, a.Origin)
 	obsAnnounce.Inc()
 	if len(a.Poisoned) > 0 {
 		obsAnnouncePoisoned.Inc()
 		obsPoisonedASes.Add(int64(len(a.Poisoned)))
 	}
 	if i, ok := c.idx(a.Origin); ok {
+		c.origin[i] = c.originRoute(i, a)
 		c.force[i] = true
 		c.enqueue(i)
 	}
@@ -225,12 +445,33 @@ func (c *Computation) Withdraw(origin asn.ASN) {
 		panic("bgp: Withdraw on a frozen Computation (it has live forks; mutate a Fork instead)")
 	}
 	delete(c.anns, origin)
-	delete(c.origin, origin)
 	obsWithdraw.Inc()
 	if i, ok := c.idx(origin); ok {
+		delete(c.origin, i)
 		c.force[i] = true
 		c.enqueue(i)
 	}
+}
+
+// originRoute builds AS i's own route for its announcement: the path as
+// it leaves the origin (ORIGIN {poisoned} ORIGIN when poisoning, plus
+// any prepends), at a preference nothing learned can beat. Re-announcing
+// finds the path's nodes already in the tree and allocates nothing.
+func (c *Computation) originRoute(i int32, a Announcement) rec {
+	node := c.extend(0, i)
+	if len(a.Poisoned) > 0 {
+		node = c.extend(c.paths.childSet(node, a.Poisoned), i)
+	}
+	for k := 0; k < a.Prepend; k++ {
+		node = c.extend(node, i)
+	}
+	return rec{path: node, nh: -1, lp: originLocalPref, plen: c.paths.node(node).plen}
+}
+
+// extend returns path with AS i prepended.
+func (c *Computation) extend(path uint32, i int32) uint32 {
+	p := c.e.pol[i]
+	return c.paths.child(path, c.e.asns[i], p.country, p.flags&polIsResearch != 0)
 }
 
 // Converge drains the event queue to a fixed point (or the event cap)
@@ -238,11 +479,8 @@ func (c *Computation) Withdraw(origin asn.ASN) {
 func (c *Computation) Converge() bool {
 	limit := maxEventsPerAS * len(c.e.asns)
 	events := 0
-	for c.nQueued > 0 {
-		i, ok := c.pop()
-		if !ok {
-			break
-		}
+	for c.q.n > 0 {
+		i := c.q.pop()
 		events++
 		if events > limit {
 			c.converged = false
@@ -274,15 +512,15 @@ func (c *Computation) flushObs() {
 		obsConvergeChanges.Add(int64(d))
 		c.flushedChanges = c.nChanges
 	}
-	// Intern-pool and COW counters accumulate in plain fields on the hot
+	// Path-tree and COW counters accumulate in plain fields on the hot
 	// path and publish here, once per Converge.
-	if c.pool.hits > 0 {
-		obsInternHits.Add(int64(c.pool.hits))
-		c.pool.hits = 0
+	if c.paths.hits > 0 {
+		obsInternHits.Add(int64(c.paths.hits))
+		c.paths.hits = 0
 	}
-	if c.pool.misses > 0 {
-		obsInternMisses.Add(int64(c.pool.misses))
-		c.pool.misses = 0
+	if c.paths.misses > 0 {
+		obsInternMisses.Add(int64(c.paths.misses))
+		c.paths.misses = 0
 	}
 	if c.rowClones > 0 {
 		obsRowClones.Add(int64(c.rowClones))
@@ -290,66 +528,73 @@ func (c *Computation) flushObs() {
 	}
 }
 
-// pop removes the queued AS with the shortest installed route.
-func (c *Computation) pop() (int32, bool) {
-	for p := range c.buckets {
-		b := c.buckets[p]
-		for len(b) > 0 {
-			i := b[0]
-			b = b[1:]
-			c.buckets[p] = b
-			if c.queued[i] {
-				c.queued[i] = false
-				c.nQueued--
-				return i, true
-			}
-		}
-	}
-	return 0, false
-}
-
 // Converged reports whether the last Converge reached a fixed point.
 func (c *Computation) Converged() bool { return c.converged }
+
+// pathOf materialises the public form of a path of this computation.
+func (c *Computation) pathOf(id uint32) asn.Path {
+	if p, ok := c.pathCache[id]; ok {
+		return p
+	}
+	p := c.paths.path(id)
+	if !c.frozen.Load() {
+		if c.pathCache == nil {
+			c.pathCache = make(map[uint32]asn.Path)
+		}
+		c.pathCache[id] = p
+	}
+	return p
+}
+
+// public materialises a record of this computation.
+func (c *Computation) public(r *rec) Route {
+	return c.e.route(c.prefix, r, c.pathOf(r.path))
+}
 
 // Best returns the installed best route at an AS.
 func (c *Computation) Best(a asn.ASN) (Route, bool) {
 	i, ok := c.idx(a)
-	if !ok || c.best[i] == nil {
+	if !ok || c.best[i].path == 0 {
 		return Route{}, false
 	}
-	return c.best[i].public(), true
+	return c.public(&c.best[i]), true
 }
 
 // Step returns the decision step that selects the AS's current best
 // route over its runner-up, computed from the current adj-RIB-in.
 func (c *Computation) Step(a asn.ASN) (DecisionStep, bool) {
 	i, ok := c.idx(a)
-	if !ok || c.best[i] == nil {
+	if !ok || c.best[i].path == 0 {
 		return OnlyRoute, false
 	}
 	nb, second := c.bestTwo(i)
-	if nb == nil {
+	if nb.path == 0 {
 		return OnlyRoute, false
 	}
-	if second == nil {
+	if second.path == 0 {
 		return OnlyRoute, true
 	}
-	return decisiveStep(nb, second), true
+	return decisiveStep(&nb, &second), true
 }
 
-// bestTwo scans AS i's candidates for the two most preferred routes.
+// bestTwo scans AS i's candidates — its own origin route, then its
+// adj-RIB-in row — for the two most preferred (path 0 = none).
 // Closure-free so a steady-state rescan stays allocation-free (the
 // alloc guards in alloc_test.go pin this).
-func (c *Computation) bestTwo(i int32) (nb, second *Route) {
-	nb = c.originRoute(c.e.asns[i])
-	for _, r := range c.adjIn[i] {
+func (c *Computation) bestTwo(i int32) (nb, second rec) {
+	if len(c.origin) > 0 {
+		nb = c.origin[i]
+	}
+	row := c.adjIn[i]
+	for k := range row {
+		r := &row[k]
 		switch {
-		case r == nil:
-		case nb == nil || prefer(r, nb):
+		case r.path == 0:
+		case nb.path == 0 || prefer(r, &nb):
 			second = nb
-			nb = r
-		case second == nil || prefer(r, second):
-			second = r
+			nb = *r
+		case second.path == 0 || prefer(r, &second):
+			second = *r
 		}
 	}
 	return nb, second
@@ -363,87 +608,75 @@ func (c *Computation) Alternatives(a asn.ASN) []Route {
 	if !ok {
 		return nil
 	}
-	var cands []Route
-	if r := c.originRoute(a); r != nil {
-		cands = append(cands, r.public())
+	var cands []rec
+	if r, ok := c.origin[i]; ok {
+		cands = append(cands, r)
 	}
 	for _, r := range c.adjIn[i] {
-		if r != nil {
-			cands = append(cands, r.public())
+		if r.path != 0 {
+			cands = append(cands, r)
 		}
 	}
-	sort.Slice(cands, func(x, y int) bool { return prefer(&cands[x], &cands[y]) })
-	return cands
+	if len(cands) == 0 {
+		return nil
+	}
+	slices.SortFunc(cands, func(x, y rec) int {
+		switch {
+		case prefer(&x, &y):
+			return -1
+		case prefer(&y, &x):
+			return 1
+		default:
+			return 0
+		}
+	})
+	out := make([]Route, len(cands))
+	for k := range cands {
+		out[k] = c.public(&cands[k])
+	}
+	return out
 }
 
 // Routes copies the current best route of every AS holding one.
 func (c *Computation) Routes() map[asn.ASN]Route {
 	out := make(map[asn.ASN]Route, len(c.best))
-	for i, r := range c.best {
-		if r != nil {
-			out[c.e.asns[i]] = r.public()
+	for i := range c.best {
+		if r := &c.best[i]; r.path != 0 {
+			out[c.e.asns[i]] = c.public(r)
 		}
 	}
 	return out
 }
 
-// originRoute materializes a's own origin route, or nil. The built route
-// is cached per origin (and invalidated by Announce/Withdraw), so the
-// per-event rescans of the origin AS allocate nothing; forks inherit the
-// cache entries, which are immutable.
-func (c *Computation) originRoute(a asn.ASN) *Route {
-	ann, ok := c.anns[a]
-	if !ok {
-		return nil
-	}
-	if r, ok := c.origin[a]; ok {
-		return r
-	}
-	ip := c.pool.intern(ann.basePath())
-	r := &Route{
-		Prefix:    c.prefix,
-		Path:      ip.p,
-		NextHop:   0,
-		FromRel:   topology.RelNone,
-		OrgRel:    topology.RelNone,
-		LocalPref: 1 << 30, // own routes always win
-		Age:       0,
-		pathLen:   ip.plen,
-		ip:        ip,
-	}
-	c.origin[a] = r
-	return r
-}
-
 // prefer reports whether a beats b in the BGP decision process.
 // Candidates carry precomputed path lengths and IGP costs.
-func prefer(a, b *Route) bool {
-	if a.LocalPref != b.LocalPref {
-		return a.LocalPref > b.LocalPref
+func prefer(a, b *rec) bool {
+	if a.lp != b.lp {
+		return a.lp > b.lp
 	}
-	if a.pathLen != b.pathLen {
-		return a.pathLen < b.pathLen
+	if a.plen != b.plen {
+		return a.plen < b.plen
 	}
-	if a.igpCost != b.igpCost {
-		return a.igpCost < b.igpCost
+	if a.igp != b.igp {
+		return a.igp < b.igp
 	}
-	if a.Age != b.Age {
-		return a.Age < b.Age
+	if a.age != b.age {
+		return a.age < b.age
 	}
-	return a.NextHop < b.NextHop
+	return a.nh < b.nh
 }
 
 // decisiveStep reports which decision criterion separated best from the
 // runner-up.
-func decisiveStep(best, second *Route) DecisionStep {
+func decisiveStep(best, second *rec) DecisionStep {
 	switch {
-	case best.LocalPref != second.LocalPref:
+	case best.lp != second.lp:
 		return ByLocalPref
-	case best.pathLen != second.pathLen:
+	case best.plen != second.plen:
 		return ByPathLen
-	case best.igpCost != second.igpCost:
+	case best.igp != second.igp:
 		return ByIGPCost
-	case best.Age != second.Age:
+	case best.age != second.age:
 		return ByAge
 	default:
 		return ByRouterID
@@ -451,64 +684,57 @@ func decisiveStep(best, second *Route) DecisionStep {
 }
 
 // reselect fully rescans AS i's candidates and updates the best route.
-// It reports whether the best route changed.
+// It reports whether the best route changed (a re-installation of the
+// same route, with a new age, counts).
 func (c *Computation) reselect(i int32) bool {
 	nb, _ := c.bestTwo(i)
-	old := c.best[i]
+	changed := c.best[i] != nb
 	c.best[i] = nb
-	if nb == nil {
-		return old != nil
-	}
-	return old == nil || !sameRoute(*old, *nb) || old.Age != nb.Age
+	return changed
 }
 
-// deliver installs an advertisement (or withdrawal, adv==nil) from
-// neighbor slot s into AS i's adj-RIB-in and incrementally updates i's
-// best route. It reports whether i's best changed. Rows still shared
+// deliver installs an advertisement (or withdrawal, the zero record)
+// from neighbor slot s into AS i's adj-RIB-in and incrementally updates
+// i's best route. It reports whether i's best changed. Rows still shared
 // with a frozen fork parent are cloned before their first write (the
 // copy-on-write barrier — the no-op cases above it read shared state
 // without ever cloning).
-func (c *Computation) deliver(i int32, s int32, adv *Route) bool {
+func (c *Computation) deliver(i int32, s int32, adv rec) bool {
 	row := c.adjIn[i]
-	var prev *Route
+	var prev rec
 	if int(s) < len(row) {
 		prev = row[s]
 	}
-	if prev == nil && adv == nil {
+	if prev.path == 0 && adv.path == 0 {
 		return false
 	}
-	if prev != nil && adv != nil && sameRoute(*prev, *adv) {
+	if prev.path != 0 && adv.path != 0 && sameRoute(&prev, &adv) {
 		return false // implicit refresh: keep the older installation
 	}
-	if need := c.rowLen(i); len(row) < need {
-		// Missing row, or one narrower than an AddPeering slot demands:
-		// allocate at full width. Widening a row borrowed from a frozen
-		// parent doubles as its COW clone.
-		nr := make([]*Route, need)
+	shared := c.sharedRow != nil && c.sharedRow[i]
+	if need := c.rowLen(i); shared || len(row) < need {
+		// A row borrowed from a frozen parent, or one narrower than an
+		// AddPeering slot demands: move it, at full width, into this
+		// computation's arena.
+		nr := c.rows.take(need)
 		copy(nr, row)
-		if c.sharedRow != nil && c.sharedRow[i] {
+		if shared {
 			c.sharedRow[i] = false
-			if row != nil {
-				c.rowClones++
-			}
+			c.rowClones++
 		}
 		row = nr
 		c.adjIn[i] = nr
-	} else if c.sharedRow != nil && c.sharedRow[i] {
-		row = append(make([]*Route, 0, len(row)), row...)
-		c.adjIn[i] = row
-		c.sharedRow[i] = false
-		c.rowClones++
 	}
 	row[s] = adv
-	cur := c.best[i]
+	cur := &c.best[i]
 	switch {
-	case cur == prev && prev != nil:
-		// The best route's source changed or withdrew: full rescan.
+	case prev.path != 0 && cur.age == prev.age:
+		// The best route's source changed or withdrew (ages are unique
+		// per installation, and an origin route's is 0): full rescan.
 		return c.reselect(i)
-	case adv != nil && (cur == nil || prefer(adv, cur)):
+	case adv.path != 0 && (cur.path == 0 || prefer(&adv, cur)):
 		// Strictly better than the incumbent: install directly.
-		c.best[i] = adv
+		*cur = adv
 		return true
 	default:
 		// A non-best candidate changed; the incumbent stands.
@@ -516,154 +742,130 @@ func (c *Computation) deliver(i int32, s int32, adv *Route) bool {
 	}
 }
 
+// sender is the state process shares across one AS's adjacencies.
+type sender struct {
+	i    int32
+	best rec
+	// adv is the path the AS advertises — its best path with itself
+	// prepended, the same toward every neighbor — looked up in the tree
+	// on first use (0 = not yet).
+	adv uint32
+}
+
 // process recomputes what AS i advertises to each neighbor (base
 // adjacencies, then what-if peerings) and delivers the changes,
 // enqueueing neighbors whose best routes moved.
 func (c *Computation) process(i int32) {
 	c.nProcessed++
-	a := c.e.asns[i]
-	forced := c.force[i]
-	c.force[i] = false
-	if forced {
+	if c.force[i] {
+		c.force[i] = false
 		c.reselect(i)
 	}
-	xAS := c.e.topo.AS(a)
-	best := c.best[i]
-	for s, n := range c.e.nbrs[i] {
-		j, ok := c.idx(n.ASN)
-		if !ok {
-			continue
-		}
-		c.propagate(xAS, best, n, j, c.e.backSlot[i][s])
+	e := c.e
+	s := sender{i: i, best: c.best[i]}
+	for k := e.off[i]; k < e.off[i+1]; k++ {
+		a := &e.adj[k]
+		c.propagate(&s, a.peer, a.back, c.adjSt[k], a.link)
 	}
 	if c.ov != nil {
 		for _, ex := range c.ov.extra[i] {
-			c.propagate(xAS, best, ex.n, ex.peerIdx, ex.backSlot)
+			c.propagate(&s, ex.peer, ex.back, ex.st, ex.link)
 		}
 	}
 }
 
-// propagate recomputes what xAS advertises across one adjacency (to
-// neighbor n, landing in slot back of AS j's row) and delivers the
-// change. A link down in the what-if overlay advertises nothing — the
-// withdrawal case of deliver.
-func (c *Computation) propagate(xAS *topology.AS, best *Route, n topology.Neighbor, j, back int32) {
-	var adv *Route
-	if c.ov == nil || !c.ov.failed[n.Link.Key()] {
-		adv = c.advertisement(xAS, best, n) // scratch buffer; copied below if installed
+// propagate recomputes what the sender advertises across one adjacency
+// (landing in slot back of AS j's row) and delivers the change. A link
+// down in the what-if overlay advertises nothing — the withdrawal case
+// of deliver.
+func (c *Computation) propagate(s *sender, j, back int32, st adjState, l *topology.Link) {
+	var adv rec
+	if c.ov == nil || !c.ov.failed[l.Key()] {
+		adv = c.advertisement(s, j, st)
 	}
-	var inst *Route
-	if adv != nil {
+	if adv.path != 0 {
 		// Suppress no-op refreshes before stamping a fresh age — the
-		// common steady-state case, which allocates nothing because adv
-		// is the reusable scratch route.
-		if cur := c.adjInAt(j, back); cur != nil && sameRoute(*cur, *adv) {
+		// common steady-state case.
+		if row := c.adjIn[j]; int(back) < len(row) && row[back].path != 0 && sameRoute(&row[back], &adv) {
 			return
 		}
 		c.clock++
-		inst = new(Route)
-		*inst = *adv
-		inst.Age = c.clock
+		adv.age = c.clock
 	}
-	if c.deliver(j, back, inst) {
+	if c.deliver(j, back, adv) {
 		c.nChanges++
 		c.enqueue(j)
 	}
 }
 
-func (c *Computation) adjInAt(i, s int32) *Route {
-	row := c.adjIn[i]
-	if int(s) >= len(row) {
-		return nil
+// advertisement builds the record AS j would install upon hearing the
+// sender's best route across an adjacency in state st, or the zero
+// record when export policy, origin policy, loop prevention, or AS_SET
+// filtering suppresses it. Everything it reads is a dense array or a
+// path-tree node: no map probe, no allocation once the advertised path
+// is in the tree.
+func (c *Computation) advertisement(s *sender, j int32, st adjState) rec {
+	best := &s.best
+	if best.path == 0 || !exports(best.org, st.rel) {
+		return rec{}
 	}
-	return row[s]
-}
-
-// advertisement builds the route neighbor n would install upon hearing
-// x's best route, or nil when export policy, origin policy, loop
-// prevention, or AS_SET filtering suppresses it.
-//
-// The returned pointer aliases c.advScratch: it is valid only until the
-// next advertisement call and must be copied (process does) before being
-// installed. The advertised path comes from the intern pool — a map
-// probe when this exact extension was derived before, anywhere in the
-// fork chain.
-func (c *Computation) advertisement(xAS *topology.AS, best *Route, n topology.Neighbor) *Route {
-	if best == nil {
-		return nil
-	}
-	x := xAS.ASN
-	city := c.e.linkCity(n.Link, c.prefix)
-	relOfN := effectiveRel(n.Link, x, n.ASN, c.prefix, city)
-	if !exports(best.OrgRel, relOfN) {
-		return nil
-	}
-	if best.IsOrigin() {
-		ann := c.anns[x]
-		if !ann.permitsNeighbor(n.ASN) || !xAS.MayAnnounce(c.prefix, n.ASN) {
-			return nil
+	e := c.e
+	n := e.asns[j]
+	if best.nh < 0 {
+		x := e.asns[s.i]
+		if ann := c.anns[x]; !ann.permitsNeighbor(n) || !e.topo.AS(x).MayAnnounce(c.prefix, n) {
+			return rec{}
 		}
 	}
-	advIP := best.ip
-	advPath := best.Path
-	advLen := best.pathLen
-	if !best.IsOrigin() {
-		advIP = c.pool.prepend(best.ip, best.Path, x)
-		advPath = advIP.p
-		advLen = advIP.plen
+	switch {
+	case s.adv != 0:
+		// Derived for an earlier neighbor of this event: a derivation
+		// that built nothing, like a tree hit.
+		c.paths.hits++
+	case best.nh < 0:
+		s.adv = best.path
+	default:
+		s.adv = c.extend(best.path, s.i)
 	}
-	nAS := c.e.topo.AS(n.ASN)
-	if advPath.Contains(n.ASN) && !nAS.NoLoopPrevention {
-		return nil
+	path := c.paths.node(s.adv)
+	pol := e.pol[j]
+	if pol.flags&polNoLoopPrevention == 0 && c.paths.contains(s.adv, n) {
+		return rec{}
 	}
-	if advPath.HasSet() && nAS.FiltersASSets {
-		return nil
+	if path.flags&pathHasSet != 0 && pol.flags&polFiltersASSets != 0 {
+		return rec{}
 	}
-	relOfX := effectiveRel(n.Link, n.ASN, x, c.prefix, city)
 	// The route's organizational class survives sibling hops; on-net
 	// (sibling-learned) routes get the organization's internal-first
 	// preference bump.
-	orgRel := relOfX
-	lp := 0
-	if relOfX == topology.RelSibling {
-		orgRel = best.OrgRel
-		lp = c.e.siblingLocalPref(nAS, orgRel, advPath, c.prefix)
-	} else {
-		lp = c.e.localPref(nAS, orgRel, advPath, c.prefix)
+	from := st.rel.Invert()
+	org := from
+	if from == topology.RelSibling {
+		org = best.org
+	}
+	lp := c.localPref(pol, org, path)
+	if from == topology.RelSibling {
+		lp += lpSiblingBonus
 	}
 	if c.ov != nil {
 		// A what-if LocalPref override on the receiving adjacency wins
 		// over every policy bonus.
-		if v, ok := c.ov.lp[[2]asn.ASN{n.ASN, x}]; ok {
+		if v, ok := c.ov.lp[[2]asn.ASN{n, e.asns[s.i]}]; ok {
 			lp = v
 		}
 	}
-	c.advScratch = Route{
-		Prefix:     c.prefix,
-		Path:       advPath,
-		NextHop:    x,
-		FromRel:    relOfX,
-		OrgRel:     orgRel,
-		LocalPref:  lp,
-		EgressCity: city,
-		pathLen:    advLen,
-		igpCost:    c.e.igpCost(n.ASN, x, city),
-		ip:         advIP,
-	}
-	return &c.advScratch
+	return rec{path: s.adv, nh: s.i, lp: lp, igp: st.igp, plen: path.plen, city: st.city, from: from, org: org}
 }
 
-// sameRoute compares everything except Age. Interned paths compare by
-// handle identity — within one fork chain equal paths share one ipath —
-// with the structural comparison kept as the correctness fallback for
-// routes from different chains (or built outside the pool).
-func sameRoute(a, b Route) bool {
-	return a.NextHop == b.NextHop &&
-		a.LocalPref == b.LocalPref &&
-		a.FromRel == b.FromRel &&
-		a.OrgRel == b.OrgRel &&
-		a.EgressCity == b.EgressCity &&
-		((a.ip != nil && a.ip == b.ip) || a.Path.Equal(b.Path))
+// sameRoute compares two records of one computation on everything but
+// Age (and the cached decision inputs, which the rest determines). Equal
+// paths are one node within a fork chain, so the ids compare.
+func sameRoute(a, b *rec) bool { return a.path == b.path && sameAttrs(a, b) }
+
+// sameAttrs is sameRoute without the path, for records whose path ids
+// come from different trees.
+func sameAttrs(a, b *rec) bool {
+	return a.nh == b.nh && a.lp == b.lp && a.from == b.from && a.org == b.org && a.city == b.city
 }
 
 // DebugStats reports internal convergence counters (process calls and

@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"reflect"
 	"testing"
 
 	"routelab/internal/asn"
@@ -203,6 +204,7 @@ func TestPoisonBothUpstreamsKillsRoute(t *testing.T) {
 func TestNoLoopPreventionAcceptsPoison(t *testing.T) {
 	e, p, ids := diamond(t)
 	e.topo.AS(ids["c1"]).NoLoopPrevention = true
+	e = New(e.topo, 1) // the engine snapshots per-AS policy when built
 	c := e.NewComputation(p)
 	c.Announce(Announcement{Origin: ids["org"], Poisoned: []asn.ASN{ids["c1"]}})
 	c.Converge()
@@ -214,6 +216,7 @@ func TestNoLoopPreventionAcceptsPoison(t *testing.T) {
 func TestASSetFilterDropsPoisonedAnnouncements(t *testing.T) {
 	e, p, ids := diamond(t)
 	e.topo.AS(ids["t1"]).FiltersASSets = true
+	e = New(e.topo, 1) // the engine snapshots per-AS policy when built
 	c := e.NewComputation(p)
 	c.Announce(Announcement{Origin: ids["org"], Poisoned: []asn.ASN{9999}})
 	c.Converge()
@@ -502,7 +505,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	}
 	for a, x := range r1 {
 		y := r2[a]
-		if !sameRoute(x, y) || x.Age != y.Age {
+		if !reflect.DeepEqual(x, y) {
 			t.Fatalf("route at %s differs: %v vs %v", a, x, y)
 		}
 	}

@@ -37,10 +37,11 @@ func (c *Computation) Frozen() bool { return c.frozen.Load() }
 // parent's history plus the new events (the differential suite in
 // forkdiff_test.go pins exactly that).
 //
-// The fork is cheap: O(#ASes) pointer copies. Per-AS adj-RIB-in rows
-// are shared with the parent and cloned lazily on first write; installed
-// *Route values are immutable and shared forever. The child gets its own
-// AS-path intern pool chained to the parent's (see intern.go).
+// The fork is cheap: O(#ASes) copies and a dozen allocations. Per-AS
+// adj-RIB-in rows are shared with the parent and cloned lazily on first
+// write; the best column (records by value) is copied. The child gets
+// its own, empty segment of the AS-path tree chained onto the parent's
+// (see paths.go), and shares the parent's per-prefix adjacency state.
 //
 // Any number of forks may be taken from one frozen parent, concurrently,
 // and each fork is single-owner mutable state like any Computation.
@@ -50,34 +51,30 @@ func (c *Computation) Fork() *Computation {
 	c.Freeze()
 	n := len(c.e.asns)
 	f := &Computation{
-		e:         c.e,
-		prefix:    c.prefix,
-		anns:      maps.Clone(c.anns),
-		adjIn:     slices.Clone(c.adjIn),
-		sharedRow: make([]bool, n),
-		best:      slices.Clone(c.best),
-		origin:    maps.Clone(c.origin),
-		pool:      newPathPool(c.pool),
-		buckets:   make([][]int32, len(c.buckets)),
-		nQueued:   c.nQueued,
-		queued:    slices.Clone(c.queued),
-		force:     slices.Clone(c.force),
-		clock:     c.clock,
-		converged: c.converged,
-		ov:        c.ov.clone(),
+		e:             c.e,
+		prefix:        c.prefix,
+		contentPrefix: c.contentPrefix,
+		anns:          maps.Clone(c.anns),
+		origin:        maps.Clone(c.origin),
+		adjIn:         slices.Clone(c.adjIn),
+		sharedRow:     make([]bool, n),
+		best:          slices.Clone(c.best),
+		rows:          rowArena{left: len(c.e.adj)},
+		paths:         c.paths.fork(),
+		adjSt:         c.adjSt,
+		q:             c.q,
+		force:         slices.Clone(c.force),
+		clock:         c.clock,
+		converged:     c.converged,
+		ov:            c.ov.clone(),
 	}
-	for i, row := range f.adjIn {
-		if row != nil {
-			f.sharedRow[i] = true
-		}
+	for i := range f.sharedRow {
+		f.sharedRow[i] = true
 	}
 	// Pending events (a fork of a not-yet-converged computation) carry
 	// over so the child converges exactly as the parent would have.
-	for p, b := range c.buckets {
-		if len(b) > 0 {
-			f.buckets[p] = slices.Clone(b)
-		}
-	}
+	f.q.next = slices.Clone(c.q.next)
+	f.q.queued = slices.Clone(c.q.queued)
 	obsForkCalls.Inc()
 	return f
 }

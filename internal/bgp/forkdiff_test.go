@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -50,27 +51,14 @@ func replay(e *Engine, prefix asn.Prefix, hist []forkOp) *Computation {
 	return c
 }
 
-// routeStateEqual compares two installed routes field by field, Age
-// included. The interned-path handle is deliberately ignored: fork and
-// oracle live in different pool chains, so handles differ even when the
-// routes are identical.
-func routeStateEqual(a, b *Route) bool {
-	if (a == nil) != (b == nil) {
-		return false
-	}
-	if a == nil {
-		return true
-	}
-	return a.Prefix == b.Prefix &&
-		a.NextHop == b.NextHop &&
-		a.FromRel == b.FromRel &&
-		a.OrgRel == b.OrgRel &&
-		a.LocalPref == b.LocalPref &&
-		a.EgressCity == b.EgressCity &&
-		a.Age == b.Age &&
-		a.pathLen == b.pathLen &&
-		a.igpCost == b.igpCost &&
-		a.Path.Equal(b.Path)
+// recStateEqual compares two route records field by field, Age and the
+// cached decision inputs included. Fork and oracle live in different
+// path trees, so the path ids differ even when the routes are
+// identical: the paths compare element by element.
+func recStateEqual(ca *Computation, a rec, cb *Computation, b rec) bool {
+	pa, pb := a.path, b.path
+	a.path, b.path = 0, 0
+	return a == b && pathsEqual(&ca.paths, pa, &cb.paths, pb, sharedBelow(&ca.paths, &cb.paths))
 }
 
 // checkSameState asserts got (the fork) and want (the from-scratch
@@ -89,20 +77,17 @@ func checkSameState(t *testing.T, got, want *Computation) {
 	}
 	for i := range got.best {
 		a := got.e.asns[i]
-		if !routeStateEqual(got.best[i], want.best[i]) {
-			t.Errorf("best[%s]: fork=%v oracle=%v", a, got.best[i], want.best[i])
+		if !recStateEqual(got, got.best[i], want, want.best[i]) {
+			t.Errorf("best[%s]: fork=%+v oracle=%+v", a, got.best[i], want.best[i])
 		}
 		gRow, wRow := got.adjIn[i], want.adjIn[i]
-		for s := range got.e.nbrs[i] {
-			var g, w *Route
-			if gRow != nil {
-				g = gRow[int32(s)]
-			}
-			if wRow != nil {
-				w = wRow[int32(s)]
-			}
-			if !routeStateEqual(g, w) {
-				t.Errorf("adjIn[%s][%d]: fork=%v oracle=%v", a, s, g, w)
+		if len(gRow) != len(wRow) {
+			t.Errorf("adjIn[%s]: fork row holds %d slots, oracle %d", a, len(gRow), len(wRow))
+			continue
+		}
+		for s := range gRow {
+			if !recStateEqual(got, gRow[s], want, wRow[s]) {
+				t.Errorf("adjIn[%s][%d]: fork=%+v oracle=%+v", a, s, gRow[s], wRow[s])
 			}
 		}
 	}
@@ -183,8 +168,8 @@ func TestForkDifferentialOracle(t *testing.T) {
 			ops := randomOps(rng, all, origin, 12)
 			for i, o := range ops {
 				if i == len(ops)/2 {
-					// Mid-history re-fork: the chained pool and double-COW
-					// path must behave identically to a single fork.
+					// Mid-history re-fork: the three-segment path tree and
+					// double-COW rows must behave identically to a single fork.
 					f = f.Fork()
 				}
 				o.apply(f)
@@ -223,19 +208,16 @@ func TestForkParentIsolation(t *testing.T) {
 	origin := hist[0].ann.Origin
 	base := replay(e, prefix, hist)
 
-	// Deep value snapshot of the parent (routes copied, not aliased) plus
-	// the row/route pointers, taken before forking.
+	// Deep value snapshot of the parent — records are values, so cloning
+	// the column and every row copies them — taken before forking.
 	snapRoutes := base.Routes()
-	snapBestPtr := make([]*Route, len(base.best))
-	copy(snapBestPtr, base.best)
-	snapBestVal := make([]*Route, len(base.best))
-	for i, r := range base.best {
-		if r != nil {
-			cp := *r
-			snapBestVal[i] = &cp
-		}
+	snapBest := slices.Clone(base.best)
+	snapRows := make([][]rec, len(base.adjIn))
+	for i, row := range base.adjIn {
+		snapRows[i] = slices.Clone(row)
 	}
 	snapClock := base.clock
+	snapPaths := len(base.paths.nodes)
 
 	f := base.Fork()
 	for _, o := range randomOps(rand.New(rand.NewSource(4242)), all, origin, 16) {
@@ -246,12 +228,15 @@ func TestForkParentIsolation(t *testing.T) {
 	if base.clock != snapClock {
 		t.Errorf("parent clock moved: %d -> %d", snapClock, base.clock)
 	}
-	for i := range base.best {
-		if base.best[i] != snapBestPtr[i] {
-			t.Fatalf("parent best[%s] pointer changed", base.e.asns[i])
-		}
-		if !routeStateEqual(base.best[i], snapBestVal[i]) {
-			t.Fatalf("parent best[%s] mutated in place", base.e.asns[i])
+	if len(base.paths.nodes) != snapPaths {
+		t.Errorf("parent path tree grew: %d -> %d nodes", snapPaths, len(base.paths.nodes))
+	}
+	if !slices.Equal(base.best, snapBest) {
+		t.Fatal("parent best column mutated")
+	}
+	for i, row := range base.adjIn {
+		if !slices.Equal(row, snapRows[i]) {
+			t.Fatalf("parent adjIn[%s] mutated through a shared row", base.e.asns[i])
 		}
 	}
 	if !reflect.DeepEqual(base.Routes(), snapRoutes) {
@@ -262,8 +247,8 @@ func TestForkParentIsolation(t *testing.T) {
 // TestConcurrentForks drives independent forks of one frozen base from
 // parallel goroutines — exactly the alternates-campaign shape — and
 // checks each against its from-scratch oracle. Run under -race this also
-// proves the frozen parent (shared rows, chained intern pool) is safe to
-// read concurrently.
+// proves the frozen parent (shared rows, chained path-tree segment) is
+// safe to read concurrently.
 func TestConcurrentForks(t *testing.T) {
 	e, prefix, all, hist := forkFixture(t, 21)
 	origin := hist[0].ann.Origin
@@ -320,4 +305,49 @@ func TestFrozenComputationPanics(t *testing.T) {
 	}
 	mustPanic("Announce", func() { base.Announce(Announcement{Origin: origin}) })
 	mustPanic("Withdraw", func() { base.Withdraw(origin) })
+}
+
+// TestFrozenBaseConcurrentReads pins the read side of the freeze
+// contract: a frozen base — the shape peering.AnycastBase hands to every
+// request — is queried and diffed against from many goroutines at once.
+// Half of its paths were materialised (and cached) before the freeze,
+// half were not, so both the cache-hit and the build-afresh branches of
+// the read boundary run concurrently; under -race this proves neither
+// writes to the shared computation.
+func TestFrozenBaseConcurrentReads(t *testing.T) {
+	e, prefix, all, hist := forkFixture(t, 21)
+	base := replay(e, prefix, hist)
+	for _, a := range all[:len(all)/2] {
+		base.Best(a)
+	}
+	base.Freeze()
+	want := base.Routes()
+	poisoned := base.Fork()
+	poisoned.Announce(Announcement{Origin: hist[0].ann.Origin, Poisoned: []asn.ASN{all[5]}})
+	poisoned.Converge()
+	wantDiff := poisoned.BestDiff(base)
+
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, a := range all {
+				r, ok := base.Best(a)
+				if wr, held := want[a]; ok != held || !reflect.DeepEqual(r, wr) {
+					t.Errorf("Best(%s) = %v (%v), want %v (%v)", a, r, ok, wr, held)
+				}
+				base.Step(a)
+				base.Alternatives(a)
+			}
+			if got := base.Fork().BestDiff(base); len(got) != 0 {
+				t.Errorf("an untouched fork differs from its base at %d ASes", len(got))
+			}
+		}()
+	}
+	// The fork's owner diffs it against the base while the readers run.
+	if got := poisoned.BestDiff(base); !reflect.DeepEqual(got, wantDiff) {
+		t.Error("BestDiff against a base under concurrent reads changed")
+	}
+	wg.Wait()
 }

@@ -72,94 +72,79 @@ func effectiveRel(l *topology.Link, self, other asn.ASN, prefix asn.Prefix, city
 }
 
 // linkCity deterministically picks the interconnection city a prefix's
-// traffic uses on a link. Candidates on the destination origin's home
-// continent are preferred (operators interconnect near where the
-// traffic is going — the geographic flavor of hot-potato routing);
-// within the candidate set, a per-(link, prefix) hash spreads prefixes
-// across interconnection points, which is what lets hybrid
-// relationships bite for some destinations and not others.
+// traffic uses on a link. Candidates on the destination's continent are
+// preferred (operators interconnect near where the traffic is going —
+// the geographic flavor of hot-potato routing); within the candidate
+// set, a per-(link, prefix) hash spreads prefixes across
+// interconnection points, which is what lets hybrid relationships bite
+// for some destinations and not others.
 func (e *Engine) linkCity(l *topology.Link, prefix asn.Prefix) geo.CityID {
+	return e.linkCityNear(l, prefix, e.prefixContinent(prefix))
+}
+
+// prefixContinent is the continent a prefix's traffic is headed for: a
+// regional serving prefix's pinned city (interconnect near the
+// servers), else the origin's home country.
+func (e *Engine) prefixContinent(prefix asn.Prefix) geo.Continent {
+	if city := e.topo.CityOfPrefix(prefix); city != 0 {
+		return e.topo.World.ContinentOf(city)
+	}
+	if origin := e.topo.OriginOf(prefix); !origin.IsZero() {
+		if oc := e.topo.CountryOf(origin); oc != "" {
+			return e.topo.World.Country(oc).Continent
+		}
+	}
+	return geo.ContinentNone
+}
+
+// linkCityNear is linkCity with the prefix's continent already resolved.
+// It picks the (hash mod n)-th candidate by counting, not by building
+// the candidate list.
+func (e *Engine) linkCityNear(l *topology.Link, prefix asn.Prefix, cont geo.Continent) geo.CityID {
 	if len(l.Cities) == 1 {
 		return l.Cities[0]
 	}
-	cands := l.Cities
-	cont := geo.ContinentNone
-	if city := e.topo.CityOfPrefix(prefix); city != 0 {
-		// Regional serving prefix: interconnect near the servers.
-		cont = e.topo.World.ContinentOf(city)
-	} else if origin := e.topo.OriginOf(prefix); !origin.IsZero() {
-		if oc := e.topo.CountryOf(origin); oc != "" {
-			cont = e.topo.World.Country(oc).Continent
-		}
-	}
+	near := 0
 	if cont != geo.ContinentNone {
-		var near []geo.CityID
 		for _, c := range l.Cities {
 			if e.topo.World.ContinentOf(c) == cont {
-				near = append(near, c)
+				near++
 			}
-		}
-		if len(near) > 0 {
-			cands = near
 		}
 	}
 	h := e.hash(uint64(l.Lo), uint64(l.Hi), uint64(prefix.Addr), uint64(prefix.Len))
-	return cands[h%uint64(len(cands))]
+	if near == 0 {
+		return l.Cities[h%uint64(len(l.Cities))]
+	}
+	k := h % uint64(near)
+	for _, c := range l.Cities {
+		if e.topo.World.ContinentOf(c) == cont {
+			if k == 0 {
+				return c
+			}
+			k--
+		}
+	}
+	panic("bgp: linkCityNear: candidate count changed between scans")
 }
 
-// localPref computes the local preference `self` assigns to a route of
-// organizational class orgRel.
-func (e *Engine) localPref(self *topology.AS, orgRel topology.Rel, path asn.Path, prefix asn.Prefix) int {
-	lp := baseLocalPref(orgRel)
-	if self.DomesticBias && e.isDomesticRoute(self, path) {
+// localPref computes the local preference an AS with policy self assigns
+// to a route of organizational class orgRel whose advertised path is the
+// given tree node. The §6 "domestic path" condition (every AS on the
+// path, origin included, homed in self's country) and R&E traversal are
+// bits the path tree accumulated, evaluated on ground truth.
+func (c *Computation) localPref(self asPolicy, orgRel topology.Rel, path *pnode) int32 {
+	lp := int32(baseLocalPref(orgRel))
+	if self.flags&polDomesticBias != 0 && path.country == self.country+1 {
 		lp += lpDomesticBonus
 	}
-	if self.ResearchPreference && e.traversesResearch(path) {
+	if self.flags&polResearchPreference != 0 && path.flags&pathResearch != 0 {
 		lp += lpResearchBonus
 	}
-	if self.ContentPeerTE && orgRel == topology.RelPeer && e.isContentPrefix(prefix) {
+	if self.flags&polContentPeerTE != 0 && orgRel == topology.RelPeer && c.contentPrefix {
 		lp += lpContentTEBonus
 	}
 	return lp
-}
-
-// siblingLocalPref prices a sibling-learned route: its organizational
-// band plus the on-net bonus.
-func (e *Engine) siblingLocalPref(self *topology.AS, orgRel topology.Rel, path asn.Path, prefix asn.Prefix) int {
-	return e.localPref(self, orgRel, path, prefix) + lpSiblingBonus
-}
-
-// isContentPrefix reports whether the prefix serves content traffic —
-// a content network's own space or a hosted cache prefix (operators
-// know their heavy destinations).
-func (e *Engine) isContentPrefix(prefix asn.Prefix) bool {
-	return e.topo.IsContentPrefix(prefix)
-}
-
-// isDomesticRoute reports whether the entire AS path (including origin)
-// consists of ASes homed in self's country — the §6 "domestic path"
-// condition, evaluated on ground truth.
-func (e *Engine) isDomesticRoute(self *topology.AS, path asn.Path) bool {
-	seq := path.Sequence()
-	if len(seq) == 0 {
-		return false
-	}
-	for _, a := range seq {
-		if e.topo.CountryOf(a) != self.HomeCountry {
-			return false
-		}
-	}
-	return true
-}
-
-// traversesResearch reports whether the path crosses an R&E backbone.
-func (e *Engine) traversesResearch(path asn.Path) bool {
-	for _, a := range path.Sequence() {
-		if x := e.topo.AS(a); x != nil && x.Class == topology.Research {
-			return true
-		}
-	}
-	return false
 }
 
 // exports reports whether a route of organizational class orgRel
@@ -184,8 +169,8 @@ func exports(orgRel, toRel topology.Rel) bool {
 // igpCost is the deterministic pseudo-random intradomain cost from the
 // AS's "default ingress" to the egress toward a neighbor. It is the
 // ground truth behind the "intradomain tie-breaker" row of Table 2.
-func (e *Engine) igpCost(self, nextHop asn.ASN, egress geo.CityID) int {
-	return int(e.hash(uint64(self), uint64(nextHop), uint64(egress)) % 1000)
+func (e *Engine) igpCost(self, nextHop asn.ASN, egress geo.CityID) uint16 {
+	return uint16(e.hash(uint64(self), uint64(nextHop), uint64(egress)) % 1000)
 }
 
 // hash is a seeded 64-bit mix (splitmix64 over the running state) used

@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"reflect"
 	"testing"
 
 	"routelab/internal/asn"
@@ -90,9 +91,18 @@ func TestRIBRoutesForShared(t *testing.T) {
 	topo, rib := ribFixture(t)
 	cdn := topo.Names["cdn-major"]
 	p := topo.AS(cdn).Prefixes[0]
-	m := rib.RoutesFor(p)
-	if len(m) < topo.NumASes()/2 {
-		t.Fatalf("only %d ASes hold a route to the major", len(m))
+	// The columnar RIB and a lone computation of the same prefix agree
+	// on every AS, route or none.
+	single := New(topo, 99).ComputePrefix(p)
+	if len(single) < topo.NumASes()/2 {
+		t.Fatalf("only %d ASes hold a route to the major", len(single))
+	}
+	for _, a := range topo.ASNs() {
+		got, ok := rib.Route(a, p)
+		want, held := single[a]
+		if ok != held || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: RIB %v (%v), lone computation %v (%v)", a, got, ok, want, held)
+		}
 	}
 }
 
@@ -105,7 +115,7 @@ func TestComputeFullRIBMatchesPerPrefix(t *testing.T) {
 		single := e.ComputePrefix(p)
 		for a, want := range single {
 			got, ok := rib.Route(a, p)
-			if !ok || !sameRoute(got, want) {
+			if !ok || !reflect.DeepEqual(got, want) {
 				t.Fatalf("parallel RIB diverges from single computation at %v / %v", a, p)
 			}
 		}

@@ -21,6 +21,9 @@
 //     must all be called from the goroutine that owns the computation.
 //     Independent Computations (different prefixes, or even the same
 //     prefix twice) never share mutable state and may run concurrently.
+//     A frozen Computation (Freeze, Fork) is read-only: its query
+//     methods, and BestDiff against it, write nothing, so any number of
+//     goroutines may read it and Fork it at once.
 //   - RIB is immutable once ComputeRIB returns; concurrent readers are
 //     safe. Its contents are byte-identical for any worker count because
 //     each prefix's computation is self-contained and the merge is done
@@ -66,27 +69,49 @@ type Route struct {
 	// advertisement was first installed; lower means older. It feeds the
 	// "oldest route" tie-breaker the magnet experiment exposes.
 	Age int
-
-	// pathLen and igpCost cache the decision-process inputs so sorting
-	// candidates does not recompute them per comparison.
-	pathLen int
-	igpCost int
-
-	// ip is the interned-path handle (intern.go): within one fork chain,
-	// equal paths share one handle, so sameRoute compares by pointer.
-	// Always nil on Route values returned by public accessors (see
-	// Route.public) so externally visible routes are plain data —
-	// reflect.DeepEqual-comparable across independently built
-	// computations.
-	ip *ipath
 }
 
-// public strips computation-internal state from a route copy handed to
-// callers.
-func (r *Route) public() Route {
-	cp := *r
-	cp.ip = nil
-	return cp
+// rec is the engine's route record: fixed-width and pointer-free, stored
+// by value in the adj-RIB-in rows, the best column and the RIB, so the
+// garbage collector never scans routing state and a route costs 24
+// bytes wherever it is held. The public Route is materialised from it
+// at the read boundary (Engine.route).
+type rec struct {
+	// path is the path-tree node of the AS path as received (paths.go);
+	// 0 marks an empty slot, the only zero-valued record.
+	path uint32
+	// nh is the dense index of the next hop, -1 for an origin route.
+	// Indexes ascend with ASNs, so comparing them is the router-ID step.
+	nh  int32
+	lp  int32
+	age uint32
+	// igp and plen cache the decision-process inputs.
+	igp  uint16
+	plen uint16
+	city geo.CityID
+	from topology.Rel
+	org  topology.Rel
+}
+
+// originLocalPref makes an AS's own routes always win.
+const originLocalPref = 1 << 30
+
+// route materialises the public form of a record whose path has already
+// been materialised.
+func (e *Engine) route(prefix asn.Prefix, r *rec, path asn.Path) Route {
+	rt := Route{
+		Prefix:     prefix,
+		Path:       path,
+		FromRel:    r.from,
+		OrgRel:     r.org,
+		LocalPref:  int(r.lp),
+		EgressCity: r.city,
+		Age:        int(r.age),
+	}
+	if r.nh >= 0 {
+		rt.NextHop = e.asns[r.nh]
+	}
+	return rt
 }
 
 // IsOrigin reports whether the owning AS originates the route.
@@ -159,18 +184,6 @@ type Announcement struct {
 	// the origin (announcement-side traffic engineering; the what-if
 	// engine's prepend delta). 0 for plain announcements.
 	Prepend int
-}
-
-// basePath builds the path as it leaves the origin.
-func (a Announcement) basePath() asn.Path {
-	p := asn.PathFromASNs(a.Origin)
-	if len(a.Poisoned) > 0 {
-		p = p.PrependSet(a.Poisoned).Prepend(a.Origin)
-	}
-	for i := 0; i < a.Prepend; i++ {
-		p = p.Prepend(a.Origin)
-	}
-	return p
 }
 
 // permitsNeighbor applies the Via restriction.

@@ -67,7 +67,7 @@ func (d *Directory) Query(a asn.ASN, addr asn.Addr) (Entry, error) {
 	}
 	return Entry{
 		Prefix:  rt.Prefix,
-		Path:    rt.ASPathFrom(a),
+		Path:    d.rib.ASPath(a, rt.Prefix),
 		NextHop: rt.NextHop,
 	}, nil
 }

@@ -44,8 +44,12 @@ func TestBuildDeterministicAcrossWorkerCounts(t *testing.T) {
 		t.Fatalf("RIB prefix sets differ: %d vs %d prefixes", len(sp), len(wp))
 	}
 	for _, p := range sp {
-		if !reflect.DeepEqual(serial.RIB.RoutesFor(p), wide.RIB.RoutesFor(p)) {
-			t.Errorf("RIB routes for %v differ between worker counts", p)
+		for _, a := range serial.Topo.ASNs() {
+			sr, sok := serial.RIB.Route(a, p)
+			wr, wok := wide.RIB.Route(a, p)
+			if sok != wok || !reflect.DeepEqual(sr, wr) {
+				t.Fatalf("RIB route of %s for %v differs between worker counts: %v (%v) vs %v (%v)", a, p, sr, sok, wr, wok)
+			}
 		}
 	}
 

@@ -21,6 +21,12 @@ import "reflect"
 //     invisible to reflect, which is why tenantSizeBytes measures fork
 //     pools with a sample fork instead of walking the channel.
 //
+// Most of a tenant's bytes sit in slices whose elements reach no other
+// memory (the bgp engine's route records and path nodes, address
+// tables): the walk decides that once per element type and then charges
+// such a slice cap × elem without visiting its elements, so it costs
+// O(objects), not O(scalars).
+//
 // The estimate is deterministic for a sealed scenario: the walk's
 // iteration order varies, but sums are commutative and sharing is
 // deduplicated by identity, so every walk of the same graph yields the
@@ -32,6 +38,37 @@ const mapEntryOverhead = 16
 
 type sizeWalker struct {
 	seen map[uintptr]bool
+	// flat memoises, per type, whether a value of it references nothing
+	// the walk would charge.
+	flat map[reflect.Type]bool
+	// everyElement makes the walk visit the elements of flat-typed
+	// slices and arrays anyway: the reference the short cut is tested
+	// against.
+	everyElement bool
+}
+
+func newSizeWalker() *sizeWalker {
+	return &sizeWalker{seen: make(map[uintptr]bool), flat: make(map[reflect.Type]bool)}
+}
+
+// isFlat reports whether referenced returns 0 for every value of t.
+func (w *sizeWalker) isFlat(t reflect.Type) bool {
+	if f, ok := w.flat[t]; ok {
+		return f
+	}
+	f := true
+	switch t.Kind() {
+	case reflect.Pointer, reflect.Interface, reflect.Slice, reflect.String, reflect.Map, reflect.Chan:
+		f = false
+	case reflect.Array:
+		f = w.isFlat(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField() && f; i++ {
+			f = w.isFlat(t.Field(i).Type)
+		}
+	}
+	w.flat[t] = f
+	return f
 }
 
 // sizeOf estimates the resident bytes of v's full object graph.
@@ -39,9 +76,8 @@ func sizeOf(v any) int64 {
 	if v == nil {
 		return 0
 	}
-	w := &sizeWalker{seen: make(map[uintptr]bool)}
 	rv := reflect.ValueOf(v)
-	return int64(rv.Type().Size()) + w.referenced(rv)
+	return int64(rv.Type().Size()) + newSizeWalker().referenced(rv)
 }
 
 // referenced returns the heap bytes reachable FROM v, excluding v's own
@@ -67,11 +103,17 @@ func (w *sizeWalker) referenced(v reflect.Value) int64 {
 		}
 		w.seen[v.Pointer()] = true
 		n := int64(v.Cap()) * int64(v.Type().Elem().Size())
+		if w.isFlat(v.Type().Elem()) && !w.everyElement {
+			return n
+		}
 		for i := 0; i < v.Len(); i++ {
 			n += w.referenced(v.Index(i))
 		}
 		return n
 	case reflect.Array:
+		if w.isFlat(v.Type().Elem()) && !w.everyElement {
+			return 0
+		}
 		var n int64
 		for i := 0; i < v.Len(); i++ {
 			n += w.referenced(v.Index(i))
@@ -121,8 +163,9 @@ func (w *sizeWalker) referenced(v reflect.Value) int64 {
 // so their cost is measured from one sample fork — its incremental
 // copy-on-write overlay over the already-visited base — times the
 // stocked depth. Call after the pools are stocked (newTenant does).
-func (srv *Server) accountSize() int64 {
-	w := &sizeWalker{seen: make(map[uintptr]bool)}
+func (srv *Server) accountSize() int64 { return srv.accountSizeWith(newSizeWalker()) }
+
+func (srv *Server) accountSizeWith(w *sizeWalker) int64 {
 	rs := reflect.ValueOf(srv.s)
 	n := int64(rs.Type().Size()) + w.referenced(rs)
 	n += w.referenced(reflect.ValueOf(srv.traceIdx))

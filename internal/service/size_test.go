@@ -66,6 +66,32 @@ func TestSizeOfDeterministic(t *testing.T) {
 	}
 }
 
+// TestSizeWalkShortCutIsExact: charging a slice of pointer-free
+// elements without visiting them must not move the total. The reference
+// is the same walk with the short cut off, on a whole built tenant —
+// whose RIB columns, route rows and path nodes are exactly such slices.
+func TestSizeWalkShortCutIsExact(t *testing.T) {
+	srv := newTenant(DefaultID, testScenario(t), Config{}, newCache(0))
+	defer srv.Close()
+	full := newSizeWalker()
+	full.everyElement = true
+	if got := srv.accountSizeWith(full); got != srv.SizeBytes() {
+		t.Errorf("visiting every element weighs the tenant at %d bytes, the short cut at %d", got, srv.SizeBytes())
+	}
+	type flat struct {
+		a [3]uint16
+		b struct{ c, d int32 }
+	}
+	type holder struct {
+		flats []flat
+		names []string
+	}
+	h := holder{flats: make([]flat, 3, 5), names: []string{"ab", "cde"}}
+	if got, want := sizeOf(h), int64(48+5*16+2*16+5); got != want {
+		t.Errorf("sizeOf(holder) = %d, want %d", got, want)
+	}
+}
+
 // TestAccountSizeCoversTenant: the tenant walk must weigh at least the
 // sealed scenario it wraps (it adds indexes, the health body, and the
 // fork pools on top), be stable across re-walks, and be what SizeBytes

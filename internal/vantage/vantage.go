@@ -67,15 +67,11 @@ func Collect(rib *bgp.RIB, peers []asn.ASN, epoch int) *Snapshot {
 	s := &Snapshot{Epoch: epoch}
 	for _, p := range rib.Prefixes() {
 		for _, peer := range peers {
-			rt, ok := rib.Route(peer, p)
-			if !ok {
+			path := rib.ASPath(peer, p)
+			if path == nil {
 				continue
 			}
-			s.Entries = append(s.Entries, Entry{
-				Peer:   peer,
-				Prefix: p,
-				Path:   rt.ASPathFrom(peer),
-			})
+			s.Entries = append(s.Entries, Entry{Peer: peer, Prefix: p, Path: path})
 		}
 	}
 	return s
