@@ -6,7 +6,7 @@
 // served side by side under /v1/scenarios/{id}/..., each sealed
 // scenario built on first use, up to -max-scenarios kept resident
 // (LRU), concurrent builds of the same id coalesced, and every scenario
-// given its own admission gate, warm fork pools, and a partition of the
+// given its own admission gate, warm anycast bases, and a partition of the
 // shared response cache. -scenario-dir registers every routelab-spec/v1
 // document in a directory; POST /v1/scenarios admits more at run time.
 //
@@ -46,7 +46,6 @@
 //	-max-concurrent N   concurrent request computations per scenario (0 = GOMAXPROCS)
 //	-request-timeout D  per-request deadline (0 = none); expiry returns 504
 //	-cache N            response cache entries (default 256; shared by all scenarios)
-//	-fork-pool N        warm forks kept per testbed prefix (default 2)
 //	-drain D            shutdown drain budget for in-flight requests (default 30s)
 //	-quiet              suppress build progress
 //	-metrics-json PATH  write the obs run report as JSON on exit
@@ -99,7 +98,6 @@ func main() {
 		maxConc      = flag.Int("max-concurrent", 0, "concurrent request computations per scenario (0 = all cores)")
 		reqTimeout   = flag.Duration("request-timeout", 0, "per-request deadline (0 = none)")
 		cacheSize    = flag.Int("cache", 256, "response cache entries")
-		forkPool     = flag.Int("fork-pool", 0, "warm forks kept per testbed prefix (0 = default)")
 		drain        = flag.Duration("drain", 30*time.Second, "shutdown drain budget")
 		quiet        = flag.Bool("quiet", false, "suppress build progress")
 		metricsJSON  = flag.String("metrics-json", "", "write a structured metrics report (JSON) to this path on exit")
@@ -184,7 +182,6 @@ func main() {
 			MaxConcurrent:     *maxConc,
 			MaxQueuedRequests: *maxQRequests,
 			RequestTimeout:    *reqTimeout,
-			ForkPool:          *forkPool,
 		},
 		Logf: logf,
 	})
@@ -252,9 +249,6 @@ func main() {
 		writeMetrics()
 		os.Exit(1)
 	}
-	// Join serving-side background goroutines (fork-pool refills) after
-	// the HTTP drain, so a clean exit leaves nothing running.
-	store.Close()
 	writeMetrics()
 	fmt.Fprintln(os.Stderr, "routelabd: drained, bye")
 }

@@ -17,13 +17,14 @@
 // -exclude-rules drops rules from it; suppression directives are still
 // validated against the full registry, so a narrowed run never
 // misreports `//lint:allow` lines for the rules it skipped.
-// -format=json emits a routelab-lint/v1 report (validated by
-// cmd/lintcheck) instead of text. Suppress an individual finding with a
-// `//lint:allow rule-id reason` comment on the finding's line or the
-// line above; the reason is mandatory.
+// -format=json emits a routelab-lint/v1 report instead of text,
+// validated (Report.Validate) before it is encoded. Suppress an
+// individual finding with a `//lint:allow rule-id reason` comment on the
+// finding's line or the line above; the reason is mandatory.
 //
 // Exit status: 0 when every selected rule is clean, 1 on findings, 2 on
-// usage errors (including unknown rule ids) or module load errors.
+// usage errors (including unknown rule ids), module load errors, or a
+// report that fails its own validation.
 package main
 
 import (
@@ -87,6 +88,9 @@ func main() {
 	switch *format {
 	case "json":
 		rep := lint.BuildReport(prog.ModulePath, analyzers, len(pkgs), relativize(findings, cwd))
+		if err := rep.Validate(); err != nil {
+			fail(err)
+		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(rep); err != nil {

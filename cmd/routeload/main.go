@@ -1,8 +1,11 @@
 // Command routeload drives a running routelabd fleet with N concurrent
-// clients over a mixed scenario/endpoint schedule and emits a
+// clients over a mixed scenario/endpoint schedule, builds a
 // routelab-load/v1 report (throughput, p50/p90/p99 latency, time-
 // bucketed histograms, error/shed/cache rates, per-endpoint and
-// per-scenario breakdowns) that cmd/loadcheck validates and gates on.
+// per-scenario breakdowns), writes it, and gates on it: one process
+// measures, validates and decides. It exits 1 when a gate fails — and a
+// bare run gates on zero errors — so a shell or CI step needs nothing
+// after it.
 //
 // Usage:
 //
@@ -13,13 +16,10 @@
 //	-addr ADDR       routelabd address (default localhost:8080)
 //	-scenarios A,B   scenario ids to drive (default: every id the fleet
 //	                 lists — beware, that builds every registered world)
-//	-clients N       concurrent clients (default 8; sustained mode
-//	                 scales to thousands — the transport keeps one warm
-//	                 connection per client)
+//	-clients N       concurrent clients (default 8; the transport keeps
+//	                 one warm connection per client)
 //	-requests N      total request budget across all clients (default
-//	                 200; ignored when -duration is set)
-//	-duration D      sustained mode: every client loops the schedule
-//	                 until D elapses (0 = request-budget mode)
+//	                 200)
 //	-bucket D        time-bucket width for the latency histogram
 //	                 (default 1s; 0 disables bucketing)
 //	-spread N        vary the experiments endpoint's seed over N
@@ -39,28 +39,48 @@
 //	-out PATH        write the routelab-load/v1 emission here
 //	                 (default LOAD_routelab.json; "" skips the file)
 //
+// Gates, evaluated on the report after it is written (the emission
+// survives a failed gate, so CI can archive the evidence):
+//
+//	-max-error-rate P  allowed error rate in percent (default 0, so
+//	                 always on): the fleet must serve the schedule with
+//	                 zero transport errors, bad statuses, or invalid
+//	                 envelopes. Clean sheds (verified 429s) are NOT
+//	                 errors; a saturation leg can shed heavily and
+//	                 still pass this gate
+//	-max-shed-rate P allowed shed rate in percent (default 100). The
+//	                 plain load-smoke leg runs 0 — an unsaturated fleet
+//	                 must never shed
+//	-min-sheds N     shed-count floor (default 0 = off). The saturation
+//	                 leg runs 1 — deliberately overfilled gates must
+//	                 actually shed, or the overload protection silently
+//	                 stopped engaging
+//	-max-p99 D       whole-run p99 tripwire (default 0 = off). CI uses
+//	                 a deliberately lax cross-machine value
+//	                 (catastrophic serialization or a build on the hot
+//	                 path), not a latency SLO: one run's timings on a
+//	                 shared runner catch nothing finer
+//
 // The schedule is deterministic: request j targets urls[j mod len] and
-// walks the endpoint mix in order. In request-budget mode jobs are
-// handed to clients in order; in sustained mode client c owns
-// positions c, c+N, c+2N, ... so two runs issue the same per-client
-// request sequences (only the stop point varies with the clock).
+// walks the endpoint mix in order, jobs handed to clients in order.
 // Every response body is validated against routelab-api/v1; a
 // transport error, an unexpected status, or an invalid envelope counts
-// as an error in the report (and loadcheck fails CI on any). A 429
-// whose envelope carries the "overloaded" code AND a Retry-After
-// header is a CLEAN SHED — counted separately, not an error — which is
-// how the saturation smoke distinguishes deliberate load shedding from
-// breakage.
+// as an error in the report. A 429 whose envelope carries the
+// "overloaded" code AND a Retry-After header is a CLEAN SHED — counted
+// separately, not an error — which is how the saturation smoke
+// distinguishes deliberate load shedding from breakage.
 //
 // Warmup (one healthz per scenario to trigger the build, plus probe
 // requests to discover a live trace id and AS) happens before the
-// clock starts; the report measures steady-state serving only.
+// clock starts; the report measures steady-state serving only. Timed
+// loops and throughput comparisons are the ledger's job (bench/).
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"strings"
@@ -76,30 +96,33 @@ func main() {
 		addr      = flag.String("addr", "localhost:8080", "routelabd address")
 		scenarios = flag.String("scenarios", "", "comma-separated scenario ids (default: all registered)")
 		clients   = flag.Int("clients", 8, "concurrent clients")
-		requests  = flag.Int("requests", 200, "total request budget (ignored with -duration)")
-		duration  = flag.Duration("duration", 0, "sustained mode: clients loop the schedule until this elapses")
+		requests  = flag.Int("requests", 200, "total request budget")
 		bucket    = flag.Duration("bucket", time.Second, "time-bucket width for the latency histogram (0 = no buckets)")
 		spread    = flag.Int("spread", 0, "vary the experiments endpoint's seed over N distinct values (defeats response-cache coalescing; <=1 = off)")
 		cold      = flag.String("cold", "", "comma-separated scenario ids to drive WITHOUT warmup (healthz only; the first touch triggers the build)")
 		timeout   = flag.Duration("timeout", 5*time.Minute, "per-request client timeout")
 		out       = flag.String("out", "LOAD_routelab.json", "write the routelab-load/v1 emission here (empty = skip)")
+		g         gates
 	)
+	flag.Float64Var(&g.maxErrorRate, "max-error-rate", 0, "allowed error rate, in percent (clean sheds excluded)")
+	flag.Float64Var(&g.maxShedRate, "max-shed-rate", 100, "allowed shed rate, in percent")
+	flag.Int64Var(&g.minSheds, "min-sheds", 0, "shed-count floor (0 = no gate; saturation legs use >= 1)")
+	flag.DurationVar(&g.maxP99, "max-p99", 0, "p99 latency tripwire (0 = no gate; keep it lax — cross-machine timings only catch blowups)")
 	flag.Parse()
 	if flag.NArg() != 0 {
 		fmt.Fprintf(os.Stderr, "routeload: unexpected arguments: %v\n", flag.Args())
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *clients < 1 || (*duration <= 0 && *requests < 1) {
-		fmt.Fprintln(os.Stderr, "routeload: -clients and -requests (or -duration) must be >= 1")
+	if *clients < 1 || *requests < 1 {
+		fmt.Fprintln(os.Stderr, "routeload: -clients and -requests must be >= 1")
 		os.Exit(2)
 	}
 
 	base := "http://" + *addr
-	// Thousands of sustained clients must not churn sockets: size the
-	// idle pool to the client count so every client keeps one warm
-	// connection instead of racing the default (2 per host) and paying
-	// a TCP handshake per request.
+	// Clients must not churn sockets: size the idle pool to the client
+	// count so every client keeps one warm connection instead of racing
+	// the default (2 per host) and paying a TCP handshake per request.
 	transport := http.DefaultTransport.(*http.Transport).Clone()
 	transport.MaxIdleConns = *clients
 	transport.MaxIdleConnsPerHost = *clients
@@ -114,13 +137,8 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if *duration > 0 {
-		fmt.Fprintf(os.Stderr, "routeload: driving %d scenario(s) %v with %d sustained clients for %v\n",
-			len(ids), ids, *clients, *duration)
-	} else {
-		fmt.Fprintf(os.Stderr, "routeload: driving %d scenario(s) %v with %d clients, %d requests\n",
-			len(ids), ids, *clients, *requests)
-	}
+	fmt.Fprintf(os.Stderr, "routeload: driving %d scenario(s) %v with %d clients, %d requests\n",
+		len(ids), ids, *clients, *requests)
 
 	// Warmup: build every scenario and discover per-scenario request
 	// parameters before the clock starts.
@@ -147,17 +165,14 @@ func main() {
 			url: base + "/v1/scenarios/" + id + "/healthz"})
 	}
 
-	var samples runResult
-	if *duration > 0 {
-		samples = runSustained(client, urls, *clients, *spread, *duration)
-	} else {
-		samples = run(client, urls, *clients, *spread, *requests)
-	}
+	samples, wallNS := run(client, urls, *clients, *spread, *requests)
 
-	rep := service.BuildLoadReport(
+	rep := BuildLoadReport(
 		"routeload "+strings.Join(os.Args[1:], " "),
-		base, ids, *clients, samples.wallNS, int64(*bucket), samples.s)
-	printSummary(rep)
+		base, ids, *clients, wallNS, int64(*bucket), samples)
+	printSummary(os.Stdout, rep)
+	// The emission goes out before the gates decide, so a failed gate
+	// leaves its evidence behind.
 	if *out != "" {
 		if err := rep.WriteFile(*out); err != nil {
 			fmt.Fprintln(os.Stderr, "routeload:", err)
@@ -165,6 +180,47 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "routeload: emission written to %s\n", *out)
 	}
+	if bad := evalGates(rep, g); len(bad) > 0 {
+		for _, msg := range bad {
+			fmt.Fprintln(os.Stderr, "routeload:", msg)
+		}
+		os.Exit(1)
+	}
+	fmt.Printf("gates: ok (error rate <= %.2f%%, shed rate <= %.2f%%, shed floor %d, p99 tripwire %v)\n",
+		g.maxErrorRate, g.maxShedRate, g.minSheds, g.maxP99)
+}
+
+// gates carries every threshold so the evaluation is a pure function
+// of (report, gates) — the part CI trusts, and the part the tests pin.
+type gates struct {
+	maxErrorRate float64       // percent; always on
+	maxShedRate  float64       // percent; always on
+	minSheds     int64         // 0 = no gate
+	maxP99       time.Duration // 0 = no gate
+}
+
+// evalGates returns one violation message per failed gate, empty when
+// the report passes. Messages are complete sentences suitable for CI
+// logs; the caller decides where they go.
+func evalGates(rep LoadReport, g gates) []string {
+	var bad []string
+	if rate := rep.ErrorRate * 100; rate > g.maxErrorRate {
+		bad = append(bad, fmt.Sprintf("error rate %.2f%% EXCEEDS limit %.2f%% (%d/%d requests failed)",
+			rate, g.maxErrorRate, rep.Errors, rep.Requests))
+	}
+	if rate := rep.ShedRate * 100; rate > g.maxShedRate {
+		bad = append(bad, fmt.Sprintf("shed rate %.2f%% EXCEEDS limit %.2f%% (%d/%d requests shed)",
+			rate, g.maxShedRate, rep.Sheds, rep.Requests))
+	}
+	if g.minSheds > 0 && rep.Sheds < g.minSheds {
+		bad = append(bad, fmt.Sprintf("sheds %d BELOW floor %d — overload protection never engaged",
+			rep.Sheds, g.minSheds))
+	}
+	if g.maxP99 > 0 && rep.Latency.P99NS > int64(g.maxP99) {
+		bad = append(bad, fmt.Sprintf("p99 latency %v EXCEEDS tripwire %v",
+			time.Duration(rep.Latency.P99NS).Round(time.Millisecond), g.maxP99))
+	}
+	return bad
 }
 
 func splitIDs(s string) []string {
@@ -339,17 +395,12 @@ func do(client *http.Client, t target) (status int, cacheHdr string, shed bool, 
 	return resp.StatusCode, cacheHdr, false, nil
 }
 
-type runResult struct {
-	s      []service.LoadSample
-	wallNS int64
-}
-
 // sample issues one scheduled request and records its outcome relative
 // to the run's start.
-func sample(client *http.Client, t target, start time.Time) service.LoadSample {
+func sample(client *http.Client, t target, start time.Time) LoadSample {
 	reqStart := time.Now()
 	status, cacheHdr, shed, err := do(client, t)
-	s := service.LoadSample{
+	s := LoadSample{
 		Scenario:  t.scenario,
 		Endpoint:  t.endpoint,
 		StartNS:   int64(reqStart.Sub(start)),
@@ -366,12 +417,12 @@ func sample(client *http.Client, t target, start time.Time) service.LoadSample {
 	return s
 }
 
-// run executes the deterministic request-budget schedule: request j
+// run executes the deterministic schedule: request j
 // targets urls[j mod len(urls)], jobs are handed to clients in order,
 // and each client's samples land in a per-request slot (no append
 // races).
-func run(client *http.Client, urls []target, clients, spread, requests int) runResult {
-	samples := make([]service.LoadSample, requests)
+func run(client *http.Client, urls []target, clients, spread, requests int) (samples []LoadSample, wallNS int64) {
+	samples = make([]LoadSample, requests)
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	start := time.Now()
@@ -389,48 +440,19 @@ func run(client *http.Client, urls []target, clients, spread, requests int) runR
 	}
 	close(jobs)
 	wg.Wait()
-	return runResult{s: samples, wallNS: int64(time.Since(start))}
+	return samples, int64(time.Since(start))
 }
 
-// runSustained executes the sustained schedule: client c owns schedule
-// positions c, c+N, c+2N, ... and loops until the deadline. Per-client
-// sample slices are merged in client order afterwards, so the output
-// order is deterministic given the same per-client stop points.
-func runSustained(client *http.Client, urls []target, clients, spread int, d time.Duration) runResult {
-	perClient := make([][]service.LoadSample, clients)
-	var wg sync.WaitGroup
-	start := time.Now()
-	deadline := start.Add(d)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for j := c; time.Now().Before(deadline); j += clients {
-				perClient[c] = append(perClient[c], sample(client, urls[j%len(urls)].at(j, spread), start))
-			}
-		}(c)
-	}
-	wg.Wait()
-	// Wall is measured after the join: requests started before the
-	// deadline may finish after it, and they belong to this run.
-	wallNS := int64(time.Since(start))
-	var all []service.LoadSample
-	for _, ss := range perClient {
-		all = append(all, ss...)
-	}
-	return runResult{s: all, wallNS: wallNS}
-}
-
-func printSummary(rep service.LoadReport) {
+func printSummary(out io.Writer, rep LoadReport) {
 	ms := func(ns int64) float64 { return float64(ns) / 1e6 }
-	fmt.Printf("%s: %d requests, %d clients, %d scenario(s), %.1fs wall\n",
+	fmt.Fprintf(out, "%s: %d requests, %d clients, %d scenario(s), %.1fs wall\n",
 		rep.Schema, rep.Requests, rep.Clients, len(rep.Scenarios), float64(rep.WallNS)/1e9)
-	fmt.Printf("throughput %.1f req/s, errors %d (%.2f%%), sheds %d (%.2f%%), cache hit rate %.1f%% (%d/%d counted)\n",
+	fmt.Fprintf(out, "throughput %.1f req/s, errors %d (%.2f%%), sheds %d (%.2f%%), cache hit rate %.1f%% (%d/%d counted)\n",
 		rep.Throughput, rep.Errors, rep.ErrorRate*100, rep.Sheds, rep.ShedRate*100,
 		rep.CacheHitRate*100, rep.CacheHits, rep.CacheHits+rep.CacheMisses)
-	fmt.Printf("latency p50 %.1fms p90 %.1fms p99 %.1fms max %.1fms\n",
+	fmt.Fprintf(out, "latency p50 %.1fms p90 %.1fms p99 %.1fms max %.1fms\n",
 		ms(rep.Latency.P50NS), ms(rep.Latency.P90NS), ms(rep.Latency.P99NS), ms(rep.Latency.MaxNS))
-	w := tabwriter.NewWriter(os.Stdout, 2, 8, 2, ' ', 0)
+	w := tabwriter.NewWriter(out, 2, 8, 2, ' ', 0)
 	fmt.Fprintln(w, "endpoint\trequests\terrors\tsheds\tp50 ms\tp99 ms")
 	for _, ep := range rep.Endpoints {
 		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%.1f\t%.1f\n",
@@ -438,11 +460,11 @@ func printSummary(rep service.LoadReport) {
 	}
 	w.Flush()
 	for _, sc := range rep.PerScenario {
-		fmt.Printf("scenario %s: %d requests, %d errors, %d sheds\n", sc.Scenario, sc.Requests, sc.Errors, sc.Sheds)
+		fmt.Fprintf(out, "scenario %s: %d requests, %d errors, %d sheds\n", sc.Scenario, sc.Requests, sc.Errors, sc.Sheds)
 	}
 	if len(rep.Buckets) > 0 {
-		fmt.Printf("histogram: %d buckets of %v\n", len(rep.Buckets), time.Duration(rep.BucketNS))
-		bw := tabwriter.NewWriter(os.Stdout, 2, 8, 2, ' ', 0)
+		fmt.Fprintf(out, "histogram: %d buckets of %v\n", len(rep.Buckets), time.Duration(rep.BucketNS))
+		bw := tabwriter.NewWriter(out, 2, 8, 2, ' ', 0)
 		fmt.Fprintln(bw, "t\trequests\terrors\tsheds\tp50 ms\tp99 ms")
 		for _, b := range rep.Buckets {
 			fmt.Fprintf(bw, "%v\t%d\t%d\t%d\t%.1f\t%.1f\n",

@@ -1,4 +1,4 @@
-package service
+package main
 
 import (
 	"encoding/json"
@@ -9,8 +9,8 @@ import (
 	"sort"
 )
 
-// LoadSchema identifies the load-harness emission (cmd/routeload
-// writes it, cmd/loadcheck validates and gates on it).
+// LoadSchema identifies the load-harness emission: routeload builds
+// it, gates on it and writes it.
 const LoadSchema = "routelab-load/v1"
 
 // LoadSample is one request's outcome as the harness observed it.
@@ -20,7 +20,7 @@ type LoadSample struct {
 	StartNS   int64  // request start, as an offset from the run's start
 	LatencyNS int64
 	Status    int    // HTTP status (0 when the request itself failed)
-	Cache     string // CacheHeader value: "hit", "miss", or ""
+	Cache     string // service.CacheHeader value: "hit", "miss", or ""
 	Failed    bool   // transport error, bad status, or invalid envelope
 }
 
@@ -282,10 +282,9 @@ func bucketize(samples []LoadSample, bucketNS int64) []LoadBucket {
 	return out
 }
 
-// Validate checks the emission the way obs.BenchReport.Validate checks
-// bench reports: schema tag, shape invariants (counts reconcile across
-// breakdowns, rates in range, percentiles ordered), so a truncated or
-// hand-edited file fails loudly in CI.
+// Validate checks the emission: schema tag and shape invariants (counts
+// reconcile across breakdowns, rates in range, percentiles ordered), so
+// an aggregation bug fails the run instead of reaching a file.
 func (r LoadReport) Validate() error {
 	if r.Schema != LoadSchema {
 		return fmt.Errorf("schema %q, want %q", r.Schema, LoadSchema)
@@ -409,20 +408,4 @@ func (r LoadReport) WriteFile(path string) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// ReadLoadReport reads and validates a routelab-load/v1 emission.
-func ReadLoadReport(path string) (LoadReport, error) {
-	var r LoadReport
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return r, err
-	}
-	if err := json.Unmarshal(data, &r); err != nil {
-		return r, fmt.Errorf("%s: %w", path, err)
-	}
-	if err := r.Validate(); err != nil {
-		return r, fmt.Errorf("%s: %w", path, err)
-	}
-	return r, nil
 }

@@ -99,16 +99,6 @@ func runAblations(ctx context.Context, env *Env) (Result, error) {
 	return computeAblations(ctx, env.S, rand.New(rand.NewSource(env.Seed+2)))
 }
 
-// Ablations renders all three ablations from a caller-owned rand stream
-// (classic entry point).
-func Ablations(w io.Writer, s *scenario.Scenario, rng *rand.Rand) {
-	res, err := computeAblations(context.Background(), s, rng)
-	if err != nil {
-		panic(err) // Background never cancels
-	}
-	res.render(w)
-}
-
 // computeProbeSelectionAblation reruns the campaign with probes drawn
 // uniformly from the EU-skewed population — the bias §3.1's balanced
 // methodology exists to avoid.

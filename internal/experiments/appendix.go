@@ -112,10 +112,6 @@ func runAccuracy(ctx context.Context, env *Env) (Result, error) {
 	return computeAccuracy(env.S), nil
 }
 
-// InferenceAccuracy renders the accuracy appendix directly (classic
-// entry point).
-func InferenceAccuracy(w io.Writer, s *scenario.Scenario) { computeAccuracy(s).render(w) }
-
 // staleCount counts retired ground-truth links the aggregate still
 // believes in — the AS3549–Netflix effect.
 func staleCount(s *scenario.Scenario) int {
@@ -176,10 +172,6 @@ func runPrediction(ctx context.Context, env *Env) (Result, error) {
 	}
 	return computePrediction(env.S), nil
 }
-
-// Prediction renders the path-predictor extension directly (classic
-// entry point).
-func Prediction(w io.Writer, s *scenario.Scenario) { computePrediction(s).render(w) }
 
 // --- §4.4 case studies ------------------------------------------------
 
@@ -285,12 +277,6 @@ func runCaseStudies(ctx context.Context, env *Env) (Result, error) {
 		return nil, err
 	}
 	return computeCaseStudies(env.S, rand.New(rand.NewSource(env.Seed+3))), nil
-}
-
-// CaseStudies renders the §4.4 case studies from a caller-owned rand
-// stream (classic entry point).
-func CaseStudies(w io.Writer, s *scenario.Scenario, rng *rand.Rand) {
-	computeCaseStudies(s, rng).render(w)
 }
 
 // isSuffix reports whether needle is a suffix of hay.

@@ -101,10 +101,6 @@ func runTable1(ctx context.Context, env *Env) (Result, error) {
 	return computeTable1(env.S), nil
 }
 
-// Table1 renders Table 1 directly — the classic print-style entry
-// point, kept for the bench harness and examples.
-func Table1(w io.Writer, s *scenario.Scenario) { computeTable1(s).render(w) }
-
 // --- Figure 1 ---------------------------------------------------------
 
 // Figure1Row is one refinement column's category shares (legend order:
@@ -177,9 +173,6 @@ func runFigure1(ctx context.Context, env *Env) (Result, error) {
 	return computeFigure1(env.S), nil
 }
 
-// Figure1 renders Figure 1 directly (classic entry point).
-func Figure1(w io.Writer, s *scenario.Scenario) { computeFigure1(s).render(w) }
-
 // --- Table 2 ----------------------------------------------------------
 
 // Table2Row is one BGP-decision-step row of Table 2.
@@ -233,10 +226,6 @@ func runTable2(ctx context.Context, env *Env) (Result, error) {
 	}
 	return computeTable2(env.S, rand.New(rand.NewSource(env.Seed))), nil
 }
-
-// Table2 renders Table 2 from a caller-owned rand stream (classic entry
-// point).
-func Table2(w io.Writer, s *scenario.Scenario, rng *rand.Rand) { computeTable2(s, rng).render(w) }
 
 // --- Figure 2 ---------------------------------------------------------
 
@@ -336,9 +325,6 @@ func runFigure2(ctx context.Context, env *Env) (Result, error) {
 	return computeFigure2(env.S), nil
 }
 
-// Figure2 renders Figure 2 directly (classic entry point).
-func Figure2(w io.Writer, s *scenario.Scenario) { computeFigure2(s).render(w) }
-
 // --- Figure 3 ---------------------------------------------------------
 
 // Figure3Column is one stacked bar of the geography breakdown.
@@ -410,9 +396,6 @@ func runFigure3(ctx context.Context, env *Env) (Result, error) {
 	return computeFigure3(env.S), nil
 }
 
-// Figure3 renders Figure 3 directly (classic entry point).
-func Figure3(w io.Writer, s *scenario.Scenario) { computeFigure3(s).render(w) }
-
 // --- Table 3 ----------------------------------------------------------
 
 // Table3Row is one continent's domestic-preference attribution row.
@@ -462,9 +445,6 @@ func runTable3(ctx context.Context, env *Env) (Result, error) {
 	}
 	return computeTable3(env.S), nil
 }
-
-// Table3 renders Table 3 directly (classic entry point).
-func Table3(w io.Writer, s *scenario.Scenario) { computeTable3(s).render(w) }
 
 // --- Table 4 ----------------------------------------------------------
 
@@ -526,9 +506,6 @@ func runTable4(ctx context.Context, env *Env) (Result, error) {
 	return computeTable4(env.S), nil
 }
 
-// Table4 renders Table 4 directly (classic entry point).
-func Table4(w io.Writer, s *scenario.Scenario) { computeTable4(s).render(w) }
-
 // --- §4.3 validation --------------------------------------------------
 
 // PSPResult reports the §4.3 validation of prefix-specific-policy
@@ -569,10 +546,6 @@ func runPSPValidation(ctx context.Context, env *Env) (Result, error) {
 	}
 	return computePSPValidation(env.S), nil
 }
-
-// PSPValidation renders the §4.3 validation directly (classic entry
-// point).
-func PSPValidation(w io.Writer, s *scenario.Scenario) { computePSPValidation(s).render(w) }
 
 // --- §4.4 alternates --------------------------------------------------
 
@@ -630,10 +603,4 @@ func runAlternates(ctx context.Context, env *Env) (Result, error) {
 		return nil, err
 	}
 	return computeAlternates(env.S, rand.New(rand.NewSource(env.Seed+1))), nil
-}
-
-// Alternates renders the §4.4 campaign from a caller-owned rand stream
-// (classic entry point).
-func Alternates(w io.Writer, s *scenario.Scenario, rng *rand.Rand) {
-	computeAlternates(s, rng).render(w)
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"encoding/json"
-	"math/rand"
 	"os"
 	"strings"
 	"testing"
@@ -28,7 +27,9 @@ func testScenario(t *testing.T) *scenario.Scenario {
 func TestAllExperimentsRender(t *testing.T) {
 	s := testScenario(t)
 	var b strings.Builder
-	All(&b, s, 7)
+	if err := Run("all", &b, s, 7); err != nil {
+		t.Fatal(err)
+	}
 	out := b.String()
 	for _, want := range []string{
 		"Table 1", "Figure 1", "Table 2", "Figure 2", "Figure 3",
@@ -71,13 +72,7 @@ func TestGoldenOutput(t *testing.T) {
 				name, path, len(got), len(want))
 		}
 	}
-	var b strings.Builder
-	All(&b, s, 7)
-	check("all", b.String())
 	for _, name := range Names() {
-		if name == "all" {
-			continue
-		}
 		var nb strings.Builder
 		if err := Run(name, &nb, s, 7); err != nil {
 			t.Fatalf("Run(%s): %v", name, err)
@@ -142,9 +137,6 @@ func TestRegistryAPI(t *testing.T) {
 	if _, err := exp.Run(ctx, env); err == nil {
 		t.Error("Run with canceled context succeeded, want error")
 	}
-	if err := RunContext(ctx, "figure1", &strings.Builder{}, s, 7); err == nil {
-		t.Error("RunContext with canceled context succeeded, want error")
-	}
 }
 
 // TestResultDeterminism re-runs a rand-consuming experiment twice with
@@ -174,15 +166,17 @@ func TestResultDeterminism(t *testing.T) {
 
 func TestAppendixExperiments(t *testing.T) {
 	s := testScenario(t)
-	var b strings.Builder
-	InferenceAccuracy(&b, s)
-	if !strings.Contains(b.String(), "Label accuracy") {
-		t.Error("accuracy experiment missing content")
-	}
-	b.Reset()
-	PSPValidation(&b, s)
-	if !strings.Contains(b.String(), "looking glasses") {
-		t.Error("psp validation missing content")
+	for name, want := range map[string]string{
+		"accuracy":      "Label accuracy",
+		"pspvalidation": "looking glasses",
+	} {
+		var b strings.Builder
+		if err := Run(name, &b, s, 7); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("%s experiment missing %q", name, want)
+		}
 	}
 }
 
@@ -192,7 +186,9 @@ func TestAblationsRender(t *testing.T) {
 	}
 	s := testScenario(t)
 	var b strings.Builder
-	Ablations(&b, s, rand.New(rand.NewSource(3)))
+	if err := Run("ablations", &b, s, 3); err != nil {
+		t.Fatal(err)
+	}
 	out := b.String()
 	for _, want := range []string{"probe selection", "visibility threshold", "snapshot aggregation"} {
 		if !strings.Contains(out, want) {

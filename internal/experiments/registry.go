@@ -118,17 +118,11 @@ func Render(r Result) string {
 // the classic CLI entry point, preserved byte-for-byte over the
 // registry.
 func Run(name string, w io.Writer, s *scenario.Scenario, seed int64) error {
-	return RunContext(context.Background(), name, w, s, seed)
-}
-
-// RunContext is Run with a caller-supplied context; cancellation is
-// honored at experiment stage boundaries.
-func RunContext(ctx context.Context, name string, w io.Writer, s *scenario.Scenario, seed int64) error {
 	exp, ok := Get(name)
 	if !ok {
 		return fmt.Errorf("experiments: unknown experiment %q (have %v)", name, Names())
 	}
-	res, err := exp.Run(ctx, &Env{S: s, Seed: seed})
+	res, err := exp.Run(context.Background(), &Env{S: s, Seed: seed})
 	if err != nil {
 		return err
 	}
@@ -172,16 +166,4 @@ func runAll(ctx context.Context, env *Env) (Result, error) {
 		res.Parts = append(res.Parts, NamedResult{Name: name, Result: part})
 	}
 	return res, nil
-}
-
-// All runs every experiment in paper order and writes the combined text
-// report (the classic CLI behavior for "all").
-func All(w io.Writer, s *scenario.Scenario, seed int64) {
-	res, err := runAll(context.Background(), &Env{S: s, Seed: seed})
-	if err != nil {
-		// Only context cancellation can fail runAll, and Background
-		// never cancels; keep the legacy void signature.
-		panic(err)
-	}
-	io.WriteString(w, Render(res))
 }

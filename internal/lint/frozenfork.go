@@ -29,7 +29,7 @@ import (
 //   - A module-wide fixpoint over the call graph lifts the mutator set
 //     to parameters: a function that forwards a *Computation argument
 //     into a mutating position is itself mutating in that position
-//     (whatif.EvalOn, peering.DiscoverAlternatesOn).
+//     (whatif.EvalOn, whatif.Compiled.Apply).
 //
 // The flow analysis is an under-approximation: a value is "frozen" at a
 // use only when the freeze is provable inside the enclosing declaration

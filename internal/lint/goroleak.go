@@ -9,7 +9,7 @@ import (
 )
 
 // analyzerGoroLeak guards the service layer's shutdown contract: a
-// goroutine started in internal/service (store/pool/fleet paths) must
+// goroutine started in internal/service (store/fleet paths) must
 // be stoppable — otherwise a drained tenant or a shut-down server
 // leaves workers running against evicted state. A `go` statement passes
 // when the spawned body proves one of:

@@ -1,9 +1,7 @@
 package lint
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 )
 
@@ -63,7 +61,7 @@ func BuildReport(module string, analyzers []*Analyzer, packages int, findings []
 }
 
 // Validate checks the structural invariants of a routelab-lint/v1
-// emission, mirroring obs.BenchReport validation: schema pinned,
+// emission before cmd/routelint encodes it: schema pinned,
 // non-empty suite, well-formed findings, and a Clean flag consistent
 // with the finding count.
 func (r *Report) Validate() error {
@@ -103,21 +101,4 @@ func (r *Report) Validate() error {
 		return fmt.Errorf("lint report: clean = %v with %d findings", r.Clean, len(r.Findings))
 	}
 	return nil
-}
-
-// ReadReport loads and validates a routelab-lint/v1 emission from disk
-// (the cmd/lintcheck entry point, mirroring obs.ReadBenchReport).
-func ReadReport(path string) (*Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("lint report: %w", err)
-	}
-	var rep Report
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, fmt.Errorf("lint report: parse %s: %w", path, err)
-	}
-	if err := rep.Validate(); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &rep, nil
 }

@@ -224,10 +224,9 @@ func (s *Scenario) RunAlternatesCampaign(rng *rand.Rand) []peering.AlternateResu
 	if limit := s.Cfg.MaxAlternateTargets; limit > 0 && len(targets) > limit {
 		targets = targets[:limit]
 	}
-	base := s.Testbed.AnycastBase(prefix)
 	return parallel.MapStage("scenario/alternates", targets, s.Cfg.RoutingWorkers,
 		func(_ int, t asn.ASN) peering.AlternateResult {
-			return s.Testbed.DiscoverAlternatesFrom(base, t)
+			return s.Testbed.DiscoverAlternates(prefix, t)
 		})
 }
 

@@ -56,18 +56,16 @@ func TestBuildDeterministicAcrossWorkerCounts(t *testing.T) {
 	// The end-to-end guarantee: rendered experiment output is
 	// byte-identical (Figure 1 itself classifies in parallel, so this
 	// also exercises the classify cache under concurrency).
-	for _, render := range []struct {
-		name string
-		run  func(*bytes.Buffer, *scenario.Scenario)
-	}{
-		{"table1", func(b *bytes.Buffer, s *scenario.Scenario) { experiments.Table1(b, s) }},
-		{"figure1", func(b *bytes.Buffer, s *scenario.Scenario) { experiments.Figure1(b, s) }},
-	} {
+	for _, name := range []string{"table1", "figure1"} {
 		var a, b bytes.Buffer
-		render.run(&a, serial)
-		render.run(&b, wide)
+		if err := experiments.Run(name, &a, serial, serial.Cfg.Seed); err != nil {
+			t.Fatal(err)
+		}
+		if err := experiments.Run(name, &b, wide, wide.Cfg.Seed); err != nil {
+			t.Fatal(err)
+		}
 		if !bytes.Equal(a.Bytes(), b.Bytes()) {
-			t.Errorf("%s output differs between workers=1 and workers=8", render.name)
+			t.Errorf("%s output differs between workers=1 and workers=8", name)
 		}
 	}
 }

@@ -25,7 +25,12 @@
 // requests for the same cache key are coalesced (one computation, many
 // waiters). Computations only read the sealed Scenario and the
 // synchronized classify.Context caches; nothing mutates shared state,
-// so any interleaving yields the same bytes.
+// so any interleaving yields the same bytes. The alternates and what-if
+// endpoints mutate a copy-on-write Fork of the scenario's frozen
+// anycast base, taken inline on the request's goroutine: one
+// bgp.fork.calls per discovery or delta. The package starts no
+// goroutine, so there is nothing to stop or join at shutdown or
+// eviction (the goroleak rule keeps it that way).
 package service
 
 import (

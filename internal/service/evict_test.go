@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -32,9 +31,9 @@ func measureTenantBytes(t *testing.T) int64 {
 
 // TestStoreByteBudgetEviction sizes a budget to hold one world but not
 // two, then admits two: the second admit must evict the first by
-// accounted bytes (not count), purge its cache partition, drain its
-// fork pools, and leave resident bytes within budget — while the
-// evicted world still rebuilds to byte-identical responses.
+// accounted bytes (not count), purge its cache partition, and leave
+// resident bytes within budget — while the evicted world still rebuilds
+// to byte-identical responses.
 func TestStoreByteBudgetEviction(t *testing.T) {
 	obs.Reset()
 	size := measureTenantBytes(t)
@@ -51,13 +50,6 @@ func TestStoreByteBudgetEviction(t *testing.T) {
 	if got := st.ResidentBytes(); got <= 0 || got > budget {
 		t.Errorf("resident bytes %d after one admit, want in (0, %d]", got, budget)
 	}
-	// Grab the tenant before eviction so the pool-drain check below has
-	// the evicted instance, not a rebuild.
-	tenantA, err := st.Get(context.Background(), "alpha")
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	// Beta doesn't fit alongside alpha: the admit must evict by bytes.
 	if status, _, _ := getHeader(t, urlB); status != http.StatusOK {
 		t.Fatalf("beta: status %d", status)
@@ -70,24 +62,6 @@ func TestStoreByteBudgetEviction(t *testing.T) {
 	}
 	if n := obs.Snap().Counters["service.scenario.evictions"]; n != 1 {
 		t.Errorf("evictions = %d, want 1", n)
-	}
-
-	// The evicted tenant's fork pools are drained (stopped, no refill
-	// goroutines) but still serve inline — the TestForkPoolDrainJoinsRefills
-	// contract, now triggered by byte-budget eviction.
-	if len(tenantA.pools) == 0 {
-		t.Fatal("test scenario has no fork pools")
-	}
-	for _, p := range tenantA.pools {
-		p.mu.Lock()
-		stopped := p.stopped
-		p.mu.Unlock()
-		if !stopped {
-			t.Error("evicted tenant's fork pool not drained")
-		}
-		if c := p.get(); c == nil {
-			t.Error("drained pool stopped serving inline forks")
-		}
 	}
 
 	// No stale bytes: alpha's rebuild recomputes (miss — its cache

@@ -31,11 +31,6 @@ type Config struct {
 	// RequestTimeout caps each request's computation; expiry returns
 	// 504. 0 disables the server-side deadline.
 	RequestTimeout time.Duration
-	// ForkPool sizes the warm fork pool kept per testbed prefix for the
-	// alternates/what-if-shaped endpoints: pre-taken Computation.Fork
-	// copies a request consumes instead of forking on the hot path.
-	// <= 0 selects the default (2).
-	ForkPool int
 	// MaxQueuedRequests bounds the admission gate's queue: a request
 	// arriving while MaxQueuedRequests callers are already waiting for a
 	// compute slot is shed with 429/Retry-After instead of joining the
@@ -55,7 +50,6 @@ type Server struct {
 	cfg      Config
 	gate     *parallel.Gate
 	cache    *cache
-	pools    map[asn.Prefix]*forkPool
 	traceIdx map[int]int // Measurement.TraceID -> index into s.Measurements
 	health   []byte      // static healthz body
 	size     int64       // resident-byte estimate from the build-time accounting walk
@@ -79,14 +73,12 @@ func newTenant(id string, s *scenario.Scenario, cfg Config, shared *cache) *Serv
 		cfg:      cfg,
 		gate:     parallel.NewGate(cfg.MaxConcurrent),
 		cache:    shared,
-		pools:    make(map[asn.Prefix]*forkPool, len(s.Testbed.Prefixes)),
 		traceIdx: make(map[int]int, len(s.Measurements)),
 	}
-	// Warm the per-prefix anycast bases now (one convergence each, the
-	// cost the first alternates request would otherwise pay) and stock a
-	// pool of pre-taken forks over each.
+	// Warm the per-prefix anycast bases now: one convergence each, the
+	// cost the first alternates or what-if request would otherwise pay.
 	for _, p := range s.Testbed.Prefixes {
-		srv.pools[p] = newForkPool(s.Testbed.AnycastBase(p), cfg.ForkPool)
+		s.Testbed.AnycastBase(p)
 	}
 	for i := range s.Measurements {
 		srv.traceIdx[s.Measurements[i].TraceID] = i
@@ -108,7 +100,7 @@ func newTenant(id string, s *scenario.Scenario, cfg Config, shared *cache) *Serv
 		panic("service: marshal health envelope: " + err.Error())
 	}
 	srv.health = health
-	// The accounting walk runs last: pools are stocked and the health
+	// The accounting walk runs last: the bases are warm and the health
 	// body exists, so the estimate covers the tenant's full footprint.
 	srv.size = srv.accountSize()
 	return srv
@@ -135,18 +127,6 @@ var scenarioRoutes = []scenarioRoute{
 	{http.MethodGet, "/experiments/{name}", "experiments", (*Server).serveExperiment},
 	{http.MethodGet, "/as/{asn}", "as", (*Server).serveAS},
 	{http.MethodPost, "/whatif", "whatif", (*Server).serveWhatIf},
-}
-
-// Close releases the server's background machinery: every per-prefix
-// fork pool is drained and its refill goroutines joined, so nothing
-// outlives the tenant. In-flight requests keep working — a drained
-// pool forks inline — which makes Close safe both after an HTTP drain
-// (cmd/routelabd shutdown) and on store eviction while the fleet keeps
-// serving.
-func (srv *Server) Close() {
-	for _, p := range srv.pools {
-		p.drain()
-	}
 }
 
 // instrument registers an endpoint on mux under its obs
@@ -442,12 +422,10 @@ func (srv *Server) serveAlternates(w http.ResponseWriter, r *http.Request) {
 }
 
 func (srv *Server) alternatesBody(target asn.ASN) ([]byte, error) {
-	prefix := srv.s.Testbed.Prefixes[0]
 	// Discovery consumes no randomness; the run is a pure function of
-	// (engine, prefix, target). The poisoning rounds mutate a fork of
-	// the frozen anycast base, taken from the warm pool so the Fork cost
-	// stays off the request path.
-	res := srv.s.Testbed.DiscoverAlternatesOn(srv.pools[prefix].get(), target)
+	// (engine, prefix, target). The poisoning rounds mutate one fork of
+	// the frozen anycast base.
+	res := srv.s.Testbed.DiscoverAlternates(srv.s.Testbed.Prefixes[0], target)
 	data := AlternatesData{
 		Target:        res.Target.String(),
 		Prefix:        res.Prefix.String(),
@@ -612,10 +590,8 @@ func (srv *Server) serveWhatIf(w http.ResponseWriter, r *http.Request) {
 }
 
 func (srv *Server) whatifBody(ctx context.Context, prefix asn.Prefix, cds []*whatif.Compiled) ([]byte, error) {
-	// Every entry forks the frozen base directly rather than draining the
-	// warm pool: the pool amortizes single-fork endpoints, while a batch
-	// would empty it and fall back to forking anyway. Direct forks keep
-	// the cost exactly one bgp.fork.calls per entry (tests assert this).
+	// Every entry forks the frozen base: exactly one bgp.fork.calls per
+	// entry (TestWhatIfBatchForksBase).
 	base := srv.s.Testbed.AnycastBase(prefix)
 	data := WhatIfData{
 		Prefix: prefix.String(),

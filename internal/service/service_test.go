@@ -51,7 +51,6 @@ func newFleetOfOne(t *testing.T, cfg StoreConfig) (*Server, *httptest.Server) {
 	st.mu.Unlock()
 	ts := httptest.NewServer(NewFleet(st).Handler())
 	t.Cleanup(ts.Close)
-	t.Cleanup(st.Close)
 	return srv, ts
 }
 

@@ -17,9 +17,8 @@ import "reflect"
 //     direction for a memory budget;
 //   - map storage is estimated as len × (key+elem size + per-entry
 //     overhead) — Go's map internals are not reachable by reflection;
-//   - channel buffers count cap × elem size, but buffered VALUES are
-//     invisible to reflect, which is why tenantSizeBytes measures fork
-//     pools with a sample fork instead of walking the channel.
+//   - channel buffers count cap × elem size; buffered values are
+//     invisible to reflect.
 //
 // Most of a tenant's bytes sit in slices whose elements reach no other
 // memory (the bgp engine's route records and path nodes, address
@@ -156,13 +155,10 @@ func (w *sizeWalker) referenced(v reflect.Value) int64 {
 
 // accountSize runs the build-time accounting walk for one tenant: the
 // sealed scenario graph (topology, RIB snapshots, measurements, and
-// the warm per-prefix anycast bases the pools were stocked from —
-// AnycastBase caches them on the scenario's testbed, so the scenario
-// walk reaches them), plus the static per-tenant state and the fork
-// pools. Pooled forks sit in channel buffers reflect cannot see into,
-// so their cost is measured from one sample fork — its incremental
-// copy-on-write overlay over the already-visited base — times the
-// stocked depth. Call after the pools are stocked (newTenant does).
+// the warm per-prefix anycast bases — AnycastBase caches them on the
+// scenario's testbed, so the scenario walk reaches them) plus the
+// static per-tenant state. Call after the bases are warm (newTenant
+// does).
 func (srv *Server) accountSize() int64 { return srv.accountSizeWith(newSizeWalker()) }
 
 func (srv *Server) accountSizeWith(w *sizeWalker) int64 {
@@ -170,11 +166,6 @@ func (srv *Server) accountSizeWith(w *sizeWalker) int64 {
 	n := int64(rs.Type().Size()) + w.referenced(rs)
 	n += w.referenced(reflect.ValueOf(srv.traceIdx))
 	n += w.referenced(reflect.ValueOf(srv.health))
-	for prefix, p := range srv.pools {
-		sample := srv.s.Testbed.AnycastBase(prefix).Fork()
-		perFork := w.referenced(reflect.ValueOf(sample))
-		n += perFork * int64(cap(p.ch))
-	}
 	return n
 }
 

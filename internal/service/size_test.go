@@ -72,7 +72,6 @@ func TestSizeOfDeterministic(t *testing.T) {
 // whose RIB columns, route rows and path nodes are exactly such slices.
 func TestSizeWalkShortCutIsExact(t *testing.T) {
 	srv := newTenant(DefaultID, testScenario(t), Config{}, newCache(0))
-	defer srv.Close()
 	full := newSizeWalker()
 	full.everyElement = true
 	if got := srv.accountSizeWith(full); got != srv.SizeBytes() {
@@ -93,12 +92,10 @@ func TestSizeWalkShortCutIsExact(t *testing.T) {
 }
 
 // TestAccountSizeCoversTenant: the tenant walk must weigh at least the
-// sealed scenario it wraps (it adds indexes, the health body, and the
-// fork pools on top), be stable across re-walks, and be what SizeBytes
-// reports.
+// sealed scenario it wraps (it adds indexes and the health body on
+// top), be stable across re-walks, and be what SizeBytes reports.
 func TestAccountSizeCoversTenant(t *testing.T) {
 	srv := newTenant(DefaultID, testScenario(t), Config{}, newCache(0))
-	defer srv.Close()
 	if srv.SizeBytes() != srv.size {
 		t.Error("SizeBytes does not report the build-time measurement")
 	}

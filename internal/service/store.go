@@ -50,7 +50,7 @@ type StoreConfig struct {
 	// by scenario id, and a tenant's partition is purged on eviction.
 	CacheSize int
 	// Tenant configures each per-scenario Server (admission gate,
-	// request deadline, fork pools).
+	// request deadline).
 	Tenant Config
 	// Logf receives scenario build progress; nil silences it.
 	Logf scenario.Logf
@@ -240,17 +240,11 @@ func (st *Store) BuiltLen() int {
 	return st.order.Len()
 }
 
-// Close drains every resident tenant's background machinery (fork-pool
-// refill goroutines); call it after the HTTP server has drained so a
-// fleet shutdown leaves no goroutine behind. Tenants stay usable —
-// Close only stops their pools from restocking.
-func (st *Store) Close() {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for el := st.order.Front(); el != nil; el = el.Next() {
-		el.Value.(*builtEntry).tenant.Close()
-	}
-}
+// Close does nothing: the store runs no goroutine and holds nothing but
+// memory, so there is nothing to stop or join. It exists because
+// bench/serve.go calls it and bench/ only changes in a benchmark PR
+// (ROADMAP: drop it together with those two calls).
+func (st *Store) Close() {}
 
 // Get returns the tenant serving id, building the sealed scenario on
 // demand. Concurrent calls for the same cold id share one build
@@ -426,10 +420,5 @@ func (st *Store) evictOldest() {
 	// deterministic, so dropping them only costs recomputation, and
 	// keeping them would hold the evicted world's bodies in memory.
 	st.cache.removePrefix(evicted.id + "|")
-	// Join the evicted tenant's fork-pool refills so no goroutine
-	// keeps the evicted world's forks alive. Refills are bounded (one
-	// Fork plus a non-blocking send) and never take st.mu, so waiting
-	// under the lock is cheap and deadlock-free.
-	evicted.tenant.Close()
 	obs.Inc("service.scenario.evictions")
 }

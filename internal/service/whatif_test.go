@@ -83,12 +83,21 @@ func TestWhatIfSingleDelta(t *testing.T) {
 	}
 }
 
-// TestWhatIfBatchForksBase pins the batch contract: N deltas cost
-// exactly N forks of one shared frozen base (bgp.fork.calls), and a
-// cache hit costs none.
+// TestWhatIfBatchForksBase pins the fork accounting: bgp.fork.calls is
+// an exact function of the requests served. Building a tenant forks
+// nothing, a what-if batch of N deltas costs exactly N forks of one
+// shared frozen base, an alternates miss exactly one, and a cache hit
+// of either none.
 func TestWhatIfBatchForksBase(t *testing.T) {
 	s := testScenario(t)
+	forks := func() int64 { return obs.Snap().Counters["bgp.fork.calls"] }
+
+	before := forks()
 	_, ts := newTestServer(t, Config{})
+	if got := forks() - before; got != 0 {
+		t.Errorf("building a tenant took %d forks, want 0", got)
+	}
+
 	mux := s.Testbed.Muxes[0]
 	doc := fmt.Sprintf(`{"schema":"routelab-whatif/v1","deltas":[
 		{"kind":"withdraw"},
@@ -96,12 +105,12 @@ func TestWhatIfBatchForksBase(t *testing.T) {
 		{"kind":"poison","poisoned":[%q]}
 	]}`, mux)
 
-	before := obs.Snap().Counters["bgp.fork.calls"]
+	before = forks()
 	status, body, hdr := postWhatIf(t, ts.URL+"/v1/whatif", doc)
 	if status != http.StatusOK || hdr != "miss" {
 		t.Fatalf("status %d, cache %q\n%s", status, hdr, body)
 	}
-	if got := obs.Snap().Counters["bgp.fork.calls"] - before; got != 3 {
+	if got := forks() - before; got != 3 {
 		t.Errorf("batch of 3 took %d forks, want 3 (one per delta off one frozen base)", got)
 	}
 	data := decodeWhatIf(t, body)
@@ -110,12 +119,29 @@ func TestWhatIfBatchForksBase(t *testing.T) {
 	}
 
 	// The cached repeat must not fork at all.
-	before = obs.Snap().Counters["bgp.fork.calls"]
+	before = forks()
 	if _, _, hdr := postWhatIf(t, ts.URL+"/v1/whatif", doc); hdr != "hit" {
 		t.Fatalf("repeat: cache %q, want hit", hdr)
 	}
-	if got := obs.Snap().Counters["bgp.fork.calls"] - before; got != 0 {
+	if got := forks() - before; got != 0 {
 		t.Errorf("cache hit took %d forks, want 0", got)
+	}
+
+	// Alternates: one fork per miss, however many poisoning rounds the
+	// discovery runs on it; none per hit.
+	alt := fmt.Sprintf("%s/v1/alternates?target=%s", ts.URL, s.Measurements[0].DstAS)
+	for _, c := range []struct {
+		cache string
+		forks int64
+	}{{"miss", 1}, {"hit", 0}} {
+		before = forks()
+		status, body, hdr := getHeader(t, alt)
+		if status != http.StatusOK || hdr != c.cache {
+			t.Fatalf("alternates: status %d, cache %q, want %q\n%s", status, hdr, c.cache, body)
+		}
+		if got := forks() - before; got != c.forks {
+			t.Errorf("alternates %s took %d forks, want %d", c.cache, got, c.forks)
+		}
 	}
 }
 

@@ -5,21 +5,22 @@
 # Leg 1 (healthy fleet): boots routelabd in fleet mode on the checked-in
 # corpus (-scenario-dir scenarios; registration is cheap, builds are
 # lazy), admits one extra scenario over POST /v1/scenarios, polls the
-# build-progress endpoint through cmd/apicheck, drives the two tiny
+# build-progress endpoint through cmd/apicheck, and drives the two tiny
 # worlds (smoke, smoke-alt) with cmd/routeload on a small request budget
-# with 1 s latency buckets, and gates the routelab-load/v1 emission with
-# cmd/loadcheck: zero errors, zero sheds (an unsaturated fleet must
-# never shed), and a deliberately lax p99 tripwire (this is a blowup
-# detector, not a latency SLO — CI machines vary). Finishes with a
-# SIGTERM drain check.
+# with 1 s latency buckets. routeload writes the routelab-load/v1
+# emission and gates on it itself: zero errors, zero sheds (an
+# unsaturated fleet must never shed), and a deliberately lax p99
+# tripwire (this is a blowup detector, not a latency SLO — CI machines
+# vary). Finishes with a SIGTERM drain check.
 #
 # Leg 2 (saturation): reboots the fleet with tiny overload gates
 # (-max-concurrent 1 -max-queued-requests 1 -max-builds 1
 # -max-queued-builds 1) and hammers it with more clients than it can
 # admit. The gate: nonzero clean sheds (verified 429s with Retry-After
-# and the overloaded code — loadcheck -min-sheds 1) and zero errors
+# and the overloaded code — routeload -min-sheds 1) and zero errors
 # otherwise. Overload protection must engage, and must stay clean while
-# it does.
+# it does. Its emission lands in LOAD_saturation.json beside $OUT, gate
+# passed or not.
 #
 # CI's load-smoke job runs this; locally: make load-smoke.
 set -euo pipefail
@@ -29,6 +30,7 @@ cd "$(dirname "$0")/.."
 ADDR="${ROUTELABD_ADDR:-localhost:18090}"
 SAT_ADDR="${ROUTELABD_SAT_ADDR:-localhost:18091}"
 OUT="${LOAD_OUT:-LOAD_routelab.json}"
+SAT_OUT="$(dirname "$OUT")/LOAD_saturation.json"
 WORKDIR="$(mktemp -d)"
 LOG="$WORKDIR/routelabd.log"
 SAT_LOG="$WORKDIR/routelabd-sat.log"
@@ -38,7 +40,6 @@ trap 'kill "$PID" 2>/dev/null || true; rm -rf "$WORKDIR"' EXIT
 echo "==> building"
 go build -o "$WORKDIR/routelabd" ./cmd/routelabd
 go build -o "$WORKDIR/routeload" ./cmd/routeload
-go build -o "$WORKDIR/loadcheck" ./cmd/loadcheck
 go build -o "$WORKDIR/apicheck" ./cmd/apicheck
 
 # wait_serving LOG: block until routelabd logs its listening line.
@@ -130,12 +131,10 @@ if [ "$STATUS" != 200 ]; then
 fi
 "$WORKDIR/apicheck" "$WORKDIR/whatif.json"
 
-echo "==> driving the tiny fleet with routeload"
+echo "==> driving the tiny fleet with routeload (gates: no errors, no sheds, p99 tripwire)"
 "$WORKDIR/routeload" -addr "$ADDR" -scenarios smoke,smoke-alt \
-    -clients 8 -requests 160 -bucket 1s -out "$OUT"
-
-echo "==> gating the emission with loadcheck"
-"$WORKDIR/loadcheck" -max-error-rate 0 -max-shed-rate 0 -max-p99 30s "$OUT"
+    -clients 8 -requests 160 -bucket 1s -out "$OUT" \
+    -max-error-rate 0 -max-shed-rate 0 -max-p99 30s
 
 echo "==> SIGTERM: graceful drain"
 kill -TERM "$PID"
@@ -178,8 +177,7 @@ wait_serving "$SAT_LOG"
 "$WORKDIR/routeload" -addr "$SAT_ADDR" -scenarios smoke,smoke-alt \
     -cold clean-baseline,jittered,domestic,monitor-starved \
     -clients 16 -requests 320 -bucket 1s -spread 320 \
-    -out "$WORKDIR/LOAD_saturation.json"
-"$WORKDIR/loadcheck" -max-error-rate 0 -min-sheds 1 "$WORKDIR/LOAD_saturation.json"
+    -out "$SAT_OUT" -max-error-rate 0 -min-sheds 1
 
 kill -TERM "$PID"
 wait "$PID" && rc=0 || rc=$?
@@ -189,4 +187,4 @@ if [ "$rc" != 0 ]; then
     exit 1
 fi
 
-echo "load smoke: OK ($OUT)"
+echo "load smoke: OK ($OUT, $SAT_OUT)"
