@@ -1,19 +1,20 @@
 # Tier-1 verification for routelab. `make verify` is the gate every
 # change must pass: it builds everything, checks formatting, vets
 # (including the copylocks and concurrency-sensitive checks), runs
-# routelint (the in-tree invariant analyzers, DESIGN.md §11), checks the
-# scenario-spec corpus against its goldens (spec-check, SCENARIOS.md),
-# and runs the full test suite under the race detector — the concurrency
-# model in DESIGN.md is only trustworthy while this stays green. CI
+# routelint (the in-tree invariant analyzers, DESIGN.md §11), and runs
+# the full test suite under the race detector — the concurrency model in
+# DESIGN.md is only trustworthy while this stays green, and the suite
+# includes the scenario-corpus-versus-goldens check (internal/spec
+# TestCorpusMatchesGoldens, SCENARIOS.md). CI
 # (.github/workflows/ci.yml) runs verify plus lint, cover, and the
 # ledger on every push/PR.
 
 GO ?= go
 STATICCHECK ?= staticcheck
 
-.PHONY: verify build fmt-check vet test race bench fuzz-smoke service-smoke load-smoke lint staticcheck routelint lint-json lint-fix-list spec-check cover
+.PHONY: verify build fmt-check vet test race bench fuzz-smoke service-smoke load-smoke lint staticcheck routelint lint-json lint-fix-list cover
 
-verify: build fmt-check vet routelint spec-check race
+verify: build fmt-check vet routelint race
 
 build:
 	$(GO) build ./...
@@ -38,13 +39,16 @@ race:
 bench:
 	$(GO) run ./bench -all
 
-# fuzz-smoke gives each native fuzz target a short budget seeded from
-# the checked-in corpora (testdata/fuzz, regenerated by cmd/corpusgen):
-# long enough to catch a decoder panic or round-trip break introduced by
-# a parser change, short enough for every CI run.
+# fuzz-smoke gives each native fuzz target a short budget: the fleet
+# admission path (body sniffer, spec parsers, expansion) and the
+# routelab-whatif/v1 request decoder. Both seed themselves with f.Add
+# (the scenario corpus; the documents the tests and smoke scripts post),
+# and testdata/fuzz holds only crashers the fuzzer finds. Long enough to
+# catch a decoder panic or round-trip break introduced by a parser
+# change, short enough for every CI run.
 fuzz-smoke:
-	$(GO) test ./internal/mrt -run=^$$ -fuzz=FuzzRead -fuzztime=20s
 	$(GO) test ./internal/service -run=^$$ -fuzz=FuzzAdmitSpec -fuzztime=20s
+	$(GO) test ./internal/service -run=^$$ -fuzz=FuzzWhatIfRequest -fuzztime=20s
 
 # service-smoke boots routelabd on a tiny scenario, curls every /v1
 # endpoint, validates the routelab-api/v1 envelopes with cmd/apicheck,
@@ -76,10 +80,10 @@ staticcheck:
 	$(STATICCHECK) ./...
 
 # routelint is the in-tree, dependency-free analyzer suite enforcing the
-# repo's determinism/sealing/envelope/shutdown invariants — nine rules,
-# DESIGN.md §11 (cmd/routelint). It is part of `make verify`, running
-# before the (slow) race tests so an invariant violation fails fast: a
-# violation fails tier-1, not just CI.
+# repo's determinism/frozen-base/envelope/shutdown invariants — seven
+# rules, DESIGN.md §11 (cmd/routelint). It is part of `make verify`,
+# running before the (slow) race tests so an invariant violation fails
+# fast: a violation fails tier-1, not just CI.
 routelint:
 	$(GO) run ./cmd/routelint ./...
 
@@ -89,15 +93,6 @@ routelint:
 # dash keeps make from failing — this target is for reading, not gating.
 lint-fix-list:
 	-$(GO) run ./cmd/routelint -group ./...
-
-# spec-check expands every declarative scenario spec under scenarios/
-# and diffs the canonical routelab-scengen/v1 envelope against the
-# committed goldens (scenarios/golden/), so the corpus and the spec
-# compiler cannot drift apart silently. Refresh the goldens after an
-# intentional change with:
-#   $(GO) run ./cmd/scengen -update check scenarios
-spec-check:
-	$(GO) run ./cmd/scengen check scenarios
 
 # lint-json emits the machine-readable routelab-lint/v1 report (CI
 # archives LINT_routelab.json). routelint validates the report before

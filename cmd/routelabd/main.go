@@ -4,9 +4,10 @@
 //
 // routelabd is always a fleet: a store of registered scenario specs
 // served side by side under /v1/scenarios/{id}/..., each sealed
-// scenario built on first use, up to -max-scenarios kept resident
-// (LRU), concurrent builds of the same id coalesced, and every scenario
-// given its own admission gate, warm anycast bases, and a partition of the
+// scenario built on first use and kept resident while the fleet fits
+// -max-scenario-bytes (least-recently-served evicted first),
+// concurrent builds of the same id coalesced, and every scenario given
+// its own admission gate, warm anycast bases, and a partition of the
 // shared response cache. -scenario-dir registers every routelab-spec/v1
 // document in a directory; POST /v1/scenarios admits more at run time.
 //
@@ -14,7 +15,7 @@
 // -spec document or the sizing flags describe, built before the
 // listener opens (the expensive part). The un-prefixed routes
 // (/v1/classify, /v1/alternates, /v1/whatif, ...) are that scenario's
-// alias — the same handlers, gate and cache keys as
+// alias — the same handlers, gate and cache partition as
 // /v1/scenarios/default/....
 //
 // Usage:
@@ -26,10 +27,9 @@
 //	-addr ADDR          listen address (default localhost:8080)
 //	-scenario-dir DIR   register every spec in DIR instead of the one
 //	                    world -spec / the sizing flags describe
-//	-max-scenarios N    sealed scenarios kept resident (default 4)
 //	-max-scenario-bytes N  resident-byte budget for sealed scenarios
-//	                    (0 = count budget; when set, -max-scenarios is ignored
-//	                    and eviction is by accounted bytes, LRU order)
+//	                    (default 1 GiB; eviction is by accounted bytes in
+//	                    LRU order, and a sole resident is never evicted)
 //	-max-builds N       concurrent scenario builds (default 1)
 //	-max-queued-builds N   callers allowed to queue for a build slot before
 //	                    new builds shed 429 (0 = unbounded queue)
@@ -89,8 +89,7 @@ func main() {
 	var (
 		addr         = flag.String("addr", "localhost:8080", "listen address")
 		scenarioDir  = flag.String("scenario-dir", "", "register every scenario spec in this directory (instead of the one -spec/flag-built world)")
-		maxScenarios = flag.Int("max-scenarios", 4, "sealed scenarios kept resident")
-		maxScenBytes = flag.Int64("max-scenario-bytes", 0, "resident-byte budget for sealed scenarios; overrides -max-scenarios (0 = off)")
+		maxScenBytes = flag.Int64("max-scenario-bytes", 1<<30, "resident-byte budget for sealed scenarios")
 		maxBuilds    = flag.Int("max-builds", 1, "concurrent scenario builds")
 		maxQBuilds   = flag.Int("max-queued-builds", 0, "build-queue depth before shedding 429 (0 = unbounded)")
 		maxQRequests = flag.Int("max-queued-requests", 0, "admission-queue depth per scenario before shedding 429 (0 = unbounded)")
@@ -173,7 +172,6 @@ func main() {
 	}
 
 	store := service.NewStore(service.StoreConfig{
-		MaxScenarios:     *maxScenarios,
 		MaxScenarioBytes: *maxScenBytes,
 		MaxBuilds:        *maxBuilds,
 		MaxQueuedBuilds:  *maxQBuilds,

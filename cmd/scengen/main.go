@@ -17,24 +17,18 @@
 //	diff <a> <b>        field-level diff of two expanded configs
 //	                    ("Topology.NumTier1: 12 -> 40")
 //	list <dir>          one line per spec in a corpus directory
-//	check <dir>         expand every spec in the directory and diff the
-//	                    canonical JSON against <dir>/golden/<name>.json
-//	                    (-update rewrites the goldens)
 //
 // Flags:
 //
 //	-format text|json   expand output format (default text)
 //	-overlay a,b        extra overlays to apply, in order, after the
 //	                    spec's own apply list
-//	-update             with check: write goldens instead of diffing
-//	-expand PATH        flag form of the expand command
-//	                    (scengen -expand scenarios/paper.yaml)
-//	-check DIR          flag form of the check command
 //
 // Exit status follows the routelint convention: 0 clean, 1 on findings
-// (invalid documents, differing configs, stale goldens), 2 on usage or
-// I/O errors. CI runs `scengen check scenarios` (make spec-check) so
-// the corpus cannot rot.
+// (invalid documents, differing configs), 2 on usage or I/O errors.
+// The corpus-versus-goldens check is not here: it is tier-1
+// TestCorpusMatchesGoldens in internal/spec, which also regenerates
+// scenarios/golden/ under WRITE_GOLDEN=1.
 package main
 
 import (
@@ -52,11 +46,8 @@ import (
 func main() {
 	format := flag.String("format", "text", "expand output format: text or json (routelab-scengen/v1)")
 	overlay := flag.String("overlay", "", "comma-separated overlays to apply after the spec's own apply list")
-	update := flag.Bool("update", false, "with check: rewrite the golden dumps instead of diffing")
-	expandFlag := flag.String("expand", "", "flag form of the expand command: spec file to expand")
-	checkFlag := flag.String("check", "", "flag form of the check command: corpus directory to check")
 	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: scengen [flags] <expand|validate|diff|list|check> [args]")
+		fmt.Fprintln(os.Stderr, "usage: scengen [flags] <expand|validate|diff|list> [args]")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -68,23 +59,11 @@ func main() {
 	if *overlay != "" {
 		overlays = strings.Split(*overlay, ",")
 	}
-	// The flag forms (-expand, -check) rewrite into the command form.
-	cmd, args := "", []string(nil)
-	switch {
-	case *expandFlag != "" && *checkFlag != "":
-		fmt.Fprintln(os.Stderr, "scengen: -expand and -check are mutually exclusive")
+	if flag.NArg() < 1 {
+		flag.Usage()
 		os.Exit(2)
-	case *expandFlag != "":
-		cmd, args = "expand", append([]string{*expandFlag}, flag.Args()...)
-	case *checkFlag != "":
-		cmd, args = "check", append([]string{*checkFlag}, flag.Args()...)
-	default:
-		if flag.NArg() < 1 {
-			flag.Usage()
-			os.Exit(2)
-		}
-		cmd, args = flag.Arg(0), flag.Args()[1:]
 	}
+	cmd, args := flag.Arg(0), flag.Args()[1:]
 	var (
 		findings int
 		err      error
@@ -98,8 +77,6 @@ func main() {
 		findings, err = cmdDiff(args, overlays)
 	case "list":
 		findings, err = cmdList(args)
-	case "check":
-		findings, err = cmdCheck(args, overlays, *update)
 	default:
 		fmt.Fprintf(os.Stderr, "scengen: unknown command %q\n", cmd)
 		flag.Usage()
@@ -234,85 +211,6 @@ func cmdList(args []string) (int, error) {
 	return findings, nil
 }
 
-func cmdCheck(args []string, overlays []string, update bool) (int, error) {
-	if len(args) != 1 {
-		return 0, fmt.Errorf("check takes exactly one corpus directory")
-	}
-	dir := args[0]
-	files, err := corpusFiles(dir)
-	if err != nil {
-		return 0, err
-	}
-	if len(files) == 0 {
-		return 0, fmt.Errorf("no specs in %s", dir)
-	}
-	goldenDir := filepath.Join(dir, "golden")
-	if update {
-		if err := os.MkdirAll(goldenDir, 0o755); err != nil {
-			return 0, err
-		}
-	}
-	findings := 0
-	names := make(map[string]bool, len(files))
-	for _, f := range files {
-		e, err := spec.Expand(f, overlays)
-		if err != nil {
-			if specProblem(err) {
-				findings++
-				fmt.Printf("%s: INVALID: %v\n", f, err)
-				continue
-			}
-			return 0, err
-		}
-		names[e.Name] = true
-		// Normalize provenance so the golden bytes do not depend on
-		// the working directory check ran from.
-		e.Source = filepath.ToSlash(filepath.Join(filepath.Base(filepath.Clean(dir)), filepath.Base(f)))
-		got, err := e.MarshalCanonical()
-		if err != nil {
-			return 0, err
-		}
-		goldenPath := filepath.Join(goldenDir, e.Name+".json")
-		if update {
-			if err := os.WriteFile(goldenPath, got, 0o644); err != nil {
-				return 0, err
-			}
-			fmt.Printf("%s: wrote %s\n", f, goldenPath)
-			continue
-		}
-		want, err := os.ReadFile(goldenPath)
-		if err != nil {
-			findings++
-			fmt.Printf("%s: missing golden %s (run scengen -update check %s)\n", f, goldenPath, dir)
-			continue
-		}
-		if string(got) != string(want) {
-			findings++
-			fmt.Printf("%s: expansion differs from %s (refresh with scengen -update check %s)\n",
-				f, goldenPath, dir)
-			for _, l := range firstDiffLines(string(want), string(got), 6) {
-				fmt.Printf("  %s\n", l)
-			}
-			continue
-		}
-		fmt.Printf("%s: ok\n", f)
-	}
-	// A golden with no spec is rot in the other direction.
-	goldens, err := filepath.Glob(filepath.Join(goldenDir, "*.json"))
-	if err != nil {
-		return 0, err
-	}
-	sort.Strings(goldens)
-	for _, g := range goldens {
-		name := strings.TrimSuffix(filepath.Base(g), ".json")
-		if !names[name] {
-			findings++
-			fmt.Printf("%s: golden has no spec in %s (delete it or add the spec)\n", g, dir)
-		}
-	}
-	return findings, nil
-}
-
 // corpusFiles lists the spec documents of a directory, sorted.
 func corpusFiles(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
@@ -331,27 +229,4 @@ func corpusFiles(dir string) ([]string, error) {
 	}
 	sort.Strings(out)
 	return out, nil
-}
-
-// firstDiffLines reports the first differing lines of two texts.
-func firstDiffLines(want, got string, max int) []string {
-	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
-	var out []string
-	for i := 0; i < len(w) || i < len(g); i++ {
-		var lw, lg string
-		if i < len(w) {
-			lw = w[i]
-		}
-		if i < len(g) {
-			lg = g[i]
-		}
-		if lw == lg {
-			continue
-		}
-		out = append(out, fmt.Sprintf("line %d: golden %q != got %q", i+1, lw, lg))
-		if len(out) >= max {
-			break
-		}
-	}
-	return out
 }

@@ -16,8 +16,8 @@ import (
 //
 // The graph is built once per Program (see Program.CallGraph) and
 // shared by every interprocedural analyzer: hotatomic's Converge
-// traversal, frozenfork's mutated-parameter fixpoint, cachekey's
-// string-flow proof, and goroleak's spawned-body resolution.
+// traversal, frozenfork's mutated-parameter fixpoint, and goroleak's
+// spawned-body resolution.
 type CallGraph struct {
 	prog *Program
 	// decls maps every in-module function object to its declaration.
@@ -155,22 +155,6 @@ func enclosingFuncDecls(pkg *Package) []*ast.FuncDecl {
 		}
 	}
 	return out
-}
-
-// identObject resolves an expression to the object it names: an
-// identifier's use/def, or a selector's field/method object. Returns
-// nil for anything more complex.
-func identObject(info *types.Info, e ast.Expr) types.Object {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		if obj := info.Uses[e]; obj != nil {
-			return obj
-		}
-		return info.Defs[e]
-	case *ast.SelectorExpr:
-		return info.Uses[e.Sel]
-	}
-	return nil
 }
 
 // receiverIdentObject returns the object of a method call's receiver

@@ -25,7 +25,7 @@ func (f Finding) String() string {
 
 // Analyzer is one repo-invariant rule. Run is invoked once per analyzed
 // package and may consult the whole Program for cross-package facts
-// (the sealed-mutator set, the bgp hot-path call graph).
+// (the frozen-mutator set, the bgp hot-path call graph).
 type Analyzer struct {
 	// Name is the rule id findings and //lint:allow comments use.
 	Name string
@@ -42,13 +42,11 @@ type Analyzer struct {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		analyzerMapOrder(),
-		analyzerSealedMut(),
 		analyzerHotAtomic(),
 		analyzerCtxFlow(),
 		analyzerWallTime(),
 		analyzerFrozenFork(),
 		analyzerEnvelope(),
-		analyzerCacheKey(),
 		analyzerGoroLeak(),
 	}
 }

@@ -101,7 +101,7 @@ func TestFixtures(t *testing.T) {
 }
 
 // TestEveryAnalyzerHasFixtureCoverage guards against fixture bit-rot:
-// each of the nine rules must have at least one positive marker and at
+// each of the seven rules must have at least one positive marker and at
 // least one suppression in the fixture tree.
 func TestEveryAnalyzerHasFixtureCoverage(t *testing.T) {
 	prog := loadFixture(t)
@@ -155,18 +155,6 @@ func TestAllowDirectiveValidation(t *testing.T) {
 		if !strings.Contains(f.Message, wantFrags[i]) {
 			t.Errorf("finding %d: message %q does not mention %q", i, f.Message, wantFrags[i])
 		}
-	}
-}
-
-// TestSealedMutatorSetIsDerived checks that the sealedmut rule derives
-// the guarded mutator set from source (any Topology method calling
-// mutable) instead of a hardcoded list.
-func TestSealedMutatorSetIsDerived(t *testing.T) {
-	prog := loadFixture(t)
-	got := MutatorNames(prog)
-	want := []string{"MarkContentPrefix", "PinPrefix"}
-	if strings.Join(got, ",") != strings.Join(want, ",") {
-		t.Fatalf("fixture mutator set = %v, want %v", got, want)
 	}
 }
 
@@ -339,8 +327,8 @@ func TestRepoIsClean(t *testing.T) {
 // TestAnalyzerNamesStable pins the public rule-id surface: DESIGN.md,
 // CI, and //lint:allow comments all reference these ids.
 func TestAnalyzerNamesStable(t *testing.T) {
-	want := []string{"cachekey", "ctxflow", "envelope", "frozenfork", "goroleak",
-		"hotatomic", "maporder", "sealedmut", "walltime"}
+	want := []string{"ctxflow", "envelope", "frozenfork", "goroleak",
+		"hotatomic", "maporder", "walltime"}
 	got := AnalyzerNames()
 	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Fatalf("analyzer names = %v, want %v", got, want)

@@ -42,7 +42,7 @@ type Package struct {
 
 // Program is a fully loaded module: every package parsed and
 // type-checked against one shared FileSet. Analyzers receive the whole
-// Program so cross-package rules (the sealed-mutator set, the bgp hot
+// Program so cross-package rules (the frozen-mutator set, the bgp hot
 // path) can be derived from source instead of hardcoded.
 type Program struct {
 	Fset       *token.FileSet
@@ -52,7 +52,7 @@ type Program struct {
 	byPath     map[string]*Package
 
 	// cgOnce/cg lazily cache the module-wide call graph so the
-	// interprocedural analyzers (frozenfork, cachekey, goroleak) share
+	// interprocedural analyzers (hotatomic, frozenfork, goroleak) share
 	// one build per Run instead of re-walking every body per package.
 	cgOnce sync.Once
 	cg     *CallGraph

@@ -1,6 +1,7 @@
 // Package service is the query layer over a fleet of warm scenarios: a
 // Store that registers scenario specs, builds each sealed world on
-// first use and keeps the recent ones resident, and a Fleet — the one
+// first use and keeps the most recently served ones resident within one
+// byte budget (StoreConfig.MaxScenarioBytes), and a Fleet — the one
 // http.Handler — serving classification, alternate-route, experiment,
 // what-if and topology lookups per scenario as versioned JSON under
 // /v1/scenarios/{id}/..., with the un-prefixed /v1/... routes aliasing
@@ -12,7 +13,9 @@
 // Every data endpoint is a pure function of (sealed scenario, request
 // parameters): responses are byte-identical across requests, across
 // worker counts, and across any mix of concurrent clients. The
-// response cache stores fully-marshaled bodies, so a cache hit is
+// response cache — one for the fleet, reached by each tenant only
+// through its own partition, so an entry always carries the scenario it
+// belongs to — stores fully-marshaled bodies, so a cache hit is
 // trivially identical to the miss that produced it; a cache miss
 // recomputes a deterministic value and marshals it with encoding/json
 // (struct fields in declaration order, map keys sorted). /v1/metrics
@@ -23,7 +26,8 @@
 //
 // Request admission is bounded by a parallel.Gate; duplicate in-flight
 // requests for the same cache key are coalesced (one computation, many
-// waiters). Computations only read the sealed Scenario and the
+// waiters; a waiter whose own context is live retries when the
+// computation died of its leader's cancellation). Computations only read the sealed Scenario and the
 // synchronized classify.Context caches; nothing mutates shared state,
 // so any interleaving yields the same bytes. The alternates and what-if
 // endpoints mutate a copy-on-write Fork of the scenario's frozen

@@ -3,23 +3,31 @@ package service
 import (
 	"container/list"
 	"context"
+	"errors"
 	"sync"
 )
 
 // cache is an LRU over fully-marshaled response bodies with in-flight
 // coalescing: concurrent requests for the same key share one
 // computation, so a burst of identical queries costs one experiment
-// run and every client gets the very same bytes.
+// run and every client gets the very same bytes. One cache serves the
+// whole fleet; a tenant reaches it only through its partition, so every
+// key carries the tenant it belongs to.
 type cache struct {
 	mu       sync.Mutex
 	cap      int
-	order    *list.List               // front = most recent
-	entries  map[string]*list.Element // value: *entry
-	inflight map[string]*call
+	order    *list.List                 // front = most recent
+	entries  map[cacheKey]*list.Element // value: *entry
+	inflight map[cacheKey]*call
 }
 
+// cacheKey is a tenant-qualified key. The two parts are separate fields
+// rather than a joined string, so no tenant name or request key can
+// spell its way into another tenant's entries.
+type cacheKey struct{ tenant, key string }
+
 type entry struct {
-	key  string
+	key  cacheKey
 	body []byte
 }
 
@@ -36,10 +44,20 @@ func newCache(capacity int) *cache {
 	return &cache{
 		cap:      capacity,
 		order:    list.New(),
-		entries:  make(map[string]*list.Element),
-		inflight: make(map[string]*call),
+		entries:  make(map[cacheKey]*list.Element),
+		inflight: make(map[cacheKey]*call),
 	}
 }
+
+// partition is one tenant's handle on the shared cache: the only way in
+// (do is a method of partition, not of cache), so a Server cannot look
+// up or fill an entry without its scenario id attached.
+type partition struct {
+	c      *cache
+	tenant string
+}
+
+func (c *cache) partition(tenant string) partition { return partition{c: c, tenant: tenant} }
 
 // do returns the cached body for key, joining an in-flight computation
 // or running fn to produce it. The returned hit flag reports whether
@@ -48,16 +66,17 @@ func newCache(capacity int) *cache {
 // cached. Waiters honor their own ctx; when the computing caller's ctx
 // kills the computation, surviving waiters retry rather than inherit
 // the stranger's deadline.
-func (c *cache) do(ctx context.Context, key string, fn func() ([]byte, error)) (body []byte, hit bool, err error) {
+func (p partition) do(ctx context.Context, key string, fn func() ([]byte, error)) (body []byte, hit bool, err error) {
+	c, k := p.c, cacheKey{tenant: p.tenant, key: key}
 	for {
 		c.mu.Lock()
-		if el, ok := c.entries[key]; ok {
+		if el, ok := c.entries[k]; ok {
 			c.order.MoveToFront(el)
 			body := el.Value.(*entry).body
 			c.mu.Unlock()
 			return body, true, nil
 		}
-		if cl, ok := c.inflight[key]; ok {
+		if cl, ok := c.inflight[k]; ok {
 			c.mu.Unlock()
 			select {
 			case <-cl.done:
@@ -73,20 +92,20 @@ func (c *cache) do(ctx context.Context, key string, fn func() ([]byte, error)) (
 			// The computation died on ITS caller's context (or a real
 			// error); our context is still live, so try again — either a
 			// fresh inflight exists or we become the computer.
-			if cl.err != context.Canceled && cl.err != context.DeadlineExceeded {
+			if !ctxDied(cl.err) {
 				return nil, false, cl.err
 			}
 			continue
 		}
 		cl := &call{done: make(chan struct{})}
-		c.inflight[key] = cl
+		c.inflight[k] = cl
 		c.mu.Unlock()
 
 		cl.body, cl.err = fn()
 		c.mu.Lock()
-		delete(c.inflight, key)
+		delete(c.inflight, k)
 		if cl.err == nil {
-			c.insert(key, cl.body)
+			c.insert(k, cl.body)
 		}
 		c.mu.Unlock()
 		close(cl.done)
@@ -94,8 +113,16 @@ func (c *cache) do(ctx context.Context, key string, fn func() ([]byte, error)) (
 	}
 }
 
+// ctxDied reports whether err is, or wraps, a context cancellation or
+// deadline: the failure a waiter with a live context retries past and
+// the handler answers 504. Computations wrap it (runAll's "experiments:
+// table1: context canceled"), so == on the sentinels is not enough.
+func ctxDied(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
 // insert adds key under the LRU policy. Caller holds c.mu.
-func (c *cache) insert(key string, body []byte) {
+func (c *cache) insert(key cacheKey, body []byte) {
 	if el, ok := c.entries[key]; ok {
 		c.order.MoveToFront(el)
 		el.Value.(*entry).body = body
@@ -109,32 +136,29 @@ func (c *cache) insert(key string, body []byte) {
 	}
 }
 
-// len reports the number of cached bodies (for tests and metrics).
-func (c *cache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
+// len reports the number of cached bodies, every tenant's together
+// (the service.cache.entries gauge).
+func (p partition) len() int {
+	p.c.mu.Lock()
+	defer p.c.mu.Unlock()
+	return p.c.order.Len()
 }
 
-// removePrefix drops every cached body whose key starts with prefix —
-// the partition purge the scenario store runs when it evicts a sealed
-// scenario, so an evicted tenant's memory is actually released and a
-// rebuild serves freshly-computed (byte-identical) bodies. In-flight
-// computations are left alone; they complete and re-insert, which is
-// harmless because responses are deterministic per key.
-func (c *cache) removePrefix(prefix string) int {
+// purge drops every cached body of one tenant — what the scenario store
+// runs when it evicts a sealed scenario, so an evicted tenant's memory
+// is actually released and a rebuild serves freshly-computed
+// (byte-identical) bodies. In-flight computations are left alone; they
+// complete and re-insert, which is harmless because responses are
+// deterministic per key.
+func (c *cache) purge(tenant string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	removed := 0
 	for el := c.order.Front(); el != nil; {
 		next := el.Next()
-		e := el.Value.(*entry)
-		if len(e.key) >= len(prefix) && e.key[:len(prefix)] == prefix {
+		if e := el.Value.(*entry); e.key.tenant == tenant {
 			c.order.Remove(el)
 			delete(c.entries, e.key)
-			removed++
 		}
 		el = next
 	}
-	return removed
 }

@@ -3,7 +3,7 @@ package service
 import (
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
+	"slices"
 	"testing"
 
 	"routelab/internal/obs"
@@ -108,66 +108,86 @@ func TestStoreByteBudgetSoleResident(t *testing.T) {
 	}
 }
 
-// TestStoreEvictionDifferential replays one randomized admit/query
-// history against a count-budget store and a byte-budget store sized
-// to the same capacity (two worlds), checking after every step that
-// each store honors its own budget invariant, that the byte store's
-// ResidentBytes ledger reconciles exactly with the sum of its built
-// tenants' SizeBytes, and that both stores serve byte-identical bodies
-// for every id across evictions and rebuilds.
+// TestStoreEvictionDifferential replays one randomized query history
+// against the store and against a test-only model of its policy — an
+// LRU list of (id, bytes) that evicts from the cold end while the sum
+// exceeds the budget and more than one world is resident — checking
+// after every step that the store's resident set and ResidentBytes
+// ledger equal the model's, that a rebuilt world accounts to the same
+// size, and that every id serves byte-identical bodies across evictions
+// and rebuilds.
 func TestStoreEvictionDifferential(t *testing.T) {
 	obs.Reset()
 	size := measureTenantBytes(t)
-	newFleet := func(cfg StoreConfig) (*Store, *httptest.Server) {
-		return newTestFleet(t, cfg,
-			testExpansion("a", 11), testExpansion("b", 12), testExpansion("c", 13))
-	}
-	countSt, countTS := newFleet(StoreConfig{MaxScenarios: 2})
 	// Half a world of slack absorbs per-seed size variation while still
 	// holding exactly two.
 	budget := 2*size + size/2
-	byteSt, byteTS := newFleet(StoreConfig{MaxScenarioBytes: budget})
+	st, ts := newTestFleet(t, StoreConfig{MaxScenarioBytes: budget},
+		testExpansion("a", 11), testExpansion("b", 12), testExpansion("c", 13))
 
 	ids := []string{"a", "b", "c"}
 	rng := rand.New(rand.NewSource(42))
 	bodies := make(map[string]string) // id -> canonical table1 body
+	sizes := make(map[string]int64)   // id -> SizeBytes at its first build
+	var lru []string                  // the model: resident ids, most recent first
+	evictions := int64(0)
+	modelBytes := func() (n int64) {
+		for _, id := range lru {
+			n += sizes[id]
+		}
+		return n
+	}
 	// 8 steps over 3 ids against capacity 2 churns several evictions and
-	// rebuilds per store while keeping the -race run affordable.
+	// rebuilds while keeping the -race run affordable.
 	for step := 0; step < 8; step++ {
 		id := ids[rng.Intn(len(ids))]
-		path := "/v1/scenarios/" + id + "/experiments/table1"
-
-		countStatus, countBody, _ := getHeader(t, countTS.URL+path)
-		byteStatus, byteBody, _ := getHeader(t, byteTS.URL+path)
-		if countStatus != http.StatusOK || byteStatus != http.StatusOK {
-			t.Fatalf("step %d id %s: status %d/%d", step, id, countStatus, byteStatus)
+		status, body, _ := getHeader(t, ts.URL+"/v1/scenarios/"+id+"/experiments/table1")
+		if status != http.StatusOK {
+			t.Fatalf("step %d id %s: status %d", step, id, status)
 		}
-		if countBody != byteBody {
-			t.Fatalf("step %d id %s: count and byte stores disagree on bytes", step, id)
-		}
-		if want, ok := bodies[id]; ok && want != countBody {
+		if want, ok := bodies[id]; ok && want != body {
 			t.Fatalf("step %d id %s: body changed across evictions/rebuilds", step, id)
 		}
-		bodies[id] = countBody
+		bodies[id] = body
 
-		if n := countSt.BuiltLen(); n > 2 {
-			t.Fatalf("step %d: count store resident %d > cap 2", step, n)
+		info, err := st.Info(id)
+		if err != nil || !info.Built {
+			t.Fatalf("step %d id %s: just served but not resident (err %v)", step, id, err)
 		}
-		if got := byteSt.ResidentBytes(); got > budget && byteSt.BuiltLen() > 1 {
-			t.Fatalf("step %d: byte store %d bytes over budget %d with %d residents",
-				step, got, budget, byteSt.BuiltLen())
+		if want, ok := sizes[id]; ok && want != info.SizeBytes {
+			t.Fatalf("step %d id %s: rebuilt SizeBytes %d, first build %d", step, id, info.SizeBytes, want)
 		}
-		// Ledger reconciliation: the counter must equal the sum of what
-		// the store reports per built scenario — no leaked or stale bytes
-		// after any eviction.
-		var sum int64
-		for _, info := range byteSt.Infos() {
+		sizes[id] = info.SizeBytes
+
+		// Advance the model: touch or admit id, then evict by bytes.
+		if i := slices.Index(lru, id); i >= 0 {
+			lru = slices.Delete(lru, i, i+1)
+		}
+		lru = slices.Insert(lru, 0, id)
+		for modelBytes() > budget && len(lru) > 1 {
+			lru = lru[:len(lru)-1]
+			evictions++
+		}
+
+		var built []string
+		for _, info := range st.Infos() {
 			if info.Built {
-				sum += info.SizeBytes
+				built = append(built, info.ID)
 			}
 		}
-		if got := byteSt.ResidentBytes(); got != sum {
-			t.Fatalf("step %d: ResidentBytes %d != sum of built SizeBytes %d", step, got, sum)
+		want := slices.Clone(lru) // Infos is sorted by id
+		slices.Sort(want)
+		if !slices.Equal(built, want) {
+			t.Fatalf("step %d: store holds %v, model holds %v", step, built, want)
 		}
+		if got, want := st.ResidentBytes(), modelBytes(); got != want {
+			t.Fatalf("step %d: ResidentBytes %d != model's %d", step, got, want)
+		}
+	}
+	if evictions == 0 {
+		t.Fatal("history evicted nothing; the differential compared nothing")
+	}
+	if n := obs.Snap().Counters["service.scenario.evictions"]; n != evictions {
+		t.Errorf("service.scenario.evictions = %d, model evicted %d", n, evictions)
 	}
 }

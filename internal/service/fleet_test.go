@@ -252,13 +252,14 @@ func TestStoreSingleflightBuilds(t *testing.T) {
 	}
 }
 
-// TestStoreLRUEviction drives a MaxScenarios=1 store across two ids and
+// TestStoreLRUEviction drives a store whose budget holds one world (a
+// 1-byte budget under the sole-resident rule) across two ids and
 // checks evictions, rebuilds, and that a rebuilt scenario's responses
 // are byte-identical — including a genuine recompute (cache partition
 // purged on eviction, so the rebuilt world's first answer is a miss).
 func TestStoreLRUEviction(t *testing.T) {
 	obs.Reset()
-	st, ts := newTestFleet(t, StoreConfig{MaxScenarios: 1},
+	st, ts := newTestFleet(t, StoreConfig{MaxScenarioBytes: 1},
 		testExpansion("alpha", 1), testExpansion("beta", 2))
 	urlA := ts.URL + "/v1/scenarios/alpha/experiments/table1"
 	urlB := ts.URL + "/v1/scenarios/beta/experiments/table1"
@@ -271,7 +272,7 @@ func TestStoreLRUEviction(t *testing.T) {
 		t.Errorf("second alpha: cache %q, want hit", hdr)
 	}
 
-	// Touching beta builds it and evicts alpha (cap 1).
+	// Touching beta builds it and evicts alpha (only one fits).
 	if status, _, _ = getHeader(t, urlB); status != http.StatusOK {
 		t.Fatalf("beta: status %d", status)
 	}
@@ -301,12 +302,12 @@ func TestStoreLRUEviction(t *testing.T) {
 	}
 }
 
-// TestStoreLRUEvictionConcurrent churns a cap-1 store from many
+// TestStoreLRUEvictionConcurrent churns a one-world store from many
 // goroutines under -race: builds coalesce per id, eviction bookkeeping
 // stays consistent, and every response is valid.
 func TestStoreLRUEvictionConcurrent(t *testing.T) {
 	obs.Reset()
-	st, ts := newTestFleet(t, StoreConfig{MaxScenarios: 1},
+	st, ts := newTestFleet(t, StoreConfig{MaxScenarioBytes: 1},
 		testExpansion("alpha", 1), testExpansion("beta", 2))
 	const rounds = 6
 	var wg sync.WaitGroup

@@ -39,17 +39,16 @@ type Config struct {
 }
 
 // Server answers queries over one sealed Scenario: one tenant of the
-// Fleet. The store builds one per sealed scenario, hands every tenant a
-// partition of the shared response cache (keys carry the scenario id,
-// so two scenarios can never cross-serve cached bodies), and the Fleet
-// routes /v1/scenarios/{id}/... requests to the tenant's handlers. The
-// zero value is not usable.
+// Fleet. The store builds one per sealed scenario, hands every tenant
+// its partition of the shared response cache (the partition carries the
+// scenario id, so two scenarios can never cross-serve cached bodies),
+// and the Fleet routes /v1/scenarios/{id}/... requests to the tenant's
+// handlers. The zero value is not usable.
 type Server struct {
-	id       string // scenario id; prefixes every cache key
 	s        *scenario.Scenario
 	cfg      Config
 	gate     *parallel.Gate
-	cache    *cache
+	cache    partition
 	traceIdx map[int]int // Measurement.TraceID -> index into s.Measurements
 	health   []byte      // static healthz body
 	size     int64       // resident-byte estimate from the build-time accounting walk
@@ -64,15 +63,14 @@ type Server struct {
 // routelabd without -scenario-dir registers its one world under it.
 const DefaultID = "default"
 
-// newTenant assembles one scenario tenant. shared is the store-wide
-// response cache this tenant partitions by key prefix.
-func newTenant(id string, s *scenario.Scenario, cfg Config, shared *cache) *Server {
+// newTenant assembles one scenario tenant. cache is its partition of
+// the store-wide response cache — all of that cache a tenant ever sees.
+func newTenant(s *scenario.Scenario, cfg Config, cache partition) *Server {
 	srv := &Server{
-		id:       id,
 		s:        s,
 		cfg:      cfg,
 		gate:     parallel.NewGate(cfg.MaxConcurrent),
-		cache:    shared,
+		cache:    cache,
 		traceIdx: make(map[int]int, len(s.Measurements)),
 	}
 	// Warm the per-prefix anycast bases now: one convergence each, the
@@ -166,13 +164,12 @@ func (w *statusWriter) WriteHeader(code int) {
 const CacheHeader = "X-Routelab-Cache"
 
 // compute produces (and caches) a response body: admission through the
-// gate, duplicate suppression and LRU through the cache. The cache key
-// is namespaced by the scenario id — the fleet shares one cache across
-// tenants, and an id-free key would let two scenarios cross-serve each
-// other's bodies for the same endpoint+params (the PR 3 single-tenant
-// key shape; see TestNoCrossScenarioCacheServe).
+// gate, duplicate suppression and LRU through the tenant's partition of
+// the fleet-wide cache. key names the endpoint and its parameters only;
+// the partition adds the scenario, so two tenants asking for the same
+// endpoint+params never share a body (TestNoCrossScenarioCacheServe).
 func (srv *Server) compute(ctx context.Context, key string, fn func(ctx context.Context) ([]byte, error)) ([]byte, bool, error) {
-	body, hit, err := srv.cache.do(ctx, srv.id+"|"+key, func() ([]byte, error) {
+	body, hit, err := srv.cache.do(ctx, key, func() ([]byte, error) {
 		// Shed before queueing: a gate line already at budget means this
 		// computation would sit behind work it may not outlive. Coalesced
 		// waiters on this key inherit the OverloadError and 429 too (each
@@ -310,7 +307,7 @@ func failCompute(w http.ResponseWriter, err error) {
 		failOverload(w, oe)
 		return
 	}
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+	if ctxDied(err) {
 		fail(w, http.StatusGatewayTimeout, apiErr(CodeTimeout, "request deadline exceeded: "+err.Error()))
 		return
 	}

@@ -22,7 +22,7 @@ var (
 	sharedErr  error
 )
 
-func testScenario(t *testing.T) *scenario.Scenario {
+func testScenario(t testing.TB) *scenario.Scenario {
 	t.Helper()
 	sharedOnce.Do(func() {
 		shared, sharedErr = scenario.Build(scenario.TestConfig(), nil)
@@ -38,14 +38,14 @@ func testScenario(t *testing.T) *scenario.Scenario {
 // DefaultID and already resident, behind the fleet handler. The tenant
 // is inserted directly rather than built through Get, so every test
 // shares one scenario build.
-func newFleetOfOne(t *testing.T, cfg StoreConfig) (*Server, *httptest.Server) {
+func newFleetOfOne(t testing.TB, cfg StoreConfig) (*Server, *httptest.Server) {
 	t.Helper()
 	s := testScenario(t)
 	st := NewStore(cfg)
 	if err := st.Register(&spec.Expansion{Name: DefaultID, Profile: "test", Config: s.Cfg}, "test"); err != nil {
 		t.Fatal(err)
 	}
-	srv := newTenant(DefaultID, s, cfg.Tenant, st.cache)
+	srv := newTenant(s, cfg.Tenant, st.cache.partition(DefaultID))
 	st.mu.Lock()
 	st.insert(DefaultID, srv)
 	st.mu.Unlock()
@@ -54,7 +54,7 @@ func newFleetOfOne(t *testing.T, cfg StoreConfig) (*Server, *httptest.Server) {
 	return srv, ts
 }
 
-func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	return newFleetOfOne(t, StoreConfig{Tenant: cfg})
 }

@@ -71,7 +71,7 @@ func TestSizeOfDeterministic(t *testing.T) {
 // is the same walk with the short cut off, on a whole built tenant —
 // whose RIB columns, route rows and path nodes are exactly such slices.
 func TestSizeWalkShortCutIsExact(t *testing.T) {
-	srv := newTenant(DefaultID, testScenario(t), Config{}, newCache(0))
+	srv := newTenant(testScenario(t), Config{}, newCache(0).partition(DefaultID))
 	full := newSizeWalker()
 	full.everyElement = true
 	if got := srv.accountSizeWith(full); got != srv.SizeBytes() {
@@ -95,7 +95,7 @@ func TestSizeWalkShortCutIsExact(t *testing.T) {
 // sealed scenario it wraps (it adds indexes and the health body on
 // top), be stable across re-walks, and be what SizeBytes reports.
 func TestAccountSizeCoversTenant(t *testing.T) {
-	srv := newTenant(DefaultID, testScenario(t), Config{}, newCache(0))
+	srv := newTenant(testScenario(t), Config{}, newCache(0).partition(DefaultID))
 	if srv.SizeBytes() != srv.size {
 		t.Error("SizeBytes does not report the build-time measurement")
 	}

@@ -23,17 +23,13 @@ var ErrUnknownScenario = errors.New("unknown scenario id")
 
 // StoreConfig sizes the scenario store.
 type StoreConfig struct {
-	// MaxScenarios bounds how many sealed (built) scenarios stay
-	// resident at once; the least-recently-served is evicted past the
-	// cap and rebuilt on demand. <= 0 selects the default (4). Ignored
-	// when MaxScenarioBytes is set.
-	MaxScenarios int
-	// MaxScenarioBytes, when > 0, switches eviction from count to
-	// memory accounting: each tenant's build-time SizeBytes estimate is
-	// charged against this budget, and the least-recently-served
-	// tenants are evicted while the total exceeds it. The most recent
-	// tenant is never evicted, so one over-budget world serves rather
-	// than thrashes.
+	// MaxScenarioBytes is the residency budget: each sealed (built)
+	// tenant's build-time SizeBytes estimate is charged against it, and
+	// the least-recently-served tenants are evicted (and rebuilt on
+	// demand) while the total exceeds it. <= 0 selects the default
+	// (1 GiB: about ninety test-scale tenants, or one paper-scale
+	// world). The most recent tenant is never evicted, so one
+	// over-budget world serves rather than thrashes.
 	MaxScenarioBytes int64
 	// MaxBuilds bounds concurrent scenario builds. Builds are the
 	// expensive multi-core phase, so the default (1) serializes them;
@@ -46,8 +42,8 @@ type StoreConfig struct {
 	// deadline).
 	MaxQueuedBuilds int
 	// CacheSize bounds the fleet-wide response cache (entries) shared by
-	// every tenant; <= 0 selects the default (256). Keys are namespaced
-	// by scenario id, and a tenant's partition is purged on eviction.
+	// every tenant; <= 0 selects the default (256). Every tenant reaches
+	// it through its own partition, which is purged on eviction.
 	CacheSize int
 	// Tenant configures each per-scenario Server (admission gate,
 	// request deadline).
@@ -65,7 +61,7 @@ type StoreConfig struct {
 type Store struct {
 	cfg       StoreConfig
 	buildGate *parallel.Gate
-	cache     *cache // shared across tenants, keys namespaced by id
+	cache     *cache // shared across tenants, one partition each
 
 	mu            sync.Mutex
 	sources       map[string]*source
@@ -103,8 +99,8 @@ type buildCall struct {
 // NewStore assembles an empty store; register scenarios with Register
 // or RegisterDir.
 func NewStore(cfg StoreConfig) *Store {
-	if cfg.MaxScenarios <= 0 {
-		cfg.MaxScenarios = 4
+	if cfg.MaxScenarioBytes <= 0 {
+		cfg.MaxScenarioBytes = 1 << 30
 	}
 	if cfg.MaxBuilds <= 0 {
 		cfg.MaxBuilds = 1
@@ -282,7 +278,7 @@ func (st *Store) Get(ctx context.Context, id string) (*Server, error) {
 			}
 			// The build died on ITS caller's context; ours is live, so
 			// retry — the same recovery the response cache uses.
-			if bc.err != context.Canceled && bc.err != context.DeadlineExceeded {
+			if !ctxDied(bc.err) {
 				return nil, bc.err
 			}
 			continue
@@ -343,7 +339,7 @@ func (st *Store) build(ctx context.Context, id string, src *source) (*Server, er
 		bp.mu.Unlock()
 		return nil, fmt.Errorf("service: build scenario %q: %w", id, err)
 	}
-	tenant := newTenant(id, s, st.cfg.Tenant, st.cache)
+	tenant := newTenant(s, st.cfg.Tenant, st.cache.partition(id))
 	// Built (insert will drop the tracker; this covers the window
 	// between returning and the caller's insert under st.mu).
 	bp.mu.Lock()
@@ -385,24 +381,18 @@ func (st *Store) ResidentBytes() int64 {
 	return st.residentBytes
 }
 
-// insert records a freshly-built tenant and evicts past the budget:
-// resident bytes when MaxScenarioBytes is set (the memory-accounted
-// policy), resident count otherwise. Caller holds st.mu.
+// insert records a freshly-built tenant and evicts the
+// least-recently-served ones while the resident bytes exceed the
+// budget. Caller holds st.mu.
 func (st *Store) insert(id string, tenant *Server) {
 	delete(st.progress, id) // residency now answers BuildProgress
 	e := &builtEntry{id: id, tenant: tenant, bytes: tenant.SizeBytes()}
 	st.builtIdx[id] = st.order.PushFront(e)
 	st.residentBytes += e.bytes
-	if st.cfg.MaxScenarioBytes > 0 {
-		// Never evict the sole resident: one over-budget world should
-		// serve (and report its true cost) rather than thrash forever.
-		for st.residentBytes > st.cfg.MaxScenarioBytes && st.order.Len() > 1 {
-			st.evictOldest()
-		}
-	} else {
-		for st.order.Len() > st.cfg.MaxScenarios {
-			st.evictOldest()
-		}
+	// Never evict the sole resident: one over-budget world should serve
+	// (and report its true cost) rather than thrash forever.
+	for st.residentBytes > st.cfg.MaxScenarioBytes && st.order.Len() > 1 {
+		st.evictOldest()
 	}
 	obs.SetGauge("service.scenario.built", float64(st.order.Len()))
 	obs.SetGauge("service.scenario.resident_bytes", float64(st.residentBytes))
@@ -419,6 +409,6 @@ func (st *Store) evictOldest() {
 	// Purge the evicted tenant's cache partition: responses are
 	// deterministic, so dropping them only costs recomputation, and
 	// keeping them would hold the evicted world's bodies in memory.
-	st.cache.removePrefix(evicted.id + "|")
+	st.cache.purge(evicted.id)
 	obs.Inc("service.scenario.evictions")
 }

@@ -70,31 +70,56 @@ func TestCorpusExpandsDeterministically(t *testing.T) {
 	}
 }
 
-// TestCorpusMatchesGoldens re-runs scengen check's comparison inside go
-// test, so `go test ./...` alone catches a drifted corpus. Regenerate
-// with: go run ./cmd/scengen -update check scenarios
+// TestCorpusMatchesGoldens is the corpus check: every spec under
+// scenarios/ expands to exactly the canonical routelab-scengen/v1
+// envelope committed as scenarios/golden/<name>.json, and every golden
+// has a spec, so the corpus and the spec compiler cannot drift apart
+// silently. After an INTENTIONAL change regenerate with
+// WRITE_GOLDEN=1 go test ./internal/spec -run TestCorpusMatchesGoldens
+// and read `git diff scenarios/golden` for what moved.
 func TestCorpusMatchesGoldens(t *testing.T) {
+	update := os.Getenv("WRITE_GOLDEN") != ""
+	goldenDir := filepath.Join(corpusDir, "golden")
+	names := make(map[string]bool)
 	for _, file := range corpusFiles(t) {
 		e, err := Expand(filepath.Join(corpusDir, file), nil)
 		if err != nil {
 			t.Errorf("%s: %v", file, err)
 			continue
 		}
-		// scengen check normalizes Source so goldens are cwd-independent.
+		names[e.Name] = true
+		// Normalized provenance keeps the golden bytes independent of
+		// the directory the expansion ran from.
 		e.Source = "scenarios/" + file
 		got, err := e.MarshalCanonical()
 		if err != nil {
 			t.Errorf("%s: %v", file, err)
 			continue
 		}
-		goldenPath := filepath.Join(corpusDir, "golden", e.Name+".json")
+		goldenPath := filepath.Join(goldenDir, e.Name+".json")
+		if update {
+			if err := os.WriteFile(goldenPath, got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
 		want, err := os.ReadFile(goldenPath)
 		if err != nil {
-			t.Errorf("%s: missing golden (run: go run ./cmd/scengen -update check scenarios): %v", file, err)
+			t.Errorf("%s: missing golden (regenerate with WRITE_GOLDEN=1): %v", file, err)
 			continue
 		}
 		if string(got) != string(want) {
-			t.Errorf("%s: expansion differs from %s (regenerate with scengen -update check)", file, goldenPath)
+			t.Errorf("%s: expansion differs from %s (regenerate with WRITE_GOLDEN=1)", file, goldenPath)
+		}
+	}
+	// A golden with no spec is rot in the other direction.
+	goldens, err := filepath.Glob(filepath.Join(goldenDir, "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range goldens {
+		if !names[strings.TrimSuffix(filepath.Base(g), ".json")] {
+			t.Errorf("%s: golden has no spec under scenarios/ (delete it or add the spec)", g)
 		}
 	}
 }

@@ -22,7 +22,7 @@
 // selection: no wall clock, no global randomness (enforced by the
 // routelint walltime analyzer, which covers this package). Expanding
 // the same spec twice yields byte-identical output — the property
-// `make spec-check` pins for every corpus entry under scenarios/.
+// TestCorpusMatchesGoldens pins for every corpus entry under scenarios/.
 package spec
 
 import (

@@ -879,8 +879,8 @@ func (g *generator) makeContentHosting(contents []asn.ASN) {
 			// Stride across continent blocks so the first six prefixes
 			// cover all six continents.
 			city := hubs[(j%len(geo.Continents))*perCont+(j/len(geo.Continents))%perCont]
-			g.topo.PinPrefix(p, city)
-			g.topo.MarkContentPrefix(p)
+			g.topo.pinPrefix(p, city)
+			g.topo.markContentPrefix(p)
 			conts[j] = g.w.ContinentOf(city)
 		}
 		regionOf[owner] = conts
@@ -949,8 +949,8 @@ func (g *generator) makeContentHosting(contents []asn.ASN) {
 		}
 		host.Prefixes = append(host.Prefixes, p)
 		g.topo.prefixOrigin[p] = h
-		g.topo.PinPrefix(p, host.Cities[0])
-		g.topo.MarkContentPrefix(p)
+		g.topo.pinPrefix(p, host.Cities[0])
+		g.topo.markContentPrefix(p)
 		g.topo.DNS.AddCache(dnsdb.Cache{Provider: cdn, HostAS: h, Prefix: p})
 		// The CDN steers: many cache prefixes are announced through
 		// only one chosen upstream.

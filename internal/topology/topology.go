@@ -82,9 +82,9 @@ func (t *Topology) mutable(op string) {
 	}
 }
 
-// MarkContentPrefix tags a prefix as content-serving. Generator-only.
-func (t *Topology) MarkContentPrefix(p asn.Prefix) {
-	t.mutable("MarkContentPrefix")
+// markContentPrefix tags a prefix as content-serving. Generator-only.
+func (t *Topology) markContentPrefix(p asn.Prefix) {
+	t.mutable("markContentPrefix")
 	t.contentPrefix[p] = true
 }
 
@@ -98,10 +98,10 @@ func (t *Topology) IsContentPrefix(p asn.Prefix) bool {
 	return o != nil && o.Class == Content
 }
 
-// PinPrefix anchors a prefix's hosts to a city (a regional serving
+// pinPrefix anchors a prefix's hosts to a city (a regional serving
 // prefix). Generator-only.
-func (t *Topology) PinPrefix(p asn.Prefix, c geo.CityID) {
-	t.mutable("PinPrefix")
+func (t *Topology) pinPrefix(p asn.Prefix, c geo.CityID) {
+	t.mutable("pinPrefix")
 	t.prefixCity[p] = c
 }
 

@@ -31,6 +31,26 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
+// TestSealedTopologyRejectsMutation pins the runtime half of the
+// read-only contract: the mutators are unexported (the compile-time
+// half), and each still panics once Generate has sealed the topology.
+func TestSealedTopologyRejectsMutation(t *testing.T) {
+	p := testTopo.AS(testTopo.ASNs()[0]).Prefixes[0]
+	for name, mutate := range map[string]func(){
+		"markContentPrefix": func() { testTopo.markContentPrefix(p) },
+		"pinPrefix":         func() { testTopo.pinPrefix(p, 1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a sealed topology did not panic", name)
+				}
+			}()
+			mutate()
+		}()
+	}
+}
+
 func TestClassCounts(t *testing.T) {
 	cfg := TestConfig().scaled()
 	counts := map[Class]int{}

@@ -8,6 +8,12 @@
 // inference pipeline — consumes this package. Crucially, the inference
 // pipeline is NOT allowed to read ground-truth relationships; it must
 // re-infer them from vantage-point paths, exactly as CAIDA does.
+//
+// A Topology is read-only once built. Every mutator is unexported, so
+// no other package can name one — the compiler holds that invariant —
+// and each still panics on a sealed topology (Topology.mutable), which
+// is what lets the engine and every parallel stage share one Topology
+// without locks.
 package topology
 
 import (

@@ -63,7 +63,7 @@ wait_serving() {
 
 echo "==> starting routelabd fleet on $ADDR (-scenario-dir scenarios)"
 "$WORKDIR/routelabd" -addr "$ADDR" -scenario-dir scenarios -quiet \
-    -max-scenarios 4 -request-timeout 120s 2>"$LOG" &
+    -request-timeout 120s 2>"$LOG" &
 PID=$!
 wait_serving "$LOG"
 
