@@ -74,5 +74,5 @@ func main() {
 	fmt.Println("\n== model view at", t2, "toward", org, "==")
 	fmt.Printf("  best class rank: %d (0=customer, 1=peer, 2=provider)\n", model.BestRank(t2))
 	fmt.Printf("  shortest policy-compliant length: %d\n", model.ShortestLen(t2))
-	fmt.Printf("  shortest model path: %v\n", model.ShortestPath(graph, t2))
+	fmt.Printf("  shortest model path: %v\n", model.ShortestPath(t2))
 }

@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"routelab/internal/asn"
+	"routelab/internal/race"
 	"routelab/internal/topology"
 )
 
@@ -54,7 +55,7 @@ func allocFixture(t *testing.T) (*Computation, asn.ASN) {
 
 func requireAllocs(t *testing.T, what string, max float64, fn func()) {
 	t.Helper()
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("allocation counts differ under -race")
 	}
 	fn() // warm up caches (origin route, intern pool, obs flush deltas)
@@ -178,7 +179,7 @@ func TestAllocsKernelCeilings(t *testing.T) {
 // RIB keeps a 24-byte record per (AS, prefix) and a few path nodes per
 // prefix; the map[asn.ASN]Route per prefix it replaced cost about 213.
 func TestRIBBytesPerRoute(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("heap sizes differ under -race")
 	}
 	e := New(topology.Generate(1, topology.TestConfig()), 1)

@@ -105,7 +105,7 @@ func (cx *Context) DomesticAnalysis(ms []Measurement, ref Refinement) []Domestic
 // ASes).
 func (cx *Context) hasMultinationalAlternative(d Decision, srcCountry, dstCountry geo.CountryCode) bool {
 	res := cx.gr(d.DstAS)
-	path := res.ShortestPath(cx.Graph, d.At)
+	path := res.ShortestPath(d.At)
 	if path == nil {
 		return false
 	}

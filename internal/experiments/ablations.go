@@ -10,11 +10,13 @@ import (
 	"routelab/internal/classify"
 	"routelab/internal/geo"
 	"routelab/internal/inference"
+	"routelab/internal/obs"
 	"routelab/internal/parallel"
 	"routelab/internal/relgraph"
 	"routelab/internal/report"
 	"routelab/internal/scenario"
 	"routelab/internal/stats"
+	"routelab/internal/vantage"
 )
 
 // AblationProbeRow compares one probe-selection strategy.
@@ -59,12 +61,35 @@ func computeAblations(ctx context.Context, s *scenario.Scenario, rng *rand.Rand)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	computeThresholdAblation(res, s)
+	// Neither the sweep nor the latest-epoch row changes what a snapshot
+	// shows, only how it is labelled: gather the evidence once for both.
+	cfg := inference.DefaultConfig()
+	cfg.SameOrg = s.Siblings.SameOrg
+	evidence := parallel.MapStage("inference/evidence", s.Snapshots, s.Cfg.RoutingWorkers,
+		func(_ int, snap *vantage.Snapshot) *inference.Evidence {
+			return inference.Gather(snap, cfg)
+		})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	computeAggregationAblation(res, s)
+	ds := s.Decisions()
+	computeThresholdAblation(res, s, evidence, ds)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	computeAggregationAblation(res, s, evidence[len(evidence)-1], cfg.VisibilityThreshold, ds)
 	return res, nil
+}
+
+// bestShortPct is the Best/Short share of ds under the plain
+// Gao–Rexford comparison against cx's graph.
+func bestShortPct(cx *classify.Context, ds []classify.Decision) float64 {
+	bd := cx.Breakdown(ds, classify.Simple)
+	total := 0
+	for _, n := range bd {
+		total += n
+	}
+	return stats.Pct(bd[classify.BestShort], total)
 }
 
 func (r *AblationsResult) render(w io.Writer) {
@@ -119,6 +144,7 @@ func computeProbeSelectionAblation(res *AblationsResult, s *scenario.Scenario, r
 		return
 	}
 	row := func(label string, probes []atlas.Probe, measurements []classify.Measurement) AblationProbeRow {
+		defer obs.StartStage("classify/ablation-breakdowns")()
 		eu := 0
 		for _, p := range probes {
 			if s.Topo.World.ContinentOf(p.City) == geo.EU {
@@ -153,32 +179,22 @@ func computeProbeSelectionAblation(res *AblationsResult, s *scenario.Scenario, r
 
 // computeThresholdAblation sweeps the inference visibility threshold
 // and reports the inferred edge count and the downstream Best/Short
-// share. Each threshold re-infers and reclassifies the whole dataset
-// independently, so the sweep fans out across the worker pool; rows are
-// recorded in sweep order either way.
-func computeThresholdAblation(res *AblationsResult, s *scenario.Scenario) {
-	ds := s.Decisions()
+// share. Each threshold relabels the snapshots' evidence and
+// reclassifies the whole dataset independently, so the sweep fans out
+// across the worker pool; rows are recorded in sweep order either way.
+func computeThresholdAblation(res *AblationsResult, s *scenario.Scenario, evidence []*inference.Evidence, ds []classify.Decision) {
 	thresholds := []float64{0.1, 0.2, 0.3, 0.5}
 	rows := parallel.MapStage("experiments/threshold-ablation", thresholds, s.Cfg.RoutingWorkers,
 		func(_ int, th float64) AblationThresholdRow {
-			cfg := inference.DefaultConfig()
-			cfg.VisibilityThreshold = th
-			cfg.SameOrg = s.Siblings.SameOrg
-			gs := make([]*relgraph.Graph, 0, len(s.Snapshots))
-			for _, snap := range s.Snapshots {
-				gs = append(gs, inference.InferSnapshot(snap, cfg))
+			gs := make([]*relgraph.Graph, 0, len(evidence))
+			for _, ev := range evidence {
+				gs = append(gs, ev.Label(th))
 			}
 			g := inference.Aggregate(gs)
-			cx := s.Context.WithGraph(g)
-			bd := cx.Breakdown(ds, classify.Simple)
-			total := 0
-			for _, n := range bd {
-				total += n
-			}
 			return AblationThresholdRow{
 				Threshold:    th,
 				Edges:        g.NumEdges(),
-				BestShortPct: stats.Pct(bd[classify.BestShort], total),
+				BestShortPct: bestShortPct(s.Context.WithGraph(g), ds),
 			}
 		})
 	res.ThresholdRows = rows
@@ -187,28 +203,20 @@ func computeThresholdAblation(res *AblationsResult, s *scenario.Scenario) {
 // computeAggregationAblation compares the paper's five-epoch weighted
 // majority against using only the latest snapshot (no stale links, but
 // also no smoothing of transient inference errors).
-func computeAggregationAblation(res *AblationsResult, s *scenario.Scenario) {
-	cfg := inference.DefaultConfig()
-	cfg.SameOrg = s.Siblings.SameOrg
-	latest := inference.InferSnapshot(s.Snapshots[len(s.Snapshots)-1], cfg)
-	ds := s.Decisions()
-	for _, row := range []struct {
-		label string
-		g     *relgraph.Graph
-	}{
-		{"5-epoch aggregate (paper)", s.Context.Graph},
-		{"latest epoch only", latest},
-	} {
-		cx := s.Context.WithGraph(row.g)
-		bd := cx.Breakdown(ds, classify.Simple)
-		total := 0
-		for _, n := range bd {
-			total += n
-		}
-		res.AggregationRows = append(res.AggregationRows, AblationAggRow{
-			Topology:     row.label,
-			Edges:        row.g.NumEdges(),
-			BestShortPct: stats.Pct(bd[classify.BestShort], total),
+func computeAggregationAblation(res *AblationsResult, s *scenario.Scenario, latestEvidence *inference.Evidence, threshold float64, ds []classify.Decision) {
+	stop := obs.StartStage("inference/aggregation-latest")
+	latest := latestEvidence.Label(threshold)
+	stop()
+	defer obs.StartStage("classify/ablation-breakdowns")()
+	res.AggregationRows = append(res.AggregationRows,
+		AblationAggRow{
+			Topology:     "5-epoch aggregate (paper)",
+			Edges:        s.Context.Graph.NumEdges(),
+			BestShortPct: bestShortPct(s.Context, ds),
+		},
+		AblationAggRow{
+			Topology:     "latest epoch only",
+			Edges:        latest.NumEdges(),
+			BestShortPct: bestShortPct(s.Context.WithGraph(latest), ds),
 		})
-	}
 }

@@ -10,6 +10,7 @@ import (
 	"routelab/internal/asn"
 	"routelab/internal/classify"
 	"routelab/internal/inference"
+	"routelab/internal/obs"
 	"routelab/internal/predict"
 	"routelab/internal/relgraph"
 	"routelab/internal/report"
@@ -145,7 +146,9 @@ func computePrediction(s *scenario.Scenario) *PredictionResult {
 	for i := range s.Measurements {
 		paths = append(paths, s.Measurements[i].ASPath)
 	}
+	stop := obs.StartStage("predict/evaluate")
 	sum := p.Evaluate(paths)
+	stop()
 	return &PredictionResult{
 		Paths:           sum.Paths,
 		Predicted:       sum.Predicted,

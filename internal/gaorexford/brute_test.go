@@ -126,7 +126,7 @@ func TestShortestPathConsistency(t *testing.T) {
 			if !res.Reachable(a) || a == dst {
 				continue
 			}
-			path := res.ShortestPath(g, a)
+			path := res.ShortestPath(a)
 			if path == nil {
 				t.Fatalf("trial %d: %v reachable but no path", trial, a)
 			}

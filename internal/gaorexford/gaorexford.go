@@ -8,22 +8,25 @@
 // the best class the model says is available, and Short if the measured
 // path is as short as the shortest valley-free path.
 //
-// The computation is the classic three-phase relaxation:
+// The computation is the classic three-phase relaxation, run as one
+// breadth-first search over (AS, class) states:
 //
-//	phase 1 (customer routes)  BFS from the destination up customer→
-//	                           provider edges: custLen.
-//	phase 2 (peer routes)      one peer edge on top of a customer route:
-//	                           peerLen.
-//	phase 3 (provider routes)  Dijkstra-style downward propagation:
-//	                           provLen[a] = 1 + min over providers v of
-//	                           min(custLen, peerLen, provLen)(v).
+//	customer routes  from the destination up customer→provider edges.
+//	peer routes      one peer edge on top of a customer route.
+//	provider routes  downward propagation: 1 + min over providers v of
+//	                 v's customer, peer and provider lengths.
 //
 // Sibling edges, when present in a graph, relay routes without changing
 // their class (the organization acts as one AS).
+//
+// Results are flat []int32 rows over the graph's dense AS index
+// (DESIGN.md §12, analysis-plane layout): a computation allocates its
+// result, the rows and one queue, whatever the number of ASes it visits.
 package gaorexford
 
 import (
 	"math"
+	"slices"
 
 	"routelab/internal/asn"
 	"routelab/internal/relgraph"
@@ -34,37 +37,48 @@ import (
 // class exists.
 const Unreachable = math.MaxInt32
 
-// Result holds the model's predictions toward one destination.
+// Result holds the model's predictions toward one destination, laid out
+// over the dense AS index of the graph Compute ran on.
 type Result struct {
 	Dst asn.ASN
 
-	custLen map[asn.ASN]int32
-	peerLen map[asn.ASN]int32
-	provLen map[asn.ASN]int32
-	skip    map[[2]asn.ASN]bool
+	g *relgraph.Graph
+	// dist is three rows of g.NumASes() lengths — customer, peer and
+	// provider class, in that order, one allocation — indexed
+	// class*NumASes + AS index; −1 means no route of that class.
+	dist []int32
+	// masked lists the directed edges (from<<32 | to, dense indices)
+	// Compute treated as absent, ascending; nil when nothing is masked.
+	masked []uint64
 }
 
 // Compute runs the model toward dst on g. The masked edges (if any) are
 // treated as absent — the mechanism behind the prefix-specific-policy
 // refinements, which drop origin edges not observed carrying the prefix.
+// g must not change afterwards: the result reads it.
 func Compute(g *relgraph.Graph, dst asn.ASN, masked ...relgraph.Edge) *Result {
-	skip := make(map[[2]asn.ASN]bool, len(masked))
-	for _, e := range masked {
-		skip[[2]asn.ASN{e.A, e.B}] = true
-		skip[[2]asn.ASN{e.B, e.A}] = true
+	r := &Result{Dst: dst, g: g, dist: make([]int32, 3*g.NumASes())}
+	for i := range r.dist {
+		r.dist[i] = -1
 	}
-	res := &Result{
-		Dst:     dst,
-		custLen: make(map[asn.ASN]int32),
-		peerLen: make(map[asn.ASN]int32),
-		provLen: make(map[asn.ASN]int32),
-		skip:    skip,
+	if len(masked) > 0 {
+		r.masked = make([]uint64, 0, 2*len(masked))
+		for _, e := range masked {
+			a, okA := g.Index(e.A)
+			b, okB := g.Index(e.B)
+			if okA && okB {
+				r.masked = append(r.masked, uint64(a)<<32|uint64(b), uint64(b)<<32|uint64(a))
+			}
+		}
+		slices.Sort(r.masked)
 	}
-	res.compute(g)
-	return res
+	if di, ok := g.Index(dst); ok {
+		r.relax(di)
+	}
+	return r
 }
 
-// Route-class states of the unified relaxation. classCust covers routes
+// Route classes: the rows of Result.dist. classCust covers routes
 // exportable to everyone: own routes and customer-learned routes.
 // Sibling edges are organizational glue: a sibling relays ANY route, but
 // the route's class (and thus its exportability) is preserved across the
@@ -75,63 +89,89 @@ const (
 	classProv = 2
 )
 
-func (r *Result) compute(g *relgraph.Graph) {
-	blocked := func(a, b asn.ASN) bool { return r.skip[[2]asn.ASN{a, b}] }
-	dist := [3]map[asn.ASN]int32{r.custLen, r.peerLen, r.provLen}
+// maxLen bounds the path lengths the relaxation extends: a state that
+// far out is recorded but relays nothing.
+const maxLen = 64
 
-	// Dijkstra with uniform edge weights (bucket queue) over states
-	// (AS, class). Lengths count edges, matching Path.Len() as seen from
-	// each AS (dst itself is 0).
-	const maxLen = 64
-	type state struct {
-		a   asn.ASN
-		cls int
+// isMasked reports whether Compute was told to treat the edge between
+// the ASes with indices a and b as absent.
+func (r *Result) isMasked(a, b int32) bool {
+	if len(r.masked) == 0 {
+		return false
 	}
-	buckets := make([][]state, maxLen)
-	relax := func(a asn.ASN, cls int, d int32) {
-		if cur, ok := dist[cls][a]; ok && cur <= d {
-			return
-		}
-		dist[cls][a] = d
-		if d < maxLen {
-			buckets[d] = append(buckets[d], state{a, cls})
-		}
-	}
-	relax(r.Dst, classCust, 0)
-	for d := int32(0); d < maxLen; d++ {
-		for qi := 0; qi < len(buckets[d]); qi++ {
-			s := buckets[d][qi]
-			if dist[s.cls][s.a] != d {
-				continue // stale
-			}
-			for _, b := range g.Neighbors(s.a) {
-				if blocked(s.a, b) {
+	_, found := slices.BinarySearch(r.masked, uint64(a)<<32|uint64(b))
+	return found
+}
+
+// relax fills r.dist from the destination's index outward. Every edge
+// costs one, so a FIFO over states (AS, class) visits them in
+// non-decreasing length and the first length a state is given is its
+// shortest: a state is queued at most once, which bounds the queue — the
+// computation's only scratch — at 3·NumASes. Lengths count edges,
+// matching Path.Len() as seen from each AS (dst itself is 0). A state is
+// its offset into r.dist.
+func (r *Result) relax(dst int32) {
+	n := int32(r.g.NumASes())
+	queue := make([]int32, 1, 3*n)
+	queue[0] = classCust*n + dst
+	r.dist[queue[0]] = 0
+	for head := 0; head < len(queue); head++ {
+		s := queue[head]
+		cls, a := s/n, s%n
+		d := r.dist[s] + 1
+		for _, e := range r.g.Row(a) {
+			// e.Role is neighbour b's role as a sees it; what b hears
+			// depends on a's role as b sees it, the inverse.
+			var to int32
+			switch e.Role {
+			case topology.RelProvider:
+				// b hears from its customer a only a's
+				// exportable-to-all routes.
+				if cls != classCust {
 					continue
 				}
-				switch g.Rel(b, s.a) { // s.a's role from b's perspective
-				case topology.RelCustomer:
-					// b hears from its customer s.a only s.a's
-					// exportable-to-all routes.
-					if s.cls == classCust {
-						relax(b, classCust, d+1)
-					}
-				case topology.RelSibling:
-					// b hears ANY of its sibling's routes; the class
-					// (exportability) is preserved across the hop.
-					relax(b, s.cls, d+1)
-				case topology.RelPeer:
-					// b hears s.a's exportable-to-all routes as peer
-					// routes.
-					if s.cls == classCust {
-						relax(b, classPeer, d+1)
-					}
-				case topology.RelProvider:
-					// b hears ANY of its provider s.a's routes.
-					relax(b, classProv, d+1)
+				to = classCust
+			case topology.RelSibling:
+				// b hears ANY of its sibling's routes; the class
+				// (exportability) is preserved across the hop.
+				to = cls
+			case topology.RelPeer:
+				// b hears a's exportable-to-all routes as peer routes.
+				if cls != classCust {
+					continue
 				}
+				to = classPeer
+			case topology.RelCustomer:
+				// b hears ANY of its provider a's routes.
+				to = classProv
+			default:
+				continue
+			}
+			t := to*n + e.Index
+			if r.dist[t] >= 0 || r.isMasked(a, e.Index) {
+				continue
+			}
+			r.dist[t] = d
+			if d < maxLen {
+				queue = append(queue, t)
 			}
 		}
 	}
+}
+
+// lens returns a's shortest length per class, −1 for none. An AS the
+// graph does not mention has no route — except the destination, which
+// holds its own whether or not the graph knows it.
+func (r *Result) lens(a asn.ASN) [3]int32 {
+	i, ok := r.g.Index(a)
+	if !ok {
+		if a == r.Dst {
+			return [3]int32{0, -1, -1}
+		}
+		return [3]int32{-1, -1, -1}
+	}
+	n := int32(r.g.NumASes())
+	return [3]int32{r.dist[i], r.dist[n+i], r.dist[2*n+i]}
 }
 
 // ClassLen returns the shortest model path length from a to the
@@ -139,18 +179,11 @@ func (r *Result) compute(g *relgraph.Graph) {
 // relationship of the FIRST edge: customer route, peer route, provider
 // route), or Unreachable.
 func (r *Result) ClassLen(a asn.ASN, class topology.Rel) int {
-	var m map[asn.ASN]int32
-	switch class {
-	case topology.RelCustomer, topology.RelSibling:
-		m = r.custLen
-	case topology.RelPeer:
-		m = r.peerLen
-	case topology.RelProvider:
-		m = r.provLen
-	default:
+	cls := class.Rank()
+	if cls > classProv {
 		return Unreachable
 	}
-	if d, ok := m[a]; ok {
+	if d := r.lens(a)[cls]; d >= 0 {
 		return int(d)
 	}
 	return Unreachable
@@ -160,17 +193,10 @@ func (r *Result) ClassLen(a asn.ASN, class topology.Rel) int {
 // relationship class through which the model says a can reach the
 // destination, or 3 when unreachable.
 func (r *Result) BestRank(a asn.ASN) int {
-	if a == r.Dst {
-		return 0
-	}
-	if _, ok := r.custLen[a]; ok {
-		return 0
-	}
-	if _, ok := r.peerLen[a]; ok {
-		return 1
-	}
-	if _, ok := r.provLen[a]; ok {
-		return 2
+	for cls, d := range r.lens(a) {
+		if d >= 0 {
+			return cls
+		}
 	}
 	return 3
 }
@@ -180,12 +206,9 @@ func (r *Result) BestRank(a asn.ASN) int {
 // ASes after a itself — so a path a→x→dst has length 2. Unreachable when
 // the model offers no path.
 func (r *Result) ShortestLen(a asn.ASN) int {
-	if a == r.Dst {
-		return 0
-	}
 	best := Unreachable
-	for _, m := range []map[asn.ASN]int32{r.custLen, r.peerLen, r.provLen} {
-		if d, ok := m[a]; ok && int(d) < best {
+	for _, d := range r.lens(a) {
+		if d >= 0 && int(d) < best {
 			best = int(d)
 		}
 	}
@@ -197,58 +220,51 @@ func (r *Result) ShortestLen(a asn.ASN) int {
 func (r *Result) Reachable(a asn.ASN) bool { return r.ShortestLen(a) < Unreachable }
 
 // ShortestPath reconstructs ONE shortest policy-compliant path from a to
-// the destination through the best available class (a first, destination
-// last), or nil when unreachable. Ties break toward lower ASNs, so the
-// result is deterministic. The graph must be the one Compute ran on; the
-// masked edges from Compute are honored automatically.
-func (r *Result) ShortestPath(g *relgraph.Graph, a asn.ASN) []asn.ASN {
-	skip := r.skip
-	dist := [3]map[asn.ASN]int32{r.custLen, r.peerLen, r.provLen}
-	// Start at a's best state.
-	cls, d := -1, int32(Unreachable)
-	for c := 0; c < 3; c++ {
-		if x, ok := dist[c][a]; ok && x < d {
-			cls, d = c, x
+// the destination (a first, destination last), or nil when unreachable.
+// Ties break toward lower ASNs, so the result is deterministic. The
+// masked edges from Compute are honored.
+func (r *Result) ShortestPath(a asn.ASN) []asn.ASN {
+	// Start at a's shortest state (the better class on a tie).
+	cls, d := int32(-1), int32(Unreachable)
+	for c, x := range r.lens(a) {
+		if x >= 0 && x < d {
+			cls, d = int32(c), x
 		}
 	}
 	if cls < 0 {
 		return nil
 	}
-	path := []asn.ASN{a}
-	cur := a
-	for cur != r.Dst {
-		next, nextCls := asn.ASN(0), -1
-		for _, b := range g.Neighbors(cur) {
-			if skip[[2]asn.ASN{cur, b}] {
-				continue
-			}
-			rel := g.Rel(cur, b) // b's role from cur
-			// Which of b's states could have produced cur's state?
-			var okCls []int
+	n := int32(r.g.NumASes())
+	cur, _ := r.g.Index(a) // a route longer than 0 means the graph has a
+	path := make([]asn.ASN, 1, d+1)
+	path[0] = a
+	for ; d > 0; d-- {
+		// Which state of which neighbour produced cur's state? Rows
+		// ascend by ASN, so the first neighbour that could have is the
+		// lowest.
+		next, nextCls := int32(-1), int32(0)
+		for _, e := range r.g.Row(cur) {
+			lo, hi := int32(0), int32(-1) // b's candidate classes, inclusive
 			switch {
-			case cls == classCust && rel == topology.RelCustomer:
-				okCls = []int{classCust}
-			case rel == topology.RelSibling:
-				okCls = []int{cls} // class preserved across sibling hops
-			case cls == classPeer && rel == topology.RelPeer:
-				okCls = []int{classCust}
-			case cls == classProv && rel == topology.RelProvider:
-				okCls = []int{classCust, classPeer, classProv}
+			case e.Role == topology.RelSibling:
+				lo, hi = cls, cls // class preserved across sibling hops
+			case cls == classCust && e.Role == topology.RelCustomer,
+				cls == classPeer && e.Role == topology.RelPeer:
+				lo, hi = classCust, classCust
+			case cls == classProv && e.Role == topology.RelProvider:
+				lo, hi = classCust, classProv
 			}
-			for _, bc := range okCls {
-				if bd, ok := dist[bc][b]; ok && bd == d-1 {
-					if next.IsZero() || b < next {
-						next, nextCls = b, bc
-					}
-					break
+			for bc := lo; bc <= hi && next < 0; bc++ {
+				if r.dist[bc*n+e.Index] == d-1 && !r.isMasked(cur, e.Index) {
+					next, nextCls = e.Index, bc
 				}
 			}
+			if next >= 0 {
+				break
+			}
 		}
-		if next.IsZero() {
-			return nil // inconsistent state (wrong graph passed)
-		}
-		path = append(path, next)
-		cur, cls, d = next, nextCls, d-1
+		path = append(path, r.g.ASN(next))
+		cur, cls = next, nextCls
 	}
 	return path
 }

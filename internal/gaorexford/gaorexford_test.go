@@ -1,10 +1,13 @@
 package gaorexford
 
 import (
+	"slices"
+	"sync"
 	"testing"
 
 	"routelab/internal/asn"
 	"routelab/internal/bgp"
+	"routelab/internal/race"
 	"routelab/internal/relgraph"
 	"routelab/internal/topology"
 )
@@ -129,6 +132,83 @@ func TestUnknownASUnreachable(t *testing.T) {
 	if r.ClassLen(999, topology.RelNone) != Unreachable {
 		t.Error("ClassLen with RelNone must be Unreachable")
 	}
+	for _, class := range []topology.Rel{topology.RelCustomer, topology.RelSibling, topology.RelPeer, topology.RelProvider} {
+		if got := r.ClassLen(999, class); got != Unreachable {
+			t.Errorf("ClassLen(999, %s) = %d, want Unreachable", class, got)
+		}
+	}
+	if got := r.ShortestLen(999); got != Unreachable {
+		t.Errorf("ShortestLen(999) = %d, want Unreachable", got)
+	}
+	if p := r.ShortestPath(999); p != nil {
+		t.Errorf("ShortestPath(999) = %v, want nil", p)
+	}
+}
+
+// A destination the graph does not mention still holds its own route;
+// nobody else can reach it.
+func TestDestinationAbsentFromGraph(t *testing.T) {
+	g := line()
+	r := Compute(g, 77)
+	if r.BestRank(77) != 0 || r.ShortestLen(77) != 0 || r.ClassLen(77, topology.RelCustomer) != 0 {
+		t.Errorf("absent destination: BestRank %d ShortestLen %d ClassLen(customer) %d, want 0 0 0",
+			r.BestRank(77), r.ShortestLen(77), r.ClassLen(77, topology.RelCustomer))
+	}
+	if got := r.ClassLen(77, topology.RelPeer); got != Unreachable {
+		t.Errorf("ClassLen(dst, peer) = %d, want Unreachable", got)
+	}
+	if p := r.ShortestPath(77); len(p) != 1 || p[0] != 77 {
+		t.Errorf("ShortestPath(dst) = %v, want [AS77]", p)
+	}
+	for _, a := range g.ASNs() {
+		if r.Reachable(a) || r.BestRank(a) != 3 || r.ShortestPath(a) != nil {
+			t.Errorf("%v reaches a destination the graph does not mention", a)
+		}
+	}
+}
+
+// ShortestPath walks the same graph Compute did, minus the same edges.
+func TestShortestPathHonorsMask(t *testing.T) {
+	g := relgraph.New()
+	g.Set(2, 1, topology.RelCustomer) // 1 is the customer of 2 and of 3,
+	g.Set(3, 1, topology.RelCustomer)
+	g.Set(4, 2, topology.RelCustomer) // which are both customers of 4
+	g.Set(4, 3, topology.RelCustomer)
+	if p := Compute(g, 1).ShortestPath(4); len(p) != 3 || p[1] != 2 {
+		t.Errorf("unmasked path = %v, want via AS2 (the lower ASN)", p)
+	}
+	// An edge naming an AS the graph lacks masks nothing.
+	r := Compute(g, 1, relgraph.Edge{A: 1, B: 2}, relgraph.Edge{A: 1, B: 999})
+	if p := r.ShortestPath(4); len(p) != 3 || p[1] != 3 {
+		t.Errorf("path with 1–2 masked = %v, want via AS3", p)
+	}
+	// AS2 is left with the provider route down through 4 and 3.
+	if p := r.ShortestPath(2); r.BestRank(2) != 2 || len(p) != 4 || p[1] != 4 || p[2] != 3 {
+		t.Errorf("AS2 with its own edge masked: rank %d path %v, want rank 2 via AS4 and AS3", r.BestRank(2), p)
+	}
+}
+
+// TestAllocsCompute pins the array layout's cost model: one computation
+// allocates its Result, the three length rows (one block) and the queue —
+// measured 3 — however many ASes the relaxation visits.
+func TestAllocsCompute(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	small := line()
+	big := relgraph.FromTopology(topology.Generate(3, topology.TestConfig()))
+	dst := big.ASNs()[0]
+	if n := Compute(big, dst); !n.Reachable(big.ASNs()[big.NumASes()-1]) {
+		t.Fatal("fixture: the relaxation does not span the big graph")
+	}
+	for name, run := range map[string]func(){
+		"3-AS line":          func() { Compute(small, 1) },
+		"generated topology": func() { Compute(big, dst) },
+	} {
+		if got := testing.AllocsPerRun(100, run); got > 3 {
+			t.Errorf("Compute on the %s: %v allocs/op, want <= 3", name, got)
+		}
+	}
 }
 
 func TestSiblingEdgesAreFreeTransit(t *testing.T) {
@@ -219,14 +299,6 @@ func TestGraphBasics(t *testing.T) {
 	if g.NumEdges() != 2 {
 		t.Errorf("NumEdges = %d", g.NumEdges())
 	}
-	cl := g.Clone()
-	cl.Remove(1, 2)
-	if !g.HasEdge(1, 2) {
-		t.Error("Clone is not independent")
-	}
-	if cl.HasEdge(1, 2) || cl.Rel(2, 1) != topology.RelNone {
-		t.Error("Remove must delete both directions")
-	}
 	edges := g.Edges()
 	if len(edges) != 2 || edges[0].A != 1 || edges[0].B != 2 {
 		t.Errorf("Edges = %v", edges)
@@ -235,4 +307,36 @@ func TestGraphBasics(t *testing.T) {
 	if len(asns) != 3 || asns[0] != asn.ASN(1) {
 		t.Errorf("ASNs = %v", asns)
 	}
+}
+
+// One graph, many readers: the serving path computes and queries models
+// on a shared graph from several goroutines at once. Run under -race.
+func TestConcurrentReadersShareAGraph(t *testing.T) {
+	g := relgraph.FromTopology(topology.Generate(3, topology.TestConfig()))
+	asns := g.ASNs()
+	dsts := asns[:8]
+	want := make([][]asn.ASN, len(dsts))
+	shared := make([]*Result, len(dsts))
+	for i, dst := range dsts {
+		shared[i] = Compute(g, dst)
+		want[i] = shared[i].ShortestPath(asns[len(asns)-1])
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, dst := range dsts {
+				src := asns[len(asns)-1]
+				fresh := Compute(g, dst, relgraph.Edge{A: dst, B: g.Neighbors(dst)[0]})
+				if fresh.BestRank(dst) != 0 {
+					t.Errorf("masked model toward %v lost its destination", dst)
+				}
+				if got := shared[i].ShortestPath(src); !slices.Equal(got, want[i]) {
+					t.Errorf("shared result toward %v: path %v, want %v", dst, got, want[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

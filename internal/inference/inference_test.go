@@ -11,52 +11,82 @@ import (
 	"routelab/internal/vantage"
 )
 
+// feed wraps bare AS paths as the entries of one snapshot, each fed by
+// the path's first AS.
+func feed(paths ...[]asn.ASN) *vantage.Snapshot {
+	s := &vantage.Snapshot{}
+	for _, p := range paths {
+		e := vantage.Entry{Path: p}
+		if len(p) > 0 {
+			e.Peer = p[0]
+		}
+		s.Entries = append(s.Entries, e)
+	}
+	return s
+}
+
 func TestCleanPaths(t *testing.T) {
-	in := [][]asn.ASN{
-		{1, 2, 3},
-		{1, 2, 2, 3}, // prepending collapses
-		{1, 2, 1},    // loop dropped
-		{4},          // single-AS path kept
-		{},           // empty dropped
+	g := readPaths(feed(
+		[]asn.ASN{1, 2, 3},
+		[]asn.ASN{1, 2, 2, 3}, // prepending collapses
+		[]asn.ASN{1, 2, 1},    // loop dropped
+		[]asn.ASN{4},          // single-AS path kept
+		[]asn.ASN{},           // empty dropped
+	))
+	if len(g.pathEnd) != 3 {
+		t.Fatalf("kept %d clean paths, want 3: ends %v of %v", len(g.pathEnd), g.pathEnd, g.pathAS)
 	}
-	out := cleanPaths(in)
-	if len(out) != 3 {
-		t.Fatalf("cleanPaths kept %d, want 3: %v", len(out), out)
+	if n := g.pathEnd[1] - g.pathEnd[0]; n != 3 {
+		t.Errorf("prepending not collapsed: second path has %d ASes", n)
 	}
-	if len(out[1]) != 3 {
-		t.Errorf("prepending not collapsed: %v", out[1])
+	if len(g.pathLink) != len(g.pathAS) {
+		t.Errorf("%d link slots under %d path ASes", len(g.pathLink), len(g.pathAS))
 	}
 }
 
 func TestTransitDegrees(t *testing.T) {
-	paths := [][]asn.ASN{
-		{1, 2, 3},
-		{4, 2, 5},
-		{1, 3},
+	g := readPaths(feed(
+		[]asn.ASN{1, 2, 3},
+		[]asn.ASN{4, 2, 5},
+		[]asn.ASN{1, 3},
+	))
+	deg := func(a asn.ASN) int32 { return g.deg[g.ids[a]] }
+	if deg(2) != 4 {
+		t.Errorf("deg[2] = %d, want 4 (neighbors 1,3,4,5)", deg(2))
 	}
-	deg := transitDegrees(paths)
-	if deg[2] != 4 {
-		t.Errorf("deg[2] = %d, want 4 (neighbors 1,3,4,5)", deg[2])
-	}
-	if deg[1] != 0 || deg[3] != 0 {
+	if deg(1) != 0 || deg(3) != 0 {
 		t.Error("endpoints have no transit degree")
 	}
 }
 
 func TestFindClique(t *testing.T) {
-	deg := map[asn.ASN]int{1: 100, 2: 90, 3: 80, 4: 10, 5: 9}
+	asns := []asn.ASN{1, 2, 3, 4, 5}
+	deg := []int32{100, 90, 80, 10, 9}
 	adj := map[topology.LinkKey]bool{
 		topology.MakeLinkKey(1, 2): true,
 		topology.MakeLinkKey(1, 3): true,
 		topology.MakeLinkKey(2, 3): true,
 		topology.MakeLinkKey(1, 4): true, // 4 connects only to 1
 	}
-	clique := findClique(deg, adj, 10)
-	if !clique[1] || !clique[2] || !clique[3] {
+	adjacent := func(a, b int32) bool { return adj[topology.MakeLinkKey(asns[a], asns[b])] }
+	clique := findClique(asns, deg, adjacent, 10)
+	if !clique[0] || !clique[1] || !clique[2] {
 		t.Errorf("clique should contain 1,2,3: %v", clique)
 	}
-	if clique[4] || clique[5] {
+	if clique[3] || clique[4] {
 		t.Error("low-degree / non-mutual ASes must stay out of the clique")
+	}
+}
+
+// A prepended path "X A A B" makes A its own upstream on the A–B hop;
+// visibility and upward exports are counted on paths as announced, so
+// that observation stands (A is at least its own size) unless a sibling
+// oracle says an AS is its own organization. Pinned because the
+// reference implementation (reference_test.go) behaves so.
+func TestPrependingCountsAsUpwardExport(t *testing.T) {
+	s := feed([]asn.ASN{9, 1, 1, 2}, []asn.ASN{8, 3}, []asn.ASN{7, 3}, []asn.ASN{6, 3}, []asn.ASN{5, 3})
+	if got := InferSnapshot(s, DefaultConfig()).Rel(1, 2); got != topology.RelCustomer {
+		t.Errorf("Rel(1, 2) = %s, want customer (seen by 1 of 5 vantage points, exported upward)", got)
 	}
 }
 

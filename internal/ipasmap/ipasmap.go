@@ -12,7 +12,7 @@
 package ipasmap
 
 import (
-	"sort"
+	"slices"
 
 	"routelab/internal/asn"
 	"routelab/internal/topology"
@@ -23,9 +23,10 @@ import (
 // Mapper resolves addresses to origin ASes using prefixes observed in
 // BGP feeds.
 type Mapper struct {
-	// prefixes sorted by descending mask length for longest match.
-	prefixes []asn.Prefix
-	origin   map[asn.Prefix]asn.ASN
+	origin map[asn.Prefix]asn.ASN
+	// lens holds the distinct announced prefix lengths, longest first: a
+	// longest-prefix match is one probe of origin per entry.
+	lens []uint8
 	// knownLink reports adjacencies observed in feeds; used to veto
 	// phantom ASes during cleanup.
 	knownLink map[topology.LinkKey]bool
@@ -46,15 +47,13 @@ func FromSnapshot(s *vantage.Snapshot) *Mapper {
 		}
 		if _, dup := m.origin[e.Prefix]; !dup {
 			m.origin[e.Prefix] = e.Path[len(e.Path)-1]
-			m.prefixes = append(m.prefixes, e.Prefix)
+			if !slices.Contains(m.lens, e.Prefix.Len) {
+				m.lens = append(m.lens, e.Prefix.Len)
+			}
 		}
 	}
-	sort.Slice(m.prefixes, func(i, j int) bool {
-		if m.prefixes[i].Len != m.prefixes[j].Len {
-			return m.prefixes[i].Len > m.prefixes[j].Len
-		}
-		return m.prefixes[i].Addr < m.prefixes[j].Addr
-	})
+	slices.Sort(m.lens)
+	slices.Reverse(m.lens)
 	return m
 }
 
@@ -64,12 +63,20 @@ func (m *Mapper) ASOf(ip asn.Addr) asn.ASN {
 	if ip == 0 {
 		return 0
 	}
-	for _, p := range m.prefixes {
-		if p.Contains(ip) {
-			return m.origin[p]
+	_, a := m.match(ip)
+	return a
+}
+
+// match returns the longest announced prefix covering ip and its
+// origin, or zeroes: one map probe per distinct announced length.
+func (m *Mapper) match(ip asn.Addr) (asn.Prefix, asn.ASN) {
+	for _, l := range m.lens {
+		p := asn.NewPrefix(ip, l)
+		if a, ok := m.origin[p]; ok {
+			return p, a
 		}
 	}
-	return 0
+	return asn.Prefix{}, 0
 }
 
 // ConvertTrace derives the AS path of a traceroute, source AS first.
@@ -144,13 +151,9 @@ func collapse(path []asn.ASN) []asn.ASN {
 // PrefixOf returns the longest announced prefix covering ip, or the zero
 // prefix.
 func (m *Mapper) PrefixOf(ip asn.Addr) asn.Prefix {
-	for _, p := range m.prefixes {
-		if p.Contains(ip) {
-			return p
-		}
-	}
-	return asn.Prefix{}
+	p, _ := m.match(ip)
+	return p
 }
 
 // NumPrefixes reports how many announced prefixes the mapper knows.
-func (m *Mapper) NumPrefixes() int { return len(m.prefixes) }
+func (m *Mapper) NumPrefixes() int { return len(m.origin) }

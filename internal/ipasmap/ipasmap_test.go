@@ -2,10 +2,12 @@ package ipasmap
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"routelab/internal/asn"
 	"routelab/internal/bgp"
+	"routelab/internal/race"
 	"routelab/internal/topology"
 	"routelab/internal/traceroute"
 	"routelab/internal/vantage"
@@ -160,4 +162,140 @@ func pathsEqual(a, b []asn.ASN) bool {
 		}
 	}
 	return true
+}
+
+// scan is the mapper's longest-prefix match as it stood before the
+// one-probe-per-length lookup: every announced prefix, longest first,
+// tested with Contains. Slow and obviously right.
+type scan struct {
+	prefixes []asn.Prefix
+	origin   map[asn.Prefix]asn.ASN
+}
+
+func scanOf(m *Mapper) scan {
+	r := scan{origin: m.origin}
+	for p := range m.origin {
+		r.prefixes = append(r.prefixes, p)
+	}
+	sort.Slice(r.prefixes, func(i, j int) bool {
+		if r.prefixes[i].Len != r.prefixes[j].Len {
+			return r.prefixes[i].Len > r.prefixes[j].Len
+		}
+		return r.prefixes[i].Addr < r.prefixes[j].Addr
+	})
+	return r
+}
+
+func (r scan) asOf(ip asn.Addr) asn.ASN {
+	if ip == 0 {
+		return 0
+	}
+	for _, p := range r.prefixes {
+		if p.Contains(ip) {
+			return r.origin[p]
+		}
+	}
+	return 0
+}
+
+func (r scan) prefixOf(ip asn.Addr) asn.Prefix {
+	for _, p := range r.prefixes {
+		if p.Contains(ip) {
+			return p
+		}
+	}
+	return asn.Prefix{}
+}
+
+func agreeWithScan(t *testing.T, m *Mapper, ips []asn.Addr) {
+	t.Helper()
+	ref := scanOf(m)
+	for _, ip := range ips {
+		if got, want := m.ASOf(ip), ref.asOf(ip); got != want {
+			t.Fatalf("ASOf(%s) = %v, the scan says %v", ip, got, want)
+		}
+		if got, want := m.PrefixOf(ip), ref.prefixOf(ip); got != want {
+			t.Fatalf("PrefixOf(%s) = %s, the scan says %s", ip, got, want)
+		}
+	}
+}
+
+// TestLookupMatchesLinearScan is the differential oracle for the
+// per-length probe: on a hand-built table of nested prefixes and on a
+// generated world's campaign, ASOf and PrefixOf answer as the scan does.
+func TestLookupMatchesLinearScan(t *testing.T) {
+	nested := &vantage.Snapshot{}
+	for _, e := range []struct {
+		prefix string
+		origin asn.ASN
+	}{
+		{"10.0.0.0/8", 1}, {"10.1.0.0/16", 2}, {"10.1.2.0/24", 3}, {"10.1.2.128/25", 4},
+		{"10.200.0.0/13", 5}, {"192.0.2.0/24", 6}, {"192.0.2.0/24", 7}, // a repeat keeps its first origin
+	} {
+		p, err := asn.ParsePrefix(e.prefix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nested.Entries = append(nested.Entries, vantage.Entry{Peer: 9, Prefix: p, Path: []asn.ASN{9, e.origin}})
+	}
+	m := FromSnapshot(nested)
+	if m.NumPrefixes() != 6 {
+		t.Fatalf("NumPrefixes = %d, want 6", m.NumPrefixes())
+	}
+	for ip, want := range map[asn.Addr]asn.ASN{
+		asn.AddrFrom4(10, 9, 9, 9):      1,
+		asn.AddrFrom4(10, 1, 9, 9):      2,
+		asn.AddrFrom4(10, 1, 2, 9):      3,
+		asn.AddrFrom4(10, 1, 2, 200):    4,
+		asn.AddrFrom4(10, 201, 0, 1):    5,
+		asn.AddrFrom4(10, 208, 0, 1):    1, // just past the /13
+		asn.AddrFrom4(192, 0, 2, 1):     6,
+		asn.AddrFrom4(11, 0, 0, 1):      0, // covered by nothing
+		asn.AddrFrom4(192, 0, 3, 1):     0,
+		asn.AddrFrom4(255, 255, 255, 1): 0,
+		0:                               0,
+	} {
+		if got := m.ASOf(ip); got != want {
+			t.Errorf("ASOf(%s) = %v, want %v", ip, got, want)
+		}
+	}
+	rng := rand.New(rand.NewSource(7))
+	ips := []asn.Addr{0}
+	for i := 0; i < 4000; i++ {
+		ips = append(ips, asn.Addr(rng.Uint32()), asn.AddrFrom4(10, byte(rng.Intn(4)), byte(rng.Intn(4)), byte(rng.Intn(256))))
+	}
+	agreeWithScan(t, m, ips)
+
+	f := newFixture(t, 44, traceroute.DefaultConfig())
+	ips = []asn.Addr{0, topology.IXPPrefix(3).Nth(1)}
+	for _, src := range f.topo.ASesOfClass(topology.Stub)[:60] {
+		for _, h := range f.tracer.Trace(src, f.topo.AS(src).Cities[0], f.dst).Hops {
+			ips = append(ips, h.IP)
+		}
+	}
+	if len(ips) < 200 {
+		t.Fatalf("campaign produced only %d hop addresses", len(ips))
+	}
+	for i := 0; i < 2000; i++ {
+		ips = append(ips, asn.Addr(rng.Uint32()))
+	}
+	agreeWithScan(t, f.mapper, ips)
+}
+
+// TestAllocsASOf pins that mapping a hop address allocates nothing.
+func TestAllocsASOf(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	f := newFixture(t, 41, traceroute.DefaultConfig())
+	ips := []asn.Addr{0, f.dst, topology.IXPPrefix(3).Nth(1), f.topo.AS(f.topo.ASNs()[0]).InfraPrefix.Nth(1)}
+	sink := asn.ASN(0)
+	if got := testing.AllocsPerRun(100, func() {
+		for _, ip := range ips {
+			sink += f.mapper.ASOf(ip)
+		}
+	}); got != 0 {
+		t.Errorf("ASOf: %v allocs/op, want 0", got)
+	}
+	_ = sink
 }

@@ -15,6 +15,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -242,7 +243,15 @@ func (l *loader) parseDir(dir string) ([]*ast.File, error) {
 	var names []string
 	for _, ent := range entries {
 		n := ent.Name()
-		if strings.HasSuffix(n, ".go") && !strings.HasSuffix(n, "_test.go") && !ent.IsDir() {
+		if !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") || ent.IsDir() {
+			continue
+		}
+		// The package is what a plain `go build` compiles: a file whose
+		// build constraint excludes it (internal/race's -race half) is
+		// not part of it.
+		if ok, err := build.Default.MatchFile(dir, n); err != nil {
+			return nil, err
+		} else if ok {
 			names = append(names, n)
 		}
 	}

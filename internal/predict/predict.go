@@ -33,7 +33,7 @@ func (p *Predictor) Path(src, dst asn.ASN) []asn.ASN {
 		res = gaorexford.Compute(p.g, dst)
 		p.cache[dst] = res
 	}
-	return res.ShortestPath(p.g, src)
+	return res.ShortestPath(src)
 }
 
 // Score compares one prediction against a measured path.

@@ -77,16 +77,6 @@ func Collect(rib *bgp.RIB, peers []asn.ASN, epoch int) *Snapshot {
 	return s
 }
 
-// Paths returns every distinct AS path in the snapshot (as slices; the
-// caller must not modify them).
-func (s *Snapshot) Paths() [][]asn.ASN {
-	out := make([][]asn.ASN, 0, len(s.Entries))
-	for i := range s.Entries {
-		out = append(out, s.Entries[i].Path)
-	}
-	return out
-}
-
 // OriginNeighbors returns, per prefix, the set of neighbors the origin
 // was observed announcing the prefix to — the evidence base for the
 // prefix-specific-policy criteria of §4.3. An edge N→O is "observed for

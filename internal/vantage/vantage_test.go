@@ -72,11 +72,3 @@ func TestObservedLinksAreRealAdjacencies(t *testing.T) {
 		}
 	}
 }
-
-func TestPathsSharesBacking(t *testing.T) {
-	_, rib, peers := smallRIB(t)
-	s := Collect(rib, peers, 0)
-	if got := len(s.Paths()); got != len(s.Entries) {
-		t.Errorf("Paths() returned %d, want %d", got, len(s.Entries))
-	}
-}

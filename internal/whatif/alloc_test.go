@@ -13,6 +13,7 @@ import (
 
 	"routelab/internal/asn"
 	"routelab/internal/bgp"
+	"routelab/internal/race"
 	"routelab/internal/whatif"
 )
 
@@ -66,7 +67,7 @@ var evalLoops = []struct {
 // TestAllocsEvalCeilings gates the allocation profile of one what-if
 // answer, the unit of work behind every POST /v1/whatif entry.
 func TestAllocsEvalCeilings(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("allocation counts differ under -race")
 	}
 	f := newEvalFixture(t)
