@@ -146,11 +146,12 @@ func (k *kernelFixture) poison(c *Computation) {
 // allocs/op. Measured on this fixture (go1.24): converge 14,
 // poison_reconverge 17, fork 11, fork_reconverge 28 — a computation's
 // containers, a fork's copies of them plus a few row-arena chunks and
-// path-tree growth steps. The ceilings leave a toolchain's map
-// internals some room and still sit two orders of magnitude under what
-// an allocation per route, per event or per cloned row costs here
-// (hundreds to thousands; the per-route design this replaced measured
-// 2,772 / 4,342 / 14 / 1,965).
+// path-tree growth steps — and fork_recycled 4: the same fork, poison
+// and reconvergence on the storage the previous round Released. The
+// ceilings leave a toolchain's map internals some room and still sit two
+// orders of magnitude under what an allocation per route, per event or
+// per cloned row costs here (hundreds to thousands; the per-route design
+// this replaced measured 2,772 / 4,342 / 14 / 1,965).
 var kernelLoops = []struct {
 	name    string
 	ceiling float64
@@ -160,6 +161,11 @@ var kernelLoops = []struct {
 	{"poison_reconverge", 28, func(k *kernelFixture) { k.poison(k.converge()) }},
 	{"fork", 18, func(k *kernelFixture) { k.base.Fork() }},
 	{"fork_reconverge", 48, func(k *kernelFixture) { k.poison(k.base.Fork()) }},
+	{"fork_recycled", 8, func(k *kernelFixture) {
+		f := k.base.Fork()
+		k.poison(f)
+		f.Release()
+	}},
 }
 
 // TestAllocsKernelCeilings gates the allocation profile of the loops
@@ -174,34 +180,62 @@ func TestAllocsKernelCeilings(t *testing.T) {
 	}
 }
 
-// TestRIBBytesPerRoute pins what a held route costs: the heap a full RIB
-// of the TestConfig world retains, divided by its routes. The columnar
-// RIB keeps a 24-byte record per (AS, prefix) and a few path nodes per
-// prefix; the map[asn.ASN]Route per prefix it replaced cost about 213.
+// TestRIBBytesPerRoute pins what a held route costs: the heap a RIB of
+// the TestConfig world retains, divided by the routes it holds, for a
+// RIB with a scenario's kind of readers — 25 collector ASes, and as data
+// plane the prefixes DNS answers from and the testbed's with everything
+// announced over or under them — and for the keep-everything RIB. A
+// whole column keeps a 24-byte record per AS and a few path nodes; a
+// thin one shares its header and its path nodes among two dozen records
+// only, which is why the scoped figure is the higher one. (The
+// map[asn.ASN]Route per prefix all this replaced cost about 213.)
 func TestRIBBytesPerRoute(t *testing.T) {
 	if race.Enabled {
 		t.Skip("heap sizes differ under -race")
 	}
-	e := New(topology.Generate(1, topology.TestConfig()), 1)
+	topo := topology.Generate(1, topology.TestConfig())
+	e := New(topo, 1)
+	var scoped Readers
+	for _, cls := range []topology.Class{topology.Tier1, topology.Research, topology.LargeISP, topology.Content} {
+		scoped.Collectors = append(scoped.Collectors, topo.ASesOfClass(cls)...)
+	}
+	scoped.Collectors = scoped.Collectors[:25]
+	dsts := append(topo.DNS.ServingPrefixes(), topo.AS(topo.Names["peering"]).Prefixes...)
+	for _, p := range topo.OriginatedPrefixes() {
+		for _, d := range dsts {
+			if p.ContainsPrefix(d) || d.ContainsPrefix(p) {
+				scoped.DataPlane = append(scoped.DataPlane, p)
+				break
+			}
+		}
+	}
 	heap := func() uint64 {
 		runtime.GC()
 		var m runtime.MemStats
 		runtime.ReadMemStats(&m)
 		return m.HeapAlloc
 	}
-	before := heap()
-	rib := e.ComputeFullRIB(1)
-	retained := heap() - before
-	routes := 0
-	for _, col := range rib.cols {
-		routes += col.routes()
+	for _, tc := range []struct {
+		name    string
+		readers Readers
+	}{
+		{"scoped", scoped},
+		{"full", Readers{DataPlane: topo.OriginatedPrefixes()}},
+	} {
+		before := heap()
+		rib := e.ComputeRIB(topo.OriginatedPrefixes(), tc.readers, 1)
+		retained := heap() - before
+		routes := 0
+		for _, col := range rib.cols {
+			routes += countRoutes(col.best)
+		}
+		if got := float64(retained) / float64(routes); got > 48 {
+			t.Errorf("%s RIB retains %d bytes for %d routes: %.1f B/route, want <= 48", tc.name, retained, routes, got)
+		} else {
+			t.Logf("%s RIB: %d routes, %.1f B/route", tc.name, routes, got)
+		}
+		runtime.KeepAlive(rib)
 	}
-	if got := float64(retained) / float64(routes); got > 48 {
-		t.Errorf("full RIB retains %d bytes for %d routes: %.1f B/route, want <= 48", retained, routes, got)
-	} else {
-		t.Logf("%d routes, %.1f B/route", routes, got)
-	}
-	runtime.KeepAlive(rib)
 }
 
 // BenchmarkKernel times the same loops on the same fixture, for

@@ -105,7 +105,7 @@ func (c *Computation) slotOf(i, j int32) (int32, bool) {
 // already-failed link is a no-op.
 func (c *Computation) FailLink(a, b asn.ASN) error {
 	if c.frozen.Load() {
-		panic("bgp: FailLink on a frozen Computation (it has live forks; mutate a Fork instead)")
+		panic("bgp: FailLink on a " + c.sealed())
 	}
 	i, iok := c.idx(a)
 	j, jok := c.idx(b)
@@ -146,7 +146,7 @@ func (c *Computation) dropAcross(i, j int32) {
 // sealed graph and canonicalizes the link.
 func (c *Computation) AddPeering(l *topology.Link) error {
 	if c.frozen.Load() {
-		panic("bgp: AddPeering on a frozen Computation (it has live forks; mutate a Fork instead)")
+		panic("bgp: AddPeering on a " + c.sealed())
 	}
 	if l == nil || l.Lo == l.Hi {
 		return fmt.Errorf("bgp: AddPeering: bad candidate link")
@@ -169,7 +169,7 @@ func (c *Computation) AddPeering(l *topology.Link) error {
 	slotOnLo := int32(c.rowLen(i))
 	slotOnHi := int32(c.rowLen(j))
 	var st [2]adjState
-	c.e.setLinkState(st[:], linkPair{link: l, fromLo: 0, fromHi: 1}, c.prefix, c.e.prefixContinent(c.prefix))
+	c.e.setLinkState(st[:], &linkPair{link: l, fromLo: 0, fromHi: 1, near: c.e.nearCities(l)}, c.prefix, c.e.prefixContinent(c.prefix))
 	ov.extra[i] = append(ov.extra[i], extraAdj{adjacency{link: l, peer: j, back: slotOnHi}, st[0]})
 	ov.extra[j] = append(ov.extra[j], extraAdj{adjacency{link: l, peer: i, back: slotOnLo}, st[1]})
 	c.force[i] = true
@@ -186,7 +186,7 @@ func (c *Computation) AddPeering(l *topology.Link) error {
 // best-path moves.
 func (c *Computation) SetLocalPref(at, from asn.ASN, pref int) error {
 	if c.frozen.Load() {
-		panic("bgp: SetLocalPref on a frozen Computation (it has live forks; mutate a Fork instead)")
+		panic("bgp: SetLocalPref on a " + c.sealed())
 	}
 	if int(int32(pref)) != pref {
 		return fmt.Errorf("bgp: SetLocalPref(%s, %s): preference %d out of range", at, from, pref)

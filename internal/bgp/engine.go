@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"routelab/internal/asn"
@@ -30,12 +31,16 @@ var (
 	obsRowClones        = obs.Default().Counter("bgp.fork.row_clones")
 )
 
-// Engine computes ground-truth routing over a topology. It is stateless
+// Engine computes ground-truth routing over a topology. It is immutable
 // after construction and safe for concurrent use; all per-prefix state
 // lives in Computation.
 type Engine struct {
 	topo *topology.Topology
 	seed int64
+
+	// forks holds the storage of Released computations (*forkStorage) for
+	// the next Fork: contents stale, so it is no state of the engine's.
+	forks sync.Pool
 
 	// Dense indexes for the hot path, all built here once. asns[i] is
 	// the AS at index i (ascending, so index order is ASN order);
@@ -77,6 +82,9 @@ type adjState struct {
 type linkPair struct {
 	link           *topology.Link
 	fromLo, fromHi int32 // adjacency indexes owned by link.Lo and link.Hi
+	// near is the link's cities by continent (nearCities), set on links
+	// with several.
+	near [geo.OC + 1][]geo.CityID
 }
 
 // asPolicy is the per-AS policy the kernel consults when the AS hears
@@ -153,14 +161,14 @@ func New(topo *topology.Topology, seed int64) *Engine {
 		i, j := e.adj[o].peer, e.adj[k].peer // k is owned by i, o by j
 		e.adj[k].back = o - e.off[j]
 		e.adj[o].back = int32(k) - e.off[i]
-		pair := linkPair{link: l, fromLo: o, fromHi: int32(k)}
+		pair := linkPair{link: l, fromLo: o, fromHi: int32(k), near: e.nearCities(l)}
 		if e.asns[i] == l.Lo {
 			pair.fromLo, pair.fromHi = pair.fromHi, pair.fromLo
 		}
 		if len(l.Cities) > 1 || len(l.PartialTransitFor) > 0 {
 			e.varying = append(e.varying, pair)
 		} else {
-			e.setLinkState(e.fixed, pair, asn.Prefix{}, geo.ContinentNone)
+			e.setLinkState(e.fixed, &pair, asn.Prefix{}, geo.ContinentNone)
 		}
 	}
 	return e
@@ -168,9 +176,9 @@ func New(topo *topology.Topology, seed int64) *Engine {
 
 // setLinkState evaluates a link's policy for one prefix (heading for
 // continent cont) and stores both directions' adjState.
-func (e *Engine) setLinkState(dst []adjState, v linkPair, prefix asn.Prefix, cont geo.Continent) {
+func (e *Engine) setLinkState(dst []adjState, v *linkPair, prefix asn.Prefix, cont geo.Continent) {
 	l := v.link
-	city := e.linkCityNear(l, prefix, cont)
+	city := e.linkCity(v, prefix, cont)
 	hiRole := effectiveRel(l, l.Lo, l.Hi, prefix, city)
 	dst[v.fromLo] = adjState{city: city, rel: hiRole, igp: e.igpCost(l.Hi, l.Lo, city)}
 	dst[v.fromHi] = adjState{city: city, rel: hiRole.Invert(), igp: e.igpCost(l.Lo, l.Hi, city)}
@@ -237,7 +245,9 @@ type Computation struct {
 
 	// frozen is set by Freeze/Fork; Announce and Withdraw panic once
 	// set. Atomic so concurrent Forks of one parent are race-free.
-	frozen atomic.Bool
+	// Release sets it too, with released, to end the computation.
+	frozen   atomic.Bool
+	released bool
 
 	// ov holds this computation's what-if mutations (failed links, added
 	// peerings, LocalPref overrides); nil for ordinary computations, so
@@ -267,6 +277,9 @@ type rowArena struct {
 	free []rec
 	last int // size of the latest chunk
 	left int // slots a copy of every not-yet-copied row would still need
+	// slab is the full-width first chunk of a fork on recycled storage
+	// (contents stale), kept so Release can hand it on.
+	slab []rec
 }
 
 func (a *rowArena) take(n int) []rec {
@@ -361,8 +374,8 @@ func (c *Computation) setPrefix(prefix asn.Prefix) {
 	c.contentPrefix = e.topo.IsContentPrefix(prefix)
 	copy(c.adjSt, e.fixed)
 	cont := e.prefixContinent(prefix)
-	for _, v := range e.varying {
-		e.setLinkState(c.adjSt, v, prefix, cont)
+	for k := range e.varying {
+		e.setLinkState(c.adjSt, &e.varying[k], prefix, cont)
 	}
 }
 
@@ -423,7 +436,7 @@ func (c *Computation) enqueue(i int32) {
 // Converge to propagate.
 func (c *Computation) Announce(a Announcement) {
 	if c.frozen.Load() {
-		panic("bgp: Announce on a frozen Computation (it has live forks; mutate a Fork instead)")
+		panic("bgp: Announce on a " + c.sealed())
 	}
 	a.Prefix = c.prefix
 	c.anns[a.Origin] = a
@@ -442,7 +455,7 @@ func (c *Computation) Announce(a Announcement) {
 // Withdraw removes an origin's announcement.
 func (c *Computation) Withdraw(origin asn.ASN) {
 	if c.frozen.Load() {
-		panic("bgp: Withdraw on a frozen Computation (it has live forks; mutate a Fork instead)")
+		panic("bgp: Withdraw on a " + c.sealed())
 	}
 	delete(c.anns, origin)
 	obsWithdraw.Inc()
@@ -717,7 +730,7 @@ func (c *Computation) deliver(i int32, s int32, adv rec) bool {
 		// AddPeering slot demands: move it, at full width, into this
 		// computation's arena.
 		nr := c.rows.take(need)
-		copy(nr, row)
+		clear(nr[copy(nr, row):])
 		if shared {
 			c.sharedRow[i] = false
 			c.rowClones++

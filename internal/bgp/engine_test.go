@@ -464,7 +464,7 @@ func TestHybridRelationshipByCity(t *testing.T) {
 	var pA, pB asn.Prefix
 	for i := 0; i < 64 && (pA.IsZero() || pB.IsZero()); i++ {
 		p := b.AddPrefix(org)
-		if e.linkCity(lnk, p) == cities[0] {
+		if cityOn(e, lnk, p) == cities[0] {
 			if pA.IsZero() {
 				pA = p
 			}
@@ -551,7 +551,7 @@ func valleyFreeEffective(topo *topology.Topology, e *Engine, p asn.Prefix, path 
 		if l == nil {
 			return errLink{path[i], path[i+1]}
 		}
-		city := e.linkCity(l, p)
+		city := cityOn(e, l, p)
 		rels[i] = effectiveRel(l, path[i], path[i+1], p, city)
 	}
 	// Export invariant at every transit AS, tracking the route's
@@ -689,5 +689,69 @@ func TestOrgRelPreservedAcrossSiblings(t *testing.T) {
 	// s2 must not leak the org's provider route to its peer.
 	if _, ok := c.Best(peerOfS2); ok {
 		t.Error("s2 exported an organizational provider route to a peer")
+	}
+}
+
+// cityOn is the interconnection city the engine routes p through on l.
+func cityOn(e *Engine, l *topology.Link, p asn.Prefix) geo.CityID {
+	return e.linkCity(&linkPair{link: l, near: e.nearCities(l)}, p, e.prefixContinent(p))
+}
+
+// linkCityTwoScans is the city choice as it was made before the cities
+// were grouped by continent in New: count the candidates on the prefix's
+// continent, then walk to the (hash mod count)-th.
+func linkCityTwoScans(e *Engine, l *topology.Link, prefix asn.Prefix, cont geo.Continent) geo.CityID {
+	if len(l.Cities) == 1 {
+		return l.Cities[0]
+	}
+	near := 0
+	if cont != geo.ContinentNone {
+		for _, c := range l.Cities {
+			if e.topo.World.ContinentOf(c) == cont {
+				near++
+			}
+		}
+	}
+	h := e.hash(uint64(l.Lo), uint64(l.Hi), uint64(prefix.Addr), uint64(prefix.Len))
+	if near == 0 {
+		return l.Cities[h%uint64(len(l.Cities))]
+	}
+	k := h % uint64(near)
+	for _, c := range l.Cities {
+		if e.topo.World.ContinentOf(c) == cont {
+			if k == 0 {
+				return c
+			}
+			k--
+		}
+	}
+	panic("candidate count changed between scans")
+}
+
+// TestLinkCityMatchesTwoScanReference pins that grouping a link's cities
+// by continent once changed no choice: on every link with several cities,
+// for every originated prefix and for every continent a prefix could be
+// headed for, the indexed pick is the scanned one.
+func TestLinkCityMatchesTwoScanReference(t *testing.T) {
+	topo := topology.Generate(3, topology.TestConfig())
+	e := New(topo, 3)
+	if len(e.varying) == 0 {
+		t.Fatal("no link with several cities")
+	}
+	prefixes := topo.OriginatedPrefixes()
+	for k := range e.varying {
+		v := &e.varying[k]
+		for _, p := range prefixes {
+			cont := e.prefixContinent(p)
+			if got, want := e.linkCity(v, p, cont), linkCityTwoScans(e, v.link, p, cont); got != want {
+				t.Fatalf("link %s-%s, %v (continent %v): city %d, reference %d", v.link.Lo, v.link.Hi, p, cont, got, want)
+			}
+		}
+		for cont := geo.ContinentNone; cont <= geo.OC; cont++ {
+			p := prefixes[k%len(prefixes)]
+			if got, want := e.linkCity(v, p, cont), linkCityTwoScans(e, v.link, p, cont); got != want {
+				t.Fatalf("link %s-%s, %v toward %v: city %d, reference %d", v.link.Lo, v.link.Hi, p, cont, got, want)
+			}
+		}
 	}
 }

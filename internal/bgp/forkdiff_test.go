@@ -28,10 +28,16 @@ type forkOp struct {
 	withdraw bool // withdraw `origin` (else announce `ann`)
 	origin   asn.ASN
 	ann      Announcement
+	// whatif, when set, is a what-if edit (FailLink, AddPeering,
+	// SetLocalPref) instead. Its error is part of the history: an edit the
+	// fork refuses, the replay refuses too.
+	whatif func(c *Computation) error
 }
 
 func (o forkOp) apply(c *Computation) {
 	switch {
+	case o.whatif != nil:
+		_ = o.whatif(c)
 	case o.converge:
 		c.Converge()
 	case o.withdraw:
@@ -208,40 +214,14 @@ func TestForkParentIsolation(t *testing.T) {
 	origin := hist[0].ann.Origin
 	base := replay(e, prefix, hist)
 
-	// Deep value snapshot of the parent — records are values, so cloning
-	// the column and every row copies them — taken before forking.
-	snapRoutes := base.Routes()
-	snapBest := slices.Clone(base.best)
-	snapRows := make([][]rec, len(base.adjIn))
-	for i, row := range base.adjIn {
-		snapRows[i] = slices.Clone(row)
-	}
-	snapClock := base.clock
-	snapPaths := len(base.paths.nodes)
+	snap := snapshotOf(base) // taken before forking
 
 	f := base.Fork()
 	for _, o := range randomOps(rand.New(rand.NewSource(4242)), all, origin, 16) {
 		o.apply(f)
 	}
 	f.Converge()
-
-	if base.clock != snapClock {
-		t.Errorf("parent clock moved: %d -> %d", snapClock, base.clock)
-	}
-	if len(base.paths.nodes) != snapPaths {
-		t.Errorf("parent path tree grew: %d -> %d nodes", snapPaths, len(base.paths.nodes))
-	}
-	if !slices.Equal(base.best, snapBest) {
-		t.Fatal("parent best column mutated")
-	}
-	for i, row := range base.adjIn {
-		if !slices.Equal(row, snapRows[i]) {
-			t.Fatalf("parent adjIn[%s] mutated through a shared row", base.e.asns[i])
-		}
-	}
-	if !reflect.DeepEqual(base.Routes(), snapRoutes) {
-		t.Error("parent Routes() changed after fork mutation")
-	}
+	snap.check(t, "the parent")
 }
 
 // TestConcurrentForks drives independent forks of one frozen base from
@@ -350,4 +330,253 @@ func TestFrozenBaseConcurrentReads(t *testing.T) {
 		t.Error("BestDiff against a base under concurrent reads changed")
 	}
 	wg.Wait()
+}
+
+// dirtyOps is randomOps with what-if edits mixed in — links failing,
+// peerings appearing (rows widen), local preferences overridden — so the
+// fork that ran it leaves an overlay, widened rows, AS_SETs and a grown
+// path segment behind in whatever it hands back.
+func dirtyOps(rng *rand.Rand, topo *topology.Topology, origin asn.ASN, n int) []forkOp {
+	all := topo.ASNs()
+	neighbor := func() (asn.ASN, asn.ASN) {
+		for {
+			a := all[rng.Intn(len(all))]
+			if nbs := topo.Neighbors(a); len(nbs) > 0 {
+				return a, nbs[rng.Intn(len(nbs))].ASN
+			}
+		}
+	}
+	var ops []forkOp
+	for _, o := range randomOps(rng, all, origin, n) {
+		ops = append(ops, o)
+		switch rng.Intn(4) {
+		case 0:
+			a, b := neighbor()
+			ops = append(ops, forkOp{whatif: func(c *Computation) error { return c.FailLink(a, b) }})
+		case 1:
+			// Two new providers for one AS (a provider exports whatever it
+			// routes on): its row widens by two slots on the first
+			// advertisement across either, so one slot of the new row is
+			// neither copied nor written.
+			// (Most random pairs share no interconnection city: draw until
+			// two proposals stand, for at most a few hundred draws.)
+			x, added := all[rng.Intn(len(all))], 0
+			for try := 0; try < 400 && added < 2; try++ {
+				if try%100 == 99 {
+					x = all[rng.Intn(len(all))]
+				}
+				if l, err := topo.ProposeLink(x, all[rng.Intn(len(all))], topology.RelProvider); err == nil {
+					ops = append(ops, forkOp{whatif: func(c *Computation) error { return c.AddPeering(l) }})
+					added++
+				}
+			}
+		case 2:
+			at, from := neighbor()
+			pref := 50 + 100*rng.Intn(5)
+			ops = append(ops, forkOp{whatif: func(c *Computation) error { return c.SetLocalPref(at, from, pref) }})
+		}
+	}
+	return append(ops, forkOp{converge: true})
+}
+
+// recycledFork dirties a fork of `dirty`, releases it, and forks `base`,
+// until that fork comes out on storage in its second round at least: a
+// row slab — what only recycled storage carries — that the dirtied fork
+// already wrote its rows into. Nil after 64 tries (sync.Pool may drop a
+// Put, and does so at random under -race).
+func recycledFork(rng *rand.Rand, topo *topology.Topology, origin asn.ASN, dirty, base *Computation) *Computation {
+	for try := 0; try < 64; try++ {
+		f := dirty.Fork()
+		stale := f.rows.slab != nil
+		for _, o := range dirtyOps(rng, topo, origin, 10) {
+			o.apply(f)
+		}
+		f.Release()
+		g := base.Fork()
+		if stale && g.rows.slab != nil {
+			return g
+		}
+		g.Release()
+	}
+	return nil
+}
+
+// recycleFixture is one world with two different frozen bases of one
+// prefix: forks of a get dirtied and released, forks of b re-issued.
+type recycleFixture struct {
+	topo   *topology.Topology
+	e      *Engine
+	origin asn.ASN
+	prefix asn.Prefix
+	histB  []forkOp
+	a, b   *Computation
+}
+
+func newRecycleFixture(seed int64) *recycleFixture {
+	topo := topology.Generate(seed, topology.TestConfig())
+	x := &recycleFixture{topo: topo, e: New(topo, seed), origin: topo.Names["peering"]}
+	x.prefix = topo.AS(x.origin).Prefixes[0]
+	histA := []forkOp{{ann: Announcement{Origin: x.origin}}, {converge: true}}
+	x.histB = append(slices.Clone(histA), randomOps(rand.New(rand.NewSource(seed)), topo.ASNs(), x.origin, 6)...)
+	x.a, x.b = replay(x.e, x.prefix, histA), replay(x.e, x.prefix, x.histB)
+	x.a.Freeze()
+	x.b.Freeze()
+	return x
+}
+
+// TestRecycledForkDifferentialOracle is the property for storage that
+// comes round again: a fork dirtied by a random history, what-if edits
+// included, and released, then re-issued from a DIFFERENT frozen base,
+// is state-identical to a fresh Fork of that base — straight away, and
+// after both ran the same further history (what-if edits again, so rows
+// widen inside the recycled slab) — and to the from-scratch replay; and
+// neither base sees any of it.
+func TestRecycledForkDifferentialOracle(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3, 7, 42} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			x := newRecycleFixture(seed)
+			snapA, snapB := snapshotOf(x.a), snapshotOf(x.b)
+			rng := rand.New(rand.NewSource(seed*7919 + 1))
+
+			g := recycledFork(rng, x.topo, x.origin, x.a, x.b)
+			if g == nil {
+				t.Fatal("no fork came out on recycled storage")
+			}
+			fresh := x.b.Fork()
+			if fresh.rows.slab != nil {
+				t.Fatal("the reference fork is on recycled storage too")
+			}
+			checkSameState(t, g, fresh)
+
+			ops := dirtyOps(rng, x.topo, x.origin, 10)
+			for _, o := range ops {
+				o.apply(g)
+				o.apply(fresh)
+			}
+			checkSameState(t, g, fresh)
+			checkSameState(t, g, replay(x.e, x.prefix, append(slices.Clone(x.histB), ops...)))
+			snapA.check(t, "the base the dirtied fork came from")
+			snapB.check(t, "the base the recycled fork came from")
+		})
+	}
+}
+
+// TestConcurrentRecycledForks runs the same property from eight
+// goroutines sharing one engine and its two bases — the serving path's
+// shape: every what-if and alternates request draws from and hands back
+// to one pool while the others do. Each recycled fork is checked, state
+// for state, against its replay. Under -race this is what proves a
+// storage is never in two forks' hands.
+func TestConcurrentRecycledForks(t *testing.T) {
+	x := newRecycleFixture(21)
+	snapA, snapB := snapshotOf(x.a), snapshotOf(x.b)
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)*131 + 5))
+			for round := 0; round < 3; round++ {
+				g := recycledFork(rng, x.topo, x.origin, x.a, x.b)
+				if g == nil {
+					t.Errorf("worker %d: no fork came out on recycled storage", w)
+					return
+				}
+				ops := dirtyOps(rng, x.topo, x.origin, 6)
+				for _, o := range ops {
+					o.apply(g)
+				}
+				checkSameState(t, g, replay(x.e, x.prefix, append(slices.Clone(x.histB), ops...)))
+				g.Release()
+			}
+		}(w)
+	}
+	wg.Wait()
+	snapA.check(t, "the base the dirtied forks came from")
+	snapB.check(t, "the base the recycled forks came from")
+}
+
+// baseSnapshot is a deep value copy of a frozen computation's observable
+// state (records are values, so cloning rows copies them).
+type baseSnapshot struct {
+	c      *Computation
+	clock  uint32
+	nodes  int
+	best   []rec
+	rows   [][]rec
+	routes map[asn.ASN]Route
+}
+
+func snapshotOf(c *Computation) baseSnapshot {
+	s := baseSnapshot{c: c, clock: c.clock, nodes: len(c.paths.nodes), best: slices.Clone(c.best), routes: c.Routes()}
+	for _, row := range c.adjIn {
+		s.rows = append(s.rows, slices.Clone(row))
+	}
+	return s
+}
+
+func (s baseSnapshot) check(t *testing.T, who string) {
+	t.Helper()
+	c := s.c
+	if c.clock != s.clock || len(c.paths.nodes) != s.nodes || !slices.Equal(c.best, s.best) {
+		t.Errorf("%s: clock, path segment or best column changed", who)
+	}
+	for i, row := range c.adjIn {
+		if !slices.Equal(row, s.rows[i]) {
+			t.Errorf("%s: adjIn[%s] changed through a shared row", who, c.e.asns[i])
+		}
+	}
+	if !reflect.DeepEqual(c.Routes(), s.routes) {
+		t.Errorf("%s: Routes() changed", who)
+	}
+}
+
+// TestReleaseContract pins who may be released and what is left of it: a
+// frozen computation may have live forks reading its rows and its path
+// segment, so releasing one panics; a released one refuses every
+// mutator, Fork and a second Release by name, and its reads find nothing
+// to index. Nothing a read returned before is invalidated.
+func TestReleaseContract(t *testing.T) {
+	e, prefix, all, hist := forkFixture(t, 2)
+	origin := hist[0].ann.Origin
+	base := replay(e, prefix, hist)
+	mustPanic := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		fn()
+	}
+
+	f := base.Fork()
+	mustPanic("Release of a frozen computation", base.Release)
+	f.Announce(Announcement{Origin: origin, Poisoned: []asn.ASN{all[5]}})
+	f.Converge()
+	routes := f.Routes()
+	kept, _ := f.Best(all[9])
+	f.Release()
+
+	mustPanic("Announce after Release", func() { f.Announce(Announcement{Origin: origin}) })
+	mustPanic("Withdraw after Release", func() { f.Withdraw(origin) })
+	mustPanic("FailLink after Release", func() { _ = f.FailLink(all[0], all[1]) })
+	mustPanic("SetLocalPref after Release", func() { _ = f.SetLocalPref(all[0], all[1], 10) })
+	mustPanic("Fork after Release", func() { f.Fork() })
+	mustPanic("Release after Release", f.Release)
+	mustPanic("Best after Release", func() { f.Best(all[9]) })
+
+	// The storage is in another fork's hands now; what was read out
+	// before the release still says what it said.
+	g := base.Fork()
+	g.Announce(Announcement{Origin: origin, Poisoned: []asn.ASN{all[9], all[11]}})
+	g.Converge()
+	want := replay(e, prefix, append(slices.Clone(hist),
+		forkOp{ann: Announcement{Origin: origin, Poisoned: []asn.ASN{all[5]}}}, forkOp{converge: true}))
+	if !reflect.DeepEqual(routes, want.Routes()) {
+		t.Error("Routes() read before Release changed once the storage was reused")
+	}
+	if wr, _ := want.Best(all[9]); !reflect.DeepEqual(kept, wr) {
+		t.Error("a Route read before Release changed once the storage was reused")
+	}
 }

@@ -81,9 +81,15 @@ func (t *pathTree) reset() {
 }
 
 // fork returns an empty segment chained onto t, which must not grow
-// afterwards.
-func (t *pathTree) fork() pathTree {
-	return pathTree{parent: t, base: t.base + uint32(len(t.nodes)), setBase: t.setBase + uint32(len(t.sets))}
+// afterwards, built on the storage of a finished segment (the zero
+// value: none).
+func (t *pathTree) fork(old pathTree) pathTree {
+	clear(old.table)
+	clear(old.sets)
+	return pathTree{
+		parent: t, base: t.base + uint32(len(t.nodes)), setBase: t.setBase + uint32(len(t.sets)),
+		nodes: old.nodes[:0], table: old.table, sets: old.sets[:0],
+	}
 }
 
 // node resolves an id anywhere in the chain.

@@ -72,14 +72,36 @@ func effectiveRel(l *topology.Link, self, other asn.ASN, prefix asn.Prefix, city
 }
 
 // linkCity deterministically picks the interconnection city a prefix's
-// traffic uses on a link. Candidates on the destination's continent are
-// preferred (operators interconnect near where the traffic is going —
-// the geographic flavor of hot-potato routing); within the candidate
-// set, a per-(link, prefix) hash spreads prefixes across
-// interconnection points, which is what lets hybrid relationships bite
-// for some destinations and not others.
-func (e *Engine) linkCity(l *topology.Link, prefix asn.Prefix) geo.CityID {
-	return e.linkCityNear(l, prefix, e.prefixContinent(prefix))
+// traffic (headed for continent cont) uses on a link. Candidates on the
+// destination's continent are preferred (operators interconnect near
+// where the traffic is going — the geographic flavor of hot-potato
+// routing); within the candidate set, a per-(link, prefix) hash spreads
+// prefixes across interconnection points, which is what lets hybrid
+// relationships bite for some destinations and not others.
+func (e *Engine) linkCity(v *linkPair, prefix asn.Prefix, cont geo.Continent) geo.CityID {
+	l := v.link
+	if len(l.Cities) == 1 {
+		return l.Cities[0]
+	}
+	cands := l.Cities
+	if cont != geo.ContinentNone && len(v.near[cont]) > 0 {
+		cands = v.near[cont]
+	}
+	h := e.hash(uint64(l.Lo), uint64(l.Hi), uint64(prefix.Addr), uint64(prefix.Len))
+	return cands[h%uint64(len(cands))]
+}
+
+// nearCities groups a link's interconnection cities by continent, in
+// link order: linkCity's candidate sets, so that picking one per prefix
+// is a hash and an index instead of two scans of the list.
+func (e *Engine) nearCities(l *topology.Link) (near [geo.OC + 1][]geo.CityID) {
+	if len(l.Cities) > 1 {
+		for _, c := range l.Cities {
+			cont := e.topo.World.ContinentOf(c)
+			near[cont] = append(near[cont], c)
+		}
+	}
+	return near
 }
 
 // prefixContinent is the continent a prefix's traffic is headed for: a
@@ -95,37 +117,6 @@ func (e *Engine) prefixContinent(prefix asn.Prefix) geo.Continent {
 		}
 	}
 	return geo.ContinentNone
-}
-
-// linkCityNear is linkCity with the prefix's continent already resolved.
-// It picks the (hash mod n)-th candidate by counting, not by building
-// the candidate list.
-func (e *Engine) linkCityNear(l *topology.Link, prefix asn.Prefix, cont geo.Continent) geo.CityID {
-	if len(l.Cities) == 1 {
-		return l.Cities[0]
-	}
-	near := 0
-	if cont != geo.ContinentNone {
-		for _, c := range l.Cities {
-			if e.topo.World.ContinentOf(c) == cont {
-				near++
-			}
-		}
-	}
-	h := e.hash(uint64(l.Lo), uint64(l.Hi), uint64(prefix.Addr), uint64(prefix.Len))
-	if near == 0 {
-		return l.Cities[h%uint64(len(l.Cities))]
-	}
-	k := h % uint64(near)
-	for _, c := range l.Cities {
-		if e.topo.World.ContinentOf(c) == cont {
-			if k == 0 {
-				return c
-			}
-			k--
-		}
-	}
-	panic("bgp: linkCityNear: candidate count changed between scans")
 }
 
 // localPref computes the local preference an AS with policy self assigns

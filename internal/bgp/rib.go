@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"fmt"
 	"slices"
 	"sort"
 	"sync"
@@ -10,14 +11,29 @@ import (
 	"routelab/internal/parallel"
 )
 
+// Readers names who will read a RIB, which is all a RIB keeps: the row
+// of every collector AS (each prefix, as a BGP feed sees routing) and
+// the column of every data-plane prefix (each AS, as a packet toward it
+// does). Listing every prefix as a data-plane prefix keeps everything.
+type Readers struct {
+	Collectors []asn.ASN
+	DataPlane  []asn.Prefix
+}
+
 // RIB holds converged best routes for a set of prefixes — the global
-// routing state the data plane forwards on. It is columnar: per prefix,
-// one record per AS (by the engine's dense index) plus the few path
-// nodes those records reach; public Routes are materialised on read.
-// Immutable once computed; concurrent readers are safe.
+// routing state the data plane forwards on — as far as its Readers
+// reach. It is columnar: per prefix, one record per AS (by the engine's
+// dense index), or per collector AS only when the prefix is no
+// data-plane prefix, plus the few path nodes those records reach; public
+// Routes are materialised on read. A read of a route that was converged
+// but not retained panics: the RIB never answers "no route" for one it
+// dropped. Immutable once computed; concurrent readers are safe.
 type RIB struct {
 	e    *Engine
 	cols map[asn.Prefix]*column
+	// slot[i] is where a thin column keeps collector AS i's record (the
+	// collectors in index order), -1 for an AS that is no collector.
+	slot []int32
 	// byLen groups the covered prefixes by descending mask length for
 	// longest-prefix matching.
 	byLen []asn.Prefix
@@ -26,11 +42,16 @@ type RIB struct {
 	lens []uint8
 }
 
-// column is one prefix's converged state: best[i] is AS i's best route
-// (path 0 = none), its path an id in paths.
+// column is what the RIB keeps of one prefix's converged state. A whole
+// column's best[i] is AS i's best route (path 0 = none), a thin one's
+// best[k] that of the k-th collector (RIB.slot); paths holds the nodes they
+// reach.
 type column struct {
 	best  []rec
 	paths pathTree
+	whole bool
+	// converged counts the ASes that settled on a route, kept or not.
+	converged int
 }
 
 // converge settles the default announcement of p (its topology origin
@@ -60,13 +81,32 @@ func (e *Engine) ComputePrefix(p asn.Prefix) map[asn.ASN]Route {
 	return c.Routes()
 }
 
-// ComputeRIB converges every given prefix and assembles the global RIB.
-// Per-prefix computations run concurrently (each one is single-threaded
-// and deterministic; the engine and topology are read-only), and results
-// are merged at the barrier in input-prefix order, so the RIB is
-// byte-identical for any worker count. workers <= 0 selects GOMAXPROCS.
-func (e *Engine) ComputeRIB(prefixes []asn.Prefix, workers int) *RIB {
-	rib := &RIB{e: e, cols: make(map[asn.Prefix]*column, len(prefixes))}
+// ComputeRIB converges every given prefix and assembles the global RIB
+// its readers need. Per-prefix computations run concurrently (each one
+// is single-threaded and deterministic; the engine and topology are
+// read-only), and results are merged at the barrier in input-prefix
+// order, so the RIB is byte-identical for any worker count. workers <= 0
+// selects GOMAXPROCS.
+func (e *Engine) ComputeRIB(prefixes []asn.Prefix, readers Readers, workers int) *RIB {
+	rib := &RIB{e: e, cols: make(map[asn.Prefix]*column, len(prefixes)), slot: make([]int32, len(e.asns))}
+	var rows []int32
+	for _, a := range readers.Collectors {
+		if i, ok := e.index[a]; ok {
+			rows = append(rows, i)
+		}
+	}
+	slices.Sort(rows)
+	rows = slices.Compact(rows)
+	for i := range rib.slot {
+		rib.slot[i] = -1
+	}
+	for k, i := range rows {
+		rib.slot[i] = int32(k)
+	}
+	whole := make(map[asn.Prefix]bool, len(readers.DataPlane))
+	for _, p := range readers.DataPlane {
+		whole[p] = true
+	}
 	// Each worker converges prefix after prefix on one recycled
 	// computation (reset restores exactly the NewComputation state, so
 	// which one a prefix lands on cannot show) and keeps only the column.
@@ -77,45 +117,58 @@ func (e *Engine) ComputeRIB(prefixes []asn.Prefix, workers int) *RIB {
 			if c = e.converge(c, p); c == nil {
 				return nil
 			}
-			col := c.column()
+			col := c.column(whole[p], rows)
 			scratch.Put(c)
 			return col
 		})
-	routes := 0
+	routes, retained := 0, 0
 	for i, p := range prefixes {
-		rib.cols[p] = perPrefix[i]
-		routes += perPrefix[i].routes()
+		col := perPrefix[i]
+		rib.cols[p] = col
+		if col != nil {
+			routes += col.converged
+			retained += countRoutes(col.best)
+		}
 	}
 	rib.indexPrefixes()
 	obs.Add("bgp.rib.prefixes", int64(len(prefixes)))
 	obs.Add("bgp.rib.routes", int64(routes))
+	obs.Add("bgp.rib.retained", int64(retained))
 	return rib
 }
 
-// column copies out what the RIB keeps of a converged computation.
-func (c *Computation) column() *column {
-	col := &column{best: slices.Clone(c.best)}
+// column copies out what the RIB keeps of a converged computation: the
+// whole best column, or only the given rows of it.
+func (c *Computation) column(whole bool, rows []int32) *column {
+	col := &column{whole: whole, converged: countRoutes(c.best)}
+	if whole {
+		col.best = slices.Clone(c.best)
+	} else {
+		col.best = make([]rec, len(rows))
+		for k, i := range rows {
+			col.best[k] = c.best[i]
+		}
+	}
 	col.paths = c.paths.compact(col.best, &c.compacting)
 	return col
 }
 
-// routes counts the ASes holding a route in the column (nil: none).
-func (col *column) routes() int {
-	if col == nil {
-		return 0
-	}
+// countRoutes counts the records that hold a route.
+func countRoutes(recs []rec) int {
 	n := 0
-	for i := range col.best {
-		if col.best[i].path != 0 {
+	for i := range recs {
+		if recs[i].path != 0 {
 			n++
 		}
 	}
 	return n
 }
 
-// ComputeFullRIB converges every prefix the topology originates.
+// ComputeFullRIB converges every prefix the topology originates and
+// keeps every route.
 func (e *Engine) ComputeFullRIB(workers int) *RIB {
-	return e.ComputeRIB(e.topo.OriginatedPrefixes(), workers)
+	prefixes := e.topo.OriginatedPrefixes()
+	return e.ComputeRIB(prefixes, Readers{DataPlane: prefixes}, workers)
 }
 
 func (r *RIB) indexPrefixes() {
@@ -143,14 +196,36 @@ func (r *RIB) indexPrefixes() {
 // Prefixes returns the covered prefixes, longest mask first.
 func (r *RIB) Prefixes() []asn.Prefix { return r.byLen }
 
+// Retains reports whether the RIB kept a's route for the exact prefix p
+// — or the fact that it converged on none: whether Route and ASPath
+// answer for the pair rather than panic. It is false for an AS or a
+// prefix the RIB never covered, which those reads answer with "no route".
+func (r *RIB) Retains(a asn.ASN, p asn.Prefix) bool {
+	i, ok := r.e.index[a]
+	col := r.cols[p]
+	return ok && col != nil && (col.whole || r.slot[i] >= 0)
+}
+
 // held returns the column and record of AS i's route for an exact
-// prefix, or nil when it holds none.
+// prefix, or nil when it holds none. Every read goes through here, so
+// this is where one outside the RIB's Readers is caught: a longest-prefix
+// match that reaches a thin column must not fall through to a shorter
+// prefix as if the AS had converged on no route.
 func (r *RIB) held(i int32, p asn.Prefix) (*column, *rec) {
 	col := r.cols[p]
-	if col == nil || col.best[i].path == 0 {
+	if col == nil {
 		return nil, nil
 	}
-	return col, &col.best[i]
+	k := i
+	if !col.whole {
+		if k = r.slot[i]; k < 0 {
+			panic(fmt.Sprintf("bgp: RIB read of %s's route for %s, which no declared reader retains", r.e.asns[i], p))
+		}
+	}
+	if col.best[k].path == 0 {
+		return nil, nil
+	}
+	return col, &col.best[k]
 }
 
 // routeAt materialises AS i's route for an exact prefix.

@@ -13,7 +13,7 @@ func ribFixture(t *testing.T) (*topology.Topology, *RIB) {
 	topo := topology.Generate(99, topology.TestConfig())
 	e := New(topo, 99)
 	cdn := topo.Names["cdn-major"]
-	rib := e.ComputeRIB(topo.AS(cdn).Prefixes, 2)
+	rib := e.ComputeRIB(topo.AS(cdn).Prefixes, Readers{DataPlane: topo.AS(cdn).Prefixes}, 2)
 	return topo, rib
 }
 
@@ -110,7 +110,7 @@ func TestComputeFullRIBMatchesPerPrefix(t *testing.T) {
 	topo := topology.Generate(101, topology.TestConfig())
 	e := New(topo, 101)
 	prefixes := topo.OriginatedPrefixes()[:6]
-	rib := e.ComputeRIB(prefixes, 3) // parallel workers
+	rib := e.ComputeRIB(prefixes, Readers{DataPlane: prefixes}, 3) // parallel workers
 	for _, p := range prefixes {
 		single := e.ComputePrefix(p)
 		for a, want := range single {
@@ -127,5 +127,114 @@ func TestComputePrefixUnknownOrigin(t *testing.T) {
 	e := New(topo, 101)
 	if m := e.ComputePrefix(asn.NewPrefix(asn.AddrFrom4(9, 0, 0, 0), 24)); m != nil {
 		t.Fatal("unknown prefix produced routes")
+	}
+}
+
+// mustPanicRead runs a RIB read that its readers do not cover and fails
+// unless it panics.
+func mustPanicRead(t *testing.T, what string, read func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s answered instead of panicking", what)
+		}
+	}()
+	read()
+}
+
+// TestScopedRIBMatchesFullRIB is the reader-scoped RIB's differential
+// oracle: what a RIB with few readers retains is, record for record and
+// path for path, what the keep-everything RIB of the same world holds,
+// and every read outside it panics rather than answer "no route" — also
+// the longest-prefix match that lands on a thin /24 while the /18 that
+// covers it is held whole.
+func TestScopedRIBMatchesFullRIB(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		topo := topology.Generate(seed, topology.TestConfig())
+		e := New(topo, seed)
+		full := e.ComputeFullRIB(0)
+
+		// Readers the way a scenario has them: a few dozen transit ASes as
+		// collectors, and as data plane every fifth AS's covering prefix —
+		// but none of its more specifics.
+		var readers Readers
+		readers.Collectors = append(readers.Collectors, topo.ASesOfClass(topology.Tier1)...)
+		readers.Collectors = append(readers.Collectors, topo.ASesOfClass(topology.LargeISP)...)
+		var thin24, over18 asn.Prefix
+		for k, a := range topo.ASNs() {
+			ps := topo.AS(a).Prefixes
+			if k%5 != 0 || len(ps) == 0 {
+				continue
+			}
+			readers.DataPlane = append(readers.DataPlane, ps[0])
+			for _, p := range ps[1:] {
+				if thin24.IsZero() && ps[0].ContainsPrefix(p) {
+					thin24, over18 = p, ps[0]
+				}
+			}
+		}
+		if thin24.IsZero() {
+			t.Fatalf("seed %d: no announced /24 inside a data-plane /18", seed)
+		}
+		scoped := e.ComputeRIB(topo.OriginatedPrefixes(), readers, 0)
+		if !reflect.DeepEqual(scoped.Prefixes(), full.Prefixes()) {
+			t.Fatalf("seed %d: the scoped RIB covers other prefixes than the full one", seed)
+		}
+
+		var outside asn.ASN // some AS that is no collector
+		retained, dropped := 0, 0
+		for _, p := range full.Prefixes() {
+			for _, a := range topo.ASNs() {
+				if !full.Retains(a, p) {
+					t.Fatalf("seed %d: the keep-everything RIB does not retain %s/%v", seed, a, p)
+				}
+				if !scoped.Retains(a, p) {
+					dropped++
+					outside = a
+					mustPanicRead(t, "Route outside the readers", func() { scoped.Route(a, p) })
+					mustPanicRead(t, "ASPath outside the readers", func() { scoped.ASPath(a, p) })
+					continue
+				}
+				retained++
+				fr, fok := full.Route(a, p)
+				sr, sok := scoped.Route(a, p)
+				if fok != sok || !reflect.DeepEqual(fr, sr) {
+					t.Fatalf("seed %d: Route(%s, %v): scoped %v (%v), full %v (%v)", seed, a, p, sr, sok, fr, fok)
+				}
+				if fp, sp := full.ASPath(a, p), scoped.ASPath(a, p); !reflect.DeepEqual(fp, sp) {
+					t.Fatalf("seed %d: ASPath(%s, %v): scoped %v, full %v", seed, a, p, sp, fp)
+				}
+			}
+		}
+		if retained == 0 || dropped == 0 {
+			t.Fatalf("seed %d: %d pairs retained, %d dropped: the readers scope nothing", seed, retained, dropped)
+		}
+		if !scoped.Retains(outside, over18) || scoped.Retains(outside, thin24) {
+			t.Fatalf("seed %d: fixture: %s should be held for %v and not for %v", seed, outside, over18, thin24)
+		}
+
+		// An address under the /18 and outside the /24 is answered from
+		// the whole column, exactly as the full RIB answers it; one under
+		// the thin /24 must not fall through to the /18, whether or not
+		// the AS converged on a route for the /24.
+		in18 := over18.Nth(1 << 10)
+		if thin24.Contains(in18) {
+			t.Fatalf("seed %d: fixture: %v is inside %v", seed, in18, thin24)
+		}
+		fr, fok := full.Lookup(outside, in18)
+		sr, sok := scoped.Lookup(outside, in18)
+		if fok != sok || !reflect.DeepEqual(fr, sr) {
+			t.Fatalf("seed %d: Lookup(%s, %v): scoped %v (%v), full %v (%v)", seed, outside, in18, sr, sok, fr, fok)
+		}
+		mustPanicRead(t, "Lookup under a thin /24", func() { scoped.Lookup(outside, thin24.Nth(7)) })
+		// A collector is held for every prefix: its lookups all answer.
+		for _, c := range readers.Collectors[:3] {
+			fr, fok := full.Lookup(c, thin24.Nth(7))
+			sr, sok := scoped.Lookup(c, thin24.Nth(7))
+			if fok != sok || !reflect.DeepEqual(fr, sr) {
+				t.Fatalf("seed %d: collector %s: Lookup under the thin /24: scoped %v (%v), full %v (%v)", seed, c, sr, sok, fr, fok)
+			}
+		}
+		t.Logf("seed %d: %d of %d (AS, prefix) pairs retained", seed, retained, retained+dropped)
 	}
 }

@@ -47,7 +47,7 @@ func TestValidatePSPConfirms(t *testing.T) {
 	origin.SelectiveExport = map[asn.Prefix][]asn.ASN{p: {n1}}
 
 	e := bgp.New(topo, 1)
-	rib := e.ComputeRIB([]asn.Prefix{p}, 0)
+	rib := e.ComputeRIB([]asn.Prefix{p}, bgp.Readers{DataPlane: []asn.Prefix{p}}, 0)
 	lg := lookingglass.Deploy(topo, rib, rand.New(rand.NewSource(1)), 1.0)
 
 	g := relgraph.New()
@@ -82,7 +82,7 @@ func TestValidatePSPRefutes(t *testing.T) {
 	p := topo.AS(origin.ASN).Prefixes[0]
 
 	e := bgp.New(topo, 1)
-	rib := e.ComputeRIB([]asn.Prefix{p}, 0)
+	rib := e.ComputeRIB([]asn.Prefix{p}, bgp.Readers{DataPlane: []asn.Prefix{p}}, 0)
 	lg := lookingglass.Deploy(topo, rib, rand.New(rand.NewSource(1)), 1.0)
 
 	g := relgraph.New()

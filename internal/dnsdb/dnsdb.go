@@ -6,8 +6,10 @@
 package dnsdb
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"routelab/internal/asn"
@@ -115,6 +117,25 @@ func (d *DB) Hostnames() []Hostname {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
+}
+
+// ServingPrefixes returns every prefix Resolve can draw an answer from —
+// the hostnames' on-net serving prefixes and the off-net caches' —
+// sorted, each once: where the campaign's traceroutes can be sent.
+func (d *DB) ServingPrefixes() []asn.Prefix {
+	var out []asn.Prefix
+	for _, h := range d.hosts {
+		out = append(out, h.Prefixes...)
+	}
+	for _, cs := range d.caches {
+		for _, c := range cs {
+			out = append(out, c.Prefix)
+		}
+	}
+	slices.SortFunc(out, func(a, b asn.Prefix) int {
+		return cmp.Or(cmp.Compare(a.Addr, b.Addr), cmp.Compare(a.Len, b.Len))
+	})
+	return slices.Compact(out)
 }
 
 // Answer is a resolved hostname: the address to traceroute to and the AS

@@ -148,3 +148,50 @@ func TestCacheHosts(t *testing.T) {
 		t.Error("unknown provider should have no cache hosts")
 	}
 }
+
+// TestServingPrefixesCoverEveryAnswer pins the enumerator against the
+// resolver it describes: hostname serving prefixes and cache prefixes,
+// sorted, each once — and every address Resolve hands out, whoever asks,
+// lies in one of them.
+func TestServingPrefixesCoverEveryAnswer(t *testing.T) {
+	d := New()
+	for _, h := range []Hostname{
+		{Name: "a.example", Provider: 1, Kind: OnNet, Prefixes: []asn.Prefix{pfx("8.8.8.0/24"), pfx("8.8.0.0/18")}},
+		{Name: "b.example", Provider: 2, Kind: OffNet, Prefixes: []asn.Prefix{pfx("8.8.8.0/24")}},
+		{Name: "c.example", Provider: 3, Kind: OffNet},
+	} {
+		if err := d.AddHostname(h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.AddCache(Cache{Provider: 2, HostAS: 64500, Prefix: pfx("10.1.200.0/24")})
+	d.AddCache(Cache{Provider: 3, HostAS: 64501, Prefix: pfx("10.2.200.0/24")})
+	d.AddCache(Cache{Provider: 3, HostAS: 64500, Prefix: pfx("10.1.200.0/24")})
+
+	got := d.ServingPrefixes()
+	want := []asn.Prefix{pfx("8.8.0.0/18"), pfx("8.8.8.0/24"), pfx("10.1.200.0/24"), pfx("10.2.200.0/24")}
+	if len(got) != len(want) {
+		t.Fatalf("ServingPrefixes() = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("ServingPrefixes() = %v, want %v", got, want)
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	for _, h := range d.Hostnames() {
+		for _, client := range []asn.ASN{64500, 64501, 64999} {
+			ans, err := d.Resolve(h.Name, client, geo.ContinentNone, []asn.ASN{64501}, rng)
+			if err != nil {
+				continue
+			}
+			covered := false
+			for _, p := range got {
+				covered = covered || p.Contains(ans.Addr)
+			}
+			if !covered {
+				t.Errorf("%s from AS%d resolves to %v, outside every serving prefix", h.Name, client, ans.Addr)
+			}
+		}
+	}
+}

@@ -14,7 +14,7 @@ func fixture(t *testing.T) (*topology.Topology, *bgp.RIB, *Directory) {
 	topo := topology.Generate(93, topology.TestConfig())
 	e := bgp.New(topo, 93)
 	cdn := topo.Names["cdn-major"]
-	rib := e.ComputeRIB(topo.AS(cdn).Prefixes, 0)
+	rib := e.ComputeRIB(topo.AS(cdn).Prefixes, bgp.Readers{DataPlane: topo.AS(cdn).Prefixes}, 0)
 	d := Deploy(topo, rib, rand.New(rand.NewSource(93)), 0.5)
 	return topo, rib, d
 }

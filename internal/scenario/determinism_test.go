@@ -43,14 +43,28 @@ func TestBuildDeterministicAcrossWorkerCounts(t *testing.T) {
 	if !reflect.DeepEqual(sp, wp) {
 		t.Fatalf("RIB prefix sets differ: %d vs %d prefixes", len(sp), len(wp))
 	}
+	// The two builds retain the same (AS, prefix) set, and agree on every
+	// route in it; a read outside it would panic.
+	retained := 0
 	for _, p := range sp {
 		for _, a := range serial.Topo.ASNs() {
+			keeps := serial.RIB.Retains(a, p)
+			if keeps != wide.RIB.Retains(a, p) {
+				t.Fatalf("only one build retains %s's route for %v (workers=1: %v)", a, p, keeps)
+			}
+			if !keeps {
+				continue
+			}
+			retained++
 			sr, sok := serial.RIB.Route(a, p)
 			wr, wok := wide.RIB.Route(a, p)
 			if sok != wok || !reflect.DeepEqual(sr, wr) {
 				t.Fatalf("RIB route of %s for %v differs between worker counts: %v (%v) vs %v (%v)", a, p, sr, sok, wr, wok)
 			}
 		}
+	}
+	if retained == 0 {
+		t.Fatal("the builds retain no route")
 	}
 
 	// The end-to-end guarantee: rendered experiment output is

@@ -29,6 +29,7 @@ package scenario
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"routelab/internal/asn"
 	"routelab/internal/atlas"
@@ -125,7 +126,10 @@ type Scenario struct {
 	Cfg    Config
 	Topo   *topology.Topology
 	Engine *bgp.Engine
-	// RIB is the CURRENT full routing state.
+	// RIB is the CURRENT routing state as far as it is read: every
+	// prefix at the current epochs' collector peers, every AS toward the
+	// prefixes a traceroute can be addressed into (bgp.Readers; any other
+	// read panics).
 	RIB *bgp.RIB
 
 	Snapshots []*vantage.Snapshot
@@ -180,35 +184,58 @@ func Build(cfg Config, logf Logf) (*Scenario, error) {
 	obs.Add("scenario.topology.links", int64(s.Topo.NumLinks()))
 	obs.Add("scenario.topology.prefixes", int64(len(s.Topo.OriginatedPrefixes())))
 
+	stop = obs.StartStage("scenario/testbed")
+	tb, err := peering.NewTestbed(s.Engine)
+	stop()
+	if err != nil {
+		return nil, fmt.Errorf("scenario: %w", err)
+	}
+	s.Testbed = tb
+
+	// Who reads the two RIBs is known before either is converged, and is
+	// all they keep (bgp.Readers): the collectors' peers see every prefix,
+	// the traceroutes and looking glasses every AS, but only toward the
+	// addresses DNS answers with and the testbed's. The peer draws are the
+	// build rng's first use, as they were when each epoch drew its own
+	// just before collecting.
+	topoHist := s.Topo.Restored()
+	epochs := cfg.HistoricEpochs + cfg.CurrentEpochs
+	peers := make([][]asn.ASN, epochs)
+	for epoch := range peers {
+		topoFor := topoHist
+		if epoch >= cfg.HistoricEpochs {
+			topoFor = s.Topo
+		}
+		peers[epoch] = vantage.SelectPeers(topoFor, rng, cfg.NumVantagePeers)
+	}
+	histPeers := slices.Concat(peers[:cfg.HistoricEpochs]...)
+	curReaders := bgp.Readers{
+		Collectors: slices.Concat(peers[cfg.HistoricEpochs:]...),
+		DataPlane:  dataPlanePrefixes(s.Topo, tb.Prefixes),
+	}
+
 	workers := parallel.Workers(cfg.RoutingWorkers)
 	logf("converging historical epoch routing (%d workers)", workers)
 	stop = obs.StartStage("scenario/converge-historical")
-	topoHist := s.Topo.Restored()
-	ribHist := bgp.New(topoHist, cfg.Seed).ComputeFullRIB(cfg.RoutingWorkers)
+	ribHist := bgp.New(topoHist, cfg.Seed).ComputeRIB(topoHist.OriginatedPrefixes(), bgp.Readers{Collectors: histPeers}, cfg.RoutingWorkers)
 	stop()
 	logf("converging current epoch routing (%d workers)", workers)
 	stop = obs.StartStage("scenario/converge-current")
-	s.RIB = s.Engine.ComputeFullRIB(cfg.RoutingWorkers)
+	s.RIB = s.Engine.ComputeRIB(s.Topo.OriginatedPrefixes(), curReaders, cfg.RoutingWorkers)
 	stop()
 
 	s.Siblings = siblings.Infer(s.Topo.Registry, s.Topo.DNS)
 
-	logf("collecting %d monitor snapshots", cfg.HistoricEpochs+cfg.CurrentEpochs)
+	logf("collecting %d monitor snapshots", epochs)
 	stop = obs.StartStage("scenario/snapshots")
 	infCfg := inference.DefaultConfig()
 	infCfg.SameOrg = s.Siblings.SameOrg
-	// Collection consumes the shared rng, so it stays serial; the
-	// per-snapshot inference is independent and fans out below.
-	for epoch := 0; epoch < cfg.HistoricEpochs+cfg.CurrentEpochs; epoch++ {
+	for epoch := range peers {
 		src := ribHist
-		topoFor := topoHist
 		if epoch >= cfg.HistoricEpochs {
 			src = s.RIB
-			topoFor = s.Topo
 		}
-		peers := vantage.SelectPeers(topoFor, rng, cfg.NumVantagePeers)
-		snap := vantage.Collect(src, peers, epoch)
-		s.Snapshots = append(s.Snapshots, snap)
+		s.Snapshots = append(s.Snapshots, vantage.Collect(src, peers[epoch], epoch))
 	}
 	stop()
 	obs.Add("scenario.snapshots", int64(len(s.Snapshots)))
@@ -288,14 +315,24 @@ func Build(cfg Config, logf Logf) (*Scenario, error) {
 	s.LookingGlasses = lookingglass.Deploy(s.Topo, s.RIB, rng, 0.2)
 	stop()
 
-	stop = obs.StartStage("scenario/testbed")
-	tb, err := peering.NewTestbed(s.Engine)
-	stop()
-	if err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
-	}
-	s.Testbed = tb
 	return s, nil
+}
+
+// dataPlanePrefixes lists the originated prefixes a packet of this
+// scenario can be addressed into: those overlapping a prefix DNS answers
+// from or a testbed prefix. Overlapping, not equal, because forwarding is
+// longest-prefix match: an address inside a serving /24 is routed on the
+// covering announcement by an AS the /24 never reached, and an address
+// inside a serving /18 on any more specific announced within it.
+func dataPlanePrefixes(topo *topology.Topology, testbed []asn.Prefix) []asn.Prefix {
+	dsts := append(topo.DNS.ServingPrefixes(), testbed...)
+	var out []asn.Prefix
+	for _, p := range topo.OriginatedPrefixes() {
+		if slices.ContainsFunc(dsts, func(d asn.Prefix) bool { return p.ContainsPrefix(d) || d.ContainsPrefix(p) }) {
+			out = append(out, p)
+		}
+	}
+	return out
 }
 
 // runCampaign resolves and traces hostnames from every selected probe.

@@ -2,8 +2,10 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -120,5 +122,139 @@ func TestCoalescedWaiterSurvivesLeaderCancel(t *testing.T) {
 	}
 	if n := obs.Snap().Counters["service.errors.experiments"]; n != 1 {
 		t.Errorf("service.errors.experiments = %d, want 1 (the leader only)", n)
+	}
+}
+
+// TestPanicInComputationDoesNotPoisonKey is the panic-in-a-handler leg
+// of the service fault suite. A computation that panics (an unretained
+// RIB read is a deliberate one) used to leave its in-flight entry
+// registered and its done channel open: every later request for the key
+// parked on it until its deadline and answered 504, forever. Now the
+// leader and the three requests coalesced onto it each get a typed,
+// uncached 500, service.panics counts exactly those four, the gate slot
+// is back, and the next request for the key computes normally.
+func TestPanicInComputationDoesNotPoisonKey(t *testing.T) {
+	const path = "/v1/as/137"
+	_, control := newTestServer(t, Config{})
+	status, want := get(t, control.URL+path)
+	if status != http.StatusOK {
+		t.Fatalf("control: status %d\n%s", status, want)
+	}
+
+	obs.Reset()
+	srv, ts := newTestServer(t, Config{})
+	h := ts.Config.Handler
+	var broken atomic.Bool
+	broken.Store(true)
+	entered := make(chan struct{}, 4)
+	release := make(chan struct{})
+	srv.computeHook = func() {
+		if broken.Load() {
+			entered <- struct{}{}
+			<-release
+			panic("bgp: RIB read of AS137's route for 10.0.0.0/8, which no declared reader retains")
+		}
+	}
+	serve := func() <-chan *httptest.ResponseRecorder {
+		done := make(chan *httptest.ResponseRecorder, 1)
+		go func() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+			done <- rec
+		}()
+		return done
+	}
+
+	recs := []<-chan *httptest.ResponseRecorder{serve()}
+	<-entered // the leader holds its compute slot, about to panic
+	for i := 0; i < 3; i++ {
+		recs = append(recs, serve())
+	}
+	waitUntil(t, "the waiters' handlers to start", func() bool {
+		return obs.Snap().Counters["service.requests.as"] == 4
+	})
+	// As in TestCoalescedWaiterSurvivesLeaderCancel, parking on the
+	// in-flight call is not observable: a grace period. A waiter that
+	// arrives late leads a computation of its own, which panics too.
+	time.Sleep(50 * time.Millisecond)
+	close(release)
+
+	for i, ch := range recs {
+		rec := <-ch
+		if rec.Code != http.StatusInternalServerError {
+			t.Fatalf("request %d: status %d, want 500\n%s", i, rec.Code, rec.Body)
+		}
+		if got := rec.Header().Get(CacheHeader); got != "" {
+			t.Errorf("request %d: %s %q on an error", i, CacheHeader, got)
+		}
+		env := checkEnvelope(t, rec.Body.String())
+		var ed ErrorData
+		if err := json.Unmarshal(env.Data, &ed); err != nil || env.Kind != "error" {
+			t.Fatalf("request %d: kind %q, data error %v", i, env.Kind, err)
+		}
+		if ed.Code != CodeInternal {
+			t.Errorf("request %d: code %q, want %q", i, ed.Code, CodeInternal)
+		}
+	}
+	snap := obs.Snap()
+	if n := snap.Counters["service.panics"]; n != 4 {
+		t.Errorf("service.panics = %d, want 4: one per 500 a client saw", n)
+	}
+	if n := snap.Counters["service.errors.as"]; n != 4 {
+		t.Errorf("service.errors.as = %d, want 4", n)
+	}
+	if n := srv.gate.Waiting(); n != 0 {
+		t.Errorf("gate.Waiting() = %d after the panic, want 0", n)
+	}
+	t.Logf("%d of 4 requests led a computation", len(entered)+1)
+
+	// The key is not poisoned and nothing of the failure was cached.
+	broken.Store(false)
+	rec := <-serve()
+	if rec.Code != http.StatusOK || rec.Header().Get(CacheHeader) != "miss" {
+		t.Fatalf("after the panic: status %d, %s %q, want 200 computed afresh\n%s", rec.Code, CacheHeader, rec.Header().Get(CacheHeader), rec.Body)
+	}
+	if rec.Body.String() != want {
+		t.Error("body after the panic differs from the unloaded control's")
+	}
+}
+
+// TestPanicInBuildDoesNotPoisonScenario is the same leg at the store's
+// build singleflight, which has the same shape: a build that panics is
+// a typed 500 and a failed tracker, not a scenario id that parks every
+// later request on a call nobody will retire.
+func TestPanicInBuildDoesNotPoisonScenario(t *testing.T) {
+	obs.Reset()
+	st, ts := newTestFleet(t, StoreConfig{}, testExpansion("alpha", 1))
+	var broken atomic.Bool
+	broken.Store(true)
+	st.buildHook = func(string) {
+		if broken.Load() {
+			panic("scenario: broken invariant")
+		}
+	}
+	url := ts.URL + "/v1/scenarios/alpha/healthz"
+	status, body := get(t, url)
+	if status != http.StatusInternalServerError {
+		t.Fatalf("panicking build: status %d, want 500\n%s", status, body)
+	}
+	env := checkEnvelope(t, body)
+	var ed ErrorData
+	if err := json.Unmarshal(env.Data, &ed); err != nil || ed.Code != CodeInternal {
+		t.Errorf("panicking build: kind %q code %q (%v), want an %q error", env.Kind, ed.Code, err, CodeInternal)
+	}
+	if n := obs.Snap().Counters["service.panics"]; n != 1 {
+		t.Errorf("service.panics = %d, want 1", n)
+	}
+	if d, err := st.BuildProgress("alpha"); err != nil || d.State != BuildFailed || d.Error == "" {
+		t.Errorf("build tracker after the panic: %+v, %v; want failed with its error", d, err)
+	}
+	if n := st.buildGate.Waiting(); n != 0 {
+		t.Errorf("buildGate.Waiting() = %d, want 0", n)
+	}
+
+	broken.Store(false)
+	if status, body := get(t, url); status != http.StatusOK {
+		t.Fatalf("build after the panic: status %d, want 200\n%s", status, body)
 	}
 }

@@ -98,7 +98,7 @@ func failStore(w http.ResponseWriter, err error) {
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		fail(w, http.StatusGatewayTimeout, apiErr(CodeTimeout, "scenario build wait: "+err.Error()))
 	default:
-		fail(w, http.StatusInternalServerError, apiErr(CodeInternal, err.Error()))
+		failInternal(w, err)
 	}
 }
 

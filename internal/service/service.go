@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
+	"runtime/debug"
 	"slices"
 	"sort"
 	"strconv"
@@ -169,7 +171,8 @@ const CacheHeader = "X-Routelab-Cache"
 // the partition adds the scenario, so two tenants asking for the same
 // endpoint+params never share a body (TestNoCrossScenarioCacheServe).
 func (srv *Server) compute(ctx context.Context, key string, fn func(ctx context.Context) ([]byte, error)) ([]byte, bool, error) {
-	body, hit, err := srv.cache.do(ctx, key, func() ([]byte, error) {
+	body, hit, err := srv.cache.do(ctx, key, func() (_ []byte, err error) {
+		defer recoverAs(&err, "computing", key)
 		// Shed before queueing: a gate line already at budget means this
 		// computation would sit behind work it may not outlive. Coalesced
 		// waiters on this key inherit the OverloadError and 429 too (each
@@ -310,6 +313,37 @@ func failCompute(w http.ResponseWriter, err error) {
 	if ctxDied(err) {
 		fail(w, http.StatusGatewayTimeout, apiErr(CodeTimeout, "request deadline exceeded: "+err.Error()))
 		return
+	}
+	failInternal(w, err)
+}
+
+// panicError is a panic inside a computation, as the error its caller
+// and every request coalesced onto it receive. Computing code panics on
+// a broken invariant (a RIB read outside its declared readers, say); the
+// singleflights in cache.do and Store.Get must still retire the call, or
+// its key answers nothing but timeouts from then on.
+type panicError struct{ value any }
+
+func (e *panicError) Error() string { return fmt.Sprintf("panic: %v", e.value) }
+
+// recoverAs, deferred by a function that runs a computation for a
+// singleflight, turns a panic into that function's error (and logs the
+// stack net/http would have printed). The deferring function's other
+// defers still run: a held gate slot is released.
+func recoverAs(err *error, doing, what string) {
+	if p := recover(); p != nil {
+		log.Printf("service: panic %s %s: %v\n%s", doing, what, p, debug.Stack())
+		*err = &panicError{value: p}
+	}
+}
+
+// failInternal sends the typed 500 of a failure the client cannot
+// repair. A recovered panic is counted here, at the write site, so
+// service.panics is exactly the 500s clients saw for one.
+func failInternal(w http.ResponseWriter, err error) {
+	var pe *panicError
+	if errors.As(err, &pe) {
+		obs.Inc("service.panics")
 	}
 	fail(w, http.StatusInternalServerError, apiErr(CodeInternal, err.Error()))
 }

@@ -306,7 +306,7 @@ func (st *Store) Get(ctx context.Context, id string) (*Server, error) {
 // MaxQueuedBuilds the build is shed instead of queued — the
 // OverloadError propagates to every waiter coalesced on this id, and
 // each writes (and counts) its own 429.
-func (st *Store) build(ctx context.Context, id string, src *source) (*Server, error) {
+func (st *Store) build(ctx context.Context, id string, src *source) (tenant *Server, err error) {
 	if max := st.cfg.MaxQueuedBuilds; max > 0 {
 		if q := st.buildGate.Waiting(); q >= max {
 			return nil, &OverloadError{What: "build", Queue: q, Limit: max, RetryAfter: buildRetryAfter(q)}
@@ -316,9 +316,6 @@ func (st *Store) build(ctx context.Context, id string, src *source) (*Server, er
 		return nil, err
 	}
 	defer st.buildGate.Leave()
-	if st.buildHook != nil {
-		st.buildHook(id)
-	}
 
 	// Track this build for GET /v1/scenarios/{id}/build: the obs stage
 	// events the pipeline already emits advance the per-id tracker.
@@ -330,16 +327,28 @@ func (st *Store) build(ctx context.Context, id string, src *source) (*Server, er
 	defer cancelStage()
 
 	defer obs.StartStage("service/scenario-build")()
+	// A build that fails — or panics: recoverAs, deferred after this,
+	// runs before it — leaves a failed tracker and retires the call in
+	// Get like any other, so the id can be asked for again.
+	defer func() {
+		if err != nil {
+			bp.mu.Lock()
+			bp.state = BuildFailed
+			bp.lastErr = err.Error()
+			bp.mu.Unlock()
+			err = fmt.Errorf("service: build scenario %q: %w", id, err)
+		}
+	}()
+	defer recoverAs(&err, "building scenario", id)
+	if st.buildHook != nil {
+		st.buildHook(id)
+	}
 	obs.Inc("service.scenario.builds")
 	s, err := scenario.Build(src.cfg, st.cfg.Logf)
 	if err != nil {
-		bp.mu.Lock()
-		bp.state = BuildFailed
-		bp.lastErr = err.Error()
-		bp.mu.Unlock()
-		return nil, fmt.Errorf("service: build scenario %q: %w", id, err)
+		return nil, err
 	}
-	tenant := newTenant(s, st.cfg.Tenant, st.cache.partition(id))
+	tenant = newTenant(s, st.cfg.Tenant, st.cache.partition(id))
 	// Built (insert will drop the tracker; this covers the window
 	// between returning and the caller's insert under st.mu).
 	bp.mu.Lock()

@@ -22,7 +22,7 @@ func newFixture(t *testing.T, seed int64) *fixture {
 	e := bgp.New(topo, seed)
 	cdn := topo.Names["cdn-major"]
 	prefixes := topo.AS(cdn).Prefixes
-	rib := e.ComputeRIB(prefixes, 0)
+	rib := e.ComputeRIB(prefixes, bgp.Readers{DataPlane: prefixes}, 0)
 	return &fixture{topo: topo, rib: rib, dst: prefixes[0].Nth(50), dstA: cdn}
 }
 

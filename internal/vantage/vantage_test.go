@@ -19,7 +19,7 @@ func smallRIB(t *testing.T) (*topology.Topology, *bgp.RIB, []asn.ASN) {
 		a := topo.Names["content-"+string(rune('0'+i))]
 		prefixes = append(prefixes, topo.AS(a).Prefixes...)
 	}
-	rib := e.ComputeRIB(prefixes, 0)
+	rib := e.ComputeRIB(prefixes, bgp.Readers{DataPlane: prefixes}, 0)
 	peers := SelectPeers(topo, rand.New(rand.NewSource(13)), 20)
 	return topo, rib, peers
 }

@@ -98,7 +98,11 @@ func EvalOn(eval, base *bgp.Computation, cd *Compiled) (Diff, error) {
 // base (O(#ASes) pointer copies; the base must be frozen, which Fork
 // enforces by freezing), apply, re-converge incrementally, diff. Any
 // number of Evals may run against one base — concurrently, too, since
-// forks of a frozen parent are independent.
+// forks of a frozen parent are independent. The diff is a copy, so the
+// fork's storage goes back to the engine for the next one.
 func Eval(base *bgp.Computation, cd *Compiled) (Diff, error) {
-	return EvalOn(base.Fork(), base, cd)
+	fork := base.Fork()
+	d, err := EvalOn(fork, base, cd)
+	fork.Release()
+	return d, err
 }
