@@ -143,10 +143,11 @@ func (k *kernelFixture) poison(c *Computation) {
 }
 
 // kernelLoops are the engine's unit operations with a ceiling on their
-// allocs/op. Measured on this fixture (go1.24): converge 14,
-// poison_reconverge 17, fork 11, fork_reconverge 28 — a computation's
+// allocs/op. Measured on this fixture (go1.24): converge 16,
+// poison_reconverge 19, fork 12, fork_reconverge 37 — a computation's
 // containers, a fork's copies of them plus a few row-arena chunks and
-// path-tree growth steps — and fork_recycled 4: the same fork, poison
+// path-tree growth steps (nodes and, beside them, masks) — and
+// fork_recycled 4: the same fork, poison
 // and reconvergence on the storage the previous round Released. The
 // ceilings leave a toolchain's map internals some room and still sit two
 // orders of magnitude under what an allocation per route, per event or
@@ -247,8 +248,12 @@ func BenchmarkKernel(b *testing.B) {
 		l := l
 		b.Run(l.name, func(b *testing.B) {
 			b.ReportAllocs()
+			events, adverts := obsConvergeEvents.Value(), obsConvergeAdverts.Value()
 			for i := 0; i < b.N; i++ {
 				l.run(k)
+			}
+			if events = obsConvergeEvents.Value() - events; events > 0 {
+				b.ReportMetric(float64(obsConvergeAdverts.Value()-adverts)/float64(events), "adverts/event")
 			}
 		})
 	}

@@ -168,10 +168,10 @@ func (c *Computation) AddPeering(l *topology.Link) error {
 	// next free slot past the peer's current full width.
 	slotOnLo := int32(c.rowLen(i))
 	slotOnHi := int32(c.rowLen(j))
-	var st [2]adjState
-	c.e.setLinkState(st[:], &linkPair{link: l, fromLo: 0, fromHi: 1, near: c.e.nearCities(l)}, c.prefix, c.e.prefixContinent(c.prefix))
-	ov.extra[i] = append(ov.extra[i], extraAdj{adjacency{link: l, peer: j, back: slotOnHi}, st[0]})
-	ov.extra[j] = append(ov.extra[j], extraAdj{adjacency{link: l, peer: i, back: slotOnLo}, st[1]})
+	pair := c.e.newLinkPair(l)
+	lo, hi := c.e.linkState(&pair, c.prefix, c.e.prefixContinent(c.prefix))
+	ov.extra[i] = append(ov.extra[i], extraAdj{adjacency{link: l, peer: j, back: slotOnHi}, lo})
+	ov.extra[j] = append(ov.extra[j], extraAdj{adjacency{link: l, peer: i, back: slotOnLo}, hi})
 	c.force[i] = true
 	c.enqueue(i)
 	c.force[j] = true

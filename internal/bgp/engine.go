@@ -21,6 +21,8 @@ var (
 	obsConvergeCalls    = obs.Default().Counter("bgp.converge.calls")
 	obsConvergeEvents   = obs.Default().Counter("bgp.converge.events")
 	obsConvergeChanges  = obs.Default().Counter("bgp.converge.changes")
+	obsConvergeAdj      = obs.Default().Counter("bgp.converge.adjacencies")
+	obsConvergeAdverts  = obs.Default().Counter("bgp.converge.adverts")
 	obsConvergeDiverged = obs.Default().Counter("bgp.converge.diverged")
 	obsAnnounce         = obs.Default().Counter("bgp.announce.total")
 	obsAnnouncePoisoned = obs.Default().Counter("bgp.announce.poisoned")
@@ -78,14 +80,20 @@ type adjState struct {
 	rel  topology.Rel // n's effective role as x sees it; x's role at n is its inverse
 }
 
-// linkPair names the two directions of one link.
+// linkPair is one link priced once (newLinkPair): what both of its
+// directions contribute at each interconnection city, hybrid roles
+// applied, so that binding a prefix only has to pick the city.
 type linkPair struct {
 	link           *topology.Link
 	fromLo, fromHi int32 // adjacency indexes owned by link.Lo and link.Hi
-	// near is the link's cities by continent (nearCities), set on links
-	// with several.
-	near [geo.OC + 1][]geo.CityID
+	// at[geo.ContinentNone] holds every city in link order; on a link
+	// with several, at[cont] holds those on continent cont.
+	at [geo.OC + 1][]linkState
 }
+
+// linkState is the adjState of the adjacencies owned by link.Lo and
+// link.Hi at one city.
+type linkState struct{ lo, hi adjState }
 
 // asPolicy is the per-AS policy the kernel consults when the AS hears
 // an advertisement.
@@ -106,6 +114,8 @@ const (
 // New returns an engine. The seed drives the deterministic-but-arbitrary
 // parts of the ground truth (IGP costs, per-link interconnection city
 // assignment); two engines with the same topology and seed agree exactly.
+// The topology must be final: every link's roles and costs are priced
+// here, once, and a later edit of a Link is never seen.
 func New(topo *topology.Topology, seed int64) *Engine {
 	e := &Engine{topo: topo, seed: seed}
 	e.asns = topo.ASNs()
@@ -161,27 +171,18 @@ func New(topo *topology.Topology, seed int64) *Engine {
 		i, j := e.adj[o].peer, e.adj[k].peer // k is owned by i, o by j
 		e.adj[k].back = o - e.off[j]
 		e.adj[o].back = int32(k) - e.off[i]
-		pair := linkPair{link: l, fromLo: o, fromHi: int32(k), near: e.nearCities(l)}
+		pair := e.newLinkPair(l)
+		pair.fromLo, pair.fromHi = o, int32(k)
 		if e.asns[i] == l.Lo {
 			pair.fromLo, pair.fromHi = pair.fromHi, pair.fromLo
 		}
 		if len(l.Cities) > 1 || len(l.PartialTransitFor) > 0 {
 			e.varying = append(e.varying, pair)
 		} else {
-			e.setLinkState(e.fixed, &pair, asn.Prefix{}, geo.ContinentNone)
+			e.fixed[pair.fromLo], e.fixed[pair.fromHi] = e.linkState(&pair, asn.Prefix{}, geo.ContinentNone)
 		}
 	}
 	return e
-}
-
-// setLinkState evaluates a link's policy for one prefix (heading for
-// continent cont) and stores both directions' adjState.
-func (e *Engine) setLinkState(dst []adjState, v *linkPair, prefix asn.Prefix, cont geo.Continent) {
-	l := v.link
-	city := e.linkCity(v, prefix, cont)
-	hiRole := effectiveRel(l, l.Lo, l.Hi, prefix, city)
-	dst[v.fromLo] = adjState{city: city, rel: hiRole, igp: e.igpCost(l.Hi, l.Lo, city)}
-	dst[v.fromHi] = adjState{city: city, rel: hiRole.Invert(), igp: e.igpCost(l.Lo, l.Hi, city)}
 }
 
 // Topology returns the engine's topology.
@@ -258,11 +259,18 @@ type Computation struct {
 	// force marks announcement-policy changes.
 	q     eventQueue
 	force []bool
+	// upSent[i] is false only while no base neighbor of AS i other than
+	// its customers and siblings holds a route from it: what lets process
+	// step over them while the export rule denies them i's best route.
+	upSent []bool
 
 	clock     uint32 // monotone event counter; feeds Route.Age
 	converged bool
 
 	nProcessed, nChanges int
+	// nAdj counts the adjacencies the events of this Converge met,
+	// nAdverts those process derived an advertisement for.
+	nAdj, nAdverts int
 	// flushedProcessed/flushedChanges track what the obs counters have
 	// already seen, so each Converge flushes only its own delta.
 	flushedProcessed, flushedChanges int
@@ -355,6 +363,7 @@ func (e *Engine) NewComputation(prefix asn.Prefix) *Computation {
 		adjSt:     make([]adjState, len(e.adj)),
 		q:         eventQueue{next: make([]int32, n), queued: make([]bool, n)},
 		force:     make([]bool, n),
+		upSent:    make([]bool, n),
 		converged: true,
 	}
 	slab := make([]rec, len(e.adj))
@@ -375,7 +384,8 @@ func (c *Computation) setPrefix(prefix asn.Prefix) {
 	copy(c.adjSt, e.fixed)
 	cont := e.prefixContinent(prefix)
 	for k := range e.varying {
-		e.setLinkState(c.adjSt, &e.varying[k], prefix, cont)
+		v := &e.varying[k]
+		c.adjSt[v.fromLo], c.adjSt[v.fromHi] = e.linkState(v, prefix, cont)
 	}
 }
 
@@ -398,6 +408,7 @@ func (c *Computation) reset(prefix asn.Prefix) {
 	c.q = eventQueue{next: c.q.next, queued: c.q.queued}
 	clear(c.q.queued)
 	clear(c.force)
+	clear(c.upSent)
 	c.clock, c.converged = 0, true
 	c.nProcessed, c.nChanges, c.flushedProcessed, c.flushedChanges = 0, 0, 0, 0
 	c.setPrefix(prefix)
@@ -538,6 +549,11 @@ func (c *Computation) flushObs() {
 	if c.rowClones > 0 {
 		obsRowClones.Add(int64(c.rowClones))
 		c.rowClones = 0
+	}
+	if c.nAdj > 0 {
+		obsConvergeAdj.Add(int64(c.nAdj))
+		obsConvergeAdverts.Add(int64(c.nAdverts))
+		c.nAdj, c.nAdverts = 0, 0
 	}
 }
 
@@ -776,11 +792,30 @@ func (c *Computation) process(i int32) {
 	}
 	e := c.e
 	s := sender{i: i, best: c.best[i]}
+	// A peer or provider route goes to customers and siblings only. While
+	// no other neighbor holds anything from i (upSent), there is nothing
+	// to derive for them and nothing to withdraw: the adjacency would
+	// stamp no clock and change no slot, so it is stepped over without
+	// touching the neighbor's row.
+	denied := s.best.path != 0 && !exports(s.best.org, topology.RelPeer)
+	skip := denied && !c.upSent[i]
+	c.nAdj += e.degree(i)
 	for k := e.off[i]; k < e.off[i+1]; k++ {
+		st := c.adjSt[k]
+		if skip && !exports(s.best.org, st.rel) {
+			continue
+		}
 		a := &e.adj[k]
-		c.propagate(&s, a.peer, a.back, c.adjSt[k], a.link)
+		c.nAdverts++
+		c.propagate(&s, a.peer, a.back, st, a.link)
+	}
+	if !skip {
+		c.upSent[i] = s.best.path != 0 && !denied
 	}
 	if c.ov != nil {
+		// Added peerings are few and never skipped.
+		c.nAdj += len(c.ov.extra[i])
+		c.nAdverts += len(c.ov.extra[i])
 		for _, ex := range c.ov.extra[i] {
 			c.propagate(&s, ex.peer, ex.back, ex.st, ex.link)
 		}

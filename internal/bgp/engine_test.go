@@ -455,10 +455,11 @@ func TestHybridRelationshipByCity(t *testing.T) {
 	b.Link(x, y, topology.RelPeer, cities[0], cities[1])
 	b.Link(org, y, topology.RelProvider)
 	topo := b.Build()
-	e := New(topo, 7)
 	// y is x's customer at cities[1] (l.Lo is the smaller ASN, x=100).
+	// New prices the link, so its roles are set first.
 	lnk := topo.Link(x, y)
 	lnk.HybridRoles = map[geo.CityID]topology.Rel{cities[1]: topology.RelCustomer}
+	e := New(topo, 7)
 
 	// Find prefixes that hash to each city.
 	var pA, pB asn.Prefix
@@ -694,7 +695,35 @@ func TestOrgRelPreservedAcrossSiblings(t *testing.T) {
 
 // cityOn is the interconnection city the engine routes p through on l.
 func cityOn(e *Engine, l *topology.Link, p asn.Prefix) geo.CityID {
-	return e.linkCity(&linkPair{link: l, near: e.nearCities(l)}, p, e.prefixContinent(p))
+	pair := e.newLinkPair(l)
+	lo, _ := e.linkState(&pair, p, e.prefixContinent(p))
+	return lo.city
+}
+
+// effectiveRel resolves the relationship of neighbor `other` from `self`
+// for a specific prefix, applying hybrid (per-city) and partial-transit
+// overrides, straight from the Link's maps: the reference for the roles
+// New prices per city. city is the interconnection city the prefix's
+// traffic uses on this link.
+func effectiveRel(l *topology.Link, self, other asn.ASN, prefix asn.Prefix, city geo.CityID) topology.Rel {
+	rel := l.RoleOf(self, other)
+	if hr, ok := l.HybridRoles[city]; ok {
+		// HybridRoles stores Hi's role from Lo's perspective at the city.
+		if self == l.Lo {
+			rel = hr
+		} else {
+			rel = hr.Invert()
+		}
+	}
+	if l.PartialTransitFor != nil && l.PartialTransitFor[prefix] {
+		// Hi provides Lo transit for this prefix.
+		if self == l.Lo {
+			rel = topology.RelProvider
+		} else {
+			rel = topology.RelCustomer
+		}
+	}
+	return rel
 }
 
 // linkCityTwoScans is the city choice as it was made before the cities
@@ -728,29 +757,68 @@ func linkCityTwoScans(e *Engine, l *topology.Link, prefix asn.Prefix, cont geo.C
 	panic("candidate count changed between scans")
 }
 
-// TestLinkCityMatchesTwoScanReference pins that grouping a link's cities
-// by continent once changed no choice: on every link with several cities,
-// for every originated prefix and for every continent a prefix could be
-// headed for, the indexed pick is the scanned one.
+// TestLinkCityMatchesTwoScanReference pins that pricing a link once in
+// New changed no choice and no price: on two generated worlds, for every
+// link and every originated prefix, the state both directions get —
+// the city indexed out of the per-continent groups, the role priced per
+// city plus the partial-transit probe, the IGP cost — is what the two
+// scans of the city list, effectiveRel and igpCost give from the Link
+// itself. Hybrid and partial-transit links must be among them.
 func TestLinkCityMatchesTwoScanReference(t *testing.T) {
-	topo := topology.Generate(3, topology.TestConfig())
-	e := New(topo, 3)
-	if len(e.varying) == 0 {
-		t.Fatal("no link with several cities")
-	}
-	prefixes := topo.OriginatedPrefixes()
-	for k := range e.varying {
-		v := &e.varying[k]
-		for _, p := range prefixes {
-			cont := e.prefixContinent(p)
-			if got, want := e.linkCity(v, p, cont), linkCityTwoScans(e, v.link, p, cont); got != want {
-				t.Fatalf("link %s-%s, %v (continent %v): city %d, reference %d", v.link.Lo, v.link.Hi, p, cont, got, want)
+	for _, seed := range []int64{3, 2015} {
+		topo := topology.Generate(seed, topology.TestConfig())
+		e := New(topo, seed)
+		prefixes := topo.OriginatedPrefixes()
+		want := func(l *topology.Link, p asn.Prefix, cont geo.Continent) (lo, hi adjState) {
+			city := linkCityTwoScans(e, l, p, cont)
+			return adjState{city: city, rel: effectiveRel(l, l.Lo, l.Hi, p, city), igp: e.igpCost(l.Hi, l.Lo, city)},
+				adjState{city: city, rel: effectiveRel(l, l.Hi, l.Lo, p, city), igp: e.igpCost(l.Lo, l.Hi, city)}
+		}
+		hybrid, partial := 0, 0
+		for k := range e.varying {
+			v := &e.varying[k]
+			l := v.link
+			check := func(p asn.Prefix, cont geo.Continent) geo.CityID {
+				gotLo, gotHi := e.linkState(v, p, cont)
+				if wantLo, wantHi := want(l, p, cont); gotLo != wantLo || gotHi != wantHi {
+					t.Fatalf("seed %d, link %s-%s, %v toward %v: state %+v / %+v, reference %+v / %+v",
+						seed, l.Lo, l.Hi, p, cont, gotLo, gotHi, wantLo, wantHi)
+				}
+				return gotLo.city
+			}
+			for _, p := range prefixes {
+				if _, ok := l.HybridRoles[check(p, e.prefixContinent(p))]; ok {
+					hybrid++
+				}
+				if l.PartialTransitFor[p] {
+					partial++
+				}
+			}
+			for cont := geo.ContinentNone; cont <= geo.OC; cont++ {
+				check(prefixes[k%len(prefixes)], cont)
 			}
 		}
-		for cont := geo.ContinentNone; cont <= geo.OC; cont++ {
-			p := prefixes[k%len(prefixes)]
-			if got, want := e.linkCity(v, p, cont), linkCityTwoScans(e, v.link, p, cont); got != want {
-				t.Fatalf("link %s-%s, %v toward %v: city %d, reference %d", v.link.Lo, v.link.Hi, p, cont, got, want)
+		if len(e.varying) == 0 || hybrid == 0 || partial == 0 {
+			t.Fatalf("seed %d: %d varying links, %d (link, prefix) pairs at a hybrid city, %d under partial transit: the world exercises too little",
+				seed, len(e.varying), hybrid, partial)
+		}
+		// Every other link has one state for every prefix, priced in New.
+		varying := make(map[*topology.Link]bool, len(e.varying))
+		for k := range e.varying {
+			varying[e.varying[k].link] = true
+		}
+		for i, a := range e.asns {
+			for s, nb := range topo.Neighbors(a) {
+				if varying[nb.Link] {
+					continue
+				}
+				lo, hi := want(nb.Link, prefixes[s%len(prefixes)], geo.ContinentNone)
+				if a == nb.Link.Hi {
+					lo = hi
+				}
+				if got := e.fixed[int(e.off[i])+s]; got != lo {
+					t.Fatalf("seed %d, fixed adjacency %s→%s: state %+v, reference %+v", seed, a, nb.ASN, got, lo)
+				}
 			}
 		}
 	}

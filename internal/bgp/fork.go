@@ -91,6 +91,7 @@ func (c *Computation) Fork() *Computation {
 		adjSt:         c.adjSt,
 		q:             c.q,
 		force:         append(st.force[:0], c.force...),
+		upSent:        append(st.upSent[:0], c.upSent...),
 		clock:         c.clock,
 		converged:     c.converged,
 		ov:            c.ov.clone(),
@@ -120,6 +121,7 @@ type forkStorage struct {
 	sharedRow []bool
 	best      []rec
 	force     []bool
+	upSent    []bool
 	next      []int32
 	queued    []bool
 	slab      []rec
@@ -144,7 +146,7 @@ func (c *Computation) Release() {
 	}
 	st := &forkStorage{
 		anns: c.anns, origin: c.origin, adjIn: c.adjIn, sharedRow: c.sharedRow,
-		best: c.best, force: c.force, next: c.q.next, queued: c.q.queued,
+		best: c.best, force: c.force, upSent: c.upSent, next: c.q.next, queued: c.q.queued,
 		slab: c.rows.slab, paths: c.paths, pathCache: c.pathCache,
 	}
 	clear(st.anns)
@@ -152,7 +154,7 @@ func (c *Computation) Release() {
 	clear(st.pathCache)
 	c.released = true
 	c.frozen.Store(true)
-	c.anns, c.origin, c.adjIn, c.sharedRow, c.best, c.force = nil, nil, nil, nil, nil, nil
+	c.anns, c.origin, c.adjIn, c.sharedRow, c.best, c.force, c.upSent = nil, nil, nil, nil, nil, nil, nil
 	c.q, c.rows, c.paths, c.pathCache, c.adjSt, c.ov = eventQueue{}, rowArena{}, pathTree{}, nil, nil, nil
 	c.e.forks.Put(st)
 }

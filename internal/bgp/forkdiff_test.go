@@ -9,6 +9,11 @@ package bgp
 // history-dependent, so the oracle replays the exact op sequence
 // (including Converge boundaries) rather than just the final
 // announcement set.
+//
+// The oracle is also the reference for process's skipping (ISSUE 24): it
+// converges with convergeAll, which visits every adjacency of every
+// event, so each comparison below says as well that stepping over the
+// export-denied adjacencies moved no clock, no age and no slot.
 
 import (
 	"fmt"
@@ -34,12 +39,14 @@ type forkOp struct {
 	whatif func(c *Computation) error
 }
 
-func (o forkOp) apply(c *Computation) {
+func (o forkOp) apply(c *Computation) { o.applyWith(c, (*Computation).Converge) }
+
+func (o forkOp) applyWith(c *Computation, converge func(*Computation) bool) {
 	switch {
 	case o.whatif != nil:
 		_ = o.whatif(c)
 	case o.converge:
-		c.Converge()
+		converge(c)
 	case o.withdraw:
 		c.Withdraw(o.origin)
 	default:
@@ -47,14 +54,85 @@ func (o forkOp) apply(c *Computation) {
 	}
 }
 
+// convergeAll is Converge over processAll: the event loop with no
+// adjacency skipped.
+func convergeAll(c *Computation) bool {
+	limit := maxEventsPerAS * len(c.e.asns)
+	for events := 1; c.q.n > 0; events++ {
+		i := c.q.pop()
+		if events > limit {
+			c.converged = false
+			return false
+		}
+		processAll(c, i)
+	}
+	c.converged = true
+	return true
+}
+
+// processAll is process as it was before it consulted upSent: every
+// adjacency of AS i derives its advertisement and delivers it. It neither
+// reads nor maintains upSent.
+func processAll(c *Computation, i int32) {
+	c.nProcessed++
+	if c.force[i] {
+		c.force[i] = false
+		c.reselect(i)
+	}
+	e := c.e
+	s := sender{i: i, best: c.best[i]}
+	for k := e.off[i]; k < e.off[i+1]; k++ {
+		a := &e.adj[k]
+		c.propagate(&s, a.peer, a.back, c.adjSt[k], a.link)
+	}
+	if c.ov != nil {
+		for _, ex := range c.ov.extra[i] {
+			c.propagate(&s, ex.peer, ex.back, ex.st, ex.link)
+		}
+	}
+}
+
 // replay builds a fresh from-scratch computation and applies the history
-// in order — the oracle the forked computation is compared against.
+// in order: how the tests build the bases they fork.
 func replay(e *Engine, prefix asn.Prefix, hist []forkOp) *Computation {
 	c := e.NewComputation(prefix)
 	for _, o := range hist {
 		o.apply(c)
 	}
 	return c
+}
+
+// oracle is replay visiting every adjacency — what the forked
+// computation is compared against. It leaves upSent unmaintained, so it
+// is never forked or converged further.
+func oracle(e *Engine, prefix asn.Prefix, hist []forkOp) *Computation {
+	c := e.NewComputation(prefix)
+	for _, o := range hist {
+		o.applyWith(c, convergeAll)
+	}
+	return c
+}
+
+// checkUpSent walks the invariant process's skipping rests on: where
+// upSent[i] is false, no base neighbor of AS i other than its customers
+// and siblings holds a route from it.
+func checkUpSent(t *testing.T, c *Computation) {
+	t.Helper()
+	e := c.e
+	for i := range c.upSent {
+		if c.upSent[i] {
+			continue
+		}
+		for k := e.off[i]; k < e.off[i+1]; k++ {
+			a, rel := &e.adj[k], c.adjSt[k].rel
+			if rel == topology.RelCustomer || rel == topology.RelSibling {
+				continue
+			}
+			if row := c.adjIn[a.peer]; int(a.back) < len(row) && row[a.back].path != 0 {
+				t.Errorf("upSent[%s] is false, yet its %s %s holds %+v from it", e.asns[i], rel, e.asns[a.peer], row[a.back])
+			}
+		}
+	}
 }
 
 // recStateEqual compares two route records field by field, Age and the
@@ -72,6 +150,7 @@ func recStateEqual(ca *Computation, a rec, cb *Computation, b rec) bool {
 // adj-RIB-in contents, announcements, event clock, and convergence flag.
 func checkSameState(t *testing.T, got, want *Computation) {
 	t.Helper()
+	checkUpSent(t, got)
 	if got.clock != want.clock {
 		t.Errorf("clock: fork=%d oracle=%d", got.clock, want.clock)
 	}
@@ -182,8 +261,93 @@ func TestForkDifferentialOracle(t *testing.T) {
 				hist = append(hist, o)
 			}
 
-			checkSameState(t, f, replay(e, prefix, hist))
+			checkSameState(t, f, oracle(e, prefix, hist))
 		})
+	}
+}
+
+// drain is Converge returning the adjacencies its events met and the
+// advertisements they derived, which Converge itself publishes and
+// zeroes.
+func drain(c *Computation) (adj, adverts int) {
+	for c.q.n > 0 {
+		c.process(c.q.pop())
+	}
+	c.converged = true
+	adj, adverts = c.nAdj, c.nAdverts
+	c.flushObs()
+	return adj, adverts
+}
+
+// TestSkipMatchesVisitEveryAdjacency drives one computation — through
+// announcements, poisons, withdrawals, failed links, added peerings and
+// local-pref overrides, forked twice on the way — beside the oracle that
+// visits every adjacency: the upSent invariant holds after every
+// Converge, and the two end state-identical, clocks, ages and adj-RIB-ins
+// included. The oracle derives an advertisement per adjacency, so the
+// counters say how much the skipping saved on the way.
+func TestSkipMatchesVisitEveryAdjacency(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3, 7, 42, 1337} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			topo := topology.Generate(seed, topology.TestConfig())
+			e := New(topo, seed)
+			origin := topo.Names["peering"]
+			prefix := topo.AS(origin).Prefixes[0]
+			hist := []forkOp{{ann: Announcement{Origin: origin}}, {converge: true}}
+			hist = append(hist, dirtyOps(rand.New(rand.NewSource(seed*613)), topo, origin, 24)...)
+
+			c := e.NewComputation(prefix)
+			adj, adverts := 0, 0
+			adj0, adverts0 := obsConvergeAdj.Value(), obsConvergeAdverts.Value()
+			for k, o := range hist {
+				if k == len(hist)/3 || k == 2*len(hist)/3 {
+					c = c.Fork()
+				}
+				if o.converge {
+					a, d := drain(c)
+					adj, adverts = adj+a, adverts+d
+					checkUpSent(t, c)
+				} else {
+					o.apply(c)
+				}
+			}
+			if a, d := obsConvergeAdj.Value()-adj0, obsConvergeAdverts.Value()-adverts0; a != int64(adj) || d != int64(adverts) {
+				t.Errorf("bgp.converge.adjacencies / .adverts moved by %d / %d, the computations counted %d / %d", a, d, adj, adverts)
+			}
+			checkSameState(t, c, oracle(e, prefix, hist))
+			if adverts >= adj {
+				t.Errorf("%d advertisements derived over %d adjacencies: nothing was skipped", adverts, adj)
+			}
+			t.Logf("%d advertisements derived over %d adjacencies (%.2f)", adverts, adj, float64(adverts)/float64(adj))
+		})
+	}
+}
+
+// TestResetMatchesNewComputation pins the other way a computation's
+// storage comes round again: ComputeRIB's reset. A computation that
+// converged one prefix and was reset to another ends state-identical to
+// the oracle's fresh one, having derived exactly the advertisements a
+// fresh one derives — an upSent byte left standing is harmless to
+// routing, and would still make bgp.converge.adverts depend on which
+// worker a prefix landed on.
+func TestResetMatchesNewComputation(t *testing.T) {
+	topo := topology.Generate(7, topology.TestConfig())
+	e := New(topo, 7)
+	prefixes := topo.OriginatedPrefixes()
+	pa, pb := prefixes[0], prefixes[len(prefixes)/2]
+	hist := func(p asn.Prefix) []forkOp {
+		return []forkOp{{ann: Announcement{Origin: topo.OriginOf(p)}}, {converge: true}}
+	}
+	c := replay(e, pa, hist(pa))
+	c.reset(pb)
+	c.Announce(hist(pb)[0].ann)
+	adj, adverts := drain(c)
+	checkSameState(t, c, oracle(e, pb, hist(pb)))
+
+	fresh := e.NewComputation(pb)
+	fresh.Announce(hist(pb)[0].ann)
+	if a, d := drain(fresh); a != adj || d != adverts {
+		t.Errorf("after reset: %d advertisements over %d adjacencies, a fresh computation %d over %d", adverts, adj, d, a)
 	}
 }
 
@@ -203,7 +367,7 @@ func TestForkOfUnconvergedComputation(t *testing.T) {
 	f := c.Fork()
 	f.Converge()
 	hist = append(hist, forkOp{converge: true})
-	checkSameState(t, f, replay(e, prefix, hist))
+	checkSameState(t, f, oracle(e, prefix, hist))
 }
 
 // TestForkParentIsolation pins copy-on-write: driving a fork through an
@@ -254,8 +418,7 @@ func TestConcurrentForks(t *testing.T) {
 	}
 	wg.Wait()
 	for w := 0; w < workers; w++ {
-		oracle := replay(e, prefix, append(append([]forkOp(nil), hist...), histories[w]...))
-		checkSameState(t, forks[w], oracle)
+		checkSameState(t, forks[w], oracle(e, prefix, append(append([]forkOp(nil), hist...), histories[w]...)))
 	}
 }
 
@@ -454,7 +617,7 @@ func TestRecycledForkDifferentialOracle(t *testing.T) {
 				o.apply(fresh)
 			}
 			checkSameState(t, g, fresh)
-			checkSameState(t, g, replay(x.e, x.prefix, append(slices.Clone(x.histB), ops...)))
+			checkSameState(t, g, oracle(x.e, x.prefix, append(slices.Clone(x.histB), ops...)))
 			snapA.check(t, "the base the dirtied fork came from")
 			snapB.check(t, "the base the recycled fork came from")
 		})
@@ -486,7 +649,7 @@ func TestConcurrentRecycledForks(t *testing.T) {
 				for _, o := range ops {
 					o.apply(g)
 				}
-				checkSameState(t, g, replay(x.e, x.prefix, append(slices.Clone(x.histB), ops...)))
+				checkSameState(t, g, oracle(x.e, x.prefix, append(slices.Clone(x.histB), ops...)))
 				g.Release()
 			}
 		}(w)

@@ -13,7 +13,9 @@ import (
 // within a fork chain path equality is an integer compare — and each
 // node accumulates what the decision process asks of a path (length,
 // AS_SET presence, research traversal, single home country), so loop
-// prevention walks a handful of 16-byte nodes and localPref reads bits.
+// prevention walks a handful of 16-byte nodes — and only when the
+// path's membership mask cannot rule the AS out — and localPref reads
+// bits.
 //
 // Ownership: a tree is a chain of segments, one per Computation of a
 // fork chain. Each computation appends only to its own segment; the
@@ -50,6 +52,11 @@ type pathTree struct {
 	// root segment's nodes[0] is the empty path, id 0.
 	base  uint32
 	nodes []pnode
+	// masks[k] is the membership filter of nodes[k]: one hashed bit per
+	// AS and AS_SET member on the path (maskBit), its parent's OR-ed in.
+	// Held beside the nodes because only a computation's tree asks
+	// contains: a RIB column keeps none.
+	masks []uint64
 	// table is an open-addressing index over this segment's nodes:
 	// 1 + position in nodes, 0 for an empty slot. Nil on RIB columns.
 	table []uint32
@@ -69,12 +76,13 @@ func newPathTree(n int) pathTree {
 	for size < 4*n {
 		size *= 2
 	}
-	return pathTree{nodes: make([]pnode, 1, 1+2*n), table: make([]uint32, size)}
+	return pathTree{nodes: make([]pnode, 1, 1+2*n), masks: make([]uint64, 1, 1+2*n), table: make([]uint32, size)}
 }
 
 // reset empties a root segment for reuse, keeping its storage.
 func (t *pathTree) reset() {
 	t.nodes = t.nodes[:1]
+	t.masks = t.masks[:1]
 	clear(t.table)
 	t.sets = t.sets[:0]
 	t.hits, t.misses = 0, 0
@@ -88,7 +96,7 @@ func (t *pathTree) fork(old pathTree) pathTree {
 	clear(old.sets)
 	return pathTree{
 		parent: t, base: t.base + uint32(len(t.nodes)), setBase: t.setBase + uint32(len(t.sets)),
-		nodes: old.nodes[:0], table: old.table, sets: old.sets[:0],
+		nodes: old.nodes[:0], masks: old.masks[:0], table: old.table, sets: old.sets[:0],
 	}
 }
 
@@ -99,6 +107,17 @@ func (t *pathTree) node(id uint32) *pnode {
 	}
 	return &t.nodes[id-t.base]
 }
+
+// mask resolves an id's membership filter like node resolves the node.
+func (t *pathTree) mask(id uint32) uint64 {
+	for id < t.base {
+		t = t.parent
+	}
+	return t.masks[id-t.base]
+}
+
+// maskBit is a's bit in a membership filter.
+func maskBit(a asn.ASN) uint64 { return 1 << (uint32(a) * 0x9e3779b1 >> 26) }
 
 func (t *pathTree) set(id uint32) []asn.ASN {
 	for id < t.setBase {
@@ -134,12 +153,14 @@ func (t *pathTree) find(parent, as uint32, isSet bool) uint32 {
 	return 0
 }
 
-// add appends a node to this segment and indexes it.
-func (t *pathTree) add(n pnode) uint32 {
+// add appends a node, whose own element sets the bits own, to this
+// segment and indexes it.
+func (t *pathTree) add(n pnode, own uint64) uint32 {
 	if 2*(len(t.nodes)+1) > len(t.table) {
 		t.grow()
 	}
 	t.nodes = append(t.nodes, n)
+	t.masks = append(t.masks, t.mask(n.parent)|own)
 	t.index(uint32(len(t.nodes)))
 	return t.base + uint32(len(t.nodes)) - 1
 }
@@ -187,7 +208,7 @@ func (t *pathTree) child(parent uint32, a asn.ASN, country uint16, research bool
 	if parent == 0 || p.country == country+1 {
 		n.country = country + 1
 	}
-	return t.add(n)
+	return t.add(n, maskBit(a))
 }
 
 // childSet returns the path `parent` with an AS_SET of members
@@ -219,12 +240,20 @@ func (t *pathTree) childSet(parent uint32, members []asn.ASN) uint32 {
 	if n.plen == 0 {
 		n.plen--
 	}
-	return t.add(n)
+	var own uint64
+	for _, m := range sorted {
+		own |= maskBit(m)
+	}
+	return t.add(n, own)
 }
 
 // contains reports whether a appears anywhere on the path, AS_SETs
-// included — RFC 4271 loop prevention, and so poisoning.
+// included — RFC 4271 loop prevention, and so poisoning. The mask
+// answers for nearly every AS that is not; only a set bit walks.
 func (t *pathTree) contains(id uint32, a asn.ASN) bool {
+	if t.mask(id)&maskBit(a) == 0 {
+		return false
+	}
 	for id != 0 {
 		n := t.node(id)
 		if n.flags&nodeIsSet != 0 {

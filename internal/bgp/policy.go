@@ -46,62 +46,54 @@ func baseLocalPref(orgRel topology.Rel) int {
 	}
 }
 
-// effectiveRel resolves the relationship of neighbor `other` from `self`
-// for a specific prefix, applying hybrid (per-city) and partial-transit
-// overrides. city is the interconnection city the prefix's traffic uses
-// on this link.
-func effectiveRel(l *topology.Link, self, other asn.ASN, prefix asn.Prefix, city geo.CityID) topology.Rel {
-	rel := l.RoleOf(self, other)
-	if hr, ok := l.HybridRoles[city]; ok {
+// newLinkPair prices a link: at every interconnection city, each
+// direction's role (the city's hybrid role where the link has one) and
+// the IGP cost of reaching that egress.
+func (e *Engine) newLinkPair(l *topology.Link) linkPair {
+	v := linkPair{link: l}
+	for _, city := range l.Cities {
 		// HybridRoles stores Hi's role from Lo's perspective at the city.
-		if self == l.Lo {
-			rel = hr
-		} else {
-			rel = hr.Invert()
+		hiRole, ok := l.HybridRoles[city]
+		if !ok {
+			hiRole = l.HiRole
+		}
+		st := linkState{
+			lo: adjState{city: city, rel: hiRole, igp: e.igpCost(l.Hi, l.Lo, city)},
+			hi: adjState{city: city, rel: hiRole.Invert(), igp: e.igpCost(l.Lo, l.Hi, city)},
+		}
+		v.at[geo.ContinentNone] = append(v.at[geo.ContinentNone], st)
+		if cont := e.topo.World.ContinentOf(city); len(l.Cities) > 1 && cont != geo.ContinentNone {
+			v.at[cont] = append(v.at[cont], st)
 		}
 	}
-	if l.PartialTransitFor != nil && l.PartialTransitFor[prefix] {
-		// Hi provides Lo transit for this prefix.
-		if self == l.Lo {
-			rel = topology.RelProvider
-		} else {
-			rel = topology.RelCustomer
-		}
-	}
-	return rel
+	return v
 }
 
-// linkCity deterministically picks the interconnection city a prefix's
-// traffic (headed for continent cont) uses on a link. Candidates on the
-// destination's continent are preferred (operators interconnect near
-// where the traffic is going — the geographic flavor of hot-potato
-// routing); within the candidate set, a per-(link, prefix) hash spreads
-// prefixes across interconnection points, which is what lets hybrid
-// relationships bite for some destinations and not others.
-func (e *Engine) linkCity(v *linkPair, prefix asn.Prefix, cont geo.Continent) geo.CityID {
+// linkState is what the link's two directions contribute for one prefix
+// (headed for continent cont). The interconnection city is picked
+// deterministically: candidates on the destination's continent are
+// preferred (operators interconnect near where the traffic is going —
+// the geographic flavor of hot-potato routing); within the candidate
+// set, a per-(link, prefix) hash spreads prefixes across interconnection
+// points, which is what lets hybrid relationships bite for some
+// destinations and not others. A partial-transit arrangement for the
+// prefix overrides the city's roles: Hi provides Lo transit.
+func (e *Engine) linkState(v *linkPair, prefix asn.Prefix, cont geo.Continent) (lo, hi adjState) {
 	l := v.link
-	if len(l.Cities) == 1 {
-		return l.Cities[0]
-	}
-	cands := l.Cities
-	if cont != geo.ContinentNone && len(v.near[cont]) > 0 {
-		cands = v.near[cont]
-	}
-	h := e.hash(uint64(l.Lo), uint64(l.Hi), uint64(prefix.Addr), uint64(prefix.Len))
-	return cands[h%uint64(len(cands))]
-}
-
-// nearCities groups a link's interconnection cities by continent, in
-// link order: linkCity's candidate sets, so that picking one per prefix
-// is a hash and an index instead of two scans of the list.
-func (e *Engine) nearCities(l *topology.Link) (near [geo.OC + 1][]geo.CityID) {
-	if len(l.Cities) > 1 {
-		for _, c := range l.Cities {
-			cont := e.topo.World.ContinentOf(c)
-			near[cont] = append(near[cont], c)
+	cands := v.at[geo.ContinentNone]
+	st := &cands[0]
+	if len(cands) > 1 {
+		if near := v.at[cont]; len(near) > 0 {
+			cands = near
 		}
+		h := e.hash(uint64(l.Lo), uint64(l.Hi), uint64(prefix.Addr), uint64(prefix.Len))
+		st = &cands[h%uint64(len(cands))]
 	}
-	return near
+	lo, hi = st.lo, st.hi
+	if l.PartialTransitFor[prefix] {
+		lo.rel, hi.rel = topology.RelProvider, topology.RelCustomer
+	}
+	return lo, hi
 }
 
 // prefixContinent is the continent a prefix's traffic is headed for: a

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"routelab/internal/asn"
+	"routelab/internal/geo"
 	"routelab/internal/obs"
 	"routelab/internal/parallel"
 )
@@ -245,17 +246,42 @@ func (r *RIB) Route(a asn.ASN, p asn.Prefix) (Route, bool) {
 	return Route{}, false
 }
 
-// Lookup longest-prefix-matches ip in a's routes: one map probe per
-// distinct mask length, longest first.
-func (r *RIB) Lookup(a asn.ASN, ip asn.Addr) (Route, bool) {
+// match longest-prefix-matches ip in a's routes: one map probe per
+// distinct mask length, longest first. rc is nil when nothing matches.
+func (r *RIB) match(a asn.ASN, ip asn.Addr) (p asn.Prefix, col *column, rc *rec) {
 	if i, ok := r.e.index[a]; ok {
 		for _, l := range r.lens {
-			if rt, ok := r.routeAt(i, asn.NewPrefix(ip, l)); ok {
-				return rt, true
+			p = asn.NewPrefix(ip, l)
+			if col, rc = r.held(i, p); rc != nil {
+				return p, col, rc
 			}
 		}
 	}
-	return Route{}, false
+	return asn.Prefix{}, nil, nil
+}
+
+// Lookup returns the longest-prefix match for ip among a's routes.
+func (r *RIB) Lookup(a asn.ASN, ip asn.Addr) (Route, bool) {
+	p, col, rc := r.match(a, ip)
+	if rc == nil {
+		return Route{}, false
+	}
+	return r.e.route(p, rc, col.paths.path(rc.path)), true
+}
+
+// Forward is Lookup for the data plane: the neighbor a hands a packet
+// for ip to and the city it does so in — both 0 when a originates the
+// route, as in Route — read straight from the record, no AS path
+// materialised.
+func (r *RIB) Forward(a asn.ASN, ip asn.Addr) (next asn.ASN, egress geo.CityID, ok bool) {
+	_, _, rc := r.match(a, ip)
+	if rc == nil {
+		return 0, 0, false
+	}
+	if rc.nh >= 0 {
+		next = r.e.asns[rc.nh]
+	}
+	return next, rc.city, true
 }
 
 // ASPath returns the AS-level forwarding path from a toward the exact

@@ -70,6 +70,27 @@ func TestRIBLookupLongestMatch(t *testing.T) {
 	}
 }
 
+// TestRIBForwardMatchesLookup pins the data plane's read against the
+// one that materialises the route: for every AS and an address under
+// every covered prefix (and one under none), Forward answers with
+// Lookup's next hop and egress city, both zero at an origin.
+func TestRIBForwardMatchesLookup(t *testing.T) {
+	topo, rib := ribFixture(t)
+	addrs := []asn.Addr{asn.AddrFrom4(9, 9, 9, 9)}
+	for _, p := range rib.Prefixes() {
+		addrs = append(addrs, p.Nth(7))
+	}
+	for _, a := range topo.ASNs() {
+		for _, ip := range addrs {
+			rt, wantOK := rib.Lookup(a, ip)
+			next, egress, ok := rib.Forward(a, ip)
+			if ok != wantOK || next != rt.NextHop || egress != rt.EgressCity {
+				t.Fatalf("Forward(%s, %v) = %s, %d (%v); Lookup says %v (%v)", a, ip, next, egress, ok, rt, wantOK)
+			}
+		}
+	}
+}
+
 func TestRIBASPath(t *testing.T) {
 	topo, rib := ribFixture(t)
 	cdn := topo.Names["cdn-major"]
@@ -227,6 +248,7 @@ func TestScopedRIBMatchesFullRIB(t *testing.T) {
 			t.Fatalf("seed %d: Lookup(%s, %v): scoped %v (%v), full %v (%v)", seed, outside, in18, sr, sok, fr, fok)
 		}
 		mustPanicRead(t, "Lookup under a thin /24", func() { scoped.Lookup(outside, thin24.Nth(7)) })
+		mustPanicRead(t, "Forward under a thin /24", func() { scoped.Forward(outside, thin24.Nth(7)) })
 		// A collector is held for every prefix: its lookups all answer.
 		for _, c := range readers.Collectors[:3] {
 			fr, fok := full.Lookup(c, thin24.Nth(7))

@@ -94,18 +94,16 @@ func (tr *Tracer) Trace(srcAS asn.ASN, srcCity geo.CityID, dst asn.Addr) Trace {
 			t.Reached = true
 			return t
 		}
-		rt, ok := tr.rib.Lookup(cur, dst)
-		if !ok || rt.IsOrigin() {
+		next, egress, ok := tr.rib.Forward(cur, dst)
+		if !ok || next.IsZero() {
 			// No route (or we are at an origin that is not the
 			// destination AS — an off-net cache address mismatch).
-			t.Reached = ok && rt.IsOrigin()
+			t.Reached = ok
 			if t.Reached {
 				t.Hops = append(t.Hops, Hop{IP: dst, TrueAS: cur, TrueCity: entryCity})
 			}
 			return t
 		}
-		next := rt.NextHop
-		egress := rt.EgressCity
 		// Ingress router of cur (where the packet entered this AS). With
 		// some probability the border router replies with its interface
 		// address on the PREVIOUS AS's side — the third-party artifact.

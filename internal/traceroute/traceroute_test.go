@@ -1,10 +1,12 @@
 package traceroute
 
 import (
+	"math/bits"
 	"testing"
 
 	"routelab/internal/asn"
 	"routelab/internal/bgp"
+	"routelab/internal/race"
 	"routelab/internal/topology"
 )
 
@@ -154,4 +156,28 @@ func TestHopCitiesFollowLinkGeography(t *testing.T) {
 		}
 		_ = city
 	}
+}
+
+// TestAllocsTrace pins what a traceroute may allocate: the two slices it
+// returns, grown by doubling — never an AS path per hop, which is what
+// forwarding on RIB.Lookup cost (one or two allocations at each of the
+// four or five ASes a probe crosses).
+func TestAllocsTrace(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	f := newFixture(t, 31)
+	tr := New(f.topo, f.rib, DefaultConfig())
+	var worst float64
+	for _, src := range f.topo.ASesOfClass(topology.Stub)[:20] {
+		city := f.topo.AS(src).Cities[0]
+		var res Trace
+		got := testing.AllocsPerRun(20, func() { res = tr.Trace(src, city, f.dst) })
+		worst = max(worst, got)
+		// Doubling from empty reaches n elements in about log2(n)+1 steps.
+		if ceiling := float64(bits.Len(uint(len(res.Hops))) + bits.Len(uint(len(res.TrueASPath))) + 2); got > ceiling {
+			t.Errorf("Trace from %s (%d hops across %d ASes): %v allocs, want <= %v", src, len(res.Hops), len(res.TrueASPath), got, ceiling)
+		}
+	}
+	t.Logf("at most %v allocs per trace", worst)
 }
