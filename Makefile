@@ -80,8 +80,8 @@ staticcheck:
 	$(STATICCHECK) ./...
 
 # routelint is the in-tree, dependency-free analyzer suite enforcing the
-# repo's determinism/frozen-base/envelope/shutdown invariants — seven
-# rules, DESIGN.md §11 (cmd/routelint). It is part of `make verify`,
+# repo's determinism/hot-path/envelope invariants — five rules,
+# DESIGN.md §11 (cmd/routelint). It is part of `make verify`,
 # running before the (slow) race tests so an invariant violation fails
 # fast: a violation fails tier-1, not just CI.
 routelint:

@@ -1,7 +1,7 @@
 // Command routelint runs routelab's repo-invariant static-analysis
-// suite (internal/lint): seven analyzers that prove, at compile time,
-// the determinism, frozen-base, envelope, and shutdown rules the
-// reproduction's goldens and concurrency model depend on. It is
+// suite (internal/lint): five analyzers that prove, at compile time,
+// the determinism, hot-path, and envelope rules the reproduction's
+// goldens and concurrency model depend on. It is
 // dependency-free — stdlib go/ast, go/parser, go/types, and go/importer
 // only — so it runs on a bare toolchain and keeps go.mod require-free.
 //

@@ -114,7 +114,7 @@ type kernelFixture struct {
 	e           *Engine
 	origin, mux asn.ASN
 	prefix      asn.Prefix
-	base        *Computation
+	base        *Base
 }
 
 func newKernelFixture(tb testing.TB) *kernelFixture {
@@ -122,8 +122,7 @@ func newKernelFixture(tb testing.TB) *kernelFixture {
 	topo := topology.Generate(1, topology.TestConfig())
 	k := &kernelFixture{e: New(topo, 1), origin: topo.Names["peering"], mux: topo.Names["mux-0"]}
 	k.prefix = topo.AS(k.origin).Prefixes[0]
-	k.base = k.converge()
-	k.base.Freeze()
+	k.base = k.converge().Freeze()
 	return k
 }
 

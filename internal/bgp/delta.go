@@ -104,7 +104,7 @@ func (c *Computation) slotOf(i, j int32) (int32, bool) {
 // on peerings previously added with AddPeering; failing an
 // already-failed link is a no-op.
 func (c *Computation) FailLink(a, b asn.ASN) error {
-	if c.frozen.Load() {
+	if c.frozen {
 		panic("bgp: FailLink on a " + c.sealed())
 	}
 	i, iok := c.idx(a)
@@ -145,7 +145,7 @@ func (c *Computation) dropAcross(i, j int32) {
 // with topology.ProposeLink, which validates the endpoints against the
 // sealed graph and canonicalizes the link.
 func (c *Computation) AddPeering(l *topology.Link) error {
-	if c.frozen.Load() {
+	if c.frozen {
 		panic("bgp: AddPeering on a " + c.sealed())
 	}
 	if l == nil || l.Lo == l.Hi {
@@ -185,7 +185,7 @@ func (c *Computation) AddPeering(l *topology.Link) error {
 // the normal delivery path and the next Converge settles any resulting
 // best-path moves.
 func (c *Computation) SetLocalPref(at, from asn.ASN, pref int) error {
-	if c.frozen.Load() {
+	if c.frozen {
 		panic("bgp: SetLocalPref on a " + c.sealed())
 	}
 	if int(int32(pref)) != pref {
@@ -229,9 +229,10 @@ type BestChange struct {
 // two trees do not share compare element by element, which keeps the
 // diff exact across independently built computations (the differential
 // oracle in internal/whatif pins fork-diff ≡ rebuild-diff through
-// exactly this path). Neither computation is written to, so a frozen
-// base may be diffed against from many goroutines.
-func (c *Computation) BestDiff(base *Computation) []BestChange {
+// exactly this path). Neither side is written to, so a base may be
+// diffed against from many goroutines.
+func (c *Computation) BestDiff(b *Base) []BestChange {
+	base := b.c
 	if c.e != base.e || c.prefix != base.prefix {
 		panic("bgp: BestDiff across engines or prefixes")
 	}

@@ -7,10 +7,10 @@ import (
 	"routelab/internal/topology"
 )
 
-// converged builds the diamond's anycast base: org announces, the world
-// converges, and the computation is returned un-frozen so tests can
-// mutate it directly or Fork it first.
-func convergedDiamond(t *testing.T) (*Engine, *Computation, map[string]asn.ASN) {
+// convergedDiamond builds the diamond's anycast base: org announces,
+// the world converges, and the computation is returned frozen, for
+// tests to Fork and mutate.
+func convergedDiamond(t *testing.T) (*Engine, *Base, map[string]asn.ASN) {
 	t.Helper()
 	e, p, ids := diamond(t)
 	c := e.NewComputation(p)
@@ -18,13 +18,12 @@ func convergedDiamond(t *testing.T) (*Engine, *Computation, map[string]asn.ASN) 
 	if !c.Converge() {
 		t.Fatal("base did not converge")
 	}
-	return e, c, ids
+	return e, c.Freeze(), ids
 }
 
 func TestFailLinkReroutes(t *testing.T) {
-	_, c, ids := convergedDiamond(t)
-	base := c.Fork() // keep the frozen base for diffing
-	f := c.Fork()
+	_, base, ids := convergedDiamond(t)
+	f := base.Fork()
 
 	// t1 currently hears org via one of its customers; failing that link
 	// must move t1 onto the other customer.
@@ -64,9 +63,8 @@ func TestFailLinkReroutes(t *testing.T) {
 }
 
 func TestFailLinkPartitions(t *testing.T) {
-	_, c, ids := convergedDiamond(t)
-	base := c.Fork()
-	f := c.Fork()
+	_, base, ids := convergedDiamond(t)
+	f := base.Fork()
 	// org's only uplinks are c1 and c2; failing both cuts everyone off.
 	if err := f.FailLink(ids["org"], ids["c1"]); err != nil {
 		t.Fatal(err)
@@ -98,8 +96,8 @@ func TestFailLinkPartitions(t *testing.T) {
 }
 
 func TestFailLinkValidation(t *testing.T) {
-	_, c, ids := convergedDiamond(t)
-	f := c.Fork()
+	_, base, ids := convergedDiamond(t)
+	f := base.Fork()
 	if err := f.FailLink(ids["org"], ids["t2"]); err == nil {
 		t.Fatal("failing a non-existent link must error")
 	}
@@ -116,8 +114,8 @@ func TestFailLinkValidation(t *testing.T) {
 }
 
 func TestAddPeeringRoutes(t *testing.T) {
-	e, c, ids := convergedDiamond(t)
-	f := c.Fork()
+	e, base, ids := convergedDiamond(t)
+	f := base.Fork()
 	// org currently reaches t2 only via c1/c2 -> t1 -> t2. A direct
 	// org -> t2 customer link gives t2 a 1-hop customer route, which wins
 	// on LocalPref.
@@ -152,8 +150,8 @@ func TestAddPeeringRoutes(t *testing.T) {
 }
 
 func TestAddPeeringValidation(t *testing.T) {
-	e, c, ids := convergedDiamond(t)
-	f := c.Fork()
+	e, base, ids := convergedDiamond(t)
+	f := base.Fork()
 	if _, err := e.Topology().ProposeLink(ids["org"], ids["c1"], topology.RelProvider); err == nil {
 		t.Fatal("proposing an existing link must error")
 	}
@@ -192,8 +190,8 @@ func TestProposeLinkOrientationCanonical(t *testing.T) {
 }
 
 func TestSetLocalPrefMovesBest(t *testing.T) {
-	_, c, ids := convergedDiamond(t)
-	f := c.Fork()
+	_, base, ids := convergedDiamond(t)
+	f := base.Fork()
 	before := mustRoute(t, f, ids["t1"])
 	other := ids["c1"]
 	if before.NextHop == ids["c1"] {
@@ -231,7 +229,8 @@ func TestAnnouncePrepend(t *testing.T) {
 }
 
 func TestDeltaMutatorsPanicWhenFrozen(t *testing.T) {
-	e, c, ids := convergedDiamond(t)
+	e, base, ids := convergedDiamond(t)
+	c := base.Fork()
 	c.Freeze()
 	mustPanicDelta := func(name string, fn func()) {
 		t.Helper()
@@ -252,8 +251,8 @@ func TestDeltaMutatorsPanicWhenFrozen(t *testing.T) {
 }
 
 func TestForkClonesOverlay(t *testing.T) {
-	_, c, ids := convergedDiamond(t)
-	f1 := c.Fork()
+	_, base, ids := convergedDiamond(t)
+	f1 := base.Fork()
 	if err := f1.FailLink(ids["org"], ids["c1"]); err != nil {
 		t.Fatal(err)
 	}
@@ -262,8 +261,9 @@ func TestForkClonesOverlay(t *testing.T) {
 	}
 	// A second-generation fork must inherit the failure (identical state,
 	// empty diff) and stay independently mutable.
-	f2 := f1.Fork()
-	if diff := f2.BestDiff(f1); len(diff) != 0 {
+	b1 := f1.Freeze()
+	f2 := b1.Fork()
+	if diff := f2.BestDiff(b1); len(diff) != 0 {
 		t.Fatalf("fresh fork differs from parent: %v", diff)
 	}
 	if err := f2.FailLink(ids["org"], ids["c2"]); err != nil {
@@ -276,7 +276,7 @@ func TestForkClonesOverlay(t *testing.T) {
 		t.Fatal("t1 should be cut off in f2")
 	}
 	// The parent fork is untouched by the child's extra failure.
-	if _, ok := f1.Best(ids["t1"]); !ok {
+	if _, ok := b1.Best(ids["t1"]); !ok {
 		t.Fatal("t1 must still route in f1")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"routelab/internal/asn"
 	"routelab/internal/geo"
@@ -244,10 +243,11 @@ type Computation struct {
 	// Immutable once set, so forks share their parent's.
 	adjSt []adjState
 
-	// frozen is set by Freeze/Fork; Announce and Withdraw panic once
-	// set. Atomic so concurrent Forks of one parent are race-free.
-	// Release sets it too, with released, to end the computation.
-	frozen   atomic.Bool
+	// frozen is set by Freeze, once, by the owner before the Base is
+	// published; the mutators panic once it is set. Nothing a Base
+	// offers writes it, so concurrent forks only ever read it. Release
+	// sets it too, with released, to end the computation.
+	frozen   bool
 	released bool
 
 	// ov holds this computation's what-if mutations (failed links, added
@@ -394,7 +394,7 @@ func (c *Computation) setPrefix(prefix asn.Prefix) {
 // storage: ComputeRIB converges thousands of prefixes on a handful of
 // computations.
 func (c *Computation) reset(prefix asn.Prefix) {
-	if c.frozen.Load() || c.ov != nil {
+	if c.frozen || c.ov != nil {
 		panic("bgp: reset of a frozen or what-if Computation")
 	}
 	clear(c.anns)
@@ -446,7 +446,7 @@ func (c *Computation) enqueue(i int32) {
 // by the same origin) and marks the origin for reprocessing. Call
 // Converge to propagate.
 func (c *Computation) Announce(a Announcement) {
-	if c.frozen.Load() {
+	if c.frozen {
 		panic("bgp: Announce on a " + c.sealed())
 	}
 	a.Prefix = c.prefix
@@ -465,7 +465,7 @@ func (c *Computation) Announce(a Announcement) {
 
 // Withdraw removes an origin's announcement.
 func (c *Computation) Withdraw(origin asn.ASN) {
-	if c.frozen.Load() {
+	if c.frozen {
 		panic("bgp: Withdraw on a " + c.sealed())
 	}
 	delete(c.anns, origin)
@@ -566,7 +566,7 @@ func (c *Computation) pathOf(id uint32) asn.Path {
 		return p
 	}
 	p := c.paths.path(id)
-	if !c.frozen.Load() {
+	if !c.frozen {
 		if c.pathCache == nil {
 			c.pathCache = make(map[uint32]asn.Path)
 		}

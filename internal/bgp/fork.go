@@ -8,7 +8,7 @@ import (
 	"routelab/internal/obs"
 )
 
-// Fork/Freeze obs handles. Fork is per-campaign API (never on the
+// Fork obs handles. Fork is per-campaign API (never on the
 // Converge hot path), so direct counter bumps are fine here.
 var (
 	obsForkCalls    = obs.Default().Counter("bgp.fork.calls")
@@ -18,53 +18,67 @@ var (
 // Prefix returns the prefix this computation routes.
 func (c *Computation) Prefix() asn.Prefix { return c.prefix }
 
-// Freeze marks the computation immutable: Announce and Withdraw panic
-// from now on, and the state may be shared read-only — which is what
-// Fork relies on. Freezing is idempotent and safe to invoke (and
-// observe) from multiple goroutines; it cannot be undone.
-//
-// Converge stays callable (on a frozen computation the queue is
-// normally empty, so it is a no-op flush), but like every Computation
-// method it must not run concurrently with other calls on the SAME
-// computation. Forks of a frozen computation are independent and may be
-// taken and driven from different goroutines concurrently.
-func (c *Computation) Freeze() { c.frozen.Store(true) }
+// Base is a frozen computation: the read-only state every fork of it
+// starts from. Its methods read and fork, nothing else, so whatever
+// holds a Base — a memo map, a struct field, a closure — cannot reach
+// Announce, Withdraw or a what-if edit of it through any number of
+// calls. Any number of goroutines may use one Base at once.
+type Base struct{ c *Computation }
 
-// Frozen reports whether Freeze (or Fork) has been called.
-func (c *Computation) Frozen() bool { return c.frozen.Load() }
+// Freeze ends the computation's mutable life and returns it as a Base:
+// its mutators (and reset and Release) panic from now on, and its state
+// may be shared read-only, which is what forks rely on. The owner calls
+// it once, before the Base is published to other goroutines; freezing
+// again writes nothing and returns another handle on the same state.
+//
+// Converge stays callable on c (on a frozen computation the queue is
+// normally empty, so it is a no-op flush), but like every Computation
+// method it must not run concurrently with other calls on c.
+func (c *Computation) Freeze() *Base {
+	if c.released {
+		panic("bgp: Freeze of a released Computation")
+	}
+	if !c.frozen {
+		c.frozen = true
+	}
+	return &Base{c: c}
+}
+
+// Prefix returns the prefix the base routes.
+func (b *Base) Prefix() asn.Prefix { return b.c.prefix }
+
+// Best returns the installed best route at an AS.
+func (b *Base) Best(a asn.ASN) (Route, bool) { return b.c.Best(a) }
 
 // sealed names the state in which a computation refuses its mutators.
 func (c *Computation) sealed() string {
 	if c.released {
 		return "released Computation (its storage went back to the engine)"
 	}
-	return "frozen Computation (it has live forks; mutate a Fork instead)"
+	return "frozen Computation (it may have live forks; mutate a fork of its Base instead)"
 }
 
-// Fork freezes the computation and returns a copy-on-write child that
-// continues from the exact current state — same announcements, same
-// adj-RIB-ins, same best routes, same event clock, so a mutated fork is
-// indistinguishable from a from-scratch computation that replayed the
-// parent's history plus the new events (the differential suite in
-// forkdiff_test.go pins exactly that).
+// Fork returns a copy-on-write child that continues from the base's
+// exact state — same announcements, same adj-RIB-ins, same best routes,
+// same event clock, so a mutated fork is indistinguishable from a
+// from-scratch computation that replayed the base's history plus the
+// new events (the differential suite in forkdiff_test.go pins exactly
+// that).
 //
 // The fork is cheap: O(#ASes) copies, into the storage of a fork of this
 // engine that was Released when there is one (a dozen allocations
-// otherwise). Per-AS adj-RIB-in rows are shared with the parent and
+// otherwise). Per-AS adj-RIB-in rows are shared with the base and
 // cloned lazily on first write; the best column (records by value) is
 // copied. The child gets its own, empty segment of the AS-path tree
-// chained onto the parent's (see paths.go), and shares the parent's
+// chained onto the base's (see paths.go), and shares the base's
 // per-prefix adjacency state.
 //
-// Any number of forks may be taken from one frozen parent, concurrently,
-// and each fork is single-owner mutable state like any Computation.
-// Forks never un-freeze the parent: a campaign keeps the converged base
-// around and forks it once per variant.
-func (c *Computation) Fork() *Computation {
-	if c.released {
-		panic("bgp: Fork of a released Computation")
-	}
-	c.Freeze()
+// Any number of forks may be taken from one base, concurrently, and
+// each fork is single-owner mutable state like any Computation: a
+// campaign keeps the converged base around and forks it once per
+// variant.
+func (b *Base) Fork() *Computation {
+	c := b.c
 	e := c.e
 	st, recycled := e.forks.Get().(*forkStorage)
 	if !recycled {
@@ -136,13 +150,13 @@ type forkStorage struct {
 // returned is invalidated). Only a computation that was never frozen may
 // be released: a frozen one may have live forks reading its rows and its
 // path-tree segment. Afterwards the computation is unusable: mutators
-// and Fork panic by name, reads find nothing to index.
+// and Freeze panic by name, reads find nothing to index.
 func (c *Computation) Release() {
-	if c.frozen.Load() {
-		panic("bgp: Release of a frozen Computation (it may have live forks)")
-	}
 	if c.released {
 		panic("bgp: Release of a released Computation")
+	}
+	if c.frozen {
+		panic("bgp: Release of a frozen Computation (it may have live forks)")
 	}
 	st := &forkStorage{
 		anns: c.anns, origin: c.origin, adjIn: c.adjIn, sharedRow: c.sharedRow,
@@ -152,8 +166,7 @@ func (c *Computation) Release() {
 	clear(st.anns)
 	clear(st.origin)
 	clear(st.pathCache)
-	c.released = true
-	c.frozen.Store(true)
+	c.released, c.frozen = true, true
 	c.anns, c.origin, c.adjIn, c.sharedRow, c.best, c.force, c.upSent = nil, nil, nil, nil, nil, nil, nil
 	c.q, c.rows, c.paths, c.pathCache, c.adjSt, c.ov = eventQueue{}, rowArena{}, pathTree{}, nil, nil, nil
 	c.e.forks.Put(st)

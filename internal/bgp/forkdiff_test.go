@@ -247,7 +247,7 @@ func TestForkDifferentialOracle(t *testing.T) {
 			if !base.Converged() {
 				t.Fatal("base did not converge")
 			}
-			f := base.Fork()
+			f := base.Freeze().Fork()
 
 			rng := rand.New(rand.NewSource(seed * 977))
 			ops := randomOps(rng, all, origin, 12)
@@ -255,7 +255,7 @@ func TestForkDifferentialOracle(t *testing.T) {
 				if i == len(ops)/2 {
 					// Mid-history re-fork: the three-segment path tree and
 					// double-COW rows must behave identically to a single fork.
-					f = f.Fork()
+					f = f.Freeze().Fork()
 				}
 				o.apply(f)
 				hist = append(hist, o)
@@ -301,7 +301,7 @@ func TestSkipMatchesVisitEveryAdjacency(t *testing.T) {
 			adj0, adverts0 := obsConvergeAdj.Value(), obsConvergeAdverts.Value()
 			for k, o := range hist {
 				if k == len(hist)/3 || k == 2*len(hist)/3 {
-					c = c.Fork()
+					c = c.Freeze().Fork()
 				}
 				if o.converge {
 					a, d := drain(c)
@@ -363,8 +363,7 @@ func TestForkOfUnconvergedComputation(t *testing.T) {
 		{ann: Announcement{Origin: origin, Poisoned: []asn.ASN{all[3], all[17]}}},
 		// not converged at fork time
 	}
-	c := replay(e, prefix, hist)
-	f := c.Fork()
+	f := replay(e, prefix, hist).Freeze().Fork()
 	f.Converge()
 	hist = append(hist, forkOp{converge: true})
 	checkSameState(t, f, oracle(e, prefix, hist))
@@ -376,7 +375,7 @@ func TestForkOfUnconvergedComputation(t *testing.T) {
 func TestForkParentIsolation(t *testing.T) {
 	e, prefix, all, hist := forkFixture(t, 11)
 	origin := hist[0].ann.Origin
-	base := replay(e, prefix, hist)
+	base := replay(e, prefix, hist).Freeze()
 
 	snap := snapshotOf(base) // taken before forking
 
@@ -390,14 +389,14 @@ func TestForkParentIsolation(t *testing.T) {
 
 // TestConcurrentForks drives independent forks of one frozen base from
 // parallel goroutines — exactly the alternates-campaign shape — and
-// checks each against its from-scratch oracle. Run under -race this also
-// proves the frozen parent (shared rows, chained path-tree segment) is
-// safe to read concurrently.
+// checks each against its from-scratch oracle. The base is frozen once,
+// before any goroutine sees it; run under -race this also proves the
+// frozen parent (shared rows, chained path-tree segment, the frozen
+// flag itself) is safe to read concurrently.
 func TestConcurrentForks(t *testing.T) {
 	e, prefix, all, hist := forkFixture(t, 21)
 	origin := hist[0].ann.Origin
-	base := replay(e, prefix, hist)
-	base.Freeze()
+	base := replay(e, prefix, hist).Freeze()
 
 	const workers = 8
 	var wg sync.WaitGroup
@@ -422,49 +421,64 @@ func TestConcurrentForks(t *testing.T) {
 	}
 }
 
-// TestFrozenComputationPanics pins the freeze contract: mutation of a
-// frozen computation is a programming error, loudly.
+// TestFrozenComputationPanics pins the runtime half of the freeze
+// contract, for the owner that still holds the Computation it froze:
+// its mutators panic, Release panics (forks may be reading its rows),
+// and a released computation cannot be frozen into a Base.
 func TestFrozenComputationPanics(t *testing.T) {
 	e, prefix, _, hist := forkFixture(t, 2)
 	origin := hist[0].ann.Origin
-	base := replay(e, prefix, hist)
-
-	if base.Frozen() {
-		t.Fatal("fresh computation reports frozen")
-	}
-	base.Fork() // freezes
-	if !base.Frozen() {
-		t.Fatal("Fork did not freeze the parent")
-	}
-	base.Freeze() // idempotent
+	c := replay(e, prefix, hist)
+	base := c.Freeze()
+	c.Freeze() // idempotent
 
 	mustPanic := func(name string, fn func()) {
+		t.Helper()
 		defer func() {
 			if recover() == nil {
-				t.Errorf("%s on a frozen computation did not panic", name)
+				t.Errorf("%s did not panic", name)
 			}
 		}()
 		fn()
 	}
-	mustPanic("Announce", func() { base.Announce(Announcement{Origin: origin}) })
-	mustPanic("Withdraw", func() { base.Withdraw(origin) })
+	mustPanic("Announce after Freeze", func() { c.Announce(Announcement{Origin: origin}) })
+	mustPanic("Withdraw after Freeze", func() { c.Withdraw(origin) })
+	mustPanic("Release of a frozen computation", c.Release)
+	f := base.Fork()
+	f.Release()
+	mustPanic("Freeze of a released computation", func() { f.Freeze() })
+}
+
+// TestBaseMethodSet pins the type half of the freeze contract: a Base
+// reads and forks, nothing else, so nothing that holds one can reach
+// Announce, Withdraw or a what-if edit through any number of calls. A
+// method added to Base fails here first.
+func TestBaseMethodSet(t *testing.T) {
+	typ := reflect.TypeOf((*Base)(nil))
+	var got []string
+	for i := range typ.NumMethod() {
+		got = append(got, typ.Method(i).Name)
+	}
+	if want := []string{"Best", "Fork", "Prefix"}; !slices.Equal(got, want) {
+		t.Fatalf("*Base methods = %v, want exactly %v", got, want)
+	}
 }
 
 // TestFrozenBaseConcurrentReads pins the read side of the freeze
-// contract: a frozen base — the shape peering.AnycastBase hands to every
-// request — is queried and diffed against from many goroutines at once.
+// contract: a Base — what peering.AnycastBase hands to every request —
+// is queried, forked and diffed against from many goroutines at once.
 // Half of its paths were materialised (and cached) before the freeze,
 // half were not, so both the cache-hit and the build-afresh branches of
 // the read boundary run concurrently; under -race this proves neither
 // writes to the shared computation.
 func TestFrozenBaseConcurrentReads(t *testing.T) {
 	e, prefix, all, hist := forkFixture(t, 21)
-	base := replay(e, prefix, hist)
+	c := replay(e, prefix, hist)
 	for _, a := range all[:len(all)/2] {
-		base.Best(a)
+		c.Best(a)
 	}
-	base.Freeze()
-	want := base.Routes()
+	base := c.Freeze()
+	want := c.Routes()
 	poisoned := base.Fork()
 	poisoned.Announce(Announcement{Origin: hist[0].ann.Origin, Poisoned: []asn.ASN{all[5]}})
 	poisoned.Converge()
@@ -480,8 +494,6 @@ func TestFrozenBaseConcurrentReads(t *testing.T) {
 				if wr, held := want[a]; ok != held || !reflect.DeepEqual(r, wr) {
 					t.Errorf("Best(%s) = %v (%v), want %v (%v)", a, r, ok, wr, held)
 				}
-				base.Step(a)
-				base.Alternatives(a)
 			}
 			if got := base.Fork().BestDiff(base); len(got) != 0 {
 				t.Errorf("an untouched fork differs from its base at %d ASes", len(got))
@@ -547,7 +559,7 @@ func dirtyOps(rng *rand.Rand, topo *topology.Topology, origin asn.ASN, n int) []
 // row slab — what only recycled storage carries — that the dirtied fork
 // already wrote its rows into. Nil after 64 tries (sync.Pool may drop a
 // Put, and does so at random under -race).
-func recycledFork(rng *rand.Rand, topo *topology.Topology, origin asn.ASN, dirty, base *Computation) *Computation {
+func recycledFork(rng *rand.Rand, topo *topology.Topology, origin asn.ASN, dirty, base *Base) *Computation {
 	for try := 0; try < 64; try++ {
 		f := dirty.Fork()
 		stale := f.rows.slab != nil
@@ -572,7 +584,7 @@ type recycleFixture struct {
 	origin asn.ASN
 	prefix asn.Prefix
 	histB  []forkOp
-	a, b   *Computation
+	a, b   *Base
 }
 
 func newRecycleFixture(seed int64) *recycleFixture {
@@ -581,9 +593,7 @@ func newRecycleFixture(seed int64) *recycleFixture {
 	x.prefix = topo.AS(x.origin).Prefixes[0]
 	histA := []forkOp{{ann: Announcement{Origin: x.origin}}, {converge: true}}
 	x.histB = append(slices.Clone(histA), randomOps(rand.New(rand.NewSource(seed)), topo.ASNs(), x.origin, 6)...)
-	x.a, x.b = replay(x.e, x.prefix, histA), replay(x.e, x.prefix, x.histB)
-	x.a.Freeze()
-	x.b.Freeze()
+	x.a, x.b = replay(x.e, x.prefix, histA).Freeze(), replay(x.e, x.prefix, x.histB).Freeze()
 	return x
 }
 
@@ -659,8 +669,8 @@ func TestConcurrentRecycledForks(t *testing.T) {
 	snapB.check(t, "the base the recycled forks came from")
 }
 
-// baseSnapshot is a deep value copy of a frozen computation's observable
-// state (records are values, so cloning rows copies them).
+// baseSnapshot is a deep value copy of a base's observable state
+// (records are values, so cloning rows copies them).
 type baseSnapshot struct {
 	c      *Computation
 	clock  uint32
@@ -670,7 +680,8 @@ type baseSnapshot struct {
 	routes map[asn.ASN]Route
 }
 
-func snapshotOf(c *Computation) baseSnapshot {
+func snapshotOf(b *Base) baseSnapshot {
+	c := b.c
 	s := baseSnapshot{c: c, clock: c.clock, nodes: len(c.paths.nodes), best: slices.Clone(c.best), routes: c.Routes()}
 	for _, row := range c.adjIn {
 		s.rows = append(s.rows, slices.Clone(row))
@@ -697,12 +708,13 @@ func (s baseSnapshot) check(t *testing.T, who string) {
 // TestReleaseContract pins who may be released and what is left of it: a
 // frozen computation may have live forks reading its rows and its path
 // segment, so releasing one panics; a released one refuses every
-// mutator, Fork and a second Release by name, and its reads find nothing
-// to index. Nothing a read returned before is invalidated.
+// mutator, Freeze and a second Release by name, and its reads find
+// nothing to index. Nothing a read returned before is invalidated.
 func TestReleaseContract(t *testing.T) {
 	e, prefix, all, hist := forkFixture(t, 2)
 	origin := hist[0].ann.Origin
-	base := replay(e, prefix, hist)
+	c := replay(e, prefix, hist)
+	base := c.Freeze()
 	mustPanic := func(name string, fn func()) {
 		t.Helper()
 		defer func() {
@@ -714,7 +726,7 @@ func TestReleaseContract(t *testing.T) {
 	}
 
 	f := base.Fork()
-	mustPanic("Release of a frozen computation", base.Release)
+	mustPanic("Release of a frozen computation", c.Release)
 	f.Announce(Announcement{Origin: origin, Poisoned: []asn.ASN{all[5]}})
 	f.Converge()
 	routes := f.Routes()
@@ -725,7 +737,7 @@ func TestReleaseContract(t *testing.T) {
 	mustPanic("Withdraw after Release", func() { f.Withdraw(origin) })
 	mustPanic("FailLink after Release", func() { _ = f.FailLink(all[0], all[1]) })
 	mustPanic("SetLocalPref after Release", func() { _ = f.SetLocalPref(all[0], all[1], 10) })
-	mustPanic("Fork after Release", func() { f.Fork() })
+	mustPanic("Freeze after Release", func() { f.Freeze() })
 	mustPanic("Release after Release", f.Release)
 	mustPanic("Best after Release", func() { f.Best(all[9]) })
 

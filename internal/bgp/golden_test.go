@@ -97,7 +97,7 @@ func stateDigest(w *goldenWorld, c *Computation) string {
 func firstBusy(t *testing.T, w *goldenWorld, base *Computation, apply func(f *Computation, a asn.ASN) bool) *Computation {
 	t.Helper()
 	for _, a := range w.topo.ASNs() {
-		f := base.Fork()
+		f := base.Freeze().Fork()
 		if !apply(f, a) {
 			continue
 		}
@@ -111,7 +111,9 @@ func firstBusy(t *testing.T, w *goldenWorld, base *Computation, apply func(f *Co
 }
 
 // goldenScenarios drive one computation each. All but the first two
-// start from a fork of the frozen converged anycast.
+// start from a fork of the frozen converged anycast (base, which
+// TestEventIdentityGolden froze: freezing again only hands out another
+// Base of it).
 var goldenScenarios = []struct {
 	name string
 	run  func(t *testing.T, w *goldenWorld, base *Computation) *Computation
@@ -126,13 +128,13 @@ var goldenScenarios = []struct {
 		return c
 	}},
 	{"fork_poison_reconverge", func(t *testing.T, w *goldenWorld, base *Computation) *Computation {
-		f := base.Fork()
+		f := base.Freeze().Fork()
 		f.Announce(Announcement{Origin: w.origin, Poisoned: []asn.ASN{w.mux}})
 		f.Converge()
 		return f
 	}},
 	{"fail_link", func(t *testing.T, w *goldenWorld, base *Computation) *Computation {
-		f := base.Fork()
+		f := base.Freeze().Fork()
 		if err := f.FailLink(w.origin, w.liveMux(t, base)); err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +159,7 @@ var goldenScenarios = []struct {
 		})
 	}},
 	{"withdraw", func(t *testing.T, w *goldenWorld, base *Computation) *Computation {
-		f := base.Fork()
+		f := base.Freeze().Fork()
 		f.Withdraw(w.origin)
 		f.Converge()
 		return f

@@ -19,9 +19,10 @@ import (
 //
 // Ownership: a tree is a chain of segments, one per Computation of a
 // fork chain. Each computation appends only to its own segment; the
-// segments of its ancestors are immutable from the moment Fork froze
-// them, so any number of forks read them concurrently. Ids are global
-// over the chain: a fork's own nodes start where its parent's ended.
+// segments of its ancestors are immutable from the moment Freeze made
+// them a Base, so any number of forks read them concurrently. Ids are
+// global over the chain: a fork's own nodes start where its parent's
+// ended.
 // A RIB column keeps a compacted single-segment tree (no hash table)
 // holding just the nodes its records reach.
 

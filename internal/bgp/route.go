@@ -8,7 +8,7 @@
 //
 // # Concurrency contract
 //
-// The package splits state into three tiers (documented in detail in
+// The package splits state into four tiers (documented in detail in
 // DESIGN.md §"Concurrency model"):
 //
 //   - Engine is immutable after New — its dense indexes are built
@@ -21,9 +21,9 @@
 //     must all be called from the goroutine that owns the computation.
 //     Independent Computations (different prefixes, or even the same
 //     prefix twice) never share mutable state and may run concurrently.
-//     A frozen Computation (Freeze, Fork) is read-only: its query
-//     methods, and BestDiff against it, write nothing, so any number of
-//     goroutines may read it and Fork it at once.
+//   - Base is what Freeze turns a Computation into: read-only by type
+//     (Best, Prefix and Fork are all it offers), so any number of
+//     goroutines may read it, BestDiff against it and Fork it at once.
 //   - RIB is immutable once ComputeRIB returns; concurrent readers are
 //     safe. Its contents are byte-identical for any worker count because
 //     each prefix's computation is self-contained and the merge is done

@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"sort"
 )
 
 // CallGraph is the module-wide static call graph: every function and
@@ -15,9 +14,7 @@ import (
 // noisier on code that proves its own safety).
 //
 // The graph is built once per Program (see Program.CallGraph) and
-// shared by every interprocedural analyzer: hotatomic's Converge
-// traversal, frozenfork's mutated-parameter fixpoint, and goroleak's
-// spawned-body resolution.
+// serves hotatomic's Converge traversal.
 type CallGraph struct {
 	prog *Program
 	// decls maps every in-module function object to its declaration.
@@ -79,26 +76,8 @@ func buildCallGraph(prog *Program) *CallGraph {
 	return cg
 }
 
-// Decl returns f's declaration, or nil if f is not declared in the
-// module (stdlib, interface method, nil).
-func (g *CallGraph) Decl(f *types.Func) *ast.FuncDecl { return g.decls[f] }
-
-// PackageOf returns the package f is declared in, or nil.
-func (g *CallGraph) PackageOf(f *types.Func) *Package { return g.pkgs[f] }
-
 // Callees returns f's in-module static callees in source order.
 func (g *CallGraph) Callees(f *types.Func) []*types.Func { return g.callees[f] }
-
-// Funcs returns every in-module function, sorted by declaration
-// position — the stable iteration order for whole-module fixpoints.
-func (g *CallGraph) Funcs() []*types.Func {
-	out := make([]*types.Func, 0, len(g.decls))
-	for f := range g.decls {
-		out = append(out, f)
-	}
-	sort.Slice(out, func(i, j int) bool { return g.decls[out[i]].Pos() < g.decls[out[j]].Pos() })
-	return out
-}
 
 // Method locates the method recvType.name declared in pkg, or nil.
 func (g *CallGraph) Method(pkg *Package, recvType, name string) *types.Func {
@@ -140,11 +119,10 @@ func (g *CallGraph) Reachable(root *types.Func, samePkg bool, stop map[string]bo
 	return out
 }
 
-// enclosingFuncDecls pairs every function declaration of a package with
-// its defining object, in source order. Analyzers that reason per
-// enclosing function (envelope's blessed writers, goroleak's spawn
-// sites, frozenfork's flow tracking) iterate this instead of raw files
-// so a finding always knows its home declaration.
+// enclosingFuncDecls lists every function declaration of a package with
+// a body, in source order. envelope reasons per enclosing function (its
+// blessed writers) and iterates this instead of raw files so a finding
+// always knows its home declaration.
 func enclosingFuncDecls(pkg *Package) []*ast.FuncDecl {
 	var out []*ast.FuncDecl
 	for _, file := range pkg.Files {
@@ -155,18 +133,4 @@ func enclosingFuncDecls(pkg *Package) []*ast.FuncDecl {
 		}
 	}
 	return out
-}
-
-// receiverIdentObject returns the object of a method call's receiver
-// when the receiver is a plain identifier (x.M(...)), else nil.
-func receiverIdentObject(info *types.Info, call *ast.CallExpr) types.Object {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	id, ok := ast.Unparen(sel.X).(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	return info.Uses[id]
 }

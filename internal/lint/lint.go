@@ -25,7 +25,7 @@ func (f Finding) String() string {
 
 // Analyzer is one repo-invariant rule. Run is invoked once per analyzed
 // package and may consult the whole Program for cross-package facts
-// (the frozen-mutator set, the bgp hot-path call graph).
+// (the bgp hot-path call graph).
 type Analyzer struct {
 	// Name is the rule id findings and //lint:allow comments use.
 	Name string
@@ -45,9 +45,7 @@ func Analyzers() []*Analyzer {
 		analyzerHotAtomic(),
 		analyzerCtxFlow(),
 		analyzerWallTime(),
-		analyzerFrozenFork(),
 		analyzerEnvelope(),
-		analyzerGoroLeak(),
 	}
 }
 

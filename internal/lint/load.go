@@ -1,7 +1,7 @@
 // Package lint is routelab's repository-invariant static-analysis
 // suite: a dependency-free (stdlib go/ast, go/parser, go/types,
 // go/importer) driver plus analyzers that prove the determinism,
-// sealing, and hot-path rules this repo's reproducibility claims rest
+// envelope, and hot-path rules this repo's reproducibility claims rest
 // on. cmd/routelint is the CLI; DESIGN.md §"Static analysis" documents
 // every rule and its motivating bug.
 //
@@ -43,8 +43,8 @@ type Package struct {
 
 // Program is a fully loaded module: every package parsed and
 // type-checked against one shared FileSet. Analyzers receive the whole
-// Program so cross-package rules (the frozen-mutator set, the bgp hot
-// path) can be derived from source instead of hardcoded.
+// Program so a cross-package rule (the bgp hot path) can be derived
+// from source instead of hardcoded.
 type Program struct {
 	Fset       *token.FileSet
 	ModulePath string
@@ -52,17 +52,10 @@ type Program struct {
 	Packages   []*Package // sorted by Path
 	byPath     map[string]*Package
 
-	// cgOnce/cg lazily cache the module-wide call graph so the
-	// interprocedural analyzers (hotatomic, frozenfork, goroleak) share
-	// one build per Run instead of re-walking every body per package.
+	// cgOnce/cg lazily cache the module-wide call graph hotatomic walks,
+	// so it is built once per Run instead of once per package.
 	cgOnce sync.Once
 	cg     *CallGraph
-
-	// ffOnce/ff cache the frozenfork fact tables (derived sink set,
-	// frozen-returning functions, mutated-parameter fixpoint), which are
-	// module-wide and identical for every analyzed package.
-	ffOnce sync.Once
-	ff     *frozenFacts
 }
 
 // Package returns the loaded package with the given import path, or nil.

@@ -15,16 +15,11 @@ var (
 )
 
 // Computation mirrors the real engine's shape: an event loop whose
-// helpers must stay free of per-event instrumentation, plus the COW
-// fork discipline (frozen flag, shared adj-RIB-in rows) the frozenfork
-// analyzer derives its mutator set from.
+// helpers must stay free of per-event instrumentation.
 type Computation struct {
-	n         int64
-	pending   int
-	pool      pathPool
-	frozen    bool
-	adjIn     [][]int
-	sharedRow []bool
+	n       int64
+	pending int
+	pool    pathPool
 }
 
 // pathPool mirrors the intern pool: a helper type whose methods run once
@@ -79,11 +74,7 @@ func (c *Computation) flushObs() {
 }
 
 // Announce is per-call API, not reachable from Converge: its counter
-// bump is legal. The frozen guard makes it a derived frozenfork
-// mutator, mirroring the real engine.
+// bump is legal.
 func (c *Computation) Announce() {
-	if c.frozen {
-		panic("bgp: Announce on a frozen Computation")
-	}
 	events.Inc()
 }

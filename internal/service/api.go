@@ -30,11 +30,12 @@
 // computation died of its leader's cancellation). Computations only read the sealed Scenario and the
 // synchronized classify.Context caches; nothing mutates shared state,
 // so any interleaving yields the same bytes. The alternates and what-if
-// endpoints mutate a copy-on-write Fork of the scenario's frozen
-// anycast base, taken inline on the request's goroutine: one
+// endpoints mutate a copy-on-write Fork of the scenario's anycast
+// bgp.Base, taken inline on the request's goroutine: one
 // bgp.fork.calls per discovery or delta. The package starts no
 // goroutine, so there is nothing to stop or join at shutdown or
-// eviction (the goroleak rule keeps it that way).
+// eviction (internal/lint's TestRepoIsClean fails on any go statement
+// here).
 package service
 
 import (

@@ -51,6 +51,19 @@ func TestCachePartitionsByTenant(t *testing.T) {
 	}
 }
 
+// serveAsync serves r through ts's handler on a goroutine of its own —
+// the fault suite's legs hold one request while they send others — and
+// hands back the recorded response.
+func serveAsync(ts *httptest.Server, r *http.Request) <-chan *httptest.ResponseRecorder {
+	done := make(chan *httptest.ResponseRecorder, 1)
+	go func() {
+		rec := httptest.NewRecorder()
+		ts.Config.Handler.ServeHTTP(rec, r)
+		done <- rec
+	}()
+	return done
+}
+
 // TestCoalescedWaiterSurvivesLeaderCancel is the cancel-mid-request leg
 // of the service fault suite: a client that joined an in-flight
 // /v1/experiments/all computation must not inherit the failure of the
@@ -70,7 +83,6 @@ func TestCoalescedWaiterSurvivesLeaderCancel(t *testing.T) {
 
 	obs.Reset()
 	srv, ts := newTestServer(t, Config{})
-	h := ts.Config.Handler
 	entered := make(chan struct{}, 2) // the leader's computation, then the waiter's retry
 	release := make(chan struct{})
 	srv.computeHook = func() {
@@ -78,13 +90,7 @@ func TestCoalescedWaiterSurvivesLeaderCancel(t *testing.T) {
 		<-release
 	}
 	serve := func(ctx context.Context) <-chan *httptest.ResponseRecorder {
-		done := make(chan *httptest.ResponseRecorder, 1)
-		go func() {
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil).WithContext(ctx))
-			done <- rec
-		}()
-		return done
+		return serveAsync(ts, httptest.NewRequest(http.MethodGet, path, nil).WithContext(ctx))
 	}
 
 	// The leader's client hangs up the moment "all" starts: past the
@@ -143,7 +149,6 @@ func TestPanicInComputationDoesNotPoisonKey(t *testing.T) {
 
 	obs.Reset()
 	srv, ts := newTestServer(t, Config{})
-	h := ts.Config.Handler
 	var broken atomic.Bool
 	broken.Store(true)
 	entered := make(chan struct{}, 4)
@@ -156,13 +161,7 @@ func TestPanicInComputationDoesNotPoisonKey(t *testing.T) {
 		}
 	}
 	serve := func() <-chan *httptest.ResponseRecorder {
-		done := make(chan *httptest.ResponseRecorder, 1)
-		go func() {
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
-			done <- rec
-		}()
-		return done
+		return serveAsync(ts, httptest.NewRequest(http.MethodGet, path, nil))
 	}
 
 	recs := []<-chan *httptest.ResponseRecorder{serve()}
@@ -256,5 +255,85 @@ func TestPanicInBuildDoesNotPoisonScenario(t *testing.T) {
 	broken.Store(false)
 	if status, body := get(t, url); status != http.StatusOK {
 		t.Fatalf("build after the panic: status %d, want 200\n%s", status, body)
+	}
+}
+
+// TestCancelMidBuildKeepsBuild is the cancel-mid-build leg of the
+// service fault suite. The leader of alpha's build hangs up while the
+// build is held in buildHook, and a second client is coalesced onto
+// that build. The build is not the leader's to cancel: it completes and
+// is kept, the waiter is served from it, and the leader — whose request
+// is dead by the time it reaches its own compute — gets a typed 504.
+// Every counter says exactly that: one build, one error, the leader's.
+func TestCancelMidBuildKeepsBuild(t *testing.T) {
+	obs.Reset()
+	st, ts := newTestFleet(t, StoreConfig{}, testExpansion("alpha", 1))
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	st.buildHook = func(string) {
+		entered <- struct{}{}
+		<-release
+	}
+	serve := func(ctx context.Context, path string) <-chan *httptest.ResponseRecorder {
+		return serveAsync(ts, httptest.NewRequest(http.MethodGet, path, nil).WithContext(ctx))
+	}
+
+	leaderCtx, hangUp := context.WithCancel(context.Background())
+	defer hangUp()
+	leader := serve(leaderCtx, "/v1/scenarios/alpha/experiments/table1")
+	<-entered // the leader's build holds the build slot
+	waiter := serve(context.Background(), "/v1/scenarios/alpha/healthz")
+	waitUntil(t, "waiter's handler to start", func() bool {
+		return obs.Snap().Counters["service.requests.healthz"] == 1
+	})
+	// As in TestCoalescedWaiterSurvivesLeaderCancel, parking on the
+	// build is not observable: a grace period. A late waiter is an LRU
+	// hit on the kept build instead, and passes either way.
+	time.Sleep(50 * time.Millisecond)
+	hangUp()
+	close(release)
+
+	rec := <-leader
+	if rec.Code != http.StatusGatewayTimeout {
+		t.Fatalf("leader (hung up mid-build): status %d, want 504\n%s", rec.Code, rec.Body)
+	}
+	var ed ErrorData
+	if env := checkEnvelope(t, rec.Body.String()); env.Kind != "error" || json.Unmarshal(env.Data, &ed) != nil || ed.Code != CodeTimeout {
+		t.Errorf("leader: kind %q code %q, want an %q error", env.Kind, ed.Code, CodeTimeout)
+	}
+	if rec := <-waiter; rec.Code != http.StatusOK {
+		t.Fatalf("waiter: status %d, want 200\n%s", rec.Code, rec.Body)
+	}
+	if d, err := st.BuildProgress("alpha"); err != nil || d.State != BuildBuilt {
+		t.Errorf("build after the leader hung up: %+v, %v; want built", d, err)
+	}
+	snap := obs.Snap()
+	for name, want := range map[string]int64{
+		"service.scenario.builds":      1,
+		"service.requests.experiments": 1,
+		"service.errors.experiments":   1,
+		"service.requests.healthz":     1,
+		"service.errors.healthz":       0,
+		"service.scenario.evictions":   0,
+		"service.panics":               0,
+		"service.shed.builds":          0,
+	} {
+		if n := snap.Counters[name]; n != want {
+			t.Errorf("%s = %d, want %d", name, n, want)
+		}
+	}
+	if n := snap.Counters["service.scenario.hits"]; n != 0 {
+		t.Logf("the waiter arrived after the build (service.scenario.hits = %d)", n)
+	}
+	if n := st.buildGate.Waiting(); n != 0 {
+		t.Errorf("buildGate.Waiting() = %d, want 0", n)
+	}
+
+	// The kept build serves the leader's request without another build.
+	if status, body := get(t, ts.URL+"/v1/scenarios/alpha/experiments/table1"); status != http.StatusOK {
+		t.Fatalf("after the hang-up: status %d\n%s", status, body)
+	}
+	if n := obs.Snap().Counters["service.scenario.builds"]; n != 1 {
+		t.Errorf("service.scenario.builds = %d after a repeat, want 1", n)
 	}
 }

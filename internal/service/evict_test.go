@@ -1,9 +1,12 @@
 package service
 
 import (
+	"context"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"slices"
+	"strings"
 	"testing"
 
 	"routelab/internal/obs"
@@ -189,5 +192,84 @@ func TestStoreEvictionDifferential(t *testing.T) {
 	}
 	if n := obs.Snap().Counters["service.scenario.evictions"]; n != evictions {
 		t.Errorf("service.scenario.evictions = %d, model evicted %d", n, evictions)
+	}
+}
+
+// TestEvictWithRequestInFlight is the evict-mid-request leg of the
+// service fault suite. A POST /v1/scenarios/alpha/whatif is held in its
+// compute slot while a beta request evicts alpha under a one-world byte
+// budget. The held request still holds alpha's tenant, so it keeps
+// forking that tenant's Base and answers 200 with the unloaded
+// control's bytes; nothing counts as an error, the gate line is empty,
+// and — as cache.purge documents — the in-flight computation completes
+// and re-inserts its body, so alpha's rebuild serves those very bytes
+// from the cache.
+func TestEvictWithRequestInFlight(t *testing.T) {
+	const (
+		path = "/v1/scenarios/alpha/whatif"
+		doc  = `{"schema":"routelab-whatif/v1","delta":{"kind":"withdraw"}}`
+	)
+	_, control := newTestFleet(t, StoreConfig{}, testExpansion("alpha", 1))
+	status, want, _ := postWhatIf(t, control.URL+path, doc)
+	if status != http.StatusOK {
+		t.Fatalf("control: status %d\n%s", status, want)
+	}
+	size := measureTenantBytes(t)
+
+	obs.Reset()
+	st, ts := newTestFleet(t, StoreConfig{MaxScenarioBytes: size + size/2},
+		testExpansion("alpha", 1), testExpansion("beta", 2))
+	alpha, err := st.Get(context.Background(), "alpha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	alpha.computeHook = func() {
+		entered <- struct{}{}
+		<-release
+	}
+	held := serveAsync(ts, httptest.NewRequest(http.MethodPost, path, strings.NewReader(doc)))
+	<-entered // the what-if holds alpha's compute slot
+
+	if status, body := get(t, ts.URL+"/v1/scenarios/beta/healthz"); status != http.StatusOK {
+		t.Fatalf("beta: status %d\n%s", status, body)
+	}
+	if info, err := st.Info("alpha"); err != nil || info.Built {
+		t.Fatalf("alpha still resident after beta's admit (err %v)", err)
+	}
+	close(release)
+
+	rec := <-held
+	if rec.Code != http.StatusOK {
+		t.Fatalf("held request: status %d, want 200\n%s", rec.Code, rec.Body)
+	}
+	if rec.Body.String() != want {
+		t.Error("held request's body differs from the unloaded control's")
+	}
+	snap := obs.Snap()
+	if n := snap.Counters["service.scenario.evictions"]; n != 1 {
+		t.Errorf("service.scenario.evictions = %d, want 1", n)
+	}
+	for name, n := range snap.Counters {
+		if strings.HasPrefix(name, "service.errors.") && n != 0 {
+			t.Errorf("%s = %d, want 0", name, n)
+		}
+	}
+	if n := alpha.gate.Waiting(); n != 0 {
+		t.Errorf("gate.Waiting() = %d, want 0", n)
+	}
+
+	// Alpha rebuilds; the body the evicted tenant's computation
+	// re-inserted is the one served, byte for byte.
+	status, body, hdr := postWhatIf(t, ts.URL+path, doc)
+	if status != http.StatusOK || body != want {
+		t.Fatalf("rebuilt alpha: status %d, body equal to the control's: %v", status, body == want)
+	}
+	if hdr != "hit" {
+		t.Errorf("rebuilt alpha: cache %q, want hit (the in-flight computation re-inserted)", hdr)
+	}
+	if n := obs.Snap().Counters["service.scenario.builds"]; n != 3 {
+		t.Errorf("service.scenario.builds = %d, want 3 (alpha, beta, alpha again)", n)
 	}
 }

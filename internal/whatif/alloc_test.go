@@ -26,7 +26,7 @@ import (
 type evalFixture struct {
 	engine *bgp.Engine
 	origin asn.ASN
-	base   *bgp.Computation
+	base   *bgp.Base
 	cd     *whatif.Compiled
 }
 

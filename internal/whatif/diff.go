@@ -50,7 +50,7 @@ type Diff struct {
 // base's exact state: a COW fork of it, or (in the differential oracle)
 // an independently built twin — re-converges, and diffs the outcome
 // against base. Events and Churn count only the work the delta caused.
-func EvalOn(eval, base *bgp.Computation, cd *Compiled) (Diff, error) {
+func EvalOn(eval *bgp.Computation, base *bgp.Base, cd *Compiled) (Diff, error) {
 	ev0, ch0 := eval.Counters()
 	if err := cd.Apply(eval); err != nil {
 		return Diff{}, err
@@ -95,12 +95,11 @@ func EvalOn(eval, base *bgp.Computation, cd *Compiled) (Diff, error) {
 }
 
 // Eval evaluates one delta the engine's way: fork the frozen converged
-// base (O(#ASes) pointer copies; the base must be frozen, which Fork
-// enforces by freezing), apply, re-converge incrementally, diff. Any
-// number of Evals may run against one base — concurrently, too, since
-// forks of a frozen parent are independent. The diff is a copy, so the
+// base (O(#ASes) pointer copies), apply, re-converge incrementally,
+// diff. Any number of Evals may run against one base — concurrently,
+// too, since forks of a base are independent. The diff is a copy, so the
 // fork's storage goes back to the engine for the next one.
-func Eval(base *bgp.Computation, cd *Compiled) (Diff, error) {
+func Eval(base *bgp.Base, cd *Compiled) (Diff, error) {
 	fork := base.Fork()
 	d, err := EvalOn(fork, base, cd)
 	fork.Release()

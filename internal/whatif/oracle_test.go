@@ -18,7 +18,7 @@ import (
 // route on base — the link and local-pref deltas hit the live mux
 // uplink, the new peering is the first pair whose link changes a best
 // path — so the differential never compares two empty diffs.
-func oracleDeltas(t *testing.T, topo *topology.Topology, tb *peering.Testbed, base *bgp.Computation) []*whatif.Compiled {
+func oracleDeltas(t *testing.T, topo *topology.Topology, tb *peering.Testbed, base *bgp.Base) []*whatif.Compiled {
 	t.Helper()
 	origin := tb.Origin
 	mux0, mux1 := tb.Muxes[0], tb.Muxes[1%len(tb.Muxes)]
@@ -84,7 +84,7 @@ func TestForkDiffMatchesRebuildDiff(t *testing.T) {
 				// state with the fork path.
 				before := scratchBase(t, engine, p, tb.Origin)
 				after := scratchBase(t, engine, p, tb.Origin)
-				rebuilt, err := whatif.EvalOn(after, before, cd)
+				rebuilt, err := whatif.EvalOn(after, before.Freeze(), cd)
 				if err != nil {
 					t.Fatalf("%s: rebuild eval: %v", cd.Canonical(), err)
 				}

@@ -1,11 +1,11 @@
 // Package whatif is the incremental what-if engine: typed routing
 // deltas — link failure, new peering, AS-path poison, origin prepend,
 // LocalPref override, withdraw — applied to a copy-on-write fork of a
-// frozen converged base computation, re-converged incrementally, and
+// frozen converged base (a bgp.Base), re-converged incrementally, and
 // reported as a structured diff of changed best-path decisions instead
 // of a full routing snapshot.
 //
-// It productizes the internal/bgp Fork layer (DESIGN.md §12): a delta
+// It productizes the internal/bgp fork layer (DESIGN.md §12): a delta
 // evaluation pays only the fork (O(#ASes) pointer copies) plus the
 // reconvergence the delta actually causes, instead of rebuilding the
 // world from scratch. The differential oracle in oracle_test.go pins

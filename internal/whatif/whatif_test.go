@@ -55,7 +55,7 @@ func nonNeighbor(t *testing.T, topo *topology.Topology, a asn.ASN) asn.ASN {
 // mux's side and their own origin uplink carries nothing: failing or
 // de-preferring such a link is a no-op. The live mux's uplink is one a
 // delta can actually break.
-func liveMux(t testing.TB, tb *peering.Testbed, base *bgp.Computation) asn.ASN {
+func liveMux(t testing.TB, tb *peering.Testbed, base *bgp.Base) asn.ASN {
 	t.Helper()
 	for _, m := range tb.Muxes {
 		if r, ok := base.Best(m); ok && r.NextHop == tb.Origin {
