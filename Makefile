@@ -80,7 +80,7 @@ staticcheck:
 	$(STATICCHECK) ./...
 
 # routelint is the in-tree, dependency-free analyzer suite enforcing the
-# repo's determinism/hot-path/envelope invariants — five rules,
+# repo's determinism/cancellation/hot-path invariants — four rules,
 # DESIGN.md §11 (cmd/routelint). It is part of `make verify`,
 # running before the (slow) race tests so an invariant violation fails
 # fast: a violation fails tier-1, not just CI.

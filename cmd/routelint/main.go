@@ -1,6 +1,6 @@
 // Command routelint runs routelab's repo-invariant static-analysis
-// suite (internal/lint): five analyzers that prove, at compile time,
-// the determinism, hot-path, and envelope rules the reproduction's
+// suite (internal/lint): four analyzers that prove, at compile time,
+// the determinism, cancellation, and hot-path rules the reproduction's
 // goldens and concurrency model depend on. It is
 // dependency-free — stdlib go/ast, go/parser, go/types, and go/importer
 // only — so it runs on a bare toolchain and keeps go.mod require-free.

@@ -118,19 +118,3 @@ func (g *CallGraph) Reachable(root *types.Func, samePkg bool, stop map[string]bo
 	visit(root)
 	return out
 }
-
-// enclosingFuncDecls lists every function declaration of a package with
-// a body, in source order. envelope reasons per enclosing function (its
-// blessed writers) and iterates this instead of raw files so a finding
-// always knows its home declaration.
-func enclosingFuncDecls(pkg *Package) []*ast.FuncDecl {
-	var out []*ast.FuncDecl
-	for _, file := range pkg.Files {
-		for _, decl := range file.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				out = append(out, fd)
-			}
-		}
-	}
-	return out
-}

@@ -45,7 +45,6 @@ func Analyzers() []*Analyzer {
 		analyzerHotAtomic(),
 		analyzerCtxFlow(),
 		analyzerWallTime(),
-		analyzerEnvelope(),
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package lint is routelab's repository-invariant static-analysis
 // suite: a dependency-free (stdlib go/ast, go/parser, go/types,
 // go/importer) driver plus analyzers that prove the determinism,
-// envelope, and hot-path rules this repo's reproducibility claims rest
-// on. cmd/routelint is the CLI; DESIGN.md §"Static analysis" documents
+// cancellation, and hot-path rules this repo's reproducibility claims
+// rest on. cmd/routelint is the CLI; DESIGN.md §"Static analysis" documents
 // every rule and its motivating bug.
 //
 // The loader below parses every package in the module from source and

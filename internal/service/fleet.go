@@ -2,7 +2,6 @@ package service
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -29,35 +28,32 @@ type Fleet struct {
 // NewFleet assembles the fleet handler over a store.
 func NewFleet(store *Store) *Fleet {
 	f := &Fleet{store: store, mux: http.NewServeMux()}
-	instrument(f.mux, "GET /v1/metrics", "metrics", serveMetrics)
-	instrument(f.mux, "GET /v1/scenarios", "scenarios", f.serveScenarios)
-	instrument(f.mux, "POST /v1/scenarios", "admit", f.serveAdmit)
-	instrument(f.mux, "GET /v1/scenarios/{id}", "scenario", f.serveScenario)
+	handle(f.mux, "GET /v1/metrics", "metrics", serveMetrics)
+	handle(f.mux, "GET /v1/scenarios", "scenarios", f.serveScenarios)
+	handle(f.mux, "POST /v1/scenarios", "admit", f.serveAdmit)
+	handle(f.mux, "GET /v1/scenarios/{id}", "scenario", f.serveScenario)
 	// Build progress deliberately bypasses the tenant resolver: asking
 	// how a build is going must answer instantly, never trigger the
 	// build or queue behind it.
-	instrument(f.mux, "GET /v1/scenarios/{id}/build", "build", f.serveBuildProgress)
-	instrument(f.mux, "GET /v1/build", "build", f.serveBuildProgress)
+	handle(f.mux, "GET /v1/scenarios/{id}/build", "build", f.serveBuildProgress)
+	handle(f.mux, "GET /v1/build", "build", f.serveBuildProgress)
 	// Every per-scenario endpoint is mounted twice from the one route
 	// table: under its scenario root, and un-prefixed as the DefaultID
 	// alias (scenarioID supplies the id the pattern lacks).
 	for _, rt := range scenarioRoutes {
 		h := f.tenant(rt.h)
-		instrument(f.mux, rt.method+" /v1/scenarios/{id}"+rt.path, rt.name, h)
+		handle(f.mux, rt.method+" /v1/scenarios/{id}"+rt.path, rt.name, h)
 		if rt.name == "healthz" {
 			h = f.serveHealthz // falls back to the fleet summary
 		}
-		instrument(f.mux, rt.method+" /v1"+rt.path, rt.name, h)
+		handle(f.mux, rt.method+" /v1"+rt.path, rt.name, h)
 	}
-	f.mux.HandleFunc("/", serveNotFound)
+	handle(f.mux, "/", "notfound", serveNotFound)
 	return f
 }
 
 // Handler returns the fleet's http.Handler (the /v1 API).
 func (f *Fleet) Handler() http.Handler { return f.mux }
-
-// Store returns the underlying scenario store.
-func (f *Fleet) Store() *Store { return f.store }
 
 // scenarioID is the scenario a request addresses: the {id} path
 // segment, or DefaultID on the un-prefixed alias routes.
@@ -72,47 +68,32 @@ func scenarioID(r *http.Request) string {
 // id through the store — an LRU hit, a coalesced wait, or a fresh
 // build — then delegate. The request context bounds the resolution
 // wait.
-func (f *Fleet) tenant(h func(*Server, http.ResponseWriter, *http.Request)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
+func (f *Fleet) tenant(h func(*Server, *reply, *http.Request)) func(*reply, *http.Request) {
+	return func(rp *reply, r *http.Request) {
 		srv, err := f.store.Get(r.Context(), scenarioID(r))
 		if err != nil {
-			failStore(w, err)
+			rp.failErr(err, buildWait)
 			return
 		}
-		h(srv, w, r)
+		h(srv, rp, r)
 	}
 }
 
-// failStore maps a store resolution failure to a status: a shed build
-// is 429 with Retry-After, unknown id is 404, a context death while
-// waiting on a build is 504, a failed build 500.
-func failStore(w http.ResponseWriter, err error) {
-	var oe *OverloadError
-	if errors.As(err, &oe) {
-		failOverload(w, oe)
-		return
-	}
-	switch {
-	case errors.Is(err, ErrUnknownScenario):
-		fail(w, http.StatusNotFound, apiErr(CodeNotFound, err.Error()))
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		fail(w, http.StatusGatewayTimeout, apiErr(CodeTimeout, "scenario build wait: "+err.Error()))
-	default:
-		failInternal(w, err)
-	}
-}
+// buildWait prefixes the 504 of a request that ran out of time waiting
+// on its scenario's build.
+const buildWait = "scenario build wait: "
 
 // serveHealthz is GET /v1/healthz: the DefaultID tenant's health body
 // when that id is registered (the alias contract), the store summary
 // otherwise — chosen from what the store holds, not from a mode.
-func (f *Fleet) serveHealthz(w http.ResponseWriter, r *http.Request) {
+func (f *Fleet) serveHealthz(rp *reply, r *http.Request) {
 	srv, err := f.store.Get(r.Context(), DefaultID)
 	if err == nil {
-		srv.serveHealthz(w, r)
+		srv.serveHealthz(rp, r)
 		return
 	}
 	if !errors.Is(err, ErrUnknownScenario) {
-		failStore(w, err)
+		rp.failErr(err, buildWait)
 		return
 	}
 	infos := f.store.Infos()
@@ -123,10 +104,10 @@ func (f *Fleet) serveHealthz(w http.ResponseWriter, r *http.Request) {
 		}
 		data.IDs = append(data.IDs, in.ID)
 	}
-	writeEnvelope(w, http.StatusOK, "health", data)
+	rp.envelope(http.StatusOK, "health", data)
 }
 
-func (f *Fleet) serveScenarios(w http.ResponseWriter, _ *http.Request) {
+func (f *Fleet) serveScenarios(rp *reply, _ *http.Request) {
 	infos := f.store.Infos()
 	data := ScenariosData{Count: len(infos), Scenarios: infos}
 	for _, in := range infos {
@@ -134,29 +115,29 @@ func (f *Fleet) serveScenarios(w http.ResponseWriter, _ *http.Request) {
 			data.Built++
 		}
 	}
-	writeEnvelope(w, http.StatusOK, "scenarios", data)
+	rp.envelope(http.StatusOK, "scenarios", data)
 }
 
 // serveBuildProgress is GET /v1/scenarios/{id}/build (and /v1/build):
 // a phase/percent snapshot of the scenario's build. Like /v1/metrics it
 // reports history, so it is never cached and is exempt from the
 // byte-identity contract.
-func (f *Fleet) serveBuildProgress(w http.ResponseWriter, r *http.Request) {
+func (f *Fleet) serveBuildProgress(rp *reply, r *http.Request) {
 	d, err := f.store.BuildProgress(scenarioID(r))
 	if err != nil {
-		failStore(w, err)
+		rp.failErr(err, buildWait)
 		return
 	}
-	writeEnvelope(w, http.StatusOK, "build", d)
+	rp.envelope(http.StatusOK, "build", d)
 }
 
-func (f *Fleet) serveScenario(w http.ResponseWriter, r *http.Request) {
+func (f *Fleet) serveScenario(rp *reply, r *http.Request) {
 	info, err := f.store.Info(r.PathValue("id"))
 	if err != nil {
-		failStore(w, err)
+		rp.failErr(err, buildWait)
 		return
 	}
-	writeEnvelope(w, http.StatusOK, "scenario", ScenarioData{Scenario: info})
+	rp.envelope(http.StatusOK, "scenario", ScenarioData{Scenario: info})
 }
 
 // maxSpecBytes bounds an admitted spec document; corpus specs are a
@@ -169,41 +150,41 @@ const maxSpecBytes = 1 << 20
 // need file resolution), compiled and validated before registration.
 // Like -scenario-dir registration, admission is cheap; the sealed
 // scenario is built on the first per-scenario request.
-func (f *Fleet) serveAdmit(w http.ResponseWriter, r *http.Request) {
+func (f *Fleet) serveAdmit(rp *reply, r *http.Request) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes+1))
 	if err != nil {
-		fail(w, http.StatusBadRequest, apiErr(CodeBadBody, "read spec body: "+err.Error()))
+		rp.fail(http.StatusBadRequest, apiErr(CodeBadBody, "read spec body: "+err.Error()))
 		return
 	}
 	if len(body) > maxSpecBytes {
-		fail(w, http.StatusRequestEntityTooLarge, apiErr(CodeTooLarge, "spec document exceeds 1 MiB"))
+		rp.fail(http.StatusRequestEntityTooLarge, apiErr(CodeTooLarge, "spec document exceeds 1 MiB"))
 		return
 	}
 	format, err := specFormat(r, body)
 	if err != nil {
-		fail(w, http.StatusBadRequest, apiErr(CodeBadParam, err.Error()))
+		rp.fail(http.StatusBadRequest, apiErr(CodeBadParam, err.Error()))
 		return
 	}
 	sp, err := spec.Parse("request body", body, format, nil)
 	if err != nil {
-		fail(w, http.StatusBadRequest, apiErr(CodeBadBody, "invalid spec: "+err.Error()))
+		rp.fail(http.StatusBadRequest, apiErr(CodeBadBody, "invalid spec: "+err.Error()))
 		return
 	}
 	exp, err := sp.Expansion()
 	if err != nil {
-		fail(w, http.StatusBadRequest, apiErr(CodeBadBody, "invalid spec: "+err.Error()))
+		rp.fail(http.StatusBadRequest, apiErr(CodeBadBody, "invalid spec: "+err.Error()))
 		return
 	}
 	if err := f.store.Register(exp, "api"); err != nil {
-		fail(w, http.StatusConflict, apiErr(CodeConflict, err.Error()))
+		rp.fail(http.StatusConflict, apiErr(CodeConflict, err.Error()))
 		return
 	}
 	info, err := f.store.Info(exp.Name)
 	if err != nil {
-		fail(w, http.StatusInternalServerError, apiErr(CodeInternal, err.Error()))
+		rp.fail(http.StatusInternalServerError, apiErr(CodeInternal, err.Error()))
 		return
 	}
-	writeEnvelope(w, http.StatusCreated, "scenario", ScenarioData{Scenario: info})
+	rp.envelope(http.StatusCreated, "scenario", ScenarioData{Scenario: info})
 }
 
 // specFormat picks the admission document's parser: an explicit

@@ -167,7 +167,7 @@ func FuzzWhatIfRequest(f *testing.F) {
 		req, key, err := compile(body)
 		if err != nil {
 			rec := httptest.NewRecorder()
-			srv.serveWhatIf(rec, httptest.NewRequest(http.MethodPost, "/v1/whatif", bytes.NewReader(body)))
+			srv.serveWhatIf(&reply{w: rec}, httptest.NewRequest(http.MethodPost, "/v1/whatif", bytes.NewReader(body)))
 			if rec.Code != http.StatusBadRequest && !(rec.Code == http.StatusNotFound && req.Prefix != "") {
 				t.Fatalf("rejected (%v) but the handler answered %d\n%s", err, rec.Code, rec.Body)
 			}

@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -111,7 +110,7 @@ type scenarioRoute struct {
 	method string
 	path   string // under the scenario root
 	name   string // obs instrumentation name (service.requests.<name>)
-	h      func(*Server, http.ResponseWriter, *http.Request)
+	h      func(*Server, *reply, *http.Request)
 }
 
 // scenarioRoutes is the single route table for every per-scenario
@@ -129,34 +128,8 @@ var scenarioRoutes = []scenarioRoute{
 	{http.MethodPost, "/whatif", "whatif", (*Server).serveWhatIf},
 }
 
-// instrument registers an endpoint on mux under its obs
-// instrumentation: service.requests.<name> / service.errors.<name>
-// counters and a service/<name> latency timer. A route and its alias
-// share one name, so endpoint families count together.
-func instrument(mux *http.ServeMux, pattern, name string, h http.HandlerFunc) {
-	mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		defer obs.StartStage("service/" + name)()
-		obs.Inc("service.requests." + name)
-		sw := &statusWriter{ResponseWriter: w}
-		h(sw, r)
-		if sw.status >= 400 {
-			obs.Inc("service.errors." + name)
-		}
-	})
-}
-
-func serveNotFound(w http.ResponseWriter, r *http.Request) {
-	fail(w, http.StatusNotFound, apiErr(CodeNotFound, fmt.Sprintf("no such route: %s %s", r.Method, r.URL.Path)))
-}
-
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
+func serveNotFound(rp *reply, r *http.Request) {
+	rp.fail(http.StatusNotFound, apiErr(CodeNotFound, fmt.Sprintf("no such route: %s %s", r.Method, r.URL.Path)))
 }
 
 // CacheHeader is the response header reporting whether a computed body
@@ -192,9 +165,6 @@ func (srv *Server) compute(ctx context.Context, key string, fn func(ctx context.
 		return fn(ctx)
 	})
 	obs.SetGauge("service.cache.entries", float64(srv.cache.len()))
-	if hit {
-		obs.Inc("service.cache.hits")
-	}
 	return body, hit, err
 }
 
@@ -202,7 +172,7 @@ func (srv *Server) compute(ctx context.Context, key string, fn func(ctx context.
 // parameters are validated: apply the server-side deadline, compute (or
 // fetch) the body under key, map a failure to its status, and send the
 // body with CacheHeader reporting where it came from.
-func (srv *Server) respond(w http.ResponseWriter, r *http.Request, key, contentType string, fn func(ctx context.Context) ([]byte, error)) {
+func (srv *Server) respond(rp *reply, r *http.Request, key, contentType string, fn func(ctx context.Context) ([]byte, error)) {
 	ctx := r.Context()
 	if srv.cfg.RequestTimeout > 0 {
 		var cancel context.CancelFunc
@@ -211,16 +181,14 @@ func (srv *Server) respond(w http.ResponseWriter, r *http.Request, key, contentT
 	}
 	body, hit, err := srv.compute(ctx, key, fn)
 	if err != nil {
-		failCompute(w, err)
+		rp.failErr(err, "request deadline exceeded: ")
 		return
 	}
-	status := "miss"
+	cache := "miss"
 	if hit {
-		status = "hit"
+		cache = "hit"
 	}
-	w.Header().Set(CacheHeader, status)
-	w.Header().Set("Content-Type", contentType)
-	write(w, body)
+	rp.bytes(contentType, cache, body)
 }
 
 func marshalEnvelope(kind string, data any) ([]byte, error) {
@@ -233,33 +201,6 @@ func marshalEnvelope(kind string, data any) ([]byte, error) {
 		return nil, err
 	}
 	return append(body, '\n'), nil
-}
-
-// write sends a fully-assembled body. A failed or short write means the
-// client disconnected mid-response; the server cannot repair that, so
-// the error is counted rather than propagated.
-func write(w http.ResponseWriter, body []byte) {
-	if _, err := w.Write(body); err != nil {
-		obs.Inc("service.write_errors")
-	}
-}
-
-// writeEnvelope marshals data under kind and sends it with status — the
-// one exit for every enveloped response that is not a cached body. A
-// payload that cannot be marshaled becomes a typed 500.
-func writeEnvelope(w http.ResponseWriter, status int, kind string, data any) {
-	body, err := marshalEnvelope(kind, data)
-	if err != nil {
-		status = http.StatusInternalServerError
-		body, err = marshalEnvelope("error", ErrorData{Error: err.Error(), Code: CodeInternal})
-	}
-	if err != nil {
-		http.Error(w, err.Error(), status)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	write(w, body)
 }
 
 // APIError is a typed handler error: a stable machine-readable code
@@ -295,28 +236,6 @@ const (
 
 func apiErr(code, msg string) APIError { return APIError{Code: code, Message: msg} }
 
-// fail sends one typed error envelope — the single exit for every
-// non-2xx response.
-func fail(w http.ResponseWriter, status int, e APIError) {
-	writeEnvelope(w, status, "error", ErrorData{Error: e.Message, Code: e.Code})
-}
-
-// failCompute maps a computation failure to a status: a shed is 429
-// with Retry-After, deadline or cancellation (the request ran out of
-// time in the gate queue or mid-computation) is 504, anything else 500.
-func failCompute(w http.ResponseWriter, err error) {
-	var oe *OverloadError
-	if errors.As(err, &oe) {
-		failOverload(w, oe)
-		return
-	}
-	if ctxDied(err) {
-		fail(w, http.StatusGatewayTimeout, apiErr(CodeTimeout, "request deadline exceeded: "+err.Error()))
-		return
-	}
-	failInternal(w, err)
-}
-
 // panicError is a panic inside a computation, as the error its caller
 // and every request coalesced onto it receive. Computing code panics on
 // a broken invariant (a RIB read outside its declared readers, say); the
@@ -337,54 +256,42 @@ func recoverAs(err *error, doing, what string) {
 	}
 }
 
-// failInternal sends the typed 500 of a failure the client cannot
-// repair. A recovered panic is counted here, at the write site, so
-// service.panics is exactly the 500s clients saw for one.
-func failInternal(w http.ResponseWriter, err error) {
-	var pe *panicError
-	if errors.As(err, &pe) {
-		obs.Inc("service.panics")
-	}
-	fail(w, http.StatusInternalServerError, apiErr(CodeInternal, err.Error()))
-}
-
 // --- endpoints --------------------------------------------------------
 
-func (srv *Server) serveHealthz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	write(w, srv.health)
+func (srv *Server) serveHealthz(rp *reply, _ *http.Request) {
+	rp.bytes("application/json", "", srv.health)
 }
 
 // serveMetrics reports the obs snapshot. It is the one endpoint that
 // is NOT deterministic (metrics are history) and is never cached. The
 // registry is process-global, so the Fleet serves the same handler.
-func serveMetrics(w http.ResponseWriter, _ *http.Request) {
-	writeEnvelope(w, http.StatusOK, "metrics", MetricsData{Metrics: obs.Snap()})
+func serveMetrics(rp *reply, _ *http.Request) {
+	rp.envelope(http.StatusOK, "metrics", MetricsData{Metrics: obs.Snap()})
 }
 
-func (srv *Server) serveClassify(w http.ResponseWriter, r *http.Request) {
+func (srv *Server) serveClassify(rp *reply, r *http.Request) {
 	traceStr := r.URL.Query().Get("trace")
 	if traceStr == "" {
-		fail(w, http.StatusBadRequest, apiErr(CodeBadParam, "missing required parameter: trace"))
+		rp.fail(http.StatusBadRequest, apiErr(CodeBadParam, "missing required parameter: trace"))
 		return
 	}
 	trace, err := strconv.Atoi(traceStr)
 	if err != nil {
-		fail(w, http.StatusBadRequest, apiErr(CodeBadParam, "bad trace id: "+err.Error()))
+		rp.fail(http.StatusBadRequest, apiErr(CodeBadParam, "bad trace id: "+err.Error()))
 		return
 	}
 	refs := classify.Refinements
 	if rq := r.URL.Query().Get("refinement"); rq != "" {
 		ref, ok := refinementByName(rq)
 		if !ok {
-			fail(w, http.StatusBadRequest, apiErr(CodeBadParam, fmt.Sprintf("unknown refinement %q (have %v)", rq, refinementNames())))
+			rp.fail(http.StatusBadRequest, apiErr(CodeBadParam, fmt.Sprintf("unknown refinement %q (have %v)", rq, refinementNames())))
 			return
 		}
 		refs = []classify.Refinement{ref}
 	}
 	idx, ok := srv.traceIdx[trace]
 	if !ok {
-		fail(w, http.StatusNotFound, apiErr(CodeNotFound, fmt.Sprintf("no measurement with trace id %d", trace)))
+		rp.fail(http.StatusNotFound, apiErr(CodeNotFound, fmt.Sprintf("no measurement with trace id %d", trace)))
 		return
 	}
 	refKey := "all"
@@ -392,7 +299,7 @@ func (srv *Server) serveClassify(w http.ResponseWriter, r *http.Request) {
 		refKey = refs[0].String()
 	}
 	key := fmt.Sprintf("classify|%d|%s", trace, refKey)
-	srv.respond(w, r, key, "application/json", func(ctx context.Context) ([]byte, error) {
+	srv.respond(rp, r, key, "application/json", func(ctx context.Context) ([]byte, error) {
 		return srv.classifyBody(ctx, idx, refs)
 	})
 }
@@ -428,23 +335,23 @@ func (srv *Server) classifyBody(ctx context.Context, idx int, refs []classify.Re
 	return marshalEnvelope("classify", data)
 }
 
-func (srv *Server) serveAlternates(w http.ResponseWriter, r *http.Request) {
+func (srv *Server) serveAlternates(rp *reply, r *http.Request) {
 	targetStr := r.URL.Query().Get("target")
 	if targetStr == "" {
-		fail(w, http.StatusBadRequest, apiErr(CodeBadParam, "missing required parameter: target"))
+		rp.fail(http.StatusBadRequest, apiErr(CodeBadParam, "missing required parameter: target"))
 		return
 	}
 	target, err := asn.ParseASN(targetStr)
 	if err != nil {
-		fail(w, http.StatusBadRequest, apiErr(CodeBadParam, "bad target: "+err.Error()))
+		rp.fail(http.StatusBadRequest, apiErr(CodeBadParam, "bad target: "+err.Error()))
 		return
 	}
 	if srv.s.Topo.AS(target) == nil {
-		fail(w, http.StatusNotFound, apiErr(CodeNotFound, fmt.Sprintf("no such AS: %s", target)))
+		rp.fail(http.StatusNotFound, apiErr(CodeNotFound, fmt.Sprintf("no such AS: %s", target)))
 		return
 	}
 	key := "alternates|" + target.String()
-	srv.respond(w, r, key, "application/json", func(ctx context.Context) ([]byte, error) {
+	srv.respond(rp, r, key, "application/json", func(ctx context.Context) ([]byte, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -478,25 +385,25 @@ func (srv *Server) alternatesBody(target asn.ASN) ([]byte, error) {
 	return marshalEnvelope("alternates", data)
 }
 
-func (srv *Server) serveExperiment(w http.ResponseWriter, r *http.Request) {
+func (srv *Server) serveExperiment(rp *reply, r *http.Request) {
 	name := r.PathValue("name")
 	exp, ok := experiments.Get(name)
 	if !ok {
-		fail(w, http.StatusNotFound, apiErr(CodeNotFound, fmt.Sprintf("unknown experiment %q (have %v)", name, experiments.Names())))
+		rp.fail(http.StatusNotFound, apiErr(CodeNotFound, fmt.Sprintf("unknown experiment %q (have %v)", name, experiments.Names())))
 		return
 	}
 	seed := srv.s.Cfg.Seed
 	if sq := r.URL.Query().Get("seed"); sq != "" {
 		v, err := strconv.ParseInt(sq, 10, 64)
 		if err != nil {
-			fail(w, http.StatusBadRequest, apiErr(CodeBadParam, "bad seed: "+err.Error()))
+			rp.fail(http.StatusBadRequest, apiErr(CodeBadParam, "bad seed: "+err.Error()))
 			return
 		}
 		seed = v
 	}
 	format := r.URL.Query().Get("format")
 	if format != "" && format != "json" && format != "text" {
-		fail(w, http.StatusBadRequest, apiErr(CodeBadParam, fmt.Sprintf("unknown format %q (have json, text)", format)))
+		rp.fail(http.StatusBadRequest, apiErr(CodeBadParam, fmt.Sprintf("unknown format %q (have json, text)", format)))
 		return
 	}
 	contentType := "application/json"
@@ -504,7 +411,7 @@ func (srv *Server) serveExperiment(w http.ResponseWriter, r *http.Request) {
 		contentType = "text/plain; charset=utf-8"
 	}
 	key := fmt.Sprintf("experiment|%s|%d|%s", name, seed, format)
-	srv.respond(w, r, key, contentType, func(ctx context.Context) ([]byte, error) {
+	srv.respond(rp, r, key, contentType, func(ctx context.Context) ([]byte, error) {
 		res, err := exp.Run(ctx, &experiments.Env{S: srv.s, Seed: seed})
 		if err != nil {
 			return nil, err
@@ -516,19 +423,19 @@ func (srv *Server) serveExperiment(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (srv *Server) serveAS(w http.ResponseWriter, r *http.Request) {
+func (srv *Server) serveAS(rp *reply, r *http.Request) {
 	a, err := asn.ParseASN(r.PathValue("asn"))
 	if err != nil {
-		fail(w, http.StatusBadRequest, apiErr(CodeBadParam, "bad asn: "+err.Error()))
+		rp.fail(http.StatusBadRequest, apiErr(CodeBadParam, "bad asn: "+err.Error()))
 		return
 	}
 	x := srv.s.Topo.AS(a)
 	if x == nil {
-		fail(w, http.StatusNotFound, apiErr(CodeNotFound, fmt.Sprintf("no such AS: %s", a)))
+		rp.fail(http.StatusNotFound, apiErr(CodeNotFound, fmt.Sprintf("no such AS: %s", a)))
 		return
 	}
 	key := "as|" + a.String()
-	srv.respond(w, r, key, "application/json", func(ctx context.Context) ([]byte, error) {
+	srv.respond(rp, r, key, "application/json", func(ctx context.Context) ([]byte, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -576,23 +483,23 @@ const maxWhatIfBytes = 1 << 20
 // one structured diff per entry. Bodies are cached under the batch's
 // canonical delta key, so semantically equal requests (reordered link
 // endpoints, shuffled poison sets) share one computation.
-func (srv *Server) serveWhatIf(w http.ResponseWriter, r *http.Request) {
+func (srv *Server) serveWhatIf(rp *reply, r *http.Request) {
 	raw, err := io.ReadAll(io.LimitReader(r.Body, maxWhatIfBytes+1))
 	if err != nil {
-		fail(w, http.StatusBadRequest, apiErr(CodeBadBody, "read request body: "+err.Error()))
+		rp.fail(http.StatusBadRequest, apiErr(CodeBadBody, "read request body: "+err.Error()))
 		return
 	}
 	if len(raw) > maxWhatIfBytes {
-		fail(w, http.StatusRequestEntityTooLarge, apiErr(CodeTooLarge, "what-if document exceeds 1 MiB"))
+		rp.fail(http.StatusRequestEntityTooLarge, apiErr(CodeTooLarge, "what-if document exceeds 1 MiB"))
 		return
 	}
 	var req WhatIfRequest
 	if err := json.Unmarshal(raw, &req); err != nil {
-		fail(w, http.StatusBadRequest, apiErr(CodeBadBody, "invalid what-if document: "+err.Error()))
+		rp.fail(http.StatusBadRequest, apiErr(CodeBadBody, "invalid what-if document: "+err.Error()))
 		return
 	}
 	if err := req.Validate(); err != nil {
-		fail(w, http.StatusBadRequest, apiErr(CodeBadBody, err.Error()))
+		rp.fail(http.StatusBadRequest, apiErr(CodeBadBody, err.Error()))
 		return
 	}
 	ds := req.All()
@@ -600,22 +507,22 @@ func (srv *Server) serveWhatIf(w http.ResponseWriter, r *http.Request) {
 	if req.Prefix != "" {
 		p, err := asn.ParsePrefix(req.Prefix)
 		if err != nil {
-			fail(w, http.StatusBadRequest, apiErr(CodeBadParam, "bad prefix: "+err.Error()))
+			rp.fail(http.StatusBadRequest, apiErr(CodeBadParam, "bad prefix: "+err.Error()))
 			return
 		}
 		if !slices.Contains(srv.s.Testbed.Prefixes, p) {
-			fail(w, http.StatusNotFound, apiErr(CodeNotFound, fmt.Sprintf("prefix %s is not a testbed prefix (have %v)", p, srv.s.Testbed.Prefixes)))
+			rp.fail(http.StatusNotFound, apiErr(CodeNotFound, fmt.Sprintf("prefix %s is not a testbed prefix (have %v)", p, srv.s.Testbed.Prefixes)))
 			return
 		}
 		prefix = p
 	}
 	cds, err := whatif.CompileAll(ds, srv.s.Topo, srv.s.Testbed.Origin)
 	if err != nil {
-		fail(w, http.StatusBadRequest, apiErr(CodeBadParam, err.Error()))
+		rp.fail(http.StatusBadRequest, apiErr(CodeBadParam, err.Error()))
 		return
 	}
 	key := "whatif|" + prefix.String() + "|" + whatif.CanonicalKey(cds)
-	srv.respond(w, r, key, "application/json", func(ctx context.Context) ([]byte, error) {
+	srv.respond(rp, r, key, "application/json", func(ctx context.Context) ([]byte, error) {
 		return srv.whatifBody(ctx, prefix, cds)
 	})
 }

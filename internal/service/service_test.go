@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -144,35 +145,67 @@ func TestEndpoints(t *testing.T) {
 	}
 }
 
+// TestErrors covers one failure per endpoint family: every response is
+// a JSON error envelope with the expected code, and each family's
+// service.errors.<name> rises by exactly its error responses — unknown
+// routes and wrong methods included, under notfound.
 func TestErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	cases := []struct {
-		url  string
-		want int
+		method, url, body string
+		want              int
+		code, name        string // envelope code; endpoint family that counts it
 	}{
-		{"/v1/nope", http.StatusNotFound},
-		{"/nope", http.StatusNotFound},
-		{"/v1/experiments/bogus", http.StatusNotFound},
-		{"/v1/classify", http.StatusBadRequest},
-		{"/v1/classify?trace=zzz", http.StatusBadRequest},
-		{"/v1/classify?trace=99999999", http.StatusNotFound},
-		{"/v1/classify?trace=0&refinement=bogus", http.StatusBadRequest},
-		{"/v1/alternates", http.StatusBadRequest},
-		{"/v1/alternates?target=zzz", http.StatusBadRequest},
-		{"/v1/alternates?target=64999", http.StatusNotFound},
-		{"/v1/as/notanumber", http.StatusBadRequest},
-		{"/v1/as/64999", http.StatusNotFound},
-		{"/v1/experiments/table1?seed=zzz", http.StatusBadRequest},
-		{"/v1/experiments/table1?format=yaml", http.StatusBadRequest},
+		{"GET", "/v1/nope", "", http.StatusNotFound, CodeNotFound, "notfound"},
+		{"GET", "/nope", "", http.StatusNotFound, CodeNotFound, "notfound"},
+		{"POST", "/v1/healthz", "", http.StatusNotFound, CodeNotFound, "notfound"},
+		{"GET", "/v1/experiments/bogus", "", http.StatusNotFound, CodeNotFound, "experiments"},
+		{"GET", "/v1/classify", "", http.StatusBadRequest, CodeBadParam, "classify"},
+		{"GET", "/v1/classify?trace=zzz", "", http.StatusBadRequest, CodeBadParam, "classify"},
+		{"GET", "/v1/classify?trace=99999999", "", http.StatusNotFound, CodeNotFound, "classify"},
+		{"GET", "/v1/classify?trace=0&refinement=bogus", "", http.StatusBadRequest, CodeBadParam, "classify"},
+		{"GET", "/v1/alternates", "", http.StatusBadRequest, CodeBadParam, "alternates"},
+		{"GET", "/v1/alternates?target=zzz", "", http.StatusBadRequest, CodeBadParam, "alternates"},
+		{"GET", "/v1/alternates?target=64999", "", http.StatusNotFound, CodeNotFound, "alternates"},
+		{"GET", "/v1/as/notanumber", "", http.StatusBadRequest, CodeBadParam, "as"},
+		{"GET", "/v1/as/64999", "", http.StatusNotFound, CodeNotFound, "as"},
+		{"GET", "/v1/experiments/table1?seed=zzz", "", http.StatusBadRequest, CodeBadParam, "experiments"},
+		{"GET", "/v1/experiments/table1?format=yaml", "", http.StatusBadRequest, CodeBadParam, "experiments"},
+		{"POST", "/v1/whatif", strings.Repeat(" ", maxWhatIfBytes+1), http.StatusRequestEntityTooLarge, CodeTooLarge, "whatif"},
 	}
+	before := obs.Snap().Counters
+	wantErrors := make(map[string]int64)
 	for _, tc := range cases {
-		status, body := get(t, ts.URL+tc.url)
-		if status != tc.want {
-			t.Errorf("%s: status %d, want %d", tc.url, status, tc.want)
+		wantErrors[tc.name]++
+		req, err := http.NewRequest(tc.method, ts.URL+tc.url, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s %s: status %d, want %d", tc.method, tc.url, resp.StatusCode, tc.want)
 			continue
 		}
-		if e := checkEnvelope(t, body); e.Kind != "error" {
-			t.Errorf("%s: kind %q, want error", tc.url, e.Kind)
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s %s: Content-Type %q, want application/json", tc.method, tc.url, ct)
+		}
+		var ed ErrorData
+		if e := checkEnvelope(t, string(body)); e.Kind != "error" || json.Unmarshal(e.Data, &ed) != nil || ed.Code != tc.code {
+			t.Errorf("%s %s: kind %q code %q, want an %q error", tc.method, tc.url, e.Kind, ed.Code, tc.code)
+		}
+	}
+	after := obs.Snap().Counters
+	for name, n := range wantErrors {
+		if got := after["service.errors."+name] - before["service.errors."+name]; got != n {
+			t.Errorf("service.errors.%s rose by %d, want %d", name, got, n)
 		}
 	}
 }

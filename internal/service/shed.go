@@ -2,8 +2,6 @@ package service
 
 import (
 	"fmt"
-	"net/http"
-	"strconv"
 	"time"
 
 	"routelab/internal/obs"
@@ -20,7 +18,7 @@ import (
 //     whose cold-scenario build queue is full sheds new builds.
 //
 // Sheds are deliberately counted at the RESPONSE-WRITE site
-// (failOverload), not where the OverloadError is raised: both the
+// (reply.failErr), not where the OverloadError is raised: both the
 // response cache and the store coalesce waiters onto one in-flight
 // computation, so a single raised error can fan out into many client
 // 429s. Counting per written 429 keeps service.shed.{requests,builds}
@@ -71,18 +69,4 @@ func buildRetryAfter(queue int) int {
 		sec = maxRetryAfter
 	}
 	return sec
-}
-
-// failOverload writes the 429: Retry-After header, overloaded envelope
-// code, and the shed counter for the gate that refused. This is the
-// only site that increments service.shed.* (see the package comment on
-// counting at the write site).
-func failOverload(w http.ResponseWriter, e *OverloadError) {
-	retry := e.RetryAfter
-	if retry < minRetryAfter {
-		retry = minRetryAfter
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(retry))
-	obs.Inc("service.shed." + e.What + "s")
-	fail(w, http.StatusTooManyRequests, apiErr(CodeOverloaded, e.Error()))
 }

@@ -260,7 +260,7 @@ func TestWhatIfFleet(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := httptest.NewRecorder()
-	srv.serveWhatIf(rec, httptest.NewRequest(http.MethodPost, "/v1/whatif", strings.NewReader(doc)))
+	srv.serveWhatIf(&reply{w: rec}, httptest.NewRequest(http.MethodPost, "/v1/whatif", strings.NewReader(doc)))
 	if rec.Body.String() != body {
 		t.Error("fleet whatif body differs from the tenant's direct answer")
 	}

@@ -2,8 +2,9 @@
 # service_smoke.sh — end-to-end smoke test of cmd/routelabd.
 #
 # Starts the daemon on a tiny scenario (-scale 0.05), waits for the
-# listening line, curls every /v1 endpoint, validates each JSON body
-# against routelab-api/v1 with cmd/apicheck, checks the un-prefixed
+# listening line, curls every /v1 endpoint and one 4xx per endpoint
+# family, validates each JSON body against routelab-api/v1 with
+# cmd/apicheck, checks the un-prefixed
 # routes against their /v1/scenarios/default alias, then sends SIGTERM
 # and checks the graceful drain exits 0. CI's service-smoke job runs this;
 # locally: make service-smoke.
@@ -42,13 +43,14 @@ grep -q "serving routelab-api/v1" "$LOG" || {
     exit 1
 }
 
-fetch() { # fetch NAME URL [expected_status]
+fetch() { # fetch NAME URL [expected_status [extra curl args...]]
     local name="$1" url="$2" want="${3:-200}"
+    shift 2; [ $# -gt 0 ] && shift
     local out="$WORKDIR/$name.json"
     local status
-    status=$(curl -sS -o "$out" -w '%{http_code}' "http://$ADDR$url")
+    status=$(curl -sS -o "$out" -w '%{http_code}' "$@" "http://$ADDR$url")
     if [ "$status" != "$want" ]; then
-        echo "FAIL $name: GET $url -> $status (want $want)" >&2
+        echo "FAIL $name: $* $url -> $status (want $want)" >&2
         cat "$out" >&2
         exit 1
     fi
@@ -99,8 +101,15 @@ cmp "$WORKDIR/healthz.json" "$WORKDIR/defaulthealthz.json" || {
 }
 
 echo "==> checking error paths"
+# One 4xx per endpoint family, each a typed error envelope on the wire.
 fetch notfound    /v1/definitely-not-a-route 404
+fetch wrongmethod /v1/healthz                404 -X POST
+fetch badtrace    "/v1/classify?trace=zzz"   400
+fetch badtarget   "/v1/alternates?target=zzz" 400
+fetch badasn      /v1/as/notanumber          400
 fetch unknownexp  /v1/experiments/bogus      404
+fetch badwhatif   /v1/whatif                 400 \
+    -X POST --data-binary '{"schema":"routelab-whatif/v1"}'
 
 echo "==> SIGTERM: graceful drain"
 kill -TERM "$PID"
