@@ -108,7 +108,7 @@ func main() {
 
 	logf := scenario.Logf(nil)
 	if !*quiet {
-		logf = func(format string, args ...any) {
+		logf = func(_ int, format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		}
 	}

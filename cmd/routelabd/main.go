@@ -30,9 +30,9 @@
 //	-max-scenario-bytes N  resident-byte budget for sealed scenarios
 //	                    (default 1 GiB; eviction is by accounted bytes in
 //	                    LRU order, and a sole resident is never evicted)
-//	-max-builds N       concurrent scenario builds (default 1)
-//	-max-queued-builds N   callers allowed to queue for a build slot before
-//	                    new builds shed 429 (0 = unbounded queue)
+//	-max-queued-builds N   callers allowed to queue for the build slot (one
+//	                    build runs at a time) before new builds shed 429
+//	                    (0 = unbounded queue)
 //	-max-queued-requests N callers allowed to queue on a tenant's admission
 //	                    gate before requests shed 429 (0 = unbounded queue)
 //	-spec PATH          build the world a declarative scenario spec
@@ -90,7 +90,6 @@ func main() {
 		addr         = flag.String("addr", "localhost:8080", "listen address")
 		scenarioDir  = flag.String("scenario-dir", "", "register every scenario spec in this directory (instead of the one -spec/flag-built world)")
 		maxScenBytes = flag.Int64("max-scenario-bytes", 1<<30, "resident-byte budget for sealed scenarios")
-		maxBuilds    = flag.Int("max-builds", 1, "concurrent scenario builds")
 		maxQBuilds   = flag.Int("max-queued-builds", 0, "build-queue depth before shedding 429 (0 = unbounded)")
 		maxQRequests = flag.Int("max-queued-requests", 0, "admission-queue depth per scenario before shedding 429 (0 = unbounded)")
 		world        = spec.BindWorld(flag.CommandLine)
@@ -111,7 +110,7 @@ func main() {
 
 	logf := scenario.Logf(nil)
 	if !*quiet {
-		logf = func(format string, args ...any) {
+		logf = func(_ int, format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		}
 	}
@@ -173,7 +172,6 @@ func main() {
 
 	store := service.NewStore(service.StoreConfig{
 		MaxScenarioBytes: *maxScenBytes,
-		MaxBuilds:        *maxBuilds,
 		MaxQueuedBuilds:  *maxQBuilds,
 		CacheSize:        *cacheSize,
 		Tenant: service.Config{

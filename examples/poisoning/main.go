@@ -23,7 +23,7 @@ func main() {
 
 	cfg := scenario.TestConfig()
 	cfg.Seed = *seed
-	s, err := scenario.Build(cfg, func(f string, a ...any) {
+	s, err := scenario.Build(cfg, func(_ int, f string, a ...any) {
 		fmt.Fprintf(os.Stderr, f+"\n", a...)
 	})
 	if err != nil {

@@ -134,9 +134,9 @@ func NewRegistry() *Registry {
 // the instrumented goroutine, so fn must be fast and must not call back
 // into StartStage.
 //
-// Listeners exist so coarse build pipelines can be observed live — the
-// service layer's build-progress endpoint subscribes here to learn
-// which scenario phase is running without polling snapshots.
+// Listeners exist so coarse pipelines can be observed live from outside:
+// the ledger (bench/) subscribes here to turn stages into trace spans.
+// Listeners see every stage in the process, whoever started it.
 func (r *Registry) OnStage(fn func(name string, begin bool)) (cancel func()) {
 	r.lmu.Lock()
 	defer r.lmu.Unlock()

@@ -155,8 +155,8 @@ func ForEachStage(stage string, n, workers int, fn func(i int)) {
 	var busy atomic.Int64
 	reg := obs.Default()
 	// StartStage (rather than a bare Timer) so registered stage
-	// listeners see the begin/end of the fan-out live — the service
-	// layer's build-progress tracker rides these events.
+	// listeners see the begin/end of the fan-out live — the ledger's
+	// traced runs (bench/) record these events as spans.
 	stop := reg.StartStage(stage)
 	start := time.Now()
 	ForEach(n, workers, func(i int) {

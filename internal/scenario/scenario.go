@@ -154,11 +154,28 @@ type Scenario struct {
 	Testbed *peering.Testbed
 }
 
-// Logf receives progress lines during Build; nil silences them.
-type Logf func(format string, args ...any)
+// Phases are the stages of Build, named as their obs stage timers, in
+// the order Build runs them. Logf hears a phase by its index here.
+var Phases = []string{
+	"scenario/topology",
+	"scenario/testbed",
+	"scenario/converge-historical",
+	"scenario/converge-current",
+	"scenario/snapshots",
+	"scenario/inference",
+	"scenario/atlas",
+	"scenario/campaign",
+	"scenario/lookingglass",
+}
+
+// Logf receives Build's progress lines, each with the index in Phases of
+// the phase it reports on. Build calls it once as each phase begins,
+// before the phase's stage timer starts, and again under the same index
+// for the phase's results; nil silences it.
+type Logf func(phase int, format string, args ...any)
 
 // Build assembles the scenario. Every phase runs under an obs stage
-// timer ("scenario/..."), and the build records its headline counts
+// timer named by Phases, and the build records its headline counts
 // (ASes, links, snapshots, traces, decisions) as obs counters, so a
 // -metrics-json report explains where a build's wall clock went.
 func Build(cfg Config, logf Logf) (*Scenario, error) {
@@ -166,25 +183,33 @@ func Build(cfg Config, logf Logf) (*Scenario, error) {
 		return nil, err
 	}
 	if logf == nil {
-		logf = func(string, ...any) {}
+		logf = func(int, string, ...any) {}
 	}
 	defer obs.StartStage("scenario/build")()
 	obs.Inc("scenario.builds")
 	s := &Scenario{Cfg: cfg}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	logf("generating topology (seed %d)", cfg.Seed)
-	stop := obs.StartStage("scenario/topology")
+	// begin announces the phase whose stage is named stage, by its index
+	// in Phases, and returns the name for the stage timer.
+	phase := -1
+	begin := func(stage, format string, args ...any) string {
+		phase = slices.Index(Phases, stage)
+		logf(phase, format, args...)
+		return stage
+	}
+
+	stop := obs.StartStage(begin("scenario/topology", "generating topology (seed %d)", cfg.Seed))
 	s.Topo = topology.Generate(cfg.Seed, cfg.Topology)
 	s.Engine = bgp.New(s.Topo, cfg.Seed)
 	stop()
-	logf("  %d ASes, %d links, %d prefixes",
+	logf(phase, "  %d ASes, %d links, %d prefixes",
 		s.Topo.NumASes(), s.Topo.NumLinks(), len(s.Topo.OriginatedPrefixes()))
 	obs.Add("scenario.topology.ases", int64(s.Topo.NumASes()))
 	obs.Add("scenario.topology.links", int64(s.Topo.NumLinks()))
 	obs.Add("scenario.topology.prefixes", int64(len(s.Topo.OriginatedPrefixes())))
 
-	stop = obs.StartStage("scenario/testbed")
+	stop = obs.StartStage(begin("scenario/testbed", "building PEERING testbed"))
 	tb, err := peering.NewTestbed(s.Engine)
 	stop()
 	if err != nil {
@@ -215,19 +240,16 @@ func Build(cfg Config, logf Logf) (*Scenario, error) {
 	}
 
 	workers := parallel.Workers(cfg.RoutingWorkers)
-	logf("converging historical epoch routing (%d workers)", workers)
-	stop = obs.StartStage("scenario/converge-historical")
+	stop = obs.StartStage(begin("scenario/converge-historical", "converging historical epoch routing (%d workers)", workers))
 	ribHist := bgp.New(topoHist, cfg.Seed).ComputeRIB(topoHist.OriginatedPrefixes(), bgp.Readers{Collectors: histPeers}, cfg.RoutingWorkers)
 	stop()
-	logf("converging current epoch routing (%d workers)", workers)
-	stop = obs.StartStage("scenario/converge-current")
+	stop = obs.StartStage(begin("scenario/converge-current", "converging current epoch routing (%d workers)", workers))
 	s.RIB = s.Engine.ComputeRIB(s.Topo.OriginatedPrefixes(), curReaders, cfg.RoutingWorkers)
 	stop()
 
 	s.Siblings = siblings.Infer(s.Topo.Registry, s.Topo.DNS)
 
-	logf("collecting %d monitor snapshots", epochs)
-	stop = obs.StartStage("scenario/snapshots")
+	stop = obs.StartStage(begin("scenario/snapshots", "collecting %d monitor snapshots", epochs))
 	infCfg := inference.DefaultConfig()
 	infCfg.SameOrg = s.Siblings.SameOrg
 	for epoch := range peers {
@@ -239,12 +261,12 @@ func Build(cfg Config, logf Logf) (*Scenario, error) {
 	}
 	stop()
 	obs.Add("scenario.snapshots", int64(len(s.Snapshots)))
-	graphs := parallel.MapStage("scenario/inference", s.Snapshots, cfg.RoutingWorkers,
+	graphs := parallel.MapStage(begin("scenario/inference", "inferring relationships"), s.Snapshots, cfg.RoutingWorkers,
 		func(_ int, snap *vantage.Snapshot) *relgraph.Graph {
 			return inference.InferSnapshot(snap, infCfg)
 		})
 	s.Inferred = inference.Aggregate(graphs)
-	logf("  inferred graph: %d edges", s.Inferred.NumEdges())
+	logf(phase, "  inferred graph: %d edges", s.Inferred.NumEdges())
 	obs.Add("scenario.inference.edges", int64(s.Inferred.NumEdges()))
 
 	latest := s.Snapshots[len(s.Snapshots)-1]
@@ -287,15 +309,14 @@ func Build(cfg Config, logf Logf) (*Scenario, error) {
 		CableASes:        cables,
 	}
 
-	logf("deploying Atlas platform")
-	stop = obs.StartStage("scenario/atlas")
+	stop = obs.StartStage(begin("scenario/atlas", "deploying Atlas platform"))
 	s.Platform = atlas.NewPlatform(s.Topo, cfg.Seed)
 	s.Probes = s.Platform.SelectBalanced(rng, cfg.NumProbes)
 	stop()
-	logf("  population %d probes, selected %d", s.Platform.NumProbes(), len(s.Probes))
+	logf(phase, "  population %d probes, selected %d", s.Platform.NumProbes(), len(s.Probes))
 	obs.Add("scenario.probes.selected", int64(len(s.Probes)))
 
-	logf("running traceroute campaign (target %d traces)", cfg.TracesTarget)
+	begin("scenario/campaign", "running traceroute campaign (target %d traces)", cfg.TracesTarget) // Campaign starts the stage
 	if err := s.runCampaign(rng); err != nil {
 		return nil, err
 	}
@@ -303,7 +324,7 @@ func Build(cfg Config, logf Logf) (*Scenario, error) {
 	for i := range s.Measurements {
 		decisions += len(s.Measurements[i].Decisions)
 	}
-	logf("  %d traces issued, %d usable, %d decisions",
+	logf(phase, "  %d traces issued, %d usable, %d decisions",
 		s.TracesIssued, len(s.Measurements), decisions)
 	obs.Add("scenario.traces.issued", int64(s.TracesIssued))
 	obs.Add("scenario.traces.usable", int64(len(s.Measurements)))
@@ -311,7 +332,7 @@ func Build(cfg Config, logf Logf) (*Scenario, error) {
 
 	// Roughly one in five transit operators runs a public route server
 	// (the paper found 28 of 149 candidate neighbors).
-	stop = obs.StartStage("scenario/lookingglass")
+	stop = obs.StartStage(begin("scenario/lookingglass", "deploying looking glasses"))
 	s.LookingGlasses = lookingglass.Deploy(s.Topo, s.RIB, rng, 0.2)
 	stop()
 

@@ -2,24 +2,69 @@ package scenario
 
 import (
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"routelab/internal/classify"
+	"routelab/internal/obs"
 )
 
-// buildOnce caches the (comparatively expensive) test scenario.
-var testScenario *Scenario
+// testScenario caches the (comparatively expensive) test scenario. The
+// rest record what its build reported: the phase index of every Logf
+// call, every scenario/ stage it began, and the last Logf index at each
+// of those begins.
+var (
+	testScenario  *Scenario
+	testPhases    []int
+	testStages    []string
+	testAnnounced []int
+)
 
 func getScenario(t *testing.T) *Scenario {
 	t.Helper()
 	if testScenario == nil {
-		s, err := Build(TestConfig(), t.Logf)
+		cancel := obs.OnStage(func(name string, begin bool) {
+			if begin && strings.HasPrefix(name, "scenario/") && name != "scenario/build" {
+				last := -1
+				if n := len(testPhases); n > 0 {
+					last = testPhases[n-1]
+				}
+				testStages = append(testStages, name)
+				testAnnounced = append(testAnnounced, last)
+			}
+		})
+		s, err := Build(TestConfig(), func(phase int, format string, args ...any) {
+			testPhases = append(testPhases, phase)
+			t.Logf(format, args...)
+		})
+		cancel()
 		if err != nil {
 			t.Fatal(err)
 		}
 		testScenario = s
 	}
 	return testScenario
+}
+
+// TestBuildReportsPhases: Build announces every phase once, in order, to
+// Logf before its stage timer begins, and the stage timers it begins
+// are Phases, in that order.
+func TestBuildReportsPhases(t *testing.T) {
+	getScenario(t)
+	want := make([]int, len(Phases))
+	for i := range want {
+		want[i] = i
+	}
+	if got := slices.Compact(slices.Clone(testPhases)); !slices.Equal(got, want) {
+		t.Errorf("Logf phase indices %v, want %v in order", testPhases, want)
+	}
+	if !slices.Equal(testStages, Phases) {
+		t.Errorf("stages begun %v, want Phases %v", testStages, Phases)
+	}
+	if !slices.Equal(testAnnounced, want) {
+		t.Errorf("Logf index at each stage begin %v, want %v", testAnnounced, want)
+	}
 }
 
 func TestBuildProducesUsableCampaign(t *testing.T) {

@@ -1,74 +1,76 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
-	"strings"
+	"slices"
 	"testing"
 
 	"routelab/internal/obs"
+	"routelab/internal/scenario"
 )
 
-// TestBuildProgressTrackerMonotone folds a stage-event stream — with
-// repeats and out-of-order arrivals, as MapStage inside phases and
-// concurrent builds produce — and checks progress never moves backwards.
-func TestBuildProgressTrackerMonotone(t *testing.T) {
-	bp := newBuildProgress()
-	d := bp.snapshot("x")
-	if d.State != BuildBuilding || d.Percent != 0 || d.PhasesDone != 0 {
-		t.Fatalf("fresh tracker: %+v", d)
+// TestBuildProgressFollowsBuild polls a real store build as each of its
+// phases begins, on a process's first build (no stage timer has a mean
+// yet). The tracker must name the phase that is starting, count the ones
+// before it as done, and rise strictly while staying below 100.
+func TestBuildProgressFollowsBuild(t *testing.T) {
+	obs.Reset()
+	st := NewStore(StoreConfig{})
+	if err := st.Register(testExpansion("alpha", 1), "test"); err != nil {
+		t.Fatal(err)
+	}
+	// Stage listeners run on the building goroutine: this one, in Get.
+	var seen []BuildProgressData
+	defer obs.OnStage(func(name string, begin bool) {
+		if !begin || !slices.Contains(scenario.Phases, name) {
+			return
+		}
+		d, err := st.BuildProgress("alpha")
+		if err != nil {
+			t.Error(err)
+		}
+		seen = append(seen, d)
+	})()
+	if _, err := st.Get(context.Background(), "alpha"); err != nil {
+		t.Fatal(err)
 	}
 
-	lastPct := d.Percent
-	events := []struct {
-		name  string
-		begin bool
-	}{
-		{"scenario/topology", true},
-		{"scenario/topology", false},
-		{"scenario/converge-historical", true},
-		{"not-a-build-stage", true}, // unknown: ignored
-		{"magnet", false},           // lazy stage: not in the pipeline, ignored
-		{"scenario/converge-historical", false},
-		{"scenario/converge-current", true},
-		{"scenario/topology", true}, // out of order (another build): no regress
-		{"scenario/converge-current", false},
+	if len(seen) != len(scenario.Phases) {
+		t.Fatalf("%d phase begins observed, want %d", len(seen), len(scenario.Phases))
 	}
-	for _, ev := range events {
-		bp.event(ev.name, ev.begin)
-		d := bp.snapshot("x")
-		if d.Percent < lastPct {
-			t.Fatalf("after %v: percent regressed %v -> %v", ev, lastPct, d.Percent)
-		}
-		lastPct = d.Percent
+	last := -1.0
+	for i, d := range seen {
 		if err := d.Validate(); err != nil {
-			t.Fatalf("after %v: invalid snapshot: %v", ev, err)
+			t.Errorf("phase %d: invalid snapshot %+v: %v", i, d, err)
 		}
-	}
-	d = bp.snapshot("x")
-	if d.PhasesDone != 3 || d.Phase != "scenario/converge-current" {
-		t.Errorf("final snapshot: done %d phase %q, want 3 / scenario/converge-current", d.PhasesDone, d.Phase)
-	}
-	if d.Percent <= 0 || d.Percent >= 100 {
-		t.Errorf("mid-build percent %v, want in (0, 100)", d.Percent)
+		if d.State != BuildBuilding || d.Phase != scenario.Phases[i] || d.PhasesDone != i {
+			t.Errorf("as %s begins: %s in %q with %d done, want building in it with %d done",
+				scenario.Phases[i], d.State, d.Phase, d.PhasesDone, i)
+		}
+		if d.Percent <= last || d.Percent >= 100 {
+			t.Errorf("as %s begins: percent %v after %v, want rising below 100", scenario.Phases[i], d.Percent, last)
+		}
+		last = d.Percent
 	}
 }
 
-// TestPercentDoneCap: a build with every phase complete but not yet
-// inserted must report at most 99 — 100 is reserved for the built
-// state, which Validate enforces.
+// TestPercentDoneCap: a build in its last phase but not yet inserted
+// must report under 100 — 100 is reserved for the built state, which
+// Validate enforces.
 func TestPercentDoneCap(t *testing.T) {
-	if pct := percentDone(len(buildPhases), len(buildPhases)-1); pct > 99 {
-		t.Errorf("all-phases-done percent %v, want <= 99", pct)
+	if pct := percentDone(len(scenario.Phases) - 1); pct > 99 {
+		t.Errorf("last-phase percent %v, want <= 99", pct)
 	}
-	if pct := percentDone(0, -1); pct != 0 {
+	if pct := percentDone(-1); pct != 0 {
 		t.Errorf("nothing-started percent %v, want 0", pct)
 	}
 }
 
 func TestBuildProgressValidateRejects(t *testing.T) {
-	good := BuildProgressData{ID: "x", State: BuildBuilding, Phase: "scenario/topology",
-		Percent: 12, PhasesDone: 1, Phases: 9}
+	good := BuildProgressData{ID: "x", State: BuildBuilding, Phase: scenario.Phases[2],
+		Percent: 27, PhasesDone: 2, Phases: len(scenario.Phases)}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("good payload rejected: %v", err)
 	}
@@ -83,6 +85,10 @@ func TestBuildProgressValidateRejects(t *testing.T) {
 		{"built without 100", func(d *BuildProgressData) { d.State = BuildBuilt }},
 		{"phases_done range", func(d *BuildProgressData) { d.PhasesDone = 10 }},
 		{"foreign phase", func(d *BuildProgressData) { d.Phase = "service/scenario-build" }},
+		{"unlisted scenario phase", func(d *BuildProgressData) { d.Phase = "scenario/magnet" }},
+		{"phase count", func(d *BuildProgressData) { d.Phases = len(scenario.Phases) - 1 }},
+		{"phases_done behind phase", func(d *BuildProgressData) { d.PhasesDone = 1 }},
+		{"phases_done past phase", func(d *BuildProgressData) { d.PhasesDone = 3 }},
 		{"failed without error", func(d *BuildProgressData) { d.State = BuildFailed; d.Percent = 0 }},
 	}
 	for _, tc := range cases {
@@ -112,10 +118,12 @@ func decodeBuild(t *testing.T, body string) BuildProgressData {
 }
 
 // TestFleetBuildProgressEndpoint walks one scenario through its
-// lifecycle on the wire: pending before any request, building (with a
-// live phase and partial percent) while the pipeline is stalled
+// lifecycle on the wire: pending before any request, building (in the
+// stalled phase, with a partial percent) while the pipeline is stalled
 // mid-stage, built/100 after — and the endpoint answers instantly
-// throughout instead of joining the build.
+// throughout instead of joining the build. A stage some other code
+// starts meanwhile (ablations re-run the campaign on any tenant) must
+// not move the stalled build's progress.
 func TestFleetBuildProgressEndpoint(t *testing.T) {
 	obs.Reset()
 	_, ts := newTestFleet(t, StoreConfig{}, testExpansion("alpha", 1))
@@ -129,20 +137,16 @@ func TestFleetBuildProgressEndpoint(t *testing.T) {
 		t.Fatalf("before any request: %+v, want pending/0", d)
 	}
 
-	// Stall the build pipeline mid-stage: a test listener registered
-	// before the store's tracker blocks the builder inside the
-	// snapshots phase, with earlier phases already delivered.
+	// Stall the build pipeline as the snapshots phase begins, with
+	// earlier phases already delivered.
 	stall := make(chan struct{})
 	release := make(chan struct{})
-	var once bool
-	cancel := obs.OnStage(func(name string, begin bool) {
-		if name == "scenario/snapshots" && begin && !once {
-			once = true
+	defer obs.OnStage(func(name string, begin bool) {
+		if name == "scenario/snapshots" && begin {
 			close(stall)
 			<-release
 		}
-	})
-	defer cancel()
+	})()
 
 	done := make(chan int, 1)
 	go func() {
@@ -165,8 +169,12 @@ func TestFleetBuildProgressEndpoint(t *testing.T) {
 	if d.Percent <= 0 || d.Percent >= 100 {
 		t.Errorf("mid-build percent %v, want in (0, 100)", d.Percent)
 	}
-	if !strings.HasPrefix(d.Phase, "scenario/") || d.PhasesDone < 1 {
-		t.Errorf("mid-build phase %q done %d, want converge phases recorded", d.Phase, d.PhasesDone)
+	if want := slices.Index(scenario.Phases, "scenario/snapshots"); d.Phase != "scenario/snapshots" || d.PhasesDone != want {
+		t.Errorf("mid-build phase %q done %d, want scenario/snapshots with %d done", d.Phase, d.PhasesDone, want)
+	}
+	obs.StartStage("scenario/campaign")()
+	if _, body = get(t, buildURL); decodeBuild(t, body) != d {
+		t.Errorf("a campaign stage outside the build moved its progress: %+v, then %s", d, body)
 	}
 
 	close(release)

@@ -253,7 +253,7 @@ func TestRequestSheddingCoalescedWaiters(t *testing.T) {
 // and that they build cleanly once capacity returns.
 func TestBuildSheddingExactCounters(t *testing.T) {
 	obs.Reset()
-	st, ts := newTestFleet(t, StoreConfig{MaxBuilds: 1, MaxQueuedBuilds: 1},
+	st, ts := newTestFleet(t, StoreConfig{MaxQueuedBuilds: 1},
 		testExpansion("alpha", 1), testExpansion("beta", 2),
 		testExpansion("gamma", 3), testExpansion("delta", 4))
 

@@ -31,15 +31,12 @@ type StoreConfig struct {
 	// world). The most recent tenant is never evicted, so one
 	// over-budget world serves rather than thrashes.
 	MaxScenarioBytes int64
-	// MaxBuilds bounds concurrent scenario builds. Builds are the
-	// expensive multi-core phase, so the default (1) serializes them;
-	// requests for distinct cold scenarios queue.
-	MaxBuilds int
-	// MaxQueuedBuilds bounds the build gate's queue: a cold-scenario
-	// request arriving while MaxQueuedBuilds builds are already waiting
-	// for a build slot is shed with 429/Retry-After instead of joining
-	// the line. 0 disables shedding (builds queue until the requester's
-	// deadline).
+	// MaxQueuedBuilds bounds the build gate's queue. Builds are the
+	// expensive multi-core phase, so one runs at a time and requests for
+	// distinct cold scenarios queue; a cold-scenario request arriving
+	// while MaxQueuedBuilds builds are already waiting is shed with
+	// 429/Retry-After instead of joining the line. 0 disables shedding
+	// (builds queue until the requester's deadline).
 	MaxQueuedBuilds int
 	// CacheSize bounds the fleet-wide response cache (entries) shared by
 	// every tenant; <= 0 selects the default (256). Every tenant reaches
@@ -102,12 +99,9 @@ func NewStore(cfg StoreConfig) *Store {
 	if cfg.MaxScenarioBytes <= 0 {
 		cfg.MaxScenarioBytes = 1 << 30
 	}
-	if cfg.MaxBuilds <= 0 {
-		cfg.MaxBuilds = 1
-	}
 	return &Store{
 		cfg:       cfg,
-		buildGate: parallel.NewGate(cfg.MaxBuilds),
+		buildGate: parallel.NewGate(1),
 		cache:     newCache(cfg.CacheSize),
 		sources:   make(map[string]*source),
 		order:     list.New(),
@@ -300,7 +294,7 @@ func (st *Store) Get(ctx context.Context, id string) (*Server, error) {
 }
 
 // build seals one scenario and wraps it in a tenant. The build gate
-// bounds how many run at once; the requester's ctx only governs its
+// runs one at a time; the requester's ctx only governs its
 // place in the queue (scenario.Build is not cancelable, and a finished
 // build is always worth keeping). When the gate's queue is already at
 // MaxQueuedBuilds the build is shed instead of queued — the
@@ -317,14 +311,11 @@ func (st *Store) build(ctx context.Context, id string, src *source) (tenant *Ser
 	}
 	defer st.buildGate.Leave()
 
-	// Track this build for GET /v1/scenarios/{id}/build: the obs stage
-	// events the pipeline already emits advance the per-id tracker.
+	// Track this build for GET /v1/scenarios/{id}/build.
 	bp := newBuildProgress()
 	st.mu.Lock()
 	st.progress[id] = bp
 	st.mu.Unlock()
-	cancelStage := obs.OnStage(bp.event)
-	defer cancelStage()
 
 	defer obs.StartStage("service/scenario-build")()
 	// A build that fails — or panics: recoverAs, deferred after this,
@@ -344,7 +335,13 @@ func (st *Store) build(ctx context.Context, id string, src *source) (tenant *Ser
 		st.buildHook(id)
 	}
 	obs.Inc("service.scenario.builds")
-	s, err := scenario.Build(src.cfg, st.cfg.Logf)
+	// The build's own Logf callback moves its tracker from phase to phase.
+	s, err := scenario.Build(src.cfg, func(phase int, format string, args ...any) {
+		bp.at(phase)
+		if st.cfg.Logf != nil {
+			st.cfg.Logf(phase, format, args...)
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -372,14 +369,14 @@ func (st *Store) BuildProgress(id string) (BuildProgressData, error) {
 			ID:         id,
 			State:      BuildBuilt,
 			Percent:    100,
-			PhasesDone: len(buildPhases),
-			Phases:     len(buildPhases),
+			PhasesDone: len(scenario.Phases),
+			Phases:     len(scenario.Phases),
 		}, nil
 	}
 	if bp, ok := st.progress[id]; ok {
 		return bp.snapshot(id), nil
 	}
-	return BuildProgressData{ID: id, State: BuildPending, Phases: len(buildPhases)}, nil
+	return BuildProgressData{ID: id, State: BuildPending, Phases: len(scenario.Phases)}, nil
 }
 
 // ResidentBytes reports the store's current byte-budget charge: the

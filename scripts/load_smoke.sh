@@ -14,8 +14,8 @@
 # vary). Finishes with a SIGTERM drain check.
 #
 # Leg 2 (saturation): reboots the fleet with tiny overload gates
-# (-max-concurrent 1 -max-queued-requests 1 -max-builds 1
-# -max-queued-builds 1) and hammers it with more clients than it can
+# (-max-concurrent 1 -max-queued-requests 1 -max-queued-builds 1; one
+# build runs at a time) and hammers it with more clients than it can
 # admit. The gate: nonzero clean sheds (verified 429s with Retry-After
 # and the overloaded code — routeload -min-sheds 1) and zero errors
 # otherwise. Overload protection must engage, and must stay clean while
@@ -157,7 +157,7 @@ echo "==> saturation leg: tiny gates on $SAT_ADDR must shed cleanly"
 # One entry forces recomputation, so the 16 clients actually contend.
 "$WORKDIR/routelabd" -addr "$SAT_ADDR" -scenario-dir scenarios -quiet \
     -max-concurrent 1 -max-queued-requests 1 -cache 1 \
-    -max-builds 1 -max-queued-builds 1 -request-timeout 120s 2>"$SAT_LOG" &
+    -max-queued-builds 1 -request-timeout 120s 2>"$SAT_LOG" &
 PID=$!
 wait_serving "$SAT_LOG"
 
