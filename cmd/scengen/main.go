@@ -55,10 +55,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "scengen: unknown format %q (have text, json)\n", *format)
 		os.Exit(2)
 	}
-	var overlays []string
-	if *overlay != "" {
-		overlays = strings.Split(*overlay, ",")
-	}
+	overlays := spec.SplitOverlays(*overlay)
 	if flag.NArg() < 1 {
 		flag.Usage()
 		os.Exit(2)

@@ -1,7 +1,6 @@
 package bgp
 
 import (
-	"fmt"
 	"math/bits"
 	"slices"
 	"sync"
@@ -914,10 +913,4 @@ func sameRoute(a, b *rec) bool { return a.path == b.path && sameAttrs(a, b) }
 // come from different trees.
 func sameAttrs(a, b *rec) bool {
 	return a.nh == b.nh && a.lp == b.lp && a.from == b.from && a.org == b.org && a.city == b.city
-}
-
-// DebugStats reports internal convergence counters (process calls and
-// best-route changes) for performance investigation.
-func (c *Computation) DebugStats() string {
-	return fmt.Sprintf("processed=%d changes=%d clock=%d", c.nProcessed, c.nChanges, c.clock)
 }

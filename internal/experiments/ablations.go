@@ -55,7 +55,9 @@ type AblationsResult struct {
 	AggregationRows []AblationAggRow       `json:"aggregation_rows"`
 }
 
-func computeAblations(ctx context.Context, s *scenario.Scenario, rng *rand.Rand) (*AblationsResult, error) {
+func ablations(ctx context.Context, env *Env) (Result, error) {
+	s := env.S
+	rng := rand.New(rand.NewSource(env.Seed + 2))
 	res := &AblationsResult{}
 	computeProbeSelectionAblation(res, s, rng)
 	if err := ctx.Err(); err != nil {
@@ -120,23 +122,19 @@ func (r *AblationsResult) render(w io.Writer) {
 	t.Render(w)
 }
 
-func runAblations(ctx context.Context, env *Env) (Result, error) {
-	return computeAblations(ctx, env.S, rand.New(rand.NewSource(env.Seed+2)))
-}
-
 // computeProbeSelectionAblation reruns the campaign with probes drawn
 // uniformly from the EU-skewed population — the bias §3.1's balanced
 // methodology exists to avoid.
 func computeProbeSelectionAblation(res *AblationsResult, s *scenario.Scenario, rng *rand.Rand) {
-	all := s.Platform.Probes()
+	pop := s.Platform.Probes()
 	n := len(s.Probes)
-	if n > len(all) {
-		n = len(all)
+	if n > len(pop) {
+		n = len(pop)
 	}
-	idx := rng.Perm(len(all))[:n]
+	idx := rng.Perm(len(pop))[:n]
 	raw := make([]atlas.Probe, 0, n)
 	for _, i := range idx {
-		raw = append(raw, all[i])
+		raw = append(raw, pop[i])
 	}
 	ms, _, err := s.Campaign(raw, s.Cfg.TracesTarget, rng)
 	if err != nil {

@@ -41,7 +41,8 @@ type AccuracyResult struct {
 	TopConfusions []ConfusionRow `json:"top_confusions"`
 }
 
-func computeAccuracy(s *scenario.Scenario) *AccuracyResult {
+func accuracy(_ context.Context, env *Env) (Result, error) {
+	s := env.S
 	truth := relgraph.FromTopology(s.Topo)
 	acc := inference.MeasureAccuracy(s.Context.Graph, truth)
 	res := &AccuracyResult{
@@ -89,7 +90,7 @@ func computeAccuracy(s *scenario.Scenario) *AccuracyResult {
 			Truth: r.truth.String(), Inferred: r.inf.String(), N: r.n,
 		})
 	}
-	return res
+	return res, nil
 }
 
 func (r *AccuracyResult) render(w io.Writer) {
@@ -104,13 +105,6 @@ func (r *AccuracyResult) render(w io.Writer) {
 		t.Note("top confusion %d: truth=%s inferred=%s (%d links)", i+1, c.Truth, c.Inferred, c.N)
 	}
 	t.Render(w)
-}
-
-func runAccuracy(ctx context.Context, env *Env) (Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return computeAccuracy(env.S), nil
 }
 
 // staleCount counts retired ground-truth links the aggregate still
@@ -140,7 +134,8 @@ type PredictionResult struct {
 	FirstHopCorrect int `json:"first_hop_correct"`
 }
 
-func computePrediction(s *scenario.Scenario) *PredictionResult {
+func prediction(_ context.Context, env *Env) (Result, error) {
+	s := env.S
 	p := predict.New(s.Context.Graph)
 	paths := make([][]asn.ASN, 0, len(s.Measurements))
 	for i := range s.Measurements {
@@ -155,7 +150,7 @@ func computePrediction(s *scenario.Scenario) *PredictionResult {
 		Exact:           sum.Exact,
 		SameLength:      sum.SameLength,
 		FirstHopCorrect: sum.FirstHopCorrect,
-	}
+	}, nil
 }
 
 func (r *PredictionResult) render(w io.Writer) {
@@ -167,13 +162,6 @@ func (r *PredictionResult) render(w io.Writer) {
 	t.Row("Correct first hop %", stats.Pct(r.FirstHopCorrect, r.Predicted))
 	t.Note("the gap between first-hop and exact accuracy is the paper's point: models rank neighbors acceptably but mispredict full paths")
 	t.Render(w)
-}
-
-func runPrediction(ctx context.Context, env *Env) (Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return computePrediction(env.S), nil
 }
 
 // --- §4.4 case studies ------------------------------------------------
@@ -209,7 +197,9 @@ type CaseStudiesResult struct {
 	Cases []CaseStudy `json:"cases"`
 }
 
-func computeCaseStudies(s *scenario.Scenario, rng *rand.Rand) *CaseStudiesResult {
+func caseStudies(_ context.Context, env *Env) (Result, error) {
+	s := env.S
+	rng := rand.New(rand.NewSource(env.Seed + 3))
 	runs := s.RunAlternatesCampaign(rng)
 	res := &CaseStudiesResult{}
 	for _, run := range runs {
@@ -251,7 +241,7 @@ func computeCaseStudies(s *scenario.Scenario, rng *rand.Rand) *CaseStudiesResult
 		}
 		res.Cases = append(res.Cases, c)
 	}
-	return res
+	return res, nil
 }
 
 func (r *CaseStudiesResult) render(w io.Writer) {
@@ -273,13 +263,6 @@ func (r *CaseStudiesResult) render(w io.Writer) {
 		fmt.Fprintln(w, "  (none found at this seed — paper found 3 among 360 targets)")
 	}
 	fmt.Fprintln(w)
-}
-
-func runCaseStudies(ctx context.Context, env *Env) (Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return computeCaseStudies(env.S, rand.New(rand.NewSource(env.Seed+3))), nil
 }
 
 // isSuffix reports whether needle is a suffix of hay.

@@ -20,7 +20,6 @@ import (
 	"routelab/internal/geo"
 	"routelab/internal/parallel"
 	"routelab/internal/report"
-	"routelab/internal/scenario"
 	"routelab/internal/stats"
 	"routelab/internal/topology"
 )
@@ -43,7 +42,8 @@ type Table1Result struct {
 	TotalASes   int         `json:"total_ases"`
 }
 
-func computeTable1(s *scenario.Scenario) *Table1Result {
+func table1(_ context.Context, env *Env) (Result, error) {
+	s := env.S
 	type agg struct {
 		probes    int
 		ases      map[asn.ASN]bool
@@ -80,7 +80,7 @@ func computeTable1(s *scenario.Scenario) *Table1Result {
 		}
 	}
 	res.TotalASes = len(totalASes)
-	return res
+	return res, nil
 }
 
 func (r *Table1Result) render(w io.Writer) {
@@ -92,13 +92,6 @@ func (r *Table1Result) render(w io.Writer) {
 	t.Note("%d probes total in %d ASes (paper: 1,998 probes, 633 ASes)",
 		r.TotalProbes, r.TotalASes)
 	t.Render(w)
-}
-
-func runTable1(ctx context.Context, env *Env) (Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return computeTable1(env.S), nil
 }
 
 // --- Figure 1 ---------------------------------------------------------
@@ -119,12 +112,13 @@ type Figure1Result struct {
 	Rows            []Figure1Row `json:"rows"`
 }
 
-// computeFigure1 classifies the seven columns concurrently (each
+// figure1 classifies the seven columns concurrently (each
 // refinement is an independent pass over the decision set, sharing only
 // classify.Context's synchronized model caches); rows follow the fixed
 // Refinements order, so the figure bytes do not depend on the worker
 // count.
-func computeFigure1(s *scenario.Scenario) *Figure1Result {
+func figure1(_ context.Context, env *Env) (Result, error) {
+	s := env.S
 	ds := s.Decisions()
 	res := &Figure1Result{
 		Decisions:       len(ds),
@@ -147,7 +141,7 @@ func computeFigure1(s *scenario.Scenario) *Figure1Result {
 		}
 		res.Rows = append(res.Rows, Figure1Row{Refinement: ref.String(), Shares: shares})
 	}
-	return res
+	return res, nil
 }
 
 func (r *Figure1Result) render(w io.Writer) {
@@ -164,13 +158,6 @@ func (r *Figure1Result) render(w io.Writer) {
 	t.Note("paper: Simple Best/Short 64.7%%, NonBest/Long 8.3%%; All-1 85.7%%, All-2 75.7%%")
 	bars.Render(w)
 	t.Render(w)
-}
-
-func runFigure1(ctx context.Context, env *Env) (Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return computeFigure1(env.S), nil
 }
 
 // --- Table 2 ----------------------------------------------------------
@@ -190,7 +177,9 @@ type Table2Result struct {
 	TraceTotal int         `json:"trace_total"`
 }
 
-func computeTable2(s *scenario.Scenario, rng *rand.Rand) *Table2Result {
+func table2(_ context.Context, env *Env) (Result, error) {
+	s := env.S
+	rng := rand.New(rand.NewSource(env.Seed))
 	mc := s.RunMagnetCampaign(rng)
 	feed := s.Context.MagnetBreakdown(mc.FeedDecisions)
 	trace := s.Context.MagnetBreakdown(mc.TraceDecisions)
@@ -204,7 +193,7 @@ func computeTable2(s *scenario.Scenario, rng *rand.Rand) *Table2Result {
 	for _, c := range classify.MagnetCauses {
 		res.Rows = append(res.Rows, Table2Row{Cause: c.String(), Feeds: feed[c], Traces: trace[c]})
 	}
-	return res
+	return res, nil
 }
 
 func (r *Table2Result) render(w io.Writer) {
@@ -218,13 +207,6 @@ func (r *Table2Result) render(w io.Writer) {
 	t.Note("paper (feeds): best 46.0%%, shorter 16.0%%, intradomain 16.4%%, oldest 2.5%%, violation 18.9%%")
 	t.Note("paper (traceroutes): best 42.4%%, shorter 29.4%%, intradomain 15.6%%, oldest 1.6%%, violation 10.8%%")
 	t.Render(w)
-}
-
-func runTable2(ctx context.Context, env *Env) (Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return computeTable2(env.S, rand.New(rand.NewSource(env.Seed))), nil
 }
 
 // --- Figure 2 ---------------------------------------------------------
@@ -253,7 +235,8 @@ type Figure2Result struct {
 	Sides []Figure2Side `json:"sides"`
 }
 
-func computeFigure2(s *scenario.Scenario) *Figure2Result {
+func figure2(_ context.Context, env *Env) (Result, error) {
+	s := env.S
 	res := &Figure2Result{}
 	for _, byDst := range []bool{false, true} {
 		sk := s.Context.ViolationSkew(s.Measurements, classify.Simple, byDst)
@@ -292,7 +275,7 @@ func computeFigure2(s *scenario.Scenario) *Figure2Result {
 		}
 		res.Sides = append(res.Sides, side)
 	}
-	return res
+	return res, nil
 }
 
 func (r *Figure2Result) render(w io.Writer) {
@@ -318,13 +301,6 @@ func (r *Figure2Result) render(w io.Writer) {
 	}
 }
 
-func runFigure2(ctx context.Context, env *Env) (Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return computeFigure2(env.S), nil
-}
-
 // --- Figure 3 ---------------------------------------------------------
 
 // Figure3Column is one stacked bar of the geography breakdown.
@@ -342,7 +318,8 @@ type Figure3Result struct {
 	ContinentalPct float64 `json:"continental_pct"`
 }
 
-func computeFigure3(s *scenario.Scenario) *Figure3Result {
+func figure3(_ context.Context, env *Env) (Result, error) {
+	s := env.S
 	gb := s.Context.GeoClassify(s.Measurements, classify.Simple)
 	res := &Figure3Result{}
 	emit := func(label string, counts map[classify.Category]int) {
@@ -375,7 +352,7 @@ func computeFigure3(s *scenario.Scenario) *Figure3Result {
 		interTotal += n
 	}
 	res.ContinentalPct = stats.Pct(contTotal, contTotal+interTotal)
-	return res
+	return res, nil
 }
 
 func (r *Figure3Result) render(w io.Writer) {
@@ -387,13 +364,6 @@ func (r *Figure3Result) render(w io.Writer) {
 	bars.Render(w)
 	fmt.Fprintf(w, "continental decisions: %.1f%% of dataset (paper: ~45%%)\n\n",
 		r.ContinentalPct)
-}
-
-func runFigure3(ctx context.Context, env *Env) (Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return computeFigure3(env.S), nil
 }
 
 // --- Table 3 ----------------------------------------------------------
@@ -413,7 +383,8 @@ type Table3Result struct {
 	TotalExplained    int         `json:"total_explained"`
 }
 
-func computeTable3(s *scenario.Scenario) *Table3Result {
+func table3(_ context.Context, env *Env) (Result, error) {
+	s := env.S
 	rows := s.Context.DomesticAnalysis(s.Measurements, classify.Simple)
 	res := &Table3Result{}
 	for _, r := range rows {
@@ -425,7 +396,7 @@ func computeTable3(s *scenario.Scenario) *Table3Result {
 		res.TotalNonBestShort += r.NonBestShort
 		res.TotalExplained += r.Explained
 	}
-	return res
+	return res, nil
 }
 
 func (r *Table3Result) render(w io.Writer) {
@@ -437,13 +408,6 @@ func (r *Table3Result) render(w io.Writer) {
 	t.Row("All", r.TotalNonBestShort, r.TotalExplained, stats.Pct(r.TotalExplained, r.TotalNonBestShort))
 	t.Note("paper: >40%% of such decisions explained overall")
 	t.Render(w)
-}
-
-func runTable3(ctx context.Context, env *Env) (Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return computeTable3(env.S), nil
 }
 
 // --- Table 4 ----------------------------------------------------------
@@ -467,7 +431,8 @@ type Table4Result struct {
 	CableDecisions  int `json:"cable_decisions"`
 }
 
-func computeTable4(s *scenario.Scenario) *Table4Result {
+func table4(_ context.Context, env *Env) (Result, error) {
+	s := env.S
 	st := s.Context.CableAnalysis(s.Measurements, classify.Simple)
 	res := &Table4Result{
 		PathsWithCable:  st.PathsWithCable,
@@ -483,7 +448,7 @@ func computeTable4(s *scenario.Scenario) *Table4Result {
 			Category: r.Category.String(), Total: r.Total, WithCable: r.WithCable,
 		})
 	}
-	return res
+	return res, nil
 }
 
 func (r *Table4Result) render(w io.Writer) {
@@ -499,13 +464,6 @@ func (r *Table4Result) render(w io.Writer) {
 	t.Render(w)
 }
 
-func runTable4(ctx context.Context, env *Env) (Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return computeTable4(env.S), nil
-}
-
 // --- §4.3 validation --------------------------------------------------
 
 // PSPResult reports the §4.3 validation of prefix-specific-policy
@@ -517,7 +475,8 @@ type PSPResult struct {
 	Confirmed       int `json:"confirmed"`
 }
 
-func computePSPValidation(s *scenario.Scenario) *PSPResult {
+func pspValidation(_ context.Context, env *Env) (Result, error) {
+	s := env.S
 	cases := s.Context.CollectPSPCases(s.Measurements)
 	v := s.Context.ValidatePSP(cases, s.LookingGlasses)
 	return &PSPResult{
@@ -525,7 +484,7 @@ func computePSPValidation(s *scenario.Scenario) *PSPResult {
 		NeighborsWithLG: v.NeighborsWithLG,
 		Checked:         v.Checked,
 		Confirmed:       v.Confirmed,
-	}
+	}, nil
 }
 
 func (r *PSPResult) render(w io.Writer) {
@@ -538,13 +497,6 @@ func (r *PSPResult) render(w io.Writer) {
 	t.Row("Confirmed %", stats.Pct(r.Confirmed, r.Checked))
 	t.Note("paper: 63 cases, 149 neighbors, LGs in 28, Criteria 1 correct 78%% of checked cases")
 	t.Render(w)
-}
-
-func runPSPValidation(ctx context.Context, env *Env) (Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return computePSPValidation(env.S), nil
 }
 
 // --- §4.4 alternates --------------------------------------------------
@@ -567,7 +519,9 @@ type AlternatesResult struct {
 	LinksOnlyPoisoned int `json:"links_only_poisoned"`
 }
 
-func computeAlternates(s *scenario.Scenario, rng *rand.Rand) *AlternatesResult {
+func alternates(_ context.Context, env *Env) (Result, error) {
+	s := env.S
+	rng := rand.New(rand.NewSource(env.Seed + 1))
 	runs := s.RunAlternatesCampaign(rng)
 	sum := s.Context.SummarizeAlternates(runs)
 	res := &AlternatesResult{
@@ -580,7 +534,7 @@ func computeAlternates(s *scenario.Scenario, rng *rand.Rand) *AlternatesResult {
 	for _, v := range []classify.AlternateVerdict{classify.AltBestShort, classify.AltBestOnly, classify.AltShortOnly, classify.AltNeither} {
 		res.Rows = append(res.Rows, AlternatesRow{Verdict: v.String(), Targets: sum.Verdicts[v]})
 	}
-	return res
+	return res, nil
 }
 
 func (r *AlternatesResult) render(w io.Writer) {
@@ -596,11 +550,4 @@ func (r *AlternatesResult) render(w io.Writer) {
 		stats.Pct(r.LinksOnlyPoisoned, r.LinksMissing))
 	t.Note("paper: 86.1%% both, 8.0%% best only, 5.0%% shortest only, 0.8%% neither; 739 links, 45 missing, 22.2%% poison-only")
 	t.Render(w)
-}
-
-func runAlternates(ctx context.Context, env *Env) (Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return computeAlternates(env.S, rand.New(rand.NewSource(env.Seed+1))), nil
 }

@@ -3,10 +3,13 @@ package experiments
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 
+	"routelab/internal/obs"
 	"routelab/internal/scenario"
 )
 
@@ -136,6 +139,52 @@ func TestRegistryAPI(t *testing.T) {
 	exp, _ := Get("table1")
 	if _, err := exp.Run(ctx, env); err == nil {
 		t.Error("Run with canceled context succeeded, want error")
+	}
+}
+
+// TestCancelAtStageBoundary cancels a run from a stage listener the
+// moment one of its stages begins: the driver finishes that stage, then
+// stops at its next boundary. Run returns context.Canceled and the work
+// that would follow never starts.
+func TestCancelAtStageBoundary(t *testing.T) {
+	env := &Env{S: testScenario(t), Seed: 7}
+	for _, tc := range []struct {
+		name, cancelAt, never string // never is a stage-name prefix
+	}{
+		{"all", "experiment/table2", "experiment/"},
+		{"ablations", "inference/evidence", "experiments/threshold-ablation"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var (
+				mu    sync.Mutex
+				after []string // stages begun once ctx was cancelled
+			)
+			defer obs.OnStage(func(name string, begin bool) {
+				mu.Lock()
+				defer mu.Unlock()
+				if !begin {
+					return
+				}
+				if ctx.Err() != nil {
+					after = append(after, name)
+				} else if name == tc.cancelAt {
+					cancel()
+				}
+			})()
+			exp, _ := Get(tc.name)
+			if _, err := exp.Run(ctx, env); !errors.Is(err, context.Canceled) {
+				t.Fatalf("Run(%s) cancelled at %s: err = %v, want context.Canceled", tc.name, tc.cancelAt, err)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			for _, st := range after {
+				if strings.HasPrefix(st, tc.never) {
+					t.Errorf("stage %s began after the cancel at %s", st, tc.cancelAt)
+				}
+			}
+		})
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -34,27 +35,22 @@ type Result interface {
 	render(w io.Writer)
 }
 
-// Experiment is one registered driver: a named, context-aware
-// computation over a scenario.
-type Experiment interface {
-	// Name is the stable identifier the CLI and the service dispatch on.
-	Name() string
-	// Run executes the experiment. It honors ctx cancellation at stage
-	// boundaries and returns a structured Result on success.
-	Run(ctx context.Context, env *Env) (Result, error)
-}
-
-type experiment struct {
+// Experiment is one registered driver: a named computation over a
+// scenario.
+type Experiment struct {
 	name string
 	run  func(ctx context.Context, env *Env) (Result, error)
 }
 
-func (e *experiment) Name() string { return e.name }
+// Name is the stable identifier the CLI and the service dispatch on.
+func (e *Experiment) Name() string { return e.name }
 
-// Run times the experiment under its obs stage ("experiment/<name>")
-// and bumps the experiments.runs counter, exactly as the print-style
-// entry points did before the registry redesign.
-func (e *experiment) Run(ctx context.Context, env *Env) (Result, error) {
+// Run executes the experiment and returns its structured Result. It
+// refuses an already-cancelled ctx, times the run under its obs stage
+// ("experiment/<name>") and bumps the experiments.runs counter; a
+// driver with inner stage boundaries (all, ablations, whatif) checks
+// ctx again at each of them.
+func (e *Experiment) Run(ctx context.Context, env *Env) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -63,34 +59,37 @@ func (e *experiment) Run(ctx context.Context, env *Env) (Result, error) {
 	return e.run(ctx, env)
 }
 
-var registry = map[string]Experiment{}
-
-func register(name string, run func(ctx context.Context, env *Env) (Result, error)) {
-	registry[name] = &experiment{name: name, run: run}
+// paper is the evaluation in paper order: the drivers "all" runs and
+// renders (distinct from the sorted Names listing).
+var paper = []*Experiment{
+	{"table1", table1},
+	{"figure1", figure1},
+	{"table2", table2},
+	{"figure2", figure2},
+	{"figure3", figure3},
+	{"table3", table3},
+	{"table4", table4},
+	{"pspvalidation", pspValidation},
+	{"alternates", alternates},
+	{"casestudies", caseStudies},
+	{"accuracy", accuracy},
+	{"prediction", prediction},
+	{"ablations", ablations},
 }
 
-func init() {
-	register("table1", runTable1)
-	register("figure1", runFigure1)
-	register("table2", runTable2)
-	register("figure2", runFigure2)
-	register("figure3", runFigure3)
-	register("table3", runTable3)
-	register("table4", runTable4)
-	register("pspvalidation", runPSPValidation)
-	register("alternates", runAlternates)
-	register("casestudies", runCaseStudies)
-	register("accuracy", runAccuracy)
-	register("prediction", runPrediction)
-	register("ablations", runAblations)
-	// whatif is API-era (no pre-registry print driver) and deliberately
-	// NOT part of allOrder: "all" stays the paper reproduction.
-	register("whatif", runWhatIf)
-	register("all", runAll)
-}
+// registry is every driver by name: the paper's, whatif (API-era and
+// deliberately not part of "all", which stays the paper reproduction)
+// and all itself.
+var registry = func() map[string]*Experiment {
+	m := map[string]*Experiment{}
+	for _, e := range append(slices.Clip(paper), &Experiment{"whatif", whatIf}, &Experiment{"all", all}) {
+		m[e.name] = e
+	}
+	return m
+}()
 
 // Get looks up a registered experiment by name.
-func Get(name string) (Experiment, bool) {
+func Get(name string) (*Experiment, bool) {
 	e, ok := registry[name]
 	return e, ok
 }
@@ -148,22 +147,14 @@ func (r *AllResult) render(w io.Writer) {
 	}
 }
 
-// allOrder is the paper order the "all" experiment runs and renders in
-// (distinct from the sorted Names listing).
-var allOrder = []string{
-	"table1", "figure1", "table2", "figure2", "figure3", "table3",
-	"table4", "pspvalidation", "alternates", "casestudies", "accuracy",
-	"prediction", "ablations",
-}
-
-func runAll(ctx context.Context, env *Env) (Result, error) {
-	res := &AllResult{Parts: make([]NamedResult, 0, len(allOrder))}
-	for _, name := range allOrder {
-		part, err := registry[name].Run(ctx, env)
+func all(ctx context.Context, env *Env) (Result, error) {
+	res := &AllResult{Parts: make([]NamedResult, 0, len(paper))}
+	for _, e := range paper {
+		part, err := e.Run(ctx, env)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", name, err)
+			return nil, fmt.Errorf("experiments: %s: %w", e.name, err)
 		}
-		res.Parts = append(res.Parts, NamedResult{Name: name, Result: part})
+		res.Parts = append(res.Parts, NamedResult{Name: e.name, Result: part})
 	}
 	return res, nil
 }

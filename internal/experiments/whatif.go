@@ -45,14 +45,11 @@ func (r *WhatIfResult) render(w io.Writer) {
 	t.Render(w)
 }
 
-// runWhatIf sweeps one delta of every applicable kind over the
-// testbed. The set is a pure function of the sealed scenario (origin
-// and muxes always exist), so the result is deterministic and
-// cacheable like every other experiment.
-func runWhatIf(ctx context.Context, env *Env) (Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+// whatIf sweeps one delta of every applicable kind over the testbed,
+// checking ctx before each evaluation. The set is a pure function of
+// the sealed scenario (origin and muxes always exist), so the result is
+// deterministic and cacheable like every other experiment.
+func whatIf(ctx context.Context, env *Env) (Result, error) {
 	tb := env.S.Testbed
 	origin, mux0 := tb.Origin, tb.Muxes[0]
 	mux1 := tb.Muxes[1%len(tb.Muxes)]

@@ -11,18 +11,15 @@ import (
 // — no ctx.Err()/ctx.Done() check and no forwarding to a callee. Those
 // are the packages where cancellation is load-bearing: routelabd's
 // request deadline (504-on-timeout) and graceful drain only work if
-// every Experiment.Run implementation and service handler observes its
-// ctx before blocking work. A ctx parameter that is silently dropped
-// compiles fine, passes goldens (Background never cancels), and breaks
-// only under production timeout pressure.
+// every experiment driver and service handler with an inner stage
+// boundary observes its ctx there. A ctx parameter that is silently
+// dropped compiles fine, passes goldens (Background never cancels), and
+// breaks only under production timeout pressure.
 //
 // Both declared functions and function literals (the compute closures
-// handed to the cache/gate) are checked; a parameter named _ is an
-// explicit opt-out — except for functions with the Experiment.Run
-// shape, func(context.Context, *Env) (Result, error), inside
-// internal/experiments: a registered experiment that blanks its ctx
-// runs to completion even after its routelabd request timed out, so
-// discarding the parameter there is flagged too.
+// handed to the cache/gate) are checked. A parameter named _ is the
+// explicit opt-out, for a function with no point between its stages
+// where work could stop: its caller has already checked the ctx.
 func analyzerCtxFlow() *Analyzer {
 	return &Analyzer{
 		Name: "ctxflow",
@@ -37,7 +34,6 @@ func runCtxFlow(prog *Program, pkg *Package) []Finding {
 	default:
 		return nil
 	}
-	experimentsPkg := pkg.Path == prog.ModulePath+"/internal/experiments"
 	var out []Finding
 	check := func(name string, ftype *ast.FuncType, body *ast.BlockStmt, pos ast.Node) {
 		if body == nil {
@@ -54,14 +50,6 @@ func runCtxFlow(prog *Program, pkg *Package) []Finding {
 					"before blocking work (cancellation and request deadlines silently stop here)", name, param.Name()),
 			})
 		}
-		if experimentsPkg && blanksRunCtx(pkg, ftype) {
-			out = append(out, Finding{
-				Pos:  prog.Fset.Position(pos.Pos()),
-				Rule: "ctxflow",
-				Message: fmt.Sprintf("%s has the Experiment.Run shape but discards its ctx (_); "+
-					"bind it and check ctx.Err() so a timed-out routelabd request stops computing", name),
-			})
-		}
 	}
 	for _, file := range pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
@@ -75,56 +63,6 @@ func runCtxFlow(prog *Program, pkg *Package) []Finding {
 		})
 	}
 	return out
-}
-
-// blanksRunCtx reports whether a function type has the Experiment.Run
-// shape — func(context.Context, *Env) (Result, error), with Env and
-// Result resolved in the analyzed package — while binding its context
-// parameter to the blank identifier.
-func blanksRunCtx(pkg *Package, ftype *ast.FuncType) bool {
-	tv, ok := pkg.Info.Types[ftype]
-	if !ok {
-		// Declared functions: the FuncType node itself carries no type
-		// entry; reconstruct from the parameter/result fields.
-		return blanksRunCtxFields(pkg, ftype)
-	}
-	sig, ok := tv.Type.(*types.Signature)
-	if !ok || !isRunSignature(pkg, sig) {
-		return false
-	}
-	return firstParamIsBlank(ftype)
-}
-
-func blanksRunCtxFields(pkg *Package, ftype *ast.FuncType) bool {
-	if ftype.Params == nil || ftype.Results == nil ||
-		len(ftype.Params.List) != 2 || len(ftype.Results.List) != 2 {
-		return false
-	}
-	typeAt := func(fields *ast.FieldList, i int) types.Type {
-		tv, ok := pkg.Info.Types[fields.List[i].Type]
-		if !ok {
-			return nil
-		}
-		return tv.Type
-	}
-	if !isNamedType(typeAt(ftype.Params, 0), "context", "Context") ||
-		!isNamedType(typeAt(ftype.Params, 1), pkg.Path, "Env") ||
-		!isNamedType(typeAt(ftype.Results, 0), pkg.Path, "Result") {
-		return false
-	}
-	return firstParamIsBlank(ftype)
-}
-
-func isRunSignature(pkg *Package, sig *types.Signature) bool {
-	return sig.Params().Len() == 2 && sig.Results().Len() == 2 &&
-		isNamedType(sig.Params().At(0).Type(), "context", "Context") &&
-		isNamedType(sig.Params().At(1).Type(), pkg.Path, "Env") &&
-		isNamedType(sig.Results().At(0).Type(), pkg.Path, "Result")
-}
-
-func firstParamIsBlank(ftype *ast.FuncType) bool {
-	names := ftype.Params.List[0].Names
-	return len(names) == 1 && names[0].Name == "_"
 }
 
 // ctxParams returns the declared (named, non-blank) context.Context

@@ -1,6 +1,5 @@
-// Package experiments is the ctxflow fixture: run implementations and
-// helpers that take a context must consult it, and the Experiment.Run
-// shape may not blank its ctx.
+// Package experiments is the ctxflow fixture: drivers and helpers that
+// bind a context must consult it; a blanked ctx is the opt-out.
 package experiments
 
 import "context"
@@ -8,33 +7,27 @@ import "context"
 // Env is the fixture execution environment.
 type Env struct{ Seed int64 }
 
-// Result is the fixture structured-outcome interface.
-type Result interface{ renderable() }
-
-type okResult struct{}
-
-func (okResult) renderable() {}
-
 // runGuarded consults its ctx before computing: the sanctioned shape.
-func runGuarded(ctx context.Context, env *Env) (Result, error) {
+func runGuarded(ctx context.Context, env *Env) (int64, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return 0, err
 	}
-	return okResult{}, nil
+	return env.Seed, nil
 }
 
 // runForwarded forwards its ctx to a callee: forwarding counts as
 // consulting.
-func runForwarded(ctx context.Context, env *Env) (Result, error) {
+func runForwarded(ctx context.Context, env *Env) (int64, error) {
 	return runGuarded(ctx, env)
 }
 
-func runDiscards(_ context.Context, env *Env) (Result, error) { //lint:want ctxflow
-	return okResult{}, nil
+// runDiscards has no stage boundary of its own: _ opts out.
+func runDiscards(_ context.Context, env *Env) (int64, error) {
+	return env.Seed, nil
 }
 
-func runIgnores(ctx context.Context, env *Env) (Result, error) { //lint:want ctxflow
-	return okResult{}, nil
+func runIgnores(ctx context.Context, env *Env) (int64, error) { //lint:want ctxflow
+	return env.Seed, nil
 }
 
 func helperIgnores(ctx context.Context, n int) int { //lint:want ctxflow
@@ -42,6 +35,6 @@ func helperIgnores(ctx context.Context, n int) int { //lint:want ctxflow
 }
 
 //lint:allow ctxflow fixture demonstrates suppression
-func runSuppressed(ctx context.Context, env *Env) (Result, error) {
-	return okResult{}, nil
+func runSuppressed(ctx context.Context, env *Env) (int64, error) {
+	return env.Seed, nil
 }

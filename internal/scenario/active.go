@@ -9,7 +9,6 @@ import (
 	"routelab/internal/classify"
 	"routelab/internal/parallel"
 	"routelab/internal/peering"
-	"routelab/internal/traceroute"
 	"routelab/internal/vantage"
 )
 
@@ -265,22 +264,5 @@ func (s *Scenario) observedTargets(rng *rand.Rand, prefix asn.Prefix) []asn.ASN 
 		out = append(out, a)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// ActiveTraceroutes issues data-plane measurements toward a PEERING
-// prefix from the active probe set (used to report which ASes the
-// traceroute channel covers).
-func (s *Scenario) ActiveTraceroutes(rng *rand.Rand, prefix asn.Prefix) []traceroute.Trace {
-	tracer := traceroute.New(s.Topo, s.RIB, s.Cfg.Traceroute)
-	var out []traceroute.Trace
-	dst := prefix.Nth(1200)
-	for _, a := range s.activeProbeSet(rng) {
-		x := s.Topo.AS(a)
-		if len(x.Cities) == 0 {
-			continue
-		}
-		out = append(out, tracer.Trace(a, x.Cities[0], dst))
-	}
 	return out
 }

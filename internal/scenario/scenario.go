@@ -21,8 +21,8 @@
 //
 // A built Scenario is read-only and safe for concurrent readers, with
 // one exception: methods taking a *rand.Rand (Campaign,
-// RunMagnetCampaign, RunAlternatesCampaign, ActiveTraceroutes) mutate
-// that rand and must not share it across goroutines. Context's model
+// RunMagnetCampaign, RunAlternatesCampaign) mutate that rand and must
+// not share it across goroutines. Context's model
 // caches are internally synchronized (see classify.Context).
 package scenario
 

@@ -351,10 +351,7 @@ func (srv *Server) serveAlternates(rp *reply, r *http.Request) {
 		return
 	}
 	key := "alternates|" + target.String()
-	srv.respond(rp, r, key, "application/json", func(ctx context.Context) ([]byte, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	srv.respond(rp, r, key, "application/json", func(_ context.Context) ([]byte, error) {
 		return srv.alternatesBody(target)
 	})
 }
@@ -435,10 +432,7 @@ func (srv *Server) serveAS(rp *reply, r *http.Request) {
 		return
 	}
 	key := "as|" + a.String()
-	srv.respond(rp, r, key, "application/json", func(ctx context.Context) ([]byte, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	srv.respond(rp, r, key, "application/json", func(_ context.Context) ([]byte, error) {
 		return srv.asBody(x.ASN)
 	})
 }

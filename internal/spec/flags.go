@@ -67,7 +67,7 @@ func (w *World) Resolve() (*Expansion, error) {
 	var exp *Expansion
 	if *w.spec != "" {
 		var err error
-		exp, err = Expand(*w.spec, splitOverlays(*w.overlay))
+		exp, err = Expand(*w.spec, SplitOverlays(*w.overlay))
 		if err != nil {
 			return nil, fmt.Errorf("spec: %w", err)
 		}
@@ -112,8 +112,9 @@ func (w *World) Resolve() (*Expansion, error) {
 	return exp, nil
 }
 
-// splitOverlays parses the -overlay flag's comma-separated list.
-func splitOverlays(s string) []string {
+// SplitOverlays parses an -overlay flag's comma-separated list (routelab,
+// routelabd and scengen): names are trimmed and empty ones dropped.
+func SplitOverlays(s string) []string {
 	var out []string
 	for _, name := range strings.Split(s, ",") {
 		if name = strings.TrimSpace(name); name != "" {

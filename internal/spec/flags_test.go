@@ -64,6 +64,23 @@ func TestWorldResolve(t *testing.T) {
 		}
 	})
 
+	t.Run("overlay list is trimmed", func(t *testing.T) {
+		// The splitter scengen shares: spaces around a name and an empty
+		// trailing entry are not part of the list.
+		paper := filepath.Join(corpusDir, "paper.yaml")
+		_, exp, err := resolveArgs(t, "-spec", paper, "-overlay", " dense-monitors ,")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Expand(paper, []string{"dense-monitors"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(exp.Overlays, []string{"dense-monitors"}) || !reflect.DeepEqual(exp.Config, want.Config) {
+			t.Errorf("overlays %q config %+v, want dense-monitors applied: %+v", exp.Overlays, exp.Config, want.Config)
+		}
+	})
+
 	t.Run("flag-built world", func(t *testing.T) {
 		w, exp, err := resolveArgs(t)
 		if err != nil {

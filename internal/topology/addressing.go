@@ -124,13 +124,3 @@ func (t *Topology) CityOfAddr(ip asn.Addr) geo.CityID {
 	}
 	return 0
 }
-
-// AnnouncedBy returns the prefixes an AS originates (owned plus hosted
-// cache prefixes), i.e. everything it must inject into BGP.
-func (t *Topology) AnnouncedBy(a asn.ASN) []asn.Prefix {
-	x := t.ases[a]
-	if x == nil {
-		return nil
-	}
-	return x.Prefixes
-}

@@ -114,17 +114,6 @@ func (b *Builder) Link(x, y asn.ASN, roleOfY Rel, cities ...geo.CityID) *Link {
 	return b.topo.links[l.Key()]
 }
 
-// Retire removes a live link and records it in RetiredLinks.
-func (b *Builder) Retire(x, y asn.ASN) {
-	l := b.topo.Link(x, y)
-	if l == nil {
-		panic("builder: retiring a nonexistent link")
-	}
-	g := &generator{topo: b.topo}
-	g.removeLink(l)
-	b.topo.RetiredLinks = append(b.topo.RetiredLinks, l)
-}
-
 // Name registers a scenario handle.
 func (b *Builder) Name(name string, a asn.ASN) { b.topo.Names[name] = a }
 
