@@ -33,7 +33,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	gb := s.Context.GeoClassify(s.Measurements, classify.Simple)
+	gb := s.Verdicts.GeoClassify(classify.Simple)
 	fmt.Println("== decision breakdown by geography (Simple model) ==")
 	emit := func(label string, counts map[classify.Category]int) {
 		total := 0
@@ -58,14 +58,14 @@ func main() {
 	emit("intercontinental", gb.Intercontinental)
 
 	fmt.Println("\n== domestic-path preference (Table 3) ==")
-	for _, r := range s.Context.DomesticAnalysis(s.Measurements, classify.Simple) {
+	for _, r := range s.Verdicts.DomesticAnalysis(classify.Simple) {
 		fmt.Printf("%-14s NonBest/Short=%-4d explained=%-4d (%.0f%%)\n",
 			r.Continent.Name(), r.NonBestShort, r.Explained,
 			stats.Pct(r.Explained, r.NonBestShort))
 	}
 
 	fmt.Println("\n== undersea cables (Table 4) ==")
-	st := s.Context.CableAnalysis(s.Measurements, classify.Simple)
+	st := s.Verdicts.CableAnalysis(classify.Simple)
 	fmt.Printf("cable ASes on %.1f%% of measured paths\n", stats.Pct(st.PathsWithCable, st.TotalPaths))
 	for _, r := range st.Rows {
 		if r.Category.IsViolation() {

@@ -34,11 +34,17 @@ func main() {
 		os.Exit(1)
 	}
 
-	// Group decisions by the AS that made them.
-	byAS := map[asn.ASN][]classify.Decision{}
-	for _, d := range s.Decisions() {
-		byAS[d.At] = append(byAS[d.At], d)
+	// Group decisions by the AS that made them, each as its place in the
+	// campaign: measurement i's decision j, whose verdicts the build
+	// already holds (s.Verdicts.Of(i, ref)[j]).
+	type place struct{ i, j int }
+	byAS := map[asn.ASN][]place{}
+	for i := range s.Measurements {
+		for j, d := range s.Measurements[i].Decisions {
+			byAS[d.At] = append(byAS[d.At], place{i, j})
+		}
 	}
+	verdict := func(p place, ref classify.Refinement) classify.Category { return s.Verdicts.Of(p.i, ref)[p.j] }
 	audited := asn.ASN(*target)
 	if audited.IsZero() {
 		for a, ds := range byAS {
@@ -60,7 +66,10 @@ func main() {
 		x.DomesticBias, x.ResearchPreference, len(x.SelectiveExport))
 
 	for _, ref := range classify.Refinements {
-		bd := s.Context.Breakdown(ds, ref)
+		bd := map[classify.Category]int{}
+		for _, p := range ds {
+			bd[verdict(p, ref)]++
+		}
 		fmt.Printf("%-8s", ref)
 		for _, cat := range classify.Categories {
 			fmt.Printf("  %s=%d", cat, bd[cat])
@@ -71,13 +80,14 @@ func main() {
 	// Show the worst offenders: destinations this AS deviates toward.
 	fmt.Println("\ndeviating decisions (Simple model):")
 	type row struct {
-		d   classify.Decision
-		cat classify.Category
+		d         classify.Decision
+		cat       classify.Category
+		explained bool
 	}
 	var rows []row
-	for _, d := range ds {
-		if cat := s.Context.Classify(d, classify.Simple); cat.IsViolation() {
-			rows = append(rows, row{d, cat})
+	for _, p := range ds {
+		if cat := verdict(p, classify.Simple); cat.IsViolation() {
+			rows = append(rows, row{s.Measurements[p.i].Decisions[p.j], cat, !verdict(p, classify.All1).IsViolation()})
 		}
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].d.DstAS < rows[j].d.DstAS })
@@ -89,7 +99,7 @@ func main() {
 		}
 		shown++
 		explained := "unexplained"
-		if !s.Context.Classify(r.d, classify.All1).IsViolation() {
+		if r.explained {
 			explained = "explained by All-1"
 		}
 		fmt.Printf("  toward %s prefix %s via %s: %s (%s)\n",

@@ -20,17 +20,15 @@ type GeoBreakdown struct {
 }
 
 // GeoClassify computes Figure 3 under a refinement.
-func (cx *Context) GeoClassify(ms []Measurement, ref Refinement) GeoBreakdown {
+func (v *Verdicts) GeoClassify(ref Refinement) GeoBreakdown {
 	gb := GeoBreakdown{
 		PerContinent:     make(map[geo.Continent]map[Category]int),
 		Continental:      make(map[Category]int),
 		Intercontinental: make(map[Category]int),
 	}
-	for i := range ms {
-		m := &ms[i]
-		cont, confined := m.Continental(cx.World)
-		for _, d := range m.Decisions {
-			cat := cx.Classify(d, ref)
+	for i := range v.ms {
+		cont, confined := v.ms[i].Continental(v.cx.World)
+		for _, cat := range v.Of(i, ref) {
 			if confined {
 				pc := gb.PerContinent[cont]
 				if pc == nil {
@@ -64,10 +62,11 @@ type DomesticRow struct {
 // check whether the model offers a Best/Short path that is multinational
 // — containing at least one AS whois-registered outside the source and
 // destination ASes' countries.
-func (cx *Context) DomesticAnalysis(ms []Measurement, ref Refinement) []DomesticRow {
+func (v *Verdicts) DomesticAnalysis(ref Refinement) []DomesticRow {
+	cx := v.cx
 	rows := make(map[geo.Continent]*DomesticRow)
-	for i := range ms {
-		m := &ms[i]
+	for i := range v.ms {
+		m := &v.ms[i]
 		country, single := m.SingleCountry(cx.World)
 		if !single {
 			continue
@@ -80,12 +79,12 @@ func (cx *Context) DomesticAnalysis(ms []Measurement, ref Refinement) []Domestic
 		}
 		srcCountry := cx.Registry.RegisteredCountry(m.SrcAS)
 		dstCountry := cx.Registry.RegisteredCountry(m.DstAS)
-		for _, d := range m.Decisions {
-			if cx.Classify(d, ref) != NonBestShort {
+		for j, cat := range v.Of(i, ref) {
+			if cat != NonBestShort {
 				continue
 			}
 			row.NonBestShort++
-			if cx.hasMultinationalAlternative(d, srcCountry, dstCountry) {
+			if cx.hasMultinationalAlternative(m.Decisions[j], srcCountry, dstCountry) {
 				row.Explained++
 			}
 		}
@@ -140,29 +139,30 @@ type CableStats struct {
 }
 
 // CableAnalysis computes Table 4 under a refinement.
-func (cx *Context) CableAnalysis(ms []Measurement, ref Refinement) CableStats {
+func (v *Verdicts) CableAnalysis(ref Refinement) CableStats {
+	cables := v.cx.CableASes
 	var st CableStats
 	perCat := map[Category]*CableRow{}
 	for _, c := range Categories {
 		perCat[c] = &CableRow{Category: c}
 	}
-	for i := range ms {
-		m := &ms[i]
+	for i := range v.ms {
+		m := &v.ms[i]
 		st.TotalPaths++
 		onPath := false
 		for _, a := range m.ASPath {
-			if cx.CableASes[a] {
+			if cables[a] {
 				onPath = true
 			}
 		}
 		if onPath {
 			st.PathsWithCable++
 		}
-		for _, d := range m.Decisions {
-			cat := cx.Classify(d, ref)
+		for j, cat := range v.Of(i, ref) {
+			d := &m.Decisions[j]
 			row := perCat[cat]
 			row.Total++
-			involved := cx.CableASes[d.At] || cx.CableASes[d.Via]
+			involved := cables[d.At] || cables[d.Via]
 			if involved {
 				row.WithCable++
 				st.CableDecisions++
@@ -190,12 +190,12 @@ type SkewPoint struct {
 // category but Best/Short). The "source" of a violation is the AS that
 // MADE the deviating decision (the paper's Cogent example), not the
 // probe host; the destination is the decision's destination AS.
-func (cx *Context) ViolationSkew(ms []Measurement, ref Refinement, byDestination bool) []SkewPoint {
+func (v *Verdicts) ViolationSkew(ref Refinement, byDestination bool) []SkewPoint {
 	counts := map[asn.ASN]*SkewPoint{}
-	for i := range ms {
-		m := &ms[i]
-		for _, d := range m.Decisions {
-			cat := cx.Classify(d, ref)
+	for i := range v.ms {
+		m := &v.ms[i]
+		for j, cat := range v.Of(i, ref) {
+			d := &m.Decisions[j]
 			if !cat.IsViolation() {
 				continue
 			}

@@ -83,10 +83,8 @@ func ablations(ctx context.Context, env *Env) (Result, error) {
 	return res, nil
 }
 
-// bestShortPct is the Best/Short share of ds under the plain
-// Gao–Rexford comparison against cx's graph.
-func bestShortPct(cx *classify.Context, ds []classify.Decision) float64 {
-	bd := cx.Breakdown(ds, classify.Simple)
+// bestShortPct is the Best/Short share of a breakdown.
+func bestShortPct(bd map[classify.Category]int) float64 {
 	total := 0
 	for _, n := range bd {
 		total += n
@@ -141,7 +139,8 @@ func computeProbeSelectionAblation(res *AblationsResult, s *scenario.Scenario, r
 		res.ProbeSkipReason = err.Error()
 		return
 	}
-	row := func(label string, probes []atlas.Probe, measurements []classify.Measurement) AblationProbeRow {
+	// simple is the Simple verdict on decision j of measurement i.
+	row := func(label string, probes []atlas.Probe, measurements []classify.Measurement, simple func(i, j int) classify.Category) AblationProbeRow {
 		defer obs.StartStage("classify/ablation-breakdowns")()
 		eu := 0
 		for _, p := range probes {
@@ -154,8 +153,8 @@ func computeProbeSelectionAblation(res *AblationsResult, s *scenario.Scenario, r
 		for i := range measurements {
 			m := &measurements[i]
 			_, confined := m.Continental(s.Topo.World)
-			for _, d := range m.Decisions {
-				bd[s.Context.Classify(d, classify.Simple)]++
+			for j := range m.Decisions {
+				bd[simple(i, j)]++
 				allDecisions++
 				if confined {
 					contDecisions++
@@ -171,8 +170,13 @@ func computeProbeSelectionAblation(res *AblationsResult, s *scenario.Scenario, r
 		}
 	}
 	res.ProbeRows = append(res.ProbeRows,
-		row("balanced (paper)", s.Probes, s.Measurements),
-		row("raw sample", raw, ms))
+		row("balanced (paper)", s.Probes, s.Measurements, func(i, j int) classify.Category {
+			return s.Verdicts.Of(i, classify.Simple)[j]
+		}),
+		// The raw campaign's decisions are not the build's: judge them here.
+		row("raw sample", raw, ms, func(i, j int) classify.Category {
+			return s.Context.Classify(ms[i].Decisions[j], classify.Simple)
+		}))
 }
 
 // computeThresholdAblation sweeps the inference visibility threshold
@@ -192,7 +196,7 @@ func computeThresholdAblation(res *AblationsResult, s *scenario.Scenario, eviden
 			return AblationThresholdRow{
 				Threshold:    th,
 				Edges:        g.NumEdges(),
-				BestShortPct: bestShortPct(s.Context.WithGraph(g), ds),
+				BestShortPct: bestShortPct(s.Context.WithGraph(g).Breakdown(ds, classify.Simple)),
 			}
 		})
 	res.ThresholdRows = rows
@@ -210,11 +214,11 @@ func computeAggregationAblation(res *AblationsResult, s *scenario.Scenario, late
 		AblationAggRow{
 			Topology:     "5-epoch aggregate (paper)",
 			Edges:        s.Context.Graph.NumEdges(),
-			BestShortPct: bestShortPct(s.Context, ds),
+			BestShortPct: bestShortPct(s.Verdicts.Breakdown(classify.Simple)),
 		},
 		AblationAggRow{
 			Topology:     "latest epoch only",
 			Edges:        latest.NumEdges(),
-			BestShortPct: bestShortPct(s.Context.WithGraph(latest), ds),
+			BestShortPct: bestShortPct(s.Context.WithGraph(latest).Breakdown(ds, classify.Simple)),
 		})
 }

@@ -18,7 +18,6 @@ import (
 	"routelab/internal/atlas"
 	"routelab/internal/classify"
 	"routelab/internal/geo"
-	"routelab/internal/parallel"
 	"routelab/internal/report"
 	"routelab/internal/stats"
 	"routelab/internal/topology"
@@ -112,25 +111,17 @@ type Figure1Result struct {
 	Rows            []Figure1Row `json:"rows"`
 }
 
-// figure1 classifies the seven columns concurrently (each
-// refinement is an independent pass over the decision set, sharing only
-// classify.Context's synchronized model caches); rows follow the fixed
-// Refinements order, so the figure bytes do not depend on the worker
-// count.
+// figure1 counts the seven verdict columns the build judged (one per
+// refinement); rows follow the fixed Refinements order.
 func figure1(_ context.Context, env *Env) (Result, error) {
 	s := env.S
-	ds := s.Decisions()
 	res := &Figure1Result{
-		Decisions:       len(ds),
+		Decisions:       len(s.Verdicts.Column(classify.Simple)),
 		Traces:          len(s.Measurements),
 		DestinationASes: s.DestinationASes(),
 	}
-	breakdowns := parallel.MapStage("experiments/figure1-breakdowns", classify.Refinements, s.Cfg.RoutingWorkers,
-		func(_ int, ref classify.Refinement) map[classify.Category]int {
-			return s.Context.Breakdown(ds, ref)
-		})
-	for ri, ref := range classify.Refinements {
-		bd := breakdowns[ri]
+	for _, ref := range classify.Refinements {
+		bd := s.Verdicts.Breakdown(ref)
 		total := 0
 		for _, n := range bd {
 			total += n
@@ -239,7 +230,7 @@ func figure2(_ context.Context, env *Env) (Result, error) {
 	s := env.S
 	res := &Figure2Result{}
 	for _, byDst := range []bool{false, true} {
-		sk := s.Context.ViolationSkew(s.Measurements, classify.Simple, byDst)
+		sk := s.Verdicts.ViolationSkew(classify.Simple, byDst)
 		counts := make([]int, len(sk))
 		for i, p := range sk {
 			counts[i] = p.Count
@@ -320,7 +311,7 @@ type Figure3Result struct {
 
 func figure3(_ context.Context, env *Env) (Result, error) {
 	s := env.S
-	gb := s.Context.GeoClassify(s.Measurements, classify.Simple)
+	gb := s.Verdicts.GeoClassify(classify.Simple)
 	res := &Figure3Result{}
 	emit := func(label string, counts map[classify.Category]int) {
 		total := 0
@@ -385,7 +376,7 @@ type Table3Result struct {
 
 func table3(_ context.Context, env *Env) (Result, error) {
 	s := env.S
-	rows := s.Context.DomesticAnalysis(s.Measurements, classify.Simple)
+	rows := s.Verdicts.DomesticAnalysis(classify.Simple)
 	res := &Table3Result{}
 	for _, r := range rows {
 		res.Rows = append(res.Rows, Table3Row{
@@ -433,7 +424,7 @@ type Table4Result struct {
 
 func table4(_ context.Context, env *Env) (Result, error) {
 	s := env.S
-	st := s.Context.CableAnalysis(s.Measurements, classify.Simple)
+	st := s.Verdicts.CableAnalysis(classify.Simple)
 	res := &Table4Result{
 		PathsWithCable:  st.PathsWithCable,
 		TotalPaths:      st.TotalPaths,

@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math/rand"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -242,6 +244,38 @@ func TestAblationsRender(t *testing.T) {
 	for _, want := range []string{"probe selection", "visibility threshold", "snapshot aggregation"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("ablations missing %q", want)
+		}
+	}
+}
+
+// TestSeedOnlyMovesSeededExperiments pins what keeps a ?seed= sweep
+// cheap: only table2 (its observers), alternates, casestudies and
+// ablations draw from the seed. Every other paper driver is a function
+// of the scenario alone, and a magnet campaign observes the build's
+// magnet runs instead of running its own.
+func TestSeedOnlyMovesSeededExperiments(t *testing.T) {
+	s := testScenario(t)
+	seeded := map[string]bool{"table2": true, "alternates": true, "casestudies": true, "ablations": true}
+	for _, e := range paper {
+		if seeded[e.name] {
+			continue
+		}
+		a, err := e.Run(context.Background(), &Env{S: s, Seed: 7})
+		if err != nil {
+			t.Fatalf("%s at seed 7: %v", e.name, err)
+		}
+		b, err := e.Run(context.Background(), &Env{S: s, Seed: 8})
+		if err != nil {
+			t.Fatalf("%s at seed 8: %v", e.name, err)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: the result moves with the seed", e.name)
+		}
+	}
+	for _, seed := range []int64{7, 8} {
+		mc := s.RunMagnetCampaign(rand.New(rand.NewSource(seed)))
+		if len(mc.Runs) != len(s.Magnet) || len(mc.Runs) == 0 || &mc.Runs[0] != &s.Magnet[0] {
+			t.Errorf("seed %d: the campaign's %d runs are not the build's %d magnet runs", seed, len(mc.Runs), len(s.Magnet))
 		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 // mux, with decisions prepared for Table 2 classification under both
 // observation channels.
 type MagnetCampaign struct {
+	// Runs is the scenario's Magnet, shared rather than copied: read-only.
 	Runs []peering.MagnetResult
 	// FeedDecisions observe ASes visible on monitor-feed paths toward
 	// the PEERING prefix; TraceDecisions those on active traceroute
@@ -23,20 +24,30 @@ type MagnetCampaign struct {
 	FeedDecisions, TraceDecisions []classify.MagnetDecision
 }
 
-// RunMagnetCampaign executes a magnet run per mux and builds the
-// decision sets. The "other routes observed from x" pool only contains
-// routes genuinely visible through the respective channel across the
-// whole campaign, mirroring the paper's observer.
-func (s *Scenario) RunMagnetCampaign(rng *rand.Rand) MagnetCampaign {
+// runMagnets executes the magnet experiment once per mux, each over its
+// own bgp.Computation, fanned out across the worker pool. It observes
+// every AS (a cheap superset of what either channel could see): the
+// per-channel visibility is filtered by RunMagnetCampaign using actual
+// paths, so the runs themselves depend on no observer and no rng.
+func (s *Scenario) runMagnets() []peering.MagnetResult {
 	prefix := s.Testbed.Prefixes[0]
+	observe := s.Topo.ASNs()
+	return parallel.MapStage("scenario/magnet", s.Testbed.Muxes, s.Cfg.RoutingWorkers,
+		func(mi int, _ asn.ASN) peering.MagnetResult {
+			return s.Testbed.Magnet(prefix, mi, observe)
+		})
+}
+
+// RunMagnetCampaign observes the build's magnet runs (s.Magnet) and
+// builds the decision sets. Only the observers — the feed peers and the
+// active probes — are drawn from rng. The "other routes observed from x"
+// pool only contains routes genuinely visible through the respective
+// channel across the whole campaign, mirroring the paper's observer.
+func (s *Scenario) RunMagnetCampaign(rng *rand.Rand) MagnetCampaign {
 	feedPeers := vantage.SelectPeers(s.Topo, rng, s.Cfg.NumVantagePeers)
 	activeProbes := s.activeProbeSet(rng)
 
-	var campaign MagnetCampaign
-	// Every AS either channel could possibly observe (cheap superset:
-	// transit ASes plus muxes' neighborhoods); the per-channel
-	// visibility is filtered after the runs using actual paths.
-	observe := s.Topo.ASNs()
+	campaign := MagnetCampaign{Runs: s.Magnet}
 
 	// Each channel learns, per AS, the set of NEXT HOPS the AS was ever
 	// seen using (across all runs and both phases) — that is everything
@@ -61,13 +72,8 @@ func (s *Scenario) RunMagnetCampaign(rng *rand.Rand) MagnetCampaign {
 		m[r.NextHop] = true
 	}
 
-	// One magnet run per mux, each over its own bgp.Computation — fan
-	// out, then do the order-sensitive visibility marking serially over
-	// the merged runs (in mux order, same as the serial path).
-	campaign.Runs = parallel.MapStage("scenario/magnet", s.Testbed.Muxes, s.Cfg.RoutingWorkers,
-		func(mi int, _ asn.ASN) peering.MagnetResult {
-			return s.Testbed.Magnet(prefix, mi, observe)
-		})
+	// The order-sensitive visibility marking runs serially over the
+	// runs, in mux order.
 	for ri := range campaign.Runs {
 		res := campaign.Runs[ri]
 		// Determine per-channel visibility from the post-anycast state:

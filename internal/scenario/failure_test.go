@@ -29,7 +29,7 @@ func TestFailureBlindGeolocation(t *testing.T) {
 	if len(s.Measurements) == 0 {
 		t.Fatal("blind geolocation should not kill the campaign")
 	}
-	gb := s.Context.GeoClassify(s.Measurements, classify.Simple)
+	gb := s.Verdicts.GeoClassify(classify.Simple)
 	total := 0
 	for _, n := range gb.Continental {
 		total += n
@@ -38,7 +38,7 @@ func TestFailureBlindGeolocation(t *testing.T) {
 		t.Errorf("continental decisions %d with a blind geolocation DB", total)
 	}
 	// Domestic analysis finds nothing but must not panic.
-	rows := s.Context.DomesticAnalysis(s.Measurements, classify.Simple)
+	rows := s.Verdicts.DomesticAnalysis(classify.Simple)
 	for _, r := range rows {
 		if r.NonBestShort != 0 {
 			t.Errorf("domestic rows nonzero without geolocation: %+v", r)
@@ -97,7 +97,7 @@ func TestFailureNoVantagePoints(t *testing.T) {
 	}
 	// Classification still runs; most decisions land in NonBest buckets
 	// because the model graph is nearly empty. No panics is the test.
-	bd := s.Context.Breakdown(s.Decisions(), classify.All1)
+	bd := s.Verdicts.Breakdown(classify.All1)
 	total := 0
 	for _, n := range bd {
 		total += n

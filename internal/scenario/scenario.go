@@ -10,20 +10,26 @@
 // # Concurrency
 //
 // Build runs its independent units of work — per-prefix convergence,
-// per-probe traceroute generation, per-snapshot inference — through
-// internal/parallel, bounded by Config.RoutingWorkers; the active
-// campaigns (RunMagnetCampaign per mux, RunAlternatesCampaign per
-// target) do the same. Results are merged in a stable order, so a build
-// is byte-identical for any worker count. Every stage that consumes the
-// build's master rand.Rand does so serially, BEFORE fanning out (the
-// campaign derives one seed per probe up front); worker functions only
-// read the sealed topology, the engine, and the immutable RIB.
+// per-probe traceroute generation, per-snapshot inference, per-mux
+// magnet runs, per-refinement judging — through internal/parallel,
+// bounded by Config.RoutingWorkers; the alternates campaign
+// (RunAlternatesCampaign, per target) does the same. Results are merged
+// in a stable order, so a build is byte-identical for any worker count.
+// Every stage that consumes the build's master rand.Rand does so
+// serially, BEFORE fanning out (the campaign derives one seed per probe
+// up front); worker functions only read the sealed topology, the
+// engine, and the immutable RIB.
 //
-// A built Scenario is read-only and safe for concurrent readers, with
-// one exception: methods taking a *rand.Rand (Campaign,
-// RunMagnetCampaign, RunAlternatesCampaign) mutate that rand and must
-// not share it across goroutines. Context's model
-// caches are internally synchronized (see classify.Context).
+// Everything a seed does not choose is computed by Build: the magnet
+// runs (Magnet) and the verdict on every measured decision under every
+// refinement (Verdicts). A built Scenario is then read-only and safe for
+// concurrent readers, with no lock of its own, with one exception:
+// methods taking a *rand.Rand (Campaign, RunMagnetCampaign,
+// RunAlternatesCampaign) mutate that rand and must not share it across
+// goroutines. Context's model caches are internally synchronized (see
+// classify.Context), and the judge phase fills them for every decision
+// of the campaign, so reading the scenario's own figures and tables
+// leaves them as Build left them.
 package scenario
 
 import (
@@ -150,8 +156,15 @@ type Scenario struct {
 	Measurements []classify.Measurement
 	// TracesIssued counts all traceroutes, including unusable ones.
 	TracesIssued int
+	// Verdicts is every decision of Measurements judged under every
+	// Figure 1 refinement (Context.Judge): what Figures 1–3, Tables 3–4
+	// and /v1/classify read.
+	Verdicts *classify.Verdicts
 
 	Testbed *peering.Testbed
+	// Magnet holds one §3.2 magnet run per testbed mux, in mux order:
+	// a fixed function of the testbed, which RunMagnetCampaign observes.
+	Magnet []peering.MagnetResult
 }
 
 // Phases are the stages of Build, named as their obs stage timers, in
@@ -166,6 +179,8 @@ var Phases = []string{
 	"scenario/atlas",
 	"scenario/campaign",
 	"scenario/lookingglass",
+	"scenario/magnet",
+	"scenario/judge",
 }
 
 // Logf receives Build's progress lines, each with the index in Phases of
@@ -334,6 +349,15 @@ func Build(cfg Config, logf Logf) (*Scenario, error) {
 	// (the paper found 28 of 149 candidate neighbors).
 	stop = obs.StartStage(begin("scenario/lookingglass", "deploying looking glasses"))
 	s.LookingGlasses = lookingglass.Deploy(s.Topo, s.RIB, rng, 0.2)
+	stop()
+
+	// The last two phases draw nothing from rng: they compute once what
+	// every reader of the scenario would otherwise recompute per request.
+	begin("scenario/magnet", "running %d magnet experiments (%d workers)", len(s.Testbed.Muxes), workers) // MapStage starts the stage
+	s.Magnet = s.runMagnets()
+
+	stop = obs.StartStage(begin("scenario/judge", "judging %d decisions under %d refinements", decisions, len(classify.Refinements)))
+	s.Verdicts = s.Context.Judge(s.Measurements, cfg.RoutingWorkers)
 	stop()
 
 	return s, nil

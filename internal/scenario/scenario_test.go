@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -89,7 +90,7 @@ func TestSimpleBreakdownShape(t *testing.T) {
 	if len(ds) < 500 {
 		t.Fatalf("only %d decisions", len(ds))
 	}
-	bd := s.Context.Breakdown(ds, classify.Simple)
+	bd := s.Verdicts.Breakdown(classify.Simple)
 	total := 0
 	for _, n := range bd {
 		total += n
@@ -105,16 +106,15 @@ func TestSimpleBreakdownShape(t *testing.T) {
 
 func TestRefinementsOnlyImprove(t *testing.T) {
 	s := getScenario(t)
-	ds := s.Decisions()
-	base := s.Context.Breakdown(ds, classify.Simple)[classify.BestShort]
+	base := s.Verdicts.Breakdown(classify.Simple)[classify.BestShort]
 	for _, ref := range []classify.Refinement{classify.Sibs, classify.All1} {
-		got := s.Context.Breakdown(ds, ref)[classify.BestShort]
+		got := s.Verdicts.Breakdown(ref)[classify.BestShort]
 		if got < base {
 			t.Errorf("%s Best/Short %d < Simple %d — refinement made things worse", ref, got, base)
 		}
 	}
-	all1 := s.Context.Breakdown(ds, classify.All1)[classify.BestShort]
-	all2 := s.Context.Breakdown(ds, classify.All2)[classify.BestShort]
+	all1 := s.Verdicts.Breakdown(classify.All1)[classify.BestShort]
+	all2 := s.Verdicts.Breakdown(classify.All2)[classify.BestShort]
 	if all2 > all1 {
 		t.Errorf("All-2 (%d) explained more than All-1 (%d); criteria 2 is the conservative one", all2, all1)
 	}
@@ -158,14 +158,19 @@ func TestAlternatesCampaign(t *testing.T) {
 	}
 }
 
+// TestBuildDeterministic builds one config on the serial reference path
+// and on a pool: the campaigns, the verdict columns and the magnet runs
+// must agree.
 func TestBuildDeterministic(t *testing.T) {
 	cfg := TestConfig()
 	cfg.TracesTarget = 300
 	cfg.NumProbes = 60
+	cfg.RoutingWorkers = 1
 	a, err := Build(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg.RoutingWorkers = 4
 	b, err := Build(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -176,5 +181,16 @@ func TestBuildDeterministic(t *testing.T) {
 	}
 	if a.Inferred.NumEdges() != b.Inferred.NumEdges() {
 		t.Error("inferred graphs differ across identical builds")
+	}
+	for _, ref := range classify.Refinements {
+		if !slices.Equal(a.Verdicts.Column(ref), b.Verdicts.Column(ref)) {
+			t.Errorf("%s verdict columns differ between workers=1 and workers=4", ref)
+		}
+	}
+	if len(a.Magnet) != len(a.Testbed.Muxes) {
+		t.Errorf("%d magnet runs for %d muxes", len(a.Magnet), len(a.Testbed.Muxes))
+	}
+	if !reflect.DeepEqual(a.Magnet, b.Magnet) {
+		t.Error("magnet runs differ between workers=1 and workers=4")
 	}
 }

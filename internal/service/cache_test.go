@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -47,6 +48,33 @@ func TestCachePartitionsByTenant(t *testing.T) {
 	}
 	if got, hit := fill(a, "b|c", "recomputed"); hit || got != "recomputed" {
 		t.Errorf(`purged entry still served: body %q hit %v`, got, hit)
+	}
+}
+
+// TestFormatSpellingsShareOneEntry: a bare experiment request is the
+// json one, so the two spellings compute once and share one cached body.
+func TestFormatSpellingsShareOneEntry(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	fetch := func(query string) (cache, body string) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/experiments/table1" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %q: status %d, err %v\n%s", query, resp.StatusCode, err, raw)
+		}
+		return resp.Header.Get(CacheHeader), string(raw)
+	}
+	bareCache, bare := fetch("")
+	jsonCache, asJSON := fetch("?format=json")
+	if bareCache != "miss" || jsonCache != "hit" {
+		t.Errorf("bare request %s, then ?format=json %s: want miss, then hit", bareCache, jsonCache)
+	}
+	if bare != asJSON {
+		t.Error("?format=json serves other bytes than the bare request")
 	}
 }
 

@@ -83,9 +83,9 @@ func TestBuildProgressValidateRejects(t *testing.T) {
 		{"percent range", func(d *BuildProgressData) { d.Percent = 101 }},
 		{"100 without built", func(d *BuildProgressData) { d.Percent = 100 }},
 		{"built without 100", func(d *BuildProgressData) { d.State = BuildBuilt }},
-		{"phases_done range", func(d *BuildProgressData) { d.PhasesDone = 10 }},
+		{"phases_done range", func(d *BuildProgressData) { d.PhasesDone = len(scenario.Phases) + 1 }},
 		{"foreign phase", func(d *BuildProgressData) { d.Phase = "service/scenario-build" }},
-		{"unlisted scenario phase", func(d *BuildProgressData) { d.Phase = "scenario/magnet" }},
+		{"unlisted scenario phase", func(d *BuildProgressData) { d.Phase = "scenario/alternates" }}, // a stage Build never begins
 		{"phase count", func(d *BuildProgressData) { d.Phases = len(scenario.Phases) - 1 }},
 		{"phases_done behind phase", func(d *BuildProgressData) { d.PhasesDone = 1 }},
 		{"phases_done past phase", func(d *BuildProgressData) { d.PhasesDone = 3 }},

@@ -306,7 +306,7 @@ func (srv *Server) classifyBody(ctx context.Context, idx int, refs []classify.Re
 	for _, a := range m.ASPath {
 		data.ASPath = append(data.ASPath, a.String())
 	}
-	for _, d := range m.Decisions {
+	for j, d := range m.Decisions {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -319,7 +319,7 @@ func (srv *Server) classifyBody(ctx context.Context, idx int, refs []classify.Re
 			Categories: make(map[string]string, len(refs)),
 		}
 		for _, ref := range refs {
-			cd.Categories[ref.String()] = srv.s.Context.Classify(d, ref).String()
+			cd.Categories[ref.String()] = srv.s.Verdicts.Of(idx, ref)[j].String()
 		}
 		data.Decisions = append(data.Decisions, cd)
 	}
@@ -390,7 +390,10 @@ func (srv *Server) serveExperiment(rp *reply, r *http.Request) {
 		seed = v
 	}
 	format := r.URL.Query().Get("format")
-	if format != "" && format != "json" && format != "text" {
+	if format == "" {
+		format = "json" // one spelling, one cache key
+	}
+	if format != "json" && format != "text" {
 		rp.fail(http.StatusBadRequest, apiErr(CodeBadParam, fmt.Sprintf("unknown format %q (have json, text)", format)))
 		return
 	}

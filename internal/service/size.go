@@ -3,10 +3,15 @@ package service
 import "reflect"
 
 // Memory accounting: the store's byte-budget eviction needs each sealed
-// tenant's resident cost, measured once at build time (a sealed
-// scenario never grows, so the number stays true for the tenant's whole
-// residency). sizeOf walks the object graph with reflect — no unsafe —
-// and sums an estimate:
+// tenant's resident cost, measured once at build time. A sealed
+// scenario does not grow while it is served: scenario.Build runs the
+// magnet experiments and judges every decision of its campaign, which
+// fills classify.Context's model caches for everything the figures,
+// tables and /v1/classify read (TestServedTenantNeverOutgrowsCharge).
+// The one exception is the ablations' raw-probe row: it judges
+// decisions the build never made, which grows those shared caches by a
+// few KB (≈ 4 KB on the test world) past the charge. sizeOf walks the
+// object graph with reflect — no unsafe — and sums an estimate:
 //
 //   - every heap object reached through pointers, slices, maps, and
 //     interfaces is counted once (a visited set keyed by data pointer
@@ -170,6 +175,6 @@ func (srv *Server) accountSizeWith(w *sizeWalker) int64 {
 }
 
 // SizeBytes reports the tenant's resident-byte estimate, measured once
-// at build time (sealed scenarios do not grow). The store's byte
+// at build time (sealed scenarios do not grow; see above). The store's byte
 // budget sums these across residents to drive eviction.
 func (srv *Server) SizeBytes() int64 { return srv.size }

@@ -1,7 +1,11 @@
 package service
 
 import (
+	"context"
 	"testing"
+
+	"routelab/internal/classify"
+	"routelab/internal/experiments"
 )
 
 // TestSizeOfSynthetic pins the accounting model on small graphs where
@@ -107,5 +111,33 @@ func TestAccountSizeCoversTenant(t *testing.T) {
 	}
 	if again := srv.accountSize(); again != srv.size {
 		t.Errorf("re-walk %d != build-time %d (accounting not deterministic)", again, srv.size)
+	}
+}
+
+// TestServedTenantNeverOutgrowsCharge: the store charges a tenant what
+// newTenant's walk measured, once, so serving it must not grow what the
+// walk reached. Every experiment but ablations and all (whose raw-probe
+// row judges decisions the build never made) and /v1/classify on every
+// trace read only what Build computed.
+func TestServedTenantNeverOutgrowsCharge(t *testing.T) {
+	srv := newTenant(testScenario(t), Config{}, partition{c: NewStore(StoreConfig{}).cache, tenant: DefaultID})
+	ctx := context.Background()
+	for _, name := range experiments.Names() {
+		if name == "ablations" || name == "all" {
+			continue
+		}
+		exp, _ := experiments.Get(name)
+		if _, err := exp.Run(ctx, &experiments.Env{S: srv.s, Seed: srv.s.Cfg.Seed}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	for i := range srv.s.Measurements {
+		if _, err := srv.classifyBody(ctx, i, classify.Refinements); err != nil {
+			t.Fatalf("classify trace %d: %v", srv.s.Measurements[i].TraceID, err)
+		}
+	}
+	if got := srv.accountSize(); got != srv.SizeBytes() {
+		t.Errorf("served tenant weighs %d bytes, charged %d (%+.1f%%)",
+			got, srv.SizeBytes(), 100*float64(got-srv.SizeBytes())/float64(srv.SizeBytes()))
 	}
 }
