@@ -1,20 +1,20 @@
 # Tier-1 verification for routelab. `make verify` is the gate every
 # change must pass: it builds everything, checks formatting, vets
-# (including the copylocks and concurrency-sensitive checks), runs
-# routelint (the in-tree invariant analyzers, DESIGN.md §11), and runs
+# (including the copylocks and concurrency-sensitive checks), and runs
 # the full test suite under the race detector — the concurrency model in
 # DESIGN.md is only trustworthy while this stays green, and the suite
 # includes the scenario-corpus-versus-goldens check (internal/spec
-# TestCorpusMatchesGoldens, SCENARIOS.md). CI
-# (.github/workflows/ci.yml) runs verify plus lint, cover, and the
+# TestCorpusMatchesGoldens, SCENARIOS.md) and the in-tree invariant
+# analyzers (internal/lint TestRepoIsClean, DESIGN.md §11). CI
+# (.github/workflows/ci.yml) runs verify plus staticcheck, cover, and the
 # ledger on every push/PR.
 
 GO ?= go
 STATICCHECK ?= staticcheck
 
-.PHONY: verify build fmt-check vet test race bench fuzz-smoke service-smoke load-smoke lint staticcheck routelint lint-json lint-fix-list cover
+.PHONY: verify build fmt-check vet test race bench fuzz-smoke service-smoke load-smoke lint staticcheck cover
 
-verify: build fmt-check vet routelint race
+verify: build fmt-check vet race
 
 build:
 	$(GO) build ./...
@@ -66,9 +66,9 @@ service-smoke:
 load-smoke:
 	bash scripts/load_smoke.sh
 
-# lint runs both linters: staticcheck (general Go hygiene) and
-# routelint (this repo's own invariants — see DESIGN.md §11).
-lint: staticcheck routelint
+# lint is staticcheck (general Go hygiene); this repo's own invariants
+# are a test, internal/lint TestRepoIsClean (DESIGN.md §11).
+lint: staticcheck
 
 # staticcheck is the external linter (CI installs it with
 # `go install honnef.co/go/tools/cmd/staticcheck@2025.1.1`).
@@ -78,28 +78,6 @@ staticcheck:
 		echo "  go install honnef.co/go/tools/cmd/staticcheck@2025.1.1"; \
 		exit 1; }
 	$(STATICCHECK) ./...
-
-# routelint is the in-tree, dependency-free analyzer suite enforcing the
-# repo's determinism/cancellation/hot-path invariants — four rules,
-# DESIGN.md §11 (cmd/routelint). It is part of `make verify`,
-# running before the (slow) race tests so an invariant violation fails
-# fast: a violation fails tier-1, not just CI.
-routelint:
-	$(GO) run ./cmd/routelint ./...
-
-# lint-fix-list is the cleanup view: findings batched per rule with a
-# count, so a fix pass can be carved up rule by rule (or narrowed
-# further with `go run ./cmd/routelint -rules <id> ./...`). The leading
-# dash keeps make from failing — this target is for reading, not gating.
-lint-fix-list:
-	-$(GO) run ./cmd/routelint -group ./...
-
-# lint-json emits the machine-readable routelab-lint/v1 report (CI
-# archives LINT_routelab.json). routelint validates the report before
-# encoding it and exits non-zero on findings; rule coverage is gated by
-# tier-1 TestAnalyzerNamesStable, not here.
-lint-json:
-	$(GO) run ./cmd/routelint -format=json ./... > LINT_routelab.json
 
 cover:
 	$(GO) test -coverprofile=cover.out ./...

@@ -28,10 +28,11 @@
 //	-debug-addr ADDR   serve net/http/pprof and expvar on ADDR
 //	                   (e.g. localhost:6060) for live profiling
 //
-// With -spec, the spec's campaign sizing is taken at face value (the
-// small-scale probe adjustment applies only to flag-built configs),
-// and any of -seed/-scale/-traces/-probes/-workers passed
-// explicitly still override the spec — "-spec x.yaml -seed 7" means
+// With -spec, the spec's campaign sizing is taken at face value.
+// Without it, below -scale 0.5, a -traces or -probes left at its
+// default shrinks with the topology; a value passed explicitly is kept.
+// Any of -seed/-scale/-traces/-probes/-workers passed explicitly
+// still override the spec — "-spec x.yaml -seed 7" means
 // that world, reseeded (spec.World.Resolve, shared with routelabd).
 //
 // Output is byte-identical for any -workers value; the flag only trades

@@ -16,7 +16,9 @@
 // listener opens (the expensive part). The un-prefixed routes
 // (/v1/classify, /v1/alternates, /v1/whatif, ...) are that scenario's
 // alias — the same handlers, gate and cache partition as
-// /v1/scenarios/default/....
+// /v1/scenarios/default/.... Below -scale 0.5, a flag-built world
+// shrinks a -traces or -probes left at its default with the topology;
+// a value passed explicitly is kept.
 //
 // Usage:
 //

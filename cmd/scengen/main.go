@@ -24,8 +24,8 @@
 //	-overlay a,b        extra overlays to apply, in order, after the
 //	                    spec's own apply list
 //
-// Exit status follows the routelint convention: 0 clean, 1 on findings
-// (invalid documents, differing configs), 2 on usage or I/O errors.
+// Exit status: 0 clean, 1 on findings (invalid documents, differing
+// configs), 2 on usage or I/O errors.
 // The corpus-versus-goldens check is not here: it is tier-1
 // TestCorpusMatchesGoldens in internal/spec, which also regenerates
 // scenarios/golden/ under WRITE_GOLDEN=1.

@@ -23,7 +23,6 @@ import (
 func analyzerCtxFlow() *Analyzer {
 	return &Analyzer{
 		Name: "ctxflow",
-		Doc:  "experiments and service functions taking a ctx must consult it (Err/Done or forwarding) before blocking work",
 		Run:  runCtxFlow,
 	}
 }

@@ -31,7 +31,6 @@ import (
 func analyzerHotAtomic() *Analyzer {
 	return &Analyzer{
 		Name: "hotatomic",
-		Doc:  "no per-event obs or sync/atomic calls on the bgp.Converge hot path or in parallel worker bodies",
 		Run:  runHotAtomic,
 	}
 }

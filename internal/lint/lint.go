@@ -17,8 +17,8 @@ type Finding struct {
 	Message string
 }
 
-// String renders the canonical "file:line:col: [rule] message" form the
-// CLI prints and CI greps.
+// String renders the canonical "file:line:col: [rule] message" form
+// the tests print.
 func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Rule, f.Message)
 }
@@ -29,8 +29,6 @@ func (f Finding) String() string {
 type Analyzer struct {
 	// Name is the rule id findings and //lint:allow comments use.
 	Name string
-	// Doc is a one-line description of the enforced invariant.
-	Doc string
 	// Run reports the rule's raw findings for one package; suppression
 	// is applied by the driver, not the analyzer.
 	Run func(prog *Program, pkg *Package) []Finding
@@ -46,56 +44,6 @@ func Analyzers() []*Analyzer {
 		analyzerCtxFlow(),
 		analyzerWallTime(),
 	}
-}
-
-// SelectAnalyzers filters the suite by rule id: include keeps only the
-// named rules (empty keeps all), exclude then drops its names. Unknown
-// ids and an empty selection are errors — a typoed -rules flag must
-// fail loudly, not silently lint nothing.
-func SelectAnalyzers(all []*Analyzer, include, exclude []string) ([]*Analyzer, error) {
-	byName := make(map[string]*Analyzer, len(all))
-	for _, a := range all {
-		byName[a.Name] = a
-	}
-	keep := make(map[string]bool, len(all))
-	if len(include) == 0 {
-		for name := range byName {
-			keep[name] = true
-		}
-	}
-	for _, name := range include {
-		if byName[name] == nil {
-			return nil, fmt.Errorf("unknown rule %q (have %s)", name, strings.Join(AnalyzerNames(), ", "))
-		}
-		keep[name] = true
-	}
-	for _, name := range exclude {
-		if byName[name] == nil {
-			return nil, fmt.Errorf("unknown rule %q (have %s)", name, strings.Join(AnalyzerNames(), ", "))
-		}
-		delete(keep, name)
-	}
-	if len(keep) == 0 {
-		return nil, fmt.Errorf("no rules selected (have %s)", strings.Join(AnalyzerNames(), ", "))
-	}
-	out := make([]*Analyzer, 0, len(keep))
-	for _, a := range all { // preserve registry order
-		if keep[a.Name] {
-			out = append(out, a)
-		}
-	}
-	return out, nil
-}
-
-// AnalyzerNames returns the rule ids of the full suite, sorted.
-func AnalyzerNames() []string {
-	as := Analyzers()
-	out := make([]string, 0, len(as))
-	for _, a := range as {
-		out = append(out, a.Name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // allowDirective is the suppression comment prefix. The full syntax is
@@ -178,15 +126,13 @@ func sortedKeys(m map[string]bool) []string {
 	return out
 }
 
-// Run executes the analyzers over the selected packages, applies
-// //lint:allow suppression, and returns deduplicated findings sorted by
-// position then rule — a stable order for golden output and CI diffs.
-func Run(prog *Program, pkgs []*Package, analyzers []*Analyzer) []Finding {
+// Run executes the suite over pkgs, applies //lint:allow suppression,
+// and returns deduplicated findings sorted by position then rule — a
+// stable order for test diffs.
+func Run(prog *Program, pkgs []*Package) []Finding {
+	analyzers := Analyzers()
 	known := make(map[string]bool, len(analyzers))
-	for _, a := range Analyzers() {
-		// Directives are validated against the full registry, not the
-		// selected subset, so a partial run never misreports a valid
-		// suppression as unknown.
+	for _, a := range analyzers {
 		known[a.Name] = true
 	}
 	var out []Finding

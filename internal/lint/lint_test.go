@@ -78,7 +78,7 @@ func TestFixtures(t *testing.T) {
 		pkgs = append(pkgs, pkg)
 		want = append(want, collectExpectations(prog, pkg)...)
 	}
-	got := Run(prog, pkgs, Analyzers())
+	got := Run(prog, pkgs)
 
 	wantSet := make(map[expectation]bool, len(want))
 	for _, e := range want {
@@ -142,7 +142,7 @@ func TestAllowDirectiveValidation(t *testing.T) {
 	if pkg == nil {
 		t.Fatal("fixture package routelab/fix/allow not loaded")
 	}
-	findings := Run(prog, []*Package{pkg}, Analyzers())
+	findings := Run(prog, []*Package{pkg})
 	if len(findings) != 3 {
 		t.Fatalf("got %d findings, want 3 (bare, unknown rule, missing reason):\n%s",
 			len(findings), findingLines(findings))
@@ -156,49 +156,6 @@ func TestAllowDirectiveValidation(t *testing.T) {
 			t.Errorf("finding %d: message %q does not mention %q", i, f.Message, wantFrags[i])
 		}
 	}
-}
-
-// TestSelectAnalyzers covers the -rules/-exclude-rules surface: include
-// keeps registry order, exclude subtracts, unknown ids and an empty
-// selection fail.
-func TestSelectAnalyzers(t *testing.T) {
-	all := Analyzers()
-	sub, err := SelectAnalyzers(all, []string{"walltime", "ctxflow"}, nil)
-	if err != nil {
-		t.Fatalf("select: %v", err)
-	}
-	if len(sub) != 2 || sub[0].Name != "ctxflow" || sub[1].Name != "walltime" {
-		t.Fatalf("include selection = %v, want [ctxflow walltime] in registry order", analyzerNamesOf(sub))
-	}
-	sub, err = SelectAnalyzers(all, nil, []string{"hotatomic"})
-	if err != nil {
-		t.Fatalf("exclude: %v", err)
-	}
-	if len(sub) != len(all)-1 {
-		t.Fatalf("exclude left %d rules, want %d", len(sub), len(all)-1)
-	}
-	for _, a := range sub {
-		if a.Name == "hotatomic" {
-			t.Fatal("excluded rule still selected")
-		}
-	}
-	if _, err := SelectAnalyzers(all, []string{"nosuchrule"}, nil); err == nil {
-		t.Fatal("unknown include rule did not error")
-	}
-	if _, err := SelectAnalyzers(all, nil, []string{"nosuchrule"}); err == nil {
-		t.Fatal("unknown exclude rule did not error")
-	}
-	if _, err := SelectAnalyzers(all, []string{"walltime"}, []string{"walltime"}); err == nil {
-		t.Fatal("empty selection did not error")
-	}
-}
-
-func analyzerNamesOf(as []*Analyzer) []string {
-	out := make([]string, 0, len(as))
-	for _, a := range as {
-		out = append(out, a.Name)
-	}
-	return out
 }
 
 // TestLoaderGenericsAndAliases pins the loader on the multi-file
@@ -276,7 +233,7 @@ func TestRunIsDeterministic(t *testing.T) {
 	prog := loadFixture(t)
 	render := func() string {
 		var b strings.Builder
-		for _, f := range Run(prog, prog.Packages, Analyzers()) {
+		for _, f := range Run(prog, prog.Packages) {
 			fmt.Fprintln(&b, f)
 		}
 		return b.String()
@@ -310,7 +267,7 @@ func TestRepoIsClean(t *testing.T) {
 	if len(prog.Packages) < 30 {
 		t.Fatalf("loaded only %d packages; the loader is missing most of the tree", len(prog.Packages))
 	}
-	findings := Run(prog, prog.Packages, Analyzers())
+	findings := Run(prog, prog.Packages)
 	if len(findings) > 0 {
 		t.Errorf("routelint is not clean on the repository (%d findings):\n%s",
 			len(findings), findingLines(findings))
@@ -347,18 +304,17 @@ func writesResponse(obj types.Object) bool {
 	return obj != nil && isNamedType(obj.Type(), "net/http", "ResponseWriter")
 }
 
-// TestAnalyzerNamesStable pins the public rule-id surface: DESIGN.md,
-// CI, and //lint:allow comments all reference these ids.
+// TestAnalyzerNamesStable pins the public rule-id surface: DESIGN.md
+// and //lint:allow comments reference these ids.
 func TestAnalyzerNamesStable(t *testing.T) {
 	want := []string{"ctxflow", "hotatomic", "maporder", "walltime"}
-	got := AnalyzerNames()
+	var got []string
+	for _, a := range Analyzers() {
+		got = append(got, a.Name)
+	}
+	sort.Strings(got)
 	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Fatalf("analyzer names = %v, want %v", got, want)
-	}
-	for _, a := range Analyzers() {
-		if a.Doc == "" {
-			t.Errorf("analyzer %s has no doc line", a.Name)
-		}
 	}
 }
 

@@ -2,14 +2,15 @@
 // suite: a dependency-free (stdlib go/ast, go/parser, go/types,
 // go/importer) driver plus analyzers that prove the determinism,
 // cancellation, and hot-path rules this repo's reproducibility claims
-// rest on. cmd/routelint is the CLI; DESIGN.md §"Static analysis" documents
-// every rule and its motivating bug.
+// rest on. It runs as a test: TestRepoIsClean fails `go test
+// ./internal/lint` on any finding in the module. DESIGN.md §"Static
+// analysis" documents every rule and its motivating bug.
 //
 // The loader below parses every package in the module from source and
 // type-checks it with go/types. Intra-module imports resolve against
 // the loader's own package set; standard-library imports resolve
 // through go/importer's source importer, so the module's go.mod stays
-// require-free and the tool runs on a bare toolchain.
+// require-free and the suite runs on a bare toolchain.
 package lint
 
 import (

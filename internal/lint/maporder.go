@@ -22,7 +22,6 @@ import (
 func analyzerMapOrder() *Analyzer {
 	return &Analyzer{
 		Name: "maporder",
-		Doc:  "range over a map must not feed order-sensitive output (print, string building, Result field appends)",
 		Run:  runMapOrder,
 	}
 }

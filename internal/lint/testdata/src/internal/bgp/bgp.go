@@ -5,6 +5,7 @@ package bgp
 
 import (
 	"sync/atomic"
+	"time"
 
 	"routelab/internal/obs"
 )
@@ -77,4 +78,11 @@ func (c *Computation) flushObs() {
 // bump is legal.
 func (c *Computation) Announce() {
 	events.Inc()
+}
+
+// stamp proves walltime's scope: every internal/ package but obs and
+// parallel, the engine included — a wall-clock read here would make a
+// convergence history-dependent.
+func stamp() int64 {
+	return time.Now().UnixNano() //lint:want walltime
 }

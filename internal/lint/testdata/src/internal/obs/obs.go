@@ -3,6 +3,8 @@
 // instrumentation.
 package obs
 
+import "time"
+
 // Counter is a monotonic metric.
 type Counter struct{ v int64 }
 
@@ -25,3 +27,7 @@ func (r *Registry) Counter(name string) *Counter { return &Counter{} }
 
 // Inc bumps a named counter on the default registry.
 func Inc(name string) { Default().Counter(name).Inc() }
+
+// Since is a wall-clock read walltime leaves alone: obs measures time
+// by design.
+func Since(t0 time.Time) time.Duration { return time.Since(t0) }

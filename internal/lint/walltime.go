@@ -8,15 +8,15 @@ import (
 )
 
 // analyzerWallTime flags nondeterminism sources — wall-clock reads and
-// the globally seeded math/rand — inside the packages whose outputs
-// goldens pin byte-for-byte: internal/experiments, internal/classify,
-// internal/inference, internal/gaorexford (the 14 experiment goldens),
-// internal/spec (the scenarios/golden corpus dumps), internal/whatif
-// (golden-backed diffs), and internal/service (deterministic cached
-// response bodies). A time.Now() or rand.Intn() there would not fail
-// any test immediately; it would silently make golden refreshes
-// unreproducible — or cached bodies history-dependent — which is the
-// failure mode the seeded-run contract exists to prevent.
+// the globally seeded math/rand — in every internal/ package except
+// obs and parallel, the two that measure time by design (metrics,
+// stage timings). Everything else under internal/ feeds a golden, a
+// scenario build or a cached response body: a time.Now() or rand.Intn()
+// there would not fail any test immediately; it would silently make
+// golden refreshes unreproducible — or cached bodies history-dependent
+// — which is the failure mode the seeded-run contract exists to
+// prevent. The commands under cmd/ stay out of scope: they time whole
+// runs for their reports.
 //
 // Allowed: constructing scenario-seeded sources (rand.New,
 // rand.NewSource, and every other rand.New* constructor) and calling
@@ -25,25 +25,13 @@ import (
 func analyzerWallTime() *Analyzer {
 	return &Analyzer{
 		Name: "walltime",
-		Doc:  "no wall-clock or globally seeded randomness in golden-backed packages (experiments, classify, inference, gaorexford, spec, whatif, service)",
 		Run:  runWallTime,
 	}
 }
 
-// wallTimeScopes are the module-relative package prefixes the rule
-// covers (a prefix also covers subpackages). internal/whatif and
-// internal/service joined the set when their outputs became
-// golden-backed and cache-keyed respectively: a wall-clock read there
-// would skew what-if goldens or poison deterministic cached bodies.
-var wallTimeScopes = []string{
-	"internal/experiments",
-	"internal/classify",
-	"internal/inference",
-	"internal/gaorexford",
-	"internal/spec",
-	"internal/whatif",
-	"internal/service",
-}
+// wallTimeExempt are the internal/ packages (and their subpackages)
+// the rule skips.
+var wallTimeExempt = []string{"internal/obs", "internal/parallel"}
 
 // timeFuncs are the wall-clock reads the rule bans.
 var timeFuncs = map[string]bool{"Now": true, "Since": true, "Until": true}
@@ -69,7 +57,7 @@ func runWallTime(prog *Program, pkg *Package) []Finding {
 			switch funcPkgPath(f) {
 			case "time":
 				if timeFuncs[f.Name()] {
-					flag(sel, fmt.Sprintf("wall-clock time.%s in a golden-backed package; "+
+					flag(sel, fmt.Sprintf("wall-clock time.%s in a seed-determined package; "+
 						"outputs must be a pure function of the scenario seed", f.Name()))
 				}
 			case "math/rand", "math/rand/v2":
@@ -82,7 +70,7 @@ func runWallTime(prog *Program, pkg *Package) []Finding {
 				if strings.HasPrefix(f.Name(), "New") {
 					return true
 				}
-				flag(sel, fmt.Sprintf("globally seeded %s.%s in a golden-backed package; "+
+				flag(sel, fmt.Sprintf("globally seeded %s.%s in a seed-determined package; "+
 					"derive a *rand.Rand from the scenario seed instead", funcPkgPath(f), f.Name()))
 			}
 			return true
@@ -92,11 +80,14 @@ func runWallTime(prog *Program, pkg *Package) []Finding {
 }
 
 func inWallTimeScope(prog *Program, pkg *Package) bool {
-	for _, scope := range wallTimeScopes {
-		full := prog.ModulePath + "/" + scope
+	if !strings.HasPrefix(pkg.Path, prog.ModulePath+"/internal/") {
+		return false
+	}
+	for _, exempt := range wallTimeExempt {
+		full := prog.ModulePath + "/" + exempt
 		if pkg.Path == full || strings.HasPrefix(pkg.Path, full+"/") {
-			return true
+			return false
 		}
 	}
-	return false
+	return true
 }

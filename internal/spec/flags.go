@@ -61,8 +61,9 @@ func (w *World) Explicit() []string {
 // taken at face value — and only the sizing flags passed explicitly
 // override it ("-spec x.yaml -seed 7" is that world, reseeded; flag
 // defaults do not apply). Without -spec the world is the paper profile
-// sized by the flags, with the campaign shrunk to match a small
-// topology. Either way the result is validated before any build.
+// sized by the flags; below -scale 0.5, -traces and -probes left at
+// their defaults shrink to match the small topology. Either way the
+// result is validated before any build.
 func (w *World) Resolve() (*Expansion, error) {
 	var exp *Expansion
 	if *w.spec != "" {
@@ -97,12 +98,15 @@ func (w *World) Resolve() (*Expansion, error) {
 		cfg.NumProbes = *w.probes
 		cfg.RoutingWorkers = *w.workers
 		if *w.scale < 0.5 {
-			// Small topologies have proportionally fewer probes available.
-			cfg.NumProbes = int(float64(cfg.NumProbes) * *w.scale * 2)
-			if cfg.NumProbes < 60 {
-				cfg.NumProbes = 60
+			// Small topologies have proportionally fewer probes available:
+			// the campaign sizes left at their defaults shrink with them.
+			explicit, shrink := w.Explicit(), *w.scale*2
+			if !slices.Contains(explicit, "probes") {
+				cfg.NumProbes = max(int(float64(cfg.NumProbes)*shrink), 60)
 			}
-			cfg.TracesTarget = int(float64(cfg.TracesTarget) * *w.scale * 2)
+			if !slices.Contains(explicit, "traces") {
+				cfg.TracesTarget = int(float64(cfg.TracesTarget) * shrink)
+			}
 		}
 		exp = &Expansion{SpecVersion: ExpansionVersion, Profile: "paper", Overlays: []string{}, Config: cfg}
 	}

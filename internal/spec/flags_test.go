@@ -96,19 +96,22 @@ func TestWorldResolve(t *testing.T) {
 
 	t.Run("small-scale adjustment without spec", func(t *testing.T) {
 		for _, tc := range []struct {
-			scale          string
+			args           []string
 			probes, traces int
 		}{
-			{"0.2", 799, 11404}, // 1998*0.2*2, 28510*0.2*2
-			{"0.01", 60, 570},   // probe floor
-			{"0.5", 1998, 28510},
+			{[]string{"-scale", "0.2"}, 799, 11404}, // 1998*0.2*2, 28510*0.2*2
+			{[]string{"-scale", "0.01"}, 60, 570},   // probe floor
+			{[]string{"-scale", "0.5"}, 1998, 28510},
+			// Explicit sizing flags are taken as given, not rescaled.
+			{[]string{"-scale", "0.2", "-traces", "1000", "-probes", "100"}, 100, 1000},
+			{[]string{"-scale", "0.01", "-traces", "10"}, 60, 10},
 		} {
-			_, exp, err := resolveArgs(t, "-scale", tc.scale)
+			_, exp, err := resolveArgs(t, tc.args...)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if exp.Config.NumProbes != tc.probes || exp.Config.TracesTarget != tc.traces {
-				t.Errorf("-scale %s: probes %d traces %d, want %d %d", tc.scale,
+				t.Errorf("%v: probes %d traces %d, want %d %d", tc.args,
 					exp.Config.NumProbes, exp.Config.TracesTarget, tc.probes, tc.traces)
 			}
 		}

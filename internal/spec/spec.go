@@ -19,8 +19,8 @@
 // # Determinism
 //
 // Compile is a pure function of the document bytes and the overlay
-// selection: no wall clock, no global randomness (enforced by the
-// routelint walltime analyzer, which covers this package). Expanding
+// selection: no wall clock, no global randomness (enforced by
+// internal/lint's walltime rule, which covers this package). Expanding
 // the same spec twice yields byte-identical output — the property
 // TestCorpusMatchesGoldens pins for every corpus entry under scenarios/.
 package spec
