@@ -3,6 +3,7 @@ package classify
 import (
 	"encoding/binary"
 
+	"routelab/internal/asn"
 	"routelab/internal/bgp"
 	"routelab/internal/peering"
 	"routelab/internal/topology"
@@ -71,14 +72,24 @@ func (cx *Context) ClassifyAlternates(r peering.AlternateResult) AlternateVerdic
 }
 
 // pathLenIgnoringPoison compares route lengths fairly across rounds: the
-// poisoning sandwich (origin + AS_SET) inflates later paths by two hops
-// regardless of the target's actual choice, so discount it.
+// poisoning sandwich inflates later paths by two hops regardless of the
+// target's actual choice, so discount it.
 func pathLenIgnoringPoison(r bgp.Route) int {
-	l := r.Path.Len()
-	if r.Path.HasSet() {
-		l -= 2
+	return len(SequenceIgnoringPoison(r.Path))
+}
+
+// SequenceIgnoringPoison returns the AS-level path a route would have
+// had without poisoning. A poisoned announcement leaves the origin as
+// the sandwich "O {poisoned} O", so Sequence keeps the origin twice:
+// the AS_SET and the origin after it are dropped, and
+// "118 109 1103 1109 {131} 1109" reads "118 109 1103 1109", which
+// compares with an unpoisoned route of the same run.
+func SequenceIgnoringPoison(p asn.Path) []asn.ASN {
+	seq := p.Sequence()
+	if p.HasSet() && len(seq) > 0 {
+		seq = seq[:len(seq)-1]
 	}
-	return l
+	return seq
 }
 
 // AlternateSummary aggregates a campaign of discovery runs into the

@@ -1,6 +1,7 @@
 package classify
 
 import (
+	"slices"
 	"testing"
 
 	"routelab/internal/asn"
@@ -115,5 +116,26 @@ func TestSummarizeAlternates(t *testing.T) {
 	}
 	if s.LinksMissing == 0 || s.LinksOnlyPoisoned == 0 {
 		t.Errorf("poison-only missing link not counted: %+v", s)
+	}
+}
+
+// TestSequenceIgnoringPoison: the engine's sandwich "O {P} O" drops to
+// the path the route would have had unpoisoned, and the length the
+// verdicts compare is that path's.
+func TestSequenceIgnoringPoison(t *testing.T) {
+	p := asn.NewPrefix(asn.AddrFrom4(10, 0, 0, 0), 24)
+	plain := mkRoute(p, 118, []asn.ASN{1109}, nil)
+	poisoned := mkRoute(p, 118, []asn.ASN{1109}, []asn.ASN{131})
+	if got := poisoned.Path.String(); got != "118 1109 {131} 1109" {
+		t.Fatalf("poisoned path %q", got)
+	}
+	for _, r := range []bgp.Route{plain, poisoned} {
+		got := SequenceIgnoringPoison(r.Path)
+		if !slices.Equal(got, []asn.ASN{118, 1109}) {
+			t.Errorf("%v: %v, want [118 1109]", r.Path, got)
+		}
+		if pathLenIgnoringPoison(r) != 2 {
+			t.Errorf("%v: length %d ignoring poison, want 2", r.Path, pathLenIgnoringPoison(r))
+		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"routelab/internal/classify"
 	"routelab/internal/inference"
 	"routelab/internal/obs"
+	"routelab/internal/peering"
 	"routelab/internal/predict"
 	"routelab/internal/relgraph"
 	"routelab/internal/report"
@@ -232,13 +233,7 @@ func caseStudies(_ context.Context, env *Env) (Result, error) {
 				Path:     st.Route.Path.String(),
 			})
 		}
-		first := run.Steps[0].Route.Path.Sequence()
-		for _, st := range run.Steps[1:] {
-			if isSuffix(st.Route.Path.Sequence(), first) {
-				c.SuffixNote = true
-				break
-			}
-		}
+		c.SuffixNote = detourNote(run.Steps)
 		res.Cases = append(res.Cases, c)
 	}
 	return res, nil
@@ -263,6 +258,19 @@ func (r *CaseStudiesResult) render(w io.Writer) {
 		fmt.Fprintln(w, "  (none found at this seed — paper found 3 among 360 targets)")
 	}
 	fmt.Fprintln(w)
+}
+
+// detourNote reports the paper's telltale over a preference order of at
+// least one route: a later route whose path, poison sandwich aside, is a
+// suffix of the first route's, so the first took an unnecessary detour.
+func detourNote(steps []peering.AlternateStep) bool {
+	first := classify.SequenceIgnoringPoison(steps[0].Route.Path)
+	for _, st := range steps[1:] {
+		if isSuffix(classify.SequenceIgnoringPoison(st.Route.Path), first) {
+			return true
+		}
+	}
+	return false
 }
 
 // isSuffix reports whether needle is a suffix of hay.

@@ -11,7 +11,10 @@ import (
 	"sync"
 	"testing"
 
+	"routelab/internal/asn"
+	"routelab/internal/bgp"
 	"routelab/internal/obs"
+	"routelab/internal/peering"
 	"routelab/internal/scenario"
 )
 
@@ -277,5 +280,35 @@ func TestSeedOnlyMovesSeededExperiments(t *testing.T) {
 		if len(mc.Runs) != len(s.Magnet) || len(mc.Runs) == 0 || &mc.Runs[0] != &s.Magnet[0] {
 			t.Errorf("seed %d: the campaign's %d runs are not the build's %d magnet runs", seed, len(mc.Runs), len(s.Magnet))
 		}
+	}
+}
+
+// TestDetourNoteSeesThroughPoison: a poisoned later route ends in the
+// sandwich "O {X} O"; poison aside it is [Y O], a suffix of the first
+// route [X Y O], which is the paper's unnecessary-detour telltale.
+func TestDetourNoteSeesThroughPoison(t *testing.T) {
+	const x, y, z, o asn.ASN = 11537, 20080, 3356, 47065
+	route := func(p asn.Path) bgp.Route { return bgp.Route{Path: p, NextHop: p.First()} }
+	poisoned := func(hops ...asn.ASN) asn.Path {
+		p := asn.PathFromASNs(o).PrependSet([]asn.ASN{x}).Prepend(o)
+		for i := len(hops) - 1; i >= 0; i-- {
+			p = p.Prepend(hops[i])
+		}
+		return p
+	}
+	first := peering.AlternateStep{Route: route(asn.PathFromASNs(x, y, o))}
+	detour := peering.AlternateStep{Route: route(poisoned(y)), PoisonedSoFar: []asn.ASN{x}}
+	if got := detour.Route.Path.String(); got != "20080 47065 {11537} 47065" {
+		t.Fatalf("hand-built poisoned path %q", got)
+	}
+	if !detourNote([]peering.AlternateStep{first, detour}) {
+		t.Error("[Y O {X} O] after [X Y O] must set the suffix note")
+	}
+	other := peering.AlternateStep{Route: route(poisoned(z)), PoisonedSoFar: []asn.ASN{x}}
+	if detourNote([]peering.AlternateStep{first, other}) {
+		t.Error("[Z O {X} O] after [X Y O] is no suffix")
+	}
+	if detourNote([]peering.AlternateStep{first}) {
+		t.Error("a one-route order has no fallback")
 	}
 }

@@ -1,7 +1,7 @@
 // Package parallel is the repository's single execution layer for
 // running independent units of routing work concurrently. Every
 // parallel stage in routelab — per-prefix RIB convergence, per-probe
-// traceroute generation, per-mux magnet runs, per-target alternate
+// traceroute generation, per-mux magnet runs, per-subtree alternate
 // discovery, per-snapshot inference, per-refinement classification —
 // funnels through this package, so the concurrency model is stated
 // once, here, and in DESIGN.md §"Concurrency model".

@@ -13,12 +13,15 @@
 package peering
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
 	"routelab/internal/asn"
 	"routelab/internal/bgp"
+	"routelab/internal/parallel"
 	"routelab/internal/topology"
 )
 
@@ -89,8 +92,8 @@ const maxAlternateRounds = 32
 // state every discovery run starts from — as a frozen bgp.Base. It is
 // built once per prefix and memoized. Safe for concurrent use;
 // concurrent callers may Fork the same base from different goroutines,
-// which is how the alternates campaign fans targets across the worker
-// pool without re-converging the anycast per target.
+// which is how DiscoverAlternates fans its subtrees across the worker
+// pool without re-converging the anycast per subtree.
 func (tb *Testbed) AnycastBase(prefix asn.Prefix) *bgp.Base {
 	tb.mu.Lock()
 	defer tb.mu.Unlock()
@@ -108,42 +111,117 @@ func (tb *Testbed) AnycastBase(prefix asn.Prefix) *bgp.Base {
 	return b
 }
 
-// DiscoverAlternates runs the §3.2 discovery loop against one target
-// over a copy-on-write fork of the prefix's AnycastBase. The poisoning
-// rounds mutate only the fork, so one base serves an entire campaign of
-// targets from any number of goroutines — the results are identical to
-// a from-scratch run per target, just without re-paying the base
-// convergence each time. The fork is dead once the steps are copied out,
-// so its storage goes back to the engine for the next run's fork.
-func (tb *Testbed) DiscoverAlternates(prefix asn.Prefix, target asn.ASN) AlternateResult {
-	c := tb.AnycastBase(prefix).Fork()
-	res := AlternateResult{Target: target, Prefix: prefix}
-	res.Announcements = 1
-	var poisoned []asn.ASN
-	for round := 0; round < maxAlternateRounds; round++ {
-		rt, ok := c.Best(target)
+// DiscoverAlternates runs the §3.2 discovery loop for every target at
+// once and returns one result per target, in the order given. The
+// converged state after poisoning [n1 … nk] depends on that sequence
+// alone, not on whose next hops they were, so targets that poison the
+// same sequence share one convergence: the discovery walks the tree of
+// poison sequences depth first from the prefix's AnycastBase. At each
+// node it records every target of the node's group exactly as a
+// one-target loop would, then groups the targets that go on by the next
+// hop they poison (sorted by ASN) and descends once per group with that
+// hop appended:
+//
+//   - a node with one child goes on in the same computation;
+//   - a node with two or more is frozen, and each child forks it;
+//   - a leaf is released, its storage back to the engine for the next fork.
+//
+// A walk so holds at most one frozen node per level, and levels stop at
+// maxAlternateRounds. The root's subtrees fan out over workers; each
+// target's result is written by the one subtree that holds it, so the
+// results, and the engine's fork and convergence counts, do not depend
+// on the worker count. With one target the tree is a chain: one fork of
+// the base and one convergence per poisoning round.
+func (tb *Testbed) DiscoverAlternates(prefix asn.Prefix, targets []asn.ASN, workers int) []AlternateResult {
+	out := make([]AlternateResult, len(targets))
+	group := make([]int, len(targets))
+	for i, t := range targets {
+		out[i] = AlternateResult{Target: t, Prefix: prefix, Announcements: 1}
+		group[i] = i
+	}
+	base := tb.AnycastBase(prefix)
+	kids := tb.observe(base.Best, nil, group, out)
+	parallel.ForEach(len(kids), workers, func(k int) {
+		tb.descend(base.Fork(), kids[k], out)
+	})
+	return out
+}
+
+// poisonNode is one node of the poison-sequence tree: the sequence
+// poisoned to reach it and the targets (indexes into the results) whose
+// discovery passes through it.
+type poisonNode struct {
+	poisoned []asn.ASN
+	group    []int
+}
+
+// descend announces n's poison sequence on c, which holds the converged
+// state of n's parent, and walks n's subtree. It owns c.
+func (tb *Testbed) descend(c *bgp.Computation, n poisonNode, out []AlternateResult) {
+	for {
+		c.Announce(bgp.Announcement{Origin: tb.Origin, Poisoned: n.poisoned})
+		c.Converge()
+		kids := tb.observe(c.Best, n.poisoned, n.group, out)
+		switch len(kids) {
+		case 0:
+			c.Release()
+			return
+		case 1:
+			n = kids[0]
+			continue
+		}
+		base := c.Freeze()
+		for _, k := range kids {
+			tb.descend(base.Fork(), k, out)
+		}
+		return
+	}
+}
+
+// observe records one discovery step for every target of group under
+// the state best reads, reached by poisoning poisoned, and returns the
+// children: the targets that go on, grouped by the next hop they poison
+// next, in ascending order of that hop. A target whose next poison
+// would be round maxAlternateRounds counts the announcement and stops.
+func (tb *Testbed) observe(best func(asn.ASN) (bgp.Route, bool), poisoned []asn.ASN, group []int, out []AlternateResult) []poisonNode {
+	type next struct {
+		hop asn.ASN
+		i   int
+	}
+	var cont []next
+	for _, i := range group {
+		res := &out[i]
+		rt, ok := best(res.Target)
 		if !ok {
 			res.Exhausted = true
-			break
+			continue
 		}
 		res.Steps = append(res.Steps, AlternateStep{
 			Route:         rt,
 			PoisonedSoFar: append([]asn.ASN(nil), poisoned...),
 		})
-		next := rt.NextHop
-		if next.IsZero() || next == tb.Origin {
+		hop := rt.NextHop
+		if hop.IsZero() || hop == tb.Origin {
 			// The target reached us directly (or originates) — nothing
 			// upstream left to poison.
 			res.Exhausted = true
-			break
+			continue
 		}
-		poisoned = append(poisoned, next)
-		c.Announce(bgp.Announcement{Origin: tb.Origin, Poisoned: poisoned})
-		c.Converge()
 		res.Announcements++
+		if len(poisoned)+1 < maxAlternateRounds {
+			cont = append(cont, next{hop, i})
+		}
 	}
-	c.Release()
-	return res
+	slices.SortStableFunc(cont, func(a, b next) int { return cmp.Compare(a.hop, b.hop) })
+	var kids []poisonNode
+	for k, x := range cont {
+		if k == 0 || x.hop != cont[k-1].hop {
+			kids = append(kids, poisonNode{poisoned: append(poisoned[:len(poisoned):len(poisoned)], x.hop)})
+		}
+		last := &kids[len(kids)-1]
+		last.group = append(last.group, x.i)
+	}
+	return kids
 }
 
 // InterASLinks extracts every inter-AS link observed across the

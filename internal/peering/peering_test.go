@@ -1,10 +1,12 @@
 package peering
 
 import (
+	"reflect"
 	"testing"
 
 	"routelab/internal/asn"
 	"routelab/internal/bgp"
+	"routelab/internal/obs"
 	"routelab/internal/topology"
 )
 
@@ -62,7 +64,7 @@ func TestDiscoverAlternatesPreferenceOrder(t *testing.T) {
 			}
 		}
 	}
-	res := tb.DiscoverAlternates(tb.Prefixes[0], target)
+	res := tb.DiscoverAlternates(tb.Prefixes[0], []asn.ASN{target}, 1)[0]
 	if len(res.Steps) == 0 {
 		t.Fatal("no routes discovered")
 	}
@@ -157,8 +159,8 @@ func TestMagnetDifferentMagnetsDiffer(t *testing.T) {
 func TestDiscoverAlternatesDeterministic(t *testing.T) {
 	tb, topo := newTestbed(t, 64)
 	target := topo.Names["mux-0"]
-	a := tb.DiscoverAlternates(tb.Prefixes[0], target)
-	b := tb.DiscoverAlternates(tb.Prefixes[0], target)
+	a := tb.DiscoverAlternates(tb.Prefixes[0], []asn.ASN{target}, 1)[0]
+	b := tb.DiscoverAlternates(tb.Prefixes[0], []asn.ASN{target}, 1)[0]
 	if len(a.Steps) != len(b.Steps) || a.Announcements != b.Announcements {
 		t.Fatalf("nondeterministic discovery: %d/%d vs %d/%d",
 			len(a.Steps), a.Announcements, len(b.Steps), b.Announcements)
@@ -176,7 +178,7 @@ func TestDiscoverAlternatesUnreachableTarget(t *testing.T) {
 	// only neighbors are its customers and their exports are limited).
 	var unreachable asn.ASN
 	for _, a := range topo.ASesOfClass(topology.CableOp) {
-		res := tb.DiscoverAlternates(tb.Prefixes[0], a)
+		res := tb.DiscoverAlternates(tb.Prefixes[0], []asn.ASN{a}, 1)[0]
 		if len(res.Steps) == 0 {
 			unreachable = a
 			if !res.Exhausted {
@@ -207,6 +209,83 @@ func TestMagnetObservationSubset(t *testing.T) {
 		}
 		if !found {
 			t.Fatalf("observation for unrequested AS %v", o.AS)
+		}
+	}
+}
+
+// referenceDiscover is the §3.2 discovery loop for one target on its
+// own fork of the anycast base, poisoning and reconverging round by
+// round: the reference DiscoverAlternates must agree with.
+func referenceDiscover(tb *Testbed, prefix asn.Prefix, target asn.ASN) AlternateResult {
+	c := tb.AnycastBase(prefix).Fork()
+	res := AlternateResult{Target: target, Prefix: prefix}
+	res.Announcements = 1
+	var poisoned []asn.ASN
+	for round := 0; round < maxAlternateRounds; round++ {
+		rt, ok := c.Best(target)
+		if !ok {
+			res.Exhausted = true
+			break
+		}
+		res.Steps = append(res.Steps, AlternateStep{
+			Route:         rt,
+			PoisonedSoFar: append([]asn.ASN(nil), poisoned...),
+		})
+		next := rt.NextHop
+		if next.IsZero() || next == tb.Origin {
+			res.Exhausted = true
+			break
+		}
+		poisoned = append(poisoned, next)
+		c.Announce(bgp.Announcement{Origin: tb.Origin, Poisoned: poisoned})
+		c.Converge()
+		res.Announcements++
+	}
+	c.Release()
+	return res
+}
+
+// TestDiscoverAlternatesMatchesReference: discovering every AS of a
+// world at once, on one worker or four, gives each target exactly the
+// steps, announcements and outcome of its own poisoning loop, and so
+// does discovering it alone. The walk must also share work: fewer
+// convergences than the per-target loops.
+func TestDiscoverAlternatesMatchesReference(t *testing.T) {
+	converges := obs.Default().Counter("bgp.converge.calls")
+	for _, seed := range []int64{61, 67} {
+		tb, topo := newTestbed(t, seed)
+		all, prefix := topo.ASNs(), tb.Prefixes[0]
+		tb.AnycastBase(prefix)
+		c0 := converges.Value()
+		want := make([]AlternateResult, len(all))
+		poisoned := false
+		for i, a := range all {
+			want[i] = referenceDiscover(tb, prefix, a)
+			poisoned = poisoned || len(want[i].Steps) > 1
+		}
+		if !poisoned {
+			t.Fatalf("seed %d: no target needed a second round; the walk went untested", seed)
+		}
+		refConverges := converges.Value() - c0
+		for _, w := range []int{1, 4} {
+			c0 = converges.Value()
+			got := tb.DiscoverAlternates(prefix, all, w)
+			if n := converges.Value() - c0; n >= refConverges {
+				t.Errorf("seed %d workers %d: the walk converged %d times, the per-target loops %d", seed, w, n, refConverges)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("seed %d workers %d: %d results for %d targets", seed, w, len(got), len(want))
+			}
+			for i := range want {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Fatalf("seed %d workers %d: target %v differs from its own loop:\n got %+v\nwant %+v", seed, w, all[i], got[i], want[i])
+				}
+			}
+		}
+		for i, a := range all {
+			if got := tb.DiscoverAlternates(prefix, []asn.ASN{a}, 1)[0]; !reflect.DeepEqual(got, want[i]) {
+				t.Fatalf("seed %d: single-target discovery of %v differs from its own loop", seed, a)
+			}
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"routelab/internal/asn"
 	"routelab/internal/bgp"
 	"routelab/internal/classify"
+	"routelab/internal/obs"
 	"routelab/internal/parallel"
 	"routelab/internal/peering"
 	"routelab/internal/vantage"
@@ -218,21 +219,19 @@ func (s *Scenario) activeProbeSet(rng *rand.Rand) []asn.ASN {
 
 // RunAlternatesCampaign discovers alternate routes for every AS observed
 // on paths toward the PEERING prefixes (§3.2/§4.4), up to the configured
-// cap. The converged anycast base is built once (AnycastBase) and every
-// target's poisoning loop runs over its own copy-on-write fork of it, so
-// targets fan out across the worker pool without re-paying the base
-// convergence; the result slice follows the sorted target order
-// regardless of worker count.
+// cap, in one Testbed.DiscoverAlternates walk: targets that poison the
+// same next hops share each convergence, and the walk's subtrees fan
+// out over the worker pool. The result slice follows the sorted target
+// order, and the results and the engine's counts are the same for any
+// worker count.
 func (s *Scenario) RunAlternatesCampaign(rng *rand.Rand) []peering.AlternateResult {
 	prefix := s.Testbed.Prefixes[0]
 	targets := s.observedTargets(rng, prefix)
 	if limit := s.Cfg.MaxAlternateTargets; limit > 0 && len(targets) > limit {
 		targets = targets[:limit]
 	}
-	return parallel.MapStage("scenario/alternates", targets, s.Cfg.RoutingWorkers,
-		func(_ int, t asn.ASN) peering.AlternateResult {
-			return s.Testbed.DiscoverAlternates(prefix, t)
-		})
+	defer obs.StartStage("scenario/alternates")()
+	return s.Testbed.DiscoverAlternates(prefix, targets, s.Cfg.RoutingWorkers)
 }
 
 // observedTargets lists ASes seen on paths toward a PEERING prefix from

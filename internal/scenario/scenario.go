@@ -13,7 +13,8 @@
 // per-probe traceroute generation, per-snapshot inference, per-mux
 // magnet runs, per-refinement judging — through internal/parallel,
 // bounded by Config.RoutingWorkers; the alternates campaign
-// (RunAlternatesCampaign, per target) does the same. Results are merged
+// (RunAlternatesCampaign, per subtree of its poison-sequence walk) does
+// the same. Results are merged
 // in a stable order, so a build is byte-identical for any worker count.
 // Every stage that consumes the build's master rand.Rand does so
 // serially, BEFORE fanning out (the campaign derives one seed per probe
@@ -64,7 +65,7 @@ type Config struct {
 	// RoutingWorkers bounds the worker pool behind every parallel stage
 	// of the build and the active campaigns (per-prefix convergence,
 	// per-probe traceroutes, per-snapshot inference, per-mux magnet
-	// runs, per-target alternate discovery). <= 0 selects GOMAXPROCS;
+	// runs, per-subtree alternate discovery). <= 0 selects GOMAXPROCS;
 	// 1 forces the serial reference path. The output is byte-identical
 	// for any value — see internal/parallel for the contract.
 	RoutingWorkers int

@@ -9,6 +9,7 @@ import (
 
 	"routelab/internal/classify"
 	"routelab/internal/obs"
+	"routelab/internal/peering"
 )
 
 // testScenario caches the (comparatively expensive) test scenario. The
@@ -155,6 +156,43 @@ func TestAlternatesCampaign(t *testing.T) {
 		sum.LinksMissing, sum.LinksObserved, sum.LinksOnlyPoisoned)
 	if sum.Verdicts[classify.AltBestShort] == 0 {
 		t.Error("nobody followed Best&Shortest — implausible")
+	}
+}
+
+// TestAlternatesCampaignCountsIndependentOfWorkers: one campaign on the
+// serial path and on four workers gives the same results and costs the
+// engine the same forks, events and changes, which is what the
+// ledger's exact-count check compares across its serial and parallel
+// passes.
+func TestAlternatesCampaignCountsIndependentOfWorkers(t *testing.T) {
+	s := getScenario(t)
+	s.Testbed.AnycastBase(s.Testbed.Prefixes[0]) // built once, outside the counts
+	counters := []string{"bgp.fork.calls", "bgp.converge.events", "bgp.converge.changes"}
+	run := func(workers int) ([]peering.AlternateResult, []int64) {
+		sw := *s
+		sw.Cfg.RoutingWorkers = workers
+		before := make([]int64, len(counters))
+		for i, name := range counters {
+			before[i] = obs.Default().Counter(name).Value()
+		}
+		runs := sw.RunAlternatesCampaign(rand.New(rand.NewSource(10)))
+		for i, name := range counters {
+			before[i] = obs.Default().Counter(name).Value() - before[i]
+		}
+		return runs, before
+	}
+	serial, serialCounts := run(1)
+	wide, wideCounts := run(4)
+	if len(serial) == 0 {
+		t.Fatal("no targets")
+	}
+	if !reflect.DeepEqual(serial, wide) {
+		t.Error("the campaign's results differ between workers=1 and workers=4")
+	}
+	for i, name := range counters {
+		if serialCounts[i] == 0 || serialCounts[i] != wideCounts[i] {
+			t.Errorf("%s: %d on one worker, %d on four", name, serialCounts[i], wideCounts[i])
+		}
 	}
 }
 

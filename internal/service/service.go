@@ -347,11 +347,13 @@ func (srv *Server) serveAlternates(rp *reply, r *http.Request) {
 	})
 }
 
+// alternatesBody discovers one target's preference order over the
+// first testbed prefix and renders it. Discovery consumes no randomness,
+// so the body is a pure function of (engine, prefix, target). A
+// one-target walk is a chain: one fork of the tenant's frozen anycast
+// base, poisoned and reconverged once per round, then released.
 func (srv *Server) alternatesBody(target asn.ASN) ([]byte, error) {
-	// Discovery consumes no randomness; the run is a pure function of
-	// (engine, prefix, target). The poisoning rounds mutate one fork of
-	// the frozen anycast base.
-	res := srv.s.Testbed.DiscoverAlternates(srv.s.Testbed.Prefixes[0], target)
+	res := srv.s.Testbed.DiscoverAlternates(srv.s.Testbed.Prefixes[0], []asn.ASN{target}, 1)[0]
 	data := AlternatesData{
 		Target:        res.Target.String(),
 		Prefix:        res.Prefix.String(),
