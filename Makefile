@@ -4,15 +4,17 @@
 # the full test suite under the race detector — the concurrency model in
 # DESIGN.md is only trustworthy while this stays green, and the suite
 # includes the scenario-corpus-versus-goldens check (internal/spec
-# TestCorpusMatchesGoldens, SCENARIOS.md) and the in-tree invariant
-# analyzers (internal/lint TestRepoIsClean, DESIGN.md §11). CI
+# TestCorpusMatchesGoldens, SCENARIOS.md), the in-tree invariant
+# analyzers (internal/lint TestRepoIsClean, DESIGN.md §11) and the
+# end-to-end runs of routelabd and routeload (cmd/routelabd
+# TestLifecycle*, cmd/routeload TestDrive*). CI
 # (.github/workflows/ci.yml) runs verify plus staticcheck, cover, and the
 # ledger on every push/PR.
 
 GO ?= go
 STATICCHECK ?= staticcheck
 
-.PHONY: verify build fmt-check vet test race bench fuzz-smoke service-smoke load-smoke lint staticcheck cover
+.PHONY: verify build fmt-check vet test race bench fuzz-smoke lint staticcheck cover
 
 verify: build fmt-check vet race
 
@@ -42,29 +44,13 @@ bench:
 # fuzz-smoke gives each native fuzz target a short budget: the fleet
 # admission path (body sniffer, spec parsers, expansion) and the
 # routelab-whatif/v1 request decoder. Both seed themselves with f.Add
-# (the scenario corpus; the documents the tests and smoke scripts post),
+# (the scenario corpus; the documents the tests post),
 # and testdata/fuzz holds only crashers the fuzzer finds. Long enough to
 # catch a decoder panic or round-trip break introduced by a parser
 # change, short enough for every CI run.
 fuzz-smoke:
 	$(GO) test ./internal/service -run=^$$ -fuzz=FuzzAdmitSpec -fuzztime=20s
 	$(GO) test ./internal/service -run=^$$ -fuzz=FuzzWhatIfRequest -fuzztime=20s
-
-# service-smoke boots routelabd on a tiny scenario, curls every /v1
-# endpoint, validates the routelab-api/v1 envelopes with cmd/apicheck,
-# and checks the SIGTERM graceful drain (scripts/service_smoke.sh).
-service-smoke:
-	bash scripts/service_smoke.sh
-
-# load-smoke boots routelabd on the scenario corpus (-scenario-dir),
-# admits one more scenario over POST /v1/scenarios and drives the two
-# tiny worlds with cmd/routeload, which writes the routelab-load/v1
-# emission and gates on it itself: zero errors, zero sheds, lax p99
-# tripwire; then a saturation leg that must shed cleanly
-# (scripts/load_smoke.sh; CI archives LOAD_routelab.json and
-# LOAD_saturation.json, gate passed or not).
-load-smoke:
-	bash scripts/load_smoke.sh
 
 # lint is staticcheck (general Go hygiene); this repo's own invariants
 # are a test, internal/lint TestRepoIsClean (DESIGN.md §11).

@@ -216,8 +216,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "routelabd:", err)
 		os.Exit(1)
 	}
-	// The smoke tests and other supervisors wait for this line before
-	// sending traffic.
+	// Supervisors (main_test.go among them) wait for this line before
+	// sending traffic; with -addr :0 it is where the port is read.
 	fmt.Fprintf(os.Stderr, "routelabd: serving routelab-api/v1 on http://%s/v1/\n", ln.Addr())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -2,9 +2,8 @@
 // clients over a mixed scenario/endpoint schedule, builds a
 // routelab-load/v1 report (throughput, p50/p90/p99 latency, time-
 // bucketed histograms, error/shed/cache rates, per-endpoint and
-// per-scenario breakdowns), writes it, and gates on it: one process
-// measures, validates and decides. It exits 1 when a gate fails — and a
-// bare run gates on zero errors — so a shell or CI step needs nothing
+// per-scenario breakdowns) and writes it. It exits 1 when any request
+// failed, after the report is written, so a shell step needs nothing
 // after it.
 //
 // Usage:
@@ -25,41 +24,18 @@
 //	-spread N        vary the experiments endpoint's seed over N
 //	                 distinct values (0 = off). Concurrent requests to
 //	                 one URL coalesce server-side and coalesced waiters
-//	                 never shed; saturation legs set -spread so the
+//	                 never shed; a saturating run sets -spread so the
 //	                 schedule carries distinct cache keys and actually
 //	                 pressures the admission gate
 //	-cold A,B        scenario ids to drive WITHOUT warmup: only a
 //	                 healthz target each, so the first touch triggers
 //	                 the (slow) build during the measured run. With
 //	                 three or more cold ids and tight build gates the
-//	                 overflow must shed — the deterministic leg of the
-//	                 saturation smoke
+//	                 overflow must shed
 //	-timeout D       per-request client timeout (default 5m; first
 //	                 requests wait on scenario builds)
 //	-out PATH        write the routelab-load/v1 emission here
 //	                 (default LOAD_routelab.json; "" skips the file)
-//
-// Gates, evaluated on the report after it is written (the emission
-// survives a failed gate, so CI can archive the evidence):
-//
-//	-max-error-rate P  allowed error rate in percent (default 0, so
-//	                 always on): the fleet must serve the schedule with
-//	                 zero transport errors, bad statuses, or invalid
-//	                 envelopes. Clean sheds (verified 429s) are NOT
-//	                 errors; a saturation leg can shed heavily and
-//	                 still pass this gate
-//	-max-shed-rate P allowed shed rate in percent (default 100). The
-//	                 plain load-smoke leg runs 0 — an unsaturated fleet
-//	                 must never shed
-//	-min-sheds N     shed-count floor (default 0 = off). The saturation
-//	                 leg runs 1 — deliberately overfilled gates must
-//	                 actually shed, or the overload protection silently
-//	                 stopped engaging
-//	-max-p99 D       whole-run p99 tripwire (default 0 = off). CI uses
-//	                 a deliberately lax cross-machine value
-//	                 (catastrophic serialization or a build on the hot
-//	                 path), not a latency SLO: one run's timings on a
-//	                 shared runner catch nothing finer
 //
 // The schedule is deterministic: request j targets urls[j mod len] and
 // walks the endpoint mix in order, jobs handed to clients in order.
@@ -67,8 +43,8 @@
 // transport error, an unexpected status, or an invalid envelope counts
 // as an error in the report. A 429 whose envelope carries the
 // "overloaded" code AND a Retry-After header is a CLEAN SHED — counted
-// separately, not an error — which is how the saturation smoke
-// distinguishes deliberate load shedding from breakage.
+// separately, not an error — which is how a saturated fleet's
+// deliberate load shedding is told apart from breakage.
 //
 // Warmup (one healthz per scenario to trigger the build, plus probe
 // requests to discover a live trace id and AS) happens before the
@@ -102,12 +78,7 @@ func main() {
 		cold      = flag.String("cold", "", "comma-separated scenario ids to drive WITHOUT warmup (healthz only; the first touch triggers the build)")
 		timeout   = flag.Duration("timeout", 5*time.Minute, "per-request client timeout")
 		out       = flag.String("out", "LOAD_routelab.json", "write the routelab-load/v1 emission here (empty = skip)")
-		g         gates
 	)
-	flag.Float64Var(&g.maxErrorRate, "max-error-rate", 0, "allowed error rate, in percent (clean sheds excluded)")
-	flag.Float64Var(&g.maxShedRate, "max-shed-rate", 100, "allowed shed rate, in percent")
-	flag.Int64Var(&g.minSheds, "min-sheds", 0, "shed-count floor (0 = no gate; saturation legs use >= 1)")
-	flag.DurationVar(&g.maxP99, "max-p99", 0, "p99 latency tripwire (0 = no gate; keep it lax — cross-machine timings only catch blowups)")
 	flag.Parse()
 	if flag.NArg() != 0 {
 		fmt.Fprintf(os.Stderr, "routeload: unexpected arguments: %v\n", flag.Args())
@@ -120,14 +91,7 @@ func main() {
 	}
 
 	base := "http://" + *addr
-	// Clients must not churn sockets: size the idle pool to the client
-	// count so every client keeps one warm connection instead of racing
-	// the default (2 per host) and paying a TCP handshake per request.
-	transport := http.DefaultTransport.(*http.Transport).Clone()
-	transport.MaxIdleConns = *clients
-	transport.MaxIdleConnsPerHost = *clients
-	client := &http.Client{Timeout: *timeout, Transport: transport}
-
+	client := newClient(*clients, *timeout)
 	ids := splitIDs(*scenarios)
 	if len(ids) == 0 {
 		var err error
@@ -140,39 +104,13 @@ func main() {
 	fmt.Fprintf(os.Stderr, "routeload: driving %d scenario(s) %v with %d clients, %d requests\n",
 		len(ids), ids, *clients, *requests)
 
-	// Warmup: build every scenario and discover per-scenario request
-	// parameters before the clock starts.
-	var urls []target
-	for _, id := range ids {
-		ts, err := warmup(client, base, id)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "routeload: warmup %s: %v\n", id, err)
-			os.Exit(1)
-		}
-		urls = append(urls, ts...)
+	rep, err := drive(client, base, "routeload "+strings.Join(os.Args[1:], " "),
+		ids, splitIDs(*cold), *clients, *requests, *spread, *bucket)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "routeload:", err)
+		os.Exit(1)
 	}
-	// Cold scenarios skip warmup on purpose: their first healthz IS the
-	// load. Several cold ids touched concurrently pressure the build
-	// gate — with a tight -max-queued-builds the overflow surfaces as
-	// clean 429s, which is how the saturation smoke forces build
-	// shedding through the public API. Builds run ~seconds while
-	// requests arrive in milliseconds, so the pressure is machine-
-	// independent (unlike request-gate contention, which needs computes
-	// long enough to overlap).
-	for _, id := range splitIDs(*cold) {
-		ids = append(ids, id)
-		urls = append(urls, target{scenario: id, endpoint: "healthz",
-			url: base + "/v1/scenarios/" + id + "/healthz"})
-	}
-
-	samples, wallNS := run(client, urls, *clients, *spread, *requests)
-
-	rep := BuildLoadReport(
-		"routeload "+strings.Join(os.Args[1:], " "),
-		base, ids, *clients, wallNS, int64(*bucket), samples)
 	printSummary(os.Stdout, rep)
-	// The emission goes out before the gates decide, so a failed gate
-	// leaves its evidence behind.
 	if *out != "" {
 		if err := rep.WriteFile(*out); err != nil {
 			fmt.Fprintln(os.Stderr, "routeload:", err)
@@ -180,47 +118,53 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "routeload: emission written to %s\n", *out)
 	}
-	if bad := evalGates(rep, g); len(bad) > 0 {
-		for _, msg := range bad {
-			fmt.Fprintln(os.Stderr, "routeload:", msg)
-		}
+	if rep.Errors > 0 {
+		fmt.Fprintf(os.Stderr, "routeload: %d/%d requests failed\n", rep.Errors, rep.Requests)
 		os.Exit(1)
 	}
-	fmt.Printf("gates: ok (error rate <= %.2f%%, shed rate <= %.2f%%, shed floor %d, p99 tripwire %v)\n",
-		g.maxErrorRate, g.maxShedRate, g.minSheds, g.maxP99)
 }
 
-// gates carries every threshold so the evaluation is a pure function
-// of (report, gates) — the part CI trusts, and the part the tests pin.
-type gates struct {
-	maxErrorRate float64       // percent; always on
-	maxShedRate  float64       // percent; always on
-	minSheds     int64         // 0 = no gate
-	maxP99       time.Duration // 0 = no gate
+// newClient returns the client every routeload request goes through.
+// Clients must not churn sockets: the idle pool is sized to the client
+// count so every client keeps one warm connection instead of racing
+// the default (2 per host) and paying a TCP handshake per request.
+func newClient(clients int, timeout time.Duration) *http.Client {
+	transport := http.DefaultTransport.(*http.Transport).Clone()
+	transport.MaxIdleConns = clients
+	transport.MaxIdleConnsPerHost = clients
+	return &http.Client{Timeout: timeout, Transport: transport}
 }
 
-// evalGates returns one violation message per failed gate, empty when
-// the report passes. Messages are complete sentences suitable for CI
-// logs; the caller decides where they go.
-func evalGates(rep LoadReport, g gates) []string {
-	var bad []string
-	if rate := rep.ErrorRate * 100; rate > g.maxErrorRate {
-		bad = append(bad, fmt.Sprintf("error rate %.2f%% EXCEEDS limit %.2f%% (%d/%d requests failed)",
-			rate, g.maxErrorRate, rep.Errors, rep.Requests))
+// drive is the measurement: warm up every id in ids, add one healthz
+// target per cold id, run the schedule and aggregate it into the
+// routelab-load/v1 report.
+func drive(client *http.Client, base, command string, ids, cold []string, clients, requests, spread int, bucket time.Duration) (LoadReport, error) {
+	// Warmup: build every scenario and discover per-scenario request
+	// parameters before the clock starts.
+	var urls []target
+	for _, id := range ids {
+		ts, err := warmup(client, base, id)
+		if err != nil {
+			return LoadReport{}, fmt.Errorf("warmup %s: %w", id, err)
+		}
+		urls = append(urls, ts...)
 	}
-	if rate := rep.ShedRate * 100; rate > g.maxShedRate {
-		bad = append(bad, fmt.Sprintf("shed rate %.2f%% EXCEEDS limit %.2f%% (%d/%d requests shed)",
-			rate, g.maxShedRate, rep.Sheds, rep.Requests))
+	// Cold scenarios skip warmup on purpose: their first healthz IS the
+	// load. Several cold ids touched concurrently pressure the build
+	// gate — with a tight -max-queued-builds the overflow surfaces as
+	// clean 429s, which is how a saturated fleet sheds builds through
+	// the public API. Builds run ~seconds while requests arrive in
+	// milliseconds, so the pressure is machine-independent (unlike
+	// request-gate contention, which needs computes long enough to
+	// overlap).
+	ids = append(ids, cold...)
+	for _, id := range cold {
+		urls = append(urls, target{scenario: id, endpoint: "healthz",
+			url: base + "/v1/scenarios/" + id + "/healthz"})
 	}
-	if g.minSheds > 0 && rep.Sheds < g.minSheds {
-		bad = append(bad, fmt.Sprintf("sheds %d BELOW floor %d — overload protection never engaged",
-			rep.Sheds, g.minSheds))
-	}
-	if g.maxP99 > 0 && rep.Latency.P99NS > int64(g.maxP99) {
-		bad = append(bad, fmt.Sprintf("p99 latency %v EXCEEDS tripwire %v",
-			time.Duration(rep.Latency.P99NS).Round(time.Millisecond), g.maxP99))
-	}
-	return bad
+
+	samples, wallNS := run(client, urls, clients, spread, requests)
+	return BuildLoadReport(command, base, ids, clients, wallNS, int64(bucket), samples), nil
 }
 
 func splitIDs(s string) []string {
@@ -289,11 +233,13 @@ func discoverScenarios(client *http.Client, base string) ([]string, error) {
 }
 
 // warmup builds scenario id (first touch) and assembles its endpoint
-// mix: a live trace id probed the way scripts/service_smoke.sh does,
-// and an AS taken from that trace's first routing decision.
+// mix: a live trace id probed from trace 0 up, and an AS taken from
+// that trace's first routing decision. A healthz that does not answer
+// 200 (an id the fleet does not have, a build shed or failed) ends the
+// warmup there, with the server's reason.
 func warmup(client *http.Client, base, id string) ([]target, error) {
 	prefix := base + "/v1/scenarios/" + id
-	if _, _, err := fetch(client, prefix+"/healthz"); err != nil {
+	if err := healthz(client, prefix+"/healthz"); err != nil {
 		return nil, err
 	}
 	var classifyURL string
@@ -350,11 +296,27 @@ func unmarshalData(env service.Envelope, kind string, v any) error {
 	return json.Unmarshal(env.Data, v)
 }
 
-// fetch issues one GET and validates the envelope; returns the status
-// and the cache header.
-func fetch(client *http.Client, url string) (status int, cacheHdr string, err error) {
-	status, cacheHdr, _, err = do(client, target{url: url})
-	return status, cacheHdr, err
+// healthz issues one GET to a healthz URL and validates the envelope;
+// any status but 200 is an error naming the status and the error
+// envelope's code and message.
+func healthz(client *http.Client, url string) error {
+	resp, err := client.Get(url)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	env, err := service.ReadEnvelope(resp.Body)
+	if err != nil {
+		return fmt.Errorf("%s: %w", url, err)
+	}
+	if resp.StatusCode == http.StatusOK {
+		return nil
+	}
+	var ed service.ErrorData
+	if err := unmarshalData(env, "error", &ed); err != nil {
+		return fmt.Errorf("healthz: status %d: %w", resp.StatusCode, err)
+	}
+	return fmt.Errorf("healthz: status %d (%s): %s", resp.StatusCode, ed.Code, ed.Error)
 }
 
 // do issues one scheduled request — GET, or POST when the target

@@ -2,10 +2,15 @@ package main
 
 import (
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"routelab/internal/service"
 )
 
 // golden reads the committed bucketed emission: 51 requests over 3 s
@@ -37,53 +42,6 @@ func TestGoldenFixtureShape(t *testing.T) {
 	}
 }
 
-func TestEvalGatesPass(t *testing.T) {
-	g := gates{
-		maxErrorRate: 2,  // 1/51 ≈ 1.96%
-		maxShedRate:  20, // 10/51 ≈ 19.6%
-		minSheds:     1,
-		maxP99:       time.Second,
-	}
-	if bad := evalGates(golden(t), g); len(bad) != 0 {
-		t.Errorf("healthy report failed gates: %v", bad)
-	}
-}
-
-func TestEvalGatesTrip(t *testing.T) {
-	cases := []struct {
-		name string
-		g    gates
-		want string
-	}{
-		// The zero gates are a bare `routeload` run's: any error fails it.
-		{"error rate", gates{maxErrorRate: 0, maxShedRate: 100}, "error rate"},
-		{"shed rate", gates{maxErrorRate: 2, maxShedRate: 10}, "shed rate"},
-		{"shed floor", gates{maxErrorRate: 2, maxShedRate: 100, minSheds: 11}, "BELOW floor 11"},
-		{"p99", gates{maxErrorRate: 2, maxShedRate: 100, maxP99: 50 * time.Millisecond}, "p99 latency"},
-	}
-	for _, tc := range cases {
-		bad := evalGates(golden(t), tc.g)
-		if len(bad) != 1 {
-			t.Errorf("%s: got %d violations %v, want 1", tc.name, len(bad), bad)
-			continue
-		}
-		if !strings.Contains(bad[0], tc.want) {
-			t.Errorf("%s: violation %q should mention %q", tc.name, bad[0], tc.want)
-		}
-	}
-}
-
-// The shed floor must not trip on reports that shed nothing when the
-// gate is off — the plain load-smoke leg runs minSheds 0.
-func TestEvalGatesShedFloorOff(t *testing.T) {
-	rep := golden(t)
-	rep.Sheds = 0
-	rep.ShedRate = 0
-	if bad := evalGates(rep, gates{maxErrorRate: 2, maxShedRate: 100}); len(bad) != 0 {
-		t.Errorf("shed floor tripped while disabled: %v", bad)
-	}
-}
-
 func TestPrintSummary(t *testing.T) {
 	var sb strings.Builder
 	printSummary(&sb, golden(t))
@@ -98,5 +56,101 @@ func TestPrintSummary(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("summary missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// corpusFleet serves the scenario corpus the way `routelabd
+// -scenario-dir scenarios -request-timeout 120s` does, in process.
+// Registration is cheap; each scenario builds on its first request.
+func corpusFleet(t *testing.T, cfg service.StoreConfig) http.Handler {
+	t.Helper()
+	cfg.Tenant.RequestTimeout = 120 * time.Second
+	store := service.NewStore(cfg)
+	if _, err := store.RegisterDir("../../scenarios"); err != nil {
+		t.Fatal(err)
+	}
+	return service.NewFleet(store).Handler()
+}
+
+func serve(t *testing.T, h http.Handler) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewServer(h)
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// driveFleet runs routeload's measurement against ts and checks the
+// report's own invariants.
+func driveFleet(t *testing.T, ts *httptest.Server, ids, cold []string, clients, requests, spread int) LoadReport {
+	t.Helper()
+	rep, err := drive(newClient(clients, time.Minute), ts.URL, "routeload (test)",
+		ids, cold, clients, requests, spread, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.Validate(); err != nil {
+		t.Fatalf("report invalid: %v", err)
+	}
+	if rep.Requests != int64(requests) {
+		t.Fatalf("report counts %d requests, drove %d", rep.Requests, requests)
+	}
+	return rep
+}
+
+// An unsaturated fleet serves the whole schedule: no errors, no sheds,
+// and a p99 far from anything but a build or a serialization on the
+// hot path.
+func TestDriveHealthy(t *testing.T) {
+	ts := serve(t, corpusFleet(t, service.StoreConfig{}))
+	rep := driveFleet(t, ts, []string{"smoke", "smoke-alt"}, nil, 8, 160, 0)
+	if rep.Errors != 0 || rep.Sheds != 0 {
+		t.Errorf("healthy fleet: %d errors, %d sheds, want none", rep.Errors, rep.Sheds)
+	}
+	if p99 := time.Duration(rep.Latency.P99NS); p99 >= 30*time.Second {
+		t.Errorf("healthy fleet: p99 %v, want < 30s", p99)
+	}
+	if len(rep.Buckets) == 0 || len(rep.PerScenario) != 2 {
+		t.Errorf("report has %d buckets and %d scenarios, want >= 1 and 2", len(rep.Buckets), len(rep.PerScenario))
+	}
+}
+
+// A fleet with one compute slot, one queue place, one cache entry and
+// one build-queue place, driven by twice the healthy clients plus four
+// cold scenarios whose first touches land mid-run, must shed: the
+// concurrent cold builds overrun the build gate, and -spread's distinct
+// experiments keys reach the request gate. Every shed must be a clean
+// one (429, overloaded, Retry-After); anything else is an error.
+func TestDriveSaturated(t *testing.T) {
+	ts := serve(t, corpusFleet(t, service.StoreConfig{
+		MaxQueuedBuilds: 1,
+		CacheSize:       1,
+		Tenant:          service.Config{MaxConcurrent: 1, MaxQueuedRequests: 1},
+	}))
+	rep := driveFleet(t, ts, []string{"smoke", "smoke-alt"},
+		[]string{"clean-baseline", "jittered", "domestic", "monitor-starved"}, 16, 320, 320)
+	if rep.Errors != 0 {
+		t.Errorf("saturated fleet: %d errors, want 0 (sheds must be clean 429s)", rep.Errors)
+	}
+	if rep.Sheds < 1 {
+		t.Errorf("saturated fleet shed nothing: overload protection never engaged")
+	}
+	t.Logf("saturated fleet: %d requests, %d sheds, %d errors", rep.Requests, rep.Sheds, rep.Errors)
+}
+
+// Warming up an id the fleet does not have stops at its healthz: one
+// request, and an error that names the 404.
+func TestWarmupUnknownScenario(t *testing.T) {
+	fleet := corpusFleet(t, service.StoreConfig{})
+	var n atomic.Int64
+	ts := serve(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		n.Add(1)
+		fleet.ServeHTTP(w, r)
+	}))
+	_, err := warmup(newClient(1, time.Minute), ts.URL, "nope")
+	if err == nil || !strings.Contains(err.Error(), "404") {
+		t.Errorf("warmup of an unknown id: err %v, want one naming the 404", err)
+	}
+	if got := n.Load(); got != 1 {
+		t.Errorf("warmup of an unknown id made %d requests, want 1", got)
 	}
 }

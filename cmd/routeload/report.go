@@ -10,7 +10,7 @@ import (
 )
 
 // LoadSchema identifies the load-harness emission: routeload builds
-// it, gates on it and writes it.
+// it, validates it and writes it.
 const LoadSchema = "routelab-load/v1"
 
 // LoadSample is one request's outcome as the harness observed it.

@@ -247,7 +247,7 @@ type WhatIfRequest struct {
 // delta-XOR-deltas contract, the batch cap, and that every delta names
 // a known kind. Topology-dependent validation (AS existence, adjacency)
 // happens at whatif.Compile time inside the server; this is the part
-// cmd/apicheck can verify offline.
+// a client can verify offline.
 func (req WhatIfRequest) Validate() error {
 	if req.Schema != WhatIfSchema {
 		return fmt.Errorf("schema %q, want %q", req.Schema, WhatIfSchema)
@@ -293,8 +293,8 @@ type WhatIfData struct {
 	Results []whatif.Diff `json:"results"`
 }
 
-// Validate checks a whatif payload's internal consistency — what
-// cmd/apicheck verifies about served bodies beyond the envelope.
+// Validate checks a whatif payload's internal consistency — what a
+// client can verify about a served body beyond the envelope.
 func (d WhatIfData) Validate() error {
 	if d.Prefix == "" || d.Origin == "" {
 		return fmt.Errorf("missing prefix/origin (%q/%q)", d.Prefix, d.Origin)

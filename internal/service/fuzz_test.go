@@ -99,7 +99,7 @@ func FuzzAdmitSpec(f *testing.F) {
 // /v1/whatif — json.Unmarshal, WhatIfRequest.Validate, whatif.CompileAll
 // against the test scenario's topology, whatif.CanonicalKey — with
 // arbitrary bodies, seeded with the request documents whatif_test.go
-// and scripts/load_smoke.sh post plus one delta of each remaining kind.
+// and cmd/routelabd's tests post plus one delta of each remaining kind.
 // Properties:
 //
 //   - the pipeline never panics;

@@ -99,8 +99,8 @@ type BuildProgressData struct {
 	Error      string  `json:"error,omitempty"`
 }
 
-// Validate checks a build payload's internal consistency — what
-// cmd/apicheck verifies about served bodies beyond the envelope.
+// Validate checks a build payload's internal consistency — what a
+// client can verify about a served body beyond the envelope.
 func (d BuildProgressData) Validate() error {
 	if d.ID == "" {
 		return fmt.Errorf("missing id")

@@ -74,11 +74,26 @@ func get(t *testing.T, url string) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
-// checkEnvelope validates a response the way cmd/apicheck does and
-// returns the envelope kind.
+// checkEnvelope validates a served body and returns its envelope: the
+// envelope itself, and the payload of the kinds that carry their own
+// consistency rules (whatif, build).
 func checkEnvelope(t *testing.T, body string) Envelope {
 	t.Helper()
 	e, err := ReadEnvelope(strings.NewReader(body))
+	if err == nil {
+		switch e.Kind {
+		case "whatif":
+			var data WhatIfData
+			if err = json.Unmarshal(e.Data, &data); err == nil {
+				err = data.Validate()
+			}
+		case "build":
+			var data BuildProgressData
+			if err = json.Unmarshal(e.Data, &data); err == nil {
+				err = data.Validate()
+			}
+		}
+	}
 	if err != nil {
 		t.Fatalf("invalid envelope: %v\nbody: %s", err, body)
 	}
