@@ -16,7 +16,6 @@ import (
 	"routelab/internal/report"
 	"routelab/internal/scenario"
 	"routelab/internal/stats"
-	"routelab/internal/vantage"
 )
 
 // AblationProbeRow compares one probe-selection strategy.
@@ -64,22 +63,14 @@ func ablations(ctx context.Context, env *Env) (Result, error) {
 		return nil, err
 	}
 	// Neither the sweep nor the latest-epoch row changes what a snapshot
-	// shows, only how it is labelled: gather the evidence once for both.
-	cfg := inference.DefaultConfig()
-	cfg.SameOrg = s.Siblings.SameOrg
-	evidence := parallel.MapStage("inference/evidence", s.Snapshots, s.Cfg.RoutingWorkers,
-		func(_ int, snap *vantage.Snapshot) *inference.Evidence {
-			return inference.Gather(snap, cfg)
-		})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+	// shows, only how it is labelled: both relabel the evidence the build
+	// gathered.
 	ds := s.Decisions()
-	computeThresholdAblation(res, s, evidence, ds)
+	computeThresholdAblation(res, s, ds)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	computeAggregationAblation(res, s, evidence[len(evidence)-1], cfg.VisibilityThreshold, ds)
+	computeAggregationAblation(res, s, ds)
 	return res, nil
 }
 
@@ -184,12 +175,20 @@ func computeProbeSelectionAblation(res *AblationsResult, s *scenario.Scenario, r
 // share. Each threshold relabels the snapshots' evidence and
 // reclassifies the whole dataset independently, so the sweep fans out
 // across the worker pool; rows are recorded in sweep order either way.
-func computeThresholdAblation(res *AblationsResult, s *scenario.Scenario, evidence []*inference.Evidence, ds []classify.Decision) {
+// The build's own threshold is the build's graph and verdicts.
+func computeThresholdAblation(res *AblationsResult, s *scenario.Scenario, ds []classify.Decision) {
 	thresholds := []float64{0.1, 0.2, 0.3, 0.5}
 	rows := parallel.MapStage("experiments/threshold-ablation", thresholds, s.Cfg.RoutingWorkers,
 		func(_ int, th float64) AblationThresholdRow {
-			gs := make([]*relgraph.Graph, 0, len(evidence))
-			for _, ev := range evidence {
+			if th == inference.DefaultConfig().VisibilityThreshold {
+				return AblationThresholdRow{
+					Threshold:    th,
+					Edges:        s.Context.Graph.NumEdges(),
+					BestShortPct: bestShortPct(s.Verdicts.Breakdown(classify.Simple)),
+				}
+			}
+			gs := make([]*relgraph.Graph, 0, len(s.Evidence))
+			for _, ev := range s.Evidence {
 				gs = append(gs, ev.Label(th))
 			}
 			g := inference.Aggregate(gs)
@@ -205,9 +204,9 @@ func computeThresholdAblation(res *AblationsResult, s *scenario.Scenario, eviden
 // computeAggregationAblation compares the paper's five-epoch weighted
 // majority against using only the latest snapshot (no stale links, but
 // also no smoothing of transient inference errors).
-func computeAggregationAblation(res *AblationsResult, s *scenario.Scenario, latestEvidence *inference.Evidence, threshold float64, ds []classify.Decision) {
+func computeAggregationAblation(res *AblationsResult, s *scenario.Scenario, ds []classify.Decision) {
 	stop := obs.StartStage("inference/aggregation-latest")
-	latest := latestEvidence.Label(threshold)
+	latest := s.Evidence[len(s.Evidence)-1].Label(inference.DefaultConfig().VisibilityThreshold)
 	stop()
 	defer obs.StartStage("classify/ablation-breakdowns")()
 	res.AggregationRows = append(res.AggregationRows,

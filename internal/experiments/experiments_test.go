@@ -157,7 +157,7 @@ func TestCancelAtStageBoundary(t *testing.T) {
 		name, cancelAt, never string // never is a stage-name prefix
 	}{
 		{"all", "experiment/table2", "experiment/"},
-		{"ablations", "inference/evidence", "experiments/threshold-ablation"},
+		{"ablations", "classify/ablation-breakdowns", "experiments/threshold-ablation"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())

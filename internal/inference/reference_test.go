@@ -1,11 +1,13 @@
 package inference_test
 
 import (
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
 
 	"routelab/internal/asn"
+	"routelab/internal/bgp"
 	"routelab/internal/inference"
 	"routelab/internal/relgraph"
 	"routelab/internal/scenario"
@@ -245,7 +247,11 @@ func findClique(deg map[asn.ASN]int, adj map[topology.LinkKey]bool, maxSize int)
 // evidence/label split: on every snapshot of a generated scenario and
 // every threshold the ablation sweeps, labelling the once-gathered
 // evidence yields the reference's edges exactly, and aggregating the
-// 0.3 labellings reproduces the graph the build inferred.
+// build's evidence labelled at 0.3 reproduces the graph it inferred.
+// A built scenario keeps no snapshot, so the test collects the build's
+// five from keep-everything RIBs of the same world, drawing the peers as
+// Build does: epoch by epoch, historic epochs on the restored topology,
+// as the first use of the seed's rng.
 func TestLabelMatchesReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a scenario")
@@ -254,26 +260,40 @@ func TestLabelMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	hist := s.Topo.Restored()
+	ribs := []*bgp.RIB{
+		bgp.New(hist, s.Cfg.Seed).ComputeFullRIB(0),
+		bgp.New(s.Topo, s.Cfg.Seed).ComputeFullRIB(0),
+	}
+	rng := rand.New(rand.NewSource(s.Cfg.Seed))
 	cfg := inference.DefaultConfig()
 	cfg.SameOrg = s.Siblings.SameOrg
-	var atDefault []*relgraph.Graph
-	for i, snap := range s.Snapshots {
+	for epoch := range s.Cfg.HistoricEpochs + s.Cfg.CurrentEpochs {
+		topo, rib := hist, ribs[0]
+		if epoch >= s.Cfg.HistoricEpochs {
+			topo, rib = s.Topo, ribs[1]
+		}
+		snap := vantage.Collect(rib, vantage.SelectPeers(topo, rng, s.Cfg.NumVantagePeers), epoch)
 		ev := inference.Gather(snap, cfg)
+		if !reflect.DeepEqual(ev, s.Evidence[epoch]) {
+			t.Fatalf("snapshot %d is not the one the build collected: its evidence differs", epoch)
+		}
 		for _, th := range []float64{0.1, 0.2, 0.3, 0.5} {
 			cfg.VisibilityThreshold = th
 			want := referenceInferSnapshot(snap, cfg).Edges()
 			got := ev.Label(th)
 			if len(want) == 0 {
-				t.Fatalf("snapshot %d: reference inferred no edges", i)
+				t.Fatalf("snapshot %d: reference inferred no edges", epoch)
 			}
 			if !reflect.DeepEqual(got.Edges(), want) {
 				t.Errorf("snapshot %d threshold %.1f: labelled evidence differs from the reference (%d vs %d edges)",
-					i, th, got.NumEdges(), len(want))
-			}
-			if th == inference.DefaultConfig().VisibilityThreshold {
-				atDefault = append(atDefault, got)
+					epoch, th, got.NumEdges(), len(want))
 			}
 		}
+	}
+	var atDefault []*relgraph.Graph
+	for _, ev := range s.Evidence {
+		atDefault = append(atDefault, ev.Label(inference.DefaultConfig().VisibilityThreshold))
 	}
 	agg := inference.Aggregate(atDefault)
 	if got, want := agg.Edges(), s.Inferred.Edges(); !reflect.DeepEqual(got, want) {

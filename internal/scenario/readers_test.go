@@ -7,12 +7,15 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"reflect"
 	"testing"
 
 	"routelab/internal/asn"
 	"routelab/internal/experiments"
+	"routelab/internal/inference"
 	"routelab/internal/obs"
 	"routelab/internal/scenario"
+	"routelab/internal/vantage"
 )
 
 // buildSeed builds the TestConfig scenario of one world seed.
@@ -28,9 +31,9 @@ func buildSeed(t *testing.T, seed int64) *scenario.Scenario {
 }
 
 // snapshotDigest hashes every entry of every monitor snapshot, in order.
-func snapshotDigest(s *scenario.Scenario) string {
+func snapshotDigest(snaps []*vantage.Snapshot) string {
 	h := sha256.New()
-	for _, snap := range s.Snapshots {
+	for _, snap := range snaps {
 		fmt.Fprintf(h, "epoch %d: %d entries\n", snap.Epoch, len(snap.Entries))
 		for i := range snap.Entries {
 			e := &snap.Entries[i]
@@ -38,6 +41,19 @@ func snapshotDigest(s *scenario.Scenario) string {
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// buildKeepingSnapshots builds the TestConfig scenario of one world seed
+// and returns the monitor snapshots the build collected.
+func buildKeepingSnapshots(t *testing.T, seed int64) (*scenario.Scenario, []*vantage.Snapshot) {
+	t.Helper()
+	cfg := scenario.TestConfig()
+	cfg.Seed = seed
+	s, snaps, err := scenario.BuildKeepingSnapshots(cfg)
+	if err != nil {
+		t.Fatalf("Build(seed %d): %v", seed, err)
+	}
+	return s, snaps
 }
 
 // TestSnapshotsMatchFullRIBBuild pins that scoping the RIBs to their
@@ -56,8 +72,26 @@ func TestSnapshotsMatchFullRIBBuild(t *testing.T) {
 		2:    "83882cbf3c737b9b576a68f37e9fd3015551a8327a8bfab01625dab311f5fb21",
 		2015: "e2b16a36db80625e7c193a7e3027bdcfeba39e889f8e8072002f908d567e2ac5",
 	} {
-		if got := snapshotDigest(buildSeed(t, seed)); got != want {
+		_, snaps := buildKeepingSnapshots(t, seed)
+		if got := snapshotDigest(snaps); got != want {
 			t.Errorf("seed %d: snapshot digest %s, want %s", seed, got, want)
+		}
+	}
+}
+
+// TestEvidenceIsEachSnapshotGathered: what a built Scenario keeps of its
+// monitor snapshots is exactly their inference evidence, one per
+// snapshot in epoch order, gathered with the build's sibling oracle.
+func TestEvidenceIsEachSnapshotGathered(t *testing.T) {
+	s, snaps := buildKeepingSnapshots(t, scenario.TestConfig().Seed)
+	if len(s.Evidence) != len(snaps) {
+		t.Fatalf("%d evidence sets for %d snapshots", len(s.Evidence), len(snaps))
+	}
+	cfg := inference.DefaultConfig()
+	cfg.SameOrg = s.Siblings.SameOrg
+	for i, snap := range snaps {
+		if !reflect.DeepEqual(s.Evidence[i], inference.Gather(snap, cfg)) {
+			t.Errorf("Evidence[%d] is not Gather of snapshot %d", i, i)
 		}
 	}
 }

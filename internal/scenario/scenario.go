@@ -7,6 +7,13 @@
 // Building a full-scale scenario is expensive (two full RIB
 // computations); experiments share one Scenario instance.
 //
+// A built Scenario keeps what its readers use, not what it was built
+// from. The monitor snapshots are reduced to their threshold-free
+// inference evidence (Evidence), which the ablations relabel, and are
+// freed when Build returns: every feed path of five epochs would
+// otherwise stay resident, and charged to a served tenant, for one
+// re-gathering of that same evidence.
+//
 // # Concurrency
 //
 // Build runs its independent units of work — per-prefix convergence,
@@ -139,13 +146,18 @@ type Scenario struct {
 	// read panics).
 	RIB *bgp.RIB
 
-	Snapshots []*vantage.Snapshot
-	Inferred  *relgraph.Graph
-	Mapper    *ipasmap.Mapper
-	GeoDB     *geodb.DB
-	Siblings  *siblings.Groups
-	Complex   *complexrel.Dataset
-	Platform  *atlas.Platform
+	// Evidence is what each monitor snapshot, in epoch order, says about
+	// its links before a visibility threshold is chosen: Inferred is
+	// their labelling at the build's threshold, aggregated, and the
+	// threshold ablation relabels them. The snapshots themselves are not
+	// kept; nothing after Build reads a feed path.
+	Evidence []*inference.Evidence
+	Inferred *relgraph.Graph
+	Mapper   *ipasmap.Mapper
+	GeoDB    *geodb.DB
+	Siblings *siblings.Groups
+	Complex  *complexrel.Dataset
+	Platform *atlas.Platform
 	// Probes is the balanced Atlas selection of the campaign.
 	Probes []atlas.Probe
 
@@ -195,6 +207,13 @@ type Logf func(phase int, format string, args ...any)
 // (ASes, links, snapshots, traces, decisions) as obs counters, so a
 // -metrics-json report explains where a build's wall clock went.
 func Build(cfg Config, logf Logf) (*Scenario, error) {
+	return build(cfg, logf, nil)
+}
+
+// build is Build with a hook for the monitor snapshots, which a built
+// Scenario does not keep: keep, when non-nil, hears them as soon as they
+// are collected. Only the tests pass one.
+func build(cfg Config, logf Logf, keep func([]*vantage.Snapshot)) (*Scenario, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -268,24 +287,38 @@ func Build(cfg Config, logf Logf) (*Scenario, error) {
 	stop = obs.StartStage(begin("scenario/snapshots", "collecting %d monitor snapshots", epochs))
 	infCfg := inference.DefaultConfig()
 	infCfg.SameOrg = s.Siblings.SameOrg
+	snaps := make([]*vantage.Snapshot, 0, epochs)
 	for epoch := range peers {
 		src := ribHist
 		if epoch >= cfg.HistoricEpochs {
 			src = s.RIB
 		}
-		s.Snapshots = append(s.Snapshots, vantage.Collect(src, peers[epoch], epoch))
+		snaps = append(snaps, vantage.Collect(src, peers[epoch], epoch))
 	}
 	stop()
-	obs.Add("scenario.snapshots", int64(len(s.Snapshots)))
-	graphs := parallel.MapStage(begin("scenario/inference", "inferring relationships"), s.Snapshots, cfg.RoutingWorkers,
-		func(_ int, snap *vantage.Snapshot) *relgraph.Graph {
-			return inference.InferSnapshot(snap, infCfg)
+	obs.Add("scenario.snapshots", int64(len(snaps)))
+	if keep != nil {
+		keep(snaps)
+	}
+	type inferred struct {
+		ev *inference.Evidence
+		g  *relgraph.Graph
+	}
+	per := parallel.MapStage(begin("scenario/inference", "inferring relationships"), snaps, cfg.RoutingWorkers,
+		func(_ int, snap *vantage.Snapshot) inferred {
+			ev := inference.Gather(snap, infCfg)
+			return inferred{ev, ev.Label(infCfg.VisibilityThreshold)}
 		})
+	graphs := make([]*relgraph.Graph, len(per))
+	for i, p := range per {
+		s.Evidence = append(s.Evidence, p.ev)
+		graphs[i] = p.g
+	}
 	s.Inferred = inference.Aggregate(graphs)
 	logf(phase, "  inferred graph: %d edges", s.Inferred.NumEdges())
 	obs.Add("scenario.inference.edges", int64(s.Inferred.NumEdges()))
 
-	latest := s.Snapshots[len(s.Snapshots)-1]
+	latest := snaps[len(snaps)-1]
 	s.Mapper = ipasmap.FromSnapshot(latest)
 	s.GeoDB = geodb.New(s.Topo, cfg.GeoDB)
 	s.Complex = complexrel.FromGroundTruth(s.Topo, rng, cfg.ComplexCoverage)
@@ -293,7 +326,7 @@ func Build(cfg Config, logf Logf) (*Scenario, error) {
 	// §4.3 evidence from the CURRENT epochs only.
 	originEv := make(map[asn.Prefix]map[asn.ASN]bool)
 	edgeEver := make(map[topology.LinkKey]bool)
-	for _, snap := range s.Snapshots[cfg.HistoricEpochs:] {
+	for _, snap := range snaps[cfg.HistoricEpochs:] {
 		for p, ns := range snap.OriginNeighbors() {
 			m := originEv[p]
 			if m == nil {

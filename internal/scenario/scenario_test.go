@@ -80,8 +80,8 @@ func TestBuildProducesUsableCampaign(t *testing.T) {
 	if s.Inferred.NumEdges() == 0 {
 		t.Fatal("empty inferred graph")
 	}
-	if len(s.Snapshots) != s.Cfg.HistoricEpochs+s.Cfg.CurrentEpochs {
-		t.Fatalf("%d snapshots", len(s.Snapshots))
+	if len(s.Evidence) != s.Cfg.HistoricEpochs+s.Cfg.CurrentEpochs {
+		t.Fatalf("evidence of %d snapshots", len(s.Evidence))
 	}
 }
 

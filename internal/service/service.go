@@ -182,16 +182,23 @@ func (srv *Server) respond(rp *reply, r *http.Request, key, contentType string, 
 	rp.bytes(contentType, cache, body)
 }
 
+// marshalEnvelope encodes Envelope{Schema, kind, data} as json.Marshal
+// does, plus a newline, encoding data once: it appends the payload to the
+// envelope's head, where marshaling Envelope would validate and compact
+// the Data RawMessage a second time. kind is one of Kinds, which need no
+// escaping.
 func marshalEnvelope(kind string, data any) ([]byte, error) {
 	raw, err := json.Marshal(data)
 	if err != nil {
 		return nil, err
 	}
-	body, err := json.Marshal(Envelope{Schema: Schema, Kind: kind, Data: raw})
-	if err != nil {
-		return nil, err
-	}
-	return append(body, '\n'), nil
+	const head, kindTail = `{"schema":"` + Schema + `","kind":"`, `","data":`
+	body := make([]byte, 0, len(head)+len(kind)+len(kindTail)+len(raw)+2)
+	body = append(body, head...)
+	body = append(body, kind...)
+	body = append(body, kindTail...)
+	body = append(body, raw...)
+	return append(body, '}', '\n'), nil
 }
 
 // APIError is a typed handler error: a stable machine-readable code

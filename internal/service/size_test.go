@@ -114,6 +114,21 @@ func TestAccountSizeCoversTenant(t *testing.T) {
 	}
 }
 
+// TestTenantSizeCeiling is a retention ceiling: what a built TestConfig
+// tenant weighs, and so what the store charges for it. It was 9.84 MB
+// while a Scenario kept its five monitor snapshots and 6.06 MB once it
+// kept only their inference evidence; a change that keeps the snapshots
+// again, or anything of their size, fails here. The walk is
+// deterministic, so the ceiling gates under -race too.
+func TestTenantSizeCeiling(t *testing.T) {
+	const ceiling = 7_000_000
+	srv := newTenant(testScenario(t), Config{}, partition{c: NewStore(StoreConfig{}).cache, tenant: DefaultID})
+	t.Logf("TestConfig tenant weighs %d bytes", srv.SizeBytes())
+	if srv.SizeBytes() > ceiling {
+		t.Errorf("TestConfig tenant weighs %d bytes, want <= %d", srv.SizeBytes(), ceiling)
+	}
+}
+
 // TestServedTenantNeverOutgrowsCharge: the store charges a tenant what
 // newTenant's walk measured, once, so serving it must not grow what the
 // walk reached. Every experiment but ablations and all (whose raw-probe
