@@ -6,8 +6,12 @@
 # includes the scenario-corpus-versus-goldens check (internal/spec
 # TestCorpusMatchesGoldens, SCENARIOS.md), the in-tree invariant
 # analyzers (internal/lint TestRepoIsClean, DESIGN.md §11) and the
-# end-to-end runs of routelabd and routeload (cmd/routelabd
-# TestLifecycle*, cmd/routeload TestDrive*). CI
+# end-to-end runs of all four commands through their main: cmd/routelabd
+# TestLifecycle*, cmd/routeload TestDrive* and its discovery legs,
+# cmd/scengen's commands and exit codes, and cmd/routelab's refusals and
+# -workers byte-identity. cmd/routelab TestFullScaleGolden, the
+# full-scale run compared byte for byte with results_full_scale.txt,
+# skips under -race: it gates in `make test` and CI's coverage job. CI
 # (.github/workflows/ci.yml) runs verify plus staticcheck, cover, and the
 # ledger on every push/PR.
 

@@ -2,16 +2,61 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"os/exec"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"routelab/internal/service"
+	"routelab/internal/spec"
 )
+
+// argsEnv carries routeload's arguments, JSON-encoded, to a re-executed
+// test binary: TestMain then runs main itself, so the tests drive the
+// real flag parsing, scenario discovery, report file and exit codes.
+const argsEnv = "ROUTELOAD_TEST_ARGS"
+
+func TestMain(m *testing.M) {
+	if v, ok := os.LookupEnv(argsEnv); ok {
+		var args []string
+		if err := json.Unmarshal([]byte(v), &args); err != nil {
+			fmt.Fprintln(os.Stderr, "routeload test:", err)
+			os.Exit(3)
+		}
+		os.Args = append([]string{"routeload"}, args...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runMain re-executes the test binary as routeload against ts and
+// returns its stderr and its exit status.
+func runMain(t *testing.T, ts *httptest.Server, args ...string) (stderr string, code int) {
+	t.Helper()
+	enc, err := json.Marshal(append([]string{"-addr", strings.TrimPrefix(ts.URL, "http://")}, args...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), argsEnv+"="+string(enc))
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if errors.As(err, &exit) {
+		code = exit.ExitCode()
+	} else if err != nil {
+		t.Fatal(err)
+	}
+	return string(out), code
+}
 
 // golden reads the committed bucketed emission: 51 requests over 3 s
 // from 4 clients, 1 error, 10 clean sheds, three 1 s buckets whose
@@ -68,6 +113,24 @@ func corpusFleet(t *testing.T, cfg service.StoreConfig) http.Handler {
 	store := service.NewStore(cfg)
 	if _, err := store.RegisterDir("../../scenarios"); err != nil {
 		t.Fatal(err)
+	}
+	return service.NewFleet(store).Handler()
+}
+
+// smokeFleet serves the two smoke worlds alone: a routeload run that
+// discovers the fleet's ids builds nothing bigger.
+func smokeFleet(t *testing.T) http.Handler {
+	t.Helper()
+	store := service.NewStore(service.StoreConfig{Tenant: service.Config{RequestTimeout: 120 * time.Second}})
+	for _, name := range []string{"smoke", "smoke-alt"} {
+		path := "../../scenarios/" + name + ".yaml"
+		exp, err := spec.Expand(path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Register(exp, path); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return service.NewFleet(store).Handler()
 }
@@ -152,5 +215,43 @@ func TestWarmupUnknownScenario(t *testing.T) {
 	}
 	if got := n.Load(); got != 1 {
 		t.Errorf("warmup of an unknown id made %d requests, want 1", got)
+	}
+}
+
+// With no -scenarios, routeload drives every id the fleet lists,
+// writes its report to -out and exits 0 when no request failed.
+func TestDiscoverFleet(t *testing.T) {
+	ts := serve(t, smokeFleet(t))
+	out := filepath.Join(t.TempDir(), "load.json")
+	log, code := runMain(t, ts, "-clients", "2", "-requests", "40", "-out", out)
+	if code != 0 {
+		t.Fatalf("exit %d, want 0\n%s", code, log)
+	}
+	raw, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatalf("no report at -out: %v\n%s", err, log)
+	}
+	var rep LoadReport
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.Validate(); err != nil {
+		t.Fatalf("report invalid: %v", err)
+	}
+	if want := []string{"smoke", "smoke-alt"}; !reflect.DeepEqual(rep.Scenarios, want) {
+		t.Errorf("report drove scenarios %v, want the fleet's %v", rep.Scenarios, want)
+	}
+	if rep.Requests != 40 || rep.Errors != 0 {
+		t.Errorf("report: %d requests, %d errors; want 40 and none", rep.Requests, rep.Errors)
+	}
+}
+
+// A server that is not a routelabd fails discovery: exit 1 and a
+// message that asks whether -addr is right.
+func TestNotARoutelabd(t *testing.T) {
+	ts := serve(t, http.NotFoundHandler())
+	log, code := runMain(t, ts, "-out", "")
+	if code != 1 || !strings.Contains(log, "is -addr a routelabd?") {
+		t.Errorf("exit %d, want 1 and a message asking whether -addr is a routelabd:\n%s", code, log)
 	}
 }

@@ -1,8 +1,4 @@
-// Quickstart: build a tiny hand-made Internet, converge BGP over it,
-// poison an announcement the way the PEERING experiments do, and judge
-// a routing decision against the Gao–Rexford model — the core routelab
-// API tour in under a hundred lines.
-package main
+package bgp_test
 
 import (
 	"fmt"
@@ -14,7 +10,10 @@ import (
 	"routelab/internal/topology"
 )
 
-func main() {
+// Example is the API tour: build a tiny hand-made Internet, converge
+// BGP over it, poison an announcement the way the PEERING experiments
+// do, and judge a routing decision against the Gao–Rexford model.
+func Example() {
 	// A five-AS Internet: two providers above an origin, one of them
 	// also reachable via a peer link.
 	//
@@ -75,4 +74,22 @@ func main() {
 	fmt.Printf("  best class rank: %d (0=customer, 1=peer, 2=provider)\n", model.BestRank(t2))
 	fmt.Printf("  shortest policy-compliant length: %d\n", model.ShortestLen(t2))
 	fmt.Printf("  shortest model path: %v\n", model.ShortestPath(t2))
+
+	// Output:
+	// == converged routes toward 0.5.0.0/18 ==
+	//   AS10  via AS31  rel=customer path=[31 40]  decided by: intradomain tie-breaker
+	//   AS20  via AS40  rel=peer     path=[40]  decided by: shorter path
+	//   AS31  via AS40  rel=customer path=[40]  decided by: only route
+	//   AS32  via AS40  rel=customer path=[40]  decided by: best relationship
+	//
+	// == after poisoning AS10 ==
+	//   AS20  via AS40  path=[40 {10} 40]
+	//   AS31  via AS40  path=[40 {10} 40]
+	//   AS32  via AS40  path=[40 {10} 40]
+	//   AS10  (no route — poisoned)
+	//
+	// == model view at AS20 toward AS40 ==
+	//   best class rank: 1 (0=customer, 1=peer, 2=provider)
+	//   shortest policy-compliant length: 1
+	//   shortest model path: [AS20 AS40]
 }

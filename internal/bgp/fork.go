@@ -15,9 +15,6 @@ var (
 	obsForkRecycled = obs.Default().Counter("bgp.fork.recycled")
 )
 
-// Prefix returns the prefix this computation routes.
-func (c *Computation) Prefix() asn.Prefix { return c.prefix }
-
 // Base is a frozen computation: the read-only state every fork of it
 // starts from. Its methods read and fork, nothing else, so whatever
 // holds a Base — a memo map, a struct field, a closure — cannot reach

@@ -122,7 +122,7 @@ func DefaultConfig() Config {
 	}
 }
 
-// TestConfig is a fast small-scale scenario for tests and examples.
+// TestConfig is a fast small-scale scenario for tests.
 func TestConfig() Config {
 	c := DefaultConfig()
 	c.Topology = topology.TestConfig()

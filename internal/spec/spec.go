@@ -157,12 +157,6 @@ type Spec struct {
 	values map[string]*Num
 }
 
-// Value returns the explicit override for a schema path, if any.
-func (s *Spec) Value(path string) (*Num, bool) {
-	n, ok := s.values[path]
-	return n, ok
-}
-
 var nameRE = regexp.MustCompile(`^[a-z0-9][a-z0-9._-]*$`)
 
 // Validate checks the document against the schema: envelope version,

@@ -114,9 +114,6 @@ func (b *Builder) Link(x, y asn.ASN, roleOfY Rel, cities ...geo.CityID) *Link {
 	return b.topo.links[l.Key()]
 }
 
-// Name registers a scenario handle.
-func (b *Builder) Name(name string, a asn.ASN) { b.topo.Names[name] = a }
-
 // Build seals and returns the topology: it is read-only from here on
 // (mutators panic), which makes it safe to share across goroutines.
 // Build is idempotent; builder methods must not be called after it.

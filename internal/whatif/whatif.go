@@ -104,9 +104,6 @@ type Compiled struct {
 	origin   asn.ASN        // the base announcement's origin
 }
 
-// Kind returns the compiled delta's kind.
-func (cd *Compiled) Kind() Kind { return cd.kind }
-
 // Canonical returns the delta's canonical form — the cache-key fragment
 // the service layer namespaces responses under. Two wire deltas with
 // the same meaning canonicalize identically: link endpoints are ordered
