@@ -30,7 +30,7 @@ func allocFixture(t *testing.T) (*Computation, asn.ASN) {
 	origin := topo.Names["peering"]
 	c := e.NewComputation(topo.AS(origin).Prefixes[0])
 	c.Announce(Announcement{Origin: origin})
-	if !c.Converge() {
+	if !c.Converge().Settled {
 		t.Fatal("fixture did not converge")
 	}
 	// Find an AS with at least two candidates so Step exercises the full

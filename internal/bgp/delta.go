@@ -205,13 +205,6 @@ func (c *Computation) SetLocalPref(at, from asn.ASN, pref int) error {
 	return nil
 }
 
-// Counters reports the computation's cumulative process-event and
-// best-route-change counts. Snapshotting them around an apply+Converge
-// gives the reconvergence churn a what-if delta cost.
-func (c *Computation) Counters() (events, changes int) {
-	return c.nProcessed, c.nChanges
-}
-
 // BestChange records one AS whose installed best route differs between
 // two computations of the same prefix.
 type BestChange struct {

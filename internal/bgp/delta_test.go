@@ -15,7 +15,7 @@ func convergedDiamond(t *testing.T) (*Engine, *Base, map[string]asn.ASN) {
 	e, p, ids := diamond(t)
 	c := e.NewComputation(p)
 	c.Announce(Announcement{Origin: ids["org"]})
-	if !c.Converge() {
+	if !c.Converge().Settled {
 		t.Fatal("base did not converge")
 	}
 	return e, c.Freeze(), ids
@@ -35,7 +35,7 @@ func TestFailLinkReroutes(t *testing.T) {
 	if err := f.FailLink(ids["t1"], before.NextHop); err != nil {
 		t.Fatal(err)
 	}
-	if !f.Converge() {
+	if !f.Converge().Settled {
 		t.Fatal("did not reconverge")
 	}
 	after := mustRoute(t, f, ids["t1"])
@@ -72,7 +72,7 @@ func TestFailLinkPartitions(t *testing.T) {
 	if err := f.FailLink(ids["org"], ids["c2"]); err != nil {
 		t.Fatal(err)
 	}
-	if !f.Converge() {
+	if !f.Converge().Settled {
 		t.Fatal("did not reconverge")
 	}
 	if _, ok := f.Best(ids["org"]); !ok {
@@ -126,7 +126,7 @@ func TestAddPeeringRoutes(t *testing.T) {
 	if err := f.AddPeering(l); err != nil {
 		t.Fatal(err)
 	}
-	if !f.Converge() {
+	if !f.Converge().Settled {
 		t.Fatal("did not reconverge")
 	}
 	r := mustRoute(t, f, ids["t2"])
@@ -140,7 +140,7 @@ func TestAddPeeringRoutes(t *testing.T) {
 	if err := f.FailLink(ids["t2"], ids["org"]); err != nil {
 		t.Fatal(err)
 	}
-	if !f.Converge() {
+	if !f.Converge().Settled {
 		t.Fatal("did not reconverge after failing the added peering")
 	}
 	r = mustRoute(t, f, ids["t2"])
@@ -202,7 +202,7 @@ func TestSetLocalPrefMovesBest(t *testing.T) {
 	if err := f.SetLocalPref(ids["t1"], before.NextHop, 1); err != nil {
 		t.Fatal(err)
 	}
-	if !f.Converge() {
+	if !f.Converge().Settled {
 		t.Fatal("did not reconverge")
 	}
 	after := mustRoute(t, f, ids["t1"])
@@ -218,7 +218,7 @@ func TestAnnouncePrepend(t *testing.T) {
 	e, p, ids := diamond(t)
 	c := e.NewComputation(p)
 	c.Announce(Announcement{Origin: ids["org"], Prepend: 3})
-	if !c.Converge() {
+	if !c.Converge().Settled {
 		t.Fatal("did not converge")
 	}
 	// t1's path is normally [cX org]; three prepends stretch it to 5.
@@ -256,7 +256,7 @@ func TestForkClonesOverlay(t *testing.T) {
 	if err := f1.FailLink(ids["org"], ids["c1"]); err != nil {
 		t.Fatal(err)
 	}
-	if !f1.Converge() {
+	if !f1.Converge().Settled {
 		t.Fatal("f1 did not reconverge")
 	}
 	// A second-generation fork must inherit the failure (identical state,
@@ -269,7 +269,7 @@ func TestForkClonesOverlay(t *testing.T) {
 	if err := f2.FailLink(ids["org"], ids["c2"]); err != nil {
 		t.Fatal(err)
 	}
-	if !f2.Converge() {
+	if !f2.Converge().Settled {
 		t.Fatal("f2 did not reconverge")
 	}
 	if _, ok := f2.Best(ids["t1"]); ok {

@@ -263,16 +263,12 @@ type Computation struct {
 	// step over them while the export rule denies them i's best route.
 	upSent []bool
 
-	clock     uint32 // monotone event counter; feeds Route.Age
-	converged bool
+	clock uint32 // monotone event counter; feeds Route.Age
 
-	nProcessed, nChanges int
-	// nAdj counts the adjacencies the events of this Converge met,
-	// nAdverts those process derived an advertisement for.
-	nAdj, nAdverts int
-	// flushedProcessed/flushedChanges track what the obs counters have
-	// already seen, so each Converge flushes only its own delta.
-	flushedProcessed, flushedChanges int
+	// What flushObs publishes and zeroes: since the last Converge, the
+	// process events, best-route changes (what-if edits' included), and
+	// the adjacencies those events met and derived an advertisement for.
+	nProcessed, nChanges, nAdj, nAdverts int
 }
 
 // rowArena hands out adj-RIB-in rows from chunks that quadruple in size
@@ -353,17 +349,16 @@ func (q *eventQueue) pop() int32 {
 func (e *Engine) NewComputation(prefix asn.Prefix) *Computation {
 	n := len(e.asns)
 	c := &Computation{
-		e:         e,
-		anns:      make(map[asn.ASN]Announcement),
-		origin:    make(map[int32]rec),
-		adjIn:     make([][]rec, n),
-		best:      make([]rec, n),
-		paths:     newPathTree(n),
-		adjSt:     make([]adjState, len(e.adj)),
-		q:         eventQueue{next: make([]int32, n), queued: make([]bool, n)},
-		force:     make([]bool, n),
-		upSent:    make([]bool, n),
-		converged: true,
+		e:      e,
+		anns:   make(map[asn.ASN]Announcement),
+		origin: make(map[int32]rec),
+		adjIn:  make([][]rec, n),
+		best:   make([]rec, n),
+		paths:  newPathTree(n),
+		adjSt:  make([]adjState, len(e.adj)),
+		q:      eventQueue{next: make([]int32, n), queued: make([]bool, n)},
+		force:  make([]bool, n),
+		upSent: make([]bool, n),
 	}
 	slab := make([]rec, len(e.adj))
 	for i := range c.adjIn {
@@ -408,8 +403,7 @@ func (c *Computation) reset(prefix asn.Prefix) {
 	clear(c.q.queued)
 	clear(c.force)
 	clear(c.upSent)
-	c.clock, c.converged = 0, true
-	c.nProcessed, c.nChanges, c.flushedProcessed, c.flushedChanges = 0, 0, 0, 0
+	c.clock = 0
 	c.setPrefix(prefix)
 }
 
@@ -497,44 +491,46 @@ func (c *Computation) extend(path uint32, i int32) uint32 {
 	return c.paths.child(path, c.e.asns[i], p.country, p.flags&polIsResearch != 0)
 }
 
-// Converge drains the event queue to a fixed point (or the event cap)
-// and reports whether it settled.
-func (c *Computation) Converge() bool {
+// Outcome is what one Converge did. Settled is false when the event cap
+// stopped it mid-oscillation. Events and Changes count the process events
+// and best-route changes since the previous Converge, what-if edits in
+// between included.
+type Outcome struct {
+	Settled         bool
+	Events, Changes int
+}
+
+// Converge drains the event queue to a fixed point (or the event cap).
+func (c *Computation) Converge() Outcome {
 	limit := maxEventsPerAS * len(c.e.asns)
-	events := 0
 	for c.q.n > 0 {
 		i := c.q.pop()
-		events++
-		if events > limit {
-			c.converged = false
-			c.flushObs()
-			return false
+		if c.nProcessed >= limit {
+			return c.flushObs(false)
 		}
 		c.process(i)
 	}
-	c.converged = true
-	c.flushObs()
-	return true
+	return c.flushObs(true)
 }
 
-// flushObs publishes this Converge's route-evaluation delta to the obs
-// counters — one batch of atomic adds per convergence, nothing per
-// event. It is the one flush point the hotatomic lint rule sanctions
-// inside the Converge call tree, so every counter (including the
-// divergence bail-out) reports from here.
-func (c *Computation) flushObs() {
+// flushObs publishes this Converge's counts to the obs counters — one
+// batch of atomic adds per convergence, nothing per event — and zeroes
+// them into its Outcome. It is the one flush point the hotatomic lint
+// rule sanctions inside the Converge call tree, so every counter
+// (including the divergence bail-out) reports from here.
+func (c *Computation) flushObs(settled bool) Outcome {
+	out := Outcome{Settled: settled, Events: c.nProcessed, Changes: c.nChanges}
 	obsConvergeCalls.Inc()
-	if !c.converged {
+	if !settled {
 		obsConvergeDiverged.Inc()
 	}
-	if d := c.nProcessed - c.flushedProcessed; d > 0 {
-		obsConvergeEvents.Add(int64(d))
-		c.flushedProcessed = c.nProcessed
+	if out.Events > 0 {
+		obsConvergeEvents.Add(int64(out.Events))
 	}
-	if d := c.nChanges - c.flushedChanges; d > 0 {
-		obsConvergeChanges.Add(int64(d))
-		c.flushedChanges = c.nChanges
+	if out.Changes > 0 {
+		obsConvergeChanges.Add(int64(out.Changes))
 	}
+	c.nProcessed, c.nChanges = 0, 0
 	// Path-tree and COW counters accumulate in plain fields on the hot
 	// path and publish here, once per Converge.
 	if c.paths.hits > 0 {
@@ -554,10 +550,8 @@ func (c *Computation) flushObs() {
 		obsConvergeAdverts.Add(int64(c.nAdverts))
 		c.nAdj, c.nAdverts = 0, 0
 	}
+	return out
 }
-
-// Converged reports whether the last Converge reached a fixed point.
-func (c *Computation) Converged() bool { return c.converged }
 
 // pathOf materialises the public form of a path of this computation.
 func (c *Computation) pathOf(id uint32) asn.Path {

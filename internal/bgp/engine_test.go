@@ -49,7 +49,7 @@ func TestBasicPropagation(t *testing.T) {
 	e, p, ids := diamond(t)
 	c := e.NewComputation(p)
 	c.Announce(Announcement{Origin: ids["org"]})
-	if !c.Converge() {
+	if !c.Converge().Settled {
 		t.Fatal("did not converge")
 	}
 	// Everyone must have a route.
@@ -171,7 +171,7 @@ func TestPoisoningForcesAlternate(t *testing.T) {
 
 	// Poison the chosen next hop: org announces ORG {firstHop} ORG.
 	c.Announce(Announcement{Origin: ids["org"], Poisoned: []asn.ASN{firstHop}})
-	if !c.Converge() {
+	if !c.Converge().Settled {
 		t.Fatal("did not reconverge after poisoning")
 	}
 	second := mustRoute(t, c, ids["t1"])
@@ -284,7 +284,7 @@ func TestWithdrawPropagates(t *testing.T) {
 	c.Announce(Announcement{Origin: ids["org"]})
 	c.Converge()
 	c.Withdraw(ids["org"])
-	if !c.Converge() {
+	if !c.Converge().Settled {
 		t.Fatal("did not converge after withdrawal")
 	}
 	for name, a := range ids {

@@ -104,7 +104,6 @@ func (b *Base) Fork() *Computation {
 		force:         append(st.force[:0], c.force...),
 		upSent:        append(st.upSent[:0], c.upSent...),
 		clock:         c.clock,
-		converged:     c.converged,
 		ov:            c.ov.clone(),
 	}
 	for i := range f.sharedRow {

@@ -39,35 +39,45 @@ type forkOp struct {
 	whatif func(c *Computation) error
 }
 
-func (o forkOp) apply(c *Computation) { o.applyWith(c, (*Computation).Converge) }
+func (o forkOp) apply(c *Computation) []bool { return o.applyWith(c, (*Computation).Converge) }
 
-func (o forkOp) applyWith(c *Computation, converge func(*Computation) bool) {
+// applyWith runs the op on c, converging with converge, and returns the
+// Settled trail it adds: one entry for a converge, none for any other op.
+func (o forkOp) applyWith(c *Computation, converge func(*Computation) Outcome) []bool {
 	switch {
 	case o.whatif != nil:
 		_ = o.whatif(c)
 	case o.converge:
-		converge(c)
+		return []bool{converge(c).Settled}
 	case o.withdraw:
 		c.Withdraw(o.origin)
 	default:
 		c.Announce(o.ann)
 	}
+	return nil
+}
+
+// drive applies hist to c in order and returns the Settled of each of
+// its converges.
+func drive(c *Computation, hist []forkOp, converge func(*Computation) Outcome) (settled []bool) {
+	for _, o := range hist {
+		settled = append(settled, o.applyWith(c, converge)...)
+	}
+	return settled
 }
 
 // convergeAll is Converge over processAll: the event loop with no
-// adjacency skipped.
-func convergeAll(c *Computation) bool {
+// adjacency skipped. Its Outcome carries only Settled.
+func convergeAll(c *Computation) Outcome {
 	limit := maxEventsPerAS * len(c.e.asns)
 	for events := 1; c.q.n > 0; events++ {
 		i := c.q.pop()
 		if events > limit {
-			c.converged = false
-			return false
+			return Outcome{}
 		}
 		processAll(c, i)
 	}
-	c.converged = true
-	return true
+	return Outcome{Settled: true}
 }
 
 // processAll is process as it was before it consulted upSent: every
@@ -96,9 +106,7 @@ func processAll(c *Computation, i int32) {
 // in order: how the tests build the bases they fork.
 func replay(e *Engine, prefix asn.Prefix, hist []forkOp) *Computation {
 	c := e.NewComputation(prefix)
-	for _, o := range hist {
-		o.apply(c)
-	}
+	drive(c, hist, (*Computation).Converge)
 	return c
 }
 
@@ -107,9 +115,7 @@ func replay(e *Engine, prefix asn.Prefix, hist []forkOp) *Computation {
 // is never forked or converged further.
 func oracle(e *Engine, prefix asn.Prefix, hist []forkOp) *Computation {
 	c := e.NewComputation(prefix)
-	for _, o := range hist {
-		o.applyWith(c, convergeAll)
-	}
+	drive(c, hist, convergeAll)
 	return c
 }
 
@@ -147,15 +153,14 @@ func recStateEqual(ca *Computation, a rec, cb *Computation, b rec) bool {
 
 // checkSameState asserts got (the fork) and want (the from-scratch
 // oracle) agree on every piece of convergence state: best routes,
-// adj-RIB-in contents, announcements, event clock, and convergence flag.
+// adj-RIB-in contents, announcements and event clock. Whether each
+// converge settled is an Outcome, not state: the tests that drive a
+// history compare the two trails drive returns.
 func checkSameState(t *testing.T, got, want *Computation) {
 	t.Helper()
 	checkUpSent(t, got)
 	if got.clock != want.clock {
 		t.Errorf("clock: fork=%d oracle=%d", got.clock, want.clock)
-	}
-	if got.converged != want.converged {
-		t.Errorf("converged: fork=%v oracle=%v", got.converged, want.converged)
 	}
 	if !reflect.DeepEqual(got.anns, want.anns) {
 		t.Errorf("announcements diverge: fork=%v oracle=%v", got.anns, want.anns)
@@ -243,8 +248,9 @@ func TestForkDifferentialOracle(t *testing.T) {
 			e, prefix, all, hist := forkFixture(t, seed)
 			origin := hist[0].ann.Origin
 
-			base := replay(e, prefix, hist)
-			if !base.Converged() {
+			base := e.NewComputation(prefix)
+			settled := drive(base, hist, (*Computation).Converge)
+			if !settled[0] {
 				t.Fatal("base did not converge")
 			}
 			f := base.Freeze().Fork()
@@ -257,11 +263,15 @@ func TestForkDifferentialOracle(t *testing.T) {
 					// double-COW rows must behave identically to a single fork.
 					f = f.Freeze().Fork()
 				}
-				o.apply(f)
+				settled = append(settled, o.apply(f)...)
 				hist = append(hist, o)
 			}
 
-			checkSameState(t, f, oracle(e, prefix, hist))
+			want := e.NewComputation(prefix)
+			if wantSettled := drive(want, hist, convergeAll); !slices.Equal(settled, wantSettled) {
+				t.Errorf("Settled per converge: fork=%v oracle=%v", settled, wantSettled)
+			}
+			checkSameState(t, f, want)
 		})
 	}
 }
@@ -273,9 +283,8 @@ func drain(c *Computation) (adj, adverts int) {
 	for c.q.n > 0 {
 		c.process(c.q.pop())
 	}
-	c.converged = true
 	adj, adverts = c.nAdj, c.nAdverts
-	c.flushObs()
+	c.flushObs(true)
 	return adj, adverts
 }
 

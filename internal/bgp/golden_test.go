@@ -5,8 +5,8 @@ package bgp
 // (one world, outside go test) would notice a kernel change that
 // reorders the event queue or restamps the clock and still converges to
 // a plausible state. This test pins, for two generated worlds and the
-// seven ways a computation is driven, the cumulative event and change
-// counters and a SHA-256 over everything the public accessors show:
+// seven ways a computation is driven, the event and change counts of
+// its Converges' Outcomes, summed, and a SHA-256 over everything the public accessors show:
 // every AS's best route with all public fields (Age included, so the
 // clock is pinned), its decision step, and the order of its
 // alternatives. It reads only exported API, so an engine rewrite must
@@ -42,14 +42,20 @@ func newGoldenWorld(seed int64) *goldenWorld {
 }
 
 // converge announces the plain anycast from scratch and settles it.
-func (w *goldenWorld) converge(t *testing.T) *Computation {
+func (w *goldenWorld) converge(t *testing.T) (*Computation, Outcome) {
 	t.Helper()
 	c := w.e.NewComputation(w.prefix)
 	c.Announce(Announcement{Origin: w.origin})
-	if !c.Converge() {
+	out := c.Converge()
+	if !out.Settled {
 		t.Fatal("anycast did not converge")
 	}
-	return c
+	return c, out
+}
+
+// add sums two Outcomes' counts; the sum is settled when both are.
+func (o Outcome) add(p Outcome) Outcome {
+	return Outcome{Settled: o.Settled && p.Settled, Events: o.Events + p.Events, Changes: o.Changes + p.Changes}
 }
 
 // liveMux is the first mux whose best route comes straight from the
@@ -94,20 +100,19 @@ func stateDigest(w *goldenWorld, c *Computation) string {
 // ASN order and returns the first fork whose reconvergence changed at
 // least ten best routes, so the pinned scenario does real work on every
 // world (an edit that moves nothing would pin only the fork).
-func firstBusy(t *testing.T, w *goldenWorld, base *Computation, apply func(f *Computation, a asn.ASN) bool) *Computation {
+func firstBusy(t *testing.T, w *goldenWorld, base *Computation, apply func(f *Computation, a asn.ASN) bool) (*Computation, Outcome) {
 	t.Helper()
 	for _, a := range w.topo.ASNs() {
 		f := base.Freeze().Fork()
 		if !apply(f, a) {
 			continue
 		}
-		f.Converge()
-		if _, changes := f.Counters(); changes >= 10 {
-			return f
+		if out := f.Converge(); out.Changes >= 10 {
+			return f, out
 		}
 	}
 	t.Fatal("no AS makes the edit move ten routes")
-	return nil
+	return nil, Outcome{}
 }
 
 // goldenScenarios drive one computation each. All but the first two
@@ -116,32 +121,29 @@ func firstBusy(t *testing.T, w *goldenWorld, base *Computation, apply func(f *Co
 // Base of it).
 var goldenScenarios = []struct {
 	name string
-	run  func(t *testing.T, w *goldenWorld, base *Computation) *Computation
+	run  func(t *testing.T, w *goldenWorld, base *Computation) (*Computation, Outcome)
 }{
-	{"converge", func(t *testing.T, w *goldenWorld, _ *Computation) *Computation {
+	{"converge", func(t *testing.T, w *goldenWorld, _ *Computation) (*Computation, Outcome) {
 		return w.converge(t)
 	}},
-	{"poison_reconverge", func(t *testing.T, w *goldenWorld, _ *Computation) *Computation {
-		c := w.converge(t)
+	{"poison_reconverge", func(t *testing.T, w *goldenWorld, _ *Computation) (*Computation, Outcome) {
+		c, out := w.converge(t)
 		c.Announce(Announcement{Origin: w.origin, Poisoned: []asn.ASN{w.mux}})
-		c.Converge()
-		return c
+		return c, out.add(c.Converge())
 	}},
-	{"fork_poison_reconverge", func(t *testing.T, w *goldenWorld, base *Computation) *Computation {
+	{"fork_poison_reconverge", func(t *testing.T, w *goldenWorld, base *Computation) (*Computation, Outcome) {
 		f := base.Freeze().Fork()
 		f.Announce(Announcement{Origin: w.origin, Poisoned: []asn.ASN{w.mux}})
-		f.Converge()
-		return f
+		return f, f.Converge()
 	}},
-	{"fail_link", func(t *testing.T, w *goldenWorld, base *Computation) *Computation {
+	{"fail_link", func(t *testing.T, w *goldenWorld, base *Computation) (*Computation, Outcome) {
 		f := base.Freeze().Fork()
 		if err := f.FailLink(w.origin, w.liveMux(t, base)); err != nil {
 			t.Fatal(err)
 		}
-		f.Converge()
-		return f
+		return f, f.Converge()
 	}},
-	{"add_peering", func(t *testing.T, w *goldenWorld, base *Computation) *Computation {
+	{"add_peering", func(t *testing.T, w *goldenWorld, base *Computation) (*Computation, Outcome) {
 		// The live mux buys transit from an AS it shares a city with:
 		// the first one, in ASN order, that moves routes.
 		live := w.liveMux(t, base)
@@ -150,7 +152,7 @@ var goldenScenarios = []struct {
 			return err == nil && f.AddPeering(l) == nil
 		})
 	}},
-	{"set_local_pref", func(t *testing.T, w *goldenWorld, base *Computation) *Computation {
+	{"set_local_pref", func(t *testing.T, w *goldenWorld, base *Computation) (*Computation, Outcome) {
 		// An AS holding a runner-up prefers it from now on: the first
 		// one, in ASN order, whose change of mind moves other ASes.
 		return firstBusy(t, w, base, func(f *Computation, a asn.ASN) bool {
@@ -158,16 +160,15 @@ var goldenScenarios = []struct {
 			return a != w.origin && len(alts) >= 2 && f.SetLocalPref(a, alts[1].NextHop, 1000) == nil
 		})
 	}},
-	{"withdraw", func(t *testing.T, w *goldenWorld, base *Computation) *Computation {
+	{"withdraw", func(t *testing.T, w *goldenWorld, base *Computation) (*Computation, Outcome) {
 		f := base.Freeze().Fork()
 		f.Withdraw(w.origin)
-		f.Converge()
-		return f
+		return f, f.Converge()
 	}},
 }
 
-// eventGolden is the pinned outcome per "seed/scenario": cumulative
-// Counters() and the state digest. Regenerate only for a deliberate
+// eventGolden is the pinned outcome per "seed/scenario": the events and
+// changes of its Outcomes, summed, and the state digest. Regenerate only for a deliberate
 // behaviour change: a mismatch prints the whole table in this syntax.
 var eventGolden = map[string]struct {
 	events, changes int
@@ -194,13 +195,13 @@ func TestEventIdentityGolden(t *testing.T) {
 	bad := false
 	for _, seed := range []int64{1, 17} {
 		w := newGoldenWorld(seed)
-		base := w.converge(t)
+		base, _ := w.converge(t)
 		base.Freeze()
 		baseDigest := stateDigest(w, base)
 		for _, sc := range goldenScenarios {
 			key := fmt.Sprintf("%d/%s", seed, sc.name)
-			c := sc.run(t, w, base)
-			events, changes := c.Counters()
+			c, out := sc.run(t, w, base)
+			events, changes := out.Events, out.Changes
 			digest := stateDigest(w, c)
 			fmt.Fprintf(&table, "\t%q: {%d, %d, %q},\n", key, events, changes, digest)
 			if sc.name != "converge" && digest == baseDigest {

@@ -40,7 +40,8 @@ type RIB struct {
 	byLen []asn.Prefix
 	// lens are the distinct mask lengths present, descending, so Lookup
 	// probes one map key per length instead of scanning every prefix.
-	lens []uint8
+	lens      []uint8
+	unsettled []asn.Prefix // see Unsettled
 }
 
 // column is what the RIB keeps of one prefix's converged state. A whole
@@ -48,19 +49,19 @@ type RIB struct {
 // best[k] that of the k-th collector (RIB.slot); paths holds the nodes they
 // reach.
 type column struct {
-	best  []rec
-	paths pathTree
-	whole bool
-	// converged counts the ASes that settled on a route, kept or not.
-	converged int
+	best    []rec
+	paths   pathTree
+	whole   bool
+	settled bool // the convergence's Outcome.Settled
+	routes  int  // ASes holding a route, kept or not
 }
 
 // converge settles the default announcement of p (its topology origin
 // announcing to everyone) on c, or on a new computation when c is nil.
-func (e *Engine) converge(c *Computation, p asn.Prefix) *Computation {
+func (e *Engine) converge(c *Computation, p asn.Prefix) (*Computation, Outcome) {
 	origin := e.topo.OriginOf(p)
 	if origin.IsZero() {
-		return nil
+		return nil, Outcome{}
 	}
 	if c == nil {
 		c = e.NewComputation(p)
@@ -68,14 +69,13 @@ func (e *Engine) converge(c *Computation, p asn.Prefix) *Computation {
 		c.reset(p)
 	}
 	c.Announce(Announcement{Origin: origin})
-	c.Converge()
-	return c
+	return c, c.Converge()
 }
 
 // ComputePrefix converges the default announcement of a single prefix
 // and returns every AS's best route.
 func (e *Engine) ComputePrefix(p asn.Prefix) map[asn.ASN]Route {
-	c := e.converge(nil, p)
+	c, _ := e.converge(nil, p)
 	if c == nil {
 		return nil
 	}
@@ -115,10 +115,11 @@ func (e *Engine) ComputeRIB(prefixes []asn.Prefix, readers Readers, workers int)
 	perPrefix := parallel.MapStage("bgp/compute-rib", prefixes, workers,
 		func(_ int, p asn.Prefix) *column {
 			c, _ := scratch.Get().(*Computation)
-			if c = e.converge(c, p); c == nil {
+			c, out := e.converge(c, p)
+			if c == nil {
 				return nil
 			}
-			col := c.column(whole[p], rows)
+			col := c.column(whole[p], rows, out.Settled)
 			scratch.Put(c)
 			return col
 		})
@@ -127,12 +128,16 @@ func (e *Engine) ComputeRIB(prefixes []asn.Prefix, readers Readers, workers int)
 		col := perPrefix[i]
 		rib.cols[p] = col
 		if col != nil {
-			routes += col.converged
+			routes += col.routes
 			retained += countRoutes(col.best)
+			if !col.settled {
+				rib.unsettled = append(rib.unsettled, p)
+			}
 		}
 	}
 	rib.indexPrefixes()
 	obs.Add("bgp.rib.prefixes", int64(len(prefixes)))
+	obs.Add("bgp.rib.unsettled", int64(len(rib.unsettled)))
 	obs.Add("bgp.rib.routes", int64(routes))
 	obs.Add("bgp.rib.retained", int64(retained))
 	return rib
@@ -140,8 +145,8 @@ func (e *Engine) ComputeRIB(prefixes []asn.Prefix, readers Readers, workers int)
 
 // column copies out what the RIB keeps of a converged computation: the
 // whole best column, or only the given rows of it.
-func (c *Computation) column(whole bool, rows []int32) *column {
-	col := &column{whole: whole, converged: countRoutes(c.best)}
+func (c *Computation) column(whole bool, rows []int32, settled bool) *column {
+	col := &column{whole: whole, settled: settled, routes: countRoutes(c.best)}
 	if whole {
 		col.best = slices.Clone(c.best)
 	} else {
@@ -196,6 +201,10 @@ func (r *RIB) indexPrefixes() {
 
 // Prefixes returns the covered prefixes, longest mask first.
 func (r *RIB) Prefixes() []asn.Prefix { return r.byLen }
+
+// Unsettled returns, in input order, the prefixes whose convergence
+// stopped at the event cap: their routes froze mid-oscillation.
+func (r *RIB) Unsettled() []asn.Prefix { return r.unsettled }
 
 // Retains reports whether the RIB kept a's route for the exact prefix p
 // — or the fact that it converged on none: whether Route and ASPath

@@ -2,9 +2,11 @@ package bgp
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"routelab/internal/asn"
+	"routelab/internal/race"
 	"routelab/internal/topology"
 )
 
@@ -258,5 +260,49 @@ func TestScopedRIBMatchesFullRIB(t *testing.T) {
 			}
 		}
 		t.Logf("seed %d: %d of %d (AS, prefix) pairs retained", seed, retained, retained+dropped)
+	}
+}
+
+// TestConcurrentRIBUnsettledMatchesSerial is the differential for the
+// RIB's outcome: at any worker count, Unsettled lists, in input order,
+// exactly the prefixes whose default announcement a fresh computation
+// cannot settle before the event cap. The scale-0.2 seed-12 world is the
+// smallest known to diverge, so the list must be non-empty there; on the
+// test world nothing diverges. Under -race the serial oracle would
+// double the cost, so the one-worker RIB stands in for it there and the
+// two-worker RIB is held to it.
+func TestConcurrentRIBUnsettledMatchesSerial(t *testing.T) {
+	diverging := topology.DefaultConfig()
+	diverging.Scale = 0.2
+	for _, w := range []struct {
+		seed     int64
+		cfg      topology.Config
+		diverges bool
+	}{{12, diverging, true}, {1, topology.TestConfig(), false}} {
+		topo := topology.Generate(w.seed, w.cfg)
+		e := New(topo, w.seed)
+		prefixes := topo.OriginatedPrefixes()
+		var want []asn.Prefix
+		workers := []int{1, 2}
+		if race.Enabled {
+			want, workers = e.ComputeRIB(prefixes, Readers{}, 1).Unsettled(), workers[1:]
+		} else {
+			for _, p := range prefixes {
+				c := e.NewComputation(p)
+				c.Announce(Announcement{Origin: topo.OriginOf(p)})
+				if !c.Converge().Settled {
+					want = append(want, p)
+				}
+			}
+		}
+		if (len(want) > 0) != w.diverges {
+			t.Fatalf("seed %d: %d of %d prefixes unsettled, want diverging=%v", w.seed, len(want), len(prefixes), w.diverges)
+		}
+		t.Logf("seed %d: %d of %d prefixes unsettled", w.seed, len(want), len(prefixes))
+		for _, n := range workers {
+			if got := e.ComputeRIB(prefixes, Readers{}, n).Unsettled(); !slices.Equal(got, want) {
+				t.Errorf("seed %d, %d workers: Unsettled() = %v, want %v", w.seed, n, got, want)
+			}
+		}
 	}
 }

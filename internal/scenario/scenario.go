@@ -275,11 +275,17 @@ func build(cfg Config, logf Logf, keep func([]*vantage.Snapshot)) (*Scenario, er
 	}
 
 	workers := parallel.Workers(cfg.RoutingWorkers)
+	unsettled := func(rib *bgp.RIB) *bgp.RIB {
+		if n := len(rib.Unsettled()); n > 0 {
+			logf(phase, "  %d prefixes unsettled at the event cap", n)
+		}
+		return rib
+	}
 	stop = obs.StartStage(begin("scenario/converge-historical", "converging historical epoch routing (%d workers)", workers))
-	ribHist := bgp.New(topoHist, cfg.Seed).ComputeRIB(topoHist.OriginatedPrefixes(), bgp.Readers{Collectors: histPeers}, cfg.RoutingWorkers)
+	ribHist := unsettled(bgp.New(topoHist, cfg.Seed).ComputeRIB(topoHist.OriginatedPrefixes(), bgp.Readers{Collectors: histPeers}, cfg.RoutingWorkers))
 	stop()
 	stop = obs.StartStage(begin("scenario/converge-current", "converging current epoch routing (%d workers)", workers))
-	s.RIB = s.Engine.ComputeRIB(s.Topo.OriginatedPrefixes(), curReaders, cfg.RoutingWorkers)
+	s.RIB = unsettled(s.Engine.ComputeRIB(s.Topo.OriginatedPrefixes(), curReaders, cfg.RoutingWorkers))
 	stop()
 
 	s.Siblings = siblings.Infer(s.Topo.Registry, s.Topo.DNS)

@@ -49,20 +49,19 @@ type Diff struct {
 // EvalOn applies cd to eval — a mutable computation continuing from
 // base's exact state: a COW fork of it, or (in the differential oracle)
 // an independently built twin — re-converges, and diffs the outcome
-// against base. Events and Churn count only the work the delta caused.
+// against base. Converged, Events and Churn are that Converge's Outcome:
+// only the work the delta caused, as eval's last Converge zeroed them.
 func EvalOn(eval *bgp.Computation, base *bgp.Base, cd *Compiled) (Diff, error) {
-	ev0, ch0 := eval.Counters()
 	if err := cd.Apply(eval); err != nil {
 		return Diff{}, err
 	}
-	converged := eval.Converge()
-	ev1, ch1 := eval.Counters()
+	out := eval.Converge()
 	d := Diff{
 		Delta:     cd.Canonical(),
 		Kind:      string(cd.kind),
-		Converged: converged,
-		Events:    ev1 - ev0,
-		Churn:     ch1 - ch0,
+		Converged: out.Settled,
+		Events:    out.Events,
+		Churn:     out.Changes,
 	}
 	for _, bc := range eval.BestDiff(base) {
 		ch := Change{AS: bc.AS.String()}

@@ -30,7 +30,7 @@ func scratchBase(t testing.TB, engine *bgp.Engine, p asn.Prefix, origin asn.ASN)
 	t.Helper()
 	c := engine.NewComputation(p)
 	c.Announce(bgp.Announcement{Origin: origin})
-	if !c.Converge() {
+	if !c.Converge().Settled {
 		t.Fatalf("from-scratch announcement of %s did not converge", p)
 	}
 	return c
