@@ -19,7 +19,13 @@ type ASN uint32
 
 // String renders the ASN in the canonical "AS64500" form.
 func (a ASN) String() string {
-	return "AS" + strconv.FormatUint(uint64(a), 10)
+	var buf [12]byte
+	return string(a.Append(buf[:0]))
+}
+
+// Append appends the canonical "AS64500" form to dst.
+func (a ASN) Append(dst []byte) []byte {
+	return strconv.AppendUint(append(dst, "AS"...), uint64(a), 10)
 }
 
 // IsZero reports whether the ASN is the unknown sentinel.

@@ -209,9 +209,23 @@ func (c *Computation) SetLocalPref(at, from asn.ASN, pref int) error {
 // two computations of the same prefix.
 type BestChange struct {
 	AS asn.ASN
-	// Before and After are public route copies; nil means no route on
-	// that side.
-	Before, After *Route
+	// Before and After are the AS's route on each side, rendered.
+	Before, After RouteText
+}
+
+// RouteText is the decision-relevant slice of an installed route,
+// rendered as text: what a what-if diff reports of it.
+type RouteText struct {
+	// Held is false when the side has no route; the other fields are
+	// then zero.
+	Held bool
+	// NextHop names the neighbor the route was learned from ("AS3356"),
+	// and is empty for a route the AS originates itself.
+	NextHop string
+	// Path is the AS path as received, in asn.Path.String's
+	// looking-glass form, AS_SET segments included.
+	Path      string
+	LocalPref int
 }
 
 // BestDiff compares c's installed best routes against base and returns
@@ -224,6 +238,10 @@ type BestChange struct {
 // oracle in internal/whatif pins fork-diff ≡ rebuild-diff through
 // exactly this path). Neither side is written to, so a base may be
 // diffed against from many goroutines.
+//
+// A changed route is rendered straight from its path tree, never as an
+// asn.Path: every next hop and path of the diff is appended to one
+// buffer, and the returned strings are slices of it.
 func (c *Computation) BestDiff(b *Base) []BestChange {
 	base := b.c
 	if c.e != base.e || c.prefix != base.prefix {
@@ -231,6 +249,18 @@ func (c *Computation) BestDiff(b *Base) []BestChange {
 	}
 	shared := sharedBelow(&c.paths, &base.paths)
 	var out []BestChange
+	var buf []byte
+	// ends holds, per rendered side, the buffer offsets where its next
+	// hop and its path end.
+	var ends []int
+	render := func(t *pathTree, r *rec) {
+		if r.nh >= 0 {
+			buf = c.e.asns[r.nh].Append(buf)
+		}
+		ends = append(ends, len(buf))
+		buf = t.appendText(buf, r.path)
+		ends = append(ends, len(buf))
+	}
 	for i := range c.best {
 		nb, ob := &c.best[i], &base.best[i]
 		if nb.path == ob.path && nb.path < shared && *nb == *ob {
@@ -242,14 +272,25 @@ func (c *Computation) BestDiff(b *Base) []BestChange {
 		}
 		bc := BestChange{AS: c.e.asns[i]}
 		if ob.path != 0 {
-			r := c.e.route(c.prefix, ob, base.paths.path(ob.path))
-			bc.Before = &r
+			bc.Before = RouteText{Held: true, LocalPref: int(ob.lp)}
+			render(&base.paths, ob)
 		}
 		if nb.path != 0 {
-			r := c.e.route(c.prefix, nb, c.paths.path(nb.path))
-			bc.After = &r
+			bc.After = RouteText{Held: true, LocalPref: int(nb.lp)}
+			render(&c.paths, nb)
 		}
 		out = append(out, bc)
+	}
+	text, at := string(buf), 0
+	slice := func(rt *RouteText) {
+		if rt.Held {
+			rt.NextHop, rt.Path = text[at:ends[0]], text[ends[0]:ends[1]]
+			at, ends = ends[1], ends[2:]
+		}
+	}
+	for k := range out {
+		slice(&out[k].Before)
+		slice(&out[k].After)
 	}
 	return out
 }

@@ -49,7 +49,7 @@ func TestFailLinkReroutes(t *testing.T) {
 	for _, bc := range diff {
 		if bc.AS == ids["t1"] {
 			saw = true
-			if bc.Before == nil || bc.After == nil {
+			if !bc.Before.Held || !bc.After.Held {
 				t.Fatalf("t1 change should be a move, got %+v", bc)
 			}
 		}
@@ -89,7 +89,7 @@ func TestFailLinkPartitions(t *testing.T) {
 		t.Fatalf("diff has %d entries, want 5: %v", len(diff), diff)
 	}
 	for _, bc := range diff {
-		if bc.Before == nil || bc.After != nil {
+		if !bc.Before.Held || bc.After.Held {
 			t.Fatalf("expected pure loss at %s, got %+v", bc.AS, bc)
 		}
 	}

@@ -2,6 +2,7 @@ package bgp
 
 import (
 	"slices"
+	"strconv"
 
 	"routelab/internal/asn"
 )
@@ -276,6 +277,32 @@ func (t *pathTree) appendSequence(dst []asn.ASN, id uint32) []asn.ASN {
 		n := t.node(id)
 		if n.flags&nodeIsSet == 0 {
 			dst = append(dst, asn.ASN(n.as))
+		}
+		id = n.parent
+	}
+	return dst
+}
+
+// appendText appends the path in asn.Path.String's looking-glass form —
+// "3356 174 {64500,64501} 65000" — read straight off the tree: what
+// path(id).String() renders, without building the asn.Path.
+func (t *pathTree) appendText(dst []byte, id uint32) []byte {
+	for first := true; id != 0; first = false {
+		n := t.node(id)
+		if !first {
+			dst = append(dst, ' ')
+		}
+		if n.flags&nodeIsSet == 0 {
+			dst = strconv.AppendUint(dst, uint64(n.as), 10)
+		} else {
+			dst = append(dst, '{')
+			for k, a := range t.set(n.as) {
+				if k > 0 {
+					dst = append(dst, ',')
+				}
+				dst = strconv.AppendUint(dst, uint64(a), 10)
+			}
+			dst = append(dst, '}')
 		}
 		id = n.parent
 	}

@@ -3,6 +3,7 @@ package bgp
 import (
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"routelab/internal/asn"
@@ -113,5 +114,62 @@ func TestPathMaskFalsePositives(t *testing.T) {
 	t.Logf("%d loop checks of an AS not on the path: %d walked anyway (%.1f %%)", absent, walked, 100*share)
 	if absent == 0 || share > 0.15 {
 		t.Errorf("the mask lets %.1f %% of %d absent-AS checks walk, want <= 15 %%", 100*share, absent)
+	}
+}
+
+// TestPathTextMatchesMaterialised holds appendText, which renders a what-if
+// diff's paths straight off the tree, to the path it replaces: the
+// asn.Path the tree materialises, rendered by its String. On the test
+// world's plain converged anycast, and on a fork of it re-announced with
+// two muxes poisoned and two extra origin copies (an AS_SET of two members
+// between sequence runs), every best route and every candidate
+// Alternatives draws from — the origin route and each adj-RIB-in entry —
+// renders to the same text both ways.
+func TestPathTextMatchesMaterialised(t *testing.T) {
+	k := newKernelFixture(t)
+	mux1 := k.e.topo.Names["mux-1"]
+	if mux1 == 0 || mux1 == k.mux {
+		t.Fatalf("the test world has no second mux (mux-1 = %s)", mux1)
+	}
+	plain := k.converge()
+	poisoned := k.base.Fork()
+	poisoned.Announce(Announcement{Origin: k.origin, Poisoned: []asn.ASN{mux1, k.mux}, Prepend: 2})
+	if !poisoned.Converge().Settled {
+		t.Fatal("the poisoned, prepended announcement did not settle")
+	}
+	for _, tc := range []struct {
+		name string
+		c    *Computation
+		// sets is whether some path must carry an AS_SET.
+		sets bool
+	}{{"plain", plain, false}, {"poison+prepend", poisoned, true}} {
+		c := tc.c
+		checked, withSet := 0, 0
+		check := func(r *rec) {
+			if r.path == 0 {
+				return
+			}
+			got, want := string(c.paths.appendText(nil, r.path)), c.paths.path(r.path).String()
+			if got != want {
+				t.Fatalf("%s: path %d renders %q off the tree, %q materialised", tc.name, r.path, got, want)
+			}
+			checked++
+			if strings.Contains(got, ",") {
+				withSet++
+			}
+		}
+		for i := range c.best {
+			check(&c.best[i])
+			if r, ok := c.origin[int32(i)]; ok {
+				check(&r)
+			}
+			for k := range c.adjIn[i] {
+				check(&c.adjIn[i][k])
+			}
+		}
+		t.Logf("%s: %d paths render alike, %d with a two-member AS_SET", tc.name, checked, withSet)
+		if checked == 0 || (withSet > 0) != tc.sets {
+			t.Errorf("%s: %d paths checked, %d with an AS_SET", tc.name, checked, withSet)
+		}
 	}
 }

@@ -1,9 +1,6 @@
 package classify
 
 import (
-	"sort"
-
-	"routelab/internal/asn"
 	"routelab/internal/geo"
 )
 
@@ -176,51 +173,4 @@ func (v *Verdicts) CableAnalysis(ref Refinement) CableStats {
 		st.Rows = append(st.Rows, *perCat[c])
 	}
 	return st
-}
-
-// SkewPoint is one AS's share of the violations (Figure 2).
-type SkewPoint struct {
-	AS    asn.ASN
-	Count int
-	// PerCategory splits the AS's violations by quadrant.
-	PerCategory map[Category]int
-}
-
-// ViolationSkew ranks ASes by their share of violating decisions (every
-// category but Best/Short). The "source" of a violation is the AS that
-// MADE the deviating decision (the paper's Cogent example), not the
-// probe host; the destination is the decision's destination AS.
-func (v *Verdicts) ViolationSkew(ref Refinement, byDestination bool) []SkewPoint {
-	counts := map[asn.ASN]*SkewPoint{}
-	for i := range v.ms {
-		m := &v.ms[i]
-		for j, cat := range v.Of(i, ref) {
-			d := &m.Decisions[j]
-			if !cat.IsViolation() {
-				continue
-			}
-			key := d.At
-			if byDestination {
-				key = d.DstAS
-			}
-			sp := counts[key]
-			if sp == nil {
-				sp = &SkewPoint{AS: key, PerCategory: make(map[Category]int)}
-				counts[key] = sp
-			}
-			sp.Count++
-			sp.PerCategory[cat]++
-		}
-	}
-	out := make([]SkewPoint, 0, len(counts))
-	for _, sp := range counts {
-		out = append(out, *sp)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].AS < out[j].AS
-	})
-	return out
 }

@@ -230,7 +230,7 @@ func figure2(_ context.Context, env *Env) (Result, error) {
 	s := env.S
 	res := &Figure2Result{}
 	for _, byDst := range []bool{false, true} {
-		sk := s.Verdicts.ViolationSkew(classify.Simple, byDst)
+		sk := s.Verdicts.ViolationSkew(byDst)
 		counts := make([]int, len(sk))
 		for i, p := range sk {
 			counts[i] = p.Count

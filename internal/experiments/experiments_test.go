@@ -312,3 +312,35 @@ func TestDetourNoteSeesThroughPoison(t *testing.T) {
 		t.Error("a one-route order has no fallback")
 	}
 }
+
+// TestTable2AtOtherSeeds pins table2 on the test scenario at three seeds
+// other than the build's (and the goldens' 7). A seed re-draws only the
+// magnet observers; the rest of each observation is computed once by
+// Build, and these rows, captured when table2 still computed all of it
+// per call, hold the seeded path to that.
+func TestTable2AtOtherSeeds(t *testing.T) {
+	s := testScenario(t)
+	rows := func(feeds, traces [5]int) []Table2Row {
+		out := make([]Table2Row, 5)
+		for i, c := range []string{"Best relationship", "Shorter path", "Intradomain tie-breaker", "Oldest route (magnet)", "Violation"} {
+			out[i] = Table2Row{Cause: c, Feeds: feeds[i], Traces: traces[i]}
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		seed int64
+		want Table2Result
+	}{
+		{1, Table2Result{Rows: rows([5]int{60, 22, 4, 17, 45}, [5]int{82, 166, 42, 32, 51}), FeedTotal: 148, TraceTotal: 373}},
+		{42, Table2Result{Rows: rows([5]int{64, 19, 7, 15, 42}, [5]int{68, 137, 31, 30, 42}), FeedTotal: 147, TraceTotal: 308}},
+		{2016, Table2Result{Rows: rows([5]int{61, 21, 3, 15, 46}, [5]int{71, 121, 39, 19, 47}), FeedTotal: 146, TraceTotal: 297}},
+	} {
+		got, err := table2(context.Background(), &Env{S: s, Seed: tc.seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, &tc.want) {
+			t.Errorf("seed %d: table2 = %+v, want %+v", tc.seed, got, tc.want)
+		}
+	}
+}

@@ -257,8 +257,9 @@ type MagnetObservation struct {
 
 // MagnetResult is one complete magnet experiment.
 type MagnetResult struct {
-	Prefix       asn.Prefix
-	Magnet       asn.ASN // the mux that announced first
+	Prefix asn.Prefix
+	Magnet asn.ASN // the mux that announced first
+	// Observations ascend by AS.
 	Observations []MagnetObservation
 }
 

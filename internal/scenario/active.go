@@ -39,11 +39,98 @@ func (s *Scenario) runMagnets() []peering.MagnetResult {
 		})
 }
 
+// magnetView is the seed-free half of one magnet observation:
+// what RunMagnetCampaign knows of it before drawing any observer.
+type magnetView struct {
+	// sticky reports whether the AS settled on one dominant next hop
+	// after the anycasts, across the campaign's runs.
+	sticky bool
+	// kept reports whether the AS kept its route toward the magnet.
+	kept bool
+	// alts indexes the observation's Alternatives: the first route per
+	// next hop other than the chosen route's, in ascending next-hop
+	// order.
+	alts []int32
+}
+
+// observeMagnets computes the seed-free half of RunMagnetCampaign over
+// the build's magnet runs: one slice per run, aligned to its
+// Observations.
+func observeMagnets(runs []peering.MagnetResult) [][]magnetView {
+	// Stickiness: does the AS settle on one dominant next hop after the
+	// anycast, regardless of magnet placement? A static preference
+	// (IGP) produces the same winner in a clear majority of runs;
+	// history-driven (age) selection follows the magnet around.
+	// Majority (not unanimity) keeps the signal robust to the
+	// occasional alternate BGP equilibrium.
+	nhCounts := map[asn.ASN]map[asn.ASN]int{}
+	runsSeen := map[asn.ASN]int{}
+	for ri := range runs {
+		for k := range runs[ri].Observations {
+			o := &runs[ri].Observations[k]
+			m := nhCounts[o.AS]
+			if m == nil {
+				m = map[asn.ASN]int{}
+				nhCounts[o.AS] = m
+			}
+			m[o.After.NextHop]++
+			runsSeen[o.AS]++
+		}
+	}
+	sticky := map[asn.ASN]bool{}
+	for a, m := range nhCounts {
+		best := 0
+		for _, n := range m {
+			if n > best {
+				best = n
+			}
+		}
+		sticky[a] = best*3 >= runsSeen[a]*2 // dominant ≥ 2/3 of runs
+	}
+
+	out := make([][]magnetView, len(runs))
+	for ri := range runs {
+		res := &runs[ri]
+		out[ri] = make([]magnetView, len(res.Observations))
+		for k := range res.Observations {
+			o := &res.Observations[k]
+			// One route per next hop (same-next-hop differences are the
+			// downstream AS's decision, which the paper attributes
+			// downstream).
+			var alts []int32
+			seenNH := map[asn.ASN]bool{o.After.NextHop: true}
+			for a, alt := range o.Alternatives {
+				if !seenNH[alt.NextHop] {
+					seenNH[alt.NextHop] = true
+					alts = append(alts, int32(a))
+				}
+			}
+			sort.Slice(alts, func(i, j int) bool {
+				return o.Alternatives[alts[i]].NextHop < o.Alternatives[alts[j]].NextHop
+			})
+			out[ri][k] = magnetView{
+				sticky: sticky[o.AS],
+				// "Keeping the route toward the magnet" (§3.2) means the
+				// post-anycast route still exits through the MAGNET mux
+				// via the same neighbor — not merely an unchanged next
+				// hop (the path may now lead to a closer anycast site,
+				// which is the downstream's doing).
+				kept: !o.Moved && muxOf(o.After) == res.Magnet,
+				alts: alts,
+			}
+		}
+	}
+	return out
+}
+
 // RunMagnetCampaign observes the build's magnet runs (s.Magnet) and
 // builds the decision sets. Only the observers — the feed peers and the
-// active probes — are drawn from rng. The "other routes observed from x"
-// pool only contains routes genuinely visible through the respective
-// channel across the whole campaign, mirroring the paper's observer.
+// active probes — are drawn from rng, so only what they see is computed
+// here: the rest of each observation (stickiness, whether it kept the
+// magnet, its alternatives one per next hop) was computed by Build. The
+// "other routes observed from x" pool only contains routes genuinely
+// visible through the respective channel across the whole campaign,
+// mirroring the paper's observer.
 func (s *Scenario) RunMagnetCampaign(rng *rand.Rand) MagnetCampaign {
 	feedPeers := vantage.SelectPeers(s.Topo, rng, s.Cfg.NumVantagePeers)
 	activeProbes := s.activeProbeSet(rng)
@@ -76,21 +163,19 @@ func (s *Scenario) RunMagnetCampaign(rng *rand.Rand) MagnetCampaign {
 	// The order-sensitive visibility marking runs serially over the
 	// runs, in mux order.
 	for ri := range campaign.Runs {
-		res := campaign.Runs[ri]
 		// Determine per-channel visibility from the post-anycast state:
 		// feed channel sees ASes on feed-peer paths; trace channel sees
-		// ASes on data-plane paths from the active probes.
-		byAS := map[asn.ASN]*peering.MagnetObservation{}
-		for i := range res.Observations {
-			byAS[res.Observations[i].AS] = &res.Observations[i]
-		}
+		// ASes on data-plane paths from the active probes. Observations
+		// ascend by AS, so a binary search finds each hop's.
+		observed := campaign.Runs[ri].Observations
 		markPath := func(visible map[asn.ASN]bool, hops map[asn.ASN]map[asn.ASN]bool, start asn.ASN) {
 			cur := start
 			for hop := 0; hop < 32; hop++ {
-				o := byAS[cur]
-				if o == nil {
+				k := sort.Search(len(observed), func(k int) bool { return observed[k].AS >= cur })
+				if k == len(observed) || observed[k].AS != cur {
 					return
 				}
+				o := &observed[k]
 				visible[cur] = true
 				record(hops, cur, o.Before)
 				record(hops, cur, o.After)
@@ -109,71 +194,29 @@ func (s *Scenario) RunMagnetCampaign(rng *rand.Rand) MagnetCampaign {
 		}
 	}
 
-	// Stickiness: does the AS settle on one dominant next hop after the
-	// anycasts, regardless of magnet placement? A static preference
-	// (IGP) produces the same winner in a clear majority of runs;
-	// history-driven (age) selection follows the magnet around.
-	// Majority (not unanimity) keeps the signal robust to the
-	// occasional alternate BGP equilibrium.
-	nhCounts := map[asn.ASN]map[asn.ASN]int{}
-	runsSeen := map[asn.ASN]int{}
-	for _, res := range campaign.Runs {
-		for _, o := range res.Observations {
-			m := nhCounts[o.AS]
-			if m == nil {
-				m = map[asn.ASN]int{}
-				nhCounts[o.AS] = m
-			}
-			m[o.After.NextHop]++
-			runsSeen[o.AS]++
-		}
-	}
-	sticky := map[asn.ASN]bool{}
-	for a, m := range nhCounts {
-		best := 0
-		for _, n := range m {
-			if n > best {
-				best = n
-			}
-		}
-		sticky[a] = best*3 >= runsSeen[a]*2 // dominant ≥ 2/3 of runs
-	}
-
 	// Assemble decisions: one per (run, visible AS with alternatives).
+	// The run's genuine candidate set is its alternatives restricted to
+	// next hops the observer established.
 	build := func(visible map[asn.ASN]bool, hops map[asn.ASN]map[asn.ASN]bool) []classify.MagnetDecision {
 		var out []classify.MagnetDecision
-		for _, res := range campaign.Runs {
-			for _, o := range res.Observations {
+		for ri := range campaign.Runs {
+			for k := range campaign.Runs[ri].Observations {
+				o := &campaign.Runs[ri].Observations[k]
 				if !visible[o.AS] {
 					continue
 				}
-				// The run's genuine candidate set, restricted to next
-				// hops the observer established, one route per next hop
-				// (same-next-hop differences are the downstream AS's
-				// decision, which the paper attributes downstream).
+				v := &s.magnetViews[ri][k]
 				var others []bgp.Route
-				seenNH := map[asn.ASN]bool{o.After.NextHop: true}
-				for _, alt := range o.Alternatives {
-					if seenNH[alt.NextHop] || !hops[o.AS][alt.NextHop] {
-						continue
+				for _, a := range v.alts {
+					if alt := o.Alternatives[a]; hops[o.AS][alt.NextHop] {
+						others = append(others, alt)
 					}
-					seenNH[alt.NextHop] = true
-					others = append(others, alt)
 				}
-				sort.Slice(others, func(i, j int) bool {
-					return others[i].NextHop < others[j].NextHop
-				})
-				// "Keeping the route toward the magnet" (§3.2) means the
-				// post-anycast route still exits through the MAGNET mux
-				// via the same neighbor — not merely an unchanged next
-				// hop (the path may now lead to a closer anycast site,
-				// which is the downstream's doing).
-				keptMagnet := !o.Moved && muxOf(o.After) == res.Magnet
 				out = append(out, classify.MagnetDecision{
 					AS:         o.AS,
 					Chosen:     o.After,
-					KeptMagnet: keptMagnet,
-					Sticky:     sticky[o.AS],
+					KeptMagnet: v.kept,
+					Sticky:     v.sticky,
 					Others:     others,
 				})
 			}
@@ -186,13 +229,22 @@ func (s *Scenario) RunMagnetCampaign(rng *rand.Rand) MagnetCampaign {
 }
 
 // muxOf extracts the mux a PEERING route exits through (the AS right
-// before the origin), or 0 for direct/odd paths.
+// before the origin, AS_SETs skipped), or 0 for direct/odd paths. It
+// reads the hop in place rather than concatenating the sequence.
 func muxOf(r bgp.Route) asn.ASN {
-	seq := r.Path.Sequence()
-	if len(seq) < 2 {
-		return 0
+	segs := r.Path.Segments
+	after := 0 // sequence ASes right of the current segment
+	for k := len(segs) - 1; k >= 0; k-- {
+		if segs[k].Type != asn.Sequence {
+			continue
+		}
+		as := segs[k].ASNs
+		if after+len(as) >= 2 {
+			return as[len(as)-2+after]
+		}
+		after += len(as)
 	}
-	return seq[len(seq)-2]
+	return 0
 }
 
 // activeProbeSet picks the RIPE+PlanetLab AS set for active experiments:

@@ -29,8 +29,8 @@
 // engine, and the immutable RIB.
 //
 // Everything a seed does not choose is computed by Build: the magnet
-// runs (Magnet) and the verdict on every measured decision under every
-// refinement (Verdicts). A built Scenario is then read-only and safe for
+// runs (Magnet) with whatever observing them does not draw, and the
+// verdict on every measured decision under every refinement (Verdicts). A built Scenario is then read-only and safe for
 // concurrent readers, with no lock of its own, with one exception:
 // methods taking a *rand.Rand (Campaign, RunMagnetCampaign,
 // RunAlternatesCampaign) mutate that rand and must not share it across
@@ -178,6 +178,9 @@ type Scenario struct {
 	// Magnet holds one §3.2 magnet run per testbed mux, in mux order:
 	// a fixed function of the testbed, which RunMagnetCampaign observes.
 	Magnet []peering.MagnetResult
+	// magnetViews is what RunMagnetCampaign reads of Magnet whatever its
+	// observers: magnetViews[r][k] belongs to Magnet[r].Observations[k].
+	magnetViews [][]magnetView
 }
 
 // Phases are the stages of Build, named as their obs stage timers, in
@@ -395,6 +398,7 @@ func build(cfg Config, logf Logf, keep func([]*vantage.Snapshot)) (*Scenario, er
 	// every reader of the scenario would otherwise recompute per request.
 	begin("scenario/magnet", "running %d magnet experiments (%d workers)", len(s.Testbed.Muxes), workers) // MapStage starts the stage
 	s.Magnet = s.runMagnets()
+	s.magnetViews = observeMagnets(s.Magnet)
 
 	stop = obs.StartStage(begin("scenario/judge", "judging %d decisions under %d refinements", decisions, len(classify.Refinements)))
 	s.Verdicts = s.Context.Judge(s.Measurements, cfg.RoutingWorkers)

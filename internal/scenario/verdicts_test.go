@@ -1,8 +1,11 @@
 package scenario
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 
+	"routelab/internal/asn"
 	"routelab/internal/classify"
 )
 
@@ -42,6 +45,70 @@ func TestVerdictsMatchClassify(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// skewLoop is Verdicts.ViolationSkew as it was before Judge ranked the
+// skews: one map increment per violating decision on every call, read
+// through the measurements' offsets. It is the reference the stored
+// skews are held to.
+func skewLoop(s *Scenario, ref classify.Refinement, byDestination bool) []classify.SkewPoint {
+	counts := map[asn.ASN]*classify.SkewPoint{}
+	for i := range s.Measurements {
+		m := &s.Measurements[i]
+		for j, cat := range s.Verdicts.Of(i, ref) {
+			d := &m.Decisions[j]
+			if !cat.IsViolation() {
+				continue
+			}
+			key := d.At
+			if byDestination {
+				key = d.DstAS
+			}
+			sp := counts[key]
+			if sp == nil {
+				sp = &classify.SkewPoint{AS: key}
+				counts[key] = sp
+			}
+			sp.Count++
+		}
+	}
+	out := make([]classify.SkewPoint, 0, len(counts))
+	for _, sp := range counts {
+		out = append(out, *sp)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Count != out[j].Count {
+			return out[i].Count > out[j].Count
+		}
+		return out[i].AS < out[j].AS
+	})
+	return out
+}
+
+// TestVerdictCountsMatchRecount holds what Judge stores beside the
+// columns to a from-scratch reading of them: under every refinement, the
+// per-category counts Breakdown returns equal a recount of Column(ref),
+// and on both sides Simple's stored violation skew equals skewLoop.
+func TestVerdictCountsMatchRecount(t *testing.T) {
+	s := getScenario(t)
+	for _, ref := range classify.Refinements {
+		want := map[classify.Category]int{}
+		for _, c := range s.Verdicts.Column(ref) {
+			want[c]++
+		}
+		if got := s.Verdicts.Breakdown(ref); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: stored counts %v, a recount of the column says %v", ref, got, want)
+		}
+	}
+	for _, byDst := range []bool{false, true} {
+		want := skewLoop(s, classify.Simple, byDst)
+		if len(want) == 0 {
+			t.Fatalf("byDestination=%v: the test world has no violations to rank", byDst)
+		}
+		if got := s.Verdicts.ViolationSkew(byDst); !reflect.DeepEqual(got, want) {
+			t.Errorf("byDestination=%v: stored skew of %d ASes differs from the reference loop's %d", byDst, len(got), len(want))
 		}
 	}
 }

@@ -117,8 +117,10 @@ func TestAccountSizeCoversTenant(t *testing.T) {
 // TestTenantSizeCeiling is a retention ceiling: what a built TestConfig
 // tenant weighs, and so what the store charges for it. It was 9.84 MB
 // while a Scenario kept its five monitor snapshots and 6.06 MB once it
-// kept only their inference evidence; a change that keeps the snapshots
-// again, or anything of their size, fails here. The walk is
+// kept only their inference evidence; it is 6.16 MB with the seed-free
+// half of the magnet observations and the judge's category counts and
+// skews. A change that keeps the snapshots again, or anything of their
+// size, fails here. The walk is
 // deterministic, so the ceiling gates under -race too.
 func TestTenantSizeCeiling(t *testing.T) {
 	const ceiling = 7_000_000

@@ -3,7 +3,7 @@ package whatif_test
 // Allocation ceilings and kernel benchmarks for one what-if evaluation,
 // on the same seed-1 world as the engine's (internal/bgp/alloc_test.go).
 // The engine's loops allocate a few dozen times and carry absolute
-// ceilings; an evaluation allocates thousands of times, nearly all of it
+// ceilings; an evaluation allocates hundreds of times, most of it
 // rendering its diff, so its gate is measured allocs/op + 15 %. Skipped
 // under -race. How long an evaluation takes is the ledger's
 // whatif.eval_us (bench/).
@@ -46,19 +46,21 @@ func newEvalFixture(t testing.TB) *evalFixture {
 // measured on the fixture. rebuild is the reference path of the
 // fork-vs-rebuild oracle: converge a from-scratch twin, then evaluate
 // on it. eval was 2,924 (155 KB an evaluation) until Eval released its
-// fork; on recycled storage it is 2,903 (86 KB), the rest being the
-// rendered diff.
+// fork, and 2,903 (86 KB) while BestDiff materialised every changed
+// route's asn.Path for the diff to render. Rendered straight off the
+// path tree into one buffer per diff it is 195 (100 KB), 151 of them
+// the changed ASes' names.
 var evalLoops = []struct {
 	name     string
 	measured float64
 	run      func(t testing.TB, f *evalFixture)
 }{
-	{"eval", 2903, func(t testing.TB, f *evalFixture) {
+	{"eval", 195, func(t testing.TB, f *evalFixture) {
 		if _, err := whatif.Eval(f.base, f.cd); err != nil {
 			t.Fatal(err)
 		}
 	}},
-	{"rebuild", 2915, func(t testing.TB, f *evalFixture) {
+	{"rebuild", 209, func(t testing.TB, f *evalFixture) {
 		c := scratchBase(t, f.engine, f.base.Prefix(), f.origin)
 		if _, err := whatif.EvalOn(c, f.base, f.cd); err != nil {
 			t.Fatal(err)

@@ -6,7 +6,11 @@ import (
 
 // RouteInfo is the decision-relevant slice of one installed route.
 type RouteInfo struct {
-	NextHop   string `json:"next_hop"`
+	// NextHop names the neighbor the route was learned from; it is empty
+	// on the origin's own route, which no neighbor sent.
+	NextHop string `json:"next_hop"`
+	// Path is the AS path as received, in looking-glass form
+	// ("3356 174 {64500,64501} 65000").
 	Path      string `json:"path"`
 	LocalPref int    `json:"local_pref"`
 }
@@ -63,22 +67,22 @@ func EvalOn(eval *bgp.Computation, base *bgp.Base, cd *Compiled) (Diff, error) {
 		Events:    out.Events,
 		Churn:     out.Changes,
 	}
-	for _, bc := range eval.BestDiff(base) {
-		ch := Change{AS: bc.AS.String()}
-		if bc.Before != nil {
-			ch.Before = &RouteInfo{
-				NextHop:   bc.Before.NextHop.String(),
-				Path:      bc.Before.Path.String(),
-				LocalPref: bc.Before.LocalPref,
-			}
+	changes := eval.BestDiff(base)
+	if len(changes) > 0 {
+		d.Changes = make([]Change, 0, len(changes))
+	}
+	// One backing array for every side of every change; sized up front,
+	// so the pointers into it stay valid.
+	infos := make([]RouteInfo, 0, 2*len(changes))
+	info := func(rt bgp.RouteText) *RouteInfo {
+		if !rt.Held {
+			return nil
 		}
-		if bc.After != nil {
-			ch.After = &RouteInfo{
-				NextHop:   bc.After.NextHop.String(),
-				Path:      bc.After.Path.String(),
-				LocalPref: bc.After.LocalPref,
-			}
-		}
+		infos = append(infos, RouteInfo{NextHop: rt.NextHop, Path: rt.Path, LocalPref: rt.LocalPref})
+		return &infos[len(infos)-1]
+	}
+	for _, bc := range changes {
+		ch := Change{AS: bc.AS.String(), Before: info(bc.Before), After: info(bc.After)}
 		switch {
 		case ch.Before == nil:
 			d.Gained++

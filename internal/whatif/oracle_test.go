@@ -136,3 +136,42 @@ func TestConcurrentEvalsShareOneBase(t *testing.T) {
 		}
 	}
 }
+
+// TestDiffTextMatchesMaterialisedRoutes is the oracle of how a diff is
+// rendered: BestDiff writes each changed route's next hop and path text
+// straight off the path tree, and no asn.Path is built. Materialising
+// both sides' routes (Best) and rendering them with asn.Path.String must
+// give the same rows, for every oracle delta on the seed-1 world.
+func TestDiffTextMatchesMaterialisedRoutes(t *testing.T) {
+	topo, _, tb := world(t, 1)
+	base := tb.AnycastBase(tb.Prefixes[0])
+	render := func(r bgp.Route, ok bool) *whatif.RouteInfo {
+		if !ok {
+			return nil
+		}
+		ri := &whatif.RouteInfo{Path: r.Path.String(), LocalPref: r.LocalPref}
+		if !r.IsOrigin() {
+			ri.NextHop = r.NextHop.String()
+		}
+		return ri
+	}
+	for _, cd := range oracleDeltas(t, topo, tb, base) {
+		f := base.Fork()
+		d, err := whatif.EvalOn(f, base, cd)
+		if err != nil {
+			t.Fatalf("%s: %v", cd.Canonical(), err)
+		}
+		for _, ch := range d.Changes {
+			a, err := asn.ParseASN(ch.AS)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := whatif.Change{AS: ch.AS, Before: render(base.Best(a)), After: render(f.Best(a))}
+			if !reflect.DeepEqual(ch, want) {
+				t.Fatalf("%s: %s renders before %+v after %+v, materialised before %+v after %+v",
+					cd.Canonical(), ch.AS, ch.Before, ch.After, want.Before, want.After)
+			}
+		}
+		f.Release()
+	}
+}

@@ -1,6 +1,8 @@
 package whatif_test
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -256,4 +258,39 @@ func TestEvalSemantics(t *testing.T) {
 	if _, ok := base.Best(mux); !ok {
 		t.Fatal("base lost state after Eval")
 	}
+}
+
+// TestDiffOriginRowNamesNoNextHop pins the origin's row of a poison
+// delta: the origin's own route was sent by no neighbor, so both sides
+// carry an empty next hop (never "AS0", a reserved ASN), the origin's
+// path before, the poisoning sandwich after, and the origin preference
+// (1 << 30) nothing learned can beat.
+func TestDiffOriginRowNamesNoNextHop(t *testing.T) {
+	topo, _, tb := world(t, 1)
+	base := tb.AnycastBase(tb.Prefixes[0])
+	origin, mux := tb.Origin, tb.Muxes[0]
+	cd, err := whatif.Compile(whatif.Delta{Kind: whatif.Poison, Poisoned: []string{mux.String()}}, topo, origin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := whatif.Eval(base, cd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := whatif.Change{
+		AS:     origin.String(),
+		Before: &whatif.RouteInfo{Path: fmt.Sprint(uint32(origin)), LocalPref: 1 << 30},
+		After:  &whatif.RouteInfo{Path: fmt.Sprintf("%d {%d} %d", origin, mux, origin), LocalPref: 1 << 30},
+	}
+	for _, ch := range d.Changes {
+		if ch.AS != want.AS {
+			continue
+		}
+		if !reflect.DeepEqual(ch, want) {
+			t.Fatalf("origin row %s before %+v after %+v, want before %+v after %+v",
+				ch.AS, ch.Before, ch.After, want.Before, want.After)
+		}
+		return
+	}
+	t.Fatalf("the poison diff has no row for the origin %s", origin)
 }
