@@ -3,6 +3,7 @@ package scenario
 import (
 	"math/rand"
 	"sort"
+	"sync"
 
 	"routelab/internal/asn"
 	"routelab/internal/bgp"
@@ -271,19 +272,64 @@ func (s *Scenario) activeProbeSet(rng *rand.Rand) []asn.ASN {
 
 // RunAlternatesCampaign discovers alternate routes for every AS observed
 // on paths toward the PEERING prefixes (§3.2/§4.4), up to the configured
-// cap, in one Testbed.DiscoverAlternates walk: targets that poison the
-// same next hops share each convergence, and the walk's subtrees fan
-// out over the worker pool. The result slice follows the sorted target
-// order, and the results and the engine's counts are the same for any
-// worker count.
+// cap. Only the targets are drawn from rng; their results come from
+// Alternates, so a target another campaign on this scenario already
+// discovered is not walked again. The result slice follows the sorted
+// target order, and the results are the same for any worker count and
+// whatever was asked before.
 func (s *Scenario) RunAlternatesCampaign(rng *rand.Rand) []peering.AlternateResult {
-	prefix := s.Testbed.Prefixes[0]
-	targets := s.observedTargets(rng, prefix)
+	targets := s.observedTargets(rng, s.Testbed.Prefixes[0])
 	if limit := s.Cfg.MaxAlternateTargets; limit > 0 && len(targets) > limit {
 		targets = targets[:limit]
 	}
-	defer obs.StartStage("scenario/alternates")()
-	return s.Testbed.DiscoverAlternates(prefix, targets, s.Cfg.RoutingWorkers)
+	return s.Alternates(targets)
+}
+
+// alternatesMemo is every discovery result a Scenario has computed,
+// by target, over its first testbed prefix.
+type alternatesMemo struct {
+	// mu is held across a discovery walk, so a target is walked once
+	// however many callers ask for it at once.
+	mu   sync.Mutex
+	done map[asn.ASN]peering.AlternateResult
+}
+
+// Alternates returns each target's §3.2 discovery result over the first
+// testbed prefix, in the order given. A result depends on its target
+// alone (DESIGN §12), so each target is discovered once per Scenario:
+// the targets not asked for before are discovered together in one
+// Testbed.DiscoverAlternates walk, under the scenario/alternates stage,
+// whose subtrees fan out over the worker pool; the results are kept.
+// The engine's fork and convergence counts so depend on which targets
+// were already discovered, and are the same for any worker count. Safe
+// for concurrent use. The returned results share their steps with the
+// memo: read-only.
+func (s *Scenario) Alternates(targets []asn.ASN) []peering.AlternateResult {
+	m := s.alternates
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var missing []asn.ASN
+	for _, t := range targets {
+		if _, ok := m.done[t]; !ok {
+			missing = append(missing, t)
+		}
+	}
+	if len(missing) > 0 {
+		stop := obs.StartStage("scenario/alternates")
+		found := s.Testbed.DiscoverAlternates(s.Testbed.Prefixes[0], missing, s.Cfg.RoutingWorkers)
+		stop()
+		if m.done == nil {
+			m.done = make(map[asn.ASN]peering.AlternateResult, len(found))
+		}
+		for _, r := range found {
+			m.done[r.Target] = r
+		}
+	}
+	out := make([]peering.AlternateResult, len(targets))
+	for i, t := range targets {
+		out[i] = m.done[t]
+	}
+	return out
 }
 
 // observedTargets lists ASes seen on paths toward a PEERING prefix from

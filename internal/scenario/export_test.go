@@ -10,3 +10,8 @@ func BuildKeepingSnapshots(cfg Config) (*Scenario, []*vantage.Snapshot, error) {
 	s, err := build(cfg, nil, func(collected []*vantage.Snapshot) { snaps = collected })
 	return s, snaps, err
 }
+
+// ForgetAlternates gives s an empty discovery memo, as a fresh build
+// has: the next Alternates call walks every target it is asked for. A
+// shallow copy of a Scenario shares its memo until it calls this.
+func (s *Scenario) ForgetAlternates() { s.alternates = new(alternatesMemo) }

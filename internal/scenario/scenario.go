@@ -19,9 +19,9 @@
 // Build runs its independent units of work — per-prefix convergence,
 // per-probe traceroute generation, per-snapshot inference, per-mux
 // magnet runs, per-refinement judging — through internal/parallel,
-// bounded by Config.RoutingWorkers; the alternates campaign
-// (RunAlternatesCampaign, per subtree of its poison-sequence walk) does
-// the same. Results are merged
+// bounded by Config.RoutingWorkers; alternate-route discovery
+// (Alternates, per subtree of its poison-sequence walk) does the same.
+// Results are merged
 // in a stable order, so a build is byte-identical for any worker count.
 // Every stage that consumes the build's master rand.Rand does so
 // serially, BEFORE fanning out (the campaign derives one seed per probe
@@ -31,13 +31,16 @@
 // Everything a seed does not choose is computed by Build: the magnet
 // runs (Magnet) with whatever observing them does not draw, and the
 // verdict on every measured decision under every refinement (Verdicts). A built Scenario is then read-only and safe for
-// concurrent readers, with no lock of its own, with one exception:
-// methods taking a *rand.Rand (Campaign, RunMagnetCampaign,
-// RunAlternatesCampaign) mutate that rand and must not share it across
-// goroutines. Context's model caches are internally synchronized (see
-// classify.Context), and the judge phase fills them for every decision
-// of the campaign, so reading the scenario's own figures and tables
-// leaves them as Build left them.
+// concurrent readers, with one lock of its own and one exception. The
+// lock guards what Alternates has discovered, which grows by each
+// target first asked for: Build discovers none, so the CLI walks only
+// the targets its campaigns draw, and a served tenant asks for every
+// AS before it is charged. The exception: methods taking a *rand.Rand
+// (Campaign, RunMagnetCampaign, RunAlternatesCampaign) mutate that rand
+// and must not share it across goroutines. Context's model caches are
+// internally synchronized (see classify.Context), and the judge phase
+// fills them for every decision of the campaign, so reading the
+// scenario's own figures and tables leaves them as Build left them.
 package scenario
 
 import (
@@ -181,6 +184,8 @@ type Scenario struct {
 	// magnetViews is what RunMagnetCampaign reads of Magnet whatever its
 	// observers: magnetViews[r][k] belongs to Magnet[r].Observations[k].
 	magnetViews [][]magnetView
+	// alternates keeps every discovery result Alternates has computed.
+	alternates *alternatesMemo
 }
 
 // Phases are the stages of Build, named as their obs stage timers, in
@@ -225,7 +230,7 @@ func build(cfg Config, logf Logf, keep func([]*vantage.Snapshot)) (*Scenario, er
 	}
 	defer obs.StartStage("scenario/build")()
 	obs.Inc("scenario.builds")
-	s := &Scenario{Cfg: cfg}
+	s := &Scenario{Cfg: cfg, alternates: new(alternatesMemo)}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	// begin announces the phase whose stage is named stage, by its index

@@ -5,8 +5,10 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
+	"routelab/internal/asn"
 	"routelab/internal/classify"
 	"routelab/internal/obs"
 	"routelab/internal/peering"
@@ -160,10 +162,10 @@ func TestAlternatesCampaign(t *testing.T) {
 }
 
 // TestAlternatesCampaignCountsIndependentOfWorkers: one campaign on the
-// serial path and on four workers gives the same results and costs the
-// engine the same forks, events and changes, which is what the
-// ledger's exact-count check compares across its serial and parallel
-// passes.
+// serial path and on four workers, each from an empty discovery memo,
+// gives the same results and costs the engine the same forks, events
+// and changes, which is what the ledger's exact-count check compares
+// across its serial and parallel passes.
 func TestAlternatesCampaignCountsIndependentOfWorkers(t *testing.T) {
 	s := getScenario(t)
 	s.Testbed.AnycastBase(s.Testbed.Prefixes[0]) // built once, outside the counts
@@ -171,6 +173,7 @@ func TestAlternatesCampaignCountsIndependentOfWorkers(t *testing.T) {
 	run := func(workers int) ([]peering.AlternateResult, []int64) {
 		sw := *s
 		sw.Cfg.RoutingWorkers = workers
+		sw.ForgetAlternates()
 		before := make([]int64, len(counters))
 		for i, name := range counters {
 			before[i] = obs.Default().Counter(name).Value()
@@ -192,6 +195,95 @@ func TestAlternatesCampaignCountsIndependentOfWorkers(t *testing.T) {
 	for i, name := range counters {
 		if serialCounts[i] == 0 || serialCounts[i] != wideCounts[i] {
 			t.Errorf("%s: %d on one worker, %d on four", name, serialCounts[i], wideCounts[i])
+		}
+	}
+}
+
+// TestAlternatesCampaignAfterAnotherMatchesFresh: a campaign run after
+// another on the same scenario returns what it returns on a scenario
+// that discovered nothing before, although it walks only the targets
+// the first campaign did not draw; run again, it walks none.
+func TestAlternatesCampaignAfterAnotherMatchesFresh(t *testing.T) {
+	s := getScenario(t)
+	s.Testbed.AnycastBase(s.Testbed.Prefixes[0]) // built once, outside the counts
+	fresh := func() *Scenario {
+		sw := *s
+		sw.ForgetAlternates()
+		return &sw
+	}
+	campaign := func(sc *Scenario, seed int64) []peering.AlternateResult {
+		return sc.RunAlternatesCampaign(rand.New(rand.NewSource(seed)))
+	}
+	forks := obs.Default().Counter("bgp.fork.calls")
+	want := campaign(fresh(), 11)
+
+	sw := fresh()
+	first := campaign(sw, 10)
+	shared := 0
+	for _, r := range want {
+		if slices.ContainsFunc(first, func(f peering.AlternateResult) bool { return f.Target == r.Target }) {
+			shared++
+		}
+	}
+	if shared == 0 || shared == len(want) {
+		t.Fatalf("campaigns share %d of %d targets: the check needs some shared and some not", shared, len(want))
+	}
+	before := forks.Value()
+	if got := campaign(sw, 11); !reflect.DeepEqual(got, want) {
+		t.Error("a campaign after another differs from the same campaign on a fresh scenario")
+	}
+	if forks.Value() == before {
+		t.Error("the second campaign took no fork, though it drew targets the first did not")
+	}
+	before = forks.Value()
+	if got := campaign(sw, 10); !reflect.DeepEqual(got, first) {
+		t.Error("a repeated campaign differs from its first run")
+	}
+	if got := forks.Value() - before; got != 0 {
+		t.Errorf("a repeated campaign took %d forks, want 0", got)
+	}
+}
+
+// TestConcurrentAlternatesMatchSerial: goroutines asking one scenario
+// that discovered nothing for overlapping target sets at once get what
+// the same requests get one after another, under -race.
+func TestConcurrentAlternatesMatchSerial(t *testing.T) {
+	s := getScenario(t)
+	all := s.Topo.ASNs()
+	const callers = 4
+	sets := make([][]asn.ASN, callers)
+	for g := range sets {
+		// Overlapping windows, each a third of the ASes, asked in a
+		// different order by every caller.
+		lo := g * len(all) / (2 * callers)
+		set := slices.Clone(all[lo : lo+len(all)/3])
+		if g%2 == 1 {
+			slices.Reverse(set)
+		}
+		sets[g] = set
+	}
+	serial := *s
+	serial.ForgetAlternates()
+	want := make([][]peering.AlternateResult, callers)
+	for g, set := range sets {
+		want[g] = serial.Alternates(set)
+	}
+
+	shared := *s
+	shared.ForgetAlternates()
+	got := make([][]peering.AlternateResult, callers)
+	var wg sync.WaitGroup
+	for g, set := range sets {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = shared.Alternates(set)
+		}()
+	}
+	wg.Wait()
+	for g := range sets {
+		if !reflect.DeepEqual(got[g], want[g]) {
+			t.Errorf("caller %d: concurrent results differ from the serial run", g)
 		}
 	}
 }

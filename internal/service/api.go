@@ -134,6 +134,8 @@ type ClassifyData struct {
 
 // AlternateStepData is one route of a discovered preference order.
 type AlternateStepData struct {
+	// NextHop names the neighbor the route was learned from; it is empty
+	// on the testbed origin's own route, which no neighbor sent.
 	NextHop  string   `json:"next_hop"`
 	Path     string   `json:"path"`
 	Poisoned []string `json:"poisoned,omitempty"`

@@ -19,6 +19,7 @@ import (
 	"routelab/internal/experiments"
 	"routelab/internal/obs"
 	"routelab/internal/parallel"
+	"routelab/internal/peering"
 	"routelab/internal/scenario"
 	"routelab/internal/whatif"
 )
@@ -75,10 +76,14 @@ func newTenant(s *scenario.Scenario, cfg Config, cache partition) *Server {
 		traceIdx: make(map[int]int, len(s.Measurements)),
 	}
 	// Warm the per-prefix anycast bases now: one convergence each, the
-	// cost the first alternates or what-if request would otherwise pay.
+	// cost the first what-if request would otherwise pay. Then discover
+	// every AS's alternates off the first base, in one walk: a result
+	// depends on its target alone, so /v1/alternates only reads, and the
+	// size walk below charges the tenant for all of them.
 	for _, p := range s.Testbed.Prefixes {
 		s.Testbed.AnycastBase(p)
 	}
+	s.Alternates(s.Topo.ASNs())
 	for i := range s.Measurements {
 		srv.traceIdx[s.Measurements[i].TraceID] = i
 	}
@@ -354,13 +359,16 @@ func (srv *Server) serveAlternates(rp *reply, r *http.Request) {
 	})
 }
 
-// alternatesBody discovers one target's preference order over the
-// first testbed prefix and renders it. Discovery consumes no randomness,
-// so the body is a pure function of (engine, prefix, target). A
-// one-target walk is a chain: one fork of the tenant's frozen anycast
-// base, poisoned and reconverged once per round, then released.
+// alternatesBody renders one target's preference order over the first
+// testbed prefix, which newTenant discovered for every AS. Discovery
+// consumes no randomness, so the body is a pure function of (engine,
+// prefix, target).
 func (srv *Server) alternatesBody(target asn.ASN) ([]byte, error) {
-	res := srv.s.Testbed.DiscoverAlternates(srv.s.Testbed.Prefixes[0], []asn.ASN{target}, 1)[0]
+	return srv.renderAlternates(srv.s.Alternates([]asn.ASN{target})[0])
+}
+
+// renderAlternates is the /v1/alternates body of one discovery result.
+func (srv *Server) renderAlternates(res peering.AlternateResult) ([]byte, error) {
 	data := AlternatesData{
 		Target:        res.Target.String(),
 		Prefix:        res.Prefix.String(),
@@ -370,9 +378,11 @@ func (srv *Server) alternatesBody(target asn.ASN) ([]byte, error) {
 	}
 	for _, st := range res.Steps {
 		sd := AlternateStepData{
-			NextHop:  st.Route.NextHop.String(),
 			Path:     st.Route.Path.String(),
 			Inferred: srv.s.Context.Graph.Rel(res.Target, st.Route.NextHop).String(),
+		}
+		if !st.Route.NextHop.IsZero() {
+			sd.NextHop = st.Route.NextHop.String()
 		}
 		for _, p := range st.PoisonedSoFar {
 			sd.Poisoned = append(sd.Poisoned, p.String())

@@ -7,7 +7,10 @@ import "reflect"
 // scenario does not grow while it is served: scenario.Build runs the
 // magnet experiments and judges every decision of its campaign, which
 // fills classify.Context's model caches for everything the figures,
-// tables and /v1/classify read (TestServedTenantNeverOutgrowsCharge).
+// tables and /v1/classify read, and newTenant discovers every AS's
+// alternates before it is walked, which is all /v1/alternates and the
+// alternates and casestudies experiments read at any seed
+// (TestServedTenantNeverOutgrowsCharge).
 // The one exception is the ablations' raw-probe row: it judges
 // decisions the build never made, which grows those shared caches by a
 // few KB (≈ 4 KB on the test world) past the charge. sizeOf walks the
@@ -159,11 +162,12 @@ func (w *sizeWalker) referenced(v reflect.Value) int64 {
 }
 
 // accountSize runs the build-time accounting walk for one tenant: the
-// sealed scenario graph (topology, RIB snapshots, measurements, and
-// the warm per-prefix anycast bases — AnycastBase caches them on the
-// scenario's testbed, so the scenario walk reaches them) plus the
-// static per-tenant state. Call after the bases are warm (newTenant
-// does).
+// sealed scenario graph (topology, RIB snapshots, measurements, the
+// warm per-prefix anycast bases — AnycastBase caches them on the
+// scenario's testbed, so the scenario walk reaches them — and every
+// AS's discovered alternates, kept by the scenario) plus the static
+// per-tenant state. Call after the bases are warm and the alternates
+// discovered (newTenant does).
 func (srv *Server) accountSize() int64 { return srv.accountSizeWith(newSizeWalker()) }
 
 func (srv *Server) accountSizeWith(w *sizeWalker) int64 {

@@ -135,7 +135,8 @@ func TestTenantSizeCeiling(t *testing.T) {
 // newTenant's walk measured, once, so serving it must not grow what the
 // walk reached. Every experiment but ablations and all (whose raw-probe
 // row judges decisions the build never made) and /v1/classify on every
-// trace read only what Build computed.
+// trace read only what Build computed, and /v1/alternates on every AS
+// only what newTenant discovered.
 func TestServedTenantNeverOutgrowsCharge(t *testing.T) {
 	srv := newTenant(testScenario(t), Config{}, partition{c: NewStore(StoreConfig{}).cache, tenant: DefaultID})
 	ctx := context.Background()
@@ -151,6 +152,11 @@ func TestServedTenantNeverOutgrowsCharge(t *testing.T) {
 	for i := range srv.s.Measurements {
 		if _, err := srv.classifyBody(ctx, i, classify.Refinements); err != nil {
 			t.Fatalf("classify trace %d: %v", srv.s.Measurements[i].TraceID, err)
+		}
+	}
+	for _, a := range srv.s.Topo.ASNs() {
+		if _, err := srv.alternatesBody(a); err != nil {
+			t.Fatalf("alternates %s: %v", a, err)
 		}
 	}
 	if got := srv.accountSize(); got != srv.SizeBytes() {

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"routelab/internal/obs"
+	"routelab/internal/scenario"
 	"routelab/internal/whatif"
 )
 
@@ -84,19 +85,31 @@ func TestWhatIfSingleDelta(t *testing.T) {
 }
 
 // TestWhatIfBatchForksBase pins the fork accounting: bgp.fork.calls is
-// an exact function of the requests served. Building a tenant forks
-// nothing, a what-if batch of N deltas costs exactly N forks of one
-// shared frozen base, an alternates miss exactly one, and a cache hit
-// of either none.
+// an exact function of the tenants built and the requests served.
+// Building a tenant of a fresh scenario costs exactly the forks of one
+// all-AS alternates walk, a what-if batch of N deltas exactly N forks
+// of one shared frozen base, an alternates miss none (it reads what the
+// tenant's build discovered), and a cache hit of either none.
 func TestWhatIfBatchForksBase(t *testing.T) {
 	s := testScenario(t)
 	forks := func() int64 { return obs.Snap().Counters["bgp.fork.calls"] }
 
 	before := forks()
-	_, ts := newTestServer(t, Config{})
-	if got := forks() - before; got != 0 {
-		t.Errorf("building a tenant took %d forks, want 0", got)
+	s.Testbed.DiscoverAlternates(s.Testbed.Prefixes[0], s.Topo.ASNs(), 1)
+	walk := forks() - before
+	if walk == 0 {
+		t.Fatal("an all-AS alternates walk took no fork")
 	}
+	fresh, err := scenario.Build(s.Cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before = forks()
+	newTenant(fresh, Config{}, partition{c: NewStore(StoreConfig{}).cache, tenant: DefaultID})
+	if got := forks() - before; got != walk {
+		t.Errorf("building a tenant of a fresh scenario took %d forks, want %d (one all-AS alternates walk)", got, walk)
+	}
+	_, ts := newTestServer(t, Config{})
 
 	mux := s.Testbed.Muxes[0]
 	doc := fmt.Sprintf(`{"schema":"routelab-whatif/v1","deltas":[
@@ -127,20 +140,17 @@ func TestWhatIfBatchForksBase(t *testing.T) {
 		t.Errorf("cache hit took %d forks, want 0", got)
 	}
 
-	// Alternates: one fork per miss, however many poisoning rounds the
-	// discovery runs on it; none per hit.
+	// Alternates: no fork on a miss, however many poisoning rounds the
+	// target's discovery ran at build time, and none on a hit.
 	alt := fmt.Sprintf("%s/v1/alternates?target=%s", ts.URL, s.Measurements[0].DstAS)
-	for _, c := range []struct {
-		cache string
-		forks int64
-	}{{"miss", 1}, {"hit", 0}} {
+	for _, cache := range []string{"miss", "hit"} {
 		before = forks()
 		status, body, hdr := getHeader(t, alt)
-		if status != http.StatusOK || hdr != c.cache {
-			t.Fatalf("alternates: status %d, cache %q, want %q\n%s", status, hdr, c.cache, body)
+		if status != http.StatusOK || hdr != cache {
+			t.Fatalf("alternates: status %d, cache %q, want %q\n%s", status, hdr, cache, body)
 		}
-		if got := forks() - before; got != c.forks {
-			t.Errorf("alternates %s took %d forks, want %d", c.cache, got, c.forks)
+		if got := forks() - before; got != 0 {
+			t.Errorf("alternates %s took %d forks, want 0", cache, got)
 		}
 	}
 }
