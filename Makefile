@@ -46,15 +46,18 @@ bench:
 	$(GO) run ./bench -all
 
 # fuzz-smoke gives each native fuzz target a short budget: the fleet
-# admission path (body sniffer, spec parsers, expansion) and the
-# routelab-whatif/v1 request decoder. Both seed themselves with f.Add
-# (the scenario corpus; the documents the tests post),
+# admission path (body sniffer, spec parsers, expansion), the
+# routelab-whatif/v1 request decoder and the response envelope reader
+# (ReadEnvelope, against decode-then-Validate). All three seed
+# themselves with f.Add (the scenario corpus; the documents the tests
+# post; one served body of every envelope kind),
 # and testdata/fuzz holds only crashers the fuzzer finds. Long enough to
 # catch a decoder panic or round-trip break introduced by a parser
 # change, short enough for every CI run.
 fuzz-smoke:
 	$(GO) test ./internal/service -run=^$$ -fuzz=FuzzAdmitSpec -fuzztime=20s
 	$(GO) test ./internal/service -run=^$$ -fuzz=FuzzWhatIfRequest -fuzztime=20s
+	$(GO) test ./internal/service -run=^$$ -fuzz=FuzzReadEnvelope -fuzztime=20s
 
 # lint is staticcheck (general Go hygiene); this repo's own invariants
 # are a test, internal/lint TestRepoIsClean (DESIGN.md §11).

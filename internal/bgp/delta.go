@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"strings"
 
 	"routelab/internal/asn"
 	"routelab/internal/topology"
@@ -236,31 +237,23 @@ type RouteText struct {
 // two trees do not share compare element by element, which keeps the
 // diff exact across independently built computations (the differential
 // oracle in internal/whatif pins fork-diff ≡ rebuild-diff through
-// exactly this path). Neither side is written to, so a base may be
+// exactly this path). Neither side's routes are written to, and a
+// base's text is rendered once under a sync.Once, so a base may be
 // diffed against from many goroutines.
 //
 // A changed route is rendered straight from its path tree, never as an
-// asn.Path: every next hop and path of the diff is appended to one
-// buffer, and the returned strings are slices of it.
+// asn.Path. The base's side is rendered once per base, for all its ASes
+// (FreezeForDiffs); c's side is written to one string, sized from the
+// changed paths' lengths before any is rendered. The returned strings
+// are slices of the two.
 func (c *Computation) BestDiff(b *Base) []BestChange {
 	base := b.c
 	if c.e != base.e || c.prefix != base.prefix {
 		panic("bgp: BestDiff across engines or prefixes")
 	}
 	shared := sharedBelow(&c.paths, &base.paths)
-	var out []BestChange
-	var buf []byte
-	// ends holds, per rendered side, the buffer offsets where its next
-	// hop and its path end.
-	var ends []int
-	render := func(t *pathTree, r *rec) {
-		if r.nh >= 0 {
-			buf = c.e.asns[r.nh].Append(buf)
-		}
-		ends = append(ends, len(buf))
-		buf = t.appendText(buf, r.path)
-		ends = append(ends, len(buf))
-	}
+	var changed []int32
+	size := 0
 	for i := range c.best {
 		nb, ob := &c.best[i], &base.best[i]
 		if nb.path == ob.path && nb.path < shared && *nb == *ob {
@@ -270,27 +263,48 @@ func (c *Computation) BestDiff(b *Base) []BestChange {
 			pathsEqual(&c.paths, nb.path, &base.paths, ob.path, shared) {
 			continue
 		}
-		bc := BestChange{AS: c.e.asns[i]}
-		if ob.path != 0 {
-			bc.Before = RouteText{Held: true, LocalPref: int(ob.lp)}
-			render(&base.paths, ob)
-		}
-		if nb.path != 0 {
-			bc.After = RouteText{Held: true, LocalPref: int(nb.lp)}
-			render(&c.paths, nb)
-		}
-		out = append(out, bc)
+		changed = append(changed, int32(i))
+		// A next hop and a hop print in a handful of bytes each; the
+		// estimate only sizes the text, which grows past it if need be.
+		size += textBytesPerHop * (1 + int(c.paths.node(nb.path).plen))
 	}
-	text, at := string(buf), 0
-	slice := func(rt *RouteText) {
-		if rt.Held {
-			rt.NextHop, rt.Path = text[at:ends[0]], text[ends[0]:ends[1]]
-			at, ends = ends[1], ends[2:]
+	if len(changed) == 0 {
+		return nil
+	}
+	out := make([]BestChange, len(changed))
+	var text strings.Builder
+	text.Grow(size)
+	// ends holds, per change, the text offsets where its After side's
+	// next hop and path end; scratch holds one side while it is copied
+	// into text.
+	ends := make([]int32, 2*len(changed))
+	var scratch []byte
+	for k, i := range changed {
+		out[k].AS = c.e.asns[i]
+		if base.best[i].path != 0 {
+			out[k].Before = b.routeText(int(i))
+		}
+		if nb := &c.best[i]; nb.path != 0 {
+			scratch = scratch[:0]
+			if nb.nh >= 0 {
+				scratch = c.e.asns[nb.nh].Append(scratch)
+			}
+			ends[2*k] = int32(text.Len() + len(scratch))
+			scratch = c.paths.appendText(scratch, nb.path)
+			text.Write(scratch)
+			ends[2*k+1] = int32(text.Len())
 		}
 	}
-	for k := range out {
-		slice(&out[k].Before)
-		slice(&out[k].After)
+	all, at := text.String(), int32(0)
+	for k, i := range changed {
+		if nb := &c.best[i]; nb.path != 0 {
+			out[k].After = RouteText{Held: true, NextHop: all[at:ends[2*k]], Path: all[ends[2*k]:ends[2*k+1]], LocalPref: int(nb.lp)}
+			at = ends[2*k+1]
+		}
 	}
 	return out
 }
+
+// textBytesPerHop is BestDiff's estimate of one rendered hop: a
+// four-digit ASN and its separator.
+const textBytesPerHop = 5

@@ -3,6 +3,7 @@ package bgp
 import (
 	"maps"
 	"slices"
+	"sync"
 
 	"routelab/internal/asn"
 	"routelab/internal/obs"
@@ -20,7 +21,56 @@ var (
 // holds a Base — a memo map, a struct field, a closure — cannot reach
 // Announce, Withdraw or a what-if edit of it through any number of
 // calls. Any number of goroutines may use one Base at once.
-type Base struct{ c *Computation }
+type Base struct {
+	c *Computation
+	// text is every AS's installed route as a diff against the base
+	// reports its Before side, rendered once (renderText).
+	textOnce sync.Once
+	text     baseText
+}
+
+// baseText is the route text of every AS of a base, in AS index order:
+// one string, and per AS the offsets where its next hop and its path
+// end. An AS's text begins where the previous one's path ends.
+type baseText struct {
+	all  string
+	ends []int32
+}
+
+// renderText renders every AS's installed route once, as BestDiff
+// against b reports the Before side of a change, so that BestDiff
+// slices it instead of rendering the base's routes again per diff.
+func (b *Base) renderText() {
+	b.textOnce.Do(func() {
+		c := b.c
+		var buf []byte
+		ends := make([]int32, 0, 2*len(c.best))
+		for i := range c.best {
+			r := &c.best[i]
+			if r.path != 0 && r.nh >= 0 {
+				buf = c.e.asns[r.nh].Append(buf)
+			}
+			ends = append(ends, int32(len(buf)))
+			if r.path != 0 {
+				buf = c.paths.appendText(buf, r.path)
+			}
+			ends = append(ends, int32(len(buf)))
+		}
+		b.text = baseText{all: string(buf), ends: ends}
+	})
+}
+
+// routeText is AS i's installed route in b's text; the caller knows
+// the AS holds one.
+func (b *Base) routeText(i int) RouteText {
+	b.renderText()
+	t := &b.text
+	from := int32(0)
+	if i > 0 {
+		from = t.ends[2*i-1]
+	}
+	return RouteText{Held: true, NextHop: t.all[from:t.ends[2*i]], Path: t.all[t.ends[2*i]:t.ends[2*i+1]], LocalPref: int(b.c.best[i].lp)}
+}
 
 // Freeze ends the computation's mutable life and returns it as a Base:
 // its mutators (and reset and Release) panic from now on, and its state
@@ -39,6 +89,16 @@ func (c *Computation) Freeze() *Base {
 		c.frozen = true
 	}
 	return &Base{c: c}
+}
+
+// FreezeForDiffs is Freeze for a base that what-if diffs will be taken
+// against: it also renders every AS's installed route, once, as the
+// Before side of a change, which BestDiff against the base otherwise
+// renders on first use. The base's footprint is then final.
+func (c *Computation) FreezeForDiffs() *Base {
+	b := c.Freeze()
+	b.renderText()
+	return b
 }
 
 // Prefix returns the prefix the base routes.

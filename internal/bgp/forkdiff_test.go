@@ -516,6 +516,41 @@ func TestFrozenBaseConcurrentReads(t *testing.T) {
 	wg.Wait()
 }
 
+// TestConcurrentFirstDiffsRenderBaseOnce: a base's route text is
+// rendered on the first diff against it, whichever goroutine's that is.
+// Diffs of poisoned forks taken at once against a freshly frozen base
+// all equal the diff against a FreezeForDiffs twin, whose text was
+// rendered before any diff; under -race this proves the first renders
+// do not race.
+func TestConcurrentFirstDiffsRenderBaseOnce(t *testing.T) {
+	e, prefix, all, hist := forkFixture(t, 21)
+	poison := Announcement{Origin: hist[0].ann.Origin, Poisoned: []asn.ASN{all[5]}}
+	twin := replay(e, prefix, hist).FreezeForDiffs()
+	ref := twin.Fork()
+	ref.Announce(poison)
+	ref.Converge()
+	want := ref.BestDiff(twin)
+	if len(want) == 0 {
+		t.Fatal("the poison moved no AS; the diff went untested")
+	}
+	base := replay(e, prefix, hist).Freeze()
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f := base.Fork()
+			f.Announce(poison)
+			f.Converge()
+			if got := f.BestDiff(base); !reflect.DeepEqual(got, want) {
+				t.Errorf("a first diff against the base differs from the twin's (%d ASes, want %d)", len(got), len(want))
+			}
+			f.Release()
+		}()
+	}
+	wg.Wait()
+}
+
 // dirtyOps is randomOps with what-if edits mixed in — links failing,
 // peerings appearing (rows widen), local preferences overridden — so the
 // fork that ran it leaves an overlay, widened rows, AS_SETs and a grown

@@ -89,11 +89,13 @@ const maxAlternateRounds = 32
 
 // AnycastBase returns the converged computation of the plain anycast
 // announcement (the origin announcing a prefix to all muxes) — the
-// state every discovery run starts from — as a frozen bgp.Base. It is
-// built once per prefix and memoized. Safe for concurrent use;
-// concurrent callers may Fork the same base from different goroutines,
-// which is how DiscoverAlternates fans its subtrees across the worker
-// pool without re-converging the anycast per subtree.
+// state every discovery run starts from — as a frozen bgp.Base, its
+// routes rendered for the what-if diffs taken against it
+// (FreezeForDiffs). It is built once per prefix and memoized. Safe for
+// concurrent use; concurrent callers may Fork the same base from
+// different goroutines, which is how DiscoverAlternates fans its
+// subtrees across the worker pool without re-converging the anycast
+// per subtree.
 func (tb *Testbed) AnycastBase(prefix asn.Prefix) *bgp.Base {
 	tb.mu.Lock()
 	defer tb.mu.Unlock()
@@ -103,7 +105,7 @@ func (tb *Testbed) AnycastBase(prefix asn.Prefix) *bgp.Base {
 	c := tb.engine.NewComputation(prefix)
 	c.Announce(bgp.Announcement{Origin: tb.Origin})
 	c.Converge()
-	b := c.Freeze()
+	b := c.FreezeForDiffs()
 	if tb.bases == nil {
 		tb.bases = make(map[asn.Prefix]*bgp.Base)
 	}

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
@@ -40,24 +41,60 @@ func (s *Scenario) runMagnets() []peering.MagnetResult {
 		})
 }
 
-// magnetView is the seed-free half of one magnet observation:
-// what RunMagnetCampaign knows of it before drawing any observer.
-type magnetView struct {
+// maxWalk caps an observer's walk along next hops, in ASes.
+const maxWalk = 32
+
+// magnetIndex is the seed-free half of RunMagnetCampaign: what it
+// knows of the build's magnet runs before drawing any observer, laid
+// out so that an observer's walk and the decisions it makes visible
+// read arrays only. An AS is named by its position in ases; what an
+// observer can establish about an AS's next hops is a set of hop slots,
+// one per next hop the runs show the AS using or offering it.
+type magnetIndex struct {
+	// ases lists every AS the runs name, observed or a next hop of an
+	// observed route, ascending.
+	ases []asn.ASN
+	// slotBase[p] is the first hop slot of the AS at position p; the
+	// slots of p end where p+1's begin, and the last entry is the count.
+	slotBase []int32
+	// runs are aligned to the magnet runs.
+	runs []magnetRun
+}
+
+// magnetRun is one magnet run, indexed by AS position.
+type magnetRun struct {
+	// at[p] is the index of the AS at position p among the run's
+	// Observations, -1 if the run did not observe it.
+	at []int32
+	// obs is aligned to the run's Observations.
+	obs []magnetObs
+}
+
+// magnetObs is the seed-free half of one magnet observation.
+type magnetObs struct {
+	// pos is the AS's position; next that of the After route's next
+	// hop, -1 for a route the AS originates.
+	pos, next int32
+	// before and after are the hop slots of the Before and After
+	// routes' next hops, -1 for an originated route.
+	before, after int32
 	// sticky reports whether the AS settled on one dominant next hop
 	// after the anycasts, across the campaign's runs.
 	sticky bool
 	// kept reports whether the AS kept its route toward the magnet.
 	kept bool
-	// alts indexes the observation's Alternatives: the first route per
-	// next hop other than the chosen route's, in ascending next-hop
-	// order.
-	alts []int32
+	// alts are the observation's Alternatives, one per next hop other
+	// than the chosen route's, in ascending next-hop order.
+	alts []magnetAlt
 }
 
-// observeMagnets computes the seed-free half of RunMagnetCampaign over
-// the build's magnet runs: one slice per run, aligned to its
-// Observations.
-func observeMagnets(runs []peering.MagnetResult) [][]magnetView {
+// magnetAlt is one alternative of an observation: its index in
+// Alternatives and the hop slot of its next hop.
+type magnetAlt struct{ alt, slot int32 }
+
+// indexMagnets computes the seed-free half of RunMagnetCampaign over
+// the build's magnet runs.
+func indexMagnets(runs []peering.MagnetResult) magnetIndex {
 	// Stickiness: does the AS settle on one dominant next hop after the
 	// anycast, regardless of magnet placement? A static preference
 	// (IGP) produces the same winner in a clear majority of runs;
@@ -66,6 +103,14 @@ func observeMagnets(runs []peering.MagnetResult) [][]magnetView {
 	// occasional alternate BGP equilibrium.
 	nhCounts := map[asn.ASN]map[asn.ASN]int{}
 	runsSeen := map[asn.ASN]int{}
+	// hopsOf collects, per AS, every next hop a run shows it using or
+	// offering: the AS's hop slots.
+	hopsOf := map[asn.ASN][]asn.ASN{}
+	addHop := func(a asn.ASN, r *bgp.Route) {
+		if !r.NextHop.IsZero() && !slices.Contains(hopsOf[a], r.NextHop) {
+			hopsOf[a] = append(hopsOf[a], r.NextHop)
+		}
+	}
 	for ri := range runs {
 		for k := range runs[ri].Observations {
 			o := &runs[ri].Observations[k]
@@ -76,6 +121,14 @@ func observeMagnets(runs []peering.MagnetResult) [][]magnetView {
 			}
 			m[o.After.NextHop]++
 			runsSeen[o.AS]++
+			if _, ok := hopsOf[o.AS]; !ok {
+				hopsOf[o.AS] = nil // an AS with no next hop has a position too
+			}
+			addHop(o.AS, &o.Before)
+			addHop(o.AS, &o.After)
+			for a := range o.Alternatives {
+				addHop(o.AS, &o.Alternatives[a])
+			}
 		}
 	}
 	sticky := map[asn.ASN]bool{}
@@ -89,27 +142,67 @@ func observeMagnets(runs []peering.MagnetResult) [][]magnetView {
 		sticky[a] = best*3 >= runsSeen[a]*2 // dominant ≥ 2/3 of runs
 	}
 
-	out := make([][]magnetView, len(runs))
+	var ases []asn.ASN
+	for a, hops := range hopsOf {
+		ases = append(ases, a)
+		ases = append(ases, hops...)
+		slices.Sort(hops)
+	}
+	slices.Sort(ases)
+	// Clipped: grown in map order, the capacity would vary from build
+	// to build, and so would what the tenant weighs.
+	ix := magnetIndex{ases: slices.Clip(slices.Compact(ases))}
+	ix.slotBase = make([]int32, len(ix.ases)+1)
+	for p, a := range ix.ases {
+		ix.slotBase[p+1] = ix.slotBase[p] + int32(len(hopsOf[a]))
+	}
+	pos := func(a asn.ASN) int32 {
+		if a.IsZero() {
+			return -1
+		}
+		p, _ := slices.BinarySearch(ix.ases, a)
+		return int32(p)
+	}
+	slot := func(a, nh asn.ASN) int32 {
+		if nh.IsZero() {
+			return -1
+		}
+		k, _ := slices.BinarySearch(hopsOf[a], nh)
+		return ix.slotBase[pos(a)] + int32(k)
+	}
+
+	ix.runs = make([]magnetRun, len(runs))
 	for ri := range runs {
 		res := &runs[ri]
-		out[ri] = make([]magnetView, len(res.Observations))
+		run := &ix.runs[ri]
+		run.at = make([]int32, len(ix.ases))
+		for p := range run.at {
+			run.at[p] = -1
+		}
+		run.obs = make([]magnetObs, len(res.Observations))
 		for k := range res.Observations {
 			o := &res.Observations[k]
 			// One route per next hop (same-next-hop differences are the
 			// downstream AS's decision, which the paper attributes
 			// downstream).
-			var alts []int32
+			var alts []magnetAlt
 			seenNH := map[asn.ASN]bool{o.After.NextHop: true}
 			for a, alt := range o.Alternatives {
 				if !seenNH[alt.NextHop] {
 					seenNH[alt.NextHop] = true
-					alts = append(alts, int32(a))
+					alts = append(alts, magnetAlt{alt: int32(a), slot: slot(o.AS, alt.NextHop)})
 				}
 			}
 			sort.Slice(alts, func(i, j int) bool {
-				return o.Alternatives[alts[i]].NextHop < o.Alternatives[alts[j]].NextHop
+				return o.Alternatives[alts[i].alt].NextHop < o.Alternatives[alts[j].alt].NextHop
 			})
-			out[ri][k] = magnetView{
+			p := pos(o.AS)
+			run.at[p] = int32(k)
+			run.obs[k] = magnetObs{
+				pos:    p,
+				next:   pos(o.After.NextHop),
+				before: slot(o.AS, o.Before.NextHop),
+				after:  slot(o.AS, o.After.NextHop),
 				sticky: sticky[o.AS],
 				// "Keeping the route toward the magnet" (§3.2) means the
 				// post-anycast route still exits through the MAGNET mux
@@ -121,7 +214,7 @@ func observeMagnets(runs []peering.MagnetResult) [][]magnetView {
 			}
 		}
 	}
-	return out
+	return ix
 }
 
 // RunMagnetCampaign observes the build's magnet runs (s.Magnet) and
@@ -135,98 +228,109 @@ func observeMagnets(runs []peering.MagnetResult) [][]magnetView {
 func (s *Scenario) RunMagnetCampaign(rng *rand.Rand) MagnetCampaign {
 	feedPeers := vantage.SelectPeers(s.Topo, rng, s.Cfg.NumVantagePeers)
 	activeProbes := s.activeProbeSet(rng)
-
-	campaign := MagnetCampaign{Runs: s.Magnet}
-
-	// Each channel learns, per AS, the set of NEXT HOPS the AS was ever
-	// seen using (across all runs and both phases) — that is everything
-	// an outside observer can establish about x's alternatives. The
-	// comparison set for a run is then the routes those neighbors were
-	// ACTUALLY offering x in that run's post-anycast state (the paper
-	// verified exactly this availability assumption before reporting).
-	feedHops := map[asn.ASN]map[asn.ASN]bool{}
-	traceHops := map[asn.ASN]map[asn.ASN]bool{}
-	feedVisible := map[asn.ASN]bool{}
-	traceVisible := map[asn.ASN]bool{}
-
-	record := func(hops map[asn.ASN]map[asn.ASN]bool, a asn.ASN, r bgp.Route) {
-		if r.NextHop.IsZero() {
-			return
-		}
-		m := hops[a]
-		if m == nil {
-			m = map[asn.ASN]bool{}
-			hops[a] = m
-		}
-		m[r.NextHop] = true
+	return MagnetCampaign{
+		Runs:           s.Magnet,
+		FeedDecisions:  s.magnetIndex.observe(s.Magnet, feedPeers),
+		TraceDecisions: s.magnetIndex.observe(s.Magnet, activeProbes),
 	}
+}
 
-	// The order-sensitive visibility marking runs serially over the
-	// runs, in mux order.
-	for ri := range campaign.Runs {
-		// Determine per-channel visibility from the post-anycast state:
-		// feed channel sees ASes on feed-peer paths; trace channel sees
-		// ASes on data-plane paths from the active probes. Observations
-		// ascend by AS, so a binary search finds each hop's.
-		observed := campaign.Runs[ri].Observations
-		markPath := func(visible map[asn.ASN]bool, hops map[asn.ASN]map[asn.ASN]bool, start asn.ASN) {
-			cur := start
-			for hop := 0; hop < 32; hop++ {
-				k := sort.Search(len(observed), func(k int) bool { return observed[k].AS >= cur })
-				if k == len(observed) || observed[k].AS != cur {
-					return
+// observe is one observation channel of the campaign over runs, the
+// runs ix indexes: the decisions of every AS visible from observers.
+//
+// The channel learns, per AS, the set of NEXT HOPS the AS was ever seen
+// using (across all runs and both phases) — that is everything an
+// outside observer can establish about x's alternatives. The comparison
+// set for a run is then the routes those neighbors were ACTUALLY
+// offering x in that run's post-anycast state (the paper verified
+// exactly this availability assumption before reporting).
+func (ix *magnetIndex) observe(runs []peering.MagnetResult, observers []asn.ASN) []classify.MagnetDecision {
+	visible := make([]bool, len(ix.ases))
+	hops := make([]bool, ix.slotBase[len(ix.ases)])
+	// left[p] is the walk budget the AS at position p had left when a
+	// walk of this run last reached it: a walk that reaches it with no
+	// more can only mark what that one did.
+	left := make([]int8, len(ix.ases))
+	starts := make([]int32, 0, len(observers))
+	for _, a := range observers {
+		if p, ok := slices.BinarySearch(ix.ases, a); ok {
+			starts = append(starts, int32(p))
+		}
+	}
+	// Visibility comes from each run's post-anycast state: an observer
+	// sees the ASes on its path, followed next hop by next hop.
+	for ri := range ix.runs {
+		run := &ix.runs[ri]
+		clear(left)
+		for _, p := range starts {
+			for budget := int8(maxWalk); budget > 0 && p >= 0; budget-- {
+				k := run.at[p]
+				if k < 0 || left[p] >= budget {
+					break
 				}
-				o := &observed[k]
-				visible[cur] = true
-				record(hops, cur, o.Before)
-				record(hops, cur, o.After)
-				nh := o.After.NextHop
-				if nh.IsZero() {
-					return
+				left[p] = budget
+				o := &run.obs[k]
+				visible[p] = true
+				if o.before >= 0 {
+					hops[o.before] = true
 				}
-				cur = nh
+				if o.after >= 0 {
+					hops[o.after] = true
+				}
+				p = o.next
 			}
 		}
-		for _, p := range feedPeers {
-			markPath(feedVisible, feedHops, p)
-		}
-		for _, pr := range activeProbes {
-			markPath(traceVisible, traceHops, pr)
-		}
 	}
 
-	// Assemble decisions: one per (run, visible AS with alternatives).
-	// The run's genuine candidate set is its alternatives restricted to
-	// next hops the observer established.
-	build := func(visible map[asn.ASN]bool, hops map[asn.ASN]map[asn.ASN]bool) []classify.MagnetDecision {
-		var out []classify.MagnetDecision
-		for ri := range campaign.Runs {
-			for k := range campaign.Runs[ri].Observations {
-				o := &campaign.Runs[ri].Observations[k]
-				if !visible[o.AS] {
-					continue
-				}
-				v := &s.magnetViews[ri][k]
-				var others []bgp.Route
-				for _, a := range v.alts {
-					if alt := o.Alternatives[a]; hops[o.AS][alt.NextHop] {
-						others = append(others, alt)
+	// One decision per (run, visible AS); the run's genuine candidate
+	// set is its alternatives restricted to next hops the observer
+	// established. Counted first, so the decisions and their Others
+	// each fill one array.
+	decisions, others := 0, 0
+	for ri := range ix.runs {
+		for k := range ix.runs[ri].obs {
+			if o := &ix.runs[ri].obs[k]; visible[o.pos] {
+				decisions++
+				for _, a := range o.alts {
+					if hops[a.slot] {
+						others++
 					}
 				}
-				out = append(out, classify.MagnetDecision{
-					AS:         o.AS,
-					Chosen:     o.After,
-					KeptMagnet: v.kept,
-					Sticky:     v.sticky,
-					Others:     others,
-				})
 			}
 		}
-		return out
 	}
-	campaign.FeedDecisions = build(feedVisible, feedHops)
-	campaign.TraceDecisions = build(traceVisible, traceHops)
-	return campaign
+	if decisions == 0 {
+		return nil
+	}
+	out := make([]classify.MagnetDecision, 0, decisions)
+	pool := make([]bgp.Route, 0, others)
+	for ri := range ix.runs {
+		for k := range ix.runs[ri].obs {
+			v := &ix.runs[ri].obs[k]
+			if !visible[v.pos] {
+				continue
+			}
+			o := &runs[ri].Observations[k]
+			from := len(pool)
+			for _, a := range v.alts {
+				if hops[a.slot] {
+					pool = append(pool, o.Alternatives[a.alt])
+				}
+			}
+			var seen []bgp.Route
+			if len(pool) > from {
+				seen = pool[from:len(pool):len(pool)]
+			}
+			out = append(out, classify.MagnetDecision{
+				AS:         o.AS,
+				Chosen:     o.After,
+				KeptMagnet: v.kept,
+				Sticky:     v.sticky,
+				Others:     seen,
+			})
+		}
+	}
+	return out
 }
 
 // muxOf extracts the mux a PEERING route exits through (the AS right

@@ -181,9 +181,9 @@ type Scenario struct {
 	// Magnet holds one §3.2 magnet run per testbed mux, in mux order:
 	// a fixed function of the testbed, which RunMagnetCampaign observes.
 	Magnet []peering.MagnetResult
-	// magnetViews is what RunMagnetCampaign reads of Magnet whatever its
-	// observers: magnetViews[r][k] belongs to Magnet[r].Observations[k].
-	magnetViews [][]magnetView
+	// magnetIndex is what RunMagnetCampaign reads of Magnet whatever its
+	// observers.
+	magnetIndex magnetIndex
 	// alternates keeps every discovery result Alternates has computed.
 	alternates *alternatesMemo
 }
@@ -403,7 +403,7 @@ func build(cfg Config, logf Logf, keep func([]*vantage.Snapshot)) (*Scenario, er
 	// every reader of the scenario would otherwise recompute per request.
 	begin("scenario/magnet", "running %d magnet experiments (%d workers)", len(s.Testbed.Muxes), workers) // MapStage starts the stage
 	s.Magnet = s.runMagnets()
-	s.magnetViews = observeMagnets(s.Magnet)
+	s.magnetIndex = indexMagnets(s.Magnet)
 
 	stop = obs.StartStage(begin("scenario/judge", "judging %d decisions under %d refinements", decisions, len(classify.Refinements)))
 	s.Verdicts = s.Context.Judge(s.Measurements, cfg.RoutingWorkers)

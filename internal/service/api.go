@@ -42,6 +42,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"routelab/internal/obs"
 	"routelab/internal/whatif"
@@ -65,21 +66,8 @@ type Envelope struct {
 // checks bench reports: schema must match exactly, the kind must be
 // one this API emits, and the data must be a non-empty JSON value.
 func (e Envelope) Validate() error {
-	if e.Schema != Schema {
-		return fmt.Errorf("schema %q, want %q", e.Schema, Schema)
-	}
-	known := false
-	for _, k := range Kinds {
-		if e.Kind == k {
-			known = true
-			break
-		}
-	}
-	if !known {
-		return fmt.Errorf("unknown kind %q (have %v)", e.Kind, Kinds)
-	}
-	if len(e.Data) == 0 {
-		return fmt.Errorf("kind %q: empty data", e.Kind)
+	if err := e.checkHead(); err != nil {
+		return err
 	}
 	if !json.Valid(e.Data) {
 		return fmt.Errorf("kind %q: data is not valid JSON", e.Kind)
@@ -87,13 +75,38 @@ func (e Envelope) Validate() error {
 	return nil
 }
 
-// ReadEnvelope decodes and validates one envelope from r.
+// checkHead is Validate short of re-scanning the data: the schema, the
+// kind and that there is data at all.
+func (e Envelope) checkHead() error {
+	if e.Schema != Schema {
+		return fmt.Errorf("schema %q, want %q", e.Schema, Schema)
+	}
+	if !slices.Contains(Kinds, e.Kind) {
+		return fmt.Errorf("unknown kind %q (have %v)", e.Kind, Kinds)
+	}
+	if len(e.Data) == 0 {
+		return fmt.Errorf("kind %q: empty data", e.Kind)
+	}
+	return nil
+}
+
+// ReadEnvelope decodes and validates one envelope from r, which must
+// hold nothing after it but whitespace. The body is scanned once: the
+// decode has already checked that all of it, data included, is valid
+// JSON, so only what Validate checks besides that is checked again.
 func ReadEnvelope(r io.Reader) (Envelope, error) {
 	var e Envelope
-	if err := json.NewDecoder(r).Decode(&e); err != nil {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(&e); err != nil {
 		return e, err
 	}
-	return e, e.Validate()
+	switch _, err := dec.Token(); {
+	case err == nil:
+		return e, fmt.Errorf("data after the envelope at byte %d", dec.InputOffset())
+	case err != io.EOF:
+		return e, fmt.Errorf("after the envelope: %w", err)
+	}
+	return e, e.checkHead()
 }
 
 // HealthData is the /v1/healthz payload: a static description of the

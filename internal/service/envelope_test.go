@@ -3,6 +3,11 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"slices"
+	"strings"
 	"testing"
 
 	"routelab/internal/obs"
@@ -65,4 +70,124 @@ func TestMarshalEnvelopeIsMarshal(t *testing.T) {
 	if _, err := marshalEnvelope("error", func() {}); err == nil {
 		t.Error("an unmarshalable payload encoded without error")
 	}
+}
+
+// TestReadEnvelopeRejectsTrailingBytes: ReadEnvelope reads one
+// envelope and nothing after it but whitespace, so a body with a
+// second value or junk appended fails, and a served body, which ends
+// in a newline, passes.
+func TestReadEnvelopeRejectsTrailingBytes(t *testing.T) {
+	body, err := marshalEnvelope("health", HealthData{Status: "ok"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := body[:len(body)-1] // without the newline
+	for _, tail := range []string{"", "\n", "\r\n", " \t\n\n"} {
+		if _, err := ReadEnvelope(bytes.NewReader(append(slices.Clip(head), tail...))); err != nil {
+			t.Errorf("envelope + %q rejected: %v", tail, err)
+		}
+	}
+	for _, tail := range []string{`{"garbage`, ` trailing junk`, "\n{}", string(body), "\nnull", "]"} {
+		if _, err := ReadEnvelope(bytes.NewReader(append(slices.Clip(body), tail...))); err == nil {
+			t.Errorf("envelope + %q accepted", tail)
+		}
+	}
+}
+
+// referenceReadEnvelope is how ReadEnvelope read a body before it
+// scanned it once: decode, then Validate, which scans the data again,
+// and whatever follows the envelope unread.
+func referenceReadEnvelope(body []byte) (Envelope, error) {
+	var e Envelope
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&e); err != nil {
+		return e, err
+	}
+	return e, e.Validate()
+}
+
+// trailsEnvelope reports whether body holds more than whitespace after
+// its first JSON value.
+func trailsEnvelope(body []byte) bool {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	var v json.RawMessage
+	if dec.Decode(&v) != nil {
+		return false
+	}
+	return len(bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n")) > 0
+}
+
+// FuzzReadEnvelope holds ReadEnvelope, which scans a body once, to the
+// decode-then-Validate reference, with arbitrary bodies seeded by one
+// served body of every envelope kind. Properties:
+//
+//   - it never panics;
+//   - it accepts only what the reference accepts, and everything the
+//     reference accepts with nothing but whitespace after the envelope;
+//   - what it accepts has the reference's schema, kind and data bytes,
+//     and the data is valid JSON.
+func FuzzReadEnvelope(f *testing.F) {
+	s := testScenario(f)
+	_, ts := newTestServer(f, Config{})
+	fetch := func(method, path, doc string) []byte {
+		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(doc))
+		if err != nil {
+			f.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return body
+	}
+	kinds := map[string]bool{}
+	for _, q := range []struct{ method, path, doc string }{
+		{http.MethodGet, "/v1/healthz", ""},
+		{http.MethodGet, "/v1/metrics", ""},
+		{http.MethodGet, fmt.Sprintf("/v1/classify?trace=%d", s.Measurements[0].TraceID), ""},
+		{http.MethodGet, fmt.Sprintf("/v1/alternates?target=%s", s.Measurements[0].DstAS), ""},
+		{http.MethodGet, "/v1/experiments/table2", ""},
+		{http.MethodGet, fmt.Sprintf("/v1/as/%s", s.Topo.ASNs()[0]), ""},
+		{http.MethodPost, "/v1/whatif", fmt.Sprintf(`{"schema":"routelab-whatif/v1","deltas":[{"kind":"poison","poisoned":[%q]},{"kind":"withdraw"}]}`, s.Testbed.Muxes[0])},
+		{http.MethodGet, "/v1/scenarios", ""},
+		{http.MethodGet, "/v1/scenarios/" + DefaultID, ""},
+		{http.MethodGet, "/v1/build", ""},
+		{http.MethodGet, "/v1/nope", ""},
+	} {
+		body := fetch(q.method, q.path, q.doc)
+		e, err := ReadEnvelope(bytes.NewReader(body))
+		if err != nil {
+			f.Fatalf("%s %s: %v\n%s", q.method, q.path, err, body)
+		}
+		kinds[e.Kind] = true
+		f.Add(body)
+	}
+	for _, k := range Kinds {
+		if !kinds[k] {
+			f.Fatalf("no served body of kind %q seeds the corpus", k)
+		}
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		got, err := ReadEnvelope(bytes.NewReader(body))
+		want, refErr := referenceReadEnvelope(body)
+		if err != nil {
+			if refErr == nil && !trailsEnvelope(body) {
+				t.Fatalf("rejected (%v) what the reference accepts, with nothing after the envelope\n%q", err, body)
+			}
+			return
+		}
+		if refErr != nil {
+			t.Fatalf("accepted what the reference rejects (%v)\n%q", refErr, body)
+		}
+		if got.Schema != want.Schema || got.Kind != want.Kind || !bytes.Equal(got.Data, want.Data) {
+			t.Fatalf("read %q/%q/%q, the reference %q/%q/%q", got.Schema, got.Kind, got.Data, want.Schema, want.Kind, want.Data)
+		}
+		if !json.Valid(got.Data) {
+			t.Fatalf("accepted data that is not valid JSON: %q", got.Data)
+		}
+	})
 }

@@ -75,11 +75,12 @@ func newTenant(s *scenario.Scenario, cfg Config, cache partition) *Server {
 		cache:    cache,
 		traceIdx: make(map[int]int, len(s.Measurements)),
 	}
-	// Warm the per-prefix anycast bases now: one convergence each, the
-	// cost the first what-if request would otherwise pay. Then discover
-	// every AS's alternates off the first base, in one walk: a result
-	// depends on its target alone, so /v1/alternates only reads, and the
-	// size walk below charges the tenant for all of them.
+	// Warm the per-prefix anycast bases now: one convergence each, and
+	// one rendering of every AS's route as the Before side of a what-if
+	// diff, the cost the first what-if request would otherwise pay.
+	// Then discover every AS's alternates off the first base, in one
+	// walk: a result depends on its target alone, so /v1/alternates only
+	// reads, and the size walk below charges the tenant for all of them.
 	for _, p := range s.Testbed.Prefixes {
 		s.Testbed.AnycastBase(p)
 	}
@@ -197,13 +198,19 @@ func marshalEnvelope(kind string, data any) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	const head, kindTail = `{"schema":"` + Schema + `","kind":"`, `","data":`
-	body := make([]byte, 0, len(head)+len(kind)+len(kindTail)+len(raw)+2)
-	body = append(body, head...)
-	body = append(body, kind...)
-	body = append(body, kindTail...)
+	body := appendEnvelopeHead(make([]byte, 0, len(envelopeHead)+len(kind)+len(envelopeKindTail)+len(raw)+2), kind)
 	body = append(body, raw...)
 	return append(body, '}', '\n'), nil
+}
+
+const envelopeHead, envelopeKindTail = `{"schema":"` + Schema + `","kind":"`, `","data":`
+
+// appendEnvelopeHead appends an envelope of kind up to its data, which
+// the caller appends and closes with "}\n".
+func appendEnvelopeHead(b []byte, kind string) []byte {
+	b = append(b, envelopeHead...)
+	b = append(b, kind...)
+	return append(b, envelopeKindTail...)
 }
 
 // APIError is a typed handler error: a stable machine-readable code
@@ -534,26 +541,41 @@ func (srv *Server) serveWhatIf(rp *reply, r *http.Request) {
 	})
 }
 
+// whatifBody is the whatif envelope of one batch: WhatIfData as
+// marshalEnvelope would encode it, byte for byte
+// (TestWhatIfBodyIsMarshal), with every result appended straight from
+// its changed routes into one buffer sized for the whole batch.
 func (srv *Server) whatifBody(ctx context.Context, prefix asn.Prefix, cds []*whatif.Compiled) ([]byte, error) {
 	// Every entry forks the frozen base: exactly one bgp.fork.calls per
 	// entry (TestWhatIfBatchForksBase).
 	base := srv.s.Testbed.AnycastBase(prefix)
-	data := WhatIfData{
-		Prefix: prefix.String(),
-		Origin: srv.s.Testbed.Origin.String(),
-		Deltas: len(cds),
-	}
-	for _, cd := range cds {
+	results := make([]whatif.Result, len(cds))
+	size := 256 // the envelope and WhatIfData's fields but results
+	for i, cd := range cds {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		d, err := whatif.Eval(base, cd)
+		r, err := whatif.Evaluate(base, cd)
 		if err != nil {
 			return nil, err
 		}
-		data.Results = append(data.Results, d)
+		results[i] = r
+		size += r.JSONLen() + 1
 	}
-	return marshalEnvelope("whatif", data)
+	b := appendEnvelopeHead(make([]byte, 0, size), "whatif")
+	// A prefix and an ASN print as letters, digits, dots and a slash,
+	// which JSON strings carry unescaped.
+	b = append(append(b, `{"prefix":"`...), prefix.String()...)
+	b = srv.s.Testbed.Origin.Append(append(b, `","origin":"`...))
+	b = strconv.AppendInt(append(b, `","deltas":`...), int64(len(cds)), 10)
+	b = append(b, `,"results":[`...)
+	for i := range results {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = results[i].AppendJSON(b)
+	}
+	return append(b, "]}}\n"...), nil
 }
 
 // --- refinement names -------------------------------------------------

@@ -48,19 +48,20 @@ func newEvalFixture(t testing.TB) *evalFixture {
 // on it. eval was 2,924 (155 KB an evaluation) until Eval released its
 // fork, and 2,903 (86 KB) while BestDiff materialised every changed
 // route's asn.Path for the diff to render. Rendered straight off the
-// path tree into one buffer per diff it is 195 (100 KB), 151 of them
-// the changed ASes' names.
+// path tree into one buffer per diff it was 195 (100 KB); with that
+// buffer sized from the changed paths' lengths, and the changes too, it
+// is 175 (54 KB), 151 of them the changed ASes' names.
 var evalLoops = []struct {
 	name     string
 	measured float64
 	run      func(t testing.TB, f *evalFixture)
 }{
-	{"eval", 195, func(t testing.TB, f *evalFixture) {
+	{"eval", 175, func(t testing.TB, f *evalFixture) {
 		if _, err := whatif.Eval(f.base, f.cd); err != nil {
 			t.Fatal(err)
 		}
 	}},
-	{"rebuild", 209, func(t testing.TB, f *evalFixture) {
+	{"rebuild", 189, func(t testing.TB, f *evalFixture) {
 		c := scratchBase(t, f.engine, f.base.Prefix(), f.origin)
 		if _, err := whatif.EvalOn(c, f.base, f.cd); err != nil {
 			t.Fatal(err)
