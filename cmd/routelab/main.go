@@ -16,7 +16,6 @@
 //	-spec PATH         build the world a declarative scenario spec
 //	                   describes (scenarios/*.yaml; see SCENARIOS.md)
 //	                   instead of the flag-built default
-//	-overlay A,B       overlay names to apply on top of -spec, in order
 //	-seed N            master seed (default 2015)
 //	-scale F           topology scale factor (default 1.0; 0.1 is fast)
 //	-traces N          traceroute campaign size (default 28510)

@@ -39,7 +39,6 @@
 //	                    gate before requests shed 429 (0 = unbounded queue)
 //	-spec PATH          build the world a declarative scenario spec
 //	                    describes (scenarios/*.yaml; see SCENARIOS.md)
-//	-overlay A,B        overlay names to apply on top of -spec, in order
 //	-seed N             master seed (default 2015)
 //	-scale F            topology scale factor (default 1.0; 0.05 is smoke-test fast)
 //	-traces N           traceroute campaign size (default 28510)

@@ -21,8 +21,6 @@
 // Flags:
 //
 //	-format text|json   expand output format (default text)
-//	-overlay a,b        extra overlays to apply, in order, after the
-//	                    spec's own apply list
 //
 // Exit status: 0 clean, 1 on findings (invalid documents, differing
 // configs), 2 on usage or I/O errors.
@@ -45,7 +43,6 @@ import (
 
 func main() {
 	format := flag.String("format", "text", "expand output format: text or json (routelab-scengen/v1)")
-	overlay := flag.String("overlay", "", "comma-separated overlays to apply after the spec's own apply list")
 	flag.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: scengen [flags] <expand|validate|diff|list> [args]")
 		flag.PrintDefaults()
@@ -55,7 +52,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "scengen: unknown format %q (have text, json)\n", *format)
 		os.Exit(2)
 	}
-	overlays := spec.SplitOverlays(*overlay)
 	if flag.NArg() < 1 {
 		flag.Usage()
 		os.Exit(2)
@@ -67,11 +63,11 @@ func main() {
 	)
 	switch cmd {
 	case "expand":
-		findings, err = cmdExpand(args, *format, overlays)
+		findings, err = cmdExpand(args, *format)
 	case "validate":
-		findings, err = cmdValidate(args, overlays)
+		findings, err = cmdValidate(args)
 	case "diff":
-		findings, err = cmdDiff(args, overlays)
+		findings, err = cmdDiff(args)
 	case "list":
 		findings, err = cmdList(args)
 	default:
@@ -98,17 +94,24 @@ func specProblem(err error) bool {
 	return errors.As(err, &fe) || errors.As(err, &pe)
 }
 
-func cmdExpand(args []string, format string, overlays []string) (int, error) {
+// reported turns an Expand error into a command's outcome: a document
+// finding is printed to stderr and counted (exit 1), anything else
+// stays an error (exit 2).
+func reported(err error) (int, error) {
+	if specProblem(err) {
+		fmt.Fprintln(os.Stderr, err)
+		return 1, nil
+	}
+	return 0, err
+}
+
+func cmdExpand(args []string, format string) (int, error) {
 	if len(args) != 1 {
 		return 0, fmt.Errorf("expand takes exactly one spec file")
 	}
-	e, err := spec.Expand(args[0], overlays)
+	e, err := spec.Expand(args[0], nil)
 	if err != nil {
-		if specProblem(err) {
-			fmt.Fprintln(os.Stderr, err)
-			return 1, nil
-		}
-		return 0, err
+		return reported(err)
 	}
 	if format == "json" {
 		out, err := e.MarshalCanonical()
@@ -118,11 +121,7 @@ func cmdExpand(args []string, format string, overlays []string) (int, error) {
 		os.Stdout.Write(out)
 		return 0, nil
 	}
-	fmt.Printf("# %s (profile %s", e.Name, e.Profile)
-	if len(e.Overlays) > 0 {
-		fmt.Printf(", overlays %s", strings.Join(e.Overlays, ", "))
-	}
-	fmt.Println(")")
+	fmt.Printf("# %s (profile %s)\n", e.Name, e.Profile)
 	if e.Description != "" {
 		fmt.Println("#", e.Description)
 	}
@@ -136,13 +135,13 @@ func cmdExpand(args []string, format string, overlays []string) (int, error) {
 	return 0, nil
 }
 
-func cmdValidate(args []string, overlays []string) (int, error) {
+func cmdValidate(args []string) (int, error) {
 	if len(args) == 0 {
 		return 0, fmt.Errorf("validate takes one or more spec files")
 	}
 	findings := 0
 	for _, path := range args {
-		_, err := spec.Expand(path, overlays)
+		_, err := spec.Expand(path, nil)
 		switch {
 		case err == nil:
 			fmt.Printf("%s: ok\n", path)
@@ -157,17 +156,17 @@ func cmdValidate(args []string, overlays []string) (int, error) {
 	return findings, nil
 }
 
-func cmdDiff(args []string, overlays []string) (int, error) {
+func cmdDiff(args []string) (int, error) {
 	if len(args) != 2 {
 		return 0, fmt.Errorf("diff takes exactly two spec files")
 	}
-	a, err := spec.Expand(args[0], overlays)
+	a, err := spec.Expand(args[0], nil)
 	if err != nil {
-		return 0, err
+		return reported(err)
 	}
-	b, err := spec.Expand(args[1], overlays)
+	b, err := spec.Expand(args[1], nil)
 	if err != nil {
-		return 0, err
+		return reported(err)
 	}
 	lines, err := spec.Diff(a, b)
 	if err != nil {
@@ -199,11 +198,7 @@ func cmdList(args []string) (int, error) {
 			fmt.Printf("%-24s INVALID: %v\n", filepath.Base(f), err)
 			continue
 		}
-		tag := e.Profile
-		if len(e.Overlays) > 0 {
-			tag += "+" + strings.Join(e.Overlays, "+")
-		}
-		fmt.Printf("%-24s %-12s %s\n", e.Name, tag, e.Description)
+		fmt.Printf("%-24s %-12s %s\n", e.Name, e.Profile, e.Description)
 	}
 	return findings, nil
 }

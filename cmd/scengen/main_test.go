@@ -8,7 +8,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"testing"
 )
@@ -150,26 +149,36 @@ func TestBadField(t *testing.T) {
 }
 
 // diff prints one "Field: a -> b" line per differing field and exits
-// 1; a spec against itself differs nowhere and exits 0 silently.
+// 1; a spec against itself differs nowhere and exits 0 silently. An
+// invalid document is a finding too (exit 1), not an I/O error.
 func TestDiff(t *testing.T) {
 	a, b := filepath.Join(corpus, "test.yaml"), filepath.Join(corpus, "valley-heavy.yaml")
 	stdout, stderr, code := run(t, "diff", a, b)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1\n%s%s", code, stdout, stderr)
 	}
-	field := regexp.MustCompile(`^[A-Z][A-Za-z0-9.]*: \S+ -> \S+$`)
-	for _, l := range lines(stdout) {
-		if !field.MatchString(l) {
-			t.Errorf("not a field diff line: %q", l)
-		}
-	}
-	if !strings.Contains(stdout, "Topology.HybridLinkRate: 0.05 -> 0.5\n") {
-		t.Errorf("diff misses valley-heavy's hybrid link rate:\n%s", stdout)
+	// valley-heavy is the test profile plus its five policy fields, and
+	// nothing else.
+	want := "Topology.CacheSelectiveRate: 0.55 -> 0.9\n" +
+		"Topology.ContentSelectiveRate: 0.7 -> 0.95\n" +
+		"Topology.HybridLinkRate: 0.05 -> 0.5\n" +
+		"Topology.PartialTransitRate: 0.02 -> 0.35\n" +
+		"Topology.SelectiveExportRate: 0.15 -> 0.6\n"
+	if stdout != want {
+		t.Errorf("diff printed:\n%s\nwant:\n%s", stdout, want)
 	}
 
 	stdout, stderr, code = run(t, "diff", a, a)
 	if code != 0 || stdout != "" || stderr != "" {
 		t.Errorf("diff of a spec against itself: exit %d, stdout %q, stderr %q; want 0 and no output", code, stdout, stderr)
+	}
+
+	invalid := filepath.Join("internal", "spec", "testdata", "invalid", "bad-rate.yaml")
+	for _, args := range [][]string{{"diff", a, invalid}, {"diff", invalid, a}} {
+		stdout, stderr, code = run(t, args...)
+		if code != 1 || stdout != "" || !strings.Contains(stderr, "probability in [0, 1]") {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want 1 and the finding on stderr", args, code, stdout, stderr)
+		}
 	}
 }
 

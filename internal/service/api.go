@@ -196,10 +196,9 @@ type MetricsData struct {
 // spec identity plus whether a sealed build is currently resident in
 // the store's LRU.
 type ScenarioInfo struct {
-	ID          string   `json:"id"`
-	Description string   `json:"description,omitempty"`
-	Profile     string   `json:"profile"`
-	Overlays    []string `json:"overlays,omitempty"`
+	ID          string `json:"id"`
+	Description string `json:"description,omitempty"`
+	Profile     string `json:"profile"`
 	// Origin is where the spec came from: the file path for -scenario-dir
 	// and -spec registrations, "flags" for a flag-built world, "api" for
 	// POST /v1/scenarios admissions.

@@ -146,8 +146,8 @@ func (f *Fleet) serveScenario(rp *reply, r *http.Request) {
 const maxSpecBytes = 1 << 20
 
 // serveAdmit is the POST /v1/scenarios admission path: the body is a
-// routelab-spec/v1 document (YAML or JSON; no base: chains — those
-// need file resolution), compiled and validated before registration.
+// routelab-spec/v1 document (YAML or JSON), compiled and validated
+// before registration.
 // Like -scenario-dir registration, admission is cheap; the sealed
 // scenario is built on the first per-scenario request.
 func (f *Fleet) serveAdmit(rp *reply, r *http.Request) {
@@ -165,7 +165,7 @@ func (f *Fleet) serveAdmit(rp *reply, r *http.Request) {
 		rp.fail(http.StatusBadRequest, apiErr(CodeBadParam, err.Error()))
 		return
 	}
-	sp, err := spec.Parse("request body", body, format, nil)
+	sp, err := spec.Parse("request body", body, format)
 	if err != nil {
 		rp.fail(http.StatusBadRequest, apiErr(CodeBadBody, "invalid spec: "+err.Error()))
 		return

@@ -218,7 +218,7 @@ func TestFleetAdmission(t *testing.T) {
 		t.Errorf("sniffed JSON admission: status %d\n%s", status, body)
 	}
 	// Rejections: malformed document, bad profile, explicit bad format,
-	// base chains (need file resolution).
+	// a field outside the schema.
 	for _, tc := range []struct{ body, ct, query string }{
 		{"spec: routelab-spec/v1\nname: [broken\n", "", ""},
 		{"spec: routelab-spec/v1\nname: x\nprofile: bogus\n", "", ""},

@@ -79,7 +79,7 @@ func FuzzAdmitSpec(f *testing.F) {
 		if format != "yaml" && format != "json" {
 			t.Fatalf("specFormat accepted %q, not a known parser", format)
 		}
-		sp, err := spec.Parse("fuzz request", body, format, nil)
+		sp, err := spec.Parse("fuzz request", body, format)
 		if err != nil {
 			return
 		}

@@ -111,7 +111,6 @@ func (st *Store) Register(exp *spec.Expansion, origin string) error {
 			ID:          exp.Name,
 			Description: exp.Description,
 			Profile:     exp.Profile,
-			Overlays:    exp.Overlays,
 			Origin:      origin,
 			Seed:        exp.Config.Seed,
 			Scale:       exp.Config.Topology.Scale,

@@ -129,7 +129,7 @@ func TestCorpusMatchesGoldens(t *testing.T) {
 func TestCorpusNamesUnique(t *testing.T) {
 	seen := map[string]string{}
 	for _, file := range corpusFiles(t) {
-		s, err := Load(filepath.Join(corpusDir, file), nil)
+		s, err := Load(filepath.Join(corpusDir, file))
 		if err != nil {
 			t.Errorf("%s: %v", file, err)
 			continue

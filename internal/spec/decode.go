@@ -6,7 +6,7 @@ import (
 	"strings"
 )
 
-// decode maps a merged generic document onto a Spec. Unknown top-level
+// decode maps a parsed generic document onto a Spec. Unknown top-level
 // keys, unknown section fields, and wrongly-typed values are all
 // errors — a spec that parses is either fully understood or rejected,
 // never silently half-applied. Every problem is reported (joined), so
@@ -61,7 +61,7 @@ func decode(doc map[string]any) (*Spec, error) {
 		default:
 			if !sectionSet[key] {
 				bad(key, v, fmt.Sprintf("unknown field (top-level fields: spec, name, description, "+
-					"profile, seed, workers, base, overlays, apply, %s)", strings.Join(Sections, ", ")))
+					"profile, seed, workers, %s)", strings.Join(Sections, ", ")))
 				continue
 			}
 			sec, ok := v.(map[string]any)

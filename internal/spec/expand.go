@@ -4,31 +4,30 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"sort"
-	"strings"
 
 	"routelab/internal/scenario"
 )
 
 // Expansion is the versioned envelope cmd/scengen emits for a compiled
 // spec ("routelab-scengen/v1") and the shape pinned byte-for-byte by
-// the scenarios/golden corpus dumps: which document, which overlays,
-// and the exact sealed Config it compiles to.
+// the scenarios/golden corpus dumps: which document, and the exact
+// sealed Config it compiles to.
 type Expansion struct {
 	SpecVersion string          `json:"spec"`
 	Name        string          `json:"name"`
 	Description string          `json:"description,omitempty"`
 	Source      string          `json:"source,omitempty"`
 	Profile     string          `json:"profile"`
-	Overlays    []string        `json:"overlays"`
 	Config      scenario.Config `json:"config"`
 }
 
-// Expand loads a spec file, applies the overlay selection, and
-// compiles it. This is the one-call path cmd/scengen, cmd/routelab,
-// and cmd/routelabd share.
-func Expand(path string, overlays []string) (*Expansion, error) {
-	s, err := Load(path, overlays)
+// Expand loads a spec file and compiles it. This is the one-call path
+// cmd/scengen, cmd/routelab, and cmd/routelabd share. The second
+// parameter is unused and every caller passes nil: it remains only
+// because the benchmark harness under bench/ calls Expand(path, nil),
+// and goes with the harness's next revision.
+func Expand(path string, _ []string) (*Expansion, error) {
+	s, err := Load(path)
 	if err != nil {
 		return nil, err
 	}
@@ -50,17 +49,12 @@ func expand(s *Spec) (*Expansion, error) {
 	if profile == "" {
 		profile = "paper"
 	}
-	overlays := s.Applied
-	if overlays == nil {
-		overlays = []string{}
-	}
 	return &Expansion{
 		SpecVersion: ExpansionVersion,
 		Name:        s.Name,
 		Description: s.Description,
 		Source:      s.Source,
 		Profile:     profile,
-		Overlays:    overlays,
 		Config:      cfg,
 	}, nil
 }
@@ -82,7 +76,22 @@ func (e *Expansion) MarshalCanonical() ([]byte, error) {
 // lines ("topology.NumTier1 = 12") — the text output of scengen
 // -expand and the vocabulary of Diff.
 func (e *Expansion) Flatten() ([]string, error) {
-	raw, err := json.Marshal(e.Config)
+	flat, err := flatten(e.Config)
+	if err != nil {
+		return nil, err
+	}
+	keys := sortedKeys(flat)
+	out := make([]string, len(keys))
+	for i, k := range keys {
+		out[i] = k + " = " + flat[k]
+	}
+	return out, nil
+}
+
+// flatten maps every leaf of cfg's JSON form to its rendered value,
+// keyed by dotted path.
+func flatten(cfg scenario.Config) (map[string]string, error) {
+	raw, err := json.Marshal(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -94,31 +103,18 @@ func (e *Expansion) Flatten() ([]string, error) {
 	}
 	flat := map[string]string{}
 	flattenInto(flat, "", v)
-	keys := make([]string, 0, len(flat))
-	for k := range flat {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]string, len(keys))
-	for i, k := range keys {
-		out[i] = k + " = " + flat[k]
-	}
-	return out, nil
+	return flat, nil
 }
 
 func flattenInto(flat map[string]string, prefix string, v any) {
 	switch t := v.(type) {
 	case map[string]any:
-		for _, k := range sortedKeys(t) {
+		for k, e := range t {
 			p := k
 			if prefix != "" {
 				p = prefix + "." + k
 			}
-			flattenInto(flat, p, t[k])
-		}
-	case []any:
-		for i, e := range t {
-			flattenInto(flat, fmt.Sprintf("%s[%d]", prefix, i), e)
+			flattenInto(flat, p, e)
 		}
 	case json.Number:
 		flat[prefix] = t.String()
@@ -130,54 +126,23 @@ func flattenInto(flat map[string]string, prefix string, v any) {
 }
 
 // Diff compares two expansions' Configs field by field, returning one
-// "path: a -> b" line per differing field (empty = identical configs;
-// names and provenance are not compared). Missing fields render as
-// "<unset>".
+// "path: a -> b" line per differing field in path order (empty =
+// identical configs; names and provenance are not compared).
 func Diff(a, b *Expansion) ([]string, error) {
-	fa, err := a.Flatten()
+	ma, err := flatten(a.Config)
 	if err != nil {
 		return nil, err
 	}
-	fb, err := b.Flatten()
+	mb, err := flatten(b.Config)
 	if err != nil {
 		return nil, err
 	}
-	toMap := func(lines []string) map[string]string {
-		m := make(map[string]string, len(lines))
-		for _, l := range lines {
-			if i := strings.Index(l, " = "); i >= 0 {
-				m[l[:i]] = l[i+3:]
-			}
-		}
-		return m
-	}
-	ma, mb := toMap(fa), toMap(fb)
-	keys := map[string]bool{}
-	for k := range ma {
-		keys[k] = true
-	}
-	for k := range mb {
-		keys[k] = true
-	}
-	ordered := make([]string, 0, len(keys))
-	for k := range keys {
-		ordered = append(ordered, k)
-	}
-	sort.Strings(ordered)
+	// Both sides flatten the same struct, so they share one key set.
 	var out []string
-	for _, k := range ordered {
-		va, okA := ma[k]
-		vb, okB := mb[k]
-		if okA && okB && va == vb {
-			continue
+	for _, k := range sortedKeys(ma) {
+		if ma[k] != mb[k] {
+			out = append(out, fmt.Sprintf("%s: %s -> %s", k, ma[k], mb[k]))
 		}
-		if !okA {
-			va = "<unset>"
-		}
-		if !okB {
-			vb = "<unset>"
-		}
-		out = append(out, fmt.Sprintf("%s: %s -> %s", k, va, vb))
 	}
 	return out, nil
 }

@@ -1,17 +1,15 @@
 package spec
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"slices"
-	"strings"
 
 	"routelab/internal/scenario"
 )
 
 // worldFlags names every flag BindWorld defines.
-var worldFlags = []string{"spec", "overlay", "seed", "scale", "traces", "probes", "workers"}
+var worldFlags = []string{"spec", "seed", "scale", "traces", "probes", "workers"}
 
 // World is the world-shape flag block cmd/routelab and cmd/routelabd
 // share: which world to build, from a -spec document or straight from
@@ -20,7 +18,6 @@ var worldFlags = []string{"spec", "overlay", "seed", "scale", "traces", "probes"
 type World struct {
 	fs      *flag.FlagSet
 	spec    *string
-	overlay *string
 	seed    *int64
 	scale   *float64
 	traces  *int
@@ -28,13 +25,11 @@ type World struct {
 	workers *int
 }
 
-// BindWorld defines -spec/-overlay/-seed/-scale/-traces/-probes/-workers
-// on fs.
+// BindWorld defines -spec/-seed/-scale/-traces/-probes/-workers on fs.
 func BindWorld(fs *flag.FlagSet) *World {
 	return &World{
 		fs:      fs,
 		spec:    fs.String("spec", "", "scenario spec file (YAML/JSON; see SCENARIOS.md)"),
-		overlay: fs.String("overlay", "", "comma-separated overlay names to apply (requires -spec)"),
 		seed:    fs.Int64("seed", 2015, "master seed"),
 		scale:   fs.Float64("scale", 1.0, "topology scale factor"),
 		traces:  fs.Int("traces", 28510, "traceroute campaign size"),
@@ -68,7 +63,7 @@ func (w *World) Resolve() (*Expansion, error) {
 	var exp *Expansion
 	if *w.spec != "" {
 		var err error
-		exp, err = Expand(*w.spec, SplitOverlays(*w.overlay))
+		exp, err = Expand(*w.spec, nil)
 		if err != nil {
 			return nil, fmt.Errorf("spec: %w", err)
 		}
@@ -88,9 +83,6 @@ func (w *World) Resolve() (*Expansion, error) {
 			}
 		})
 	} else {
-		if *w.overlay != "" {
-			return nil, errors.New("-overlay requires -spec")
-		}
 		cfg := scenario.DefaultConfig()
 		cfg.Seed = *w.seed
 		cfg.Topology.Scale = *w.scale
@@ -108,22 +100,10 @@ func (w *World) Resolve() (*Expansion, error) {
 				cfg.TracesTarget = int(float64(cfg.TracesTarget) * shrink)
 			}
 		}
-		exp = &Expansion{SpecVersion: ExpansionVersion, Profile: "paper", Overlays: []string{}, Config: cfg}
+		exp = &Expansion{SpecVersion: ExpansionVersion, Profile: "paper", Config: cfg}
 	}
 	if err := exp.Config.Validate(); err != nil {
 		return nil, fmt.Errorf("invalid flags: %w", err)
 	}
 	return exp, nil
-}
-
-// SplitOverlays parses an -overlay flag's comma-separated list (routelab,
-// routelabd and scengen): names are trimmed and empty ones dropped.
-func SplitOverlays(s string) []string {
-	var out []string
-	for _, name := range strings.Split(s, ",") {
-		if name = strings.TrimSpace(name); name != "" {
-			out = append(out, name)
-		}
-	}
-	return out
 }

@@ -64,23 +64,6 @@ func TestWorldResolve(t *testing.T) {
 		}
 	})
 
-	t.Run("overlay list is trimmed", func(t *testing.T) {
-		// The splitter scengen shares: spaces around a name and an empty
-		// trailing entry are not part of the list.
-		paper := filepath.Join(corpusDir, "paper.yaml")
-		_, exp, err := resolveArgs(t, "-spec", paper, "-overlay", " dense-monitors ,")
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := Expand(paper, []string{"dense-monitors"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(exp.Overlays, []string{"dense-monitors"}) || !reflect.DeepEqual(exp.Config, want.Config) {
-			t.Errorf("overlays %q config %+v, want dense-monitors applied: %+v", exp.Overlays, exp.Config, want.Config)
-		}
-	})
-
 	t.Run("flag-built world", func(t *testing.T) {
 		w, exp, err := resolveArgs(t)
 		if err != nil {
@@ -122,11 +105,9 @@ func TestWorldResolve(t *testing.T) {
 			args []string
 			want string
 		}{
-			{[]string{"-overlay", "x"}, "-overlay requires -spec"},
 			{[]string{"-scale", "0.6", "-probes", "-1"}, "invalid flags:"},
 			{[]string{"-spec", smoke, "-traces", "-5"}, "invalid flags:"},
 			{[]string{"-spec", filepath.Join(t.TempDir(), "missing.yaml")}, "spec:"},
-			{[]string{"-spec", smoke, "-overlay", "nope"}, "spec:"},
 		} {
 			if _, _, err := resolveArgs(t, tc.args...); err == nil || !strings.HasPrefix(err.Error(), tc.want) {
 				t.Errorf("%v: err = %v, want prefix %q", tc.args, err, tc.want)

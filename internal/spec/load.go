@@ -10,89 +10,42 @@ import (
 	"strings"
 )
 
-// Load reads, merges, decodes, and validates a spec document. The
-// pipeline, in order (DESIGN.md §13):
-//
-//  1. Parse the file (YAML by default; JSON for .json files).
-//  2. Resolve the `base:` chain: each base file is loaded the same way
-//     (recursively, cycles rejected) and the child document deep-merges
-//     over it — including the overlay definitions, so a child inherits
-//     its base's overlays.
-//  3. Apply overlays: the document's own `apply:` list first, then the
-//     caller's extra selection, each deep-merged in order over the
-//     document. Later overlays win.
-//  4. Decode the merged document against the schema (unknown fields
-//     are errors, never silently dropped).
-//  5. Validate (see Spec.Validate).
-func Load(path string, extraOverlays []string) (*Spec, error) {
-	doc, err := loadMerged(path, map[string]bool{})
-	if err != nil {
-		return nil, err
-	}
-	s, err := finish(doc, path, extraOverlays)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return s, nil
-}
-
-// Parse decodes a standalone document from bytes (no base resolution —
-// a `base:` field is an error here). The name parameter labels parse
-// errors; format is "yaml" or "json".
-func Parse(name string, data []byte, format string, extraOverlays []string) (*Spec, error) {
-	doc, err := parseDoc(name, data, format)
-	if err != nil {
-		return nil, err
-	}
-	if _, ok := doc["base"]; ok {
-		return nil, &FieldError{Path: "base", Value: doc["base"],
-			Reason: "base chains need file resolution; use Load"}
-	}
-	s, err := finish(doc, "", extraOverlays)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
-	}
-	return s, nil
-}
-
-// loadMerged loads one file and resolves its base chain.
-func loadMerged(path string, visiting map[string]bool) (map[string]any, error) {
-	abs, err := filepath.Abs(path)
-	if err != nil {
-		return nil, err
-	}
-	if visiting[abs] {
-		return nil, &ParseError{File: path, Msg: "base chain forms a cycle"}
-	}
-	visiting[abs] = true
-	defer delete(visiting, abs)
-
+// Load reads a spec file and parses it (YAML by default; JSON for
+// .json files), recording the path as the spec's Source.
+func Load(path string) (*Spec, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	doc, err := parseDoc(path, data, formatOf(path))
+	s, err := Parse(path, data, formatOf(path))
 	if err != nil {
 		return nil, err
 	}
-	baseVal, ok := doc["base"]
-	if !ok {
-		return doc, nil
-	}
-	baseRel, ok := baseVal.(string)
-	if !ok || baseRel == "" {
-		return nil, &ParseError{File: path, Msg: "base must be a relative file path"}
-	}
-	basePath := filepath.Join(filepath.Dir(path), filepath.FromSlash(baseRel))
-	baseDoc, err := loadMerged(basePath, visiting)
+	s.Source = filepath.ToSlash(path)
+	return s, nil
+}
+
+// Parse decodes and validates a document from bytes. The pipeline, in
+// order (DESIGN.md §13):
+//
+//  1. Parse the bytes into the generic document form (format is "yaml"
+//     or "json"; the name labels parse errors).
+//  2. Decode the document against the schema (unknown fields are
+//     errors, never silently dropped).
+//  3. Validate (see Spec.Validate).
+func Parse(name string, data []byte, format string) (*Spec, error) {
+	doc, err := parseDoc(name, data, format)
 	if err != nil {
 		return nil, err
 	}
-	delete(doc, "base")
-	// The child wins everywhere it speaks (including name and
-	// description); the base supplies everything else, overlay
-	// definitions included.
-	return deepMerge(baseDoc, doc).(map[string]any), nil
+	s, err := decode(doc)
+	if err == nil {
+		err = s.Validate()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", name, err)
+	}
+	return s, nil
 }
 
 // formatOf picks the parser by extension.
@@ -126,17 +79,14 @@ func parseDoc(name string, data []byte, format string) (map[string]any, error) {
 }
 
 // normalizeJSON rewrites json.Number into int64 when integral, float64
-// otherwise, so both parsers feed the decoder identical shapes.
+// otherwise, so both parsers feed the decoder identical shapes. Arrays
+// are left as they are: no schema field takes one, so decode rejects
+// them whatever they hold.
 func normalizeJSON(v any) any {
 	switch t := v.(type) {
 	case map[string]any:
 		for k, e := range t {
 			t[k] = normalizeJSON(e)
-		}
-		return t
-	case []any:
-		for i, e := range t {
-			t[i] = normalizeJSON(e)
 		}
 		return t
 	case json.Number:
@@ -150,107 +100,8 @@ func normalizeJSON(v any) any {
 	}
 }
 
-// finish applies overlays, decodes, and validates a merged document.
-func finish(doc map[string]any, source string, extraOverlays []string) (*Spec, error) {
-	doc = deepClone(doc).(map[string]any)
-	overlays, err := overlayDefs(doc)
-	if err != nil {
-		return nil, err
-	}
-	selection, err := overlaySelection(doc, extraOverlays)
-	if err != nil {
-		return nil, err
-	}
-	delete(doc, "overlays")
-	delete(doc, "apply")
-	for _, name := range selection {
-		patch, ok := overlays[name]
-		if !ok {
-			return nil, &FieldError{Path: "overlays." + name, Value: name,
-				Reason: fmt.Sprintf("overlay not defined (have %v)", overlayNames(overlays))}
-		}
-		doc = deepMerge(doc, patch).(map[string]any)
-	}
-	s, err := decode(doc)
-	if err != nil {
-		return nil, err
-	}
-	s.Source = filepath.ToSlash(source)
-	s.Applied = selection
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// overlayDefs extracts and type-checks the overlays section. Patches
-// may touch anything except the document's identity and the overlay
-// machinery itself.
-func overlayDefs(doc map[string]any) (map[string]map[string]any, error) {
-	raw, ok := doc["overlays"]
-	if !ok {
-		return map[string]map[string]any{}, nil
-	}
-	m, ok := raw.(map[string]any)
-	if !ok {
-		return nil, &FieldError{Path: "overlays", Value: raw, Reason: "must be a mapping of name → patch"}
-	}
-	out := make(map[string]map[string]any, len(m))
-	names := sortedKeys(m)
-	for _, name := range names {
-		patch, ok := m[name].(map[string]any)
-		if !ok {
-			return nil, &FieldError{Path: "overlays." + name, Value: m[name], Reason: "patch must be a mapping"}
-		}
-		for _, banned := range []string{"spec", "name", "base", "overlays", "apply"} {
-			if _, has := patch[banned]; has {
-				return nil, &FieldError{Path: "overlays." + name + "." + banned, Value: patch[banned],
-					Reason: "overlay patches cannot change the document's identity or overlay set"}
-			}
-		}
-		out[name] = patch
-	}
-	return out, nil
-}
-
-// overlaySelection builds the ordered application list: the document's
-// `apply:` list, then the caller's extras, duplicates rejected.
-func overlaySelection(doc map[string]any, extra []string) ([]string, error) {
-	var out []string
-	if raw, ok := doc["apply"]; ok {
-		list, ok := raw.([]any)
-		if !ok {
-			return nil, &FieldError{Path: "apply", Value: raw, Reason: "must be a sequence of overlay names"}
-		}
-		for _, e := range list {
-			name, ok := e.(string)
-			if !ok {
-				return nil, &FieldError{Path: "apply", Value: e, Reason: "overlay names are strings"}
-			}
-			out = append(out, name)
-		}
-	}
-	out = append(out, extra...)
-	seen := make(map[string]bool, len(out))
-	for _, name := range out {
-		if seen[name] {
-			return nil, &FieldError{Path: "apply", Value: name, Reason: "overlay applied twice"}
-		}
-		seen[name] = true
-	}
-	return out, nil
-}
-
-func overlayNames(m map[string]map[string]any) []string {
-	names := make([]string, 0, len(m))
-	for k := range m {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func sortedKeys(m map[string]any) []string {
+// sortedKeys returns m's keys in order.
+func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)

@@ -4,25 +4,24 @@
 // worlds maintained — without recompiling Go.
 //
 // A document names a profile (the role defaults: "paper", "test",
-// "tiny"), overrides any subset of the profile's fields across four
-// sections (topology, policy, campaign, measurement), and may carry
-// named overlay patches that deep-merge over the base document
-// configlet-style (see Load). Numeric fields accept either a literal
+// "tiny") and overrides any subset of the profile's fields across four
+// sections (topology, policy, campaign, measurement); that is the one
+// way a spec derives a world. Numeric fields accept either a literal
 // or a {min, max} range; ranges resolve deterministically from the
 // spec seed and the field's path, so a spec with ranges still compiles
 // to exactly one Config (see Num).
 //
-// The compilation pipeline is parse → merge (base chain, then applied
-// overlays, in order) → decode → validate → resolve ranges → Config,
-// documented in DESIGN.md §13 and, field by field, in SCENARIOS.md.
+// The compilation pipeline is parse → decode → validate → resolve
+// ranges → Config, documented in DESIGN.md §13 and, field by field, in
+// SCENARIOS.md.
 //
 // # Determinism
 //
-// Compile is a pure function of the document bytes and the overlay
-// selection: no wall clock, no global randomness (enforced by
-// internal/lint's walltime rule, which covers this package). Expanding
-// the same spec twice yields byte-identical output — the property
-// TestCorpusMatchesGoldens pins for every corpus entry under scenarios/.
+// Compile is a pure function of the document bytes: no wall clock, no
+// global randomness (enforced by internal/lint's walltime rule, which
+// covers this package). Expanding the same spec twice yields
+// byte-identical output — the property TestCorpusMatchesGoldens pins
+// for every corpus entry under scenarios/.
 package spec
 
 import (
@@ -127,9 +126,8 @@ func (n *Num) Int(seed int64, path string) int {
 	return v
 }
 
-// Spec is one decoded, validated scenario document with its overlay
-// selection already applied. Build one with Load (files) or Parse
-// (bytes); the zero value is not usable.
+// Spec is one decoded, validated scenario document. Build one with
+// Load (files) or Parse (bytes); the zero value is not usable.
 type Spec struct {
 	// Version is the declared document envelope (always Version once
 	// validated).
@@ -145,10 +143,6 @@ type Spec struct {
 	// Workers overrides RoutingWorkers (parallelism only — never
 	// output bytes; see internal/parallel).
 	Workers *int
-	// Applied lists the overlay names merged into the document, in
-	// application order (the spec's own `apply:` list first, then the
-	// caller's selection).
-	Applied []string
 	// Source is the path the spec was loaded from ("" for Parse).
 	Source string
 

@@ -2,7 +2,6 @@ package spec
 
 import (
 	"errors"
-	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -11,9 +10,9 @@ import (
 	"routelab/internal/scenario"
 )
 
-func mustParse(t *testing.T, doc string, overlays ...string) *Spec {
+func mustParse(t *testing.T, doc string) *Spec {
 	t.Helper()
-	s, err := Parse("inline.yaml", []byte(doc), "yaml", overlays)
+	s, err := Parse("inline.yaml", []byte(doc), "yaml")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,115 +140,31 @@ func TestResolveFracBounds(t *testing.T) {
 	}
 }
 
-func TestOverlays(t *testing.T) {
-	doc := `
-spec: routelab-spec/v1
-name: layered
-profile: test
-campaign:
-  probes: 100
-  traces: 1000
-overlays:
-  more-probes:
-    campaign:
-      probes: 500
-  more-traces:
-    campaign:
-      traces: 9000
-  drop-probes:
-    campaign:
-      probes: null
-`
-	// No overlays: base values.
-	cfg, err := mustParse(t, doc).Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.NumProbes != 100 || cfg.TracesTarget != 1000 {
-		t.Errorf("base: probes=%d traces=%d", cfg.NumProbes, cfg.TracesTarget)
-	}
-
-	// Caller-selected overlays compose, later wins on conflicts.
-	cfg, err = mustParse(t, doc, "more-probes", "more-traces").Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.NumProbes != 500 || cfg.TracesTarget != 9000 {
-		t.Errorf("overlaid: probes=%d traces=%d", cfg.NumProbes, cfg.TracesTarget)
-	}
-
-	// A null in a patch deletes the key, falling back to the profile.
-	cfg, err = mustParse(t, doc, "drop-probes").Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.NumProbes != scenario.TestConfig().NumProbes {
-		t.Errorf("null override: probes=%d, want profile default %d",
-			cfg.NumProbes, scenario.TestConfig().NumProbes)
-	}
-
-	// Applied records the selection in order.
-	s := mustParse(t, doc, "more-traces", "more-probes")
-	if !reflect.DeepEqual(s.Applied, []string{"more-traces", "more-probes"}) {
-		t.Errorf("Applied = %v", s.Applied)
-	}
-}
-
-func TestOverlayOrderMatters(t *testing.T) {
-	doc := `
-spec: routelab-spec/v1
-name: order
-profile: test
-overlays:
-  a:
-    campaign:
-      probes: 111
-  b:
-    campaign:
-      probes: 222
-`
-	ab, err := mustParse(t, doc, "a", "b").Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ba, err := mustParse(t, doc, "b", "a").Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ab.NumProbes != 222 || ba.NumProbes != 111 {
-		t.Errorf("overlay order: a,b→%d b,a→%d (want 222 / 111)", ab.NumProbes, ba.NumProbes)
-	}
-}
-
 func TestInvalidFixtures(t *testing.T) {
 	cases := []struct {
 		file     string
-		overlays []string
 		wantMsg  string // substring of the error
 		wantType string // "field" or "parse"
+		wantLine int    // a parse error's line
 	}{
-		{"bad-version.yaml", nil, "unsupported spec version", "field"},
-		{"bad-name.yaml", nil, "must match [a-z0-9]", "field"},
-		{"unknown-field.yaml", nil, "unknown field", "field"},
-		{"unknown-section.yaml", nil, "unknown field", "field"},
-		{"bad-rate.yaml", nil, "probability in [0, 1]", "field"},
-		{"bad-range.yaml", nil, "min <= max", "field"},
-		{"seed-range.yaml", nil, "seeds cannot be ranged", "field"},
-		{"count-float.yaml", nil, "must be an integer", "field"},
-		{"negative-count.yaml", nil, "must be >= 0", "field"},
-		{"bad-profile.yaml", nil, "unknown profile", "field"},
-		{"overlay-unknown.yaml", nil, "overlay not defined", "field"},
-		{"overlay-banned.yaml", nil, "cannot change the document's identity", "field"},
-		{"overlay-dup.yaml", nil, "overlay applied twice", "field"},
-		{"tab.yaml", nil, "tab in indentation", "parse"},
-		{"cycle-a.yaml", nil, "base chain forms a cycle", "parse"},
-		{"bad-version.yaml", []string{"ghost"}, "overlay not defined", "field"},
+		{"bad-version.yaml", "unsupported spec version", "field", 0},
+		{"bad-name.yaml", "must match [a-z0-9]", "field", 0},
+		{"unknown-field.yaml", "unknown field", "field", 0},
+		{"unknown-section.yaml", "unknown field", "field", 0},
+		{"bad-rate.yaml", "probability in [0, 1]", "field", 0},
+		{"bad-range.yaml", "min <= max", "field", 0},
+		{"seed-range.yaml", "seeds cannot be ranged", "field", 0},
+		{"count-float.yaml", "must be an integer", "field", 0},
+		{"negative-count.yaml", "must be >= 0", "field", 0},
+		{"bad-profile.yaml", "unknown profile", "field", 0},
+		{"tab.yaml", "tab in indentation", "parse", 2},
+		{"sequence.yaml", "sequences are outside the supported YAML subset", "parse", 6},
 	}
 	for _, tc := range cases {
 		path := filepath.Join("testdata", "invalid", tc.file)
-		_, err := Load(path, tc.overlays)
+		_, err := Load(path)
 		if err == nil {
-			t.Errorf("%s (overlays %v): accepted, want error", tc.file, tc.overlays)
+			t.Errorf("%s: accepted, want error", tc.file)
 			continue
 		}
 		if !strings.Contains(err.Error(), tc.wantMsg) {
@@ -265,7 +180,45 @@ func TestInvalidFixtures(t *testing.T) {
 		case "parse":
 			if !errors.As(err, &pe) {
 				t.Errorf("%s: error is not a *ParseError: %v", tc.file, err)
+			} else if pe.Line != tc.wantLine {
+				t.Errorf("%s: parse error on line %d, want %d", tc.file, pe.Line, tc.wantLine)
 			}
+		}
+	}
+}
+
+// fieldErrors collects every *FieldError in err's wrap and join tree.
+func fieldErrors(err error) []*FieldError {
+	if fe, ok := err.(*FieldError); ok {
+		return []*FieldError{fe}
+	}
+	var out []*FieldError
+	switch u := err.(type) {
+	case interface{ Unwrap() []error }:
+		for _, e := range u.Unwrap() {
+			out = append(out, fieldErrors(e)...)
+		}
+	case interface{ Unwrap() error }:
+		out = fieldErrors(u.Unwrap())
+	}
+	return out
+}
+
+// A spec derives its world from a profile and its own fields only:
+// base, overlays and apply are unknown top-level fields like any
+// other, and all three are reported in one joined error.
+func TestRetiredKeys(t *testing.T) {
+	_, err := Load(filepath.Join("testdata", "invalid", "retired-keys.yaml"))
+	got := map[string]string{}
+	for _, fe := range fieldErrors(err) {
+		got[fe.Path] = fe.Reason
+	}
+	if len(got) != 3 {
+		t.Errorf("want exactly three field errors, got %v (error %v)", got, err)
+	}
+	for _, key := range []string{"base", "overlays", "apply"} {
+		if reason, ok := got[key]; !ok || !strings.HasPrefix(reason, "unknown field") {
+			t.Errorf("%s: reason %q, want an unknown-field error (error %v)", key, reason, err)
 		}
 	}
 }
@@ -278,7 +231,7 @@ topology:
   tier1s: -1
 policy:
   hybrid_link_rate: 2.0
-`), "yaml", nil)
+`), "yaml")
 	if err == nil {
 		t.Fatal("two bad fields accepted")
 	}
@@ -286,61 +239,6 @@ policy:
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("joined error %q misses %s", err, want)
 		}
-	}
-}
-
-func TestBaseChain(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name, body string) string {
-		p := filepath.Join(dir, name)
-		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	write("base.yaml", `
-spec: routelab-spec/v1
-name: base
-profile: test
-campaign:
-  probes: 100
-  traces: 1000
-overlays:
-  inherited:
-    campaign:
-      traces: 5000
-`)
-	child := write("child.yaml", `
-base: ./base.yaml
-name: child
-campaign:
-  probes: 250
-`)
-	s, err := Load(child, []string{"inherited"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Name != "child" {
-		t.Errorf("name = %q, want child (child wins)", s.Name)
-	}
-	cfg, err := s.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// probes from the child, traces via the base's overlay, profile
-	// inherited from the base.
-	if cfg.NumProbes != 250 || cfg.TracesTarget != 5000 {
-		t.Errorf("probes=%d traces=%d, want 250/5000", cfg.NumProbes, cfg.TracesTarget)
-	}
-	if cfg.Seed != scenario.TestConfig().Seed {
-		t.Errorf("profile not inherited from base: seed=%d", cfg.Seed)
-	}
-}
-
-func TestParseRejectsBase(t *testing.T) {
-	_, err := Parse("x.yaml", []byte("base: ./a.yaml\nname: x\n"), "yaml", nil)
-	if err == nil || !strings.Contains(err.Error(), "use Load") {
-		t.Errorf("Parse with base: err = %v", err)
 	}
 }
 
@@ -363,11 +261,11 @@ policy:
   "topology": {"tier1s": 8},
   "policy": {"hybrid_link_rate": 0.2}
 }`
-	a, err := Parse("twin.yaml", []byte(yml), "yaml", nil)
+	a, err := Parse("twin.yaml", []byte(yml), "yaml")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Parse("twin.json", []byte(jsn), "json", nil)
+	b, err := Parse("twin.json", []byte(jsn), "json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,9 +283,10 @@ policy:
 }
 
 func TestConcurrentExpansion(t *testing.T) {
-	// Overlay application deep-merges shared parsed documents; expanding
-	// the same spec from many goroutines must be race-free (run under
-	// -race) and byte-identical.
+	// Expansion reads only shared package state (the schema, its
+	// index, the profiles, the sections list) and builds everything
+	// else per call; expanding the same spec from many goroutines must
+	// be race-free (run under -race) and byte-identical.
 	path := filepath.Join("..", "..", "scenarios", "valley-heavy.yaml")
 	want, err := Expand(path, nil)
 	if err != nil {
@@ -445,16 +344,16 @@ func TestDiff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(lines) == 0 {
-		t.Fatal("test vs valley-heavy: no differences reported")
+	// valley-heavy is the test profile plus its five policy fields, and
+	// nothing else.
+	want := []string{
+		"Topology.CacheSelectiveRate: 0.55 -> 0.9",
+		"Topology.ContentSelectiveRate: 0.7 -> 0.95",
+		"Topology.HybridLinkRate: 0.05 -> 0.5",
+		"Topology.PartialTransitRate: 0.02 -> 0.35",
+		"Topology.SelectiveExportRate: 0.15 -> 0.6",
 	}
-	found := false
-	for _, l := range lines {
-		if strings.HasPrefix(l, "Topology.HybridLinkRate: ") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("diff lines %v miss Topology.HybridLinkRate", lines)
+	if !reflect.DeepEqual(lines, want) {
+		t.Errorf("test vs valley-heavy:\n got %q\nwant %q", lines, want)
 	}
 }

@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -13,16 +14,15 @@ import (
 //
 //   - block mappings nested by indentation (spaces only; tabs are an
 //     error)
-//   - block sequences of scalars ("- item")
-//   - flow sequences ("[a, b]") and flow mappings ("{min: 1, max: 2}")
-//     on a single line
+//   - flow mappings ("{min: 1, max: 2}") on a single line
 //   - scalars: null/~, true/false, integers, floats, single- and
 //     double-quoted strings, and plain strings
 //   - '#' comments (full-line and trailing) and blank lines
 //
-// Anchors, aliases, multi-document streams, multi-line strings, and
-// sequences of mappings are rejected with a positioned ParseError.
-// SCENARIOS.md documents the subset for spec authors.
+// Sequences (block "- item" and flow "[a, b]"), anchors, aliases,
+// multi-document streams, and multi-line strings are rejected with a
+// positioned ParseError: no schema field takes a list. SCENARIOS.md
+// documents the subset for spec authors.
 
 // yamlLine is one significant (non-blank, non-comment) input line.
 type yamlLine struct {
@@ -31,8 +31,8 @@ type yamlLine struct {
 	text   string // content with indentation and trailing comment removed
 }
 
-// parseYAML parses a document into the generic form the merge and
-// decode layers share: map[string]any / []any / scalar values.
+// parseYAML parses a document into the generic form decode reads:
+// map[string]any and scalar values.
 func parseYAML(file string, data []byte) (map[string]any, error) {
 	lines, err := yamlLines(file, data)
 	if err != nil {
@@ -116,7 +116,7 @@ func (p *yamlParser) parseMap(indent int) (map[string]any, error) {
 			return nil, p.errAt(l.num, "unexpected indentation")
 		}
 		if strings.HasPrefix(l.text, "- ") || l.text == "-" {
-			return nil, p.errAt(l.num, "sequence item where a mapping key was expected")
+			return nil, p.errAt(l.num, errSequence)
 		}
 		key, rest, err := splitKey(l.text)
 		if err != nil {
@@ -134,58 +134,22 @@ func (p *yamlParser) parseMap(indent int) (map[string]any, error) {
 			out[key] = v
 			continue
 		}
-		// No inline value: a nested block (more-indented mapping, or a
-		// sequence at >= this indent), or an empty value.
-		v, err := p.parseNested(l, indent)
-		if err != nil {
-			return nil, err
+		// No inline value: a more-indented nested mapping, or null.
+		if p.pos < len(p.lines) && p.lines[p.pos].indent > indent {
+			v, err := p.parseMap(p.lines[p.pos].indent)
+			if err != nil {
+				return nil, err
+			}
+			out[key] = v
+		} else {
+			out[key] = nil
 		}
-		out[key] = v
 	}
 	return out, nil
 }
 
-// parseNested parses the block value of "key:" at parentIndent.
-func (p *yamlParser) parseNested(keyLine yamlLine, parentIndent int) (any, error) {
-	if p.pos >= len(p.lines) {
-		return nil, nil
-	}
-	next := p.lines[p.pos]
-	switch {
-	case (strings.HasPrefix(next.text, "- ") || next.text == "-") && next.indent >= parentIndent:
-		// YAML allows a sequence under a key at the key's own indent.
-		return p.parseSeq(next.indent)
-	case next.indent > parentIndent:
-		return p.parseMap(next.indent)
-	default:
-		return nil, nil // "key:" with nothing nested → null
-	}
-}
-
-// parseSeq consumes a block sequence of scalar items at exactly indent.
-func (p *yamlParser) parseSeq(indent int) ([]any, error) {
-	var out []any
-	for p.pos < len(p.lines) {
-		l := p.lines[p.pos]
-		if l.indent != indent || !(strings.HasPrefix(l.text, "- ") || l.text == "-") {
-			break
-		}
-		rest := strings.TrimSpace(strings.TrimPrefix(l.text, "-"))
-		if rest == "" {
-			return nil, p.errAt(l.num, "nested block sequences are outside the supported YAML subset")
-		}
-		if strings.Contains(rest, ": ") || strings.HasSuffix(rest, ":") {
-			return nil, p.errAt(l.num, "sequences of mappings are outside the supported YAML subset")
-		}
-		v, err := parseScalar(rest)
-		if err != nil {
-			return nil, p.errAt(l.num, err.Error())
-		}
-		out = append(out, v)
-		p.pos++
-	}
-	return out, nil
-}
+// errSequence is the message for either sequence form.
+const errSequence = "sequences are outside the supported YAML subset (no spec field takes a list)"
 
 // splitKey splits "key: rest" (or "key:") at the first unquoted colon.
 func splitKey(s string) (key, rest string, err error) {
@@ -213,28 +177,12 @@ func splitKey(s string) (key, rest string, err error) {
 	return "", "", fmt.Errorf("expected \"key: value\", got %q", s)
 }
 
-// parseScalar parses an inline value: scalar, flow sequence, or flow
-// mapping.
+// parseScalar parses an inline value: scalar or flow mapping.
 func parseScalar(s string) (any, error) {
 	s = strings.TrimSpace(s)
 	switch {
 	case strings.HasPrefix(s, "["):
-		if !strings.HasSuffix(s, "]") {
-			return nil, fmt.Errorf("unterminated flow sequence %q", s)
-		}
-		items, err := splitFlow(s[1 : len(s)-1])
-		if err != nil {
-			return nil, err
-		}
-		out := make([]any, 0, len(items))
-		for _, it := range items {
-			v, err := parseScalar(it)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, v)
-		}
-		return out, nil
+		return nil, errors.New(errSequence)
 	case strings.HasPrefix(s, "{"):
 		if !strings.HasSuffix(s, "}") {
 			return nil, fmt.Errorf("unterminated flow mapping %q", s)
@@ -301,7 +249,7 @@ func unquote(s string) (string, bool) {
 }
 
 // splitFlow splits a flow body on top-level commas, respecting nested
-// brackets and quotes. Empty bodies yield no items.
+// braces and quotes. Empty bodies yield no items.
 func splitFlow(s string) ([]string, error) {
 	var out []string
 	depth := 0
@@ -316,12 +264,12 @@ func splitFlow(s string) ([]string, error) {
 			}
 		case c == '"' || c == '\'':
 			quote = c
-		case c == '[' || c == '{':
+		case c == '{':
 			depth++
-		case c == ']' || c == '}':
+		case c == '}':
 			depth--
 			if depth < 0 {
-				return nil, fmt.Errorf("unbalanced brackets in %q", s)
+				return nil, fmt.Errorf("unbalanced braces in %q", s)
 			}
 		case c == ',' && depth == 0:
 			out = append(out, strings.TrimSpace(s[start:i]))
@@ -334,7 +282,7 @@ func splitFlow(s string) ([]string, error) {
 	if last := strings.TrimSpace(s[start:]); last != "" || len(out) > 0 {
 		out = append(out, last)
 	}
-	// Drop a single empty trailing item ("[]" or "[a, ]").
+	// Drop a single empty trailing item ("{}" or "{a: 1, }").
 	if len(out) > 0 && out[len(out)-1] == "" {
 		out = out[:len(out)-1]
 	}

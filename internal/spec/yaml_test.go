@@ -20,11 +20,6 @@ topology:
   large_isps: {min: 10, max: 20}
 policy:
   hybrid_link_rate: 0.05
-apply: [a, b]
-overlays:
-  a:
-    campaign:
-      probes: 100
 `
 	got, err := parseYAML("demo.yaml", []byte(doc))
 	if err != nil {
@@ -41,31 +36,23 @@ overlays:
 			"tier1s":     int64(12),
 			"large_isps": map[string]any{"min": int64(10), "max": int64(20)},
 		},
-		"policy":   map[string]any{"hybrid_link_rate": 0.05},
-		"apply":    []any{"a", "b"},
-		"overlays": map[string]any{"a": map[string]any{"campaign": map[string]any{"probes": int64(100)}}},
+		"policy": map[string]any{"hybrid_link_rate": 0.05},
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("parsed doc mismatch:\n got %#v\nwant %#v", got, want)
 	}
 }
 
+// No spec field takes a list, so a block sequence is a parse error on
+// its first item's line, nested under its key or at the key's own
+// indent.
 func TestYAMLBlockSequence(t *testing.T) {
-	got, err := parseYAML("seq.yaml", []byte("apply:\n  - first\n  - second\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]any{"apply": []any{"first", "second"}}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("got %#v, want %#v", got, want)
-	}
-	// YAML also allows sequence items at the key's own indent.
-	got, err = parseYAML("seq.yaml", []byte("apply:\n- first\n- second\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("same-indent sequence: got %#v, want %#v", got, want)
+	for _, doc := range []string{"a: 1\nxs:\n  - first\n  - second\n", "a: 1\nxs:\n- first\n- second\n"} {
+		_, err := parseYAML("seq.yaml", []byte(doc))
+		pe, ok := err.(*ParseError)
+		if !ok || pe.Line != 3 || !strings.Contains(pe.Msg, "sequences are outside") {
+			t.Errorf("%q: err = %v, want a sequence ParseError on line 3", doc, err)
+		}
 	}
 }
 
@@ -83,7 +70,6 @@ func TestYAMLScalars(t *testing.T) {
 		"v: plain":     "plain",
 		`v: "qu#oted"`: "qu#oted",
 		"v: 'it''s'":   "it's",
-		"v: []":        nil, // empty flow sequence parses to an empty []any (checked below)
 	}
 	for in, want := range cases {
 		doc, err := parseYAML("scalar.yaml", []byte(in))
@@ -92,12 +78,6 @@ func TestYAMLScalars(t *testing.T) {
 			continue
 		}
 		got := doc["v"]
-		if in == "v: []" {
-			if l, ok := got.([]any); !ok || len(l) != 0 {
-				t.Errorf("%q: got %#v, want empty sequence", in, got)
-			}
-			continue
-		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%q: got %#v (%T), want %#v", in, got, got, want)
 		}
@@ -111,12 +91,13 @@ func TestYAMLErrors(t *testing.T) {
 	}{
 		{"tab", "a: 1\n\tb: 2\n", "tab in indentation", 2},
 		{"dup", "a: 1\na: 2\n", "duplicate key", 2},
-		{"seq-of-maps", "xs:\n  - k: v\n", "sequences of mappings", 2},
-		{"nested-seq", "xs:\n  -\n", "nested block sequences", 2},
+		{"seq-of-maps", "xs:\n  - k: v\n", "sequences are outside", 2},
+		{"flow-seq", "a: 1\nxs: [a, b]\n", "sequences are outside", 2},
+		{"flow-seq-in-range", "a: {min: [1], max: 2}\n", "sequences are outside", 1},
 		{"no-colon", "just a line\n", `expected "key: value"`, 1},
 		{"bad-indent", "a:\n  b: 1\n    c: 2\n", "unexpected indentation", 3},
 		{"anchor", "a: &x 1\n", "unsupported YAML syntax", 1},
-		{"unterminated-flow", "a: [1, 2\n", "unterminated flow sequence", 1},
+		{"unterminated-flow", "a: {min: 1\n", "unterminated flow mapping", 1},
 	}
 	for _, tc := range cases {
 		_, err := parseYAML(tc.name+".yaml", []byte(tc.doc))
@@ -135,34 +116,5 @@ func TestYAMLErrors(t *testing.T) {
 		if pe.Line != tc.wantLine {
 			t.Errorf("%s: line %d, want %d", tc.name, pe.Line, tc.wantLine)
 		}
-	}
-}
-
-func TestDeepMerge(t *testing.T) {
-	base := map[string]any{
-		"a": int64(1),
-		"m": map[string]any{"x": int64(1), "y": int64(2)},
-		"l": []any{"a", "b"},
-	}
-	patch := map[string]any{
-		"a": int64(9),
-		"m": map[string]any{"y": nil, "z": int64(3)},
-		"l": []any{"c"},
-	}
-	got := deepMerge(base, patch).(map[string]any)
-	want := map[string]any{
-		"a": int64(9),
-		"m": map[string]any{"x": int64(1), "z": int64(3)},
-		"l": []any{"c"},
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("merge: got %#v, want %#v", got, want)
-	}
-	// Inputs untouched.
-	if base["a"] != int64(1) || len(base["m"].(map[string]any)) != 2 {
-		t.Error("deepMerge mutated its base")
-	}
-	if patch["m"].(map[string]any)["y"] != nil {
-		t.Error("deepMerge mutated its patch")
 	}
 }
