@@ -422,13 +422,8 @@ func (c *Computation) enqueue(i int32) {
 		// routes settle first, then peer, then provider; shorter paths
 		// within each class. Origin routes (FromRel none) lead.
 		cls := 0
-		switch r.from {
-		case topology.RelCustomer, topology.RelSibling:
-			cls = 1
-		case topology.RelPeer:
-			cls = 2
-		case topology.RelProvider:
-			cls = 3
+		if r.from != topology.RelNone {
+			cls = 1 + r.from.Rank()
 		}
 		p = cls*48 + int(min(r.plen, 47))
 	}
@@ -790,13 +785,16 @@ func (c *Computation) process(i int32) {
 	// to derive for them and nothing to withdraw: the adjacency would
 	// stamp no clock and change no slot, so it is stepped over without
 	// touching the neighbor's row.
-	denied := s.best.path != 0 && !exports(s.best.org, topology.RelPeer)
+	_, toAll := topology.Relay(s.best.org, topology.RelPeer)
+	denied := s.best.path != 0 && !toAll
 	skip := denied && !c.upSent[i]
 	c.nAdj += e.degree(i)
 	for k := e.off[i]; k < e.off[i+1]; k++ {
 		st := c.adjSt[k]
-		if skip && !exports(s.best.org, st.rel) {
-			continue
+		if skip {
+			if _, ok := topology.Relay(s.best.org, st.rel); !ok {
+				continue
+			}
 		}
 		a := &e.adj[k]
 		c.nAdverts++
@@ -847,7 +845,9 @@ func (c *Computation) propagate(s *sender, j, back int32, st adjState, l *topolo
 // is in the tree.
 func (c *Computation) advertisement(s *sender, j int32, st adjState) rec {
 	best := &s.best
-	if best.path == 0 || !exports(best.org, st.rel) {
+	// The route's organizational class survives sibling hops.
+	org, ok := topology.Relay(best.org, st.rel)
+	if best.path == 0 || !ok {
 		return rec{}
 	}
 	e := c.e
@@ -876,16 +876,10 @@ func (c *Computation) advertisement(s *sender, j int32, st adjState) rec {
 	if path.flags&pathHasSet != 0 && pol.flags&polFiltersASSets != 0 {
 		return rec{}
 	}
-	// The route's organizational class survives sibling hops; on-net
-	// (sibling-learned) routes get the organization's internal-first
-	// preference bump.
-	from := st.rel.Invert()
-	org := from
-	if from == topology.RelSibling {
-		org = best.org
-	}
+	// On-net (sibling-learned) routes get the organization's
+	// internal-first preference bump.
 	lp := c.localPref(pol, org, path)
-	if from == topology.RelSibling {
+	if st.rel == topology.RelSibling {
 		lp += lpSiblingBonus
 	}
 	if c.ov != nil {
@@ -895,7 +889,7 @@ func (c *Computation) advertisement(s *sender, j int32, st adjState) rec {
 			lp = v
 		}
 	}
-	return rec{path: s.adv, nh: s.i, lp: lp, igp: st.igp, plen: path.plen, city: st.city, from: from, org: org}
+	return rec{path: s.adv, nh: s.i, lp: lp, igp: st.igp, plen: path.plen, city: st.city, from: st.rel.Invert(), org: org}
 }
 
 // sameRoute compares two records of one computation on everything but

@@ -512,103 +512,40 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-// On the generated topology, with an origin that has NO special policies
-// in play for its prefix, every installed ground-truth path must be
-// valley-free with respect to EFFECTIVE relationships. (Sibling edges are
-// transparent; research/domestic bonuses change preference, not export.)
+// Every ground-truth path of every originated prefix is valley-free
+// under the roles the engine prices for that prefix (hybrid city,
+// partial transit), sibling hops included: the policy quirks move
+// preference and the origin's announcements, never the export rule.
 func TestGroundTruthPathsValleyFree(t *testing.T) {
 	topo := topology.Generate(11, topology.TestConfig())
 	e := New(topo, 11)
-	checked := 0
+	siblingHops := 0
 	for _, p := range topo.OriginatedPrefixes() {
-		if checked >= 12 {
-			break
+		cont := e.prefixContinent(p)
+		role := func(a, b asn.ASN) topology.Rel {
+			l := topo.Link(a, b)
+			if l == nil {
+				return topology.RelNone
+			}
+			rel := effectiveRel(l, a, b, p, linkCityTwoScans(e, l, p, cont))
+			if rel == topology.RelSibling {
+				siblingHops++
+			}
+			return rel
 		}
-		checked++
-		routes := e.ComputePrefix(p)
-		for a, r := range routes {
+		for a, r := range e.ComputePrefix(p) {
 			if r.IsOrigin() {
 				continue
 			}
-			full := r.ASPathFrom(a)
-			if err := valleyFreeEffective(topo, e, p, full); err != nil {
-				t.Fatalf("prefix %s at %s: %v (path %v)", p, a, err, full)
+			if path := r.ASPathFrom(a); !topology.ValleyFree(path, role) {
+				t.Fatalf("prefix %s at %s: path %v is not valley-free", p, a, path)
 			}
 		}
 	}
+	if siblingHops == 0 {
+		t.Fatal("no path crossed a sibling link")
+	}
 }
-
-// valleyFreeEffective verifies the Gao–Rexford export invariant along a
-// ground-truth forwarding path, using effective per-prefix roles. The
-// advertisement traveled origin→source; at every transit AS path[i]
-// (0 < i < len-1) the route learned from path[i+1] must be exportable to
-// path[i-1]. Sibling edges behave like customer edges on both sides, so
-// a path may climb again after crossing one — the classic single-peak
-// pattern only holds for sibling-free paths, which we additionally check.
-func valleyFreeEffective(topo *topology.Topology, e *Engine, p asn.Prefix, path []asn.ASN) error {
-	rels := make([]topology.Rel, len(path)-1)
-	for i := 0; i+1 < len(path); i++ {
-		l := topo.Link(path[i], path[i+1])
-		if l == nil {
-			return errLink{path[i], path[i+1]}
-		}
-		city := cityOn(e, l, p)
-		rels[i] = effectiveRel(l, path[i], path[i+1], p, city)
-	}
-	// Export invariant at every transit AS, tracking the route's
-	// organizational class across sibling hops (advertisement direction:
-	// origin → source).
-	orgRel := topology.RelNone // the origin's own route
-	for i := len(path) - 2; i >= 0; i-- {
-		toRel := rels[i].Invert() // role of path[i] from the exporter path[i+1]
-		if !exports(orgRel, toRel) {
-			return errValley{"export rule violated", i}
-		}
-		if rels[i] == topology.RelSibling {
-			// class preserved across the sibling hop
-		} else {
-			orgRel = rels[i] // the class path[i] received the route with
-		}
-	}
-	// Classic single-peak shape for sibling-free paths.
-	for _, r := range rels {
-		if r == topology.RelSibling {
-			return nil
-		}
-	}
-	const (
-		up   = 0
-		down = 1
-	)
-	phase := up
-	for i, r := range rels {
-		switch r {
-		case topology.RelProvider:
-			if phase != up {
-				return errValley{"provider edge after the summit", i}
-			}
-		case topology.RelPeer, topology.RelCustomer:
-			if phase == down && r == topology.RelPeer {
-				return errValley{"peer edge on the downhill", i}
-			}
-			phase = down
-		default:
-			return errValley{"unrelated adjacency", i}
-		}
-	}
-	return nil
-}
-
-type errLink struct{ a, b asn.ASN }
-
-func (e errLink) Error() string { return "no link " + e.a.String() + "-" + e.b.String() }
-
-type errValley struct {
-	msg string
-	idx int
-}
-
-func (e errValley) Error() string { return e.msg }
 
 func TestContentPeerTE(t *testing.T) {
 	// x traffic-engineers content traffic onto peering: toward a

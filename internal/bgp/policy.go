@@ -130,25 +130,6 @@ func (c *Computation) localPref(self asPolicy, orgRel topology.Rel, path *pnode)
 	return lp
 }
 
-// exports reports whether a route of organizational class orgRel
-// (RelNone when originated) may be exported to a neighbor whose
-// effective relationship is toRel. The Gao–Rexford export rule: own and
-// customer routes go to everyone; peer and provider routes go only to
-// customers. Siblings always receive everything (the organization
-// shares its full table internally), but what THEY may re-export is
-// still governed by the route's organizational class.
-func exports(orgRel, toRel topology.Rel) bool {
-	if toRel == topology.RelSibling {
-		return true
-	}
-	switch orgRel {
-	case topology.RelNone, topology.RelCustomer, topology.RelSibling:
-		return true
-	default:
-		return toRel == topology.RelCustomer
-	}
-}
-
 // igpCost is the deterministic pseudo-random intradomain cost from the
 // AS's "default ingress" to the egress toward a neighbor. It is the
 // ground truth behind the "intradomain tie-breaker" row of Table 2.

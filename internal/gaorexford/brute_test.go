@@ -9,10 +9,11 @@ import (
 	"routelab/internal/topology"
 )
 
-// bruteForce enumerates ALL export-legal paths from every AS to dst by
-// BFS over (AS, class) states — an independent, obviously-correct (if
-// slow) reimplementation of the model used to cross-check the
-// production Dijkstra on random graphs.
+// bruteForce computes every AS's shortest export-legal path length per
+// class toward dst by Bellman-Ford sweeps over (AS, class) states until
+// nothing changes — an independent, obviously-correct (if slow)
+// reimplementation of the model, used to cross-check Compute's
+// breadth-first search on random graphs.
 func bruteForce(g *relgraph.Graph, dst asn.ASN) map[asn.ASN][3]int {
 	const inf = int(Unreachable)
 	dist := map[asn.ASN][3]int{}
@@ -105,8 +106,8 @@ func TestComputeMatchesBruteForce(t *testing.T) {
 }
 
 // Property: ShortestPath, when it exists, has exactly ShortestLen edges,
-// starts at the queried AS, ends at the destination, and every hop is a
-// graph adjacency.
+// starts at the queried AS, ends at the destination, is valley-free, and
+// every hop is a graph adjacency that Compute was not told to mask.
 func TestShortestPathConsistency(t *testing.T) {
 	roles := []topology.Rel{topology.RelCustomer, topology.RelProvider, topology.RelPeer, topology.RelSibling}
 	for trial := 0; trial < 40; trial++ {
@@ -121,25 +122,40 @@ func TestShortestPathConsistency(t *testing.T) {
 			}
 		}
 		dst := asn.ASN(1 + rng.Intn(nAS))
-		res := Compute(g, dst)
+		// The masked variant drops a random quarter of the edges.
+		masked := map[topology.LinkKey]bool{}
+		var mask []relgraph.Edge
 		for _, a := range g.ASNs() {
-			if !res.Reachable(a) || a == dst {
-				continue
+			for _, b := range g.Neighbors(a) {
+				if a < b && rng.Intn(4) == 0 {
+					masked[topology.LinkKey{Lo: a, Hi: b}] = true
+					mask = append(mask, relgraph.Edge{A: a, B: b})
+				}
 			}
-			path := res.ShortestPath(a)
-			if path == nil {
-				t.Fatalf("trial %d: %v reachable but no path", trial, a)
-			}
-			if path[0] != a || path[len(path)-1] != dst {
-				t.Fatalf("trial %d: path endpoints %v", trial, path)
-			}
-			if len(path)-1 != res.ShortestLen(a) {
-				t.Fatalf("trial %d: path len %d != ShortestLen %d (%v)",
-					trial, len(path)-1, res.ShortestLen(a), path)
-			}
-			for i := 0; i+1 < len(path); i++ {
-				if !g.HasEdge(path[i], path[i+1]) {
-					t.Fatalf("trial %d: phantom hop %v-%v", trial, path[i], path[i+1])
+		}
+		for variant, res := range []*Result{Compute(g, dst), Compute(g, dst, mask...)} {
+			for _, a := range g.ASNs() {
+				if !res.Reachable(a) || a == dst {
+					continue
+				}
+				path := res.ShortestPath(a)
+				if path == nil {
+					t.Fatalf("trial %d: %v reachable but no path", trial, a)
+				}
+				if path[0] != a || path[len(path)-1] != dst {
+					t.Fatalf("trial %d: path endpoints %v", trial, path)
+				}
+				if len(path)-1 != res.ShortestLen(a) {
+					t.Fatalf("trial %d: path len %d != ShortestLen %d (%v)",
+						trial, len(path)-1, res.ShortestLen(a), path)
+				}
+				if !topology.ValleyFree(path, g.Rel) {
+					t.Fatalf("trial %d: path %v is not valley-free", trial, path)
+				}
+				for i := 0; i+1 < len(path); i++ {
+					if !g.HasEdge(path[i], path[i+1]) || variant == 1 && masked[topology.MakeLinkKey(path[i], path[i+1])] {
+						t.Fatalf("trial %d, variant %d: hop %v-%v is not an edge Compute saw", trial, variant, path[i], path[i+1])
+					}
 				}
 			}
 		}

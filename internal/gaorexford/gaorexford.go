@@ -16,8 +16,8 @@
 //	provider routes  downward propagation: 1 + min over providers v of
 //	                 v's customer, peer and provider lengths.
 //
-// Sibling edges, when present in a graph, relay routes without changing
-// their class (the organization acts as one AS).
+// Every step along an edge, a sibling edge included, is topology.Relay,
+// the export rule the BGP engine applies too.
 //
 // Results are flat []int32 rows over the graph's dense AS index
 // (DESIGN.md §12, analysis-plane layout): a computation allocates its
@@ -26,6 +26,7 @@ package gaorexford
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 
 	"routelab/internal/asn"
@@ -78,16 +79,29 @@ func Compute(g *relgraph.Graph, dst asn.ASN, masked ...relgraph.Edge) *Result {
 	return r
 }
 
-// Route classes: the rows of Result.dist. classCust covers routes
-// exportable to everyone: own routes and customer-learned routes.
-// Sibling edges are organizational glue: a sibling relays ANY route, but
-// the route's class (and thus its exportability) is preserved across the
-// sibling hop — the organization acts as one AS.
-const (
-	classCust = 0
-	classPeer = 1
-	classProv = 2
-)
+// Route classes are the rows of Result.dist, numbered by their
+// relationship's Rank: 0 customer (own and customer-learned routes,
+// exportable to everyone), 1 peer, 2 provider.
+//
+// relayed and feeds are topology.Relay over classes, read once.
+// relayed[cls][to] is the class in which a neighbour whose role the
+// holder sees as to holds the holder's class-cls route, or −1 when the
+// export rule keeps it back; bit b of feeds[cls][from] is set when a
+// neighbour whose role the receiver sees as from relays its class-b
+// route into class cls.
+var relayed, feeds = func() (rel, fed [3][topology.RelProvider + 1]int32) {
+	for cls, held := range [3]topology.Rel{topology.RelCustomer, topology.RelPeer, topology.RelProvider} {
+		for to := range rel[cls] {
+			next, ok := topology.Relay(held, topology.Rel(to))
+			rel[cls][to] = -1
+			if ok {
+				rel[cls][to] = int32(next.Rank())
+				fed[next.Rank()][topology.Rel(to).Invert()] |= 1 << cls
+			}
+		}
+	}
+	return rel, fed
+}()
 
 // maxLen bounds the path lengths the relaxation extends: a state that
 // far out is recorded but relays nothing.
@@ -113,38 +127,17 @@ func (r *Result) isMasked(a, b int32) bool {
 func (r *Result) relax(dst int32) {
 	n := int32(r.g.NumASes())
 	queue := make([]int32, 1, 3*n)
-	queue[0] = classCust*n + dst
+	queue[0] = dst // its own route: class 0
 	r.dist[queue[0]] = 0
 	for head := 0; head < len(queue); head++ {
 		s := queue[head]
 		cls, a := s/n, s%n
 		d := r.dist[s] + 1
+		out := &relayed[cls]
 		for _, e := range r.g.Row(a) {
-			// e.Role is neighbour b's role as a sees it; what b hears
-			// depends on a's role as b sees it, the inverse.
-			var to int32
-			switch e.Role {
-			case topology.RelProvider:
-				// b hears from its customer a only a's
-				// exportable-to-all routes.
-				if cls != classCust {
-					continue
-				}
-				to = classCust
-			case topology.RelSibling:
-				// b hears ANY of its sibling's routes; the class
-				// (exportability) is preserved across the hop.
-				to = cls
-			case topology.RelPeer:
-				// b hears a's exportable-to-all routes as peer routes.
-				if cls != classCust {
-					continue
-				}
-				to = classPeer
-			case topology.RelCustomer:
-				// b hears ANY of its provider a's routes.
-				to = classProv
-			default:
+			// e.Role is neighbour b's role as a sees it.
+			to := out[e.Role]
+			if to < 0 {
 				continue
 			}
 			t := to*n + e.Index
@@ -180,7 +173,7 @@ func (r *Result) lens(a asn.ASN) [3]int32 {
 // route), or Unreachable.
 func (r *Result) ClassLen(a asn.ASN, class topology.Rel) int {
 	cls := class.Rank()
-	if cls > classProv {
+	if cls > 2 {
 		return Unreachable
 	}
 	if d := r.lens(a)[cls]; d >= 0 {
@@ -243,18 +236,10 @@ func (r *Result) ShortestPath(a asn.ASN) []asn.ASN {
 		// ascend by ASN, so the first neighbour that could have is the
 		// lowest.
 		next, nextCls := int32(-1), int32(0)
+		fed := &feeds[cls]
 		for _, e := range r.g.Row(cur) {
-			lo, hi := int32(0), int32(-1) // b's candidate classes, inclusive
-			switch {
-			case e.Role == topology.RelSibling:
-				lo, hi = cls, cls // class preserved across sibling hops
-			case cls == classCust && e.Role == topology.RelCustomer,
-				cls == classPeer && e.Role == topology.RelPeer:
-				lo, hi = classCust, classCust
-			case cls == classProv && e.Role == topology.RelProvider:
-				lo, hi = classCust, classProv
-			}
-			for bc := lo; bc <= hi && next < 0; bc++ {
+			for m := fed[e.Role]; m != 0 && next < 0; m &= m - 1 {
+				bc := int32(bits.TrailingZeros32(uint32(m)))
 				if r.dist[bc*n+e.Index] == d-1 && !r.isMasked(cur, e.Index) {
 					next, nextCls = e.Index, bc
 				}

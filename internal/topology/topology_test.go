@@ -605,3 +605,36 @@ func TestRegionalPrefixContinentsCovered(t *testing.T) {
 		t.Errorf("major's serving prefixes cover only %d continents", len(conts))
 	}
 }
+
+// TestRelayMatchesValleyFree holds the export rule to the valley-free
+// language on every hop word up to length 6 over {p, r, c, s}: folding
+// Relay from the origin end must accept exactly the words ValleyFree
+// accepts, and nothing is relayed to, or valley-free across, a
+// non-neighbour.
+func TestRelayMatchesValleyFree(t *testing.T) {
+	for held := RelNone; held <= RelProvider; held++ {
+		if _, ok := Relay(held, RelNone); ok {
+			t.Errorf("Relay(%s, none) relays to a non-neighbour", held)
+		}
+	}
+	if ValleyFree([]asn.ASN{1, 2}, func(a, b asn.ASN) Rel { return RelNone }) {
+		t.Error("ValleyFree accepts a hop between non-neighbours")
+	}
+	letters := []Rel{RelProvider, RelPeer, RelCustomer, RelSibling}
+	word := make([]Rel, 6) // word[i] labels hop i: AS i+2's role as AS i+1 sees it
+	path := []asn.ASN{1, 2, 3, 4, 5, 6, 7}
+	role := func(a, b asn.ASN) Rel { return word[a-1] }
+	for n := 0; n <= len(word); n++ {
+		for code := 0; code < 1<<(2*n); code++ {
+			relayed, held := true, RelNone // the origin's own route
+			for i := n - 1; i >= 0; i-- {
+				word[i] = letters[code>>(2*i)&3]
+				next, ok := Relay(held, word[i].Invert())
+				relayed, held = relayed && ok, next
+			}
+			if vf := ValleyFree(path[:n+1], role); vf != relayed {
+				t.Fatalf("word %v: ValleyFree %v, Relay folds to %v", word[:n], vf, relayed)
+			}
+		}
+	}
+}

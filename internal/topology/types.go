@@ -18,6 +18,7 @@ package topology
 
 import (
 	"fmt"
+	"regexp"
 
 	"routelab/internal/asn"
 	"routelab/internal/geo"
@@ -135,6 +136,44 @@ func (r Rel) Invert() Rel {
 	default:
 		return r
 	}
+}
+
+// Relay is the Gao–Rexford export rule as one step along a path: an AS
+// holding a route of class held (RelNone for its own route) may pass it
+// to a neighbour whose role it sees as to, which then holds it as next.
+// Own and customer routes go to everyone; peer and provider routes go to
+// customers only; a sibling hears everything and keeps its class (the
+// organisation acts as one AS). A non-neighbour (RelNone) hears nothing.
+func Relay(held, to Rel) (next Rel, ok bool) {
+	switch {
+	case to == RelSibling:
+		return held, true
+	case to == RelCustomer:
+		return RelProvider, true
+	case to == RelNone || held > RelSibling: // held is a peer or provider route
+		return RelNone, false
+	}
+	return to.Invert(), true
+}
+
+var valleyFreeWord = regexp.MustCompile(`^[ps]*r?[cs]*$`)
+
+// ValleyFree reports whether path (the observer first, the origin last)
+// is valley-free under role, where role(a, b) is b's role as a sees it.
+// It labels each hop with b's role (p provider, r peer, c customer, s
+// sibling) and matches the word against valleyFreeWord: any climb, at
+// most one peer hop, any descent, sibling hops anywhere. It shares no
+// code with Relay, so each checks the other.
+func ValleyFree(path []asn.ASN, role func(a, b asn.ASN) Rel) bool {
+	word := make([]byte, 0, len(path))
+	for i := 1; i < len(path); i++ {
+		r := role(path[i-1], path[i])
+		if r <= RelNone || r > RelProvider {
+			return false
+		}
+		word = append(word, " csrp"[r])
+	}
+	return valleyFreeWord.Match(word)
 }
 
 // AS is one autonomous system of the ground truth.
