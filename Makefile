@@ -47,10 +47,11 @@ bench:
 
 # fuzz-smoke gives each native fuzz target a short budget: the fleet
 # admission path (body sniffer, spec parsers, expansion), the
-# routelab-whatif/v1 request decoder and the response envelope reader
-# (ReadEnvelope, against decode-then-Validate). All three seed
-# themselves with f.Add (the scenario corpus; the documents the tests
-# post; one served body of every envelope kind),
+# routelab-whatif/v1 request decoder, the response envelope reader
+# (ReadEnvelope, against decode-then-Validate) and its one-pass JSON
+# scanner (against json.Valid). All four seed themselves with f.Add (the
+# scenario corpus; the documents the tests post; one served body of
+# every envelope kind),
 # and testdata/fuzz holds only crashers the fuzzer finds. Long enough to
 # catch a decoder panic or round-trip break introduced by a parser
 # change, short enough for every CI run.
@@ -58,6 +59,7 @@ fuzz-smoke:
 	$(GO) test ./internal/service -run=^$$ -fuzz=FuzzAdmitSpec -fuzztime=20s
 	$(GO) test ./internal/service -run=^$$ -fuzz=FuzzWhatIfRequest -fuzztime=20s
 	$(GO) test ./internal/service -run=^$$ -fuzz=FuzzReadEnvelope -fuzztime=20s
+	$(GO) test ./internal/service -run=^$$ -fuzz=FuzzScanJSON -fuzztime=20s
 
 # lint is staticcheck (general Go hygiene); this repo's own invariants
 # are a test, internal/lint TestRepoIsClean (DESIGN.md §11).

@@ -534,9 +534,6 @@ func TestGroundTruthPathsValleyFree(t *testing.T) {
 			return rel
 		}
 		for a, r := range e.ComputePrefix(p) {
-			if r.IsOrigin() {
-				continue
-			}
 			if path := r.ASPathFrom(a); !topology.ValleyFree(path, role) {
 				t.Fatalf("prefix %s at %s: path %v is not valley-free", p, a, path)
 			}
@@ -544,6 +541,33 @@ func TestGroundTruthPathsValleyFree(t *testing.T) {
 	}
 	if siblingHops == 0 {
 		t.Fatal("no path crossed a sibling link")
+	}
+}
+
+// ASPathFrom starts the forwarding path at its owner exactly once: an
+// origin route's path already holds the owner (prepends included), a
+// learned route's does not.
+func TestASPathFrom(t *testing.T) {
+	e, p, ids := diamond(t)
+	org, c1 := ids["org"], ids["c1"]
+	for _, tc := range []struct {
+		prepend     int
+		atOrg, atC1 []asn.ASN
+	}{
+		{0, []asn.ASN{org}, []asn.ASN{c1, org}},
+		{2, []asn.ASN{org, org, org}, []asn.ASN{c1, org, org, org}},
+	} {
+		c := e.NewComputation(p)
+		c.Announce(Announcement{Origin: org, Prepend: tc.prepend})
+		if !c.Converge().Settled {
+			t.Fatal("did not converge")
+		}
+		if got := mustRoute(t, c, org).ASPathFrom(org); !reflect.DeepEqual(got, tc.atOrg) {
+			t.Errorf("prepend %d: origin path %v, want %v", tc.prepend, got, tc.atOrg)
+		}
+		if got := mustRoute(t, c, c1).ASPathFrom(c1); !reflect.DeepEqual(got, tc.atC1) {
+			t.Errorf("prepend %d: c1 path %v, want %v", tc.prepend, got, tc.atC1)
+		}
 	}
 }
 

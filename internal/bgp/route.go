@@ -118,8 +118,12 @@ func (e *Engine) route(prefix asn.Prefix, r *rec, path asn.Path) Route {
 func (r Route) IsOrigin() bool { return r.NextHop == 0 }
 
 // ASPathFrom returns the full AS-level forwarding path starting at owner:
-// owner followed by the path's sequence ASes.
+// owner followed by the path's sequence ASes, or, for an origin route,
+// whose path already starts at owner, the path's own sequence.
 func (r Route) ASPathFrom(owner asn.ASN) []asn.ASN {
+	if r.IsOrigin() {
+		return r.Path.Sequence()
+	}
 	return append([]asn.ASN{owner}, r.Path.Sequence()...)
 }
 

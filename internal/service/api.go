@@ -39,6 +39,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -91,12 +92,23 @@ func (e Envelope) checkHead() error {
 }
 
 // ReadEnvelope decodes and validates one envelope from r, which must
-// hold nothing after it but whitespace. The body is scanned once: the
-// decode has already checked that all of it, data included, is valid
-// JSON, so only what Validate checks besides that is checked again.
+// hold nothing after it but whitespace. It reads the body once. A body
+// laid out as the server writes it (appendEnvelopeHead) is read in one
+// pass, which validates the data as it finds its end and returns it
+// without a copy (readCanonical). Any other body is decoded by
+// encoding/json, which reports what is wrong with it; the decode has
+// already checked that all of it, data included, is valid JSON, so
+// only what Validate checks besides that is checked again.
 func ReadEnvelope(r io.Reader) (Envelope, error) {
+	body, err := io.ReadAll(r)
+	if err != nil {
+		return Envelope{}, err
+	}
+	if e, ok := readCanonical(body); ok {
+		return e, nil
+	}
 	var e Envelope
-	dec := json.NewDecoder(r)
+	dec := json.NewDecoder(bytes.NewReader(body))
 	if err := dec.Decode(&e); err != nil {
 		return e, err
 	}
@@ -107,6 +119,48 @@ func ReadEnvelope(r io.Reader) (Envelope, error) {
 		return e, fmt.Errorf("after the envelope: %w", err)
 	}
 	return e, e.checkHead()
+}
+
+// readCanonical reads body if it holds envelopeHead, a kind of Kinds,
+// envelopeKindTail, one valid JSON value, "}" and nothing else but
+// whitespace, the envelope itself counting against the nesting limit.
+// Data is a subslice of body. It reports false for every other body,
+// valid or not.
+func readCanonical(body []byte) (Envelope, bool) {
+	rest, ok := cutPrefix(body, envelopeHead)
+	if !ok {
+		return Envelope{}, false
+	}
+	q := bytes.IndexByte(rest, '"')
+	if q < 0 {
+		return Envelope{}, false
+	}
+	var kind string
+	for _, k := range Kinds {
+		if string(rest[:q]) == k {
+			kind = k // the constant: reading the kind allocates nothing
+		}
+	}
+	data, ok := cutPrefix(rest[q:], envelopeKindTail)
+	if kind == "" || !ok {
+		return Envelope{}, false
+	}
+	start := skipSpace(body, len(body)-len(data))
+	end := scanValue(body, start, maxNesting-1)
+	if end < 0 {
+		return Envelope{}, false
+	}
+	if brace := skipSpace(body, end); brace == len(body) || body[brace] != '}' || skipSpace(body, brace+1) != len(body) {
+		return Envelope{}, false
+	}
+	return Envelope{Schema: Schema, Kind: kind, Data: body[start:end:end]}, true
+}
+
+func cutPrefix(b []byte, prefix string) ([]byte, bool) {
+	if len(b) < len(prefix) || string(b[:len(prefix)]) != prefix {
+		return b, false
+	}
+	return b[len(prefix):], true
 }
 
 // HealthData is the /v1/healthz payload: a static description of the

@@ -2,10 +2,12 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"slices"
 	"strings"
 	"testing"
@@ -126,50 +128,8 @@ func trailsEnvelope(body []byte) bool {
 //   - what it accepts has the reference's schema, kind and data bytes,
 //     and the data is valid JSON.
 func FuzzReadEnvelope(f *testing.F) {
-	s := testScenario(f)
-	_, ts := newTestServer(f, Config{})
-	fetch := func(method, path, doc string) []byte {
-		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(doc))
-		if err != nil {
-			f.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			f.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			f.Fatal(err)
-		}
-		return body
-	}
-	kinds := map[string]bool{}
-	for _, q := range []struct{ method, path, doc string }{
-		{http.MethodGet, "/v1/healthz", ""},
-		{http.MethodGet, "/v1/metrics", ""},
-		{http.MethodGet, fmt.Sprintf("/v1/classify?trace=%d", s.Measurements[0].TraceID), ""},
-		{http.MethodGet, fmt.Sprintf("/v1/alternates?target=%s", s.Measurements[0].DstAS), ""},
-		{http.MethodGet, "/v1/experiments/table2", ""},
-		{http.MethodGet, fmt.Sprintf("/v1/as/%s", s.Topo.ASNs()[0]), ""},
-		{http.MethodPost, "/v1/whatif", fmt.Sprintf(`{"schema":"routelab-whatif/v1","deltas":[{"kind":"poison","poisoned":[%q]},{"kind":"withdraw"}]}`, s.Testbed.Muxes[0])},
-		{http.MethodGet, "/v1/scenarios", ""},
-		{http.MethodGet, "/v1/scenarios/" + DefaultID, ""},
-		{http.MethodGet, "/v1/build", ""},
-		{http.MethodGet, "/v1/nope", ""},
-	} {
-		body := fetch(q.method, q.path, q.doc)
-		e, err := ReadEnvelope(bytes.NewReader(body))
-		if err != nil {
-			f.Fatalf("%s %s: %v\n%s", q.method, q.path, err, body)
-		}
-		kinds[e.Kind] = true
+	for _, body := range servedBodies(f) {
 		f.Add(body)
-	}
-	for _, k := range Kinds {
-		if !kinds[k] {
-			f.Fatalf("no served body of kind %q seeds the corpus", k)
-		}
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		got, err := ReadEnvelope(bytes.NewReader(body))
@@ -190,4 +150,140 @@ func FuzzReadEnvelope(f *testing.F) {
 			t.Fatalf("accepted data that is not valid JSON: %q", got.Data)
 		}
 	})
+}
+
+// servedBodies fetches one served body of every envelope kind from the
+// shared test world, each of which ReadEnvelope must accept.
+func servedBodies(tb testing.TB) [][]byte {
+	tb.Helper()
+	s := testScenario(tb)
+	_, ts := newTestServer(tb, Config{})
+	fetch := func(method, path, doc string) []byte {
+		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(doc))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return body
+	}
+	var bodies [][]byte
+	kinds := map[string]bool{}
+	for _, q := range []struct{ method, path, doc string }{
+		{http.MethodGet, "/v1/healthz", ""},
+		{http.MethodGet, "/v1/metrics", ""},
+		{http.MethodGet, fmt.Sprintf("/v1/classify?trace=%d", s.Measurements[0].TraceID), ""},
+		{http.MethodGet, fmt.Sprintf("/v1/alternates?target=%s", s.Measurements[0].DstAS), ""},
+		{http.MethodGet, "/v1/experiments/table2", ""},
+		{http.MethodGet, fmt.Sprintf("/v1/as/%s", s.Topo.ASNs()[0]), ""},
+		{http.MethodPost, "/v1/whatif", fmt.Sprintf(`{"schema":"routelab-whatif/v1","deltas":[{"kind":"poison","poisoned":[%q]},{"kind":"withdraw"}]}`, s.Testbed.Muxes[0])},
+		{http.MethodGet, "/v1/scenarios", ""},
+		{http.MethodGet, "/v1/scenarios/" + DefaultID, ""},
+		{http.MethodGet, "/v1/build", ""},
+		{http.MethodGet, "/v1/nope", ""},
+	} {
+		body := fetch(q.method, q.path, q.doc)
+		e, err := ReadEnvelope(bytes.NewReader(body))
+		if err != nil {
+			tb.Fatalf("%s %s: %v\n%s", q.method, q.path, err, body)
+		}
+		kinds[e.Kind] = true
+		bodies = append(bodies, body)
+	}
+	for _, k := range Kinds {
+		if !kinds[k] {
+			tb.Fatalf("no served body of kind %q", k)
+		}
+	}
+	return bodies
+}
+
+// TestReadEnvelopeCanonicalPass: every served body is read by the
+// one-pass reader (readCanonical), not the encoding/json fallback, so a
+// change to appendEnvelopeHead cannot send every client down the slow
+// path unnoticed. Around the edges of that layout ReadEnvelope agrees
+// with the decode-then-Validate reference through whichever path reads
+// the body.
+func TestReadEnvelopeCanonicalPass(t *testing.T) {
+	type tc struct {
+		name          string
+		body          []byte
+		canonical, ok bool
+	}
+	var cases []tc
+	for i, body := range servedBodies(t) {
+		cases = append(cases, tc{fmt.Sprintf("served body %d", i), body, true, true})
+	}
+	as, err := marshalEnvelope("as", ASData{ASN: "AS1", InferredDegree: 1, InferredNeighbors: map[string]int{"AS2": 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := envelopeHead + "error" + envelopeKindTail
+	nested := func(depth int) string { return strings.Repeat("[", depth) + strings.Repeat("]", depth) }
+	cases = append(cases,
+		// The envelope is one level of the nesting limit.
+		tc{"nested 10,000 deep", []byte(head + nested(maxNesting-1) + "}\n"), true, true},
+		tc{"nested 10,001 deep", []byte(head + nested(maxNesting) + "}\n"), false, false},
+		tc{"kind outside Kinds", []byte(`{"schema":"routelab-api/v1","kind":"nope","data":{}}`), false, false},
+		tc{"escaped kind", []byte(`{"schema":"routelab-api/v1","kind":"\u0061s","data":{}}`), false, true},
+		tc{"swapped key order", []byte(`{"kind":"as","schema":"routelab-api/v1","data":{}}`), false, true},
+		tc{"inner whitespace", []byte("{ \"schema\": \"routelab-api/v1\", \"kind\": \"as\", \"data\": {} }\n"), false, true},
+		tc{"whitespace around data", []byte(head + " \"x\"\n}"), true, true},
+		tc{"truncated data", as[:len(as)/2], false, false},
+		tc{"junk after }", append(slices.Clip(as), "junk"...), false, false},
+	)
+	for _, c := range cases {
+		if _, canonical := readCanonical(c.body); canonical != c.canonical {
+			t.Errorf("%s: read in one pass %v, want %v\n%.200q", c.name, canonical, c.canonical, c.body)
+		}
+		got, err := ReadEnvelope(bytes.NewReader(c.body))
+		if (err == nil) != c.ok {
+			t.Errorf("%s: error %v, want accepted %v", c.name, err, c.ok)
+			continue
+		}
+		want, refErr := referenceReadEnvelope(c.body)
+		switch {
+		case err != nil:
+			if refErr == nil && !trailsEnvelope(c.body) {
+				t.Errorf("%s: rejected (%v) what the reference accepts", c.name, err)
+			}
+		case refErr != nil:
+			t.Errorf("%s: accepted what the reference rejects (%v)", c.name, refErr)
+		case got.Schema != want.Schema || got.Kind != want.Kind || !bytes.Equal(got.Data, want.Data):
+			t.Errorf("%s: read %q/%q/%.200q, the reference %q/%q/%.200q", c.name, got.Schema, got.Kind, got.Data, want.Schema, want.Kind, want.Data)
+		}
+	}
+}
+
+// BenchmarkReadEnvelope reads a served as body and the heavy what-if
+// batch's body (heavyWhatIf, 119 KB) as a client does.
+func BenchmarkReadEnvelope(b *testing.B) {
+	srv, ts := newTestServer(b, Config{})
+	rec := httptest.NewRecorder()
+	ts.Config.Handler.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/as/"+srv.s.Topo.ASNs()[0].String(), nil))
+	whatifBody, err := srv.whatifBody(context.Background(), srv.s.Testbed.Prefixes[0], heavyWhatIf(b, srv.s))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		body []byte
+	}{{"as", rec.Body.Bytes()}, {"whatif", whatifBody}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(c.body)))
+			for i := 0; i < b.N; i++ {
+				if _, err := ReadEnvelope(bytes.NewReader(c.body)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
