@@ -138,9 +138,10 @@ type Decision struct {
 // are measurement-plane artifacts; none reads routing ground truth.
 //
 // The exported datasets are read-only after assembly; the only mutable
-// state is the pair of internal model caches, which are guarded by a
-// mutex. Classify, Breakdown, and the other judging methods are
-// therefore safe for concurrent use — on a cache miss two goroutines
+// state is the internal model cache, the one place Gao–Rexford results
+// are held, which is guarded by a mutex. Classify, Breakdown,
+// PredictPath and the other judging methods are therefore safe for
+// concurrent use — on a cache miss two goroutines
 // may both compute the (deterministic, identical) model result and one
 // copy wins, so parallel classification stays byte-identical to serial.
 type Context struct {
@@ -163,25 +164,28 @@ type Context struct {
 	// CableASes is the TeleGeography-style undersea-cable AS list.
 	CableASes map[asn.ASN]bool
 
-	// cacheMu guards the two model caches below. Model results are
+	// cacheMu guards the model cache below. Model results are
 	// deterministic functions of (Graph, key), so the lock is released
 	// during computation: racing goroutines may duplicate work but
 	// never disagree.
-	cacheMu  sync.Mutex
-	grCache  map[asn.ASN]*gaorexford.Result
-	pspCache map[pspKey]*gaorexford.Result
+	cacheMu sync.Mutex
+	models  map[modelKey]*gaorexford.Result
 }
 
-type pspKey struct {
+// modelKey names one model computation: toward dst, with prefix's
+// origin edges masked under PSP criteria (prefix is zero when criteria
+// is 0).
+type modelKey struct {
+	dst      asn.ASN
 	prefix   asn.Prefix
 	criteria int
 }
 
 // WithGraph returns a copy of the context judging against a different
-// relationship graph (fresh model caches). The ablation experiments use
+// relationship graph (a fresh model cache). The ablation experiments use
 // it to re-score the same decisions under alternative inferences.
 func (cx *Context) WithGraph(g *relgraph.Graph) *Context {
-	// Field-by-field copy: the receiver's mutex and caches must not be
+	// Field-by-field copy: the receiver's mutex and cache must not be
 	// carried over (and a struct copy would race with concurrent users).
 	return &Context{
 		Graph:            g,
@@ -195,42 +199,33 @@ func (cx *Context) WithGraph(g *relgraph.Graph) *Context {
 	}
 }
 
-// cachedModel returns the cached result under key when present, or runs
-// compute outside the lock and installs the result (first writer wins).
-func cachedModel[K comparable](cx *Context, cache *map[K]*gaorexford.Result, key K, compute func() *gaorexford.Result) *gaorexford.Result {
-	cx.cacheMu.Lock()
-	if *cache == nil {
-		*cache = make(map[K]*gaorexford.Result)
+// model returns the (cached) Gao–Rexford result toward dst, with the
+// §4.3 origin-edge masking of prefix under PSP criteria applied (none
+// when criteria is 0, and then every prefix of dst shares one entry).
+// On a miss it computes outside the lock and installs the result; the
+// first writer wins.
+func (cx *Context) model(dst asn.ASN, prefix asn.Prefix, criteria int) *gaorexford.Result {
+	if criteria == 0 {
+		prefix = asn.Prefix{}
 	}
-	if r, ok := (*cache)[key]; ok {
-		cx.cacheMu.Unlock()
+	key := modelKey{dst, prefix, criteria}
+	cx.cacheMu.Lock()
+	r, ok := cx.models[key]
+	cx.cacheMu.Unlock()
+	if ok {
 		return r
 	}
-	cx.cacheMu.Unlock()
-	r := compute()
+	r = gaorexford.Compute(cx.Graph, dst, cx.MaskedEdges(dst, prefix, criteria)...)
 	cx.cacheMu.Lock()
 	defer cx.cacheMu.Unlock()
-	if prev, ok := (*cache)[key]; ok {
+	if prev, ok := cx.models[key]; ok {
 		return prev
 	}
-	(*cache)[key] = r
+	if cx.models == nil {
+		cx.models = make(map[modelKey]*gaorexford.Result)
+	}
+	cx.models[key] = r
 	return r
-}
-
-// gr returns (cached) model results toward a destination on the plain
-// graph.
-func (cx *Context) gr(dst asn.ASN) *gaorexford.Result {
-	return cachedModel(cx, &cx.grCache, dst, func() *gaorexford.Result {
-		return gaorexford.Compute(cx.Graph, dst)
-	})
-}
-
-// grPSP returns model results with the §4.3 origin-edge masking applied
-// for a prefix.
-func (cx *Context) grPSP(dst asn.ASN, prefix asn.Prefix, criteria int) *gaorexford.Result {
-	return cachedModel(cx, &cx.pspCache, pspKey{prefix, criteria}, func() *gaorexford.Result {
-		return gaorexford.Compute(cx.Graph, dst, cx.MaskedEdges(dst, prefix, criteria)...)
-	})
 }
 
 // MaskedEdges returns the origin edges the PSP criteria drop for a
@@ -279,12 +274,7 @@ func (cx *Context) chosenRel(d Decision, ref Refinement) topology.Rel {
 
 // Classify judges one decision under a refinement.
 func (cx *Context) Classify(d Decision, ref Refinement) Category {
-	var res *gaorexford.Result
-	if c := ref.pspCriteria(); c > 0 {
-		res = cx.grPSP(d.DstAS, d.Prefix, c)
-	} else {
-		res = cx.gr(d.DstAS)
-	}
+	res := cx.model(d.DstAS, d.Prefix, ref.pspCriteria())
 	rel := cx.chosenRel(d, ref)
 	bestRank := res.BestRank(d.At)
 	best := rel != topology.RelNone && rel.Rank() <= bestRank

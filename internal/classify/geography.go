@@ -100,8 +100,7 @@ func (v *Verdicts) DomesticAnalysis(ref Refinement) []DomesticRow {
 // AS (per whois — which, as §6 notes, is itself lossy for multinational
 // ASes).
 func (cx *Context) hasMultinationalAlternative(d Decision, srcCountry, dstCountry geo.CountryCode) bool {
-	res := cx.gr(d.DstAS)
-	path := res.ShortestPath(d.At)
+	path := cx.PredictPath(d.At, d.DstAS)
 	if path == nil {
 		return false
 	}

@@ -35,7 +35,7 @@ type categoryCounts [NonBestLong + 1]int
 // column per refinement fanned out over workers (parallel.Workers
 // semantics). Each column's pass also counts its categories and, under
 // Simple, ranks the violation skews, so Breakdown and ViolationSkew only
-// read. The model caches it fills are the ones every later reader
+// read. The model cache entries it fills are the ones every later reader
 // of the result would have filled, so a Context whose measurements were
 // judged stops growing once it is served.
 func (cx *Context) Judge(ms []Measurement, workers int) *Verdicts {

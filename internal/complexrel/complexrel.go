@@ -82,12 +82,6 @@ func (d *Dataset) PartialTransit(a, b asn.ASN, p asn.Prefix) bool {
 	return false
 }
 
-// NumHybrid returns the number of (pair, city) hybrid entries.
-func (d *Dataset) NumHybrid() int { return len(d.hybrid) / 2 }
-
-// NumPartial returns the number of partial-transit pairs.
-func (d *Dataset) NumPartial() int { return len(d.partial) }
-
 // FromGroundTruth extracts the dataset from a topology at the given
 // coverage fraction (published datasets are incomplete; 1.0 means
 // everything the ground truth contains).

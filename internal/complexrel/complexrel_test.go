@@ -24,8 +24,8 @@ func TestHybridLookup(t *testing.T) {
 	if _, ok := d.HybridRole(1, 3, 7); ok {
 		t.Error("different pair must miss")
 	}
-	if d.NumHybrid() != 1 {
-		t.Errorf("NumHybrid = %d", d.NumHybrid())
+	if len(d.hybrid)/2 != 1 {
+		t.Errorf("hybrid entries = %d", len(d.hybrid)/2)
 	}
 }
 
@@ -40,8 +40,8 @@ func TestPartialTransitLookup(t *testing.T) {
 	if d.PartialTransit(1, 2, q) {
 		t.Error("uncovered prefix must miss")
 	}
-	if d.NumPartial() != 1 {
-		t.Errorf("NumPartial = %d", d.NumPartial())
+	if len(d.partial) != 1 {
+		t.Errorf("partial-transit pairs = %d", len(d.partial))
 	}
 }
 
@@ -55,11 +55,11 @@ func TestFromGroundTruthFullCoverage(t *testing.T) {
 			wantPartial++
 		}
 	})
-	if d.NumHybrid() != wantHybrid {
-		t.Errorf("NumHybrid = %d, want %d", d.NumHybrid(), wantHybrid)
+	if len(d.hybrid)/2 != wantHybrid {
+		t.Errorf("hybrid entries = %d, want %d", len(d.hybrid)/2, wantHybrid)
 	}
-	if d.NumPartial() != wantPartial {
-		t.Errorf("NumPartial = %d, want %d", d.NumPartial(), wantPartial)
+	if len(d.partial) != wantPartial {
+		t.Errorf("partial-transit pairs = %d, want %d", len(d.partial), wantPartial)
 	}
 	// Every entry must agree with ground truth.
 	topo.Links(func(l *topology.Link) {
@@ -80,14 +80,14 @@ func TestFromGroundTruthPartialCoverage(t *testing.T) {
 	topo := topology.Generate(19, topology.TestConfig())
 	full := FromGroundTruth(topo, rand.New(rand.NewSource(1)), 1.0)
 	none := FromGroundTruth(topo, rand.New(rand.NewSource(1)), 0.0)
-	if none.NumHybrid() != 0 || none.NumPartial() != 0 {
+	if len(none.hybrid)/2 != 0 || len(none.partial) != 0 {
 		t.Error("zero coverage must be empty")
 	}
-	if full.NumHybrid() == 0 {
+	if len(full.hybrid)/2 == 0 {
 		t.Skip("topology generated no hybrid links")
 	}
 	half := FromGroundTruth(topo, rand.New(rand.NewSource(1)), 0.5)
-	if half.NumHybrid() > full.NumHybrid() {
+	if len(half.hybrid)/2 > len(full.hybrid)/2 {
 		t.Error("partial coverage cannot exceed full")
 	}
 }
@@ -96,7 +96,7 @@ func TestFromGroundTruthDeterministic(t *testing.T) {
 	topo := topology.Generate(23, topology.TestConfig())
 	a := FromGroundTruth(topo, rand.New(rand.NewSource(5)), 0.7)
 	b := FromGroundTruth(topo, rand.New(rand.NewSource(5)), 0.7)
-	if a.NumHybrid() != b.NumHybrid() || a.NumPartial() != b.NumPartial() {
+	if len(a.hybrid)/2 != len(b.hybrid)/2 || len(a.partial) != len(b.partial) {
 		t.Error("same seed must extract the same dataset")
 	}
 }

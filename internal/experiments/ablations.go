@@ -130,6 +130,7 @@ func computeProbeSelectionAblation(res *AblationsResult, s *scenario.Scenario, r
 		res.ProbeSkipReason = err.Error()
 		return
 	}
+	fresh := s.Context.WithGraph(s.Context.Graph)
 	// simple is the Simple verdict on decision j of measurement i.
 	row := func(label string, probes []atlas.Probe, measurements []classify.Measurement, simple func(i, j int) classify.Category) AblationProbeRow {
 		defer obs.StartStage("classify/ablation-breakdowns")()
@@ -164,9 +165,11 @@ func computeProbeSelectionAblation(res *AblationsResult, s *scenario.Scenario, r
 		row("balanced (paper)", s.Probes, s.Measurements, func(i, j int) classify.Category {
 			return s.Verdicts.Of(i, classify.Simple)[j]
 		}),
-		// The raw campaign's decisions are not the build's: judge them here.
+		// The raw campaign's decisions are not the build's: judge them
+		// here, on a context of their own, so their models do not grow
+		// the scenario's shared cache (a served tenant's charged size).
 		row("raw sample", raw, ms, func(i, j int) classify.Category {
-			return s.Context.Classify(ms[i].Decisions[j], classify.Simple)
+			return fresh.Classify(ms[i].Decisions[j], classify.Simple)
 		}))
 }
 

@@ -12,7 +12,6 @@ import (
 	"routelab/internal/inference"
 	"routelab/internal/obs"
 	"routelab/internal/peering"
-	"routelab/internal/predict"
 	"routelab/internal/relgraph"
 	"routelab/internal/report"
 	"routelab/internal/scenario"
@@ -128,30 +127,19 @@ func staleCount(s *scenario.Scenario) int {
 // investigation is about. The exact-match rate is the headline "how
 // wrong are our simulators" number.
 type PredictionResult struct {
-	Paths           int `json:"paths"`
-	Predicted       int `json:"predicted"`
-	Exact           int `json:"exact"`
-	SameLength      int `json:"same_length"`
-	FirstHopCorrect int `json:"first_hop_correct"`
+	classify.PredictionSummary
 }
 
 func prediction(_ context.Context, env *Env) (Result, error) {
 	s := env.S
-	p := predict.New(s.Context.Graph)
 	paths := make([][]asn.ASN, 0, len(s.Measurements))
 	for i := range s.Measurements {
 		paths = append(paths, s.Measurements[i].ASPath)
 	}
-	stop := obs.StartStage("predict/evaluate")
-	sum := p.Evaluate(paths)
+	stop := obs.StartStage("classify/predict")
+	sum := s.Context.EvaluatePrediction(paths)
 	stop()
-	return &PredictionResult{
-		Paths:           sum.Paths,
-		Predicted:       sum.Predicted,
-		Exact:           sum.Exact,
-		SameLength:      sum.SameLength,
-		FirstHopCorrect: sum.FirstHopCorrect,
-	}, nil
+	return &PredictionResult{sum}, nil
 }
 
 func (r *PredictionResult) render(w io.Writer) {

@@ -13,6 +13,7 @@ import (
 
 	"routelab/internal/asn"
 	"routelab/internal/bgp"
+	"routelab/internal/classify"
 	"routelab/internal/obs"
 	"routelab/internal/peering"
 	"routelab/internal/scenario"
@@ -215,6 +216,20 @@ func TestResultDeterminism(t *testing.T) {
 	j2, _ := json.Marshal(r2)
 	if string(j1) != string(j2) {
 		t.Error("same-seed alternates results differ")
+	}
+}
+
+// TestPredictionResultKeys pins the served keys of the prediction
+// result, in order: the summary it embeds carries them.
+func TestPredictionResultKeys(t *testing.T) {
+	r := &PredictionResult{classify.PredictionSummary{Paths: 1, Predicted: 2, Exact: 3, SameLength: 4, FirstHopCorrect: 5}}
+	got, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"paths":1,"predicted":2,"exact":3,"same_length":4,"first_hop_correct":5}`
+	if string(got) != want {
+		t.Errorf("prediction JSON = %s, want %s", got, want)
 	}
 }
 

@@ -21,7 +21,7 @@ import (
 // (sealed, warm) scenario and the master seed the run derives its
 // per-experiment rand streams from. Envs are read-only and safe to
 // share across concurrent Run calls — the scenario is immutable after
-// Build and classify.Context's model caches are synchronized.
+// Build and classify.Context's model cache is synchronized.
 type Env struct {
 	S    *scenario.Scenario
 	Seed int64

@@ -185,20 +185,11 @@ func (w *World) City(id CityID) City {
 	return w.cities[id-1]
 }
 
-// NumCities returns the number of generated cities.
-func (w *World) NumCities() int { return len(w.cities) }
-
 // ContinentOf returns the continent of a city, or ContinentNone.
 func (w *World) ContinentOf(id CityID) Continent { return w.City(id).Continent }
 
 // CountryOf returns the country of a city, or "".
 func (w *World) CountryOf(id CityID) CountryCode { return w.City(id).Country }
-
-// SameCountry reports whether two cities are in the same (known) country.
-func (w *World) SameCountry(a, b CityID) bool {
-	ca, cb := w.CountryOf(a), w.CountryOf(b)
-	return ca != "" && ca == cb
-}
 
 // Intercontinental reports whether two cities are on different (known)
 // continents; crossing between them requires an undersea cable or a very
@@ -206,13 +197,4 @@ func (w *World) SameCountry(a, b CityID) bool {
 func (w *World) Intercontinental(a, b CityID) bool {
 	ca, cb := w.ContinentOf(a), w.ContinentOf(b)
 	return ca != ContinentNone && cb != ContinentNone && ca != cb
-}
-
-// RandomCity picks a uniform random city of a country.
-func (w *World) RandomCity(rng *rand.Rand, cc CountryCode) CityID {
-	c := w.countries[cc]
-	if c == nil || len(c.Cities) == 0 {
-		return 0
-	}
-	return c.Cities[rng.Intn(len(c.Cities))]
 }

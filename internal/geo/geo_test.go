@@ -11,10 +11,10 @@ func newTestWorld(seed int64) *World {
 
 func TestWorldDeterministic(t *testing.T) {
 	a, b := newTestWorld(7), newTestWorld(7)
-	if a.NumCities() != b.NumCities() {
-		t.Fatalf("same seed, different city counts: %d vs %d", a.NumCities(), b.NumCities())
+	if len(a.cities) != len(b.cities) {
+		t.Fatalf("same seed, different city counts: %d vs %d", len(a.cities), len(b.cities))
 	}
-	for i := 1; i <= a.NumCities(); i++ {
+	for i := 1; i <= len(a.cities); i++ {
 		if a.City(CityID(i)) != b.City(CityID(i)) {
 			t.Fatalf("city %d differs between identical seeds", i)
 		}
@@ -84,9 +84,6 @@ func TestUnknownCity(t *testing.T) {
 	if w.ContinentOf(0) != ContinentNone || w.CountryOf(0) != "" {
 		t.Error("unknown city should have no location")
 	}
-	if w.SameCountry(0, 0) {
-		t.Error("two unknowns are not the same country")
-	}
 }
 
 func TestIntercontinental(t *testing.T) {
@@ -102,34 +99,6 @@ func TestIntercontinental(t *testing.T) {
 	}
 	if w.Intercontinental(eu, 0) {
 		t.Error("unknown city must not be intercontinental")
-	}
-}
-
-func TestSameCountry(t *testing.T) {
-	w := newTestWorld(6)
-	cc := w.Countries(NA)[0]
-	cities := w.Country(cc).Cities
-	if !w.SameCountry(cities[0], cities[0]) {
-		t.Error("a city is in its own country")
-	}
-	other := w.Countries(NA)[1]
-	if w.SameCountry(cities[0], w.Country(other).Cities[0]) {
-		t.Error("cities of different countries reported same")
-	}
-}
-
-func TestRandomCityInCountry(t *testing.T) {
-	w := newTestWorld(8)
-	rng := rand.New(rand.NewSource(9))
-	cc := w.Countries(AF)[3]
-	for i := 0; i < 50; i++ {
-		id := w.RandomCity(rng, cc)
-		if w.CountryOf(id) != cc {
-			t.Fatalf("RandomCity returned city of %s, want %s", w.CountryOf(id), cc)
-		}
-	}
-	if w.RandomCity(rng, "ZZ") != 0 {
-		t.Error("RandomCity of unknown country should be 0")
 	}
 }
 

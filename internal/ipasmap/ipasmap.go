@@ -154,6 +154,3 @@ func (m *Mapper) PrefixOf(ip asn.Addr) asn.Prefix {
 	p, _ := m.match(ip)
 	return p
 }
-
-// NumPrefixes reports how many announced prefixes the mapper knows.
-func (m *Mapper) NumPrefixes() int { return len(m.origin) }

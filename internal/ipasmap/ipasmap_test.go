@@ -40,7 +40,7 @@ func newFixture(t *testing.T, seed int64, trCfg traceroute.Config) *fixture {
 
 func TestASOfLongestMatch(t *testing.T) {
 	f := newFixture(t, 41, traceroute.DefaultConfig())
-	if f.mapper.NumPrefixes() == 0 {
+	if len(f.mapper.origin) == 0 {
 		t.Fatal("mapper learned no prefixes")
 	}
 	// Announced prefixes resolve to their origin.
@@ -239,8 +239,8 @@ func TestLookupMatchesLinearScan(t *testing.T) {
 		nested.Entries = append(nested.Entries, vantage.Entry{Peer: 9, Prefix: p, Path: []asn.ASN{9, e.origin}})
 	}
 	m := FromSnapshot(nested)
-	if m.NumPrefixes() != 6 {
-		t.Fatalf("NumPrefixes = %d, want 6", m.NumPrefixes())
+	if len(m.origin) != 6 {
+		t.Fatalf("mapper knows %d prefixes, want 6", len(m.origin))
 	}
 	for ip, want := range map[asn.Addr]asn.ASN{
 		asn.AddrFrom4(10, 9, 9, 9):      1,

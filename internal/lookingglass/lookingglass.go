@@ -45,9 +45,6 @@ func Deploy(topo *topology.Topology, rib *bgp.RIB, rng *rand.Rand, coverage floa
 // Has reports whether an AS runs a reachable looking glass.
 func (d *Directory) Has(a asn.ASN) bool { return d.hosts[a] }
 
-// NumServers returns the directory size.
-func (d *Directory) NumServers() int { return len(d.hosts) }
-
 // Entry is one "show ip bgp" answer.
 type Entry struct {
 	Prefix  asn.Prefix
@@ -70,17 +67,6 @@ func (d *Directory) Query(a asn.ASN, addr asn.Addr) (Entry, error) {
 		Path:    d.rib.ASPath(a, rt.Prefix),
 		NextHop: rt.NextHop,
 	}, nil
-}
-
-// HasRoute reports whether the AS's table covers the prefix — the §4.3
-// validation question ("did neighbor N really not receive prefix P from
-// origin O?"). The error distinguishes "no server" from "no route".
-func (d *Directory) HasRoute(a asn.ASN, p asn.Prefix) (bool, error) {
-	if !d.hosts[a] {
-		return false, fmt.Errorf("lookingglass: %s runs no public route server", a)
-	}
-	_, ok := d.rib.Lookup(a, p.Nth(1))
-	return ok, nil
 }
 
 // RouteVia reports whether the AS's best route for the prefix goes

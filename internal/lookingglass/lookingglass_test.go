@@ -21,7 +21,7 @@ func fixture(t *testing.T) (*topology.Topology, *bgp.RIB, *Directory) {
 
 func TestDeployCoverage(t *testing.T) {
 	topo, _, d := fixture(t)
-	if d.NumServers() == 0 {
+	if len(d.hosts) == 0 {
 		t.Fatal("no servers deployed")
 	}
 	// No stub or content AS runs one.
@@ -33,8 +33,8 @@ func TestDeployCoverage(t *testing.T) {
 	full := Deploy(topo, nil, rand.New(rand.NewSource(1)), 1.0)
 	transit := len(topo.ASesOfClass(topology.Tier1)) + len(topo.ASesOfClass(topology.LargeISP)) +
 		len(topo.ASesOfClass(topology.SmallISP)) + len(topo.ASesOfClass(topology.Research))
-	if full.NumServers() != transit {
-		t.Errorf("full coverage = %d, want %d", full.NumServers(), transit)
+	if len(full.hosts) != transit {
+		t.Errorf("full coverage = %d, want %d", len(full.hosts), transit)
 	}
 }
 
@@ -96,13 +96,12 @@ func TestHasRouteAndRouteVia(t *testing.T) {
 		if !d.Has(a) {
 			continue
 		}
-		has, err := d.HasRoute(a, p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		// A server without a route answers with an error: §4.3's
+		// strongest confirmation of a selective announcement.
+		_, err := d.RouteVia(a, p, 0)
 		rt, ok := rib.Lookup(a, p.Nth(1))
-		if has != ok {
-			t.Fatalf("%v HasRoute=%v but RIB ok=%v", a, has, ok)
+		if has := err == nil; has != ok {
+			t.Fatalf("%v has a route = %v (%v) but RIB ok=%v", a, has, err, ok)
 		}
 		if !ok {
 			continue

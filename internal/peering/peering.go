@@ -22,7 +22,6 @@ import (
 	"routelab/internal/asn"
 	"routelab/internal/bgp"
 	"routelab/internal/parallel"
-	"routelab/internal/topology"
 )
 
 // Testbed wraps the PEERING origin AS and its muxes.
@@ -224,19 +223,6 @@ func (tb *Testbed) observe(best func(asn.ASN) (bgp.Route, bool), poisoned []asn.
 		last.group = append(last.group, x.i)
 	}
 	return kids
-}
-
-// InterASLinks extracts every inter-AS link observed across the
-// discovery steps' paths (including the target's own edges).
-func (r *AlternateResult) InterASLinks() map[topology.LinkKey]bool {
-	out := make(map[topology.LinkKey]bool)
-	for _, s := range r.Steps {
-		path := s.Route.ASPathFrom(r.Target)
-		for i := 0; i+1 < len(path); i++ {
-			out[topology.MakeLinkKey(path[i], path[i+1])] = true
-		}
-	}
-	return out
 }
 
 // MagnetObservation captures one AS's behavior across a magnet run.

@@ -91,10 +91,6 @@ func TestDiscoverAlternatesPreferenceOrder(t *testing.T) {
 	if !res.Exhausted && len(res.Steps) >= maxAlternateRounds {
 		t.Error("discovery hit the safety bound without exhausting routes")
 	}
-	links := res.InterASLinks()
-	if len(links) == 0 {
-		t.Error("no inter-AS links extracted")
-	}
 }
 
 func TestMagnetAgingAndMoves(t *testing.T) {

@@ -89,8 +89,8 @@ type ASRecord struct {
 	Registry RIR
 	// AltCountries lists divergent registrations for ASes present in
 	// multiple RIR regions. Whois returns only Country; AltCountries
-	// models the "each RIR shows a different country" limitation and is
-	// reachable only through LookupVia.
+	// models the "each RIR shows a different country" limitation;
+	// whois lookups never expose it.
 	AltCountries map[RIR]geo.CountryCode
 	// Email is the registered contact address ("noc@example.net").
 	Email string
@@ -147,22 +147,6 @@ func (g *Registry) Whois(a asn.ASN) (ASRecord, bool) {
 		return ASRecord{}, false
 	}
 	return *r, true
-}
-
-// LookupVia returns the country a particular RIR reports for the AS. For
-// multi-RIR ASes this differs from the primary record's country.
-func (g *Registry) LookupVia(a asn.ASN, rir RIR) (geo.CountryCode, bool) {
-	r, ok := g.as[a]
-	if !ok {
-		return "", false
-	}
-	if r.Registry == rir {
-		return r.Country, true
-	}
-	if cc, ok := r.AltCountries[rir]; ok {
-		return cc, true
-	}
-	return "", false
 }
 
 // Org returns an organization record.

@@ -52,18 +52,6 @@ func TestMultiRIRCountries(t *testing.T) {
 	if g.RegisteredCountry(701) != "AB" {
 		t.Errorf("primary country = %v", g.RegisteredCountry(701))
 	}
-	if cc, ok := g.LookupVia(701, RIPE); !ok || cc != "BC" {
-		t.Errorf("RIPE view = %v %v", cc, ok)
-	}
-	if cc, ok := g.LookupVia(701, ARIN); !ok || cc != "AB" {
-		t.Errorf("ARIN view = %v %v", cc, ok)
-	}
-	if _, ok := g.LookupVia(701, LACNIC); ok {
-		t.Error("LACNIC should have no record")
-	}
-	if _, ok := g.LookupVia(9999, ARIN); ok {
-		t.Error("unknown AS should miss")
-	}
 }
 
 func TestEmailDomainEdge(t *testing.T) {

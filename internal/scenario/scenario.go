@@ -37,9 +37,9 @@
 // the targets its campaigns draw, and a served tenant asks for every
 // AS before it is charged. The exception: methods taking a *rand.Rand
 // (Campaign, RunMagnetCampaign, RunAlternatesCampaign) mutate that rand
-// and must not share it across goroutines. Context's model caches are
+// and must not share it across goroutines. Context's model cache is
 // internally synchronized (see classify.Context), and the judge phase
-// fills them for every decision of the campaign, so reading the
+// fills it for every decision of the campaign, so reading the
 // scenario's own figures and tables leaves them as Build left them.
 package scenario
 

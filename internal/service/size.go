@@ -6,14 +6,11 @@ import "reflect"
 // tenant's resident cost, measured once at build time. A sealed
 // scenario does not grow while it is served: scenario.Build runs the
 // magnet experiments and judges every decision of its campaign, which
-// fills classify.Context's model caches for everything the figures,
-// tables and /v1/classify read, and newTenant discovers every AS's
-// alternates before it is walked, which is all /v1/alternates and the
-// alternates and casestudies experiments read at any seed
-// (TestServedTenantNeverOutgrowsCharge).
-// The one exception is the ablations' raw-probe row: it judges
-// decisions the build never made, which grows those shared caches by a
-// few KB (≈ 4 KB on the test world) past the charge. sizeOf walks the
+// fills classify.Context's model cache for everything the figures,
+// tables, the path predictor and /v1/classify read, and newTenant
+// discovers every AS's alternates before it is walked, which is all
+// /v1/alternates and the alternates and casestudies experiments read at
+// any seed (TestServedTenantNeverOutgrowsCharge). sizeOf walks the
 // object graph with reflect — no unsafe — and sums an estimate:
 //
 //   - every heap object reached through pointers, slices, maps, and

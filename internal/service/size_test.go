@@ -133,17 +133,14 @@ func TestTenantSizeCeiling(t *testing.T) {
 
 // TestServedTenantNeverOutgrowsCharge: the store charges a tenant what
 // newTenant's walk measured, once, so serving it must not grow what the
-// walk reached. Every experiment but ablations and all (whose raw-probe
-// row judges decisions the build never made) and /v1/classify on every
-// trace read only what Build computed, and /v1/alternates on every AS
-// only what newTenant discovered.
+// walk reached. Every experiment and /v1/classify on every trace read
+// only what Build computed (the ablations judge their raw-probe campaign
+// on a context of its own), and /v1/alternates on every AS only what
+// newTenant discovered.
 func TestServedTenantNeverOutgrowsCharge(t *testing.T) {
 	srv := newTenant(testScenario(t), Config{}, partition{c: NewStore(StoreConfig{}).cache, tenant: DefaultID})
 	ctx := context.Background()
 	for _, name := range experiments.Names() {
-		if name == "ablations" || name == "all" {
-			continue
-		}
 		exp, _ := experiments.Get(name)
 		if _, err := exp.Run(ctx, &experiments.Env{S: srv.s, Seed: srv.s.Cfg.Seed}); err != nil {
 			t.Fatalf("%s: %v", name, err)

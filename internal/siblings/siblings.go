@@ -11,8 +11,6 @@
 package siblings
 
 import (
-	"sort"
-
 	"routelab/internal/asn"
 	"routelab/internal/dnsdb"
 	"routelab/internal/registry"
@@ -20,8 +18,9 @@ import (
 
 // Groups is the inferred AS-to-organization mapping.
 type Groups struct {
+	// groupOf numbers each grouped AS's organization from 1; the numbers
+	// only tell groups apart, and ungrouped ASes are absent.
 	groupOf map[asn.ASN]int
-	members [][]asn.ASN
 }
 
 // Infer builds sibling groups from whois + SOA evidence.
@@ -39,21 +38,15 @@ func Infer(reg *registry.Registry, dns *dnsdb.DB) *Groups {
 		zone := dns.Zone(domain)
 		byZone[zone] = append(byZone[zone], a)
 	}
-	zones := make([]string, 0, len(byZone))
-	for z, ms := range byZone {
-		if len(ms) >= 2 {
-			zones = append(zones, z)
-		}
-	}
-	sort.Strings(zones)
 	g := &Groups{groupOf: make(map[asn.ASN]int)}
-	for _, z := range zones {
-		ms := byZone[z]
-		sort.Slice(ms, func(i, j int) bool { return ms[i] < ms[j] })
-		id := len(g.members)
-		g.members = append(g.members, ms)
+	id := 0
+	for _, ms := range byZone {
+		if len(ms) < 2 {
+			continue
+		}
+		id++
 		for _, m := range ms {
-			g.groupOf[m] = id + 1 // 0 means ungrouped
+			g.groupOf[m] = id
 		}
 	}
 	return g
@@ -65,16 +58,3 @@ func (g *Groups) SameOrg(a, b asn.ASN) bool {
 	ga := g.groupOf[a]
 	return ga != 0 && ga == g.groupOf[b]
 }
-
-// GroupOf returns the members of a's group (nil when ungrouped). The
-// slice is shared; callers must not modify it.
-func (g *Groups) GroupOf(a asn.ASN) []asn.ASN {
-	id := g.groupOf[a]
-	if id == 0 {
-		return nil
-	}
-	return g.members[id-1]
-}
-
-// NumGroups returns the number of multi-AS organizations found.
-func (g *Groups) NumGroups() int { return len(g.members) }

@@ -24,20 +24,14 @@ func TestInferGroupsByZone(t *testing.T) {
 	dns.AddSOA(dnsdb.SOARecord{Domain: "dishaccess.example", Zone: "dishnetwork.example"})
 
 	g := Infer(reg, dns)
-	if g.NumGroups() != 1 {
-		t.Fatalf("NumGroups = %d, want 1", g.NumGroups())
+	if len(g.groupOf) != 2 {
+		t.Fatalf("grouped ASes = %v, want only 1 and 2", g.groupOf)
 	}
 	if !g.SameOrg(1, 2) {
 		t.Error("1 and 2 share a zone and must be siblings")
 	}
 	if g.SameOrg(1, 3) || g.SameOrg(3, 1) {
 		t.Error("3 is unrelated")
-	}
-	if members := g.GroupOf(1); len(members) != 2 {
-		t.Errorf("GroupOf(1) = %v", members)
-	}
-	if g.GroupOf(3) != nil {
-		t.Error("ungrouped AS must return nil group")
 	}
 }
 
@@ -50,8 +44,8 @@ func TestFreemailExcluded(t *testing.T) {
 		}
 	}
 	g := Infer(reg, dns)
-	if g.NumGroups() != 0 {
-		t.Fatalf("freemail/RIR-hosted contacts must not form groups, got %d", g.NumGroups())
+	if len(g.groupOf) != 0 {
+		t.Fatalf("freemail/RIR-hosted contacts must not form groups, got %v", g.groupOf)
 	}
 	if g.SameOrg(1, 2) {
 		t.Error("hotmail-hosted ASes grouped")
@@ -86,9 +80,9 @@ func TestInferOnGeneratedTopology(t *testing.T) {
 		}
 	}
 	// Precision: every inferred pair must share a ground-truth org.
-	for _, a := range topo.ASNs() {
-		for _, b := range g.GroupOf(a) {
-			if b == a {
+	for a := range g.groupOf {
+		for b := range g.groupOf {
+			if !g.SameOrg(a, b) {
 				continue
 			}
 			if orgOf[a] != orgOf[b] {

@@ -13,14 +13,6 @@ func Pct(part, total int) float64 {
 	return 100 * float64(part) / float64(total)
 }
 
-// Frac returns part/total, or 0 when total is 0.
-func Frac(part, total int) float64 {
-	if total == 0 {
-		return 0
-	}
-	return float64(part) / float64(total)
-}
-
 // CDF computes the cumulative fraction series of a descending-count
 // ranking: out[i] = sum(counts[0..i]) / sum(counts). Counts must be
 // non-negative; the input is not reordered.
@@ -38,24 +30,6 @@ func CDF(counts []int) []float64 {
 		}
 	}
 	return out
-}
-
-// TopShare returns the fraction of the total contributed by the k
-// largest values.
-func TopShare(counts []int, k int) float64 {
-	cp := append([]int(nil), counts...)
-	sort.Sort(sort.Reverse(sort.IntSlice(cp)))
-	if k > len(cp) {
-		k = len(cp)
-	}
-	top, total := 0, 0
-	for i, c := range cp {
-		if i < k {
-			top += c
-		}
-		total += c
-	}
-	return Frac(top, total)
 }
 
 // Gini computes the Gini coefficient of a non-negative count vector — a

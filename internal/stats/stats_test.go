@@ -10,9 +10,6 @@ func TestPctFrac(t *testing.T) {
 	if Pct(1, 4) != 25 || Pct(3, 0) != 0 {
 		t.Error("Pct")
 	}
-	if Frac(1, 4) != 0.25 || Frac(1, 0) != 0 {
-		t.Error("Frac")
-	}
 }
 
 func TestCDF(t *testing.T) {
@@ -29,18 +26,6 @@ func TestCDF(t *testing.T) {
 	zero := CDF([]int{0, 0})
 	if zero[0] != 0 || zero[1] != 0 {
 		t.Error("all-zero CDF should stay zero")
-	}
-}
-
-func TestTopShare(t *testing.T) {
-	if got := TopShare([]int{1, 7, 2}, 1); math.Abs(got-0.7) > 1e-9 {
-		t.Errorf("TopShare = %v", got)
-	}
-	if TopShare([]int{1, 2}, 10) != 1 {
-		t.Error("k beyond len should be the whole share")
-	}
-	if TopShare(nil, 3) != 0 {
-		t.Error("empty TopShare")
 	}
 }
 
