@@ -46,7 +46,7 @@ bench:
 	$(GO) run ./bench -all
 
 # fuzz-smoke gives each native fuzz target a short budget: the fleet
-# admission path (body sniffer, spec parsers, expansion), the
+# admission path (spec.Parse's body sniffer, both parsers, expansion), the
 # routelab-whatif/v1 request decoder, the response envelope reader
 # (ReadEnvelope, against decode-then-Validate) and its one-pass JSON
 # scanner (against json.Valid). All four seed themselves with f.Add (the

@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"routelab/internal/spec"
@@ -186,7 +185,7 @@ func cmdList(args []string) (int, error) {
 	if len(args) != 1 {
 		return 0, fmt.Errorf("list takes exactly one directory")
 	}
-	files, err := corpusFiles(args[0])
+	files, err := spec.Files(args[0])
 	if err != nil {
 		return 0, err
 	}
@@ -201,24 +200,4 @@ func cmdList(args []string) (int, error) {
 		fmt.Printf("%-24s %-12s %s\n", e.Name, e.Profile, e.Description)
 	}
 	return findings, nil
-}
-
-// corpusFiles lists the spec documents of a directory, sorted.
-func corpusFiles(dir string) ([]string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		switch strings.ToLower(filepath.Ext(e.Name())) {
-		case ".yaml", ".yml", ".json":
-			out = append(out, filepath.Join(dir, e.Name()))
-		}
-	}
-	sort.Strings(out)
-	return out, nil
 }

@@ -148,6 +148,26 @@ func TestBadField(t *testing.T) {
 	}
 }
 
+// A bound the compiled Config would break is a finding like any other
+// bad field: validate reports it by its document path, goes on to the
+// next file, and exits 1.
+func TestValidateReportsEveryFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "no-probes.yaml")
+	doc := "spec: routelab-spec/v1\nname: no-probes\nprofile: tiny\ncampaign:\n  probes: 0\n"
+	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	valid := filepath.Join(corpus, "smoke.yaml")
+	stdout, stderr, code := run(t, "validate", path, valid)
+	if code != 1 {
+		t.Errorf("exit %d, want 1\n%s%s", code, stdout, stderr)
+	}
+	if !strings.Contains(stdout, path+": INVALID") || !strings.Contains(stdout, "campaign.probes") ||
+		!strings.HasSuffix(stdout, valid+": ok\n") {
+		t.Errorf("validate printed:\n%s%s\nwant %s INVALID naming campaign.probes, then %s ok", stdout, stderr, path, valid)
+	}
+}
+
 // diff prints one "Field: a -> b" line per differing field and exits
 // 1; a spec against itself differs nowhere and exits 0 silently. An
 // invalid document is a finding too (exit 1), not an I/O error.

@@ -87,11 +87,6 @@ type ASRecord struct {
 	Country geo.CountryCode
 	// Registry is the RIR holding the primary record.
 	Registry RIR
-	// AltCountries lists divergent registrations for ASes present in
-	// multiple RIR regions. Whois returns only Country; AltCountries
-	// models the "each RIR shows a different country" limitation;
-	// whois lookups never expose it.
-	AltCountries map[RIR]geo.CountryCode
 	// Email is the registered contact address ("noc@example.net").
 	Email string
 }
@@ -129,14 +124,7 @@ func (g *Registry) AddAS(r ASRecord) error {
 	if r.ASN.IsZero() {
 		return fmt.Errorf("registry: refusing to add record for the zero ASN")
 	}
-	cp := r
-	if r.AltCountries != nil {
-		cp.AltCountries = make(map[RIR]geo.CountryCode, len(r.AltCountries))
-		for k, v := range r.AltCountries {
-			cp.AltCountries[k] = v
-		}
-	}
-	g.as[r.ASN] = &cp
+	g.as[r.ASN] = &r
 	return nil
 }
 

@@ -43,7 +43,6 @@ func TestMultiRIRCountries(t *testing.T) {
 	g := New()
 	err := g.AddAS(ASRecord{
 		ASN: 701, Org: "org-vz", Country: "AB", Registry: ARIN,
-		AltCountries: map[RIR]geo.CountryCode{RIPE: "BC", APNIC: "CD"},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -21,131 +21,18 @@ func (e *ConfigError) Error() string {
 	return fmt.Sprintf("scenario: invalid Config.%s = %v: %s", e.Field, e.Value, e.Reason)
 }
 
-// Validate checks the configuration for values no scenario can be
-// built from, covering the nested Topology, Traceroute, and GeoDB
-// configs as well as the campaign sizing. It returns nil for every
-// config Build can handle, and a ConfigError (or several, via
+// Validate checks every field of Fields against its bound, nested
+// Topology, Traceroute and GeoDB fields included. It returns nil for
+// every config Build can handle, and a ConfigError (or several, via
 // errors.Join) otherwise. Both binaries call it before the expensive
 // Build, spec.Compile calls it on every compiled document, and Build
 // calls it again as a backstop.
 func (c *Config) Validate() error {
 	var errs []error
-	bad := func(field string, value any, reason string) {
-		errs = append(errs, &ConfigError{Field: field, Value: value, Reason: reason})
-	}
-	if c.RoutingWorkers < 0 {
-		bad("RoutingWorkers", c.RoutingWorkers, "must be >= 0 (0 selects GOMAXPROCS)")
-	}
-	if c.NumVantagePeers <= 0 {
-		bad("NumVantagePeers", c.NumVantagePeers, "need at least one monitor feed per epoch")
-	}
-	if c.HistoricEpochs < 0 {
-		bad("HistoricEpochs", c.HistoricEpochs, "must be >= 0")
-	}
-	if c.CurrentEpochs < 1 {
-		bad("CurrentEpochs", c.CurrentEpochs, "need at least one current epoch (the live RIB)")
-	}
-	if c.NumProbes <= 0 {
-		bad("NumProbes", c.NumProbes, "the campaign needs at least one probe")
-	}
-	if c.TracesTarget <= 0 {
-		bad("TracesTarget", c.TracesTarget, "the campaign needs a positive traceroute budget")
-	}
-	if c.ActiveProbes < 0 {
-		bad("ActiveProbes", c.ActiveProbes, "must be >= 0")
-	}
-	if c.PlanetLabNodes < 0 {
-		bad("PlanetLabNodes", c.PlanetLabNodes, "must be >= 0")
-	}
-	if c.MaxAlternateTargets < 0 {
-		bad("MaxAlternateTargets", c.MaxAlternateTargets, "must be >= 0 (0 = all observed targets)")
-	}
-	if c.ComplexCoverage < 0 || c.ComplexCoverage > 1 {
-		bad("ComplexCoverage", c.ComplexCoverage, "is a fraction in [0, 1]")
-	}
-
-	// Topology: the generated Internet's class counts and phenomenon
-	// rates. Counts of zero are legal (the generator applies floors);
-	// negatives never are.
-	if c.Topology.Scale < 0 {
-		bad("Topology.Scale", c.Topology.Scale, "must be >= 0 (0 = default scale 1.0)")
-	}
-	for _, f := range []struct {
-		field string
-		value int
-	}{
-		{"Topology.NumTier1", c.Topology.NumTier1},
-		{"Topology.NumLargeISP", c.Topology.NumLargeISP},
-		{"Topology.NumSmallISP", c.Topology.NumSmallISP},
-		{"Topology.NumStub", c.Topology.NumStub},
-		{"Topology.NumContent", c.Topology.NumContent},
-		{"Topology.NumCableOps", c.Topology.NumCableOps},
-		{"Topology.NumContentMajors", c.Topology.NumContentMajors},
-		{"Topology.NumHostnames", c.Topology.NumHostnames},
-		{"Topology.NumCDNCaches", c.Topology.NumCDNCaches},
-		{"Topology.SiblingGroups", c.Topology.SiblingGroups},
-		{"Topology.RetiredLinkCount", c.Topology.RetiredLinkCount},
-	} {
-		if f.value < 0 {
-			bad(f.field, f.value, "must be >= 0")
-		}
-	}
-	if c.Topology.NumHostnames < 1 {
-		bad("Topology.NumHostnames", c.Topology.NumHostnames,
-			"the campaign needs at least one content hostname to measure")
-	}
-	if c.Topology.NumContentMajors < 1 {
-		bad("Topology.NumContentMajors", c.Topology.NumContentMajors,
-			"need at least one major content provider to host the measured hostnames")
-	}
-	for _, f := range []struct {
-		field string
-		value float64
-	}{
-		{"Topology.SiblingFreemailRate", c.Topology.SiblingFreemailRate},
-		{"Topology.HybridLinkRate", c.Topology.HybridLinkRate},
-		{"Topology.PartialTransitRate", c.Topology.PartialTransitRate},
-		{"Topology.SelectiveExportRate", c.Topology.SelectiveExportRate},
-		{"Topology.ContentSelectiveRate", c.Topology.ContentSelectiveRate},
-		{"Topology.CacheSelectiveRate", c.Topology.CacheSelectiveRate},
-		{"Topology.DomesticBiasRate", c.Topology.DomesticBiasRate},
-		{"Topology.ContentPeerTERate", c.Topology.ContentPeerTERate},
-		{"Topology.ASSetFilterRate", c.Topology.ASSetFilterRate},
-		{"Topology.NoLoopPreventionRate", c.Topology.NoLoopPreventionRate},
-	} {
-		if f.value < 0 || f.value > 1 {
-			bad(f.field, f.value, "is a probability in [0, 1]")
-		}
-	}
-
-	// Traceroute: data-plane artifact rates. MaxHops of zero selects
-	// the full DefaultConfig (see traceroute.New), so it stays legal.
-	for _, f := range []struct {
-		field string
-		value float64
-	}{
-		{"Traceroute.NoReplyRate", c.Traceroute.NoReplyRate},
-		{"Traceroute.ThirdPartyRate", c.Traceroute.ThirdPartyRate},
-		{"Traceroute.IXPRate", c.Traceroute.IXPRate},
-	} {
-		if f.value < 0 || f.value > 1 {
-			bad(f.field, f.value, "is a probability in [0, 1]")
-		}
-	}
-	if c.Traceroute.MaxHops < 0 {
-		bad("Traceroute.MaxHops", c.Traceroute.MaxHops, "must be >= 0 (0 selects the default config)")
-	}
-
-	// GeoDB: the geolocation error model.
-	for _, f := range []struct {
-		field string
-		value float64
-	}{
-		{"GeoDB.MissRate", c.GeoDB.MissRate},
-		{"GeoDB.WrongCityRate", c.GeoDB.WrongCityRate},
-	} {
-		if f.value < 0 || f.value > 1 {
-			bad(f.field, f.value, "is a probability in [0, 1]")
+	for i := range Fields {
+		f := &Fields[i]
+		if reason := f.Bound.Check(f.get(c)); reason != "" {
+			errs = append(errs, &ConfigError{Field: f.GoPath, Value: f.slot(c).Interface(), Reason: reason})
 		}
 	}
 	return errors.Join(errs...)

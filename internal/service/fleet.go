@@ -1,12 +1,9 @@
 package service
 
 import (
-	"bytes"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
-	"strings"
 
 	"routelab/internal/spec"
 )
@@ -146,8 +143,9 @@ func (f *Fleet) serveScenario(rp *reply, r *http.Request) {
 const maxSpecBytes = 1 << 20
 
 // serveAdmit is the POST /v1/scenarios admission path: the body is a
-// routelab-spec/v1 document (YAML or JSON), compiled and validated
-// before registration.
+// routelab-spec/v1 document (JSON when its first non-blank byte is
+// '{', YAML otherwise; see spec.Parse), compiled and validated before
+// registration.
 // Like -scenario-dir registration, admission is cheap; the sealed
 // scenario is built on the first per-scenario request.
 func (f *Fleet) serveAdmit(rp *reply, r *http.Request) {
@@ -160,12 +158,7 @@ func (f *Fleet) serveAdmit(rp *reply, r *http.Request) {
 		rp.fail(http.StatusRequestEntityTooLarge, apiErr(CodeTooLarge, "spec document exceeds 1 MiB"))
 		return
 	}
-	format, err := specFormat(r, body)
-	if err != nil {
-		rp.fail(http.StatusBadRequest, apiErr(CodeBadParam, err.Error()))
-		return
-	}
-	sp, err := spec.Parse("request body", body, format)
+	sp, err := spec.Parse("request body", body)
 	if err != nil {
 		rp.fail(http.StatusBadRequest, apiErr(CodeBadBody, "invalid spec: "+err.Error()))
 		return
@@ -185,25 +178,4 @@ func (f *Fleet) serveAdmit(rp *reply, r *http.Request) {
 		return
 	}
 	rp.envelope(http.StatusCreated, "scenario", ScenarioData{Scenario: info})
-}
-
-// specFormat picks the admission document's parser: an explicit
-// ?format= wins, then the Content-Type, then a sniff (a JSON document
-// starts with '{'; everything else is YAML, which spec.Parse rejects
-// with a file:line error if it is neither).
-func specFormat(r *http.Request, body []byte) (string, error) {
-	switch q := r.URL.Query().Get("format"); q {
-	case "json", "yaml":
-		return q, nil
-	case "":
-	default:
-		return "", fmt.Errorf("unknown format %q (have yaml, json)", q)
-	}
-	if strings.Contains(r.Header.Get("Content-Type"), "json") {
-		return "json", nil
-	}
-	if b := bytes.TrimLeft(body, " \t\r\n"); len(b) > 0 && b[0] == '{' {
-		return "json", nil
-	}
-	return "yaml", nil
 }

@@ -177,9 +177,9 @@ func TestFleetUnknownScenario(t *testing.T) {
 
 func TestFleetAdmission(t *testing.T) {
 	_, ts := newTestFleet(t, StoreConfig{}, testExpansion("alpha", 1))
-	post := func(body, contentType, query string) (int, string) {
+	post := func(body string) (int, string) {
 		t.Helper()
-		resp, err := http.Post(ts.URL+"/v1/scenarios"+query, contentType, strings.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v1/scenarios", "", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,7 +192,7 @@ func TestFleetAdmission(t *testing.T) {
 	}
 
 	yamlSpec := "spec: routelab-spec/v1\nname: admitted\nprofile: tiny\n"
-	status, body := post(yamlSpec, "application/yaml", "")
+	status, body := post(yamlSpec)
 	if status != http.StatusCreated {
 		t.Fatalf("admission: status %d\n%s", status, body)
 	}
@@ -205,29 +205,25 @@ func TestFleetAdmission(t *testing.T) {
 
 	// Duplicate id conflicts; different worlds under one id would make
 	// responses depend on admission order.
-	if status, _ = post(yamlSpec, "application/yaml", ""); status != http.StatusConflict {
+	if status, _ = post(yamlSpec); status != http.StatusConflict {
 		t.Errorf("duplicate admission: status %d, want 409", status)
 	}
-	// JSON document via Content-Type and via sniffing.
+	// A JSON document is told by its first byte.
 	jsonSpec := `{"spec": "routelab-spec/v1", "name": "admitted-json", "profile": "tiny"}`
-	if status, body = post(jsonSpec, "application/json", ""); status != http.StatusCreated {
+	if status, body = post(jsonSpec); status != http.StatusCreated {
 		t.Errorf("JSON admission: status %d\n%s", status, body)
 	}
-	jsonSpec2 := `{"spec": "routelab-spec/v1", "name": "admitted-sniffed", "profile": "tiny"}`
-	if status, body = post(jsonSpec2, "", ""); status != http.StatusCreated {
-		t.Errorf("sniffed JSON admission: status %d\n%s", status, body)
-	}
-	// Rejections: malformed document, bad profile, explicit bad format,
-	// a field outside the schema.
-	for _, tc := range []struct{ body, ct, query string }{
-		{"spec: routelab-spec/v1\nname: [broken\n", "", ""},
-		{"spec: routelab-spec/v1\nname: x\nprofile: bogus\n", "", ""},
-		{yamlSpec, "", "?format=toml"},
-		{"spec: routelab-spec/v1\nname: x\nprofile: tiny\nbase: other.yaml\n", "", ""},
+	// Rejections: malformed document, bad profile, a field outside the
+	// schema, a field outside its bound (named by its document path).
+	for _, tc := range []struct{ body, want string }{
+		{"spec: routelab-spec/v1\nname: [broken\n", ""},
+		{"spec: routelab-spec/v1\nname: x\nprofile: bogus\n", "profile"},
+		{"spec: routelab-spec/v1\nname: x\nprofile: tiny\nbase: other.yaml\n", "base"},
+		{"spec: routelab-spec/v1\nname: x\nprofile: tiny\ncampaign:\n  probes: 0\n", "campaign.probes"},
 	} {
-		status, body := post(tc.body, tc.ct, tc.query)
-		if status != http.StatusBadRequest {
-			t.Errorf("bad admission %q: status %d, want 400\n%s", tc.body, status, body)
+		status, body := post(tc.body)
+		if status != http.StatusBadRequest || !strings.Contains(body, tc.want) {
+			t.Errorf("bad admission %q: status %d, want 400 naming %q\n%s", tc.body, status, tc.want, body)
 		}
 	}
 }

@@ -15,71 +15,53 @@ import (
 	"routelab/internal/whatif"
 )
 
-// FuzzAdmitSpec drives the fleet admission decode path — the body
-// sniffer (specFormat), the spec parser, and the expansion — with
-// arbitrary bodies, Content-Types, and ?format= values. It seeds itself
-// at test time with the real scenario corpus (every scenarios/*.yaml,
-// exactly as a client would POST it) plus the format-dispatch
-// branches; testdata/fuzz/FuzzAdmitSpec is only for crashers the fuzzer
-// finds. Properties:
+// FuzzAdmitSpec drives the fleet admission decode path — spec.Parse,
+// which picks its parser from the body's first non-blank byte, and the
+// expansion — with arbitrary bodies. It seeds itself at test time with
+// the real scenario corpus (every scenarios/*.yaml and *.json, exactly
+// as a client would POST it) plus both sides of the sniff and
+// malformed documents; testdata/fuzz/FuzzAdmitSpec is only for
+// crashers the fuzzer finds. Properties:
 //
-//   - the pipeline never panics; malformed input returns an error at
-//     some stage, exactly as POST /v1/scenarios would 400 it;
-//   - format dispatch is total: whenever specFormat accepts, it names
-//     a parser spec.Parse knows;
-//   - an accepted expansion is admissible if and only if it carries a
+//   - parsing the sniffed format never panics; malformed input returns
+//     an error at some stage, exactly as POST /v1/scenarios would 400
+//     it;
+//   - an accepted expansion can be registered if and only if it has a
 //     name — Register on a fresh store must agree with the handler's
 //     contract, never letting an anonymous or half-parsed spec into
 //     the fleet.
 func FuzzAdmitSpec(f *testing.F) {
-	f.Add([]byte("spec: routelab-spec/v1\nname: x\nprofile: test\n"), "", "")
-	f.Add([]byte(`{"spec": "routelab-spec/v1", "name": "x", "profile": "test"}`), "application/json", "")
-	f.Add([]byte("{}"), "", "yaml")
-	f.Add([]byte("---"), "text/plain", "")
-	corpus, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.yaml"))
+	corpus, err := spec.Files(filepath.Join("..", "..", "scenarios"))
 	if err != nil || len(corpus) == 0 {
-		f.Fatalf("no scenario corpus to seed from (glob err %v)", err)
+		f.Fatalf("no scenario corpus to seed from (err %v)", err)
 	}
 	for _, path := range corpus {
 		body, err := os.ReadFile(path)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(body, "", "")
+		f.Add(body)
 	}
-	// Format dispatch: explicit ?format=, Content-Type routing, the
-	// JSON sniff, and malformed documents that must error, not panic.
-	minimal := []byte("spec: routelab-spec/v1\nname: fuzz-seed\nprofile: test\n")
-	f.Add(minimal, "", "yaml")
-	f.Add(minimal, "", "toml")
-	f.Add([]byte(`{"spec": "routelab-spec/v1", "name": "fuzz-json", "profile": "test"}`), "application/json", "")
-	f.Add([]byte(`  {"spec": "routelab-spec/v1", "name": "fuzz-sniff", "profile": "test"}`), "", "")
-	f.Add([]byte("name: [unclosed\n"), "", "")
-	f.Add([]byte("spec: routelab-spec/v1\nprofile: test\n"), "", "")
-	f.Add([]byte(nil), "", "")
-	f.Fuzz(func(t *testing.T, body []byte, contentType, formatQ string) {
+	// The sniff's two sides, and malformed documents that must error,
+	// not panic.
+	f.Add([]byte("spec: routelab-spec/v1\nname: fuzz-seed\nprofile: test\n"))
+	f.Add([]byte(`  {"spec": "routelab-spec/v1", "name": "fuzz-sniff", "profile": "test"}`))
+	f.Add([]byte("{}"))
+	f.Add([]byte("---"))
+	f.Add([]byte("{spec: routelab-spec/v1}"))
+	f.Add([]byte("name: [unclosed\n"))
+	f.Add([]byte("spec: routelab-spec/v1\nprofile: test\n"))
+	f.Add([]byte(nil))
+	// Bounds a JSON document must break as a YAML one does.
+	f.Add([]byte(`{"spec": "routelab-spec/v1", "name": "fuzz-huge-seed", "profile": "test", "seed": 9007199254740993}`))
+	f.Add([]byte("\n\t{\"spec\": \"routelab-spec/v1\", \"name\": \"fuzz-range\", \"profile\": \"test\", \"campaign\": {\"probes\": {\"min\": 0, \"max\": 3}}}"))
+	f.Fuzz(func(t *testing.T, body []byte) {
 		if len(body) > maxSpecBytes {
 			// The handler 413s larger bodies before decoding; mirror the
 			// cap so the fuzzer spends its budget on reachable inputs.
 			return
 		}
-		r := httptest.NewRequest("POST", "/v1/scenarios", bytes.NewReader(body))
-		if contentType != "" {
-			r.Header.Set("Content-Type", contentType)
-		}
-		if formatQ != "" {
-			q := r.URL.Query()
-			q.Set("format", formatQ)
-			r.URL.RawQuery = q.Encode()
-		}
-		format, err := specFormat(r, body)
-		if err != nil {
-			return
-		}
-		if format != "yaml" && format != "json" {
-			t.Fatalf("specFormat accepted %q, not a known parser", format)
-		}
-		sp, err := spec.Parse("fuzz request", body, format)
+		sp, err := spec.Parse("fuzz request", body)
 		if err != nil {
 			return
 		}

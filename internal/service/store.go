@@ -4,10 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 
 	"routelab/internal/obs"
@@ -126,26 +124,18 @@ func (st *Store) Register(exp *spec.Expansion, origin string) error {
 	return nil
 }
 
-// RegisterDir registers every spec document (*.yaml, *.yml, *.json) at
-// the top level of dir — the -scenario-dir boot path. Subdirectories
-// (e.g. a goldens directory next to a corpus) are ignored. Returns how
-// many scenarios were registered.
+// RegisterDir registers every spec document spec.Files lists in dir —
+// the -scenario-dir boot path. Returns how many scenarios were
+// registered.
 func (st *Store) RegisterDir(dir string) (int, error) {
-	entries, err := os.ReadDir(dir)
+	paths, err := spec.Files(dir)
 	if err != nil {
 		return 0, err
 	}
-	n := 0
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		switch strings.ToLower(filepath.Ext(e.Name())) {
-		case ".yaml", ".yml", ".json":
-		default:
-			continue
-		}
-		path := filepath.Join(dir, e.Name())
+	if len(paths) == 0 {
+		return 0, fmt.Errorf("service: no scenario specs found in %s", dir)
+	}
+	for n, path := range paths {
 		exp, err := spec.Expand(path, nil)
 		if err != nil {
 			return n, fmt.Errorf("service: %s: %w", path, err)
@@ -153,12 +143,8 @@ func (st *Store) RegisterDir(dir string) (int, error) {
 		if err := st.Register(exp, filepath.ToSlash(path)); err != nil {
 			return n, err
 		}
-		n++
 	}
-	if n == 0 {
-		return 0, fmt.Errorf("service: no scenario specs found in %s", dir)
-	}
-	return n, nil
+	return len(paths), nil
 }
 
 // IDs returns every registered scenario id, sorted.

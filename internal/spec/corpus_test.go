@@ -4,7 +4,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 
@@ -14,26 +13,19 @@ import (
 const corpusDir = "../../scenarios"
 
 // corpusFiles lists the spec documents under scenarios/ (not the
-// goldens).
+// goldens) by file name.
 func corpusFiles(t *testing.T) []string {
 	t.Helper()
-	entries, err := os.ReadDir(corpusDir)
+	paths, err := Files(corpusDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var files []string
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		ext := filepath.Ext(e.Name())
-		if ext == ".yaml" || ext == ".yml" || ext == ".json" {
-			files = append(files, e.Name())
-		}
+	if len(paths) < 12 {
+		t.Fatalf("corpus has %d specs, want at least 12", len(paths))
 	}
-	sort.Strings(files)
-	if len(files) < 12 {
-		t.Fatalf("corpus has %d specs, want at least 12", len(files))
+	files := make([]string, len(paths))
+	for i, p := range paths {
+		files[i] = filepath.Base(p)
 	}
 	return files
 }

@@ -1,10 +1,32 @@
 package spec
 
 import (
-	"fmt"
-	"math"
+	"slices"
 	"strings"
+
+	"routelab/internal/scenario"
 )
+
+// known holds every document path scenario.Fields lists.
+var known = func() map[string]bool {
+	paths := make(map[string]bool, len(scenario.Fields))
+	for _, f := range scenario.Fields {
+		paths[f.Path] = true
+	}
+	return paths
+}()
+
+// topLevel lists a document's top-level keys in document order: its
+// four strings, then the table's top-level fields and sections.
+var topLevel = func() []string {
+	keys := []string{"spec", "name", "description", "profile"}
+	for _, f := range scenario.Fields {
+		if key, _, _ := strings.Cut(f.Path, "."); !slices.Contains(keys, key) {
+			keys = append(keys, key)
+		}
+	}
+	return keys
+}()
 
 // decode maps a parsed generic document onto a Spec. Unknown top-level
 // keys, unknown section fields, and wrongly-typed values are all
@@ -13,63 +35,46 @@ import (
 // an author fixes a document in one round trip.
 func decode(doc map[string]any) (*Spec, error) {
 	s := &Spec{values: map[string]*Num{}}
+	strs := map[string]*string{"spec": &s.Version, "name": &s.Name, "description": &s.Description, "profile": &s.Profile}
 	var errs []error
 	bad := func(path string, value any, reason string) {
 		errs = append(errs, &FieldError{Path: path, Value: value, Reason: reason})
 	}
-
-	sectionSet := make(map[string]bool, len(Sections))
-	for _, sec := range Sections {
-		sectionSet[sec] = true
+	num := func(path string, v any) {
+		if n, err := parseNum(path, v); err != nil {
+			errs = append(errs, err)
+		} else {
+			s.values[path] = n
+		}
 	}
 	for _, key := range sortedKeys(doc) {
 		v := doc[key]
-		switch key {
-		case "spec":
-			s.Version, _ = v.(string)
-			if _, ok := v.(string); !ok {
-				bad("spec", v, "must be a string")
+		if dst, ok := strs[key]; ok {
+			if *dst, ok = v.(string); !ok {
+				bad(key, v, "must be a string")
 			}
-		case "name":
-			s.Name, _ = v.(string)
-			if _, ok := v.(string); !ok {
-				bad("name", v, "must be a string")
-			}
-		case "description":
-			s.Description, _ = v.(string)
-			if _, ok := v.(string); !ok {
-				bad("description", v, "must be a string")
-			}
-		case "profile":
-			s.Profile, _ = v.(string)
-			if _, ok := v.(string); !ok {
-				bad("profile", v, "must be a string")
-			}
-		case "seed":
-			if i, ok := asInt64(v); ok {
-				s.Seed = &i
-			} else {
-				bad("seed", v, "must be an integer")
-			}
-		case "workers":
-			if i, ok := asInt64(v); ok {
-				w := int(i)
-				s.Workers = &w
-			} else {
-				bad("workers", v, "must be an integer")
-			}
-		default:
-			if !sectionSet[key] {
-				bad(key, v, fmt.Sprintf("unknown field (top-level fields: spec, name, description, "+
-					"profile, seed, workers, %s)", strings.Join(Sections, ", ")))
+			continue
+		}
+		if !slices.Contains(topLevel, key) {
+			bad(key, v, "unknown field (top-level fields: "+strings.Join(topLevel, ", ")+")")
+			continue
+		}
+		if known[key] {
+			num(key, v)
+			continue
+		}
+		sec, ok := v.(map[string]any)
+		if !ok {
+			bad(key, v, "must be a mapping")
+			continue
+		}
+		for _, k := range sortedKeys(sec) {
+			path := key + "." + k
+			if !known[path] {
+				bad(path, sec[k], "unknown field (see SCENARIOS.md for the field reference)")
 				continue
 			}
-			sec, ok := v.(map[string]any)
-			if !ok {
-				bad(key, v, "must be a mapping")
-				continue
-			}
-			errs = append(errs, decodeSection(s, key, sec)...)
+			num(path, sec[k])
 		}
 	}
 	if err := joinErrors(errs); err != nil {
@@ -78,28 +83,14 @@ func decode(doc map[string]any) (*Spec, error) {
 	return s, nil
 }
 
-// decodeSection decodes one section's fields against the schema index.
-func decodeSection(s *Spec, section string, sec map[string]any) []error {
-	var errs []error
-	for _, key := range sortedKeys(sec) {
-		path := section + "." + key
-		if _, known := schemaIndex[path]; !known {
-			errs = append(errs, &FieldError{Path: path, Value: sec[key],
-				Reason: "unknown field (see SCENARIOS.md for the field reference)"})
-			continue
-		}
-		n, err := parseNum(path, sec[key])
-		if err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		s.values[path] = n
-	}
-	return errs
-}
-
 // parseNum accepts a numeric literal or a {min, max} range mapping.
 func parseNum(path string, v any) (*Num, error) {
+	if i, ok := v.(int64); ok && (i > 1<<53 || i < -1<<53) {
+		// Refused, not rounded: a seed that became its float64
+		// neighbour would build another world.
+		return nil, &FieldError{Path: path, Value: v,
+			Reason: "lies beyond ±2^53, where a document number stops being exact"}
+	}
 	if f, ok := asFloat(v); ok {
 		return &Num{Literal: f}, nil
 	}
@@ -133,17 +124,4 @@ func asFloat(v any) (float64, bool) {
 	default:
 		return 0, false
 	}
-}
-
-// asInt64 accepts integers and integral floats.
-func asInt64(v any) (int64, bool) {
-	switch t := v.(type) {
-	case int64:
-		return t, true
-	case float64:
-		if t == math.Trunc(t) {
-			return int64(t), true
-		}
-	}
-	return 0, false
 }

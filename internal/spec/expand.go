@@ -73,7 +73,7 @@ func (e *Expansion) MarshalCanonical() ([]byte, error) {
 }
 
 // Flatten renders the expansion's Config as sorted "path = value"
-// lines ("topology.NumTier1 = 12") — the text output of scengen
+// lines ("Topology.NumTier1 = 12") — the text output of scengen
 // -expand and the vocabulary of Diff.
 func (e *Expansion) Flatten() ([]string, error) {
 	flat, err := flatten(e.Config)

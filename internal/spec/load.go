@@ -10,14 +10,14 @@ import (
 	"strings"
 )
 
-// Load reads a spec file and parses it (YAML by default; JSON for
-// .json files), recording the path as the spec's Source.
+// Load reads a spec file and parses it, recording the path as the
+// spec's Source.
 func Load(path string) (*Spec, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	s, err := Parse(path, data, formatOf(path))
+	s, err := Parse(path, data)
 	if err != nil {
 		return nil, err
 	}
@@ -25,16 +25,36 @@ func Load(path string) (*Spec, error) {
 	return s, nil
 }
 
+// Files lists the spec documents (*.yaml, *.yml, *.json) at the top
+// level of dir, sorted: the corpus of scengen list and of routelabd
+// -scenario-dir. Subdirectories, such as a corpus's goldens, are not
+// read.
+func Files(dir string) ([]string, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var out []string
+	for _, e := range entries {
+		ext := strings.ToLower(filepath.Ext(e.Name()))
+		if !e.IsDir() && (ext == ".yaml" || ext == ".yml" || ext == ".json") {
+			out = append(out, filepath.Join(dir, e.Name()))
+		}
+	}
+	return out, nil
+}
+
 // Parse decodes and validates a document from bytes. The pipeline, in
 // order (DESIGN.md §13):
 //
-//  1. Parse the bytes into the generic document form (format is "yaml"
-//     or "json"; the name labels parse errors).
-//  2. Decode the document against the schema (unknown fields are
+//  1. Parse the bytes into the generic document form: JSON when the
+//     first non-blank byte is '{', YAML otherwise (the name labels
+//     parse errors).
+//  2. Decode the document against scenario.Fields (unknown fields are
 //     errors, never silently dropped).
 //  3. Validate (see Spec.Validate).
-func Parse(name string, data []byte, format string) (*Spec, error) {
-	doc, err := parseDoc(name, data, format)
+func Parse(name string, data []byte) (*Spec, error) {
+	doc, err := parseDoc(name, data)
 	if err != nil {
 		return nil, err
 	}
@@ -48,34 +68,20 @@ func Parse(name string, data []byte, format string) (*Spec, error) {
 	return s, nil
 }
 
-// formatOf picks the parser by extension.
-func formatOf(path string) string {
-	if strings.EqualFold(filepath.Ext(path), ".json") {
-		return "json"
-	}
-	return "yaml"
-}
-
-// parseDoc parses bytes into the generic document form.
-func parseDoc(name string, data []byte, format string) (map[string]any, error) {
-	switch format {
-	case "json":
-		dec := json.NewDecoder(bytes.NewReader(data))
-		dec.UseNumber()
-		var v any
-		if err := dec.Decode(&v); err != nil {
-			return nil, &ParseError{File: name, Msg: "invalid JSON: " + err.Error()}
-		}
-		doc, ok := normalizeJSON(v).(map[string]any)
-		if !ok {
-			return nil, &ParseError{File: name, Msg: "top level must be an object"}
-		}
-		return doc, nil
-	case "yaml":
+// parseDoc parses bytes into the generic document form, choosing the
+// parser from the document's first non-blank byte.
+func parseDoc(name string, data []byte) (map[string]any, error) {
+	if b := bytes.TrimLeft(data, " \t\r\n"); len(b) == 0 || b[0] != '{' {
 		return parseYAML(name, data)
-	default:
-		return nil, fmt.Errorf("spec: unknown format %q (have yaml, json)", format)
 	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.UseNumber()
+	var doc map[string]any
+	if err := dec.Decode(&doc); err != nil {
+		return nil, &ParseError{File: name, Msg: "invalid JSON: " + err.Error()}
+	}
+	normalizeJSON(doc)
+	return doc, nil
 }
 
 // normalizeJSON rewrites json.Number into int64 when integral, float64

@@ -138,28 +138,24 @@ type Spec struct {
 	Description string
 	// Profile names the role-default base Config ("paper" when empty).
 	Profile string
-	// Seed overrides the profile's master seed.
-	Seed *int64
-	// Workers overrides RoutingWorkers (parallelism only — never
-	// output bytes; see internal/parallel).
-	Workers *int
 	// Source is the path the spec was loaded from ("" for Parse).
 	Source string
 
-	// values holds the explicit field overrides keyed by schema path
-	// ("topology.tier1s"). Fields absent here inherit the profile.
+	// values holds the explicit field overrides keyed by document path
+	// ("seed", "topology.tier1s"). Fields absent here inherit the
+	// profile.
 	values map[string]*Num
 }
 
 var nameRE = regexp.MustCompile(`^[a-z0-9][a-z0-9._-]*$`)
 
-// Validate checks the document against the schema: envelope version,
-// name shape, known profile, and every explicit field's kind rules
-// (counts are non-negative integers, rates live in [0, 1], ranges need
-// min <= max). It returns nil or one *FieldError per problem, joined —
-// the same contract as scenario.Config.Validate, but with spec-file
-// field paths (e.g. "policy.hybrid_link_rate") so cmd/scengen can
-// point at the offending line of the document.
+// Validate checks the document: envelope version, name shape, known
+// profile, and every explicit field — a literal, or both ends of a
+// range — against its scenario.Fields bound, so whether a document is
+// valid never depends on its seed. It returns nil or one *FieldError
+// per problem, joined — the same contract as scenario.Config.Validate,
+// but with document paths (e.g. "policy.hybrid_link_rate") so
+// cmd/scengen can point at the offending line of the document.
 func (s *Spec) Validate() error {
 	var errs []error
 	bad := func(path string, value any, reason string) {
@@ -176,26 +172,40 @@ func (s *Spec) Validate() error {
 	if _, err := ProfileConfig(s.Profile); err != nil {
 		errs = append(errs, err)
 	}
-	if s.Workers != nil && *s.Workers < 0 {
-		bad("workers", *s.Workers, "must be >= 0 (0 selects GOMAXPROCS)")
-	}
-	for _, def := range schema {
-		n, ok := s.values[def.path]
+	for _, f := range scenario.Fields {
+		n, ok := s.values[f.Path]
 		if !ok {
 			continue
 		}
-		if err := def.check(def.path, n); err != nil {
-			errs = append(errs, err)
+		ends := []float64{n.Literal}
+		if n.Ranged {
+			rng := fmt.Sprintf("{min: %v, max: %v}", n.Min, n.Max)
+			if f.Bound == scenario.Seed {
+				bad(f.Path, rng, "seeds cannot be ranged; a rolled seed would make the run irreproducible")
+				continue
+			}
+			if n.Min > n.Max {
+				bad(f.Path, rng, "range needs min <= max")
+				continue
+			}
+			ends = []float64{n.Min, n.Max}
+		}
+		for _, v := range ends {
+			if reason := f.Bound.Check(v); reason != "" {
+				bad(f.Path, v, reason)
+				break
+			}
 		}
 	}
 	return joinErrors(errs)
 }
 
 // Compile resolves the spec to a concrete scenario.Config: profile
-// defaults first, then every explicit field in schema order, with
-// ranged values drawn from the resolved seed. The result is validated
-// with scenario.Config.Validate before it is returned, so a Config
-// obtained here is always buildable.
+// defaults first, then every explicit field in scenario.Fields order,
+// with ranged values drawn from the seed as it stands (the table lists
+// the seed first). The result is validated with
+// scenario.Config.Validate before it is returned, so a Config obtained
+// here is always buildable.
 func (s *Spec) Compile() (scenario.Config, error) {
 	if err := s.Validate(); err != nil {
 		return scenario.Config{}, err
@@ -204,18 +214,16 @@ func (s *Spec) Compile() (scenario.Config, error) {
 	if err != nil {
 		return scenario.Config{}, err
 	}
-	if s.Seed != nil {
-		cfg.Seed = *s.Seed
-	}
-	if s.Workers != nil {
-		cfg.RoutingWorkers = *s.Workers
-	}
-	for _, def := range schema {
-		n, ok := s.values[def.path]
+	for _, f := range scenario.Fields {
+		n, ok := s.values[f.Path]
 		if !ok {
 			continue
 		}
-		def.set(&cfg, n, cfg.Seed)
+		v := n.Float(cfg.Seed, f.Path)
+		if f.Bound.Integer() {
+			v = float64(n.Int(cfg.Seed, f.Path))
+		}
+		f.Set(&cfg, v)
 	}
 	if err := cfg.Validate(); err != nil {
 		return scenario.Config{}, fmt.Errorf("spec %s: compiled config invalid: %w", s.Name, err)

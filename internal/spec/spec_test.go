@@ -2,6 +2,7 @@ package spec
 
 import (
 	"errors"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -12,7 +13,7 @@ import (
 
 func mustParse(t *testing.T, doc string) *Spec {
 	t.Helper()
-	s, err := Parse("inline.yaml", []byte(doc), "yaml")
+	s, err := Parse("inline.yaml", []byte(doc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,11 +152,14 @@ func TestInvalidFixtures(t *testing.T) {
 		{"bad-name.yaml", "must match [a-z0-9]", "field", 0},
 		{"unknown-field.yaml", "unknown field", "field", 0},
 		{"unknown-section.yaml", "unknown field", "field", 0},
+		{"dotted-key.yaml", "invalid field topology.tier1s = 5: unknown field", "field", 0},
 		{"bad-rate.yaml", "probability in [0, 1]", "field", 0},
 		{"bad-range.yaml", "min <= max", "field", 0},
 		{"seed-range.yaml", "seeds cannot be ranged", "field", 0},
 		{"count-float.yaml", "must be an integer", "field", 0},
 		{"negative-count.yaml", "must be >= 0", "field", 0},
+		{"zero-probes.yaml", "campaign.probes = 0: must be >= 1", "field", 0},
+		{"huge-seed.yaml", "seed = 9007199254740993: lies beyond ±2^53", "field", 0},
 		{"bad-profile.yaml", "unknown profile", "field", 0},
 		{"tab.yaml", "tab in indentation", "parse", 2},
 		{"sequence.yaml", "sequences are outside the supported YAML subset", "parse", 6},
@@ -183,6 +187,19 @@ func TestInvalidFixtures(t *testing.T) {
 			} else if pe.Line != tc.wantLine {
 				t.Errorf("%s: parse error on line %d, want %d", tc.file, pe.Line, tc.wantLine)
 			}
+		}
+	}
+}
+
+// A range is checked at both ends against the field's bound, so a
+// document is valid or invalid whatever its seed draws.
+func TestRangeBoundsIndependentOfSeed(t *testing.T) {
+	for _, seed := range []int{1, 2015} {
+		doc := fmt.Sprintf("spec: routelab-spec/v1\nname: r\nprofile: test\nseed: %d\ncampaign:\n  probes: {min: 0, max: 3}\n", seed)
+		_, err := Parse("range.yaml", []byte(doc))
+		fes := fieldErrors(err)
+		if len(fes) != 1 || fes[0].Path != "campaign.probes" {
+			t.Errorf("seed %d: error %v, want one FieldError for campaign.probes", seed, err)
 		}
 	}
 }
@@ -231,7 +248,7 @@ topology:
   tier1s: -1
 policy:
   hybrid_link_rate: 2.0
-`), "yaml")
+`))
 	if err == nil {
 		t.Fatal("two bad fields accepted")
 	}
@@ -261,11 +278,12 @@ policy:
   "topology": {"tier1s": 8},
   "policy": {"hybrid_link_rate": 0.2}
 }`
-	a, err := Parse("twin.yaml", []byte(yml), "yaml")
+	// The bytes pick the parser, not the name.
+	a, err := Parse("twin.json", []byte(yml))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Parse("twin.json", []byte(jsn), "json")
+	b, err := Parse("twin.yaml", []byte(jsn))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,8 +301,8 @@ policy:
 }
 
 func TestConcurrentExpansion(t *testing.T) {
-	// Expansion reads only shared package state (the schema, its
-	// index, the profiles, the sections list) and builds everything
+	// Expansion reads only shared package state (the field table, its
+	// path set, the top-level keys, the profiles) and builds everything
 	// else per call; expanding the same spec from many goroutines must
 	// be race-free (run under -race) and byte-identical.
 	path := filepath.Join("..", "..", "scenarios", "valley-heavy.yaml")

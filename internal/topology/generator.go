@@ -236,16 +236,15 @@ func (g *generator) newAS(class Class, home geo.CountryCode, cities []geo.CityID
 		Registry: registry.RIRForContinent(cont),
 		Email:    "noc@" + domain,
 	}
-	// Multinational ASes show different countries in other RIRs.
+	// Multinational ASes once drew a divergent registration in each
+	// other RIR. Nothing reads one, but the draws stay, results
+	// discarded, so that no later draw moves; they go when the
+	// generator draws by identity (ROADMAP item 8).
 	if class == Tier1 || (class == LargeISP && g.rng.Float64() < 0.25) {
-		rec.AltCountries = map[registry.RIR]geo.CountryCode{}
 		for _, oc := range []geo.Continent{geo.EU, geo.NA, geo.AS} {
-			rir := registry.RIRForContinent(oc)
-			if rir == rec.Registry {
-				continue
+			if registry.RIRForContinent(oc) != rec.Registry {
+				g.rng.Intn(len(g.w.Countries(oc)))
 			}
-			cs := g.w.Countries(oc)
-			rec.AltCountries[rir] = cs[g.rng.Intn(len(cs))]
 		}
 	}
 	if err := g.topo.Registry.AddAS(rec); err != nil {
