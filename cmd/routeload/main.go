@@ -1,10 +1,12 @@
 // Command routeload drives a running routelabd fleet with N concurrent
 // clients over a mixed scenario/endpoint schedule, builds a
-// routelab-load/v1 report (throughput, p50/p90/p99 latency, time-
-// bucketed histograms, error/shed/cache rates, per-endpoint and
-// per-scenario breakdowns) and writes it. It exits 1 when any request
-// failed, after the report is written, so a shell step needs nothing
-// after it.
+// routelab-load/v1 report and writes it. The report holds the run's
+// throughput, cache-hit rate, request, error and clean-shed counts and
+// p50/p90/p99 latency, and the same counts per endpoint, per scenario
+// and per second of the run (the one-second buckets form a latency
+// histogram over time); one tally counts every slice. It exits 1 when
+// any request failed, after the report is written, so a shell step
+// needs nothing after it.
 //
 // Usage:
 //
@@ -19,8 +21,6 @@
 //	                 one warm connection per client)
 //	-requests N      total request budget across all clients (default
 //	                 200)
-//	-bucket D        time-bucket width for the latency histogram
-//	                 (default 1s; 0 disables bucketing)
 //	-spread N        vary the experiments endpoint's seed over N
 //	                 distinct values (0 = off). Concurrent requests to
 //	                 one URL coalesce server-side and coalesced waiters
@@ -39,7 +39,8 @@
 //
 // The schedule is deterministic: request j targets urls[j mod len] and
 // walks the endpoint mix in order, jobs handed to clients in order.
-// Every response body is validated against routelab-api/v1; a
+// Every response, warmup's included, is read by one function (fetch),
+// which validates its body against routelab-api/v1; in the run, a
 // transport error, an unexpected status, or an invalid envelope counts
 // as an error in the report. A 429 whose envelope carries the
 // "overloaded" code AND a Retry-After header is a CLEAN SHED — counted
@@ -73,7 +74,6 @@ func main() {
 		scenarios = flag.String("scenarios", "", "comma-separated scenario ids (default: all registered)")
 		clients   = flag.Int("clients", 8, "concurrent clients")
 		requests  = flag.Int("requests", 200, "total request budget")
-		bucket    = flag.Duration("bucket", time.Second, "time-bucket width for the latency histogram (0 = no buckets)")
 		spread    = flag.Int("spread", 0, "vary the experiments endpoint's seed over N distinct values (defeats response-cache coalescing; <=1 = off)")
 		cold      = flag.String("cold", "", "comma-separated scenario ids to drive WITHOUT warmup (healthz only; the first touch triggers the build)")
 		timeout   = flag.Duration("timeout", 5*time.Minute, "per-request client timeout")
@@ -105,7 +105,7 @@ func main() {
 		len(ids), ids, *clients, *requests)
 
 	rep, err := drive(client, base, "routeload "+strings.Join(os.Args[1:], " "),
-		ids, splitIDs(*cold), *clients, *requests, *spread, *bucket)
+		ids, splitIDs(*cold), *clients, *requests, *spread)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "routeload:", err)
 		os.Exit(1)
@@ -138,7 +138,7 @@ func newClient(clients int, timeout time.Duration) *http.Client {
 // drive is the measurement: warm up every id in ids, add one healthz
 // target per cold id, run the schedule and aggregate it into the
 // routelab-load/v1 report.
-func drive(client *http.Client, base, command string, ids, cold []string, clients, requests, spread int, bucket time.Duration) (LoadReport, error) {
+func drive(client *http.Client, base, command string, ids, cold []string, clients, requests, spread int) (LoadReport, error) {
 	// Warmup: build every scenario and discover per-scenario request
 	// parameters before the clock starts.
 	var urls []target
@@ -164,7 +164,7 @@ func drive(client *http.Client, base, command string, ids, cold []string, client
 	}
 
 	samples, wallNS := run(client, urls, clients, spread, requests)
-	return BuildLoadReport(command, base, ids, clients, wallNS, int64(bucket), samples), nil
+	return BuildLoadReport(command, base, ids, clients, wallNS, samples), nil
 }
 
 func splitIDs(s string) []string {
@@ -206,20 +206,15 @@ func (t target) at(j, spread int) target {
 
 // discoverScenarios asks the fleet for its registered ids.
 func discoverScenarios(client *http.Client, base string) ([]string, error) {
-	resp, err := client.Get(base + "/v1/scenarios")
-	if err != nil {
-		return nil, err
+	r, err := fetch(client, base+"/v1/scenarios", "")
+	if r.status != 0 && r.status != http.StatusOK {
+		return nil, fmt.Errorf("GET /v1/scenarios: status %d (is -addr a routelabd? every routelabd answers it)", r.status)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET /v1/scenarios: status %d (is -addr a routelabd? every routelabd answers it)", resp.StatusCode)
-	}
-	env, err := service.ReadEnvelope(resp.Body)
 	if err != nil {
 		return nil, err
 	}
 	var data service.ScenariosData
-	if err := unmarshalData(env, "scenarios", &data); err != nil {
+	if err := unmarshalData(r.env, "scenarios", &data); err != nil {
 		return nil, err
 	}
 	if len(data.Scenarios) == 0 {
@@ -246,20 +241,14 @@ func warmup(client *http.Client, base, id string) ([]target, error) {
 	var classify service.ClassifyData
 	for t := 0; t < 200; t++ {
 		u := fmt.Sprintf("%s/classify?trace=%d", prefix, t)
-		resp, err := client.Get(u)
-		if err != nil {
-			return nil, err
-		}
-		if resp.StatusCode != http.StatusOK {
-			resp.Body.Close()
+		r, err := fetch(client, u, "")
+		if r.status != 0 && r.status != http.StatusOK {
 			continue
 		}
-		env, err := service.ReadEnvelope(resp.Body)
-		resp.Body.Close()
 		if err != nil {
 			return nil, err
 		}
-		if err := unmarshalData(env, "classify", &classify); err != nil {
+		if err := unmarshalData(r.env, "classify", &classify); err != nil {
 			return nil, err
 		}
 		classifyURL = u
@@ -296,85 +285,99 @@ func unmarshalData(env service.Envelope, kind string, v any) error {
 	return json.Unmarshal(env.Data, v)
 }
 
+// response is what routeload reads of one reply: its status, its
+// service.CacheHeader, whether it advertises Retry-After, and its
+// routelab-api/v1 envelope.
+type response struct {
+	status     int
+	cache      string
+	retryAfter bool
+	env        service.Envelope
+}
+
+// fetch issues one request — GET, or POST when body is not empty — and
+// reads the reply. Every routeload request goes through it. The error
+// is the transport's (status 0) or the envelope's, which names the URL
+// (status set).
+func fetch(client *http.Client, url, body string) (response, error) {
+	var resp *http.Response
+	var err error
+	if body != "" {
+		resp, err = client.Post(url, "application/json", strings.NewReader(body))
+	} else {
+		resp, err = client.Get(url)
+	}
+	if err != nil {
+		return response{}, err
+	}
+	defer resp.Body.Close()
+	r := response{
+		status:     resp.StatusCode,
+		cache:      resp.Header.Get(service.CacheHeader),
+		retryAfter: resp.Header.Get("Retry-After") != "",
+	}
+	if r.env, err = service.ReadEnvelope(resp.Body); err != nil {
+		return r, fmt.Errorf("%s: %w", url, err)
+	}
+	return r, nil
+}
+
 // healthz issues one GET to a healthz URL and validates the envelope;
 // any status but 200 is an error naming the status and the error
 // envelope's code and message.
 func healthz(client *http.Client, url string) error {
-	resp, err := client.Get(url)
-	if err != nil {
+	r, err := fetch(client, url, "")
+	if err != nil || r.status == http.StatusOK {
 		return err
 	}
-	defer resp.Body.Close()
-	env, err := service.ReadEnvelope(resp.Body)
-	if err != nil {
-		return fmt.Errorf("%s: %w", url, err)
-	}
-	if resp.StatusCode == http.StatusOK {
-		return nil
-	}
 	var ed service.ErrorData
-	if err := unmarshalData(env, "error", &ed); err != nil {
-		return fmt.Errorf("healthz: status %d: %w", resp.StatusCode, err)
+	if err := unmarshalData(r.env, "error", &ed); err != nil {
+		return fmt.Errorf("healthz: status %d: %w", r.status, err)
 	}
-	return fmt.Errorf("healthz: status %d (%s): %s", resp.StatusCode, ed.Code, ed.Error)
+	return fmt.Errorf("healthz: status %d (%s): %s", r.status, ed.Code, ed.Error)
 }
 
-// do issues one scheduled request — GET, or POST when the target
-// carries a body — and validates the response envelope. shed reports a
-// clean shed: status 429 whose envelope carries the "overloaded" code
+// do issues one scheduled request and validates its reply. shed reports
+// a clean shed: status 429 whose envelope carries the "overloaded" code
 // and whose response advertises Retry-After. A 429 without both is NOT
 // a shed — it stays an error, so a server that refuses without telling
 // clients when to come back fails the harness.
-func do(client *http.Client, t target) (status int, cacheHdr string, shed bool, err error) {
-	var resp *http.Response
-	if t.body != "" {
-		resp, err = client.Post(t.url, "application/json", strings.NewReader(t.body))
-	} else {
-		resp, err = client.Get(t.url)
+func do(client *http.Client, t target) (r response, shed bool, err error) {
+	r, err = fetch(client, t.url, t.body)
+	if err != nil || r.status != http.StatusTooManyRequests {
+		return r, false, err
 	}
-	if err != nil {
-		return 0, "", false, err
+	var ed service.ErrorData
+	if err := json.Unmarshal(r.env.Data, &ed); err != nil {
+		return r, false, fmt.Errorf("%s: 429 payload: %w", t.url, err)
 	}
-	defer resp.Body.Close()
-	cacheHdr = resp.Header.Get(service.CacheHeader)
-	env, err := service.ReadEnvelope(resp.Body)
-	if err != nil {
-		return resp.StatusCode, cacheHdr, false, fmt.Errorf("%s: %w", t.url, err)
+	if ed.Code != service.CodeOverloaded {
+		return r, false, fmt.Errorf("%s: 429 with code %q, want %q", t.url, ed.Code, service.CodeOverloaded)
 	}
-	if resp.StatusCode == http.StatusTooManyRequests {
-		var ed service.ErrorData
-		if jerr := json.Unmarshal(env.Data, &ed); jerr != nil {
-			return resp.StatusCode, cacheHdr, false, fmt.Errorf("%s: 429 payload: %w", t.url, jerr)
-		}
-		if ed.Code != service.CodeOverloaded {
-			return resp.StatusCode, cacheHdr, false, fmt.Errorf("%s: 429 with code %q, want %q", t.url, ed.Code, service.CodeOverloaded)
-		}
-		if resp.Header.Get("Retry-After") == "" {
-			return resp.StatusCode, cacheHdr, false, fmt.Errorf("%s: 429 without Retry-After", t.url)
-		}
-		return resp.StatusCode, cacheHdr, true, nil
+	if !r.retryAfter {
+		return r, false, fmt.Errorf("%s: 429 without Retry-After", t.url)
 	}
-	return resp.StatusCode, cacheHdr, false, nil
+	return r, true, nil
 }
 
 // sample issues one scheduled request and records its outcome relative
 // to the run's start.
 func sample(client *http.Client, t target, start time.Time) LoadSample {
 	reqStart := time.Now()
-	status, cacheHdr, shed, err := do(client, t)
+	r, shed, err := do(client, t)
 	s := LoadSample{
 		Scenario:  t.scenario,
 		Endpoint:  t.endpoint,
 		StartNS:   int64(reqStart.Sub(start)),
 		LatencyNS: int64(time.Since(reqStart)),
-		Status:    status,
-		Cache:     cacheHdr,
-		Failed:    err != nil || (status != http.StatusOK && !shed),
+		Status:    r.status,
+		Cache:     r.cache,
+		Failed:    err != nil || (r.status != http.StatusOK && !shed),
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "routeload: %v\n", err)
-	} else if status != http.StatusOK && !shed {
-		fmt.Fprintf(os.Stderr, "routeload: %s: status %d\n", t.url, status)
+	} else if r.status != http.StatusOK && !shed {
+		fmt.Fprintf(os.Stderr, "routeload: %s: status %d\n", t.url, r.status)
 	}
 	return s
 }
@@ -406,7 +409,6 @@ func run(client *http.Client, urls []target, clients, spread, requests int) (sam
 }
 
 func printSummary(out io.Writer, rep LoadReport) {
-	ms := func(ns int64) float64 { return float64(ns) / 1e6 }
 	fmt.Fprintf(out, "%s: %d requests, %d clients, %d scenario(s), %.1fs wall\n",
 		rep.Schema, rep.Requests, rep.Clients, len(rep.Scenarios), float64(rep.WallNS)/1e9)
 	fmt.Fprintf(out, "throughput %.1f req/s, errors %d (%.2f%%), sheds %d (%.2f%%), cache hit rate %.1f%% (%d/%d counted)\n",
@@ -417,22 +419,25 @@ func printSummary(out io.Writer, rep LoadReport) {
 	w := tabwriter.NewWriter(out, 2, 8, 2, ' ', 0)
 	fmt.Fprintln(w, "endpoint\trequests\terrors\tsheds\tp50 ms\tp99 ms")
 	for _, ep := range rep.Endpoints {
-		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%.1f\t%.1f\n",
-			ep.Endpoint, ep.Requests, ep.Errors, ep.Sheds, ms(ep.Latency.P50NS), ms(ep.Latency.P99NS))
+		printRow(w, ep.Endpoint, ep.Requests, ep.Errors, ep.Sheds, ep.Latency)
 	}
 	w.Flush()
 	for _, sc := range rep.PerScenario {
 		fmt.Fprintf(out, "scenario %s: %d requests, %d errors, %d sheds\n", sc.Scenario, sc.Requests, sc.Errors, sc.Sheds)
 	}
-	if len(rep.Buckets) > 0 {
-		fmt.Fprintf(out, "histogram: %d buckets of %v\n", len(rep.Buckets), time.Duration(rep.BucketNS))
-		bw := tabwriter.NewWriter(out, 2, 8, 2, ' ', 0)
-		fmt.Fprintln(bw, "t\trequests\terrors\tsheds\tp50 ms\tp99 ms")
-		for _, b := range rep.Buckets {
-			fmt.Fprintf(bw, "%v\t%d\t%d\t%d\t%.1f\t%.1f\n",
-				time.Duration(b.StartNS), b.Requests, b.Errors, b.Sheds,
-				ms(b.Latency.P50NS), ms(b.Latency.P99NS))
-		}
-		bw.Flush()
+	fmt.Fprintf(out, "histogram: %d buckets of %v\n", len(rep.Buckets), time.Duration(rep.BucketNS))
+	w = tabwriter.NewWriter(out, 2, 8, 2, ' ', 0)
+	fmt.Fprintln(w, "t\trequests\terrors\tsheds\tp50 ms\tp99 ms")
+	for _, b := range rep.Buckets {
+		printRow(w, time.Duration(b.StartNS).String(), b.Requests, b.Errors, b.Sheds, b.Latency)
 	}
+	w.Flush()
 }
+
+// printRow prints one slice of the run as a row of printSummary's
+// endpoint or bucket table.
+func printRow(w io.Writer, label string, requests, errors, sheds int64, l LoadLatency) {
+	fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%.1f\t%.1f\n", label, requests, errors, sheds, ms(l.P50NS), ms(l.P99NS))
+}
+
+func ms(ns int64) float64 { return float64(ns) / 1e6 }

@@ -147,7 +147,7 @@ func serve(t *testing.T, h http.Handler) *httptest.Server {
 func driveFleet(t *testing.T, ts *httptest.Server, ids, cold []string, clients, requests, spread int) LoadReport {
 	t.Helper()
 	rep, err := drive(newClient(clients, time.Minute), ts.URL, "routeload (test)",
-		ids, cold, clients, requests, spread, time.Second)
+		ids, cold, clients, requests, spread)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,5 +253,19 @@ func TestNotARoutelabd(t *testing.T) {
 	log, code := runMain(t, ts, "-out", "")
 	if code != 1 || !strings.Contains(log, "is -addr a routelabd?") {
 		t.Errorf("exit %d, want 1 and a message asking whether -addr is a routelabd:\n%s", code, log)
+	}
+}
+
+// The report is always bucketed by the second: there is no -bucket
+// flag, and routeload refuses it with exit 2 before any request.
+func TestBucketFlagRefused(t *testing.T) {
+	var n atomic.Int64
+	ts := serve(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { n.Add(1) }))
+	log, code := runMain(t, ts, "-bucket", "1s", "-out", "")
+	if code != 2 || !strings.Contains(log, "-bucket") {
+		t.Errorf("exit %d, want 2 and a message naming -bucket:\n%s", code, log)
+	}
+	if got := n.Load(); got != 0 {
+		t.Errorf("a refused flag made %d requests, want none", got)
 	}
 }

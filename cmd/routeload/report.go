@@ -6,7 +6,9 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
+	"time"
 )
 
 // LoadSchema identifies the load-harness emission: routeload builds
@@ -69,9 +71,12 @@ type LoadBucket struct {
 	Latency  LoadLatency `json:"latency"`
 }
 
+// LoadBucketNS is the width of a report's time buckets: one second.
+const LoadBucketNS = int64(time.Second)
+
 // LoadReport is the routelab-load/v1 emission: the whole run's
 // throughput, latency distribution, error and cache-hit rates, plus
-// per-endpoint and per-scenario breakdowns.
+// per-endpoint, per-scenario and per-second breakdowns.
 type LoadReport struct {
 	Schema     string `json:"schema"`
 	Command    string `json:"command"`
@@ -95,10 +100,10 @@ type LoadReport struct {
 	CacheMisses  int64       `json:"cache_misses"`
 	CacheHitRate float64     `json:"cache_hit_rate"`
 
-	// BucketNS is the time-bucket width; Buckets tile [0, WallNS)
-	// contiguously from the run's start (empty slices included, so
-	// bucket i always covers [i*BucketNS, (i+1)*BucketNS)). Both are
-	// omitted when the harness ran without bucketing.
+	// BucketNS is always LoadBucketNS. Buckets tile the run
+	// contiguously from its start through the last sample's bucket
+	// (empty slices included, so bucket i always covers
+	// [i*BucketNS, (i+1)*BucketNS)).
 	BucketNS int64        `json:"bucket_ns,omitempty"`
 	Buckets  []LoadBucket `json:"buckets,omitempty"`
 
@@ -122,28 +127,68 @@ func percentile(sorted []int64, q float64) int64 {
 	return sorted[idx]
 }
 
-// latencyOf summarizes a latency sample set.
-func latencyOf(ns []int64) LoadLatency {
-	if len(ns) == 0 {
+// A tally is one slice of a run: the requests, errors, clean sheds and
+// latencies of the samples added to it. The run's total, each
+// endpoint, each scenario and each bucket is one.
+type tally struct {
+	requests, errors, sheds int64
+	latencies               []int64
+}
+
+func (t *tally) add(s LoadSample) {
+	t.requests++
+	if s.Failed {
+		t.errors++
+	}
+	if s.Shed() {
+		t.sheds++
+	}
+	t.latencies = append(t.latencies, s.LatencyNS)
+}
+
+// latency summarizes the slice's latencies, sorting them in place.
+func (t *tally) latency() LoadLatency {
+	if len(t.latencies) == 0 {
 		return LoadLatency{}
 	}
-	sorted := append([]int64(nil), ns...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	slices.Sort(t.latencies)
 	return LoadLatency{
-		P50NS: percentile(sorted, 0.50),
-		P90NS: percentile(sorted, 0.90),
-		P99NS: percentile(sorted, 0.99),
-		MaxNS: sorted[len(sorted)-1],
+		P50NS: percentile(t.latencies, 0.50),
+		P90NS: percentile(t.latencies, 0.90),
+		P99NS: percentile(t.latencies, 0.99),
+		MaxNS: t.latencies[len(t.latencies)-1],
 	}
+}
+
+// tallyOf returns the tally filed under k, making it on first use.
+func tallyOf(m map[string]*tally, k string) *tally {
+	t := m[k]
+	if t == nil {
+		t = &tally{}
+		m[k] = t
+	}
+	return t
+}
+
+// sortedKeys returns m's keys in order (maporder: map iteration order
+// is randomized, so breakdowns are published in key order).
+func sortedKeys(m map[string]*tally) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // BuildLoadReport aggregates a run's samples into the versioned
 // emission. It is a pure function of its inputs (the harness measures
 // wall time and passes it in), so the same samples always aggregate to
-// the same report. bucketNS > 0 additionally tiles the run into
-// contiguous time buckets by each sample's StartNS; <= 0 omits
-// buckets (the pre-histogram report shape).
-func BuildLoadReport(command, target string, scenarios []string, clients int, wallNS, bucketNS int64, samples []LoadSample) LoadReport {
+// the same report. Each sample is added to the run's total, to its
+// endpoint, to its scenario (fleet-level samples have none) and to the
+// one-second bucket its StartNS falls in (a negative StartNS falls in
+// the first).
+func BuildLoadReport(command, target string, scenarios []string, clients int, wallNS int64, samples []LoadSample) LoadReport {
 	rep := LoadReport{
 		Schema:     LoadSchema,
 		Command:    command,
@@ -155,33 +200,35 @@ func BuildLoadReport(command, target string, scenarios []string, clients int, wa
 		Clients:    clients,
 		Scenarios:  append([]string(nil), scenarios...),
 		WallNS:     wallNS,
+		BucketNS:   LoadBucketNS,
 	}
 	sort.Strings(rep.Scenarios)
 
-	all := make([]int64, 0, len(samples))
-	byEndpoint := make(map[string][]LoadSample)
-	byScenario := make(map[string][]LoadSample)
+	var total tally
+	byEndpoint := map[string]*tally{}
+	byScenario := map[string]*tally{}
+	var buckets []tally
 	for _, s := range samples {
-		rep.Requests++
-		if s.Failed {
-			rep.Errors++
+		i := max(s.StartNS, 0) / LoadBucketNS
+		for int64(len(buckets)) <= i {
+			buckets = append(buckets, tally{})
 		}
-		if s.Shed() {
-			rep.Sheds++
+		total.add(s)
+		tallyOf(byEndpoint, s.Endpoint).add(s)
+		if s.Scenario != "" {
+			tallyOf(byScenario, s.Scenario).add(s)
 		}
+		buckets[i].add(s)
 		switch s.Cache {
 		case "hit":
 			rep.CacheHits++
 		case "miss":
 			rep.CacheMisses++
 		}
-		all = append(all, s.LatencyNS)
-		byEndpoint[s.Endpoint] = append(byEndpoint[s.Endpoint], s)
-		if s.Scenario != "" {
-			byScenario[s.Scenario] = append(byScenario[s.Scenario], s)
-		}
 	}
-	rep.Latency = latencyOf(all)
+
+	rep.Requests, rep.Errors, rep.Sheds = total.requests, total.errors, total.sheds
+	rep.Latency = total.latency()
 	if rep.Requests > 0 {
 		rep.ErrorRate = float64(rep.Errors) / float64(rep.Requests)
 		rep.ShedRate = float64(rep.Sheds) / float64(rep.Requests)
@@ -192,99 +239,63 @@ func BuildLoadReport(command, target string, scenarios []string, clients int, wa
 	if wallNS > 0 {
 		rep.Throughput = float64(rep.Requests) / (float64(wallNS) / 1e9)
 	}
-
-	// Collect map keys into locals and sort before publishing
-	// (maporder: iteration order is randomized).
-	endpoints := make([]string, 0, len(byEndpoint))
-	for name := range byEndpoint {
-		endpoints = append(endpoints, name)
+	for _, name := range sortedKeys(byEndpoint) {
+		t := byEndpoint[name]
+		rep.Endpoints = append(rep.Endpoints, LoadEndpoint{Endpoint: name,
+			Requests: t.requests, Errors: t.errors, Sheds: t.sheds, Latency: t.latency()})
 	}
-	sort.Strings(endpoints)
-	for _, name := range endpoints {
-		ss := byEndpoint[name]
-		ep := LoadEndpoint{Endpoint: name}
-		ns := make([]int64, 0, len(ss))
-		for _, s := range ss {
-			ep.Requests++
-			if s.Failed {
-				ep.Errors++
-			}
-			if s.Shed() {
-				ep.Sheds++
-			}
-			ns = append(ns, s.LatencyNS)
-		}
-		ep.Latency = latencyOf(ns)
-		rep.Endpoints = append(rep.Endpoints, ep)
+	for _, id := range sortedKeys(byScenario) {
+		t := byScenario[id]
+		rep.PerScenario = append(rep.PerScenario, LoadScenario{Scenario: id,
+			Requests: t.requests, Errors: t.errors, Sheds: t.sheds})
 	}
-	scenarioIDs := make([]string, 0, len(byScenario))
-	for id := range byScenario {
-		scenarioIDs = append(scenarioIDs, id)
-	}
-	sort.Strings(scenarioIDs)
-	for _, id := range scenarioIDs {
-		sc := LoadScenario{Scenario: id}
-		for _, s := range byScenario[id] {
-			sc.Requests++
-			if s.Failed {
-				sc.Errors++
-			}
-			if s.Shed() {
-				sc.Sheds++
-			}
-		}
-		rep.PerScenario = append(rep.PerScenario, sc)
-	}
-	if bucketNS > 0 {
-		rep.BucketNS = bucketNS
-		rep.Buckets = bucketize(samples, bucketNS)
+	for i := range buckets {
+		t := &buckets[i]
+		start := int64(i) * LoadBucketNS
+		rep.Buckets = append(rep.Buckets, LoadBucket{StartNS: start, EndNS: start + LoadBucketNS,
+			Requests: t.requests, Errors: t.errors, Sheds: t.sheds, Latency: t.latency()})
 	}
 	return rep
 }
 
-// bucketize tiles the samples into contiguous bucketNS-wide time
-// slices by StartNS. Every bucket from 0 through the last occupied one
-// is emitted (empty included) so consumers can index by time without
-// gap handling; a negative StartNS clamps into the first bucket.
-func bucketize(samples []LoadSample, bucketNS int64) []LoadBucket {
-	if len(samples) == 0 {
-		return nil
+// counts is the part of a report slice that Validate reconciles.
+type counts struct{ requests, errors, sheds int64 }
+
+// check is Validate's one check of a slice: counts in range, errors
+// and sheds disjoint within requests (a clean shed is a verified 429,
+// not Failed; a malformed one counts as an error), and percentiles
+// ordered.
+func (c counts) check(name string, l LoadLatency) error {
+	if c.requests < 0 || c.errors < 0 || c.sheds < 0 || c.errors+c.sheds > c.requests {
+		return fmt.Errorf("%s: errors %d + sheds %d outside [0, requests %d]", name, c.errors, c.sheds, c.requests)
 	}
-	byBucket := make(map[int][]LoadSample)
-	last := 0
-	for _, s := range samples {
-		i := 0
-		if s.StartNS > 0 {
-			i = int(s.StartNS / bucketNS)
-		}
-		if i > last {
-			last = i
-		}
-		byBucket[i] = append(byBucket[i], s)
+	if l.P50NS < 0 || l.P50NS > l.P90NS || l.P90NS > l.P99NS || l.P99NS > l.MaxNS {
+		return fmt.Errorf("%s: percentiles not ordered: p50 %d, p90 %d, p99 %d, max %d",
+			name, l.P50NS, l.P90NS, l.P99NS, l.MaxNS)
 	}
-	out := make([]LoadBucket, last+1)
-	for i := range out {
-		b := LoadBucket{StartNS: int64(i) * bucketNS, EndNS: int64(i+1) * bucketNS}
-		ns := make([]int64, 0, len(byBucket[i]))
-		for _, s := range byBucket[i] {
-			b.Requests++
-			if s.Failed {
-				b.Errors++
-			}
-			if s.Shed() {
-				b.Sheds++
-			}
-			ns = append(ns, s.LatencyNS)
-		}
-		b.Latency = latencyOf(ns)
-		out[i] = b
-	}
-	return out
+	return nil
 }
 
-// Validate checks the emission: schema tag and shape invariants (counts
-// reconcile across breakdowns, rates in range, percentiles ordered), so
-// an aggregation bug fails the run instead of reaching a file.
+// reconcile checks that parts, which split the run, sum to total.
+func reconcile(what string, total counts, parts []counts) error {
+	var sum counts
+	for _, c := range parts {
+		sum.requests += c.requests
+		sum.errors += c.errors
+		sum.sheds += c.sheds
+	}
+	if sum != total {
+		return fmt.Errorf("%s sums (req %d, err %d, shed %d) != totals (req %d, err %d, shed %d)",
+			what, sum.requests, sum.errors, sum.sheds, total.requests, total.errors, total.sheds)
+	}
+	return nil
+}
+
+// Validate checks the emission: schema tag, rates in range, every slice
+// (the run, each endpoint, scenario and bucket) through one check, the
+// endpoints and the buckets each reconciling with the run's counts, and
+// the buckets tiling the run by the second, so an aggregation bug fails
+// the run instead of reaching a file.
 func (r LoadReport) Validate() error {
 	if r.Schema != LoadSchema {
 		return fmt.Errorf("schema %q, want %q", r.Schema, LoadSchema)
@@ -295,16 +306,12 @@ func (r LoadReport) Validate() error {
 	if r.Requests < 1 {
 		return fmt.Errorf("requests %d, want >= 1", r.Requests)
 	}
-	if r.Errors < 0 || r.Errors > r.Requests {
-		return fmt.Errorf("errors %d outside [0, %d]", r.Errors, r.Requests)
+	total := counts{r.Requests, r.Errors, r.Sheds}
+	if err := total.check("run", r.Latency); err != nil {
+		return err
 	}
 	if r.ErrorRate < 0 || r.ErrorRate > 1 {
 		return fmt.Errorf("error_rate %g outside [0, 1]", r.ErrorRate)
-	}
-	// Sheds and errors are disjoint by construction: a clean shed is a
-	// verified 429 (not Failed), a malformed one counts as an error.
-	if r.Sheds < 0 || r.Sheds+r.Errors > r.Requests {
-		return fmt.Errorf("sheds %d + errors %d exceed requests %d", r.Sheds, r.Errors, r.Requests)
 	}
 	if r.ShedRate < 0 || r.ShedRate > 1 {
 		return fmt.Errorf("shed_rate %g outside [0, 1]", r.ShedRate)
@@ -321,81 +328,41 @@ func (r LoadReport) Validate() error {
 	if r.Throughput <= 0 {
 		return fmt.Errorf("throughput_rps %g, want > 0", r.Throughput)
 	}
-	if err := r.Latency.validate("latency"); err != nil {
-		return err
-	}
 	if len(r.Endpoints) == 0 {
 		return fmt.Errorf("no endpoint breakdown")
 	}
-	var reqSum, errSum, shedSum int64
-	for _, ep := range r.Endpoints {
+	parts := make([]counts, len(r.Endpoints))
+	for i, ep := range r.Endpoints {
 		if ep.Endpoint == "" {
 			return fmt.Errorf("endpoint with empty name")
 		}
-		if err := ep.Latency.validate("endpoint " + ep.Endpoint); err != nil {
+		parts[i] = counts{ep.Requests, ep.Errors, ep.Sheds}
+		if err := parts[i].check("endpoint "+ep.Endpoint, ep.Latency); err != nil {
 			return err
 		}
-		reqSum += ep.Requests
-		errSum += ep.Errors
-		shedSum += ep.Sheds
 	}
-	if reqSum != r.Requests {
-		return fmt.Errorf("endpoint requests sum %d != total %d", reqSum, r.Requests)
+	if err := reconcile("endpoint", total, parts); err != nil {
+		return err
 	}
-	if errSum != r.Errors {
-		return fmt.Errorf("endpoint errors sum %d != total %d", errSum, r.Errors)
-	}
-	if shedSum != r.Sheds {
-		return fmt.Errorf("endpoint sheds sum %d != total %d", shedSum, r.Sheds)
-	}
-	return r.validateBuckets()
-}
-
-// validateBuckets checks the time-bucket histogram: contiguous tiling
-// from 0 at BucketNS width, per-bucket counts in range, and bucket
-// sums reconciling exactly with the run totals (every sample lands in
-// exactly one bucket).
-func (r LoadReport) validateBuckets() error {
-	if len(r.Buckets) == 0 {
-		if r.BucketNS != 0 {
-			return fmt.Errorf("bucket_ns %d with no buckets", r.BucketNS)
+	for _, sc := range r.PerScenario {
+		if err := (counts{sc.Requests, sc.Errors, sc.Sheds}).check("scenario "+sc.Scenario, LoadLatency{}); err != nil {
+			return err
 		}
-		return nil
 	}
-	if r.BucketNS <= 0 {
-		return fmt.Errorf("buckets present but bucket_ns %d", r.BucketNS)
+	if r.BucketNS != LoadBucketNS {
+		return fmt.Errorf("bucket_ns %d, want %d", r.BucketNS, LoadBucketNS)
 	}
-	var reqSum, errSum, shedSum int64
+	parts = make([]counts, len(r.Buckets))
 	for i, b := range r.Buckets {
-		wantStart := int64(i) * r.BucketNS
-		if b.StartNS != wantStart || b.EndNS != wantStart+r.BucketNS {
-			return fmt.Errorf("bucket %d spans [%d, %d), want [%d, %d)",
-				i, b.StartNS, b.EndNS, wantStart, wantStart+r.BucketNS)
+		if start := int64(i) * LoadBucketNS; b.StartNS != start || b.EndNS != start+LoadBucketNS {
+			return fmt.Errorf("bucket %d spans [%d, %d), want [%d, %d)", i, b.StartNS, b.EndNS, start, start+LoadBucketNS)
 		}
-		if b.Requests < 0 || b.Errors < 0 || b.Sheds < 0 || b.Errors+b.Sheds > b.Requests {
-			return fmt.Errorf("bucket %d: errors %d + sheds %d exceed requests %d",
-				i, b.Errors, b.Sheds, b.Requests)
-		}
-		if err := b.Latency.validate(fmt.Sprintf("bucket %d", i)); err != nil {
+		parts[i] = counts{b.Requests, b.Errors, b.Sheds}
+		if err := parts[i].check(fmt.Sprintf("bucket %d", i), b.Latency); err != nil {
 			return err
 		}
-		reqSum += b.Requests
-		errSum += b.Errors
-		shedSum += b.Sheds
 	}
-	if reqSum != r.Requests || errSum != r.Errors || shedSum != r.Sheds {
-		return fmt.Errorf("bucket sums (req %d, err %d, shed %d) != totals (req %d, err %d, shed %d)",
-			reqSum, errSum, shedSum, r.Requests, r.Errors, r.Sheds)
-	}
-	return nil
-}
-
-func (l LoadLatency) validate(name string) error {
-	if l.P50NS < 0 || l.P50NS > l.P90NS || l.P90NS > l.P99NS || l.P99NS > l.MaxNS {
-		return fmt.Errorf("%s: percentiles not ordered: p50 %d, p90 %d, p99 %d, max %d",
-			name, l.P50NS, l.P90NS, l.P99NS, l.MaxNS)
-	}
-	return nil
+	return reconcile("bucket", total, parts)
 }
 
 // WriteFile validates the report and writes it as indented JSON.

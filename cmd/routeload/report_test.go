@@ -2,8 +2,10 @@ package main
 
 import (
 	"encoding/json"
+	"math/rand"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -48,7 +50,7 @@ func loadSamples() []LoadSample {
 }
 
 func TestBuildLoadReport(t *testing.T) {
-	rep := BuildLoadReport("routeload -test", "http://x", []string{"beta", "alpha"}, 4, 2e9, 0, loadSamples())
+	rep := BuildLoadReport("routeload -test", "http://x", []string{"beta", "alpha"}, 4, 2e9, loadSamples())
 	if err := rep.Validate(); err != nil {
 		t.Fatalf("built report invalid: %v", err)
 	}
@@ -66,9 +68,6 @@ func TestBuildLoadReport(t *testing.T) {
 	}
 	if rep.Latency.MaxNS != 1000 {
 		t.Errorf("max latency %d, want 1000", rep.Latency.MaxNS)
-	}
-	if rep.BucketNS != 0 || rep.Buckets != nil {
-		t.Errorf("bucketNS=0 run grew buckets: %d/%+v", rep.BucketNS, rep.Buckets)
 	}
 	// Scenario list is sorted regardless of input order, and the
 	// breakdowns are published in sorted key order (maporder).
@@ -90,7 +89,7 @@ func TestBuildLoadReport(t *testing.T) {
 }
 
 func TestBuildLoadReportBuckets(t *testing.T) {
-	rep := BuildLoadReport("routeload -test", "http://x", []string{"alpha", "beta"}, 4, 2e9, 1e9, loadSamples())
+	rep := BuildLoadReport("routeload -test", "http://x", []string{"alpha", "beta"}, 4, 2e9, loadSamples())
 	if err := rep.Validate(); err != nil {
 		t.Fatalf("bucketed report invalid: %v", err)
 	}
@@ -115,12 +114,122 @@ func TestBuildLoadReportBuckets(t *testing.T) {
 		{Endpoint: "healthz", StartNS: 0, LatencyNS: 1, Status: 200},
 		{Endpoint: "healthz", StartNS: 2.5e9, LatencyNS: 1, Status: 200},
 	}
-	rep = BuildLoadReport("c", "t", nil, 1, 3e9, 1e9, sparse)
+	rep = BuildLoadReport("c", "t", nil, 1, 3e9, sparse)
 	if err := rep.Validate(); err != nil {
 		t.Fatalf("sparse report invalid: %v", err)
 	}
 	if len(rep.Buckets) != 3 || rep.Buckets[1].Requests != 0 {
 		t.Fatalf("sparse tiling wrong: %+v", rep.Buckets)
+	}
+}
+
+// randomSamples draws a run of 1–200 samples that mixes endpoints,
+// scenarios and fleet-level samples, successes, failures, clean and
+// malformed 429s, cache headers, tied latencies, and start offsets over
+// five seconds (a few before the run's start, some seconds empty).
+func randomSamples(rng *rand.Rand) []LoadSample {
+	out := make([]LoadSample, 1+rng.Intn(200))
+	for i := range out {
+		s := LoadSample{
+			Scenario:  []string{"", "alpha", "beta", "gamma"}[rng.Intn(4)],
+			Endpoint:  []string{"healthz", "classify", "as", "alternates", "experiments", "whatif"}[rng.Intn(6)],
+			StartNS:   rng.Int63n(5e9) - 1e8,
+			LatencyNS: rng.Int63n(60) * 1e6,
+			Status:    []int{200, 200, 200, 429, 404, 500, 0}[rng.Intn(7)],
+			Cache:     []string{"", "hit", "miss"}[rng.Intn(3)],
+		}
+		s.Failed = s.Status != 200 && (s.Status != 429 || rng.Intn(3) == 0)
+		out[i] = s
+	}
+	return out
+}
+
+// recount is the report's counts taken the long way: each slice is a
+// filter over every sample, counted on its own.
+func recount(rep LoadReport, samples []LoadSample) LoadReport {
+	type slice struct {
+		requests, errors, sheds int64
+		latency                 LoadLatency
+	}
+	count := func(keep func(LoadSample) bool) slice {
+		var sl slice
+		var ns []int64
+		for _, s := range samples {
+			if !keep(s) {
+				continue
+			}
+			sl.requests++
+			if s.Failed {
+				sl.errors++
+			} else if s.Status == 429 {
+				sl.sheds++
+			}
+			ns = append(ns, s.LatencyNS)
+		}
+		sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
+		if len(ns) > 0 {
+			sl.latency = LoadLatency{percentile(ns, 0.5), percentile(ns, 0.9), percentile(ns, 0.99), ns[len(ns)-1]}
+		}
+		return sl
+	}
+	want := LoadReport{Schema: rep.Schema, Command: rep.Command, Target: rep.Target, GoVersion: rep.GoVersion,
+		GOOS: rep.GOOS, GOARCH: rep.GOARCH, GOMAXPROCS: rep.GOMAXPROCS, Clients: rep.Clients,
+		Scenarios: rep.Scenarios, WallNS: rep.WallNS, BucketNS: 1e9}
+	all := count(func(LoadSample) bool { return true })
+	want.Requests, want.Errors, want.Sheds, want.Latency = all.requests, all.errors, all.sheds, all.latency
+	want.ErrorRate = float64(all.errors) / float64(all.requests)
+	want.ShedRate = float64(all.sheds) / float64(all.requests)
+	want.Throughput = float64(all.requests) / (float64(rep.WallNS) / 1e9)
+	want.CacheHits = count(func(s LoadSample) bool { return s.Cache == "hit" }).requests
+	want.CacheMisses = count(func(s LoadSample) bool { return s.Cache == "miss" }).requests
+	if n := want.CacheHits + want.CacheMisses; n > 0 {
+		want.CacheHitRate = float64(want.CacheHits) / float64(n)
+	}
+	endpoints := map[string]bool{}
+	scenarios := map[string]bool{}
+	var lastStart int64
+	for _, s := range samples {
+		endpoints[s.Endpoint] = true
+		if s.Scenario != "" {
+			scenarios[s.Scenario] = true
+		}
+		lastStart = max(lastStart, s.StartNS)
+	}
+	for _, name := range []string{"alternates", "as", "classify", "experiments", "healthz", "whatif"} {
+		if endpoints[name] {
+			sl := count(func(s LoadSample) bool { return s.Endpoint == name })
+			want.Endpoints = append(want.Endpoints, LoadEndpoint{name, sl.requests, sl.errors, sl.sheds, sl.latency})
+		}
+	}
+	for _, id := range []string{"alpha", "beta", "gamma"} {
+		if scenarios[id] {
+			sl := count(func(s LoadSample) bool { return s.Scenario == id })
+			want.PerScenario = append(want.PerScenario, LoadScenario{id, sl.requests, sl.errors, sl.sheds})
+		}
+	}
+	for start := int64(0); start <= lastStart; start += 1e9 {
+		sl := count(func(s LoadSample) bool {
+			return s.StartNS < start+1e9 && (s.StartNS >= start || start == 0)
+		})
+		want.Buckets = append(want.Buckets, LoadBucket{start, start + 1e9, sl.requests, sl.errors, sl.sheds, sl.latency})
+	}
+	return want
+}
+
+// Every slice of a report, the total, each endpoint, scenario and
+// second, holds what a recount of its own samples gives, on 300
+// randomized runs.
+func TestBuildLoadReportMatchesRecount(t *testing.T) {
+	rng := rand.New(rand.NewSource(50))
+	for run := 0; run < 300; run++ {
+		samples := randomSamples(rng)
+		rep := BuildLoadReport("routeload -test", "http://x", []string{"gamma", "alpha", "beta"}, 3, 4e9, samples)
+		if err := rep.Validate(); err != nil {
+			t.Fatalf("run %d: report invalid: %v", run, err)
+		}
+		if want := recount(rep, samples); !reflect.DeepEqual(rep, want) {
+			t.Fatalf("run %d: report\n %+v\nrecount\n %+v", run, rep, want)
+		}
 	}
 }
 
@@ -140,7 +249,7 @@ func TestLoadSampleShed(t *testing.T) {
 
 func TestLoadReportValidateRejects(t *testing.T) {
 	good := func() LoadReport {
-		return BuildLoadReport("c", "t", []string{"a"}, 1, 2e9, 1e9, loadSamples())
+		return BuildLoadReport("c", "t", []string{"a"}, 1, 2e9, loadSamples())
 	}
 	cases := []struct {
 		name   string
@@ -182,7 +291,7 @@ func TestLoadReportValidateRejects(t *testing.T) {
 }
 
 func TestLoadReportRoundTrip(t *testing.T) {
-	rep := BuildLoadReport("routeload -test", "http://x", []string{"alpha"}, 2, 3e9, 1e9, loadSamples())
+	rep := BuildLoadReport("routeload -test", "http://x", []string{"alpha"}, 2, 3e9, loadSamples())
 	data, err := json.Marshal(rep)
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +316,7 @@ func TestLoadReportRoundTrip(t *testing.T) {
 }
 
 func TestLoadReportValidateMessage(t *testing.T) {
-	rep := BuildLoadReport("c", "t", nil, 1, 1e9, 0, loadSamples())
+	rep := BuildLoadReport("c", "t", nil, 1, 1e9, loadSamples())
 	rep.Schema = "bogus"
 	err := rep.Validate()
 	if err == nil || !strings.Contains(err.Error(), LoadSchema) {

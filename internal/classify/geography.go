@@ -16,8 +16,9 @@ type GeoBreakdown struct {
 	Intercontinental map[Category]int
 }
 
-// GeoClassify computes Figure 3 under a refinement.
-func (v *Verdicts) GeoClassify(ref Refinement) GeoBreakdown {
+// GeoClassify computes Figure 3 under Simple, the refinement the paper's
+// §5 plots.
+func (v *Verdicts) GeoClassify() GeoBreakdown {
 	gb := GeoBreakdown{
 		PerContinent:     make(map[geo.Continent]map[Category]int),
 		Continental:      make(map[Category]int),
@@ -25,7 +26,7 @@ func (v *Verdicts) GeoClassify(ref Refinement) GeoBreakdown {
 	}
 	for i := range v.ms {
 		cont, confined := v.ms[i].Continental(v.cx.World)
-		for _, cat := range v.Of(i, ref) {
+		for _, cat := range v.Of(i, Simple) {
 			if confined {
 				pc := gb.PerContinent[cont]
 				if pc == nil {
@@ -58,8 +59,8 @@ type DomesticRow struct {
 // NonBest/Short decision whose whole traceroute stayed in one country,
 // check whether the model offers a Best/Short path that is multinational
 // — containing at least one AS whois-registered outside the source and
-// destination ASes' countries.
-func (v *Verdicts) DomesticAnalysis(ref Refinement) []DomesticRow {
+// destination ASes' countries. Decisions are read under Simple.
+func (v *Verdicts) DomesticAnalysis() []DomesticRow {
 	cx := v.cx
 	rows := make(map[geo.Continent]*DomesticRow)
 	for i := range v.ms {
@@ -76,7 +77,7 @@ func (v *Verdicts) DomesticAnalysis(ref Refinement) []DomesticRow {
 		}
 		srcCountry := cx.Registry.RegisteredCountry(m.SrcAS)
 		dstCountry := cx.Registry.RegisteredCountry(m.DstAS)
-		for j, cat := range v.Of(i, ref) {
+		for j, cat := range v.Of(i, Simple) {
 			if cat != NonBestShort {
 				continue
 			}
@@ -134,8 +135,8 @@ type CableStats struct {
 	CableDecisions, CableDeviations int
 }
 
-// CableAnalysis computes Table 4 under a refinement.
-func (v *Verdicts) CableAnalysis(ref Refinement) CableStats {
+// CableAnalysis computes Table 4 under Simple.
+func (v *Verdicts) CableAnalysis() CableStats {
 	cables := v.cx.CableASes
 	var st CableStats
 	perCat := map[Category]*CableRow{}
@@ -154,7 +155,7 @@ func (v *Verdicts) CableAnalysis(ref Refinement) CableStats {
 		if onPath {
 			st.PathsWithCable++
 		}
-		for j, cat := range v.Of(i, ref) {
+		for j, cat := range v.Of(i, Simple) {
 			d := &m.Decisions[j]
 			row := perCat[cat]
 			row.Total++

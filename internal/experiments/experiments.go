@@ -311,7 +311,7 @@ type Figure3Result struct {
 
 func figure3(_ context.Context, env *Env) (Result, error) {
 	s := env.S
-	gb := s.Verdicts.GeoClassify(classify.Simple)
+	gb := s.Verdicts.GeoClassify()
 	res := &Figure3Result{}
 	emit := func(label string, counts map[classify.Category]int) {
 		total := 0
@@ -376,7 +376,7 @@ type Table3Result struct {
 
 func table3(_ context.Context, env *Env) (Result, error) {
 	s := env.S
-	rows := s.Verdicts.DomesticAnalysis(classify.Simple)
+	rows := s.Verdicts.DomesticAnalysis()
 	res := &Table3Result{}
 	for _, r := range rows {
 		res.Rows = append(res.Rows, Table3Row{
@@ -424,7 +424,7 @@ type Table4Result struct {
 
 func table4(_ context.Context, env *Env) (Result, error) {
 	s := env.S
-	st := s.Verdicts.CableAnalysis(classify.Simple)
+	st := s.Verdicts.CableAnalysis()
 	res := &Table4Result{
 		PathsWithCable:  st.PathsWithCable,
 		TotalPaths:      st.TotalPaths,

@@ -29,7 +29,7 @@ func TestFailureBlindGeolocation(t *testing.T) {
 	if len(s.Measurements) == 0 {
 		t.Fatal("blind geolocation should not kill the campaign")
 	}
-	gb := s.Verdicts.GeoClassify(classify.Simple)
+	gb := s.Verdicts.GeoClassify()
 	total := 0
 	for _, n := range gb.Continental {
 		total += n
@@ -38,7 +38,7 @@ func TestFailureBlindGeolocation(t *testing.T) {
 		t.Errorf("continental decisions %d with a blind geolocation DB", total)
 	}
 	// Domestic analysis finds nothing but must not panic.
-	rows := s.Verdicts.DomesticAnalysis(classify.Simple)
+	rows := s.Verdicts.DomesticAnalysis()
 	for _, r := range rows {
 		if r.NonBestShort != 0 {
 			t.Errorf("domestic rows nonzero without geolocation: %+v", r)

@@ -62,8 +62,8 @@ func (f *Field) slot(c *Config) reflect.Value {
 	return v
 }
 
-// get returns the field's value in c.
-func (f *Field) get(c *Config) float64 {
+// Get returns the field's value in c.
+func (f *Field) Get(c *Config) float64 {
 	v := f.slot(c)
 	if v.CanInt() {
 		return float64(v.Int())

@@ -7,16 +7,21 @@ import (
 	"testing"
 )
 
-// numericLeaves lists the dotted Go path of every numeric leaf under t.
-func numericLeaves(t reflect.Type, prefix string) []string {
+// numericLeaves lists the dotted Go path of every numeric leaf under
+// typ, and fails tb on a leaf that is neither a struct nor numeric:
+// the field table, and every rendering of a Config read from it, holds
+// numbers only.
+func numericLeaves(tb testing.TB, typ reflect.Type, prefix string) []string {
 	var out []string
-	for i := 0; i < t.NumField(); i++ {
-		f := t.Field(i)
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
 		switch f.Type.Kind() {
 		case reflect.Struct:
-			out = append(out, numericLeaves(f.Type, prefix+f.Name+".")...)
+			out = append(out, numericLeaves(tb, f.Type, prefix+f.Name+".")...)
 		case reflect.Int, reflect.Int64, reflect.Float64:
 			out = append(out, prefix+f.Name)
+		default:
+			tb.Errorf("Config.%s%s is a %s, neither a struct nor a number", prefix, f.Name, f.Type)
 		}
 	}
 	return out
@@ -25,7 +30,8 @@ func numericLeaves(t reflect.Type, prefix string) []string {
 // Every numeric leaf of Config, nested Topology, Traceroute and GeoDB
 // fields included, has exactly one row in Fields, and every row names
 // a real field under one document path: a new Config field cannot
-// land without a bound and a document path.
+// land without a bound and a document path, nor be anything but a
+// number.
 func TestFieldsCoverConfig(t *testing.T) {
 	rows := map[string]int{}
 	paths := map[string]bool{}
@@ -36,7 +42,7 @@ func TestFieldsCoverConfig(t *testing.T) {
 		}
 		paths[f.Path] = true
 	}
-	leaves := numericLeaves(reflect.TypeOf(Config{}), "")
+	leaves := numericLeaves(t, reflect.TypeOf(Config{}), "")
 	for _, leaf := range leaves {
 		if rows[leaf] != 1 {
 			t.Errorf("Config.%s has %d rows in Fields, want exactly 1", leaf, rows[leaf])
@@ -56,8 +62,8 @@ func TestFieldsCoverConfig(t *testing.T) {
 		if f.Bound.Integer() {
 			want = 3
 		}
-		if f.Set(&c, 2.6); f.get(&c) != want {
-			t.Errorf("%s: Set(2.6) then get = %v, want %v", f.GoPath, f.get(&c), want)
+		if f.Set(&c, 2.6); f.Get(&c) != want {
+			t.Errorf("%s: Set(2.6) then get = %v, want %v", f.GoPath, f.Get(&c), want)
 		}
 	}
 }

@@ -31,7 +31,7 @@ func (c *Config) Validate() error {
 	var errs []error
 	for i := range Fields {
 		f := &Fields[i]
-		if reason := f.Bound.Check(f.get(c)); reason != "" {
+		if reason := f.Bound.Check(f.Get(c)); reason != "" {
 			errs = append(errs, &ConfigError{Field: f.GoPath, Value: f.slot(c).Interface(), Reason: reason})
 		}
 	}

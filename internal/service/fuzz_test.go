@@ -26,6 +26,8 @@ import (
 //   - parsing the sniffed format never panics; malformed input returns
 //     an error at some stage, exactly as POST /v1/scenarios would 400
 //     it;
+//   - an accepted JSON body holds one value: json.Valid accepts it
+//     whole, so bytes after the document's object are never ignored;
 //   - an accepted expansion can be registered if and only if it has a
 //     name — Register on a fresh store must agree with the handler's
 //     contract, never letting an anonymous or half-parsed spec into
@@ -55,6 +57,8 @@ func FuzzAdmitSpec(f *testing.F) {
 	// Bounds a JSON document must break as a YAML one does.
 	f.Add([]byte(`{"spec": "routelab-spec/v1", "name": "fuzz-huge-seed", "profile": "test", "seed": 9007199254740993}`))
 	f.Add([]byte("\n\t{\"spec\": \"routelab-spec/v1\", \"name\": \"fuzz-range\", \"profile\": \"test\", \"campaign\": {\"probes\": {\"min\": 0, \"max\": 3}}}"))
+	// A JSON document followed by more bytes.
+	f.Add([]byte(`{"spec": "routelab-spec/v1", "name": "trail", "profile": "test"} {"name": "other"} garbage`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		if len(body) > maxSpecBytes {
 			// The handler 413s larger bodies before decoding; mirror the
@@ -64,6 +68,9 @@ func FuzzAdmitSpec(f *testing.F) {
 		sp, err := spec.Parse("fuzz request", body)
 		if err != nil {
 			return
+		}
+		if b := bytes.TrimLeft(body, " \t\r\n"); len(b) > 0 && b[0] == '{' && !json.Valid(body) {
+			t.Fatalf("accepted a JSON body that is not one value: %q", body)
 		}
 		exp, err := sp.Expansion()
 		if err != nil {

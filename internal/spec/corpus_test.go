@@ -1,6 +1,9 @@
 package spec
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -159,5 +162,79 @@ func TestTestSpecMatchesTestConfig(t *testing.T) {
 	}
 	if !reflect.DeepEqual(e.Config, scenario.TestConfig()) {
 		t.Fatal("test.yaml no longer compiles to scenario.TestConfig()")
+	}
+}
+
+// flattenJSON is the reference Flatten is held to: every leaf of the
+// Config's JSON form, keyed by dotted path, read back through a
+// json.Decoder that keeps each number's text.
+func flattenJSON(t *testing.T, cfg scenario.Config) []string {
+	t.Helper()
+	raw, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.UseNumber()
+	var v any
+	if err := dec.Decode(&v); err != nil {
+		t.Fatal(err)
+	}
+	flat := map[string]string{}
+	var walk func(prefix string, v any)
+	walk = func(prefix string, v any) {
+		switch x := v.(type) {
+		case map[string]any:
+			for k, e := range x {
+				if prefix != "" {
+					k = prefix + "." + k
+				}
+				walk(k, e)
+			}
+		case json.Number:
+			flat[prefix] = x.String()
+		case string:
+			flat[prefix] = fmt.Sprintf("%q", x)
+		default:
+			flat[prefix] = fmt.Sprint(x)
+		}
+	}
+	walk("", v)
+	var out []string
+	for _, k := range sortedKeys(flat) {
+		out = append(out, k+" = "+flat[k])
+	}
+	return out
+}
+
+// Flatten reads the field table, not the Config's JSON form: on every
+// committed spec, the scenario corpus and the benchmark's worlds, the
+// two render the same lines.
+func TestFlattenMatchesJSONRoundTrip(t *testing.T) {
+	var paths []string
+	for _, dir := range []string{corpusDir, "../../bench/worlds", "../../bench/worlds/fleet", "../../bench/worlds/quickfleet"} {
+		files, err := Files(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, files...)
+	}
+	if len(paths) < 22 {
+		t.Fatalf("%d committed specs, want at least 22", len(paths))
+	}
+	for _, path := range paths {
+		exp, err := Expand(path, nil)
+		if err != nil {
+			t.Errorf("%s: %v", path, err)
+			continue
+		}
+		got, err := exp.Flatten()
+		if err != nil {
+			t.Errorf("%s: %v", path, err)
+			continue
+		}
+		if want := flattenJSON(t, exp.Config); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Flatten\n got %q\nwant %q", path, got, want)
+		}
 	}
 }

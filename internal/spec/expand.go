@@ -73,8 +73,8 @@ func (e *Expansion) MarshalCanonical() ([]byte, error) {
 }
 
 // Flatten renders the expansion's Config as sorted "path = value"
-// lines ("Topology.NumTier1 = 12") — the text output of scengen
-// -expand and the vocabulary of Diff.
+// lines ("Topology.NumTier1 = 12"), one per scenario.Fields row — the
+// text output of scengen -expand and the vocabulary of Diff.
 func (e *Expansion) Flatten() ([]string, error) {
 	flat, err := flatten(e.Config)
 	if err != nil {
@@ -88,41 +88,19 @@ func (e *Expansion) Flatten() ([]string, error) {
 	return out, nil
 }
 
-// flatten maps every leaf of cfg's JSON form to its rendered value,
-// keyed by dotted path.
+// flatten maps every field of cfg's table to its value, keyed by Go
+// path and rendered as encoding/json renders a float64.
 func flatten(cfg scenario.Config) (map[string]string, error) {
-	raw, err := json.Marshal(cfg)
-	if err != nil {
-		return nil, err
-	}
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.UseNumber()
-	var v any
-	if err := dec.Decode(&v); err != nil {
-		return nil, err
-	}
-	flat := map[string]string{}
-	flattenInto(flat, "", v)
-	return flat, nil
-}
-
-func flattenInto(flat map[string]string, prefix string, v any) {
-	switch t := v.(type) {
-	case map[string]any:
-		for k, e := range t {
-			p := k
-			if prefix != "" {
-				p = prefix + "." + k
-			}
-			flattenInto(flat, p, e)
+	flat := make(map[string]string, len(scenario.Fields))
+	for i := range scenario.Fields {
+		f := &scenario.Fields[i]
+		v, err := json.Marshal(f.Get(&cfg))
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", f.GoPath, err)
 		}
-	case json.Number:
-		flat[prefix] = t.String()
-	case string:
-		flat[prefix] = fmt.Sprintf("%q", t)
-	default:
-		flat[prefix] = fmt.Sprint(t)
+		flat[f.GoPath] = string(v)
 	}
+	return flat, nil
 }
 
 // Diff compares two expansions' Configs field by field, returning one

@@ -69,7 +69,8 @@ func Parse(name string, data []byte) (*Spec, error) {
 }
 
 // parseDoc parses bytes into the generic document form, choosing the
-// parser from the document's first non-blank byte.
+// parser from the document's first non-blank byte. A JSON document is
+// one object: only whitespace may follow it.
 func parseDoc(name string, data []byte) (map[string]any, error) {
 	if b := bytes.TrimLeft(data, " \t\r\n"); len(b) == 0 || b[0] != '{' {
 		return parseYAML(name, data)
@@ -79,6 +80,9 @@ func parseDoc(name string, data []byte) (map[string]any, error) {
 	var doc map[string]any
 	if err := dec.Decode(&doc); err != nil {
 		return nil, &ParseError{File: name, Msg: "invalid JSON: " + err.Error()}
+	}
+	if len(bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n")) != 0 {
+		return nil, &ParseError{File: name, Msg: "invalid JSON: bytes after the document's object"}
 	}
 	normalizeJSON(doc)
 	return doc, nil

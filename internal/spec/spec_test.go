@@ -163,6 +163,7 @@ func TestInvalidFixtures(t *testing.T) {
 		{"bad-profile.yaml", "unknown profile", "field", 0},
 		{"tab.yaml", "tab in indentation", "parse", 2},
 		{"sequence.yaml", "sequences are outside the supported YAML subset", "parse", 6},
+		{"trailing.json", "bytes after the document's object", "parse", 0},
 	}
 	for _, tc := range cases {
 		path := filepath.Join("testdata", "invalid", tc.file)
