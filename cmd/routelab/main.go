@@ -47,6 +47,7 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
+	"sort"
 	"strings"
 	"time"
 
@@ -106,11 +107,10 @@ func main() {
 	}
 	cfg := exp.Config
 
-	logf := scenario.Logf(nil)
+	// The build's own record: its phases print as they begin there.
+	rec := obs.NewRegistry(obs.Default())
 	if !*quiet {
-		logf = func(_ int, format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		}
+		rec.OnStage(scenario.PhaseLines(os.Stderr))
 	}
 
 	start := time.Now()
@@ -136,11 +136,25 @@ func main() {
 		}
 	}
 
-	s, err := scenario.Build(cfg, logf)
+	s, err := scenario.Build(cfg, rec)
 	if err != nil {
 		writeMetrics()
 		fmt.Fprintln(os.Stderr, "routelab:", err)
 		os.Exit(1)
+	}
+	if !*quiet {
+		counts := rec.Snapshot().Counters
+		var names []string
+		for name, n := range counts {
+			if strings.HasPrefix(name, "scenario.") || name == "bgp.rib.unsettled" && n > 0 {
+				names = append(names, name)
+			}
+		}
+		sort.Strings(names)
+		for i, name := range names {
+			names[i] = fmt.Sprintf("%s=%d", name, counts[name])
+		}
+		fmt.Fprintln(os.Stderr, "built:", strings.Join(names, " "))
 	}
 	if err := experiments.Run(name, os.Stdout, s, cfg.Seed); err != nil {
 		writeMetrics()

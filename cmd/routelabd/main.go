@@ -109,11 +109,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	logf := scenario.Logf(nil)
+	// Builds run one at a time (the build gate), so the phase lines of
+	// each, forwarded from its record, do not interleave.
 	if !*quiet {
-		logf = func(_ int, format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		}
+		obs.OnStage(scenario.PhaseLines(os.Stderr))
 	}
 
 	// exp is the fleet-of-one world; nil when -scenario-dir supplies the
@@ -180,7 +179,6 @@ func main() {
 			MaxQueuedRequests: *maxQRequests,
 			RequestTimeout:    *reqTimeout,
 		},
-		Logf: logf,
 	})
 	if exp == nil {
 		n, err := store.RegisterDir(*scenarioDir)

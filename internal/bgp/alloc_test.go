@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"routelab/internal/asn"
+	"routelab/internal/obs"
 	"routelab/internal/race"
 	"routelab/internal/topology"
 )
@@ -26,7 +27,7 @@ import (
 func allocFixture(t *testing.T) (*Computation, asn.ASN) {
 	t.Helper()
 	topo := topology.Generate(17, topology.TestConfig())
-	e := New(topo, 17)
+	e := New(topo, 17, obs.Default())
 	origin := topo.Names["peering"]
 	c := e.NewComputation(topo.AS(origin).Prefixes[0])
 	c.Announce(Announcement{Origin: origin})
@@ -120,7 +121,7 @@ type kernelFixture struct {
 func newKernelFixture(tb testing.TB) *kernelFixture {
 	tb.Helper()
 	topo := topology.Generate(1, topology.TestConfig())
-	k := &kernelFixture{e: New(topo, 1), origin: topo.Names["peering"], mux: topo.Names["mux-0"]}
+	k := &kernelFixture{e: New(topo, 1, obs.Default()), origin: topo.Names["peering"], mux: topo.Names["mux-0"]}
 	k.prefix = topo.AS(k.origin).Prefixes[0]
 	k.base = k.converge().Freeze()
 	return k
@@ -194,7 +195,7 @@ func TestRIBBytesPerRoute(t *testing.T) {
 		t.Skip("heap sizes differ under -race")
 	}
 	topo := topology.Generate(1, topology.TestConfig())
-	e := New(topo, 1)
+	e := New(topo, 1, obs.Default())
 	var scoped Readers
 	for _, cls := range []topology.Class{topology.Tier1, topology.Research, topology.LargeISP, topology.Content} {
 		scoped.Collectors = append(scoped.Collectors, topo.ASesOfClass(cls)...)
@@ -223,7 +224,7 @@ func TestRIBBytesPerRoute(t *testing.T) {
 		{"full", Readers{DataPlane: topo.OriginatedPrefixes()}},
 	} {
 		before := heap()
-		rib := e.ComputeRIB(topo.OriginatedPrefixes(), tc.readers, 1)
+		rib := e.ComputeRIB(obs.Default(), topo.OriginatedPrefixes(), tc.readers, 1)
 		retained := heap() - before
 		routes := 0
 		for _, col := range rib.cols {
@@ -247,12 +248,13 @@ func BenchmarkKernel(b *testing.B) {
 		l := l
 		b.Run(l.name, func(b *testing.B) {
 			b.ReportAllocs()
-			events, adverts := obsConvergeEvents.Value(), obsConvergeAdverts.Value()
+			m := &k.e.m
+			events, adverts := m.convergeEvents.Value(), m.convergeAdverts.Value()
 			for i := 0; i < b.N; i++ {
 				l.run(k)
 			}
-			if events = obsConvergeEvents.Value() - events; events > 0 {
-				b.ReportMetric(float64(obsConvergeAdverts.Value()-adverts)/float64(events), "adverts/event")
+			if events = m.convergeEvents.Value() - events; events > 0 {
+				b.ReportMetric(float64(m.convergeAdverts.Value()-adverts)/float64(events), "adverts/event")
 			}
 		})
 	}

@@ -11,25 +11,17 @@ import (
 	"routelab/internal/topology"
 )
 
-// Cached obs handles (see internal/obs: Reset zeroes in place, so
-// init-time handles stay attached). Hot-path counters accumulate in
-// Computation fields and flush once per Converge, so instrumentation
-// adds no per-event atomics.
-var (
-	obsConvergeCalls    = obs.Default().Counter("bgp.converge.calls")
-	obsConvergeEvents   = obs.Default().Counter("bgp.converge.events")
-	obsConvergeChanges  = obs.Default().Counter("bgp.converge.changes")
-	obsConvergeAdj      = obs.Default().Counter("bgp.converge.adjacencies")
-	obsConvergeAdverts  = obs.Default().Counter("bgp.converge.adverts")
-	obsConvergeDiverged = obs.Default().Counter("bgp.converge.diverged")
-	obsAnnounce         = obs.Default().Counter("bgp.announce.total")
-	obsAnnouncePoisoned = obs.Default().Counter("bgp.announce.poisoned")
-	obsPoisonedASes     = obs.Default().Counter("bgp.announce.poisoned_ases")
-	obsWithdraw         = obs.Default().Counter("bgp.withdraw.total")
-	obsInternHits       = obs.Default().Counter("bgp.intern.hits")
-	obsInternMisses     = obs.Default().Counter("bgp.intern.misses")
-	obsRowClones        = obs.Default().Counter("bgp.fork.row_clones")
-)
+// meters are an engine's obs handles, resolved once in New; its
+// computations and forks count on them. A served tenant holds its engine,
+// so the engine keeps handles, never the registry (internal/service
+// size.go). Hot-path counts flush once per Converge (flushObs).
+type meters struct {
+	convergeCalls, convergeEvents, convergeChanges     *obs.Counter
+	convergeAdj, convergeAdverts, convergeDiverged     *obs.Counter
+	announce, announcePoisoned, poisonedASes, withdraw *obs.Counter
+	internHits, internMisses                           *obs.Counter
+	rowClones, forkCalls, forkRecycled                 *obs.Counter
+}
 
 // Engine computes ground-truth routing over a topology. It is immutable
 // after construction and safe for concurrent use; all per-prefix state
@@ -37,6 +29,7 @@ var (
 type Engine struct {
 	topo *topology.Topology
 	seed int64
+	m    meters
 
 	// forks holds the storage of Released computations (*forkStorage) for
 	// the next Fork: contents stale, so it is no state of the engine's.
@@ -113,9 +106,26 @@ const (
 // parts of the ground truth (IGP costs, per-link interconnection city
 // assignment); two engines with the same topology and seed agree exactly.
 // The topology must be final: every link's roles and costs are priced
-// here, once, and a later edit of a Link is never seen.
-func New(topo *topology.Topology, seed int64) *Engine {
-	e := &Engine{topo: topo, seed: seed}
+// here, once, and a later edit of a Link is never seen. The engine, its
+// computations and their forks record their bgp.* counters on rec.
+func New(topo *topology.Topology, seed int64, rec *obs.Registry) *Engine {
+	e := &Engine{topo: topo, seed: seed, m: meters{
+		convergeCalls:    rec.Counter("bgp.converge.calls"),
+		convergeEvents:   rec.Counter("bgp.converge.events"),
+		convergeChanges:  rec.Counter("bgp.converge.changes"),
+		convergeAdj:      rec.Counter("bgp.converge.adjacencies"),
+		convergeAdverts:  rec.Counter("bgp.converge.adverts"),
+		convergeDiverged: rec.Counter("bgp.converge.diverged"),
+		announce:         rec.Counter("bgp.announce.total"),
+		announcePoisoned: rec.Counter("bgp.announce.poisoned"),
+		poisonedASes:     rec.Counter("bgp.announce.poisoned_ases"),
+		withdraw:         rec.Counter("bgp.withdraw.total"),
+		internHits:       rec.Counter("bgp.intern.hits"),
+		internMisses:     rec.Counter("bgp.intern.misses"),
+		rowClones:        rec.Counter("bgp.fork.row_clones"),
+		forkCalls:        rec.Counter("bgp.fork.calls"),
+		forkRecycled:     rec.Counter("bgp.fork.recycled"),
+	}}
 	e.asns = topo.ASNs()
 	n := len(e.asns)
 	e.index = make(map[asn.ASN]int32, n)
@@ -439,10 +449,10 @@ func (c *Computation) Announce(a Announcement) {
 	}
 	a.Prefix = c.prefix
 	c.anns[a.Origin] = a
-	obsAnnounce.Inc()
+	c.e.m.announce.Inc()
 	if len(a.Poisoned) > 0 {
-		obsAnnouncePoisoned.Inc()
-		obsPoisonedASes.Add(int64(len(a.Poisoned)))
+		c.e.m.announcePoisoned.Inc()
+		c.e.m.poisonedASes.Add(int64(len(a.Poisoned)))
 	}
 	if i, ok := c.idx(a.Origin); ok {
 		c.origin[i] = c.originRoute(i, a)
@@ -457,7 +467,7 @@ func (c *Computation) Withdraw(origin asn.ASN) {
 		panic("bgp: Withdraw on a " + c.sealed())
 	}
 	delete(c.anns, origin)
-	obsWithdraw.Inc()
+	c.e.m.withdraw.Inc()
 	if i, ok := c.idx(origin); ok {
 		delete(c.origin, i)
 		c.force[i] = true
@@ -508,41 +518,42 @@ func (c *Computation) Converge() Outcome {
 	return c.flushObs(true)
 }
 
-// flushObs publishes this Converge's counts to the obs counters — one
+// flushObs publishes this Converge's counts to the engine's counters — one
 // batch of atomic adds per convergence, nothing per event — and zeroes
 // them into its Outcome. It is the one flush point the hotatomic lint
 // rule sanctions inside the Converge call tree, so every counter
 // (including the divergence bail-out) reports from here.
 func (c *Computation) flushObs(settled bool) Outcome {
 	out := Outcome{Settled: settled, Events: c.nProcessed, Changes: c.nChanges}
-	obsConvergeCalls.Inc()
+	m := &c.e.m
+	m.convergeCalls.Inc()
 	if !settled {
-		obsConvergeDiverged.Inc()
+		m.convergeDiverged.Inc()
 	}
 	if out.Events > 0 {
-		obsConvergeEvents.Add(int64(out.Events))
+		m.convergeEvents.Add(int64(out.Events))
 	}
 	if out.Changes > 0 {
-		obsConvergeChanges.Add(int64(out.Changes))
+		m.convergeChanges.Add(int64(out.Changes))
 	}
 	c.nProcessed, c.nChanges = 0, 0
 	// Path-tree and COW counters accumulate in plain fields on the hot
 	// path and publish here, once per Converge.
 	if c.paths.hits > 0 {
-		obsInternHits.Add(int64(c.paths.hits))
+		m.internHits.Add(int64(c.paths.hits))
 		c.paths.hits = 0
 	}
 	if c.paths.misses > 0 {
-		obsInternMisses.Add(int64(c.paths.misses))
+		m.internMisses.Add(int64(c.paths.misses))
 		c.paths.misses = 0
 	}
 	if c.rowClones > 0 {
-		obsRowClones.Add(int64(c.rowClones))
+		m.rowClones.Add(int64(c.rowClones))
 		c.rowClones = 0
 	}
 	if c.nAdj > 0 {
-		obsConvergeAdj.Add(int64(c.nAdj))
-		obsConvergeAdverts.Add(int64(c.nAdverts))
+		m.convergeAdj.Add(int64(c.nAdj))
+		m.convergeAdverts.Add(int64(c.nAdverts))
 		c.nAdj, c.nAdverts = 0, 0
 	}
 	return out

@@ -6,6 +6,7 @@ import (
 
 	"routelab/internal/asn"
 	"routelab/internal/geo"
+	"routelab/internal/obs"
 	"routelab/internal/topology"
 )
 
@@ -32,7 +33,7 @@ func diamond(t *testing.T) (*Engine, asn.Prefix, map[string]asn.ASN) {
 	b.Link(ids["org"], ids["c1"], topology.RelProvider)
 	b.Link(ids["org"], ids["c2"], topology.RelProvider)
 	topo := b.Build()
-	e := New(topo, 1)
+	e := New(topo, 1, obs.Default())
 	return e, topo.AS(ids["org"]).Prefixes[0], ids
 }
 
@@ -112,7 +113,7 @@ func TestCustomerPreferredOverPeerAndProvider(t *testing.T) {
 	b.Link(org, cust, topology.RelProvider)
 	b.Link(org, peer, topology.RelProvider)
 	topo := b.Build()
-	e := New(topo, 1)
+	e := New(topo, 1, obs.Default())
 	p := topo.AS(org).Prefixes[0]
 	c := e.NewComputation(p)
 	c.Announce(Announcement{Origin: org})
@@ -147,7 +148,7 @@ func TestShorterPathWinsWithinClass(t *testing.T) {
 	b.Link(org, mid, topology.RelProvider) // long: org-mid-c2-x
 	b.Link(mid, c2, topology.RelProvider)
 	topo := b.Build()
-	e := New(topo, 1)
+	e := New(topo, 1, obs.Default())
 	p := topo.AS(org).Prefixes[0]
 	c := e.NewComputation(p)
 	c.Announce(Announcement{Origin: org})
@@ -204,7 +205,7 @@ func TestPoisonBothUpstreamsKillsRoute(t *testing.T) {
 func TestNoLoopPreventionAcceptsPoison(t *testing.T) {
 	e, p, ids := diamond(t)
 	e.topo.AS(ids["c1"]).NoLoopPrevention = true
-	e = New(e.topo, 1) // the engine snapshots per-AS policy when built
+	e = New(e.topo, 1, obs.Default()) // the engine snapshots per-AS policy when built
 	c := e.NewComputation(p)
 	c.Announce(Announcement{Origin: ids["org"], Poisoned: []asn.ASN{ids["c1"]}})
 	c.Converge()
@@ -216,7 +217,7 @@ func TestNoLoopPreventionAcceptsPoison(t *testing.T) {
 func TestASSetFilterDropsPoisonedAnnouncements(t *testing.T) {
 	e, p, ids := diamond(t)
 	e.topo.AS(ids["t1"]).FiltersASSets = true
-	e = New(e.topo, 1) // the engine snapshots per-AS policy when built
+	e = New(e.topo, 1, obs.Default()) // the engine snapshots per-AS policy when built
 	c := e.NewComputation(p)
 	c.Announce(Announcement{Origin: ids["org"], Poisoned: []asn.ASN{9999}})
 	c.Converge()
@@ -355,7 +356,7 @@ func TestDomesticBiasFlipsPreference(t *testing.T) {
 
 	run := func(bias bool) Route {
 		topo.AS(x.ASN).DomesticBias = bias
-		e := New(topo, 1)
+		e := New(topo, 1, obs.Default())
 		c := e.NewComputation(p)
 		c.Announce(Announcement{Origin: org})
 		c.Converge()
@@ -387,7 +388,7 @@ func TestResearchPreference(t *testing.T) {
 	b.Link(org, isp, topology.RelProvider)
 	topo := b.Build()
 	univ.ResearchPreference = true
-	e := New(topo, 1)
+	e := New(topo, 1, obs.Default())
 	p := topo.AS(org).Prefixes[0]
 	c := e.NewComputation(p)
 	c.Announce(Announcement{Origin: org})
@@ -419,7 +420,7 @@ func TestPartialTransitOverride(t *testing.T) {
 	pT := topo.AS(orgT).Prefixes[0]
 	pO := topo.AS(orgO).Prefixes[0]
 	l.PartialTransitFor = map[asn.Prefix]bool{pT: true}
-	e := New(topo, 1)
+	e := New(topo, 1, obs.Default())
 
 	cT := e.NewComputation(pT)
 	cT.Announce(Announcement{Origin: orgT})
@@ -459,7 +460,7 @@ func TestHybridRelationshipByCity(t *testing.T) {
 	// New prices the link, so its roles are set first.
 	lnk := topo.Link(x, y)
 	lnk.HybridRoles = map[geo.CityID]topology.Rel{cities[1]: topology.RelCustomer}
-	e := New(topo, 7)
+	e := New(topo, 7, obs.Default())
 
 	// Find prefixes that hash to each city.
 	var pA, pB asn.Prefix
@@ -496,8 +497,8 @@ func TestHybridRelationshipByCity(t *testing.T) {
 
 func TestDeterministicAcrossRuns(t *testing.T) {
 	topo := topology.Generate(5, topology.TestConfig())
-	e1 := New(topo, 9)
-	e2 := New(topo, 9)
+	e1 := New(topo, 9, obs.Default())
+	e2 := New(topo, 9, obs.Default())
 	p := topo.AS(topo.Names["cdn-major"]).Prefixes[0]
 	r1 := e1.ComputePrefix(p)
 	r2 := e2.ComputePrefix(p)
@@ -518,7 +519,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 // preference and the origin's announcements, never the export rule.
 func TestGroundTruthPathsValleyFree(t *testing.T) {
 	topo := topology.Generate(11, topology.TestConfig())
-	e := New(topo, 11)
+	e := New(topo, 11, obs.Default())
 	siblingHops := 0
 	for _, p := range topo.OriginatedPrefixes() {
 		cont := e.prefixContinent(p)
@@ -589,7 +590,7 @@ func TestContentPeerTE(t *testing.T) {
 	}
 	topo := b.Build()
 	x.ContentPeerTE = true
-	e := New(topo, 1)
+	e := New(topo, 1, obs.Default())
 
 	run := func(dst asn.ASN) Route {
 		p := topo.AS(dst).Prefixes[0]
@@ -625,7 +626,7 @@ func TestOrgRelPreservedAcrossSiblings(t *testing.T) {
 	b.Link(s2, peerOfS2, topology.RelPeer)
 	b.Link(org, prov, topology.RelProvider)
 	topo := b.Build()
-	e := New(topo, 1)
+	e := New(topo, 1, obs.Default())
 	p := topo.AS(org).Prefixes[0]
 	c := e.NewComputation(p)
 	c.Announce(Announcement{Origin: org})
@@ -728,7 +729,7 @@ func linkCityTwoScans(e *Engine, l *topology.Link, prefix asn.Prefix, cont geo.C
 func TestLinkCityMatchesTwoScanReference(t *testing.T) {
 	for _, seed := range []int64{3, 2015} {
 		topo := topology.Generate(seed, topology.TestConfig())
-		e := New(topo, seed)
+		e := New(topo, seed, obs.Default())
 		prefixes := topo.OriginatedPrefixes()
 		want := func(l *topology.Link, p asn.Prefix, cont geo.Continent) (lo, hi adjState) {
 			city := linkCityTwoScans(e, l, p, cont)

@@ -6,6 +6,7 @@ import (
 	"routelab/internal/asn"
 	"routelab/internal/bgp"
 	"routelab/internal/gaorexford"
+	"routelab/internal/obs"
 	"routelab/internal/relgraph"
 	"routelab/internal/topology"
 )
@@ -38,7 +39,7 @@ func Example() {
 	prefix := topo.AS(org).Prefixes[0]
 
 	// Converge ground-truth routing for the origin's prefix.
-	engine := bgp.New(topo, 1)
+	engine := bgp.New(topo, 1, obs.Default())
 	comp := engine.NewComputation(prefix)
 	comp.Announce(bgp.Announcement{Origin: org})
 	comp.Converge()

@@ -6,14 +6,6 @@ import (
 	"sync"
 
 	"routelab/internal/asn"
-	"routelab/internal/obs"
-)
-
-// Fork obs handles. Fork is per-campaign API (never on the
-// Converge hot path), so direct counter bumps are fine here.
-var (
-	obsForkCalls    = obs.Default().Counter("bgp.fork.calls")
-	obsForkRecycled = obs.Default().Counter("bgp.fork.recycled")
 )
 
 // Base is a frozen computation: the read-only state every fork of it
@@ -173,9 +165,11 @@ func (b *Base) Fork() *Computation {
 	// over so the child converges exactly as the parent would have.
 	f.q.next = append(st.next[:0], c.q.next...)
 	f.q.queued = append(st.queued[:0], c.q.queued...)
-	obsForkCalls.Inc()
+	// Fork is per-campaign API (never on the Converge hot path), so
+	// direct counter bumps are fine here.
+	e.m.forkCalls.Inc()
 	if recycled {
-		obsForkRecycled.Inc()
+		e.m.forkRecycled.Inc()
 	}
 	return f
 }

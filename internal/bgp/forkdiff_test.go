@@ -24,6 +24,7 @@ import (
 	"testing"
 
 	"routelab/internal/asn"
+	"routelab/internal/obs"
 	"routelab/internal/topology"
 )
 
@@ -229,7 +230,7 @@ func randomOps(rng *rand.Rand, all []asn.ASN, origin asn.ASN, n int) []forkOp {
 func forkFixture(t *testing.T, seed int64) (*Engine, asn.Prefix, []asn.ASN, []forkOp) {
 	t.Helper()
 	topo := topology.Generate(seed, topology.TestConfig())
-	e := New(topo, seed)
+	e := New(topo, seed, obs.Default())
 	origin := topo.Names["peering"]
 	prefix := topo.AS(origin).Prefixes[0]
 	hist := []forkOp{
@@ -299,7 +300,7 @@ func TestSkipMatchesVisitEveryAdjacency(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 7, 42, 1337} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			topo := topology.Generate(seed, topology.TestConfig())
-			e := New(topo, seed)
+			e := New(topo, seed, obs.Default())
 			origin := topo.Names["peering"]
 			prefix := topo.AS(origin).Prefixes[0]
 			hist := []forkOp{{ann: Announcement{Origin: origin}}, {converge: true}}
@@ -307,7 +308,7 @@ func TestSkipMatchesVisitEveryAdjacency(t *testing.T) {
 
 			c := e.NewComputation(prefix)
 			adj, adverts := 0, 0
-			adj0, adverts0 := obsConvergeAdj.Value(), obsConvergeAdverts.Value()
+			adj0, adverts0 := e.m.convergeAdj.Value(), e.m.convergeAdverts.Value()
 			for k, o := range hist {
 				if k == len(hist)/3 || k == 2*len(hist)/3 {
 					c = c.Freeze().Fork()
@@ -320,7 +321,7 @@ func TestSkipMatchesVisitEveryAdjacency(t *testing.T) {
 					o.apply(c)
 				}
 			}
-			if a, d := obsConvergeAdj.Value()-adj0, obsConvergeAdverts.Value()-adverts0; a != int64(adj) || d != int64(adverts) {
+			if a, d := e.m.convergeAdj.Value()-adj0, e.m.convergeAdverts.Value()-adverts0; a != int64(adj) || d != int64(adverts) {
 				t.Errorf("bgp.converge.adjacencies / .adverts moved by %d / %d, the computations counted %d / %d", a, d, adj, adverts)
 			}
 			checkSameState(t, c, oracle(e, prefix, hist))
@@ -341,7 +342,7 @@ func TestSkipMatchesVisitEveryAdjacency(t *testing.T) {
 // worker a prefix landed on.
 func TestResetMatchesNewComputation(t *testing.T) {
 	topo := topology.Generate(7, topology.TestConfig())
-	e := New(topo, 7)
+	e := New(topo, 7, obs.Default())
 	prefixes := topo.OriginatedPrefixes()
 	pa, pb := prefixes[0], prefixes[len(prefixes)/2]
 	hist := func(p asn.Prefix) []forkOp {
@@ -633,7 +634,7 @@ type recycleFixture struct {
 
 func newRecycleFixture(seed int64) *recycleFixture {
 	topo := topology.Generate(seed, topology.TestConfig())
-	x := &recycleFixture{topo: topo, e: New(topo, seed), origin: topo.Names["peering"]}
+	x := &recycleFixture{topo: topo, e: New(topo, seed, obs.Default()), origin: topo.Names["peering"]}
 	x.prefix = topo.AS(x.origin).Prefixes[0]
 	histA := []forkOp{{ann: Announcement{Origin: x.origin}}, {converge: true}}
 	x.histB = append(slices.Clone(histA), randomOps(rand.New(rand.NewSource(seed)), topo.ASNs(), x.origin, 6)...)

@@ -21,6 +21,7 @@ import (
 	"testing"
 
 	"routelab/internal/asn"
+	"routelab/internal/obs"
 	"routelab/internal/topology"
 )
 
@@ -36,7 +37,7 @@ type goldenWorld struct {
 
 func newGoldenWorld(seed int64) *goldenWorld {
 	topo := topology.Generate(seed, topology.TestConfig())
-	w := &goldenWorld{topo: topo, e: New(topo, seed), origin: topo.Names["peering"], mux: topo.Names["mux-0"]}
+	w := &goldenWorld{topo: topo, e: New(topo, seed, obs.Default()), origin: topo.Names["peering"], mux: topo.Names["mux-0"]}
 	w.prefix = topo.AS(w.origin).Prefixes[0]
 	return w
 }

@@ -87,8 +87,9 @@ func (e *Engine) ComputePrefix(p asn.Prefix) map[asn.ASN]Route {
 // is single-threaded and deterministic; the engine and topology are
 // read-only), and results are merged at the barrier in input-prefix
 // order, so the RIB is byte-identical for any worker count. workers <= 0
-// selects GOMAXPROCS.
-func (e *Engine) ComputeRIB(prefixes []asn.Prefix, readers Readers, workers int) *RIB {
+// selects GOMAXPROCS. Its bgp/compute-rib stage and bgp.rib.* counters
+// go to rec, the registry the engine was made with (it holds handles).
+func (e *Engine) ComputeRIB(rec *obs.Registry, prefixes []asn.Prefix, readers Readers, workers int) *RIB {
 	rib := &RIB{e: e, cols: make(map[asn.Prefix]*column, len(prefixes)), slot: make([]int32, len(e.asns))}
 	var rows []int32
 	for _, a := range readers.Collectors {
@@ -112,7 +113,7 @@ func (e *Engine) ComputeRIB(prefixes []asn.Prefix, readers Readers, workers int)
 	// computation (reset restores exactly the NewComputation state, so
 	// which one a prefix lands on cannot show) and keeps only the column.
 	var scratch sync.Pool
-	perPrefix := parallel.MapStage("bgp/compute-rib", prefixes, workers,
+	perPrefix := parallel.MapStage(rec, "bgp/compute-rib", prefixes, workers,
 		func(_ int, p asn.Prefix) *column {
 			c, _ := scratch.Get().(*Computation)
 			c, out := e.converge(c, p)
@@ -136,10 +137,10 @@ func (e *Engine) ComputeRIB(prefixes []asn.Prefix, readers Readers, workers int)
 		}
 	}
 	rib.indexPrefixes()
-	obs.Add("bgp.rib.prefixes", int64(len(prefixes)))
-	obs.Add("bgp.rib.unsettled", int64(len(rib.unsettled)))
-	obs.Add("bgp.rib.routes", int64(routes))
-	obs.Add("bgp.rib.retained", int64(retained))
+	rec.Counter("bgp.rib.prefixes").Add(int64(len(prefixes)))
+	rec.Counter("bgp.rib.unsettled").Add(int64(len(rib.unsettled)))
+	rec.Counter("bgp.rib.routes").Add(int64(routes))
+	rec.Counter("bgp.rib.retained").Add(int64(retained))
 	return rib
 }
 
@@ -171,10 +172,10 @@ func countRoutes(recs []rec) int {
 }
 
 // ComputeFullRIB converges every prefix the topology originates and
-// keeps every route.
-func (e *Engine) ComputeFullRIB(workers int) *RIB {
+// keeps every route, recording as ComputeRIB does on rec.
+func (e *Engine) ComputeFullRIB(rec *obs.Registry, workers int) *RIB {
 	prefixes := e.topo.OriginatedPrefixes()
-	return e.ComputeRIB(prefixes, Readers{DataPlane: prefixes}, workers)
+	return e.ComputeRIB(rec, prefixes, Readers{DataPlane: prefixes}, workers)
 }
 
 func (r *RIB) indexPrefixes() {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"routelab/internal/asn"
+	"routelab/internal/obs"
 	"routelab/internal/race"
 	"routelab/internal/topology"
 )
@@ -13,9 +14,9 @@ import (
 func ribFixture(t *testing.T) (*topology.Topology, *RIB) {
 	t.Helper()
 	topo := topology.Generate(99, topology.TestConfig())
-	e := New(topo, 99)
+	e := New(topo, 99, obs.Default())
 	cdn := topo.Names["cdn-major"]
-	rib := e.ComputeRIB(topo.AS(cdn).Prefixes, Readers{DataPlane: topo.AS(cdn).Prefixes}, 2)
+	rib := e.ComputeRIB(obs.Default(), topo.AS(cdn).Prefixes, Readers{DataPlane: topo.AS(cdn).Prefixes}, 2)
 	return topo, rib
 }
 
@@ -116,7 +117,7 @@ func TestRIBRoutesForShared(t *testing.T) {
 	p := topo.AS(cdn).Prefixes[0]
 	// The columnar RIB and a lone computation of the same prefix agree
 	// on every AS, route or none.
-	single := New(topo, 99).ComputePrefix(p)
+	single := New(topo, 99, obs.Default()).ComputePrefix(p)
 	if len(single) < topo.NumASes()/2 {
 		t.Fatalf("only %d ASes hold a route to the major", len(single))
 	}
@@ -131,9 +132,9 @@ func TestRIBRoutesForShared(t *testing.T) {
 
 func TestComputeFullRIBMatchesPerPrefix(t *testing.T) {
 	topo := topology.Generate(101, topology.TestConfig())
-	e := New(topo, 101)
+	e := New(topo, 101, obs.Default())
 	prefixes := topo.OriginatedPrefixes()[:6]
-	rib := e.ComputeRIB(prefixes, Readers{DataPlane: prefixes}, 3) // parallel workers
+	rib := e.ComputeRIB(obs.Default(), prefixes, Readers{DataPlane: prefixes}, 3) // parallel workers
 	for _, p := range prefixes {
 		single := e.ComputePrefix(p)
 		for a, want := range single {
@@ -147,7 +148,7 @@ func TestComputeFullRIBMatchesPerPrefix(t *testing.T) {
 
 func TestComputePrefixUnknownOrigin(t *testing.T) {
 	topo := topology.Generate(101, topology.TestConfig())
-	e := New(topo, 101)
+	e := New(topo, 101, obs.Default())
 	if m := e.ComputePrefix(asn.NewPrefix(asn.AddrFrom4(9, 0, 0, 0), 24)); m != nil {
 		t.Fatal("unknown prefix produced routes")
 	}
@@ -174,8 +175,8 @@ func mustPanicRead(t *testing.T, what string, read func()) {
 func TestScopedRIBMatchesFullRIB(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		topo := topology.Generate(seed, topology.TestConfig())
-		e := New(topo, seed)
-		full := e.ComputeFullRIB(0)
+		e := New(topo, seed, obs.Default())
+		full := e.ComputeFullRIB(obs.Default(), 0)
 
 		// Readers the way a scenario has them: a few dozen transit ASes as
 		// collectors, and as data plane every fifth AS's covering prefix —
@@ -199,7 +200,7 @@ func TestScopedRIBMatchesFullRIB(t *testing.T) {
 		if thin24.IsZero() {
 			t.Fatalf("seed %d: no announced /24 inside a data-plane /18", seed)
 		}
-		scoped := e.ComputeRIB(topo.OriginatedPrefixes(), readers, 0)
+		scoped := e.ComputeRIB(obs.Default(), topo.OriginatedPrefixes(), readers, 0)
 		if !reflect.DeepEqual(scoped.Prefixes(), full.Prefixes()) {
 			t.Fatalf("seed %d: the scoped RIB covers other prefixes than the full one", seed)
 		}
@@ -280,12 +281,12 @@ func TestConcurrentRIBUnsettledMatchesSerial(t *testing.T) {
 		diverges bool
 	}{{12, diverging, true}, {1, topology.TestConfig(), false}} {
 		topo := topology.Generate(w.seed, w.cfg)
-		e := New(topo, w.seed)
+		e := New(topo, w.seed, obs.Default())
 		prefixes := topo.OriginatedPrefixes()
 		var want []asn.Prefix
 		workers := []int{1, 2}
 		if race.Enabled {
-			want, workers = e.ComputeRIB(prefixes, Readers{}, 1).Unsettled(), workers[1:]
+			want, workers = e.ComputeRIB(obs.Default(), prefixes, Readers{}, 1).Unsettled(), workers[1:]
 		} else {
 			for _, p := range prefixes {
 				c := e.NewComputation(p)
@@ -300,7 +301,7 @@ func TestConcurrentRIBUnsettledMatchesSerial(t *testing.T) {
 		}
 		t.Logf("seed %d: %d of %d prefixes unsettled", w.seed, len(want), len(prefixes))
 		for _, n := range workers {
-			if got := e.ComputeRIB(prefixes, Readers{}, n).Unsettled(); !slices.Equal(got, want) {
+			if got := e.ComputeRIB(obs.Default(), prefixes, Readers{}, n).Unsettled(); !slices.Equal(got, want) {
 				t.Errorf("seed %d, %d workers: Unsettled() = %v, want %v", w.seed, n, got, want)
 			}
 		}

@@ -8,6 +8,7 @@ import (
 
 	"routelab/internal/asn"
 	"routelab/internal/bgp"
+	"routelab/internal/obs"
 	"routelab/internal/relgraph"
 	"routelab/internal/topology"
 )
@@ -104,7 +105,7 @@ func judgedWorld(t *testing.T) (*Context, [][]asn.ASN, []Decision) {
 	for _, d := range dsts {
 		prefixes = append(prefixes, topo.AS(d).Prefixes...)
 	}
-	rib := bgp.New(topo, 97).ComputeRIB(prefixes, bgp.Readers{DataPlane: prefixes}, 0)
+	rib := bgp.New(topo, 97, obs.Default()).ComputeRIB(obs.Default(), prefixes, bgp.Readers{DataPlane: prefixes}, 0)
 	cx := newContext(relgraph.FromTopology(topo))
 	var paths [][]asn.ASN
 	var ds []Decision

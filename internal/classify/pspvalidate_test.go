@@ -7,6 +7,7 @@ import (
 	"routelab/internal/asn"
 	"routelab/internal/bgp"
 	"routelab/internal/lookingglass"
+	"routelab/internal/obs"
 	"routelab/internal/relgraph"
 	"routelab/internal/topology"
 )
@@ -46,8 +47,8 @@ func TestValidatePSPConfirms(t *testing.T) {
 	// Ground truth: p goes only to n1.
 	origin.SelectiveExport = map[asn.Prefix][]asn.ASN{p: {n1}}
 
-	e := bgp.New(topo, 1)
-	rib := e.ComputeRIB([]asn.Prefix{p}, bgp.Readers{DataPlane: []asn.Prefix{p}}, 0)
+	e := bgp.New(topo, 1, obs.Default())
+	rib := e.ComputeRIB(obs.Default(), []asn.Prefix{p}, bgp.Readers{DataPlane: []asn.Prefix{p}}, 0)
 	lg := lookingglass.Deploy(topo, rib, rand.New(rand.NewSource(1)), 1.0)
 
 	g := relgraph.New()
@@ -81,8 +82,8 @@ func TestValidatePSPRefutes(t *testing.T) {
 	topo := b.Build()
 	p := topo.AS(origin.ASN).Prefixes[0]
 
-	e := bgp.New(topo, 1)
-	rib := e.ComputeRIB([]asn.Prefix{p}, bgp.Readers{DataPlane: []asn.Prefix{p}}, 0)
+	e := bgp.New(topo, 1, obs.Default())
+	rib := e.ComputeRIB(obs.Default(), []asn.Prefix{p}, bgp.Readers{DataPlane: []asn.Prefix{p}}, 0)
 	lg := lookingglass.Deploy(topo, rib, rand.New(rand.NewSource(1)), 1.0)
 
 	g := relgraph.New()

@@ -125,7 +125,7 @@ func computeProbeSelectionAblation(res *AblationsResult, s *scenario.Scenario, r
 	for _, i := range idx {
 		raw = append(raw, pop[i])
 	}
-	ms, _, err := s.Campaign(raw, s.Cfg.TracesTarget, rng)
+	ms, _, err := s.Campaign(obs.Default(), raw, s.Cfg.TracesTarget, rng)
 	if err != nil {
 		res.ProbeSkipReason = err.Error()
 		return
@@ -181,7 +181,7 @@ func computeProbeSelectionAblation(res *AblationsResult, s *scenario.Scenario, r
 // The build's own threshold is the build's graph and verdicts.
 func computeThresholdAblation(res *AblationsResult, s *scenario.Scenario, ds []classify.Decision) {
 	thresholds := []float64{0.1, 0.2, 0.3, 0.5}
-	rows := parallel.MapStage("experiments/threshold-ablation", thresholds, s.Cfg.RoutingWorkers,
+	rows := parallel.MapStage(obs.Default(), "experiments/threshold-ablation", thresholds, s.Cfg.RoutingWorkers,
 		func(_ int, th float64) AblationThresholdRow {
 			if th == inference.DefaultConfig().VisibilityThreshold {
 				return AblationThresholdRow{

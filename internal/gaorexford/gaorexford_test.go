@@ -7,6 +7,7 @@ import (
 
 	"routelab/internal/asn"
 	"routelab/internal/bgp"
+	"routelab/internal/obs"
 	"routelab/internal/race"
 	"routelab/internal/relgraph"
 	"routelab/internal/topology"
@@ -240,7 +241,7 @@ func TestModelMatchesEngineOnPlainTopology(t *testing.T) {
 	cfg.DomesticBiasRate = 0
 	cfg.SiblingGroups = 0
 	topo := topology.Generate(3, cfg)
-	e := bgp.New(topo, 3)
+	e := bgp.New(topo, 3, obs.Default())
 	g := relgraph.FromTopology(topo)
 
 	checked := 0

@@ -6,6 +6,7 @@ import (
 
 	"routelab/internal/asn"
 	"routelab/internal/bgp"
+	"routelab/internal/obs"
 	"routelab/internal/relgraph"
 	"routelab/internal/topology"
 	"routelab/internal/vantage"
@@ -149,8 +150,8 @@ func TestInferenceAccuracyOnGeneratedTopology(t *testing.T) {
 		t.Skip("full pipeline is slow")
 	}
 	topo := topology.Generate(21, topology.TestConfig())
-	e := bgp.New(topo, 21)
-	rib := e.ComputeFullRIB(0)
+	e := bgp.New(topo, 21, obs.Default())
+	rib := e.ComputeFullRIB(obs.Default(), 0)
 	peers := vantage.SelectPeers(topo, rand.New(rand.NewSource(21)), 40)
 	if len(peers) == 0 {
 		t.Fatal("no vantage peers selected")

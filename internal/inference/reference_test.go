@@ -9,6 +9,7 @@ import (
 	"routelab/internal/asn"
 	"routelab/internal/bgp"
 	"routelab/internal/inference"
+	"routelab/internal/obs"
 	"routelab/internal/relgraph"
 	"routelab/internal/scenario"
 	"routelab/internal/topology"
@@ -262,8 +263,8 @@ func TestLabelMatchesReference(t *testing.T) {
 	}
 	hist := s.Topo.Restored()
 	ribs := []*bgp.RIB{
-		bgp.New(hist, s.Cfg.Seed).ComputeFullRIB(0),
-		bgp.New(s.Topo, s.Cfg.Seed).ComputeFullRIB(0),
+		bgp.New(hist, s.Cfg.Seed, obs.Default()).ComputeFullRIB(obs.Default(), 0),
+		bgp.New(s.Topo, s.Cfg.Seed, obs.Default()).ComputeFullRIB(obs.Default(), 0),
 	}
 	rng := rand.New(rand.NewSource(s.Cfg.Seed))
 	cfg := inference.DefaultConfig()

@@ -7,6 +7,7 @@ import (
 
 	"routelab/internal/asn"
 	"routelab/internal/bgp"
+	"routelab/internal/obs"
 	"routelab/internal/race"
 	"routelab/internal/topology"
 	"routelab/internal/traceroute"
@@ -24,8 +25,8 @@ type fixture struct {
 func newFixture(t *testing.T, seed int64, trCfg traceroute.Config) *fixture {
 	t.Helper()
 	topo := topology.Generate(seed, topology.TestConfig())
-	e := bgp.New(topo, seed)
-	rib := e.ComputeFullRIB(0)
+	e := bgp.New(topo, seed, obs.Default())
+	rib := e.ComputeFullRIB(obs.Default(), 0)
 	peers := vantage.SelectPeers(topo, rand.New(rand.NewSource(seed)), 30)
 	snap := vantage.Collect(rib, peers, 0)
 	cdn := topo.Names["cdn-major"]

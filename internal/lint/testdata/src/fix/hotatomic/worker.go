@@ -12,7 +12,7 @@ import (
 
 func workerBad(n int) int64 {
 	var total atomic.Int64
-	parallel.ForEachStage("fixture/bad", n, 0, func(i int) {
+	parallel.ForEachStage(obs.Default(), "fixture/bad", n, 0, func(i int) {
 		total.Add(1)             //lint:want hotatomic
 		obs.Inc("fixture.items") //lint:want hotatomic
 	})

@@ -3,6 +3,8 @@
 // the hotatomic rule's second scope.
 package parallel
 
+import "routelab/internal/obs"
+
 // ForEach runs fn(i) for i in [0, n).
 func ForEach(n, workers int, fn func(i int)) {
 	for i := 0; i < n; i++ {
@@ -20,9 +22,11 @@ func Map[T, R any](items []T, workers int, fn func(i int, item T) R) []R {
 }
 
 // ForEachStage is the instrumented ForEach.
-func ForEachStage(stage string, n, workers int, fn func(i int)) { ForEach(n, workers, fn) }
+func ForEachStage(reg *obs.Registry, stage string, n, workers int, fn func(i int)) {
+	ForEach(n, workers, fn)
+}
 
 // MapStage is the instrumented Map.
-func MapStage[T, R any](stage string, items []T, workers int, fn func(i int, item T) R) []R {
+func MapStage[T, R any](reg *obs.Registry, stage string, items []T, workers int, fn func(i int, item T) R) []R {
 	return Map(items, workers, fn)
 }

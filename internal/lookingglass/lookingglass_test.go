@@ -6,15 +6,16 @@ import (
 
 	"routelab/internal/asn"
 	"routelab/internal/bgp"
+	"routelab/internal/obs"
 	"routelab/internal/topology"
 )
 
 func fixture(t *testing.T) (*topology.Topology, *bgp.RIB, *Directory) {
 	t.Helper()
 	topo := topology.Generate(93, topology.TestConfig())
-	e := bgp.New(topo, 93)
+	e := bgp.New(topo, 93, obs.Default())
 	cdn := topo.Names["cdn-major"]
-	rib := e.ComputeRIB(topo.AS(cdn).Prefixes, bgp.Readers{DataPlane: topo.AS(cdn).Prefixes}, 0)
+	rib := e.ComputeRIB(obs.Default(), topo.AS(cdn).Prefixes, bgp.Readers{DataPlane: topo.AS(cdn).Prefixes}, 0)
 	d := Deploy(topo, rib, rand.New(rand.NewSource(93)), 0.5)
 	return topo, rib, d
 }

@@ -14,6 +14,15 @@
 //     total, min, max. Stages are coarse (a convergence, a campaign, a
 //     figure), so a mutex per observation is fine.
 //
+// # Children
+//
+// A child registry, NewRegistry(parent), is the record of one piece of
+// work, such as a scenario build. Each child metric holds a handle on
+// the parent's metric of the same name, which its every Add, Set and
+// Observe also lands on, and a child's stages reach the parent's
+// listeners too: the process registry (Default) sees everything, each
+// child only its own.
+//
 // # Determinism
 //
 // Metrics are a side channel: instrumented code must produce
@@ -25,14 +34,16 @@
 //
 // # Resetting
 //
-// Reset zeroes every metric IN PLACE instead of dropping it, so handles
-// cached in package variables (internal/bgp does this) stay attached
-// and registered names survive into the next snapshot with zero values.
+// Reset zeroes every metric of one registry IN PLACE instead of
+// dropping it, so handles held elsewhere (a bgp.Engine holds its own)
+// stay attached and registered names survive into the next snapshot
+// with zero values. Resetting a parent leaves its children's values.
 package obs
 
 import (
 	"expvar"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -40,23 +51,37 @@ import (
 )
 
 // Counter is a monotone event count. The zero value is ready to use.
-type Counter struct{ v atomic.Int64 }
+type Counter struct {
+	v  atomic.Int64
+	up *Counter // the parent registry's counter of the same name
+}
 
 // Add increments the counter by delta.
-func (c *Counter) Add(delta int64) { c.v.Add(delta) }
+func (c *Counter) Add(delta int64) {
+	for ; c != nil; c = c.up {
+		c.v.Add(delta)
+	}
+}
 
 // Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() { c.Add(1) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
 // Gauge is a last-write-wins float64 measurement. The zero value is
 // ready to use.
-type Gauge struct{ bits atomic.Uint64 }
+type Gauge struct {
+	bits atomic.Uint64
+	up   *Gauge // the parent registry's gauge of the same name
+}
 
 // Set records the gauge's current value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
+func (g *Gauge) Set(v float64) {
+	for ; g != nil; g = g.up {
+		g.bits.Store(math.Float64bits(v))
+	}
+}
 
 // Value returns the last value Set.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
@@ -67,19 +92,22 @@ type Timer struct {
 	count    int64
 	total    time.Duration
 	min, max time.Duration
+	up       *Timer // the parent registry's timer of the same name
 }
 
 // Observe folds one stage execution into the aggregate.
 func (t *Timer) Observe(d time.Duration) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.count++
-	t.total += d
-	if t.count == 1 || d < t.min {
-		t.min = d
-	}
-	if d > t.max {
-		t.max = d
+	for ; t != nil; t = t.up {
+		t.mu.Lock()
+		t.count++
+		t.total += d
+		if t.count == 1 || d < t.min {
+			t.min = d
+		}
+		if d > t.max {
+			t.max = d
+		}
+		t.mu.Unlock()
 	}
 }
 
@@ -96,82 +124,84 @@ func (t *Timer) Mean() time.Duration {
 	return t.total / time.Duration(t.count)
 }
 
-// Start begins timing a stage execution; the returned func stops the
-// clock and records the elapsed wall time:
-//
-//	defer timer.Start()()
-func (t *Timer) Start() func() {
-	t0 := time.Now()
-	return func() { t.Observe(time.Since(t0)) }
-}
-
 // Registry holds a namespace of metrics. The zero value is not usable;
 // call NewRegistry (or use Default).
 type Registry struct {
+	parent *Registry
+
 	mu       sync.RWMutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	timers   map[string]*Timer
 
 	lmu       sync.Mutex
-	listeners map[int]func(name string, begin bool)
-	nextLis   int
+	listeners []*listener // in registration order, the dispatch order
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
+// NewRegistry returns an empty registry. A non-nil parent makes it a
+// child of parent: every metric update and stage event on it also
+// reaches parent (see the package comment).
+func NewRegistry(parent *Registry) *Registry {
 	return &Registry{
+		parent:   parent,
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		timers:   make(map[string]*Timer),
 	}
 }
 
-// OnStage registers fn to be called at the begin (begin=true) and end
-// (begin=false) of every stage started through StartStage on this
-// registry. The returned cancel func unregisters it; after cancel
-// returns fn will not be called again. Listeners run synchronously on
-// the instrumented goroutine, so fn must be fast and must not call back
-// into StartStage.
-//
-// Listeners exist so coarse pipelines can be observed live from outside:
-// the ledger (bench/) subscribes here to turn stages into trace spans.
-// Listeners see every stage in the process, whoever started it.
-func (r *Registry) OnStage(fn func(name string, begin bool)) (cancel func()) {
-	r.lmu.Lock()
-	defer r.lmu.Unlock()
-	if r.listeners == nil {
-		r.listeners = make(map[int]func(string, bool))
-	}
-	id := r.nextLis
-	r.nextLis++
-	r.listeners[id] = fn
-	return func() {
-		r.lmu.Lock()
-		defer r.lmu.Unlock()
-		delete(r.listeners, id)
+// listener is one OnStage registration: every call in flight holds mu
+// for reading, so cancel, which takes it for writing, waits them out.
+type listener struct {
+	fn        func(name string, begin bool)
+	mu        sync.RWMutex
+	cancelled bool
+}
+
+func (l *listener) call(name string, begin bool) {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	if !l.cancelled {
+		l.fn(name, begin)
 	}
 }
 
-func (r *Registry) notifyStage(name string, begin bool) {
+// OnStage registers fn to be called at the begin (begin=true) and end
+// (begin=false) of every stage started through StartStage on this
+// registry or on any child of it. The returned cancel func unregisters
+// it; after cancel returns fn will not be called again, so cancel waits
+// for calls of fn already in flight and fn must not cancel itself.
+// Listeners run synchronously on the instrumented goroutine, so fn must
+// be fast and must not call back into StartStage.
+//
+// Listeners exist so coarse pipelines can be observed live from outside:
+// the ledger (bench/) subscribes here to turn stages into trace spans.
+// Listeners of the process registry see every stage in the process,
+// whoever started it, because every child forwards its stages to it.
+func (r *Registry) OnStage(fn func(name string, begin bool)) (cancel func()) {
+	l := &listener{fn: fn}
 	r.lmu.Lock()
-	if len(r.listeners) == 0 {
-		r.lmu.Unlock()
-		return
-	}
-	// Deterministic dispatch order (maporder): ids ascend.
-	ids := make([]int, 0, len(r.listeners))
-	for id := range r.listeners {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	fns := make([]func(string, bool), 0, len(ids))
-	for _, id := range ids {
-		fns = append(fns, r.listeners[id])
-	}
+	r.listeners = append(r.listeners, l)
 	r.lmu.Unlock()
-	for _, fn := range fns {
-		fn(name, begin)
+	return func() {
+		r.lmu.Lock()
+		r.listeners = slices.DeleteFunc(r.listeners, func(x *listener) bool { return x == l })
+		r.lmu.Unlock()
+		l.mu.Lock()
+		l.cancelled = true
+		l.mu.Unlock()
+	}
+}
+
+// notifyStage calls the listeners of r, then those of each ancestor.
+func (r *Registry) notifyStage(name string, begin bool) {
+	for ; r != nil; r = r.parent {
+		r.lmu.Lock()
+		ls := slices.Clone(r.listeners)
+		r.lmu.Unlock()
+		for _, l := range ls {
+			l.call(name, begin)
+		}
 	}
 }
 
@@ -180,68 +210,58 @@ func (r *Registry) notifyStage(name string, begin bool) {
 // wall time and notifies the end:
 //
 //	defer reg.StartStage("scenario/topology")()
+//
+// Snapshot lists the stage from before any listener hears its begin. A
+// child and its ancestors record the one duration read at its end.
 func (r *Registry) StartStage(name string) func() {
+	t := r.Timer(name)
 	r.notifyStage(name, true)
-	stop := r.Timer(name).Start()
+	t0 := time.Now()
 	return func() {
-		stop()
+		t.Observe(time.Since(t0))
 		r.notifyStage(name, false)
 	}
 }
 
 // Counter returns the named counter, creating it at zero on first use.
 func (r *Registry) Counter(name string) *Counter {
-	r.mu.RLock()
-	c := r.counters[name]
-	r.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c = r.counters[name]; c == nil {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
+	return metric(r, r.counters, name, (*Registry).Counter, func(up *Counter) *Counter { return &Counter{up: up} })
 }
 
 // Gauge returns the named gauge, creating it at zero on first use.
 func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g = r.gauges[name]; g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return metric(r, r.gauges, name, (*Registry).Gauge, func(up *Gauge) *Gauge { return &Gauge{up: up} })
 }
 
 // Timer returns the named stage timer, creating it on first use.
 func (r *Registry) Timer(name string) *Timer {
+	return metric(r, r.timers, name, (*Registry).Timer, func(up *Timer) *Timer { return &Timer{up: up} })
+}
+
+// metric returns m[name], creating it on first use as mk of the parent's
+// metric of that name (nil without a parent).
+func metric[T any](r *Registry, m map[string]*T, name string, parent func(*Registry, string) *T, mk func(up *T) *T) *T {
 	r.mu.RLock()
-	t := r.timers[name]
+	v := m[name]
 	r.mu.RUnlock()
-	if t != nil {
-		return t
+	if v != nil {
+		return v
+	}
+	var up *T
+	if r.parent != nil {
+		up = parent(r.parent, name)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if t = r.timers[name]; t == nil {
-		t = &Timer{}
-		r.timers[name] = t
+	if v = m[name]; v == nil {
+		v = mk(up)
+		m[name] = v
 	}
-	return t
+	return v
 }
 
-// Reset zeroes every registered metric in place, preserving handles and
-// registered names (see the package comment).
+// Reset zeroes every metric of this registry in place, preserving
+// handles and registered names (see the package comment).
 func (r *Registry) Reset() {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -329,23 +349,18 @@ func (r *Registry) PublishExpvar(name string) {
 
 // --- default registry -------------------------------------------------
 
-var defaultRegistry = NewRegistry()
+var defaultRegistry = NewRegistry(nil)
 
-// Default is the process-wide registry every instrumented package
-// records into; cmd/routelab snapshots it for -metrics-json.
+// Default is the process-wide registry: work with no record of its own
+// records here, and every child of it forwards here; cmd/routelab
+// snapshots it for -metrics-json.
 func Default() *Registry { return defaultRegistry }
-
-// Add bumps a counter in the default registry.
-func Add(name string, delta int64) { defaultRegistry.Counter(name).Add(delta) }
 
 // Inc bumps a counter in the default registry by one.
 func Inc(name string) { defaultRegistry.Counter(name).Inc() }
 
 // SetGauge sets a gauge in the default registry.
 func SetGauge(name string, v float64) { defaultRegistry.Gauge(name).Set(v) }
-
-// Observe records one duration on a stage timer in the default registry.
-func Observe(name string, d time.Duration) { defaultRegistry.Timer(name).Observe(d) }
 
 // StartStage starts timing a named stage on the default registry,
 // notifying any registered stage listeners:

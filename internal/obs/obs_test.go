@@ -2,7 +2,9 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,7 +15,7 @@ import (
 // from many goroutines; under -race this doubles as the data-race gate
 // for every update path.
 func TestConcurrentUpdates(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistry(nil)
 	const goroutines, perG = 16, 1000
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -51,7 +53,7 @@ func TestConcurrentUpdates(t *testing.T) {
 // TestConcurrentLookup races get-or-create on the same names; every
 // goroutine must get the same handle.
 func TestConcurrentLookup(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistry(nil)
 	const goroutines = 32
 	handles := make([]*Counter, goroutines)
 	var wg sync.WaitGroup
@@ -77,7 +79,7 @@ func TestConcurrentLookup(t *testing.T) {
 // TestSnapshotDeterminism takes two snapshots of a quiescent registry
 // and requires them — and their JSON renderings — to be identical.
 func TestSnapshotDeterminism(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistry(nil)
 	// Register in an order unlike the sorted output.
 	r.Counter("z.last").Add(3)
 	r.Counter("a.first").Add(1)
@@ -113,7 +115,7 @@ func TestSnapshotDeterminism(t *testing.T) {
 // TestResetPreservesHandles verifies Reset zeroes metrics without
 // detaching previously obtained handles or forgetting names.
 func TestResetPreservesHandles(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistry(nil)
 	c := r.Counter("events")
 	c.Add(41)
 	r.Timer("stage").Observe(time.Second)
@@ -133,11 +135,11 @@ func TestResetPreservesHandles(t *testing.T) {
 	}
 }
 
-// TestTimerStart checks the Start/stop convenience wrapper records one
-// plausible observation.
-func TestTimerStart(t *testing.T) {
-	r := NewRegistry()
-	stop := r.Timer("stage").Start()
+// TestStartStageRecordsWallTime checks a stage's start/stop records one
+// plausible observation on its timer.
+func TestStartStageRecordsWallTime(t *testing.T) {
+	r := NewRegistry(nil)
+	stop := r.StartStage("stage")
 	time.Sleep(time.Millisecond)
 	stop()
 	st := r.Snapshot().Stages[0]
@@ -149,7 +151,7 @@ func TestTimerStart(t *testing.T) {
 // TestReportRoundTrip asserts a -metrics-json Report survives
 // encoding/json both ways, byte- and value-exact.
 func TestReportRoundTrip(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistry(nil)
 	r.Counter("bgp.converge.calls").Add(12)
 	r.Counter("scenario.decisions").Add(3400)
 	r.Gauge("scenario/campaign.items_per_sec").Set(512.5)
@@ -186,7 +188,7 @@ func TestReportRoundTrip(t *testing.T) {
 
 // TestReportWriteFile exercises the file path quickstart CI depends on.
 func TestReportWriteFile(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistry(nil)
 	r.Counter("c").Inc()
 	rep := NewReport()
 	rep.Metrics = r.Snapshot()
@@ -212,10 +214,11 @@ func TestReportWriteFile(t *testing.T) {
 func TestDefaultHelpers(t *testing.T) {
 	Reset()
 	t.Cleanup(Reset)
-	Add("test.counter", 2)
+	Inc("test.counter")
+	Inc("test.counter")
 	Inc("test.counter")
 	SetGauge("test.gauge", 1.5)
-	Observe("test.stage", time.Millisecond)
+	StartStage("test.stage")()
 	done := StartStage("test.stage")
 	done()
 	snap := Snap()
@@ -240,7 +243,7 @@ func TestDefaultHelpers(t *testing.T) {
 // begin/end pairs in order, multiple listeners, and that cancel stops
 // delivery immediately.
 func TestOnStageListeners(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistry(nil)
 	type ev struct {
 		name  string
 		begin bool
@@ -281,7 +284,7 @@ func TestOnStageListeners(t *testing.T) {
 // TestOnStageConcurrent subscribes and unsubscribes while stages run on
 // other goroutines — a -race check that the listener table is safe.
 func TestOnStageConcurrent(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistry(nil)
 	var fired atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -302,4 +305,152 @@ func TestOnStageConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestOnStageCancelWaitsForDispatch: cancel returns only once no call of
+// its listener is in flight, and a dispatch already under way skips a
+// listener cancelled before the dispatch reached it.
+func TestOnStageCancelWaitsForDispatch(t *testing.T) {
+	r := NewRegistry(nil)
+	entered, release := make(chan struct{}), make(chan struct{})
+	var aCalls, bCalls atomic.Int64
+	cancelA := r.OnStage(func(_ string, begin bool) {
+		aCalls.Add(1)
+		if begin {
+			close(entered)
+			<-release
+		}
+	})
+	cancelB := r.OnStage(func(string, bool) { bCalls.Add(1) })
+
+	done := make(chan struct{})
+	go func() {
+		r.StartStage("x")()
+		close(done)
+	}()
+	<-entered // A blocks inside the begin of x; B has not been called
+	cancelB()
+	cancelledA := make(chan struct{})
+	go func() {
+		cancelA()
+		close(cancelledA)
+	}()
+	select {
+	case <-cancelledA:
+		t.Error("cancel returned while its listener was still running")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	<-cancelledA
+	<-done
+	if got := bCalls.Load(); got != 0 {
+		t.Errorf("listener cancelled mid-dispatch was called %d times after its cancel returned", got)
+	}
+	if got := aCalls.Load(); got != 1 {
+		t.Errorf("blocking listener called %d times, want its one begin", got)
+	}
+}
+
+// TestChildReachesParent: every update on a child's metrics lands on the
+// parent's metric of the same name, and a stage begun on the child
+// reaches the parent's listeners after the child's, with one duration
+// recorded on both timers.
+func TestChildReachesParent(t *testing.T) {
+	parent := NewRegistry(nil)
+	child := NewRegistry(parent)
+	var events []string
+	parent.OnStage(func(name string, begin bool) { events = append(events, fmt.Sprint("parent ", name, " ", begin)) })
+	child.OnStage(func(name string, begin bool) {
+		if begin && !listsStage(child, name) {
+			t.Errorf("child listener heard %s begin before its timer was listed", name)
+		}
+		events = append(events, fmt.Sprint("child ", name, " ", begin))
+	})
+
+	child.Counter("c").Add(3)
+	child.Counter("c").Inc()
+	child.Gauge("g").Set(2.5)
+	child.Timer("t").Observe(time.Millisecond)
+	stop := child.StartStage("s")
+	if !listsStage(parent, "s") || !listsStage(child, "s") {
+		t.Error("a stage begun on the child is not listed on both registries")
+	}
+	stop()
+
+	want := []string{"child s true", "parent s true", "child s false", "parent s false"}
+	if !reflect.DeepEqual(events, want) {
+		t.Errorf("stage events %q, want %q", events, want)
+	}
+	ps, cs := parent.Snapshot(), child.Snapshot()
+	if ps.Counters["c"] != 4 || cs.Counters["c"] != 4 {
+		t.Errorf("counter: parent %d, child %d, want 4 each", ps.Counters["c"], cs.Counters["c"])
+	}
+	if ps.Gauges["g"] != 2.5 || cs.Gauges["g"] != 2.5 {
+		t.Errorf("gauge: parent %v, child %v, want 2.5 each", ps.Gauges["g"], cs.Gauges["g"])
+	}
+	if !reflect.DeepEqual(ps.Stages, cs.Stages) {
+		t.Errorf("timers differ:\nparent %+v\nchild  %+v", ps.Stages, cs.Stages)
+	}
+	if len(cs.Stages) != 2 || cs.Stages[0].Count != 1 || cs.Stages[1].Count != 1 {
+		t.Errorf("child stages %+v, want s and t once each", cs.Stages)
+	}
+}
+
+// listsStage reports whether r's snapshot lists a stage named name.
+func listsStage(r *Registry, name string) bool {
+	return slices.ContainsFunc(r.Snapshot().Stages, func(st StageStat) bool { return st.Name == name })
+}
+
+// TestChildSurvivesParentReset: Reset on a parent zeroes the parent
+// only; the child keeps its record and still forwards.
+func TestChildSurvivesParentReset(t *testing.T) {
+	parent := NewRegistry(nil)
+	child := NewRegistry(parent)
+	child.Counter("c").Add(5)
+	child.Gauge("g").Set(1)
+	child.StartStage("s")()
+	parent.Reset()
+
+	cs := child.Snapshot()
+	if cs.Counters["c"] != 5 || cs.Gauges["g"] != 1 || cs.Stages[0].Count != 1 {
+		t.Errorf("parent Reset moved the child: %+v", cs)
+	}
+	child.Counter("c").Inc()
+	if got := parent.Counter("c").Value(); got != 1 {
+		t.Errorf("parent counter after reset and one child Inc = %d, want 1", got)
+	}
+}
+
+// TestConcurrentChildrenSumOnParent: two children updated from many
+// goroutines at once each hold their own total, and the parent holds
+// their sum exactly.
+func TestConcurrentChildrenSumOnParent(t *testing.T) {
+	parent := NewRegistry(nil)
+	children := []*Registry{NewRegistry(parent), NewRegistry(parent)}
+	const goroutines, perG = 8, 500
+	var wg sync.WaitGroup
+	for k, child := range children {
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < perG; i++ {
+					child.Counter("hits").Add(int64(k + 1))
+					child.StartStage("stage")()
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	for k, child := range children {
+		if got, want := child.Counter("hits").Value(), int64((k+1)*goroutines*perG); got != want {
+			t.Errorf("child %d: hits = %d, want %d", k, got, want)
+		}
+	}
+	if got, want := parent.Counter("hits").Value(), int64(3*goroutines*perG); got != want {
+		t.Errorf("parent hits = %d, want %d", got, want)
+	}
+	if got, want := parent.Snapshot().Stages[0].Count, int64(2*goroutines*perG); got != want {
+		t.Errorf("parent stage count = %d, want %d", got, want)
+	}
 }

@@ -44,9 +44,10 @@
 // # Observability
 //
 // The Stage variants (ForEachStage, MapStage) additionally record the
-// stage's wall clock, item count, items/sec, and worker utilization in
-// the default obs registry (see internal/obs and DESIGN.md
-// §"Observability"). Metrics never feed back into results.
+// stage's wall clock, item count, items/sec, and worker utilization on
+// the obs registry their caller names: a scenario build's own record,
+// or the process registry for work that has none (see internal/obs and
+// DESIGN.md §"Observability"). Metrics never feed back into results.
 package parallel
 
 import (
@@ -135,16 +136,16 @@ func Map[T, R any](items []T, workers int, fn func(i int, item T) R) []R {
 }
 
 // ForEachStage is ForEach instrumented under a stage name: it records
-// the stage's wall clock on the obs timer of that name, plus
+// on reg the stage's wall clock on the obs timer of that name, plus
 // "<stage>.items" (counter), "<stage>.items_per_sec",
 // "<stage>.utilization" (busy worker-time / workers × wall), and
-// "<stage>.workers" (gauges) in the default obs registry. The metrics
+// "<stage>.workers" (gauges). The metrics
 // are a side channel — the determinism contract is untouched; output
 // stays byte-identical for any worker count. Instrumentation costs one
 // clock read pair plus one atomic add per item, so use it for stages
 // whose items are substantial (a convergence, a probe's traceroutes),
 // not micro-loops.
-func ForEachStage(stage string, n, workers int, fn func(i int)) {
+func ForEachStage(reg *obs.Registry, stage string, n, workers int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
@@ -153,7 +154,6 @@ func ForEachStage(stage string, n, workers int, fn func(i int)) {
 		effective = n
 	}
 	var busy atomic.Int64
-	reg := obs.Default()
 	// StartStage (rather than a bare Timer) so registered stage
 	// listeners see the begin/end of the fan-out live — the ledger's
 	// traced runs (bench/) record these events as spans.
@@ -177,9 +177,9 @@ func ForEachStage(stage string, n, workers int, fn func(i int)) {
 
 // MapStage is Map instrumented under a stage name; see ForEachStage for
 // the recorded metrics and their cost.
-func MapStage[T, R any](stage string, items []T, workers int, fn func(i int, item T) R) []R {
+func MapStage[T, R any](reg *obs.Registry, stage string, items []T, workers int, fn func(i int, item T) R) []R {
 	out := make([]R, len(items))
-	ForEachStage(stage, len(items), workers, func(i int) {
+	ForEachStage(reg, stage, len(items), workers, func(i int) {
 		out[i] = fn(i, items[i])
 	})
 	return out

@@ -67,7 +67,7 @@ func TestMapStageRecordsMetrics(t *testing.T) {
 	obs.Reset()
 	t.Cleanup(obs.Reset)
 	items := []int{5, 6, 7, 8, 9}
-	got := MapStage("parallel-test/square", items, 2, func(i, v int) int { return v * v })
+	got := MapStage(obs.Default(), "parallel-test/square", items, 2, func(i, v int) int { return v * v })
 	for i, v := range items {
 		if got[i] != v*v {
 			t.Fatalf("slot %d = %d, want %d", i, got[i], v*v)
@@ -98,7 +98,7 @@ func TestMapStageRecordsMetrics(t *testing.T) {
 func TestForEachStageEmpty(t *testing.T) {
 	obs.Reset()
 	t.Cleanup(obs.Reset)
-	ForEachStage("parallel-test/empty", 0, 4, func(int) { t.Fatal("fn called for n=0") })
+	ForEachStage(obs.Default(), "parallel-test/empty", 0, 4, func(int) { t.Fatal("fn called for n=0") })
 	for _, st := range obs.Snap().Stages {
 		if st.Name == "parallel-test/empty" && st.Count != 0 {
 			t.Errorf("empty stage recorded: %+v", st)

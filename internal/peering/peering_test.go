@@ -10,10 +10,12 @@ import (
 	"routelab/internal/topology"
 )
 
-func newTestbed(t *testing.T, seed int64) (*Testbed, *topology.Topology) {
+// newTestbed builds the testbed of one TestConfig world, its engine
+// recording on rec.
+func newTestbed(t *testing.T, seed int64, rec *obs.Registry) (*Testbed, *topology.Topology) {
 	t.Helper()
 	topo := topology.Generate(seed, topology.TestConfig())
-	tb, err := NewTestbed(bgp.New(topo, seed))
+	tb, err := NewTestbed(bgp.New(topo, seed, rec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +23,7 @@ func newTestbed(t *testing.T, seed int64) (*Testbed, *topology.Topology) {
 }
 
 func TestTestbedShape(t *testing.T) {
-	tb, topo := newTestbed(t, 61)
+	tb, topo := newTestbed(t, 61, obs.Default())
 	if len(tb.Muxes) != 7 {
 		t.Fatalf("%d muxes, want 7", len(tb.Muxes))
 	}
@@ -38,13 +40,13 @@ func TestTestbedShape(t *testing.T) {
 func TestNewTestbedRequiresHandles(t *testing.T) {
 	b := topology.NewBuilder()
 	b.AS(1, topology.Stub, "")
-	if _, err := NewTestbed(bgp.New(b.Build(), 1)); err == nil {
+	if _, err := NewTestbed(bgp.New(b.Build(), 1, obs.Default())); err == nil {
 		t.Error("testbed without handles must fail")
 	}
 }
 
 func TestDiscoverAlternatesPreferenceOrder(t *testing.T) {
-	tb, topo := newTestbed(t, 61)
+	tb, topo := newTestbed(t, 61, obs.Default())
 	// Target: a university's commercial provider (a transit AS that is
 	// guaranteed to sit on paths toward PEERING).
 	mux := tb.Muxes[0]
@@ -94,7 +96,7 @@ func TestDiscoverAlternatesPreferenceOrder(t *testing.T) {
 }
 
 func TestMagnetAgingAndMoves(t *testing.T) {
-	tb, topo := newTestbed(t, 62)
+	tb, topo := newTestbed(t, 62, obs.Default())
 	// Observe every transit AS (it is cheap at test scale).
 	var observe []asn.ASN
 	for _, cls := range []topology.Class{topology.Tier1, topology.LargeISP, topology.Research} {
@@ -128,7 +130,7 @@ func TestMagnetAgingAndMoves(t *testing.T) {
 }
 
 func TestMagnetDifferentMagnetsDiffer(t *testing.T) {
-	tb, topo := newTestbed(t, 63)
+	tb, topo := newTestbed(t, 63, obs.Default())
 	observe := topo.ASesOfClass(topology.LargeISP)
 	a := tb.Magnet(tb.Prefixes[0], 0, observe)
 	b := tb.Magnet(tb.Prefixes[0], 1, observe)
@@ -153,7 +155,7 @@ func TestMagnetDifferentMagnetsDiffer(t *testing.T) {
 }
 
 func TestDiscoverAlternatesDeterministic(t *testing.T) {
-	tb, topo := newTestbed(t, 64)
+	tb, topo := newTestbed(t, 64, obs.Default())
 	target := topo.Names["mux-0"]
 	a := tb.DiscoverAlternates(tb.Prefixes[0], []asn.ASN{target}, 1)[0]
 	b := tb.DiscoverAlternates(tb.Prefixes[0], []asn.ASN{target}, 1)[0]
@@ -169,7 +171,7 @@ func TestDiscoverAlternatesDeterministic(t *testing.T) {
 }
 
 func TestDiscoverAlternatesUnreachableTarget(t *testing.T) {
-	tb, topo := newTestbed(t, 65)
+	tb, topo := newTestbed(t, 65, obs.Default())
 	// A cable operator may have no route toward PEERING prefixes (its
 	// only neighbors are its customers and their exports are limited).
 	var unreachable asn.ASN
@@ -189,7 +191,7 @@ func TestDiscoverAlternatesUnreachableTarget(t *testing.T) {
 }
 
 func TestMagnetObservationSubset(t *testing.T) {
-	tb, topo := newTestbed(t, 66)
+	tb, topo := newTestbed(t, 66, obs.Default())
 	// Observing a subset yields exactly that subset (those with routes).
 	observe := topo.ASesOfClass(topology.Tier1)[:2]
 	res := tb.Magnet(tb.Prefixes[0], 0, observe)
@@ -247,9 +249,10 @@ func referenceDiscover(tb *Testbed, prefix asn.Prefix, target asn.ASN) Alternate
 // does discovering it alone. The walk must also share work: fewer
 // convergences than the per-target loops.
 func TestDiscoverAlternatesMatchesReference(t *testing.T) {
-	converges := obs.Default().Counter("bgp.converge.calls")
 	for _, seed := range []int64{61, 67} {
-		tb, topo := newTestbed(t, seed)
+		rec := obs.NewRegistry(nil)
+		converges := rec.Counter("bgp.converge.calls")
+		tb, topo := newTestbed(t, seed, rec)
 		all, prefix := topo.ASNs(), tb.Prefixes[0]
 		tb.AnycastBase(prefix)
 		c0 := converges.Value()

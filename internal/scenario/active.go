@@ -32,10 +32,10 @@ type MagnetCampaign struct {
 // every AS (a cheap superset of what either channel could see): the
 // per-channel visibility is filtered by RunMagnetCampaign using actual
 // paths, so the runs themselves depend on no observer and no rng.
-func (s *Scenario) runMagnets() []peering.MagnetResult {
+func (s *Scenario) runMagnets(rec *obs.Registry) []peering.MagnetResult {
 	prefix := s.Testbed.Prefixes[0]
 	observe := s.Topo.ASNs()
-	return parallel.MapStage("scenario/magnet", s.Testbed.Muxes, s.Cfg.RoutingWorkers,
+	return parallel.MapStage(rec, "scenario/magnet", s.Testbed.Muxes, s.Cfg.RoutingWorkers,
 		func(mi int, _ asn.ASN) peering.MagnetResult {
 			return s.Testbed.Magnet(prefix, mi, observe)
 		})

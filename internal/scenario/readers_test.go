@@ -139,10 +139,11 @@ func TestEveryReadIsRetained(t *testing.T) {
 // the same data-plane prefixes and collectors face four times the ASes
 // and twice the prefixes); the ceiling only ever moves down.
 func TestRetainedShareOfConvergedRoutes(t *testing.T) {
-	routes, retained := obs.Default().Counter("bgp.rib.routes"), obs.Default().Counter("bgp.rib.retained")
-	r0, k0 := routes.Value(), retained.Value()
-	buildSeed(t, scenario.TestConfig().Seed)
-	converged, kept := routes.Value()-r0, retained.Value()-k0
+	rec := obs.NewRegistry(obs.Default())
+	if _, err := scenario.Build(scenario.TestConfig(), rec); err != nil {
+		t.Fatal(err)
+	}
+	converged, kept := rec.Counter("bgp.rib.routes").Value(), rec.Counter("bgp.rib.retained").Value()
 	if converged == 0 {
 		t.Fatal("the build converged no route")
 	}

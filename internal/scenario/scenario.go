@@ -45,6 +45,7 @@ package scenario
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"slices"
 
@@ -189,7 +190,8 @@ type Scenario struct {
 }
 
 // Phases are the stages of Build, named as their obs stage timers, in
-// the order Build runs them. Logf hears a phase by its index here.
+// the order Build begins them on its record: a build's progress is the
+// last of them begun there.
 var Phases = []string{
 	"scenario/topology",
 	"scenario/testbed",
@@ -204,55 +206,51 @@ var Phases = []string{
 	"scenario/judge",
 }
 
-// Logf receives Build's progress lines, each with the index in Phases of
-// the phase it reports on. Build calls it once as each phase begins,
-// before the phase's stage timer starts, and again under the same index
-// for the phase's results; nil silences it.
-type Logf func(phase int, format string, args ...any)
+// PhaseLines returns a stage listener that writes one line to w as each
+// of Phases begins, "[4/11] scenario/converge-current", and ignores
+// every other stage. Both binaries print build progress through it.
+func PhaseLines(w io.Writer) func(name string, begin bool) {
+	return func(name string, begin bool) {
+		if i := slices.Index(Phases, name); begin && i >= 0 {
+			fmt.Fprintf(w, "[%d/%d] %s\n", i+1, len(Phases), name)
+		}
+	}
+}
 
-// Build assembles the scenario. Every phase runs under an obs stage
-// timer named by Phases, and the build records its headline counts
-// (ASes, links, snapshots, traces, decisions) as obs counters, so a
-// -metrics-json report explains where a build's wall clock went.
-func Build(cfg Config, logf Logf) (*Scenario, error) {
-	return build(cfg, logf, nil)
+// Build assembles the scenario and records every stage and counter of
+// the build on rec, once: scenario/build around the phases Phases names,
+// the engines' bgp.* counts, and the headline counts (ASes, links,
+// snapshots, traces, decisions) as scenario.* counters. rec is usually a
+// child of the process registry, obs.NewRegistry(obs.Default()); nil
+// records on the process registry itself.
+func Build(cfg Config, rec *obs.Registry) (*Scenario, error) {
+	return build(cfg, rec, nil)
 }
 
 // build is Build with a hook for the monitor snapshots, which a built
 // Scenario does not keep: keep, when non-nil, hears them as soon as they
 // are collected. Only the tests pass one.
-func build(cfg Config, logf Logf, keep func([]*vantage.Snapshot)) (*Scenario, error) {
+func build(cfg Config, rec *obs.Registry, keep func([]*vantage.Snapshot)) (*Scenario, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if logf == nil {
-		logf = func(int, string, ...any) {}
+	if rec == nil {
+		rec = obs.Default()
 	}
-	defer obs.StartStage("scenario/build")()
-	obs.Inc("scenario.builds")
+	defer rec.StartStage("scenario/build")()
+	rec.Counter("scenario.builds").Inc()
 	s := &Scenario{Cfg: cfg, alternates: new(alternatesMemo)}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	// begin announces the phase whose stage is named stage, by its index
-	// in Phases, and returns the name for the stage timer.
-	phase := -1
-	begin := func(stage, format string, args ...any) string {
-		phase = slices.Index(Phases, stage)
-		logf(phase, format, args...)
-		return stage
-	}
-
-	stop := obs.StartStage(begin("scenario/topology", "generating topology (seed %d)", cfg.Seed))
+	stop := rec.StartStage("scenario/topology")
 	s.Topo = topology.Generate(cfg.Seed, cfg.Topology)
-	s.Engine = bgp.New(s.Topo, cfg.Seed)
+	s.Engine = bgp.New(s.Topo, cfg.Seed, rec)
 	stop()
-	logf(phase, "  %d ASes, %d links, %d prefixes",
-		s.Topo.NumASes(), s.Topo.NumLinks(), len(s.Topo.OriginatedPrefixes()))
-	obs.Add("scenario.topology.ases", int64(s.Topo.NumASes()))
-	obs.Add("scenario.topology.links", int64(s.Topo.NumLinks()))
-	obs.Add("scenario.topology.prefixes", int64(len(s.Topo.OriginatedPrefixes())))
+	rec.Counter("scenario.topology.ases").Add(int64(s.Topo.NumASes()))
+	rec.Counter("scenario.topology.links").Add(int64(s.Topo.NumLinks()))
+	rec.Counter("scenario.topology.prefixes").Add(int64(len(s.Topo.OriginatedPrefixes())))
 
-	stop = obs.StartStage(begin("scenario/testbed", "building PEERING testbed"))
+	stop = rec.StartStage("scenario/testbed")
 	tb, err := peering.NewTestbed(s.Engine)
 	stop()
 	if err != nil {
@@ -282,23 +280,16 @@ func build(cfg Config, logf Logf, keep func([]*vantage.Snapshot)) (*Scenario, er
 		DataPlane:  dataPlanePrefixes(s.Topo, tb.Prefixes),
 	}
 
-	workers := parallel.Workers(cfg.RoutingWorkers)
-	unsettled := func(rib *bgp.RIB) *bgp.RIB {
-		if n := len(rib.Unsettled()); n > 0 {
-			logf(phase, "  %d prefixes unsettled at the event cap", n)
-		}
-		return rib
-	}
-	stop = obs.StartStage(begin("scenario/converge-historical", "converging historical epoch routing (%d workers)", workers))
-	ribHist := unsettled(bgp.New(topoHist, cfg.Seed).ComputeRIB(topoHist.OriginatedPrefixes(), bgp.Readers{Collectors: histPeers}, cfg.RoutingWorkers))
+	stop = rec.StartStage("scenario/converge-historical")
+	ribHist := bgp.New(topoHist, cfg.Seed, rec).ComputeRIB(rec, topoHist.OriginatedPrefixes(), bgp.Readers{Collectors: histPeers}, cfg.RoutingWorkers)
 	stop()
-	stop = obs.StartStage(begin("scenario/converge-current", "converging current epoch routing (%d workers)", workers))
-	s.RIB = unsettled(s.Engine.ComputeRIB(s.Topo.OriginatedPrefixes(), curReaders, cfg.RoutingWorkers))
+	stop = rec.StartStage("scenario/converge-current")
+	s.RIB = s.Engine.ComputeRIB(rec, s.Topo.OriginatedPrefixes(), curReaders, cfg.RoutingWorkers)
 	stop()
 
 	s.Siblings = siblings.Infer(s.Topo.Registry, s.Topo.DNS)
 
-	stop = obs.StartStage(begin("scenario/snapshots", "collecting %d monitor snapshots", epochs))
+	stop = rec.StartStage("scenario/snapshots")
 	infCfg := inference.DefaultConfig()
 	infCfg.SameOrg = s.Siblings.SameOrg
 	snaps := make([]*vantage.Snapshot, 0, epochs)
@@ -310,7 +301,7 @@ func build(cfg Config, logf Logf, keep func([]*vantage.Snapshot)) (*Scenario, er
 		snaps = append(snaps, vantage.Collect(src, peers[epoch], epoch))
 	}
 	stop()
-	obs.Add("scenario.snapshots", int64(len(snaps)))
+	rec.Counter("scenario.snapshots").Add(int64(len(snaps)))
 	if keep != nil {
 		keep(snaps)
 	}
@@ -318,7 +309,7 @@ func build(cfg Config, logf Logf, keep func([]*vantage.Snapshot)) (*Scenario, er
 		ev *inference.Evidence
 		g  *relgraph.Graph
 	}
-	per := parallel.MapStage(begin("scenario/inference", "inferring relationships"), snaps, cfg.RoutingWorkers,
+	per := parallel.MapStage(rec, "scenario/inference", snaps, cfg.RoutingWorkers,
 		func(_ int, snap *vantage.Snapshot) inferred {
 			ev := inference.Gather(snap, infCfg)
 			return inferred{ev, ev.Label(infCfg.VisibilityThreshold)}
@@ -329,8 +320,7 @@ func build(cfg Config, logf Logf, keep func([]*vantage.Snapshot)) (*Scenario, er
 		graphs[i] = p.g
 	}
 	s.Inferred = inference.Aggregate(graphs)
-	logf(phase, "  inferred graph: %d edges", s.Inferred.NumEdges())
-	obs.Add("scenario.inference.edges", int64(s.Inferred.NumEdges()))
+	rec.Counter("scenario.inference.edges").Add(int64(s.Inferred.NumEdges()))
 
 	latest := snaps[len(snaps)-1]
 	s.Mapper = ipasmap.FromSnapshot(latest)
@@ -372,40 +362,35 @@ func build(cfg Config, logf Logf, keep func([]*vantage.Snapshot)) (*Scenario, er
 		CableASes:        cables,
 	}
 
-	stop = obs.StartStage(begin("scenario/atlas", "deploying Atlas platform"))
+	stop = rec.StartStage("scenario/atlas")
 	s.Platform = atlas.NewPlatform(s.Topo, cfg.Seed)
 	s.Probes = s.Platform.SelectBalanced(rng, cfg.NumProbes)
 	stop()
-	logf(phase, "  population %d probes, selected %d", s.Platform.NumProbes(), len(s.Probes))
-	obs.Add("scenario.probes.selected", int64(len(s.Probes)))
+	rec.Counter("scenario.probes.selected").Add(int64(len(s.Probes)))
 
-	begin("scenario/campaign", "running traceroute campaign (target %d traces)", cfg.TracesTarget) // Campaign starts the stage
-	if err := s.runCampaign(rng); err != nil {
+	if s.Measurements, s.TracesIssued, err = s.Campaign(rec, s.Probes, cfg.TracesTarget, rng); err != nil {
 		return nil, err
 	}
 	decisions := 0
 	for i := range s.Measurements {
 		decisions += len(s.Measurements[i].Decisions)
 	}
-	logf(phase, "  %d traces issued, %d usable, %d decisions",
-		s.TracesIssued, len(s.Measurements), decisions)
-	obs.Add("scenario.traces.issued", int64(s.TracesIssued))
-	obs.Add("scenario.traces.usable", int64(len(s.Measurements)))
-	obs.Add("scenario.decisions", int64(decisions))
+	rec.Counter("scenario.traces.issued").Add(int64(s.TracesIssued))
+	rec.Counter("scenario.traces.usable").Add(int64(len(s.Measurements)))
+	rec.Counter("scenario.decisions").Add(int64(decisions))
 
 	// Roughly one in five transit operators runs a public route server
 	// (the paper found 28 of 149 candidate neighbors).
-	stop = obs.StartStage(begin("scenario/lookingglass", "deploying looking glasses"))
+	stop = rec.StartStage("scenario/lookingglass")
 	s.LookingGlasses = lookingglass.Deploy(s.Topo, s.RIB, rng, 0.2)
 	stop()
 
 	// The last two phases draw nothing from rng: they compute once what
 	// every reader of the scenario would otherwise recompute per request.
-	begin("scenario/magnet", "running %d magnet experiments (%d workers)", len(s.Testbed.Muxes), workers) // MapStage starts the stage
-	s.Magnet = s.runMagnets()
+	s.Magnet = s.runMagnets(rec)
 	s.magnetIndex = indexMagnets(s.Magnet)
 
-	stop = obs.StartStage(begin("scenario/judge", "judging %d decisions under %d refinements", decisions, len(classify.Refinements)))
+	stop = rec.StartStage("scenario/judge")
 	s.Verdicts = s.Context.Judge(s.Measurements, cfg.RoutingWorkers)
 	stop()
 
@@ -429,27 +414,17 @@ func dataPlanePrefixes(topo *topology.Topology, testbed []asn.Prefix) []asn.Pref
 	return out
 }
 
-// runCampaign resolves and traces hostnames from every selected probe.
-func (s *Scenario) runCampaign(rng *rand.Rand) error {
-	ms, issued, err := s.Campaign(s.Probes, s.Cfg.TracesTarget, rng)
-	if err != nil {
-		return err
-	}
-	s.Measurements = ms
-	s.TracesIssued = issued
-	return nil
-}
-
 // Campaign runs a traceroute campaign from an arbitrary probe set (the
 // ablation experiments re-run it with alternative probe selections) and
-// returns the usable measurements plus the raw trace count.
+// returns the usable measurements plus the raw trace count, recording
+// its scenario/campaign stage on rec.
 //
 // Probes measure independently, so the campaign fans out one probe per
 // worker. Determinism survives the fan-out because the shared rng is
 // consumed serially, up front: one derived seed per probe, each worker
 // owning its own rand.Rand. Trace IDs are renumbered into one global
 // sequence at the merge barrier, in probe order.
-func (s *Scenario) Campaign(probes []atlas.Probe, target int, rng *rand.Rand) ([]classify.Measurement, int, error) {
+func (s *Scenario) Campaign(rec *obs.Registry, probes []atlas.Probe, target int, rng *rand.Rand) ([]classify.Measurement, int, error) {
 	hostnames := s.Topo.DNS.Hostnames()
 	if len(hostnames) == 0 {
 		return nil, 0, fmt.Errorf("scenario: topology has no content hostnames")
@@ -475,7 +450,7 @@ func (s *Scenario) Campaign(probes []atlas.Probe, target int, rng *rand.Rand) ([
 		// their probe-local issue number in TraceID until the merge.
 		issued int
 	}
-	runs := parallel.MapStage("scenario/campaign", probes, s.Cfg.RoutingWorkers, func(i int, probe atlas.Probe) probeRun {
+	runs := parallel.MapStage(rec, "scenario/campaign", probes, s.Cfg.RoutingWorkers, func(i int, probe atlas.Probe) probeRun {
 		prng := rand.New(rand.NewSource(seeds[i]))
 		upstreams := s.upstreamsOf(probe.AS)
 		probeCont := s.Topo.World.ContinentOf(probe.City)

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
 
@@ -14,60 +13,41 @@ import (
 	"routelab/internal/peering"
 )
 
-// testScenario caches the (comparatively expensive) test scenario. The
-// rest record what its build reported: the phase index of every Logf
-// call, every scenario/ stage it began, and the last Logf index at each
-// of those begins.
+// testScenario caches the (comparatively expensive) test scenario.
+// testRecord is the obs registry its build recorded on, and testStages
+// the stages begun there that are scenario/build or one of Phases, in
+// the order they began.
 var (
-	testScenario  *Scenario
-	testPhases    []int
-	testStages    []string
-	testAnnounced []int
+	testScenario *Scenario
+	testRecord   *obs.Registry
+	testStages   []string
 )
 
 func getScenario(t *testing.T) *Scenario {
 	t.Helper()
 	if testScenario == nil {
-		cancel := obs.OnStage(func(name string, begin bool) {
-			if begin && strings.HasPrefix(name, "scenario/") && name != "scenario/build" {
-				last := -1
-				if n := len(testPhases); n > 0 {
-					last = testPhases[n-1]
-				}
+		rec := obs.NewRegistry(obs.Default())
+		cancel := rec.OnStage(func(name string, begin bool) {
+			if begin && (name == "scenario/build" || slices.Contains(Phases, name)) {
 				testStages = append(testStages, name)
-				testAnnounced = append(testAnnounced, last)
 			}
 		})
-		s, err := Build(TestConfig(), func(phase int, format string, args ...any) {
-			testPhases = append(testPhases, phase)
-			t.Logf(format, args...)
-		})
+		s, err := Build(TestConfig(), rec)
 		cancel()
 		if err != nil {
 			t.Fatal(err)
 		}
-		testScenario = s
+		testScenario, testRecord = s, rec
 	}
 	return testScenario
 }
 
-// TestBuildReportsPhases: Build announces every phase once, in order, to
-// Logf before its stage timer begins, and the stage timers it begins
-// are Phases, in that order.
+// TestBuildReportsPhases: a build begins, on its record, scenario/build
+// and then every one of Phases in order, each once.
 func TestBuildReportsPhases(t *testing.T) {
 	getScenario(t)
-	want := make([]int, len(Phases))
-	for i := range want {
-		want[i] = i
-	}
-	if got := slices.Compact(slices.Clone(testPhases)); !slices.Equal(got, want) {
-		t.Errorf("Logf phase indices %v, want %v in order", testPhases, want)
-	}
-	if !slices.Equal(testStages, Phases) {
-		t.Errorf("stages begun %v, want Phases %v", testStages, Phases)
-	}
-	if !slices.Equal(testAnnounced, want) {
-		t.Errorf("Logf index at each stage begin %v, want %v", testAnnounced, want)
+	if want := append([]string{"scenario/build"}, Phases...); !slices.Equal(testStages, want) {
+		t.Errorf("stages begun on the build's record %v, want %v", testStages, want)
 	}
 }
 
@@ -176,11 +156,11 @@ func TestAlternatesCampaignCountsIndependentOfWorkers(t *testing.T) {
 		sw.ForgetAlternates()
 		before := make([]int64, len(counters))
 		for i, name := range counters {
-			before[i] = obs.Default().Counter(name).Value()
+			before[i] = testRecord.Counter(name).Value()
 		}
 		runs := sw.RunAlternatesCampaign(rand.New(rand.NewSource(10)))
 		for i, name := range counters {
-			before[i] = obs.Default().Counter(name).Value() - before[i]
+			before[i] = testRecord.Counter(name).Value() - before[i]
 		}
 		return runs, before
 	}
@@ -214,7 +194,7 @@ func TestAlternatesCampaignAfterAnotherMatchesFresh(t *testing.T) {
 	campaign := func(sc *Scenario, seed int64) []peering.AlternateResult {
 		return sc.RunAlternatesCampaign(rand.New(rand.NewSource(seed)))
 	}
-	forks := obs.Default().Counter("bgp.fork.calls")
+	forks := testRecord.Counter("bgp.fork.calls")
 	want := campaign(fresh(), 11)
 
 	sw := fresh()
@@ -322,5 +302,62 @@ func TestBuildDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a.Magnet, b.Magnet) {
 		t.Error("magnet runs differ between workers=1 and workers=4")
+	}
+}
+
+// TestConcurrentBuildsKeepTheirOwnRecords: two builds of different
+// worlds running at once each count on their own record what the same
+// build counts alone, and the process registry gains exactly their sum.
+// bgp.fork.recycled counts sync.Pool hits, which the runtime may drop at
+// any collection (and at random under -race), so it is held only to the
+// sum.
+func TestConcurrentBuildsKeepTheirOwnRecords(t *testing.T) {
+	seeds := []int64{3, 4}
+	config := func(seed int64) Config {
+		cfg := TestConfig()
+		cfg.Seed = seed
+		cfg.RoutingWorkers = 1
+		return cfg
+	}
+	alone := make([]map[string]int64, len(seeds))
+	for i, seed := range seeds {
+		rec := obs.NewRegistry(obs.Default())
+		if _, err := Build(config(seed), rec); err != nil {
+			t.Fatal(err)
+		}
+		alone[i] = rec.Snapshot().Counters
+	}
+
+	before := obs.Snap().Counters
+	recs := []*obs.Registry{obs.NewRegistry(obs.Default()), obs.NewRegistry(obs.Default())}
+	var wg sync.WaitGroup
+	for i, seed := range seeds {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := Build(config(seed), recs[i]); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	after := obs.Snap().Counters
+
+	together := make([]map[string]int64, len(seeds))
+	for i := range seeds {
+		together[i] = recs[i].Snapshot().Counters
+		for name, want := range alone[i] {
+			if got := together[i][name]; got != want && name != "bgp.fork.recycled" {
+				t.Errorf("seed %d: %s = %d beside another build, %d alone", seeds[i], name, got, want)
+			}
+		}
+		if len(together[i]) != len(alone[i]) {
+			t.Errorf("seed %d: %d counters beside another build, %d alone", seeds[i], len(together[i]), len(alone[i]))
+		}
+	}
+	for name, n := range after {
+		if got, want := n-before[name], together[0][name]+together[1][name]; got != want {
+			t.Errorf("process %s moved by %d, the two records sum to %d", name, got, want)
+		}
 	}
 }

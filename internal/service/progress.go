@@ -5,15 +5,16 @@ import (
 	"slices"
 	"sync"
 
+	"routelab/internal/obs"
 	"routelab/internal/scenario"
 )
 
 // Build-progress streaming: a cold scenario's first request used to be
 // the only way to learn a build was running — and it blocked for the
 // whole build. GET /v1/scenarios/{id}/build answers instantly with a
-// phase/percent snapshot instead, fed by the build's own scenario.Logf
-// callback, so clients poll cheaply and decide for themselves when to
-// issue the real request.
+// phase/percent snapshot instead, read off the obs record the build runs
+// on, so clients poll cheaply and decide for themselves when to issue
+// the real request.
 //
 // Like /v1/metrics, the endpoint reports history: it is NOT
 // deterministic and is never cached. Resolution deliberately bypasses
@@ -38,31 +39,25 @@ func percentDone(phase int) float64 {
 	return min(99, 100*(float64(phase)+0.5)/float64(len(scenario.Phases)))
 }
 
-// buildProgress is the live tracker for one scenario's build attempt:
-// the index in scenario.Phases that the build's own Logf callback last
-// reported. Nothing else writes it, so it is an exact cursor. It is
-// never "built": residency alone says that, and the store drops a
-// successful build's tracker once the tenant is resident.
+// buildProgress is the tracker of one scenario build attempt: the obs
+// record the build runs on, and whether it failed. It is never "built":
+// residency alone says that, and the store drops a successful build's
+// tracker once the tenant is resident.
 type buildProgress struct {
+	rec     *obs.Registry // the build's record, a child of the process registry
 	mu      sync.Mutex
 	state   string // BuildBuilding or BuildFailed
-	phase   int    // -1 before the first phase begins
 	lastErr string
 }
 
-func newBuildProgress() *buildProgress {
-	return &buildProgress{state: BuildBuilding, phase: -1}
-}
-
-// at records that the build is in phase.
-func (bp *buildProgress) at(phase int) {
-	bp.mu.Lock()
-	bp.phase = phase
-	bp.mu.Unlock()
-}
-
-// snapshot renders the tracker into the API payload shape.
+// snapshot renders the tracker into the API payload shape. The running
+// phase is the last of scenario.Phases begun on the build's record (a
+// stage's timer is listed from its begin; Build begins them in order).
 func (bp *buildProgress) snapshot(id string) BuildProgressData {
+	phase := -1
+	for _, st := range bp.rec.Snapshot().Stages {
+		phase = max(phase, slices.Index(scenario.Phases, st.Name))
+	}
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	d := BuildProgressData{
@@ -71,12 +66,12 @@ func (bp *buildProgress) snapshot(id string) BuildProgressData {
 		Phases: len(scenario.Phases),
 		Error:  bp.lastErr,
 	}
-	if bp.phase >= 0 {
-		d.Phase = scenario.Phases[bp.phase]
-		d.PhasesDone = bp.phase
+	if phase >= 0 {
+		d.Phase = scenario.Phases[phase]
+		d.PhasesDone = phase
 	}
 	if bp.state == BuildBuilding {
-		d.Percent = percentDone(bp.phase)
+		d.Percent = percentDone(phase)
 	}
 	return d
 }

@@ -42,8 +42,6 @@ type StoreConfig struct {
 	// Tenant configures each per-scenario Server (admission gate,
 	// request deadline).
 	Tenant Config
-	// Logf receives scenario build progress; nil silences it.
-	Logf scenario.Logf
 }
 
 // Store is the multi-tenant scenario registry behind the Fleet: specs
@@ -210,7 +208,7 @@ func (st *Store) Close() {}
 func (st *Store) Get(ctx context.Context, id string) (*Server, error) {
 	var bp *buildProgress // this call's build tracker, if it led a build
 	tenant, hit, err := st.tenants.do(ctx, id, func() (*Server, error) {
-		bp = newBuildProgress()
+		bp = &buildProgress{rec: obs.NewRegistry(obs.Default()), state: BuildBuilding}
 		return st.build(ctx, id, bp)
 	})
 	if hit {
@@ -227,8 +225,8 @@ func (st *Store) Get(ctx context.Context, id string) (*Server, error) {
 	return tenant, err
 }
 
-// build seals the scenario registered as id into a tenant, reporting
-// its phases to bp. The build gate runs one at a time; the requester's
+// build seals the scenario registered as id into a tenant, the build
+// recording on bp's registry. The build gate runs one at a time; the requester's
 // ctx only governs its place in the queue (scenario.Build is not
 // cancelable, and a finished build is always worth keeping). When the
 // gate's queue is already at MaxQueuedBuilds the build is shed instead
@@ -269,13 +267,8 @@ func (st *Store) build(ctx context.Context, id string, bp *buildProgress) (tenan
 		st.buildHook(id)
 	}
 	obs.Inc("service.scenario.builds")
-	// The build's own Logf callback moves its tracker from phase to phase.
-	s, err := scenario.Build(src.cfg, func(phase int, format string, args ...any) {
-		bp.at(phase)
-		if st.cfg.Logf != nil {
-			st.cfg.Logf(phase, format, args...)
-		}
-	})
+	// The build records on its tracker's registry, which is its progress.
+	s, err := scenario.Build(src.cfg, bp.rec)
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 
 	"routelab/internal/asn"
 	"routelab/internal/bgp"
+	"routelab/internal/obs"
 	"routelab/internal/race"
 	"routelab/internal/topology"
 )
@@ -21,10 +22,10 @@ type fixture struct {
 func newFixture(t *testing.T, seed int64) *fixture {
 	t.Helper()
 	topo := topology.Generate(seed, topology.TestConfig())
-	e := bgp.New(topo, seed)
+	e := bgp.New(topo, seed, obs.Default())
 	cdn := topo.Names["cdn-major"]
 	prefixes := topo.AS(cdn).Prefixes
-	rib := e.ComputeRIB(prefixes, bgp.Readers{DataPlane: prefixes}, 0)
+	rib := e.ComputeRIB(obs.Default(), prefixes, bgp.Readers{DataPlane: prefixes}, 0)
 	return &fixture{topo: topo, rib: rib, dst: prefixes[0].Nth(50), dstA: cdn}
 }
 

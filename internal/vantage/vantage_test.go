@@ -6,20 +6,21 @@ import (
 
 	"routelab/internal/asn"
 	"routelab/internal/bgp"
+	"routelab/internal/obs"
 	"routelab/internal/topology"
 )
 
 func smallRIB(t *testing.T) (*topology.Topology, *bgp.RIB, []asn.ASN) {
 	t.Helper()
 	topo := topology.Generate(13, topology.TestConfig())
-	e := bgp.New(topo, 13)
+	e := bgp.New(topo, 13, obs.Default())
 	// Keep it quick: only the content majors' prefixes.
 	var prefixes []asn.Prefix
 	for i := 0; i < 3; i++ {
 		a := topo.Names["content-"+string(rune('0'+i))]
 		prefixes = append(prefixes, topo.AS(a).Prefixes...)
 	}
-	rib := e.ComputeRIB(prefixes, bgp.Readers{DataPlane: prefixes}, 0)
+	rib := e.ComputeRIB(obs.Default(), prefixes, bgp.Readers{DataPlane: prefixes}, 0)
 	peers := SelectPeers(topo, rand.New(rand.NewSource(13)), 20)
 	return topo, rib, peers
 }

@@ -8,6 +8,7 @@ import (
 
 	"routelab/internal/asn"
 	"routelab/internal/bgp"
+	"routelab/internal/obs"
 	"routelab/internal/peering"
 	"routelab/internal/topology"
 	"routelab/internal/whatif"
@@ -17,7 +18,7 @@ import (
 func world(t testing.TB, seed int64) (*topology.Topology, *bgp.Engine, *peering.Testbed) {
 	t.Helper()
 	topo := topology.Generate(seed, topology.TestConfig())
-	engine := bgp.New(topo, seed)
+	engine := bgp.New(topo, seed, obs.Default())
 	tb, err := peering.NewTestbed(engine)
 	if err != nil {
 		t.Fatal(err)
