@@ -94,7 +94,10 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "debug server: http://%s/debug/pprof/ and /debug/vars\n", ln.Addr())
 		go func() {
-			if err := http.Serve(ln, nil); err != nil {
+			// A client that never finishes its headers must not hold a
+			// connection open forever.
+			debugSrv := &http.Server{ReadHeaderTimeout: 10 * time.Second}
+			if err := debugSrv.Serve(ln); err != nil {
 				fmt.Fprintln(os.Stderr, "routelab: debug server:", err)
 			}
 		}()

@@ -109,12 +109,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Builds run one at a time (the build gate), so the phase lines of
-	// each, forwarded from its record, do not interleave.
-	if !*quiet {
-		obs.OnStage(scenario.PhaseLines(os.Stderr))
-	}
-
 	// exp is the fleet-of-one world; nil when -scenario-dir supplies the
 	// worlds, where each registered spec is the whole description and the
 	// world flags don't apply.
@@ -180,6 +174,12 @@ func main() {
 			RequestTimeout:    *reqTimeout,
 		},
 	})
+	// Every build records on a child of the store's record, and builds
+	// run one at a time (the build gate), so each build's phase lines
+	// print in order and nothing else's stages print.
+	if !*quiet {
+		store.Record().OnStage(scenario.PhaseLines(os.Stderr))
+	}
 	if exp == nil {
 		n, err := store.RegisterDir(*scenarioDir)
 		if err != nil {

@@ -10,12 +10,14 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
 
 	"routelab/internal/obs"
+	"routelab/internal/scenario"
 	"routelab/internal/service"
 )
 
@@ -165,10 +167,12 @@ func checkEnvelope(t *testing.T, name string, raw []byte) service.Envelope {
 // A fleet of one at -scale 0.05 answers every /v1 endpoint and one 4xx
 // per endpoint family with valid envelopes, aliases /v1/... to
 // /v1/scenarios/default/..., and on SIGTERM drains, writes its metrics
-// report and exits 0.
+// report and exits 0. Its progress is its build's phase lines, all
+// before the listening line and none after it, though the ablations
+// experiment re-runs a traceroute campaign on the served world.
 func TestLifecycleFleetOfOne(t *testing.T) {
 	metrics := filepath.Join(t.TempDir(), "metrics.json")
-	d := start(t, "-scale", "0.05", "-request-timeout", "60s", "-metrics-json", metrics)
+	d := start(t, "-quiet=false", "-scale", "0.05", "-request-timeout", "60s", "-metrics-json", metrics)
 
 	_, health := d.call(t, "GET", "/v1/healthz", "", 200)
 	d.call(t, "GET", "/v1/metrics", "", 200)
@@ -200,6 +204,7 @@ func TestLifecycleFleetOfOne(t *testing.T) {
 		"/v1/experiments/table1",
 		"/v1/experiments/prediction",
 		"/v1/experiments/accuracy",
+		"/v1/experiments/ablations",
 		"/v1/as/" + as,
 		"/v1/alternates?target=" + as,
 		"/v1/scenarios",
@@ -227,7 +232,19 @@ func TestLifecycleFleetOfOne(t *testing.T) {
 		}
 	}
 
-	d.stop(t)
+	log := d.stop(t)
+	before, after, _ := strings.Cut(log, "routelabd: serving routelab-api/v1 on ")
+	var want strings.Builder
+	for i, phase := range scenario.Phases {
+		fmt.Fprintf(&want, "[%d/%d] %s\n", i+1, len(scenario.Phases), phase)
+	}
+	phaseLine := regexp.MustCompile(`(?m)^\[\d+/\d+\] .*\n`)
+	if got := strings.Join(phaseLine.FindAllString(before, -1), ""); got != want.String() {
+		t.Errorf("phase lines before listening:\n%swant:\n%s", got, want.String())
+	}
+	if got := phaseLine.FindAllString(after, -1); len(got) != 0 {
+		t.Errorf("phase lines after listening: %q", got)
+	}
 	raw, err := os.ReadFile(metrics)
 	if err != nil {
 		t.Fatalf("no metrics report on exit: %v", err)

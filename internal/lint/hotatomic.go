@@ -19,12 +19,12 @@ import (
 //     point, which this rule excludes from the traversal.
 //
 //  2. parallel worker bodies. Function literals passed to
-//     parallel.ForEach/Map/ForEachStage/MapStage (and the worker
-//     closures inside the parallel package itself) run once per item
-//     across all workers; per-item atomics or obs calls contend across
-//     the pool. The two deliberate per-item atomics the package
-//     documents (the work-stealing index, the stage busy-clock) carry
-//     //lint:allow annotations.
+//     parallel.ForEach/Map/MapStage (and the worker closures inside
+//     the parallel package itself) run once per item across all
+//     workers; per-item atomics or obs calls contend across the pool.
+//     The two deliberate per-item atomics the package documents (the
+//     work-stealing index, the stage busy-clock) carry //lint:allow
+//     annotations.
 //
 // The hot set is derived from the source call graph, not hardcoded, so
 // new helpers on the Converge path are covered automatically.
@@ -90,7 +90,7 @@ func hotAtomicConverge(prog *Program, pkg *Package) []Finding {
 // parallelEntryPoints are the fan-out functions whose fn arguments run
 // once per item.
 var parallelEntryPoints = map[string]bool{
-	"ForEach": true, "Map": true, "ForEachStage": true, "MapStage": true,
+	"ForEach": true, "Map": true, "MapStage": true,
 }
 
 func hotAtomicWorkers(prog *Program, pkg *Package) []Finding {
@@ -115,7 +115,7 @@ func hotAtomicWorkers(prog *Program, pkg *Package) []Finding {
 	}
 	for _, file := range pkg.Files {
 		// Call sites anywhere in the module: function literals handed to
-		// parallel.ForEach/Map/ForEachStage/MapStage.
+		// parallel.ForEach/Map/MapStage.
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {

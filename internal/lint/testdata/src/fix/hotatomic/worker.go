@@ -12,9 +12,10 @@ import (
 
 func workerBad(n int) int64 {
 	var total atomic.Int64
-	parallel.ForEachStage(obs.Default(), "fixture/bad", n, 0, func(i int) {
+	parallel.MapStage(obs.Default(), "fixture/bad", make([]int, n), 0, func(i, _ int) int {
 		total.Add(1)             //lint:want hotatomic
 		obs.Inc("fixture.items") //lint:want hotatomic
+		return i
 	})
 	return total.Load()
 }

@@ -21,11 +21,6 @@ func Map[T, R any](items []T, workers int, fn func(i int, item T) R) []R {
 	return out
 }
 
-// ForEachStage is the instrumented ForEach.
-func ForEachStage(reg *obs.Registry, stage string, n, workers int, fn func(i int)) {
-	ForEach(n, workers, fn)
-}
-
 // MapStage is the instrumented Map.
 func MapStage[T, R any](reg *obs.Registry, stage string, items []T, workers int, fn func(i int, item T) R) []R {
 	return Map(items, workers, fn)

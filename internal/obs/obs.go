@@ -76,7 +76,8 @@ type Gauge struct {
 	up   *Gauge // the parent registry's gauge of the same name
 }
 
-// Set records the gauge's current value.
+// Set records the gauge's current value. Set on a nil gauge does
+// nothing.
 func (g *Gauge) Set(v float64) {
 	for ; g != nil; g = g.up {
 		g.bits.Store(math.Float64bits(v))

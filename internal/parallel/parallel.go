@@ -43,10 +43,10 @@
 //
 // # Observability
 //
-// The Stage variants (ForEachStage, MapStage) additionally record the
-// stage's wall clock, item count, items/sec, and worker utilization on
-// the obs registry their caller names: a scenario build's own record,
-// or the process registry for work that has none (see internal/obs and
+// MapStage, the instrumented Map, additionally records the stage's
+// wall clock, item count, items/sec, and worker utilization on the obs
+// registry its caller names: a scenario build's own record, or the
+// process registry for work that has none (see internal/obs and
 // DESIGN.md §"Observability"). Metrics never feed back into results.
 package parallel
 
@@ -135,24 +135,22 @@ func Map[T, R any](items []T, workers int, fn func(i int, item T) R) []R {
 	return out
 }
 
-// ForEachStage is ForEach instrumented under a stage name: it records
-// on reg the stage's wall clock on the obs timer of that name, plus
+// MapStage is Map instrumented under a stage name: it records on reg
+// the stage's wall clock on the obs timer of that name, plus
 // "<stage>.items" (counter), "<stage>.items_per_sec",
 // "<stage>.utilization" (busy worker-time / workers × wall), and
-// "<stage>.workers" (gauges). The metrics
-// are a side channel — the determinism contract is untouched; output
-// stays byte-identical for any worker count. Instrumentation costs one
-// clock read pair plus one atomic add per item, so use it for stages
-// whose items are substantial (a convergence, a probe's traceroutes),
-// not micro-loops.
-func ForEachStage(reg *obs.Registry, stage string, n, workers int, fn func(i int)) {
-	if n <= 0 {
-		return
+// "<stage>.workers" (gauges). The metrics are a side channel — the
+// determinism contract is untouched; output stays byte-identical for
+// any worker count. Instrumentation costs one clock read pair plus one
+// atomic add per item, so use it for stages whose items are substantial
+// (a convergence, a probe's traceroutes), not micro-loops.
+func MapStage[T, R any](reg *obs.Registry, stage string, items []T, workers int, fn func(i int, item T) R) []R {
+	n := len(items)
+	out := make([]R, n)
+	if n == 0 {
+		return out
 	}
-	effective := Workers(workers)
-	if effective > n {
-		effective = n
-	}
+	effective := min(Workers(workers), n)
 	var busy atomic.Int64
 	// StartStage (rather than a bare Timer) so registered stage
 	// listeners see the begin/end of the fan-out live — the ledger's
@@ -161,8 +159,8 @@ func ForEachStage(reg *obs.Registry, stage string, n, workers int, fn func(i int
 	start := time.Now()
 	ForEach(n, workers, func(i int) {
 		t0 := time.Now()
-		fn(i)
-		//lint:allow hotatomic documented stage cost: one clock pair plus one atomic add per item (see ForEachStage doc)
+		out[i] = fn(i, items[i])
+		//lint:allow hotatomic documented stage cost: one clock pair plus one atomic add per item (see MapStage doc)
 		busy.Add(int64(time.Since(t0)))
 	})
 	wall := time.Since(start)
@@ -173,14 +171,5 @@ func ForEachStage(reg *obs.Registry, stage string, n, workers int, fn func(i int
 		reg.Gauge(stage + ".items_per_sec").Set(float64(n) / wall.Seconds())
 		reg.Gauge(stage + ".utilization").Set(float64(busy.Load()) / (float64(wall) * float64(effective)))
 	}
-}
-
-// MapStage is Map instrumented under a stage name; see ForEachStage for
-// the recorded metrics and their cost.
-func MapStage[T, R any](reg *obs.Registry, stage string, items []T, workers int, fn func(i int, item T) R) []R {
-	out := make([]R, len(items))
-	ForEachStage(reg, stage, len(items), workers, func(i int) {
-		out[i] = fn(i, items[i])
-	})
 	return out
 }

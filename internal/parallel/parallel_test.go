@@ -94,11 +94,12 @@ func TestMapStageRecordsMetrics(t *testing.T) {
 	}
 }
 
-// TestForEachStageEmpty must not record a stage for zero items.
+// TestForEachStageEmpty: MapStage over no items must not record a
+// stage.
 func TestForEachStageEmpty(t *testing.T) {
 	obs.Reset()
 	t.Cleanup(obs.Reset)
-	ForEachStage(obs.Default(), "parallel-test/empty", 0, 4, func(int) { t.Fatal("fn called for n=0") })
+	MapStage(obs.Default(), "parallel-test/empty", []int{}, 4, func(int, int) int { t.Fatal("fn called for no items"); return 0 })
 	for _, st := range obs.Snap().Stages {
 		if st.Name == "parallel-test/empty" && st.Count != 0 {
 			t.Errorf("empty stage recorded: %+v", st)

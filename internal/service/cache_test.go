@@ -236,7 +236,7 @@ func TestPanicInComputationDoesNotPoisonKey(t *testing.T) {
 
 // TestPanicInBuildDoesNotPoisonScenario is the same leg at the store's
 // build singleflight, which has the same shape: a build that panics is
-// a typed 500 and a failed tracker, not a scenario id that parks every
+// a typed 500 and a failed build state, not a scenario id that parks every
 // later request on a call nobody will retire.
 func TestPanicInBuildDoesNotPoisonScenario(t *testing.T) {
 	obs.Reset()
@@ -262,7 +262,7 @@ func TestPanicInBuildDoesNotPoisonScenario(t *testing.T) {
 		t.Errorf("service.panics = %d, want 1", n)
 	}
 	if d, err := st.BuildProgress("alpha"); err != nil || d.State != BuildFailed || d.Error == "" {
-		t.Errorf("build tracker after the panic: %+v, %v; want failed with its error", d, err)
+		t.Errorf("build progress after the panic: %+v, %v; want failed with its error", d, err)
 	}
 	if n := st.buildGate.Waiting(); n != 0 {
 		t.Errorf("buildGate.Waiting() = %d, want 0", n)

@@ -254,6 +254,80 @@ func TestStoreSingleflightBuilds(t *testing.T) {
 	}
 }
 
+// TestConcurrentStoresKeepTheirOwnRecords builds on two stores in one
+// process at once: a, whose budget holds one world, builds alpha, then
+// beta (evicting alpha), then serves beta again (a hit); b builds gamma.
+// Each store's record counts only its own builds, hits and evictions,
+// and its gauges show only its own residency; the process registry
+// holds the sums. A store that has finished no build prices a shed
+// build's Retry-After at the 5 s default, whatever the others built.
+func TestConcurrentStoresKeepTheirOwnRecords(t *testing.T) {
+	obs.Reset()
+	a, b := NewStore(StoreConfig{MaxScenarioBytes: 1}), NewStore(StoreConfig{})
+	stores := []struct {
+		st                      *Store
+		ids                     []string
+		builds, hits, evictions int64
+	}{
+		{a, []string{"alpha", "beta", "beta"}, 2, 1, 1},
+		{b, []string{"gamma"}, 1, 0, 0},
+	}
+	var wg sync.WaitGroup
+	for i, s := range stores {
+		for j, id := range s.ids[:s.builds] {
+			if err := s.st.Register(testExpansion(id, int64(10*i+j+1)), "test"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, id := range s.ids {
+				if _, err := s.st.Get(context.Background(), id); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	sums := map[string]int64{}
+	for i, s := range stores {
+		snap := s.st.Record().Snapshot()
+		for name, want := range map[string]int64{
+			"service.scenario.builds":    s.builds,
+			"scenario.builds":            s.builds, // counted on each build's own record
+			"service.scenario.hits":      s.hits,
+			"service.scenario.evictions": s.evictions,
+		} {
+			if got := snap.Counters[name]; got != want {
+				t.Errorf("store %d: %s = %d, want %d", i, name, got, want)
+			}
+			sums[name] += want
+		}
+		if got := snap.Gauges["service.scenario.built"]; got != 1 {
+			t.Errorf("store %d: service.scenario.built = %v, want 1", i, got)
+		}
+		if got, want := snap.Gauges["service.scenario.resident_bytes"], float64(s.st.ResidentBytes()); got != want {
+			t.Errorf("store %d: service.scenario.resident_bytes = %v, want its own %v", i, got, want)
+		}
+		for _, stage := range snap.Stages {
+			if stage.Name == "service/scenario-build" && stage.Count != s.builds {
+				t.Errorf("store %d: %d service/scenario-build stages, want %d", i, stage.Count, s.builds)
+			}
+		}
+	}
+	process := obs.Snap().Counters
+	for name, sum := range sums {
+		if process[name] != sum {
+			t.Errorf("process %s = %d, want the stores' sum %d", name, process[name], sum)
+		}
+	}
+	if got := NewStore(StoreConfig{}).buildRetryAfter(0); got != 5 {
+		t.Errorf("a store with no finished build prices Retry-After at %d s, want 5", got)
+	}
+}
+
 // TestStoreLRUEviction drives a store whose budget holds one world (a
 // 1-byte budget under the sole-resident rule) across two ids and
 // checks evictions, rebuilds, and that a rebuilt scenario's responses

@@ -25,10 +25,10 @@ import (
 type lru[K comparable, V any] struct {
 	budget int64
 	cost   func(V) int64
-	// countGauge and costGauge, when not empty, name the obs gauges that
-	// follow the resident count and summed cost. They are set under mu
-	// where the resident set changes, so a hit touches neither.
-	countGauge, costGauge string
+	// countGauge and costGauge, when not nil, follow the resident count
+	// and summed cost. They are set under mu where the resident set
+	// changes, so a hit touches neither.
+	countGauge, costGauge *obs.Gauge
 	// evicted, if set, runs for each entry an insert evicts, after mu is
 	// released.
 	evicted func(K, V)
@@ -54,7 +54,7 @@ type flight[V any] struct {
 	err  error
 }
 
-func newLRU[K comparable, V any](budget int64, cost func(V) int64, countGauge, costGauge string, evicted func(K, V)) *lru[K, V] {
+func newLRU[K comparable, V any](budget int64, cost func(V) int64, countGauge, costGauge *obs.Gauge, evicted func(K, V)) *lru[K, V] {
 	return &lru[K, V]{
 		budget:     budget,
 		cost:       cost,
@@ -163,12 +163,8 @@ func (c *lru[K, V]) remove(el *list.Element) *lruEntry[K, V] {
 
 // setGauges publishes the resident set's size. Caller holds c.mu.
 func (c *lru[K, V]) setGauges() {
-	if c.countGauge != "" {
-		obs.SetGauge(c.countGauge, float64(c.order.Len()))
-	}
-	if c.costGauge != "" {
-		obs.SetGauge(c.costGauge, float64(c.total))
-	}
+	c.countGauge.Set(float64(c.order.Len()))
+	c.costGauge.Set(float64(c.total))
 }
 
 // peek returns key's resident value without touching its recency.
@@ -179,6 +175,14 @@ func (c *lru[K, V]) peek(key K) (val V, ok bool) {
 		return el.Value.(*lruEntry[K, V]).val, true
 	}
 	return val, false
+}
+
+// inFlight reports whether a computation of key is running.
+func (c *lru[K, V]) inFlight(key K) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.inflight[key]
+	return ok
 }
 
 // size reports how many entries are resident and their summed cost.

@@ -56,7 +56,7 @@ func TestLRUDifferential(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			var evicted []int
-			c := newLRU(tc.budget, func(v int64) int64 { return v }, "test.lru.count", "test.lru.cost",
+			c := newLRU(tc.budget, func(v int64) int64 { return v }, obs.Default().Gauge("test.lru.count"), obs.Default().Gauge("test.lru.cost"),
 				func(k int, _ int64) { evicted = append(evicted, k) })
 			gauges := func() (int, int64) {
 				g := obs.Snap().Gauges
@@ -136,7 +136,7 @@ func TestLRUDifferential(t *testing.T) {
 // TestLRUPeekKeepsRecency: peek (what Info and BuildProgress use) must
 // not save an entry from eviction the way a served request does.
 func TestLRUPeekKeepsRecency(t *testing.T) {
-	c := newLRU[string](2, func(int) int64 { return 1 }, "", "", nil)
+	c := newLRU[string](2, func(int) int64 { return 1 }, nil, nil, nil)
 	fill := func(k string) {
 		if _, _, err := c.do(context.Background(), k, func() (int, error) { return len(k), nil }); err != nil {
 			t.Fatal(err)
@@ -176,7 +176,7 @@ func TestLRUCoalescedWaiters(t *testing.T) {
 		{"leader canceled", canceled, 2, nil, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := newLRU[string](8, func(int) int64 { return 1 }, "", "", nil)
+			c := newLRU[string](8, func(int) int64 { return 1 }, nil, nil, nil)
 			var calls atomic.Int32
 			entered, release := make(chan struct{}), make(chan struct{})
 			go c.do(context.Background(), "k", func() (int, error) {
@@ -229,7 +229,7 @@ func TestLRUCoalescedWaiters(t *testing.T) {
 // returns at once with that error, and the flight it left completes and
 // is kept for the next caller.
 func TestLRUWaiterHonorsOwnContext(t *testing.T) {
-	c := newLRU[string](8, func(int) int64 { return 1 }, "", "", nil)
+	c := newLRU[string](8, func(int) int64 { return 1 }, nil, nil, nil)
 	entered, release, led := make(chan struct{}), make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(led)
@@ -262,7 +262,7 @@ func TestLRUWaiterHonorsOwnContext(t *testing.T) {
 // computations running at once.
 func TestLRUConcurrentDo(t *testing.T) {
 	const keys, workers, rounds = 4, 8, 200
-	c := newLRU[int](2, func(int) int64 { return 1 }, "", "", nil)
+	c := newLRU[int](2, func(int) int64 { return 1 }, nil, nil, nil)
 	var running [keys]atomic.Int32
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

@@ -3,18 +3,18 @@ package service
 import (
 	"fmt"
 	"slices"
-	"sync"
 
-	"routelab/internal/obs"
 	"routelab/internal/scenario"
 )
 
 // Build-progress streaming: a cold scenario's first request used to be
 // the only way to learn a build was running — and it blocked for the
 // whole build. GET /v1/scenarios/{id}/build answers instantly with a
-// phase/percent snapshot instead, read off the obs record the build runs
-// on, so clients poll cheaply and decide for themselves when to issue
-// the real request.
+// phase/percent snapshot instead, so clients poll cheaply and decide
+// for themselves when to issue the real request. The store reads it
+// off what it already keeps (Store.BuildProgress): residency, the
+// tenants lru's in-flight set, and the record and error of the latest
+// admitted build, whose begun stages are its phases.
 //
 // Like /v1/metrics, the endpoint reports history: it is NOT
 // deterministic and is never cached. Resolution deliberately bypasses
@@ -37,43 +37,6 @@ func percentDone(phase int) float64 {
 		return 0
 	}
 	return min(99, 100*(float64(phase)+0.5)/float64(len(scenario.Phases)))
-}
-
-// buildProgress is the tracker of one scenario build attempt: the obs
-// record the build runs on, and whether it failed. It is never "built":
-// residency alone says that, and the store drops a successful build's
-// tracker once the tenant is resident.
-type buildProgress struct {
-	rec     *obs.Registry // the build's record, a child of the process registry
-	mu      sync.Mutex
-	state   string // BuildBuilding or BuildFailed
-	lastErr string
-}
-
-// snapshot renders the tracker into the API payload shape. The running
-// phase is the last of scenario.Phases begun on the build's record (a
-// stage's timer is listed from its begin; Build begins them in order).
-func (bp *buildProgress) snapshot(id string) BuildProgressData {
-	phase := -1
-	for _, st := range bp.rec.Snapshot().Stages {
-		phase = max(phase, slices.Index(scenario.Phases, st.Name))
-	}
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	d := BuildProgressData{
-		ID:     id,
-		State:  bp.state,
-		Phases: len(scenario.Phases),
-		Error:  bp.lastErr,
-	}
-	if phase >= 0 {
-		d.Phase = scenario.Phases[phase]
-		d.PhasesDone = phase
-	}
-	if bp.state == BuildBuilding {
-		d.Percent = percentDone(phase)
-	}
-	return d
 }
 
 // BuildProgressData is the kind "build" payload of GET

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"routelab/internal/obs"
@@ -13,7 +15,7 @@ import (
 
 // TestBuildProgressFollowsBuild polls a real store build as each of its
 // phases begins, on a process's first build (no stage timer has a mean
-// yet). The tracker must name the phase that is starting, count the ones
+// yet). Its progress must name the phase that is starting, count the ones
 // before it as done, and rise strictly while staying below 100.
 func TestBuildProgressFollowsBuild(t *testing.T) {
 	obs.Reset()
@@ -204,5 +206,135 @@ func TestSingleScenarioBuildEndpoint(t *testing.T) {
 	}
 	if d := decodeBuild(t, body); d.State != BuildBuilt || d.Percent != 100 {
 		t.Errorf("fleet of one: %+v, want built/100", d)
+	}
+}
+
+// TestBuildProgressAcrossEviction pins the states a scenario's build
+// passes through around an eviction and a failure, under a byte budget
+// that holds one tenant. First: pending, built, pending again once a
+// second tenant evicts it (and still pending while its rebuild waits in
+// the build gate), then built again. Second: after a failed build, a
+// retry waiting in the gate reads failed until it is admitted. Every
+// admitted build reads building from the moment it holds the gate.
+func TestBuildProgressAcrossEviction(t *testing.T) {
+	size := measureTenantBytes(t)
+	st := NewStore(StoreConfig{MaxScenarioBytes: size + size/2})
+	for i, id := range []string{"alpha", "beta", "gamma"} {
+		if err := st.Register(testExpansion(id, int64(i+1)), "test"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	state := func(id string) string {
+		t.Helper()
+		d, err := st.BuildProgress(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Validate(); err != nil {
+			t.Errorf("%s: invalid snapshot %+v: %v", id, d, err)
+		}
+		return d.State
+	}
+	expect := func(id, want string) {
+		t.Helper()
+		if got := state(id); got != want {
+			t.Errorf("%s: state %q, want %q", id, got, want)
+		}
+	}
+	build := func(id string) {
+		t.Helper()
+		if _, err := st.Get(context.Background(), id); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The hook records each admitted build's own state, panics for a
+	// failing id, and parks gamma's build while hold is open.
+	var (
+		mu       sync.Mutex
+		admitted []string
+		failing  atomic.Value // string: the id whose build panics
+		hold     chan struct{}
+	)
+	failing.Store("")
+	entered := make(chan struct{}, 1)
+	st.buildHook = func(id string) {
+		d, _ := st.BuildProgress(id)
+		mu.Lock()
+		admitted = append(admitted, id+"="+d.State)
+		h := hold
+		mu.Unlock()
+		if id == failing.Load() {
+			panic("scenario: broken invariant")
+		}
+		if id == "gamma" && h != nil {
+			entered <- struct{}{}
+			<-h
+		}
+	}
+	// queueBehindGamma parks gamma's build in the gate, starts a build of
+	// id that queues behind it, and returns once id waits in the gate.
+	queueBehindGamma := func(id string) (release func()) {
+		t.Helper()
+		mu.Lock()
+		hold = make(chan struct{})
+		h := hold
+		mu.Unlock()
+		var wg sync.WaitGroup
+		for _, b := range []string{"gamma", id} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := st.Get(context.Background(), b); err != nil {
+					t.Error(err)
+				}
+			}()
+			if b == "gamma" {
+				<-entered
+			}
+		}
+		waitUntil(t, id+" to queue on the build gate", func() bool { return st.buildGate.Waiting() == 1 })
+		return func() {
+			mu.Lock()
+			hold = nil
+			mu.Unlock()
+			close(h)
+			wg.Wait()
+		}
+	}
+
+	expect("alpha", BuildPending)
+	build("alpha")
+	expect("alpha", BuildBuilt)
+	build("beta")
+	if n := builtLen(st); n != 1 {
+		t.Fatalf("builtLen = %d, want 1 (the budget holds one tenant)", n)
+	}
+	expect("alpha", BuildPending)
+	expect("beta", BuildBuilt)
+	release := queueBehindGamma("alpha")
+	expect("alpha", BuildPending)
+	release()
+	expect("alpha", BuildBuilt)
+
+	failing.Store("beta")
+	if _, err := st.Get(context.Background(), "beta"); err == nil {
+		t.Fatal("beta's panicking build succeeded")
+	}
+	failing.Store("")
+	expect("beta", BuildFailed)
+	release = queueBehindGamma("beta")
+	expect("beta", BuildFailed)
+	release()
+	expect("beta", BuildBuilt)
+
+	want := []string{"alpha", "beta", "gamma", "alpha", "beta", "gamma", "beta"}
+	if len(admitted) != len(want) {
+		t.Fatalf("admitted builds %v, want %v", admitted, want)
+	}
+	for i, id := range want {
+		if admitted[i] != id+"="+BuildBuilding {
+			t.Errorf("admitted build %d: %s, want %s=%s", i, admitted[i], id, BuildBuilding)
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"routelab/internal/obs"
 	"routelab/internal/parallel"
 )
 
@@ -66,13 +65,13 @@ const (
 func requestRetryAfter(int) int { return 1 }
 
 // buildRetryAfter estimates how long a shed build client should wait,
-// on the order of a build: the mean observed scenario build time (from
-// the obs stage timer — no wall clock is read here, only recorded
+// on the order of a build: the mean time of this store's builds (its
+// record's stage timer — no wall clock is read here, only recorded
 // aggregates) times the line length ahead of it, rounded up to whole
-// seconds and clamped. Before any build has completed the mean is
-// unknown; 5s is a conservative small-scenario default.
-func buildRetryAfter(queue int) int {
-	mean := obs.Default().Timer("service/scenario-build").Mean()
+// seconds and clamped. Before the store has finished a build the mean
+// is unknown; 5s is a conservative small-scenario default.
+func (st *Store) buildRetryAfter(queue int) int {
+	mean := st.rec.Timer("service/scenario-build").Mean()
 	if mean <= 0 {
 		return 5
 	}

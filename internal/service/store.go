@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 
@@ -48,16 +49,23 @@ type StoreConfig struct {
 // are registered up front (cheap — compile and validate only), sealed
 // scenarios are built on first use, kept in an lru costed by accounted
 // bytes, and rebuilt deterministically after eviction. Concurrent
-// requests for the same cold id coalesce into a single build (obs:
-// service.scenario.builds counts real builds, .hits serves from the LRU,
-// .evictions drops).
+// requests for the same cold id coalesce into a single build.
+//
+// A store keeps one obs record (Record), a child of the process
+// registry. Each build records on a child of it, and the store's own
+// metrics on it: the service/scenario-build stage, the lrus' gauges,
+// and service.scenario.builds (real builds), .hits (served from the
+// lru) and .evictions (drops). Two stores in one process never see each
+// other's builds; the process registry sees the sums.
 type Store struct {
 	cfg       StoreConfig
+	rec       *obs.Registry // the store's record, a child of the process registry
+	hits      *obs.Counter  // service.scenario.hits on rec: every request's Get bumps it
 	buildGate *parallel.Gate
 	cache     *cache                // shared across tenants, one partition each
 	tenants   *lru[string, *Server] // resident sealed scenarios by id
 
-	mu      sync.Mutex // guards sources and each source's progress
+	mu      sync.Mutex // guards sources and each source's latest build
 	sources map[string]*source
 
 	// buildHook, when set (tests only), runs inside build while the
@@ -67,11 +75,14 @@ type Store struct {
 }
 
 // source is one registered spec: identity plus the compiled, validated
-// Config it builds from, and the tracker of its live or failed build.
+// Config it builds from, and the record and error of its latest
+// admitted build, which BuildProgress reads. rec is nil until a build is
+// admitted, and again once a build after a successful one starts.
 type source struct {
-	info     ScenarioInfo // Built is filled in at read time
-	cfg      scenario.Config
-	progress *buildProgress
+	info ScenarioInfo // Built is filled in at read time
+	cfg  scenario.Config
+	rec  *obs.Registry
+	err  error
 }
 
 // NewStore assembles an empty store; register scenarios with Register
@@ -83,16 +94,23 @@ func NewStore(cfg StoreConfig) *Store {
 	if cfg.CacheSize <= 0 {
 		cfg.CacheSize = 256
 	}
+	rec := obs.NewRegistry(obs.Default())
 	st := &Store{
 		cfg:       cfg,
+		rec:       rec,
+		hits:      rec.Counter("service.scenario.hits"),
 		buildGate: parallel.NewGate(1),
-		cache:     newLRU[cacheKey](int64(cfg.CacheSize), func([]byte) int64 { return 1 }, "service.cache.entries", "", nil),
+		cache:     newLRU[cacheKey](int64(cfg.CacheSize), func([]byte) int64 { return 1 }, rec.Gauge("service.cache.entries"), nil, nil),
 		sources:   make(map[string]*source),
 	}
 	st.tenants = newLRU(cfg.MaxScenarioBytes, (*Server).SizeBytes,
-		"service.scenario.built", "service.scenario.resident_bytes", st.evicted)
+		rec.Gauge("service.scenario.built"), rec.Gauge("service.scenario.resident_bytes"), st.evicted)
 	return st
 }
+
+// Record returns the store's obs record: listen on it to hear this
+// store's builds begin their phases, and no one else's stages.
+func (st *Store) Record() *obs.Registry { return st.rec }
 
 // Register admits one compiled spec expansion under its spec name.
 // Registration is cheap — the sealed scenario is built on first use.
@@ -206,59 +224,53 @@ func (st *Store) Close() {}
 // build — not the build itself, which always runs to completion so the
 // result is kept for the next request.
 func (st *Store) Get(ctx context.Context, id string) (*Server, error) {
-	var bp *buildProgress // this call's build tracker, if it led a build
-	tenant, hit, err := st.tenants.do(ctx, id, func() (*Server, error) {
-		bp = &buildProgress{rec: obs.NewRegistry(obs.Default()), state: BuildBuilding}
-		return st.build(ctx, id, bp)
-	})
+	tenant, hit, err := st.tenants.do(ctx, id, func() (*Server, error) { return st.build(ctx, id) })
 	if hit {
-		obs.Inc("service.scenario.hits")
-	} else if bp != nil && err == nil {
-		// Residency now answers BuildProgress; drop the tracker unless a
-		// later build of this id (after an eviction) already replaced it.
-		st.mu.Lock()
-		if src := st.sources[id]; src.progress == bp {
-			src.progress = nil
-		}
-		st.mu.Unlock()
+		st.hits.Inc()
 	}
 	return tenant, err
 }
 
 // build seals the scenario registered as id into a tenant, the build
-// recording on bp's registry. The build gate runs one at a time; the requester's
-// ctx only governs its place in the queue (scenario.Build is not
-// cancelable, and a finished build is always worth keeping). When the
-// gate's queue is already at MaxQueuedBuilds the build is shed instead
-// of queued — the OverloadError propagates to every waiter coalesced on
-// this id, and each writes (and counts) its own 429.
-func (st *Store) build(ctx context.Context, id string, bp *buildProgress) (tenant *Server, err error) {
+// recording on a child of the store's record. The build gate runs one
+// at a time; the requester's ctx only governs its place in the queue
+// (scenario.Build is not cancelable, and a finished build is always
+// worth keeping). When the gate's queue is already at MaxQueuedBuilds
+// the build is shed instead of queued — the OverloadError propagates to
+// every waiter coalesced on this id, and each writes (and counts) its
+// own 429.
+func (st *Store) build(ctx context.Context, id string) (tenant *Server, err error) {
 	st.mu.Lock()
 	src, ok := st.sources[id]
+	if ok && src.err == nil {
+		// The last build succeeded, so its tenant was evicted: this
+		// build is pending until admitted. A failed one stays failed.
+		src.rec = nil
+	}
 	st.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownScenario, id)
 	}
-	if err := admit(ctx, st.buildGate, "build", st.cfg.MaxQueuedBuilds, buildRetryAfter); err != nil {
+	if err := admit(ctx, st.buildGate, "build", st.cfg.MaxQueuedBuilds, st.buildRetryAfter); err != nil {
 		return nil, err
 	}
 	defer st.buildGate.Leave()
 
-	// Track this build for GET /v1/scenarios/{id}/build.
+	// The build's record is its progress (BuildProgress).
+	rec := obs.NewRegistry(st.rec)
 	st.mu.Lock()
-	src.progress = bp
+	src.rec, src.err = rec, nil
 	st.mu.Unlock()
 
-	defer obs.StartStage("service/scenario-build")()
+	defer st.rec.StartStage("service/scenario-build")()
 	// A build that fails — or panics: recoverAs, deferred after this,
-	// runs before it — leaves a failed tracker and retires the flight in
-	// Get like any other, so the id can be asked for again.
+	// runs before it — leaves its error for BuildProgress and retires
+	// the flight in Get like any other, so the id can be asked for again.
 	defer func() {
 		if err != nil {
-			bp.mu.Lock()
-			bp.state = BuildFailed
-			bp.lastErr = err.Error()
-			bp.mu.Unlock()
+			st.mu.Lock()
+			src.err = err
+			st.mu.Unlock()
 			err = fmt.Errorf("service: build scenario %q: %w", id, err)
 		}
 	}()
@@ -266,9 +278,8 @@ func (st *Store) build(ctx context.Context, id string, bp *buildProgress) (tenan
 	if st.buildHook != nil {
 		st.buildHook(id)
 	}
-	obs.Inc("service.scenario.builds")
-	// The build records on its tracker's registry, which is its progress.
-	s, err := scenario.Build(src.cfg, bp.rec)
+	st.rec.Counter("service.scenario.builds").Inc()
+	s, err := scenario.Build(src.cfg, rec)
 	if err != nil {
 		return nil, err
 	}
@@ -277,8 +288,10 @@ func (st *Store) build(ctx context.Context, id string, bp *buildProgress) (tenan
 
 // BuildProgress reports the build state of one registered scenario
 // without touching the store's Get path — polling progress must never
-// trigger or wait on a build. Residency wins (built), then a live or
-// failed tracker, then pending.
+// trigger or wait on a build. Residency wins (built); otherwise the
+// latest admitted build is failed if it errored, building while its
+// flight runs, and pending once its tenant was evicted, as is a
+// scenario no build was admitted for.
 func (st *Store) BuildProgress(id string) (BuildProgressData, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -286,19 +299,38 @@ func (st *Store) BuildProgress(id string) (BuildProgressData, error) {
 	if !ok {
 		return BuildProgressData{}, fmt.Errorf("%w: %q", ErrUnknownScenario, id)
 	}
+	d := BuildProgressData{ID: id, State: BuildPending, Phases: len(scenario.Phases)}
+	// The flight before residency: a flight ends in the same step as
+	// its tenant's insert, so one that ends between the reads is built.
+	building := st.tenants.inFlight(id)
 	if _, ok := st.tenants.peek(id); ok {
-		return BuildProgressData{
-			ID:         id,
-			State:      BuildBuilt,
-			Percent:    100,
-			PhasesDone: len(scenario.Phases),
-			Phases:     len(scenario.Phases),
-		}, nil
+		d.State, d.Percent, d.PhasesDone = BuildBuilt, 100, d.Phases
+		return d, nil
 	}
-	if src.progress != nil {
-		return src.progress.snapshot(id), nil
+	switch {
+	case src.rec == nil:
+		return d, nil
+	case src.err != nil:
+		d.State, d.Error = BuildFailed, src.err.Error()
+	case building:
+		d.State = BuildBuilding
+	default: // built, then evicted
+		return d, nil
 	}
-	return BuildProgressData{ID: id, State: BuildPending, Phases: len(scenario.Phases)}, nil
+	// The running phase is the last of scenario.Phases begun on the
+	// build's record (a stage's timer is listed from its begin; Build
+	// begins them in order).
+	phase := -1
+	for _, stage := range src.rec.Snapshot().Stages {
+		phase = max(phase, slices.Index(scenario.Phases, stage.Name))
+	}
+	if phase >= 0 {
+		d.Phase, d.PhasesDone = scenario.Phases[phase], phase
+	}
+	if d.State == BuildBuilding {
+		d.Percent = percentDone(phase)
+	}
+	return d, nil
 }
 
 // ResidentBytes reports the store's current byte-budget charge: the
@@ -316,5 +348,5 @@ func (st *Store) ResidentBytes() int64 {
 // is harmless for the same reason.
 func (st *Store) evicted(id string, _ *Server) {
 	st.cache.purge(func(k cacheKey) bool { return k.tenant == id })
-	obs.Inc("service.scenario.evictions")
+	st.rec.Counter("service.scenario.evictions").Inc()
 }
