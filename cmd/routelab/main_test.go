@@ -8,12 +8,14 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"routelab/internal/experiments"
 	"routelab/internal/obs"
 	"routelab/internal/race"
+	"routelab/internal/scenario"
 )
 
 // argsEnv carries routelab's arguments, JSON-encoded, to a re-executed
@@ -168,5 +170,38 @@ func TestWorkersByteIdentical(t *testing.T) {
 	}
 	if outs[0] != outs[1] {
 		t.Errorf("-workers 1 and -workers 2 differ at %s", firstDiff(outs[1], outs[0]))
+	}
+}
+
+// Build progress is one line per phase, in order, as the build begins
+// it, and then the built: line. The ablations re-run the campaign on
+// the built scenario, which records on the build's record too; that
+// prints no phase line.
+func TestPhaseLinesOncePerBuild(t *testing.T) {
+	_, stderr, code := run(t, "-spec", smoke, "all")
+	if code != 0 {
+		t.Fatalf("exit %d\n%s", code, stderr)
+	}
+	var phases []string
+	built := false
+	for _, line := range strings.Split(stderr, "\n") {
+		switch {
+		case strings.HasPrefix(line, "built: "):
+			built = true
+		case strings.HasPrefix(line, "[") && built:
+			t.Errorf("phase line after built: %q", line)
+		case strings.HasPrefix(line, "["):
+			phases = append(phases, line)
+		}
+	}
+	if !built {
+		t.Fatalf("no built: line\n%s", stderr)
+	}
+	var want []string
+	for i, name := range scenario.Phases {
+		want = append(want, fmt.Sprintf("[%d/%d] %s", i+1, len(scenario.Phases), name))
+	}
+	if !slices.Equal(phases, want) {
+		t.Errorf("phase lines %q, want %q", phases, want)
 	}
 }

@@ -174,9 +174,9 @@ func main() {
 			RequestTimeout:    *reqTimeout,
 		},
 	})
-	// Every build records on a child of the store's record, and builds
-	// run one at a time (the build gate), so each build's phase lines
-	// print in order and nothing else's stages print.
+	// Builds record on children of the store's record one at a time
+	// (the build gate), so PhaseLines prints each build's phases in
+	// order, and no request's stage.
 	if !*quiet {
 		store.Record().OnStage(scenario.PhaseLines(os.Stderr))
 	}

@@ -10,7 +10,6 @@ import (
 	"routelab/internal/classify"
 	"routelab/internal/geo"
 	"routelab/internal/inference"
-	"routelab/internal/obs"
 	"routelab/internal/parallel"
 	"routelab/internal/relgraph"
 	"routelab/internal/report"
@@ -125,7 +124,7 @@ func computeProbeSelectionAblation(res *AblationsResult, s *scenario.Scenario, r
 	for _, i := range idx {
 		raw = append(raw, pop[i])
 	}
-	ms, _, err := s.Campaign(obs.Default(), raw, s.Cfg.TracesTarget, rng)
+	ms, _, err := s.Campaign(raw, s.Cfg.TracesTarget, rng)
 	if err != nil {
 		res.ProbeSkipReason = err.Error()
 		return
@@ -133,7 +132,7 @@ func computeProbeSelectionAblation(res *AblationsResult, s *scenario.Scenario, r
 	fresh := s.Context.WithGraph(s.Context.Graph)
 	// simple is the Simple verdict on decision j of measurement i.
 	row := func(label string, probes []atlas.Probe, measurements []classify.Measurement, simple func(i, j int) classify.Category) AblationProbeRow {
-		defer obs.StartStage("classify/ablation-breakdowns")()
+		defer s.Record().StartStage("classify/ablation-breakdowns")()
 		eu := 0
 		for _, p := range probes {
 			if s.Topo.World.ContinentOf(p.City) == geo.EU {
@@ -181,7 +180,7 @@ func computeProbeSelectionAblation(res *AblationsResult, s *scenario.Scenario, r
 // The build's own threshold is the build's graph and verdicts.
 func computeThresholdAblation(res *AblationsResult, s *scenario.Scenario, ds []classify.Decision) {
 	thresholds := []float64{0.1, 0.2, 0.3, 0.5}
-	rows := parallel.MapStage(obs.Default(), "experiments/threshold-ablation", thresholds, s.Cfg.RoutingWorkers,
+	rows := parallel.MapStage(s.Record(), "experiments/threshold-ablation", thresholds, s.Cfg.RoutingWorkers,
 		func(_ int, th float64) AblationThresholdRow {
 			if th == inference.DefaultConfig().VisibilityThreshold {
 				return AblationThresholdRow{
@@ -208,10 +207,10 @@ func computeThresholdAblation(res *AblationsResult, s *scenario.Scenario, ds []c
 // majority against using only the latest snapshot (no stale links, but
 // also no smoothing of transient inference errors).
 func computeAggregationAblation(res *AblationsResult, s *scenario.Scenario, ds []classify.Decision) {
-	stop := obs.StartStage("inference/aggregation-latest")
+	stop := s.Record().StartStage("inference/aggregation-latest")
 	latest := s.Evidence[len(s.Evidence)-1].Label(inference.DefaultConfig().VisibilityThreshold)
 	stop()
-	defer obs.StartStage("classify/ablation-breakdowns")()
+	defer s.Record().StartStage("classify/ablation-breakdowns")()
 	res.AggregationRows = append(res.AggregationRows,
 		AblationAggRow{
 			Topology:     "5-epoch aggregate (paper)",

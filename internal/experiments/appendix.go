@@ -10,7 +10,6 @@ import (
 	"routelab/internal/asn"
 	"routelab/internal/classify"
 	"routelab/internal/inference"
-	"routelab/internal/obs"
 	"routelab/internal/peering"
 	"routelab/internal/relgraph"
 	"routelab/internal/report"
@@ -136,7 +135,7 @@ func prediction(_ context.Context, env *Env) (Result, error) {
 	for i := range s.Measurements {
 		paths = append(paths, s.Measurements[i].ASPath)
 	}
-	stop := obs.StartStage("classify/predict")
+	stop := s.Record().StartStage("classify/predict")
 	sum := s.Context.EvaluatePrediction(paths)
 	stop()
 	return &PredictionResult{sum}, nil

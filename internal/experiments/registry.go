@@ -13,7 +13,6 @@ import (
 	"sort"
 	"strings"
 
-	"routelab/internal/obs"
 	"routelab/internal/scenario"
 )
 
@@ -47,15 +46,16 @@ func (e *Experiment) Name() string { return e.name }
 
 // Run executes the experiment and returns its structured Result. It
 // refuses an already-cancelled ctx, times the run under its obs stage
-// ("experiment/<name>") and bumps the experiments.runs counter; a
-// driver with inner stage boundaries (all, ablations, whatif) checks
-// ctx again at each of them.
+// ("experiment/<name>") and bumps the experiments.runs counter, both on
+// the scenario's record (env.S.Record()); a driver with inner stage
+// boundaries (all, ablations, whatif) checks ctx again at each of them.
 func (e *Experiment) Run(ctx context.Context, env *Env) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	defer obs.StartStage("experiment/" + e.name)()
-	obs.Inc("experiments.runs")
+	rec := env.S.Record()
+	defer rec.StartStage("experiment/" + e.name)()
+	rec.Counter("experiments.runs").Inc()
 	return e.run(ctx, env)
 }
 

@@ -13,8 +13,8 @@ import (
 func workerBad(n int) int64 {
 	var total atomic.Int64
 	parallel.MapStage(obs.Default(), "fixture/bad", make([]int, n), 0, func(i, _ int) int {
-		total.Add(1)             //lint:want hotatomic
-		obs.Inc("fixture.items") //lint:want hotatomic
+		total.Add(1)                                 //lint:want hotatomic
+		obs.Default().Counter("fixture.items").Inc() //lint:want hotatomic
 		return i
 	})
 	return total.Load()

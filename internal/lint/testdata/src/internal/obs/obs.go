@@ -25,9 +25,6 @@ func Default() *Registry { return &def }
 // Counter returns the named counter.
 func (r *Registry) Counter(name string) *Counter { return &Counter{} }
 
-// Inc bumps a named counter on the default registry.
-func Inc(name string) { Default().Counter(name).Inc() }
-
 // Since is a wall-clock read walltime leaves alone: obs measures time
 // by design.
 func Since(t0 time.Time) time.Duration { return time.Since(t0) }

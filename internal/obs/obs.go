@@ -352,22 +352,13 @@ func (r *Registry) PublishExpvar(name string) {
 
 var defaultRegistry = NewRegistry(nil)
 
-// Default is the process-wide registry: work with no record of its own
-// records here, and every child of it forwards here; cmd/routelab
-// snapshots it for -metrics-json.
+// Default is the process-wide registry, which sums: every record is a
+// child of it (a store's, each build's under that, where the scenario's
+// later work records too), and whatever a child records lands here as
+// well. Only a build given no record of its own records here directly.
+// cmd/routelab and routelabd snapshot it for -metrics-json and
+// /v1/metrics; the ledger (bench/) listens and resets here.
 func Default() *Registry { return defaultRegistry }
-
-// Inc bumps a counter in the default registry by one.
-func Inc(name string) { defaultRegistry.Counter(name).Inc() }
-
-// SetGauge sets a gauge in the default registry.
-func SetGauge(name string, v float64) { defaultRegistry.Gauge(name).Set(v) }
-
-// StartStage starts timing a named stage on the default registry,
-// notifying any registered stage listeners:
-//
-//	defer obs.StartStage("scenario/topology")()
-func StartStage(name string) func() { return defaultRegistry.StartStage(name) }
 
 // OnStage registers a stage listener on the default registry (see
 // Registry.OnStage).

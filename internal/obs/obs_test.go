@@ -209,17 +209,17 @@ func TestReportWriteFile(t *testing.T) {
 	}
 }
 
-// TestDefaultHelpers sanity-checks the package-level convenience API
+// TestDefaultHelpers sanity-checks the package-level Snap and Reset
 // against the default registry.
 func TestDefaultHelpers(t *testing.T) {
 	Reset()
 	t.Cleanup(Reset)
-	Inc("test.counter")
-	Inc("test.counter")
-	Inc("test.counter")
-	SetGauge("test.gauge", 1.5)
-	StartStage("test.stage")()
-	done := StartStage("test.stage")
+	Default().Counter("test.counter").Inc()
+	Default().Counter("test.counter").Inc()
+	Default().Counter("test.counter").Inc()
+	Default().Gauge("test.gauge").Set(1.5)
+	Default().StartStage("test.stage")()
+	done := Default().StartStage("test.stage")
 	done()
 	snap := Snap()
 	if snap.Counters["test.counter"] != 3 {

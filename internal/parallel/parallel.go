@@ -45,8 +45,7 @@
 //
 // MapStage, the instrumented Map, additionally records the stage's
 // wall clock, item count, items/sec, and worker utilization on the obs
-// registry its caller names: a scenario build's own record, or the
-// process registry for work that has none (see internal/obs and
+// registry its caller names, a scenario's record (see internal/obs and
 // DESIGN.md §"Observability"). Metrics never feed back into results.
 package parallel
 

@@ -9,7 +9,6 @@ import (
 	"routelab/internal/asn"
 	"routelab/internal/bgp"
 	"routelab/internal/classify"
-	"routelab/internal/obs"
 	"routelab/internal/parallel"
 	"routelab/internal/peering"
 	"routelab/internal/vantage"
@@ -32,10 +31,10 @@ type MagnetCampaign struct {
 // every AS (a cheap superset of what either channel could see): the
 // per-channel visibility is filtered by RunMagnetCampaign using actual
 // paths, so the runs themselves depend on no observer and no rng.
-func (s *Scenario) runMagnets(rec *obs.Registry) []peering.MagnetResult {
+func (s *Scenario) runMagnets() []peering.MagnetResult {
 	prefix := s.Testbed.Prefixes[0]
 	observe := s.Topo.ASNs()
-	return parallel.MapStage(rec, "scenario/magnet", s.Testbed.Muxes, s.Cfg.RoutingWorkers,
+	return parallel.MapStage(s.rec, "scenario/magnet", s.Testbed.Muxes, s.Cfg.RoutingWorkers,
 		func(mi int, _ asn.ASN) peering.MagnetResult {
 			return s.Testbed.Magnet(prefix, mi, observe)
 		})
@@ -402,8 +401,8 @@ type alternatesMemo struct {
 // testbed prefix, in the order given. A result depends on its target
 // alone (DESIGN §12), so each target is discovered once per Scenario:
 // the targets not asked for before are discovered together in one
-// Testbed.DiscoverAlternates walk, under the scenario/alternates stage,
-// whose subtrees fan out over the worker pool; the results are kept.
+// Testbed.DiscoverAlternates walk, its scenario/alternates stage on
+// Record, whose subtrees fan out over the worker pool; results are kept.
 // The engine's fork and convergence counts so depend on which targets
 // were already discovered, and are the same for any worker count. Safe
 // for concurrent use. The returned results share their steps with the
@@ -419,7 +418,7 @@ func (s *Scenario) Alternates(targets []asn.ASN) []peering.AlternateResult {
 		}
 	}
 	if len(missing) > 0 {
-		stop := obs.StartStage("scenario/alternates")
+		stop := s.rec.StartStage("scenario/alternates")
 		found := s.Testbed.DiscoverAlternates(s.Testbed.Prefixes[0], missing, s.Cfg.RoutingWorkers)
 		stop()
 		if m.done == nil {

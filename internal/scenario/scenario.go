@@ -48,6 +48,7 @@ import (
 	"io"
 	"math/rand"
 	"slices"
+	"sync"
 
 	"routelab/internal/asn"
 	"routelab/internal/atlas"
@@ -187,7 +188,13 @@ type Scenario struct {
 	magnetIndex magnetIndex
 	// alternates keeps every discovery result Alternates has computed.
 	alternates *alternatesMemo
+	rec        *obs.Registry
 }
+
+// Record returns the obs record the scenario was built on, where all
+// later work on it records too: the alternates walk, a re-run campaign,
+// each experiment's stages and run count.
+func (s *Scenario) Record() *obs.Registry { return s.rec }
 
 // Phases are the stages of Build, named as their obs stage timers, in
 // the order Build begins them on its record: a build's progress is the
@@ -206,13 +213,23 @@ var Phases = []string{
 	"scenario/judge",
 }
 
-// PhaseLines returns a stage listener that writes one line to w as each
-// of Phases begins, "[4/11] scenario/converge-current", and ignores
-// every other stage. Both binaries print build progress through it.
+// PhaseLines returns the stage listener both binaries print build
+// progress through: a line to w as a build begins each of Phases,
+// "[4/11] scenario/converge-current". It prints Phases[0] whenever it
+// begins and another phase only after the one before it, so a campaign
+// re-run on a built scenario prints nothing; any other stage (a store's
+// listener hears every request) returns before the lock.
 func PhaseLines(w io.Writer) func(name string, begin bool) {
+	var mu sync.Mutex
+	next := 0 // the index in Phases a build begins next
 	return func(name string, begin bool) {
 		if i := slices.Index(Phases, name); begin && i >= 0 {
-			fmt.Fprintf(w, "[%d/%d] %s\n", i+1, len(Phases), name)
+			mu.Lock()
+			if i == 0 || i == next {
+				fmt.Fprintf(w, "[%d/%d] %s\n", i+1, len(Phases), name)
+				next = i + 1
+			}
+			mu.Unlock()
 		}
 	}
 }
@@ -222,7 +239,7 @@ func PhaseLines(w io.Writer) func(name string, begin bool) {
 // the engines' bgp.* counts, and the headline counts (ASes, links,
 // snapshots, traces, decisions) as scenario.* counters. rec is usually a
 // child of the process registry, obs.NewRegistry(obs.Default()); nil
-// records on the process registry itself.
+// records on the process registry itself. The scenario keeps rec (Record).
 func Build(cfg Config, rec *obs.Registry) (*Scenario, error) {
 	return build(cfg, rec, nil)
 }
@@ -239,7 +256,7 @@ func build(cfg Config, rec *obs.Registry, keep func([]*vantage.Snapshot)) (*Scen
 	}
 	defer rec.StartStage("scenario/build")()
 	rec.Counter("scenario.builds").Inc()
-	s := &Scenario{Cfg: cfg, alternates: new(alternatesMemo)}
+	s := &Scenario{Cfg: cfg, alternates: new(alternatesMemo), rec: rec}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	stop := rec.StartStage("scenario/topology")
@@ -368,7 +385,7 @@ func build(cfg Config, rec *obs.Registry, keep func([]*vantage.Snapshot)) (*Scen
 	stop()
 	rec.Counter("scenario.probes.selected").Add(int64(len(s.Probes)))
 
-	if s.Measurements, s.TracesIssued, err = s.Campaign(rec, s.Probes, cfg.TracesTarget, rng); err != nil {
+	if s.Measurements, s.TracesIssued, err = s.Campaign(s.Probes, cfg.TracesTarget, rng); err != nil {
 		return nil, err
 	}
 	decisions := 0
@@ -387,7 +404,7 @@ func build(cfg Config, rec *obs.Registry, keep func([]*vantage.Snapshot)) (*Scen
 
 	// The last two phases draw nothing from rng: they compute once what
 	// every reader of the scenario would otherwise recompute per request.
-	s.Magnet = s.runMagnets(rec)
+	s.Magnet = s.runMagnets()
 	s.magnetIndex = indexMagnets(s.Magnet)
 
 	stop = rec.StartStage("scenario/judge")
@@ -417,14 +434,14 @@ func dataPlanePrefixes(topo *topology.Topology, testbed []asn.Prefix) []asn.Pref
 // Campaign runs a traceroute campaign from an arbitrary probe set (the
 // ablation experiments re-run it with alternative probe selections) and
 // returns the usable measurements plus the raw trace count, recording
-// its scenario/campaign stage on rec.
+// its scenario/campaign stage on the scenario's Record.
 //
 // Probes measure independently, so the campaign fans out one probe per
 // worker. Determinism survives the fan-out because the shared rng is
 // consumed serially, up front: one derived seed per probe, each worker
 // owning its own rand.Rand. Trace IDs are renumbered into one global
 // sequence at the merge barrier, in probe order.
-func (s *Scenario) Campaign(rec *obs.Registry, probes []atlas.Probe, target int, rng *rand.Rand) ([]classify.Measurement, int, error) {
+func (s *Scenario) Campaign(probes []atlas.Probe, target int, rng *rand.Rand) ([]classify.Measurement, int, error) {
 	hostnames := s.Topo.DNS.Hostnames()
 	if len(hostnames) == 0 {
 		return nil, 0, fmt.Errorf("scenario: topology has no content hostnames")
@@ -450,7 +467,7 @@ func (s *Scenario) Campaign(rec *obs.Registry, probes []atlas.Probe, target int,
 		// their probe-local issue number in TraceID until the merge.
 		issued int
 	}
-	runs := parallel.MapStage(rec, "scenario/campaign", probes, s.Cfg.RoutingWorkers, func(i int, probe atlas.Probe) probeRun {
+	runs := parallel.MapStage(s.rec, "scenario/campaign", probes, s.Cfg.RoutingWorkers, func(i int, probe atlas.Probe) probeRun {
 		prng := rand.New(rand.NewSource(seeds[i]))
 		upstreams := s.upstreamsOf(probe.AS)
 		probeCont := s.Topo.World.ContinentOf(probe.City)

@@ -1,9 +1,12 @@
 package scenario
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -14,12 +17,10 @@ import (
 )
 
 // testScenario caches the (comparatively expensive) test scenario.
-// testRecord is the obs registry its build recorded on, and testStages
-// the stages begun there that are scenario/build or one of Phases, in
-// the order they began.
+// testStages are the stages begun on its record that are scenario/build
+// or one of Phases, in the order they began.
 var (
 	testScenario *Scenario
-	testRecord   *obs.Registry
 	testStages   []string
 )
 
@@ -37,7 +38,7 @@ func getScenario(t *testing.T) *Scenario {
 		if err != nil {
 			t.Fatal(err)
 		}
-		testScenario, testRecord = s, rec
+		testScenario = s
 	}
 	return testScenario
 }
@@ -48,6 +49,56 @@ func TestBuildReportsPhases(t *testing.T) {
 	getScenario(t)
 	if want := append([]string{"scenario/build"}, Phases...); !slices.Equal(testStages, want) {
 		t.Errorf("stages begun on the build's record %v, want %v", testStages, want)
+	}
+}
+
+// TestPhaseLinesConcurrent: the printer writes each phase of a build
+// once, in order, and nothing for a phase begun out of order — here a
+// campaign re-run between two builds — while request stages begin on
+// the same record from other goroutines.
+func TestPhaseLinesConcurrent(t *testing.T) {
+	var out bytes.Buffer
+	rec := obs.NewRegistry(nil)
+	rec.OnStage(PhaseLines(&out))
+	build := func() {
+		for _, name := range Phases {
+			rec.StartStage(name)()
+		}
+	}
+	var wg, started sync.WaitGroup
+	stop := make(chan struct{})
+	for i := range 4 {
+		wg.Add(1)
+		started.Add(1)
+		go func() {
+			defer wg.Done()
+			rec.StartStage(fmt.Sprintf("service/family-%d", i))()
+			started.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					rec.StartStage(fmt.Sprintf("service/family-%d", i))()
+				}
+			}
+		}()
+	}
+	started.Wait()
+	build()
+	rec.StartStage("scenario/campaign")()
+	build()
+	close(stop)
+	wg.Wait()
+
+	var want strings.Builder
+	for range 2 {
+		for i, name := range Phases {
+			fmt.Fprintf(&want, "[%d/%d] %s\n", i+1, len(Phases), name)
+		}
+	}
+	if out.String() != want.String() {
+		t.Errorf("printed\n%swant\n%s", out.String(), want.String())
 	}
 }
 
@@ -156,11 +207,11 @@ func TestAlternatesCampaignCountsIndependentOfWorkers(t *testing.T) {
 		sw.ForgetAlternates()
 		before := make([]int64, len(counters))
 		for i, name := range counters {
-			before[i] = testRecord.Counter(name).Value()
+			before[i] = testScenario.Record().Counter(name).Value()
 		}
 		runs := sw.RunAlternatesCampaign(rand.New(rand.NewSource(10)))
 		for i, name := range counters {
-			before[i] = testRecord.Counter(name).Value() - before[i]
+			before[i] = testScenario.Record().Counter(name).Value() - before[i]
 		}
 		return runs, before
 	}
@@ -194,7 +245,7 @@ func TestAlternatesCampaignAfterAnotherMatchesFresh(t *testing.T) {
 	campaign := func(sc *Scenario, seed int64) []peering.AlternateResult {
 		return sc.RunAlternatesCampaign(rand.New(rand.NewSource(seed)))
 	}
-	forks := testRecord.Counter("bgp.fork.calls")
+	forks := testScenario.Record().Counter("bgp.fork.calls")
 	want := campaign(fresh(), 11)
 
 	sw := fresh()

@@ -25,27 +25,28 @@ type Fleet struct {
 // NewFleet assembles the fleet handler over a store.
 func NewFleet(store *Store) *Fleet {
 	f := &Fleet{store: store, mux: http.NewServeMux()}
-	handle(f.mux, "GET /v1/metrics", "metrics", serveMetrics)
-	handle(f.mux, "GET /v1/scenarios", "scenarios", f.serveScenarios)
-	handle(f.mux, "POST /v1/scenarios", "admit", f.serveAdmit)
-	handle(f.mux, "GET /v1/scenarios/{id}", "scenario", f.serveScenario)
+	rec := store.Record()
+	handle(f.mux, rec, "GET /v1/metrics", "metrics", serveMetrics)
+	handle(f.mux, rec, "GET /v1/scenarios", "scenarios", f.serveScenarios)
+	handle(f.mux, rec, "POST /v1/scenarios", "admit", f.serveAdmit)
+	handle(f.mux, rec, "GET /v1/scenarios/{id}", "scenario", f.serveScenario)
 	// Build progress deliberately bypasses the tenant resolver: asking
 	// how a build is going must answer instantly, never trigger the
 	// build or queue behind it.
-	handle(f.mux, "GET /v1/scenarios/{id}/build", "build", f.serveBuildProgress)
-	handle(f.mux, "GET /v1/build", "build", f.serveBuildProgress)
+	handle(f.mux, rec, "GET /v1/scenarios/{id}/build", "build", f.serveBuildProgress)
+	handle(f.mux, rec, "GET /v1/build", "build", f.serveBuildProgress)
 	// Every per-scenario endpoint is mounted twice from the one route
 	// table: under its scenario root, and un-prefixed as the DefaultID
 	// alias (scenarioID supplies the id the pattern lacks).
 	for _, rt := range scenarioRoutes {
 		h := f.tenant(rt.h)
-		handle(f.mux, rt.method+" /v1/scenarios/{id}"+rt.path, rt.name, h)
+		handle(f.mux, rec, rt.method+" /v1/scenarios/{id}"+rt.path, rt.name, h)
 		if rt.name == "healthz" {
 			h = f.serveHealthz // falls back to the fleet summary
 		}
-		handle(f.mux, rt.method+" /v1"+rt.path, rt.name, h)
+		handle(f.mux, rec, rt.method+" /v1"+rt.path, rt.name, h)
 	}
-	handle(f.mux, "/", "notfound", serveNotFound)
+	handle(f.mux, rec, "/", "notfound", serveNotFound)
 	return f
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -325,6 +326,87 @@ func TestConcurrentStoresKeepTheirOwnRecords(t *testing.T) {
 	}
 	if got := NewStore(StoreConfig{}).buildRetryAfter(0); got != 5 {
 		t.Errorf("a store with no finished build prices Retry-After at %d s, want 5", got)
+	}
+
+	// Then traffic: each store behind its own fleet gets its own mix at
+	// the same time. Its requests, their stages, the experiments they
+	// run and the alternates walks of its builds (newTenant discovers
+	// every AS once per build) count on its record only.
+	type mix struct {
+		healthz, alternates int
+		experiments         []string // query strings; a repeat is a cache hit
+	}
+	mixes := []mix{{3, 2, []string{"", "", "?seed=5"}}, {1, 1, []string{""}}}
+	want := make([]map[string]int64, len(stores))
+	for i, s := range stores {
+		id := s.ids[len(s.ids)-1]
+		srv, err := s.st.Get(context.Background(), id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(NewFleet(s.st).Handler())
+		t.Cleanup(ts.Close)
+		m := mixes[i]
+		var urls []string
+		for range m.healthz {
+			urls = append(urls, "/healthz")
+		}
+		for _, a := range srv.s.Topo.ASNs()[:m.alternates] {
+			urls = append(urls, "/alternates?target="+a.String())
+		}
+		runs := map[string]bool{}
+		for _, q := range m.experiments {
+			urls = append(urls, "/experiments/prediction"+q)
+			runs[q] = true
+		}
+		want[i] = map[string]int64{
+			"service.requests.healthz":     int64(m.healthz),
+			"service.requests.alternates":  int64(m.alternates),
+			"service.requests.experiments": int64(len(m.experiments)),
+			"service.cache.hits":           int64(len(m.experiments) - len(runs)),
+			"experiments.runs":             int64(len(runs)),
+			"stage service/healthz":        int64(m.healthz),
+			"stage service/alternates":     int64(m.alternates),
+			"stage service/experiments":    int64(len(m.experiments)),
+			"stage experiment/prediction":  int64(len(runs)),
+			"stage scenario/alternates":    s.builds,
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, u := range urls {
+				if status, body, err := getErr(ts.URL + "/v1/scenarios/" + id + u); err != nil || status != http.StatusOK {
+					t.Errorf("store %d: GET %s: status %d, %v\n%s", i, u, status, err, body)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	// recorded reads a snapshot's counters and stage counts by the keys
+	// of want.
+	recorded := func(snap obs.Snapshot) map[string]int64 {
+		got := maps.Clone(snap.Counters)
+		for _, st := range snap.Stages {
+			got["stage "+st.Name] = st.Count
+		}
+		return got
+	}
+	totals := map[string]int64{}
+	for i, s := range stores {
+		got := recorded(s.st.Record().Snapshot())
+		for name, n := range want[i] {
+			if got[name] != n {
+				t.Errorf("store %d: %s = %d, want %d", i, name, got[name], n)
+			}
+			totals[name] += n
+		}
+	}
+	summed := recorded(obs.Snap())
+	for name, total := range totals {
+		if summed[name] != total {
+			t.Errorf("process %s = %d, want the stores' sum %d", name, summed[name], total)
+		}
 	}
 }
 

@@ -172,7 +172,7 @@ func TestFleetBuildProgressEndpoint(t *testing.T) {
 	if want := slices.Index(scenario.Phases, "scenario/snapshots"); d.Phase != "scenario/snapshots" || d.PhasesDone != want {
 		t.Errorf("mid-build phase %q done %d, want scenario/snapshots with %d done", d.Phase, d.PhasesDone, want)
 	}
-	obs.StartStage("scenario/campaign")()
+	obs.Default().StartStage("scenario/campaign")()
 	if _, body = get(t, buildURL); decodeBuild(t, body) != d {
 		t.Errorf("a campaign stage outside the build moved its progress: %+v, then %s", d, body)
 	}

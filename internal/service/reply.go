@@ -18,27 +18,32 @@ import (
 // reports once the handler returns.
 type reply struct {
 	w      http.ResponseWriter
-	name   string // endpoint family, as handle registered it
-	status int    // the status sent; 0 until then
-	hit    bool   // the body came from the response cache
+	rec    *obs.Registry // the store's record: sheds, panics and write errors count here
+	status int           // the status sent; 0 until then
+	hit    bool          // the body came from the response cache
 }
 
 // handle registers h on mux as the endpoint family name: it gives h a
-// fresh reply and then emits the family's metrics once — the
-// service/<name> stage timer, service.requests.<name>,
-// service.errors.<name> for a status >= 400, and service.cache.hits. A
+// fresh reply and then emits the family's metrics once on rec, the
+// store's record — the service/<name> stage timer,
+// service.requests.<name>, service.errors.<name> for a status >= 400,
+// and service.cache.hits, whose handles exist from registration. A
 // route and its alias share one name, so a family counts together.
-func handle(mux *http.ServeMux, pattern, name string, h func(*reply, *http.Request)) {
+func handle(mux *http.ServeMux, rec *obs.Registry, pattern, name string, h func(*reply, *http.Request)) {
+	stage := "service/" + name
+	requests := rec.Counter("service.requests." + name)
+	errs := rec.Counter("service.errors." + name)
+	hits := rec.Counter("service.cache.hits")
 	mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		defer obs.StartStage("service/" + name)()
-		obs.Inc("service.requests." + name)
-		rp := &reply{w: w, name: name}
+		defer rec.StartStage(stage)()
+		requests.Inc()
+		rp := &reply{w: w, rec: rec}
 		h(rp, r)
 		if rp.status >= 400 {
-			obs.Inc("service.errors." + rp.name)
+			errs.Inc()
 		}
 		if rp.hit {
-			obs.Inc("service.cache.hits")
+			hits.Inc()
 		}
 	})
 }
@@ -78,7 +83,7 @@ func (rp *reply) failErr(err error, timeout string) {
 	switch {
 	case errors.As(err, &oe):
 		rp.w.Header().Set("Retry-After", strconv.Itoa(max(oe.RetryAfter, minRetryAfter)))
-		obs.Inc("service.shed." + oe.What + "s")
+		rp.rec.Counter("service.shed." + oe.What + "s").Inc()
 		rp.fail(http.StatusTooManyRequests, apiErr(CodeOverloaded, oe.Error()))
 	case errors.Is(err, ErrUnknownScenario):
 		rp.fail(http.StatusNotFound, apiErr(CodeNotFound, err.Error()))
@@ -86,7 +91,7 @@ func (rp *reply) failErr(err error, timeout string) {
 		rp.fail(http.StatusGatewayTimeout, apiErr(CodeTimeout, timeout+err.Error()))
 	default:
 		if errors.As(err, &pe) {
-			obs.Inc("service.panics")
+			rp.rec.Counter("service.panics").Inc()
 		}
 		rp.fail(http.StatusInternalServerError, apiErr(CodeInternal, err.Error()))
 	}
@@ -111,6 +116,6 @@ func (rp *reply) send(status int, contentType string, body []byte) {
 	rp.status = status
 	rp.w.WriteHeader(status)
 	if _, err := rp.w.Write(body); err != nil {
-		obs.Inc("service.write_errors")
+		rp.rec.Counter("service.write_errors").Inc()
 	}
 }

@@ -123,8 +123,8 @@ type scenarioRoute struct {
 // endpoint: the Fleet mounts each row at /v1/scenarios/{id}{path} and
 // again at /v1{path} (the DefaultID alias), both behind its tenant
 // resolver. Adding a row here is the whole registration.
-// (/v1/metrics is deliberately absent: the obs registry is
-// process-global, so the fleet serves it once, not per scenario.)
+// (/v1/metrics is deliberately absent: it serves the process
+// registry's sums, once per fleet, not per scenario.)
 var scenarioRoutes = []scenarioRoute{
 	{http.MethodGet, "/healthz", "healthz", (*Server).serveHealthz},
 	{http.MethodGet, "/classify", "classify", (*Server).serveClassify},
@@ -272,9 +272,10 @@ func (srv *Server) serveHealthz(rp *reply, _ *http.Request) {
 	rp.bytes("application/json", "", srv.health)
 }
 
-// serveMetrics reports the obs snapshot. It is the one endpoint that
-// is NOT deterministic (metrics are history) and is never cached. The
-// registry is process-global, so the Fleet serves the same handler.
+// serveMetrics reports the process registry's snapshot: the sums of
+// every store's record and of anything recorded on it directly. It is
+// the one endpoint that is NOT deterministic (metrics are history) and
+// is never cached.
 func serveMetrics(rp *reply, _ *http.Request) {
 	rp.envelope(http.StatusOK, "metrics", MetricsData{Metrics: obs.Snap()})
 }

@@ -1,6 +1,10 @@
 package service
 
-import "reflect"
+import (
+	"reflect"
+
+	"routelab/internal/obs"
+)
 
 // Memory accounting: the store's byte-budget eviction needs each sealed
 // tenant's resident cost, measured once at build time. A sealed
@@ -31,10 +35,17 @@ import "reflect"
 // such a slice cap × elem without visiting its elements, so it costs
 // O(objects), not O(scalars).
 //
+// The walk stops at an obs record (*obs.Registry), charging nothing: a
+// record is bookkeeping shared up the tree (the scenario's reaches the
+// store's and the process's), bounded by its metric names, not by the
+// world.
+//
 // The estimate is deterministic for a sealed scenario: the walk's
 // iteration order varies, but sums are commutative and sharing is
 // deduplicated by identity, so every walk of the same graph yields the
 // same total.
+
+var recordType = reflect.TypeFor[*obs.Registry]()
 
 // mapEntryOverhead approximates Go's per-entry bucket cost (tophash,
 // partial bucket occupancy, overflow pointers).
@@ -89,7 +100,7 @@ func sizeOf(v any) int64 {
 func (w *sizeWalker) referenced(v reflect.Value) int64 {
 	switch v.Kind() {
 	case reflect.Pointer:
-		if v.IsNil() || w.seen[v.Pointer()] {
+		if v.IsNil() || v.Type() == recordType || w.seen[v.Pointer()] {
 			return 0
 		}
 		w.seen[v.Pointer()] = true

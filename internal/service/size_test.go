@@ -2,10 +2,12 @@ package service
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"routelab/internal/classify"
 	"routelab/internal/experiments"
+	"routelab/internal/obs"
 )
 
 // TestSizeOfSynthetic pins the accounting model on small graphs where
@@ -159,5 +161,35 @@ func TestServedTenantNeverOutgrowsCharge(t *testing.T) {
 	if got := srv.accountSize(); got != srv.SizeBytes() {
 		t.Errorf("served tenant weighs %d bytes, charged %d (%+.1f%%)",
 			got, srv.SizeBytes(), 100*float64(got-srv.SizeBytes())/float64(srv.SizeBytes()))
+	}
+}
+
+// TestTenantChargeIgnoresRecords: the walk charges nothing for an obs
+// record, so what a tenant weighs does not move when the records its
+// scenario reaches through its parents grow — a thousand new names on
+// the process registry and on its store's, and the stages and counts
+// an experiment run records on the scenario's own.
+func TestTenantChargeIgnoresRecords(t *testing.T) {
+	st := NewStore(StoreConfig{})
+	if err := st.Register(testExpansion("alpha", 1), "test"); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := st.Get(context.Background(), "alpha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := srv.accountSize()
+	t.Logf("store-built TestConfig tenant weighs %d bytes", before)
+	for i := range 1000 {
+		name := fmt.Sprintf("test.size.records.%d", i)
+		obs.Default().Counter(name).Inc()
+		st.Record().Counter(name).Inc()
+	}
+	exp, _ := experiments.Get("prediction")
+	if _, err := exp.Run(context.Background(), &experiments.Env{S: srv.s, Seed: srv.s.Cfg.Seed}); err != nil {
+		t.Fatal(err)
+	}
+	if after := srv.accountSize(); after != before {
+		t.Errorf("tenant weighs %d bytes after its records grew, %d before", after, before)
 	}
 }

@@ -52,11 +52,12 @@ type StoreConfig struct {
 // requests for the same cold id coalesce into a single build.
 //
 // A store keeps one obs record (Record), a child of the process
-// registry. Each build records on a child of it, and the store's own
-// metrics on it: the service/scenario-build stage, the lrus' gauges,
+// registry. Each build, and later work on its scenario, records on a
+// child of it; the store's own metrics and its fleet's requests
+// (handle) on it: the service/scenario-build stage, the lrus' gauges,
 // and service.scenario.builds (real builds), .hits (served from the
 // lru) and .evictions (drops). Two stores in one process never see each
-// other's builds; the process registry sees the sums.
+// other's records; the process registry sees the sums.
 type Store struct {
 	cfg       StoreConfig
 	rec       *obs.Registry // the store's record, a child of the process registry
@@ -109,7 +110,8 @@ func NewStore(cfg StoreConfig) *Store {
 }
 
 // Record returns the store's obs record: listen on it to hear this
-// store's builds begin their phases, and no one else's stages.
+// store's builds begin their phases, its requests' service/<name>
+// stages and the stages of work on its tenants, and no one else's.
 func (st *Store) Record() *obs.Registry { return st.rec }
 
 // Register admits one compiled spec expansion under its spec name.
