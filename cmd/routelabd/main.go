@@ -203,6 +203,7 @@ func main() {
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "routelabd:", err)
+			writeMetrics()
 			os.Exit(1)
 		}
 	}
@@ -211,6 +212,7 @@ func main() {
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "routelabd:", err)
+		writeMetrics()
 		os.Exit(1)
 	}
 	// Supervisors (main_test.go among them) wait for this line before

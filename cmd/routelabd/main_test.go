@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -252,6 +253,34 @@ func TestLifecycleFleetOfOne(t *testing.T) {
 	var rep obs.Report
 	if err := json.Unmarshal(raw, &rep); err != nil || rep.Schema != obs.ReportSchema {
 		t.Fatalf("metrics report: %v, schema %q, want %q", err, rep.Schema, obs.ReportSchema)
+	}
+}
+
+// A boot that fails still writes its -metrics-json report: here the
+// world builds, its address is taken, and routelabd exits 1 with the
+// build on record.
+func TestFailedBootWritesMetrics(t *testing.T) {
+	held, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	metrics := filepath.Join(t.TempDir(), "metrics.json")
+	out, err := command(t, "-scale", "0.05", "-addr", held.Addr().String(), "-metrics-json", metrics).CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("err %v, want exit status 1\n%s", err, out)
+	}
+	raw, err := os.ReadFile(metrics)
+	if err != nil {
+		t.Fatalf("no metrics report on a failed boot: %v\n%s", err, out)
+	}
+	var rep obs.Report
+	if err := json.Unmarshal(raw, &rep); err != nil || rep.Schema != obs.ReportSchema {
+		t.Fatalf("metrics report: %v, schema %q, want %q", err, rep.Schema, obs.ReportSchema)
+	}
+	if n := rep.Metrics.Counters["scenario.builds"]; n != 1 {
+		t.Errorf("scenario.builds = %d, want 1", n)
 	}
 }
 

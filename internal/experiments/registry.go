@@ -41,9 +41,6 @@ type Experiment struct {
 	run  func(ctx context.Context, env *Env) (Result, error)
 }
 
-// Name is the stable identifier the CLI and the service dispatch on.
-func (e *Experiment) Name() string { return e.name }
-
 // Run executes the experiment and returns its structured Result. It
 // refuses an already-cancelled ctx, times the run under its obs stage
 // ("experiment/<name>") and bumps the experiments.runs counter, both on

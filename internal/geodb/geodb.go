@@ -99,15 +99,6 @@ func (d *DB) fallbackCity(owner asn.ASN, ip asn.Addr) (geo.CityID, bool) {
 	return x.Cities[mix(uint64(owner), uint64(ip))%uint64(len(x.Cities))], true
 }
 
-// Continent returns the continent of an IP, or ContinentNone.
-func (d *DB) Continent(ip asn.Addr) geo.Continent {
-	city, ok := d.Locate(ip)
-	if !ok {
-		return geo.ContinentNone
-	}
-	return d.topo.World.ContinentOf(city)
-}
-
 func mix(a, b uint64) uint64 {
 	x := a ^ (b + 0x9e3779b97f4a7c15 + (a << 6) + (a >> 2))
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9

@@ -3,7 +3,6 @@ package geodb
 import (
 	"testing"
 
-	"routelab/internal/geo"
 	"routelab/internal/topology"
 )
 
@@ -47,9 +46,6 @@ func TestIXPUnlocatable(t *testing.T) {
 	d := New(testTopo, Config{Seed: 1})
 	if _, ok := d.Locate(topology.IXPPrefix(4).Nth(2)); ok {
 		t.Error("IXP fabric addresses must be unlocatable")
-	}
-	if d.Continent(topology.IXPPrefix(4).Nth(2)) != geo.ContinentNone {
-		t.Error("IXP continent must be unknown")
 	}
 }
 
@@ -100,16 +96,5 @@ func TestLocateDeterministic(t *testing.T) {
 	c2, ok2 := d.Locate(ip)
 	if c1 != c2 || ok1 != ok2 {
 		t.Error("Locate is not deterministic")
-	}
-}
-
-func TestContinent(t *testing.T) {
-	d := New(testTopo, Config{Seed: 1})
-	a := testTopo.ASNs()[0]
-	x := testTopo.AS(a)
-	ip := testTopo.RouterIP(a, x.Cities[0], 0)
-	want := testTopo.World.ContinentOf(x.Cities[0])
-	if got := d.Continent(ip); got != want {
-		t.Errorf("Continent = %v, want %v", got, want)
 	}
 }

@@ -137,17 +137,6 @@ func (g *Registry) Whois(a asn.ASN) (ASRecord, bool) {
 	return *r, true
 }
 
-// Org returns an organization record.
-func (g *Registry) Org(id OrgID) (Org, bool) {
-	o, ok := g.orgs[id]
-	if !ok {
-		return Org{}, false
-	}
-	cp := *o
-	cp.EmailDomains = append([]string(nil), o.EmailDomains...)
-	return cp, true
-}
-
 // RegisteredCountry returns the whois country of an AS, or "".
 func (g *Registry) RegisteredCountry(a asn.ASN) geo.CountryCode {
 	if r, ok := g.as[a]; ok {
@@ -165,6 +154,3 @@ func (g *Registry) ASNs() []asn.ASN {
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
-
-// Len returns the number of AS records.
-func (g *Registry) Len() int { return len(g.as) }

@@ -88,26 +88,6 @@ func TestASNsSortedAndLen(t *testing.T) {
 	if len(got) != 3 || got[0] != 100 || got[1] != 200 || got[2] != 300 {
 		t.Errorf("ASNs = %v", got)
 	}
-	if g.Len() != 3 {
-		t.Errorf("Len = %d", g.Len())
-	}
-}
-
-func TestOrgIsolation(t *testing.T) {
-	g := New()
-	g.AddOrg(Org{ID: "o1", EmailDomains: []string{"a.example"}})
-	o, ok := g.Org("o1")
-	if !ok {
-		t.Fatal("org miss")
-	}
-	o.EmailDomains[0] = "mutated.example"
-	again, _ := g.Org("o1")
-	if again.EmailDomains[0] != "a.example" {
-		t.Error("caller mutation leaked into registry")
-	}
-	if _, ok := g.Org("nope"); ok {
-		t.Error("unknown org should miss")
-	}
 }
 
 func TestFreemailList(t *testing.T) {

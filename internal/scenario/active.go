@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"math/rand"
-	"slices"
 	"sort"
 	"sync"
 
@@ -14,12 +13,10 @@ import (
 	"routelab/internal/vantage"
 )
 
-// MagnetCampaign is the assembled §3.2 magnet experiment: one run per
-// mux, with decisions prepared for Table 2 classification under both
-// observation channels.
+// MagnetCampaign is the assembled §3.2 magnet experiment: the decisions
+// of the build's magnet runs (Scenario.Magnet, one per mux), prepared
+// for Table 2 classification under both observation channels.
 type MagnetCampaign struct {
-	// Runs is the scenario's Magnet, shared rather than copied: read-only.
-	Runs []peering.MagnetResult
 	// FeedDecisions observe ASes visible on monitor-feed paths toward
 	// the PEERING prefix; TraceDecisions those on active traceroute
 	// paths from the RIPE/PlanetLab probe set.
@@ -43,57 +40,23 @@ func (s *Scenario) runMagnets() []peering.MagnetResult {
 // maxWalk caps an observer's walk along next hops, in ASes.
 const maxWalk = 32
 
-// magnetIndex is the seed-free half of RunMagnetCampaign: what it
-// knows of the build's magnet runs before drawing any observer, laid
-// out so that an observer's walk and the decisions it makes visible
-// read arrays only. An AS is named by its position in ases; what an
-// observer can establish about an AS's next hops is a set of hop slots,
-// one per next hop the runs show the AS using or offering it.
-type magnetIndex struct {
-	// ases lists every AS the runs name, observed or a next hop of an
-	// observed route, ascending.
-	ases []asn.ASN
-	// slotBase[p] is the first hop slot of the AS at position p; the
-	// slots of p end where p+1's begin, and the last entry is the count.
-	slotBase []int32
-	// runs are aligned to the magnet runs.
-	runs []magnetRun
-}
-
-// magnetRun is one magnet run, indexed by AS position.
-type magnetRun struct {
-	// at[p] is the index of the AS at position p among the run's
-	// Observations, -1 if the run did not observe it.
-	at []int32
-	// obs is aligned to the run's Observations.
-	obs []magnetObs
-}
-
-// magnetObs is the seed-free half of one magnet observation.
-type magnetObs struct {
-	// pos is the AS's position; next that of the After route's next
-	// hop, -1 for a route the AS originates.
-	pos, next int32
-	// before and after are the hop slots of the Before and After
-	// routes' next hops, -1 for an originated route.
-	before, after int32
+// magnetView is the seed-free half of one magnet observation: what
+// RunMagnetCampaign reads of it whatever its observers.
+type magnetView struct {
 	// sticky reports whether the AS settled on one dominant next hop
 	// after the anycasts, across the campaign's runs.
 	sticky bool
 	// kept reports whether the AS kept its route toward the magnet.
 	kept bool
-	// alts are the observation's Alternatives, one per next hop other
-	// than the chosen route's, in ascending next-hop order.
-	alts []magnetAlt
+	// alts indexes the observation's Alternatives: the first route per
+	// next hop other than the chosen route's, in ascending next-hop
+	// order.
+	alts []int32
 }
 
-// magnetAlt is one alternative of an observation: its index in
-// Alternatives and the hop slot of its next hop.
-type magnetAlt struct{ alt, slot int32 }
-
-// indexMagnets computes the seed-free half of RunMagnetCampaign over
-// the build's magnet runs.
-func indexMagnets(runs []peering.MagnetResult) magnetIndex {
+// magnetViews computes the seed-free half of RunMagnetCampaign over the
+// build's magnet runs: one slice per run, aligned to its Observations.
+func magnetViews(runs []peering.MagnetResult) [][]magnetView {
 	// Stickiness: does the AS settle on one dominant next hop after the
 	// anycast, regardless of magnet placement? A static preference
 	// (IGP) produces the same winner in a clear majority of runs;
@@ -102,14 +65,6 @@ func indexMagnets(runs []peering.MagnetResult) magnetIndex {
 	// occasional alternate BGP equilibrium.
 	nhCounts := map[asn.ASN]map[asn.ASN]int{}
 	runsSeen := map[asn.ASN]int{}
-	// hopsOf collects, per AS, every next hop a run shows it using or
-	// offering: the AS's hop slots.
-	hopsOf := map[asn.ASN][]asn.ASN{}
-	addHop := func(a asn.ASN, r *bgp.Route) {
-		if !r.NextHop.IsZero() && !slices.Contains(hopsOf[a], r.NextHop) {
-			hopsOf[a] = append(hopsOf[a], r.NextHop)
-		}
-	}
 	for ri := range runs {
 		for k := range runs[ri].Observations {
 			o := &runs[ri].Observations[k]
@@ -120,88 +75,38 @@ func indexMagnets(runs []peering.MagnetResult) magnetIndex {
 			}
 			m[o.After.NextHop]++
 			runsSeen[o.AS]++
-			if _, ok := hopsOf[o.AS]; !ok {
-				hopsOf[o.AS] = nil // an AS with no next hop has a position too
-			}
-			addHop(o.AS, &o.Before)
-			addHop(o.AS, &o.After)
-			for a := range o.Alternatives {
-				addHop(o.AS, &o.Alternatives[a])
-			}
 		}
 	}
 	sticky := map[asn.ASN]bool{}
 	for a, m := range nhCounts {
 		best := 0
 		for _, n := range m {
-			if n > best {
-				best = n
-			}
+			best = max(best, n)
 		}
 		sticky[a] = best*3 >= runsSeen[a]*2 // dominant ≥ 2/3 of runs
 	}
 
-	var ases []asn.ASN
-	for a, hops := range hopsOf {
-		ases = append(ases, a)
-		ases = append(ases, hops...)
-		slices.Sort(hops)
-	}
-	slices.Sort(ases)
-	// Clipped: grown in map order, the capacity would vary from build
-	// to build, and so would what the tenant weighs.
-	ix := magnetIndex{ases: slices.Clip(slices.Compact(ases))}
-	ix.slotBase = make([]int32, len(ix.ases)+1)
-	for p, a := range ix.ases {
-		ix.slotBase[p+1] = ix.slotBase[p] + int32(len(hopsOf[a]))
-	}
-	pos := func(a asn.ASN) int32 {
-		if a.IsZero() {
-			return -1
-		}
-		p, _ := slices.BinarySearch(ix.ases, a)
-		return int32(p)
-	}
-	slot := func(a, nh asn.ASN) int32 {
-		if nh.IsZero() {
-			return -1
-		}
-		k, _ := slices.BinarySearch(hopsOf[a], nh)
-		return ix.slotBase[pos(a)] + int32(k)
-	}
-
-	ix.runs = make([]magnetRun, len(runs))
+	out := make([][]magnetView, len(runs))
 	for ri := range runs {
 		res := &runs[ri]
-		run := &ix.runs[ri]
-		run.at = make([]int32, len(ix.ases))
-		for p := range run.at {
-			run.at[p] = -1
-		}
-		run.obs = make([]magnetObs, len(res.Observations))
+		out[ri] = make([]magnetView, len(res.Observations))
 		for k := range res.Observations {
 			o := &res.Observations[k]
 			// One route per next hop (same-next-hop differences are the
 			// downstream AS's decision, which the paper attributes
 			// downstream).
-			var alts []magnetAlt
+			var alts []int32
 			seenNH := map[asn.ASN]bool{o.After.NextHop: true}
 			for a, alt := range o.Alternatives {
 				if !seenNH[alt.NextHop] {
 					seenNH[alt.NextHop] = true
-					alts = append(alts, magnetAlt{alt: int32(a), slot: slot(o.AS, alt.NextHop)})
+					alts = append(alts, int32(a))
 				}
 			}
 			sort.Slice(alts, func(i, j int) bool {
-				return o.Alternatives[alts[i].alt].NextHop < o.Alternatives[alts[j].alt].NextHop
+				return o.Alternatives[alts[i]].NextHop < o.Alternatives[alts[j]].NextHop
 			})
-			p := pos(o.AS)
-			run.at[p] = int32(k)
-			run.obs[k] = magnetObs{
-				pos:    p,
-				next:   pos(o.After.NextHop),
-				before: slot(o.AS, o.Before.NextHop),
-				after:  slot(o.AS, o.After.NextHop),
+			out[ri][k] = magnetView{
 				sticky: sticky[o.AS],
 				// "Keeping the route toward the magnet" (§3.2) means the
 				// post-anycast route still exits through the MAGNET mux
@@ -213,7 +118,7 @@ func indexMagnets(runs []peering.MagnetResult) magnetIndex {
 			}
 		}
 	}
-	return ix
+	return out
 }
 
 // RunMagnetCampaign observes the build's magnet runs (s.Magnet) and
@@ -228,14 +133,14 @@ func (s *Scenario) RunMagnetCampaign(rng *rand.Rand) MagnetCampaign {
 	feedPeers := vantage.SelectPeers(s.Topo, rng, s.Cfg.NumVantagePeers)
 	activeProbes := s.activeProbeSet(rng)
 	return MagnetCampaign{
-		Runs:           s.Magnet,
-		FeedDecisions:  s.magnetIndex.observe(s.Magnet, feedPeers),
-		TraceDecisions: s.magnetIndex.observe(s.Magnet, activeProbes),
+		FeedDecisions:  observe(s.Magnet, s.magnetViews, feedPeers),
+		TraceDecisions: observe(s.Magnet, s.magnetViews, activeProbes),
 	}
 }
 
-// observe is one observation channel of the campaign over runs, the
-// runs ix indexes: the decisions of every AS visible from observers.
+// observe is one observation channel of the campaign over runs, whose
+// seed-free halves are views: the decisions of every AS visible from
+// observers, run by run in observation order.
 //
 // The channel learns, per AS, the set of NEXT HOPS the AS was ever seen
 // using (across all runs and both phases) — that is everything an
@@ -243,89 +148,60 @@ func (s *Scenario) RunMagnetCampaign(rng *rand.Rand) MagnetCampaign {
 // set for a run is then the routes those neighbors were ACTUALLY
 // offering x in that run's post-anycast state (the paper verified
 // exactly this availability assumption before reporting).
-func (ix *magnetIndex) observe(runs []peering.MagnetResult, observers []asn.ASN) []classify.MagnetDecision {
-	visible := make([]bool, len(ix.ases))
-	hops := make([]bool, ix.slotBase[len(ix.ases)])
-	// left[p] is the walk budget the AS at position p had left when a
-	// walk of this run last reached it: a walk that reaches it with no
-	// more can only mark what that one did.
-	left := make([]int8, len(ix.ases))
-	starts := make([]int32, 0, len(observers))
-	for _, a := range observers {
-		if p, ok := slices.BinarySearch(ix.ases, a); ok {
-			starts = append(starts, int32(p))
+func observe(runs []peering.MagnetResult, views [][]magnetView, observers []asn.ASN) []classify.MagnetDecision {
+	type hop struct{ as, next asn.ASN }
+	used := map[hop]bool{}
+	visible := map[asn.ASN]bool{}
+	record := func(a asn.ASN, r *bgp.Route) {
+		if !r.NextHop.IsZero() {
+			used[hop{a, r.NextHop}] = true
 		}
 	}
 	// Visibility comes from each run's post-anycast state: an observer
 	// sees the ASes on its path, followed next hop by next hop.
-	for ri := range ix.runs {
-		run := &ix.runs[ri]
-		clear(left)
-		for _, p := range starts {
-			for budget := int8(maxWalk); budget > 0 && p >= 0; budget-- {
-				k := run.at[p]
-				if k < 0 || left[p] >= budget {
+	for ri := range runs {
+		observed := runs[ri].Observations
+		for _, cur := range observers {
+			for range maxWalk {
+				k := sort.Search(len(observed), func(k int) bool { return observed[k].AS >= cur })
+				if k == len(observed) || observed[k].AS != cur {
 					break
 				}
-				left[p] = budget
-				o := &run.obs[k]
-				visible[p] = true
-				if o.before >= 0 {
-					hops[o.before] = true
+				o := &observed[k]
+				visible[cur] = true
+				record(cur, &o.Before)
+				record(cur, &o.After)
+				if o.After.NextHop.IsZero() {
+					break
 				}
-				if o.after >= 0 {
-					hops[o.after] = true
-				}
-				p = o.next
+				cur = o.After.NextHop
 			}
 		}
 	}
 
 	// One decision per (run, visible AS); the run's genuine candidate
 	// set is its alternatives restricted to next hops the observer
-	// established. Counted first, so the decisions and their Others
-	// each fill one array.
-	decisions, others := 0, 0
-	for ri := range ix.runs {
-		for k := range ix.runs[ri].obs {
-			if o := &ix.runs[ri].obs[k]; visible[o.pos] {
-				decisions++
-				for _, a := range o.alts {
-					if hops[a.slot] {
-						others++
-					}
-				}
-			}
-		}
-	}
-	if decisions == 0 {
-		return nil
-	}
-	out := make([]classify.MagnetDecision, 0, decisions)
-	pool := make([]bgp.Route, 0, others)
-	for ri := range ix.runs {
-		for k := range ix.runs[ri].obs {
-			v := &ix.runs[ri].obs[k]
-			if !visible[v.pos] {
+	// established.
+	var out []classify.MagnetDecision
+	for ri := range runs {
+		for k := range runs[ri].Observations {
+			o := &runs[ri].Observations[k]
+			if !visible[o.AS] {
 				continue
 			}
-			o := &runs[ri].Observations[k]
-			from := len(pool)
+			v := &views[ri][k]
+			var others []bgp.Route
 			for _, a := range v.alts {
-				if hops[a.slot] {
-					pool = append(pool, o.Alternatives[a.alt])
+				if alt := o.Alternatives[a]; used[hop{o.AS, alt.NextHop}] {
+					others = append(others, alt)
 				}
-			}
-			var seen []bgp.Route
-			if len(pool) > from {
-				seen = pool[from:len(pool):len(pool)]
 			}
 			out = append(out, classify.MagnetDecision{
 				AS:         o.AS,
 				Chosen:     o.After,
 				KeptMagnet: v.kept,
 				Sticky:     v.sticky,
-				Others:     seen,
+				Others:     others,
 			})
 		}
 	}
@@ -444,7 +320,7 @@ func (s *Scenario) observedTargets(rng *rand.Rand, prefix asn.Prefix) []asn.ASN 
 	seen := map[asn.ASN]bool{}
 	walk := func(start asn.ASN) {
 		cur := start
-		for hops := 0; hops < 32; hops++ {
+		for range maxWalk {
 			if cur == s.Testbed.Origin {
 				return
 			}

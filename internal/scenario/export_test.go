@@ -15,8 +15,3 @@ func BuildKeepingSnapshots(cfg Config) (*Scenario, []*vantage.Snapshot, error) {
 // has: the next Alternates call walks every target it is asked for. A
 // shallow copy of a Scenario shares its memo until it calls this.
 func (s *Scenario) ForgetAlternates() { s.alternates = new(alternatesMemo) }
-
-// MagnetCampaignMatchesReference holds s's RunMagnetCampaign to the
-// map-based reference walk at seeds 0 to seeds-1
-// (magnet_oracle_test.go).
-var MagnetCampaignMatchesReference = magnetCampaignMatchesReference

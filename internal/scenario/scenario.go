@@ -183,9 +183,9 @@ type Scenario struct {
 	// Magnet holds one §3.2 magnet run per testbed mux, in mux order:
 	// a fixed function of the testbed, which RunMagnetCampaign observes.
 	Magnet []peering.MagnetResult
-	// magnetIndex is what RunMagnetCampaign reads of Magnet whatever its
-	// observers.
-	magnetIndex magnetIndex
+	// magnetViews is what RunMagnetCampaign reads of Magnet whatever its
+	// observers, aligned to its runs and their Observations.
+	magnetViews [][]magnetView
 	// alternates keeps every discovery result Alternates has computed.
 	alternates *alternatesMemo
 	rec        *obs.Registry
@@ -405,7 +405,7 @@ func build(cfg Config, rec *obs.Registry, keep func([]*vantage.Snapshot)) (*Scen
 	// The last two phases draw nothing from rng: they compute once what
 	// every reader of the scenario would otherwise recompute per request.
 	s.Magnet = s.runMagnets()
-	s.magnetIndex = indexMagnets(s.Magnet)
+	s.magnetViews = magnetViews(s.Magnet)
 
 	stop = rec.StartStage("scenario/judge")
 	s.Verdicts = s.Context.Judge(s.Measurements, cfg.RoutingWorkers)

@@ -157,8 +157,8 @@ func TestRefinementsOnlyImprove(t *testing.T) {
 func TestMagnetCampaignProducesDecisions(t *testing.T) {
 	s := getScenario(t)
 	mc := s.RunMagnetCampaign(rand.New(rand.NewSource(9)))
-	if len(mc.Runs) != len(s.Testbed.Muxes) {
-		t.Fatalf("%d runs", len(mc.Runs))
+	if len(s.Magnet) != len(s.Testbed.Muxes) {
+		t.Fatalf("%d runs", len(s.Magnet))
 	}
 	if len(mc.FeedDecisions) == 0 || len(mc.TraceDecisions) == 0 {
 		t.Fatalf("empty decision sets: feed=%d trace=%d", len(mc.FeedDecisions), len(mc.TraceDecisions))
